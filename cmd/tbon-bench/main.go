@@ -16,7 +16,6 @@
 //	tbon-bench -exp flowcontrol   # ablation: credit window × slow consumer
 //	tbon-bench -exp multitenant   # session fabric: N tenants over one overlay
 //	tbon-bench -exp exactlyonce   # ablation: exactly-once recovery vs lossy adoption
-//	tbon-bench -exp zeroalloc     # ablation: packet-arena pooling on vs off
 //	tbon-bench -exp elastic       # ablation: elastic topology mutation under skew
 //	tbon-bench -exp all           # everything
 //
@@ -24,9 +23,7 @@
 // -json the selected experiments emit one machine-readable array of
 // {experiment, recorded_at, gomaxprocs, rows} envelopes on stdout instead
 // of tables — redirect to BENCH_<tag>.json to record the perf trajectory
-// of a change. Experiments that measure their hot path's allocation
-// profile (zeroalloc) additionally stamp allocs_per_op / bytes_per_op on
-// the envelope. -cpuprofile and -memprofile write pprof profiles of the
+// of a change. -cpuprofile and -memprofile write pprof profiles of the
 // selected experiments for `go tool pprof`.
 package main
 
@@ -44,7 +41,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|startup|throughput|overhead|sgfa|fanout|sync|transport|recovery|batching|flowcontrol|multitenant|exactlyonce|zeroalloc|elastic|all")
+	exp := flag.String("exp", "all", "experiment: fig4|startup|throughput|overhead|sgfa|fanout|sync|transport|recovery|batching|flowcontrol|multitenant|exactlyonce|elastic|all")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (an array of {experiment, rows} envelopes) instead of tables; record as BENCH_*.json to track the perf trajectory")
 	scales := flag.String("scales", "", "comma-separated fig4 scales (default 16,32,48,64,128,256,324)")
 	points := flag.Int("points", 0, "fig4 raw samples per cluster per leaf (default 120)")
@@ -60,8 +57,6 @@ func main() {
 	eoSeeds := flag.Int("eo-seeds", 0, "exactlyonce seeded schedules per mode (default 5)")
 	elHotQuota := flag.Int("el-hotquota", 0, "elastic ablation packets per hot leaf (default 4000)")
 	elWindow := flag.Int("el-window", 0, "elastic ablation credit window (default 4)")
-	zaBatch := flag.Int("za-batch", 0, "zeroalloc packets per flush (default 32)")
-	zaPayload := flag.Int("za-payload", 0, "zeroalloc payload bytes per packet (default 1024)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the selected experiments) to this file")
 	flag.Parse()
@@ -280,21 +275,6 @@ func main() {
 			return nil, "", err
 		}
 		return rows, table(func() string { return experiments.ExactlyOnceTable(cfg, rows) }), nil
-	})
-
-	run("zeroalloc", func() (any, string, error) {
-		cfg := experiments.DefaultZeroAllocConfig()
-		if *zaBatch > 0 {
-			cfg.Batch = *zaBatch
-		}
-		if *zaPayload > 0 {
-			cfg.PayloadBytes = *zaPayload
-		}
-		rows, err := experiments.RunZeroAlloc(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, table(func() string { return experiments.ZeroAllocTable(cfg, rows) }), nil
 	})
 
 	run("elastic", func() (any, string, error) {

@@ -95,7 +95,7 @@ func main() {
 		Cooldown:   200 * time.Millisecond,
 		SplitAbove: 1.5,
 		MergeBelow: -1, // split-only: the skew never reverses in this demo
-		MinQueued:  -1, // no flow control here, so heat alone decides
+		MinQueued:  -1, // the overlay is unsaturated, so heat alone decides
 		OnMutation: func(m elastic.Mutation) {
 			fmt.Printf("mutation: %s of router %d (heat %.2f) -> sibling %d\n",
 				m.Kind, m.Target, m.Heat, m.Sibling)

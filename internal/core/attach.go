@@ -94,11 +94,9 @@ func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 		transport.DropLink(childEnd)
 		return stillborn(fmt.Errorf("core: attaching back-end: %w", err))
 	}
-	if nw.flowOn() {
-		// Both ends of the new edge get credit accounting from birth (the
-		// child end is wrapped by newBackEnd below).
-		parentEnd = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
-	}
+	// Both ends of the new edge get credit accounting from birth (the
+	// child end is wrapped by newBackEnd below).
+	parentEnd = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
 	nw.metrics.RewiredLinks.Add(1)
 
 	// Hand the new link to the parent's event loop; the send completes

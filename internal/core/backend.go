@@ -43,9 +43,9 @@ type BackEnd struct {
 
 	// eg is the upstream egress queue, shared between the handler goroutine
 	// (Send) and the link loop (age flushes, reparent, drain); the queue
-	// serializes internally. It is nil when batching is disabled. egKick
-	// wakes the age flusher when the queue transitions empty -> non-empty,
-	// so an idle back-end costs no timer traffic at all.
+	// serializes internally. egKick wakes the age flusher when the queue
+	// transitions empty -> non-empty, so an idle back-end costs no timer
+	// traffic at all.
 	eg     *egressQueue
 	egKick chan struct{}
 
@@ -56,11 +56,9 @@ type BackEnd struct {
 }
 
 func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
-	// With flow control on, the parent link carries credit accounting;
-	// AttachBackEnd hands a raw link, so wrap here if needed.
-	if nw.flowOn() && ep.Parent != nil && flowOf(ep.Parent) == nil {
-		ep.Parent = transport.NewFlowLink(ep.Parent, nw.cfg.LinkWindow)
-	}
+	// The back-end wraps its own end of the parent link with credit
+	// accounting: NewNetwork and AttachBackEnd both hand it a raw link.
+	ep.Parent = transport.NewFlowLink(ep.Parent, nw.cfg.LinkWindow)
 	be := &BackEnd{
 		nw:         nw,
 		rank:       rank,
@@ -68,20 +66,15 @@ func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
 		inbox:      make(chan beDelivery, 64),
 		reparentCh: make(chan reparentReq, 1),
 		killCh:     make(chan struct{}),
+		egKick:     make(chan struct{}, 1),
 	}
-	// The egress queue exists whenever batching OR flow control asks for
-	// it: flow control needs the bounded queue and credit-aware flush even
-	// un-batched.
-	if nw.cfg.Batch.enabled() || nw.flowOn() {
-		be.egKick = make(chan struct{}, 1)
-		be.eg = newEgressQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, nw.recoverable(), kickFunc(be.egKick))
-		be.eg.bindStops(be.killCh, nw.dying)
-		if nw.xonce() {
-			// Leaves originate the upstream flow: their rings replay at
-			// reparent like every sender's, but acknowledgements carry no
-			// deferred retirements (nil sink) — popping just frees memory.
-			be.eg.enableReplay(nil)
-		}
+	be.eg = newEgressQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, nw.recoverable(), kickFunc(be.egKick))
+	be.eg.bindStops(be.killCh, nw.dying)
+	if nw.xonce() {
+		// Leaves originate the upstream flow: their rings replay at
+		// reparent like every sender's, but acknowledgements carry no
+		// deferred retirements (nil sink) — popping just frees memory.
+		be.eg.enableReplay(nil)
 	}
 	return be
 }
@@ -119,11 +112,11 @@ func (be *BackEnd) killed() bool {
 
 // Recv blocks for the next downstream packet addressed to this back-end
 // (multicast data on any stream it belongs to). It returns io.EOF when the
-// network is shutting down. On a flow-controlled network, Recv is the
-// retirement point of downstream traffic: the handler actually consuming
-// a packet is what hands the parent its send credit back — a handler that
-// stops reading throttles the whole path back to the front-end producer,
-// with one window of packets in flight.
+// network is shutting down. Recv is the retirement point of downstream
+// traffic: the handler actually consuming a packet is what hands the
+// parent its send credit back — a handler that stops reading throttles the
+// whole path back to the front-end producer, with one window of packets in
+// flight.
 func (be *BackEnd) Recv() (*packet.Packet, error) {
 	d, ok := <-be.inbox
 	if !ok {
@@ -152,20 +145,15 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 }
 
 // SendPacket emits a pre-built packet upstream, re-stamping its stream and
-// source identity is NOT performed: the caller controls the header. With
-// batching enabled the packet may be queued rather than sent immediately;
-// a nil return means it was accepted and will be flushed by the size or
-// age policy (or retained across a parent failure on recoverable
-// networks), not necessarily that it is on the wire.
+// source identity is NOT performed: the caller controls the header. The
+// packet is queued rather than sent immediately, and the call blocks while
+// the queue is at the link window; a nil return means it was accepted and
+// will be flushed by the size or age policy (or retained across a parent
+// failure on recoverable networks), not necessarily that it is on the
+// wire.
 func (be *BackEnd) SendPacket(p *packet.Packet) error {
 	if be.nw.xonce() && p.Seq == 0 && p.Tag != packet.TagControl {
 		p = p.WithSeq(packet.MakeSeq(be.rank, be.seqCtr.Add(1)))
-	}
-	if be.eg == nil {
-		if err := be.parentLink().Send(p); err != nil {
-			return fmt.Errorf("core: back-end %d send: %w", be.rank, err)
-		}
-		return nil
 	}
 	err := be.eg.send(p)
 	retained := err != nil && be.eg.retain && !be.killed() && !be.nw.tearingDown()
@@ -182,9 +170,6 @@ func (be *BackEnd) SendPacket(p *packet.Packet) error {
 // Flush forces the back-end's egress queue onto the wire, for handlers
 // that need bounded latency tighter than the age policy provides.
 func (be *BackEnd) Flush() error {
-	if be.eg == nil {
-		return nil
-	}
 	return be.eg.drain()
 }
 
@@ -252,15 +237,13 @@ func (be *BackEnd) run() {
 			}
 		}
 	}()
-	if be.eg != nil {
-		// Age flusher: the handler goroutine has no event loop, so this
-		// goroutine enforces the MaxDelay bound on queued packets. It
-		// sleeps until kicked by the first enqueue, then re-arms only
-		// while packets remain queued — an idle back-end costs nothing.
-		flushStop := make(chan struct{})
-		defer close(flushStop)
-		go be.ageFlusher(flushStop)
-	}
+	// Age flusher: the handler goroutine has no event loop, so this
+	// goroutine enforces the MaxDelay bound on queued packets. It sleeps
+	// until kicked by the first enqueue, then re-arms only while packets
+	// remain queued — an idle back-end costs nothing.
+	flushStop := make(chan struct{})
+	defer close(flushStop)
+	go be.ageFlusher(flushStop)
 
 loop:
 	for {
@@ -281,21 +264,17 @@ loop:
 						// failed): stay orphaned and await the next one.
 						continue
 					}
-					if be.nw.flowOn() {
-						// A replacement link starts a fresh credit window on
-						// both sides: retained sends re-enter it without
-						// double-spending.
-						l = transport.NewFlowLink(l, be.nw.cfg.LinkWindow)
-					}
+					// A replacement link starts a fresh credit window on both
+					// sides: retained sends re-enter it without
+					// double-spending.
+					l = transport.NewFlowLink(l, be.nw.cfg.LinkWindow)
 					old := be.parentLink()
 					be.setParent(l)
 					transport.DropLink(old)
-					if be.eg != nil {
-						// Repoint the egress queue and re-flush anything
-						// retained across the dead parent: accepted
-						// packets survive the failure.
-						be.eg.setLink(l) //tbon:allow mutationquiesce back-ends have no shard pool; this goroutine is the sole egress user
-					}
+					// Repoint the egress queue and re-flush anything
+					// retained across the dead parent: accepted packets
+					// survive the failure.
+					be.eg.setLink(l) //tbon:allow mutationquiesce back-ends have no shard pool; this goroutine is the sole egress user
 					continue
 				case <-be.nw.dying:
 				case <-be.killCh:
@@ -326,7 +305,7 @@ loop:
 	<-handlerDone
 	// The handler has returned: flush whatever its last sends left queued
 	// before the link closes, so no packet is stranded at shutdown.
-	if be.eg != nil && !be.killed() {
+	if !be.killed() {
 		_ = be.eg.drain()
 	}
 	_ = be.parentLink().Close()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/eqclass"
 	"repro/internal/filter"
+	"repro/internal/topology"
 )
 
 // TestShutdownFlushesEgress is the packet-stranded-in-queue regression
@@ -200,8 +201,8 @@ type soakResult struct {
 // runSoak streams rounds of data over several concurrent streams — sum
 // reductions plus an eqclass stream — across the given overlay shape and
 // returns everything the front-end observed. cfg supplies the engine
-// parameters under comparison (batching policy, shard count, transport);
-// its Topology, Registry, and OnBackEnd are set here.
+// parameters of the run (shard count, transport); its Topology, Registry,
+// and OnBackEnd are set here.
 func runSoak(t *testing.T, shape string, sumStreams, rounds int, cfg Config) soakResult {
 	t.Helper()
 	tree := mustTree(t, shape)
@@ -348,10 +349,10 @@ func runSoak(t *testing.T, shape string, sumStreams, rounds int, cfg Config) soa
 
 // TestSoakBatchingEquivalence is the scale/soak test: a kary:16^2 overlay
 // (and kary:8^3 when not -short) streams ~10k packets across concurrent
-// reduction streams plus a suppressing eqclass stream, with batching off
-// and with batching on. The two runs must produce eqclass-identical
-// results: identical per-round reduction sequences and identical
-// equivalence-class sets.
+// reduction streams plus a suppressing eqclass stream through the default
+// data plane. The soak's inputs are closed-form, so the run is checked
+// against what the tree must compute (expectedSoak), which also catches a
+// bug that two engine configurations compared with each other would share.
 func TestSoakBatchingEquivalence(t *testing.T) {
 	shapes := []string{"kary:16^2"}
 	if !testing.Short() {
@@ -359,7 +360,8 @@ func TestSoakBatchingEquivalence(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		t.Run(shape, func(t *testing.T) {
-			leaves := len(mustTree(t, shape).Leaves())
+			tree := mustTree(t, shape)
+			leaves := len(tree.Leaves())
 			const sumStreams = 4
 			rounds := (10000 + sumStreams*leaves - 1) / (sumStreams * leaves)
 			if rounds < 2 {
@@ -367,21 +369,62 @@ func TestSoakBatchingEquivalence(t *testing.T) {
 			}
 			t.Logf("%s: %d leaves × %d streams × %d rounds = %d packets (+%d eqclass)",
 				shape, leaves, sumStreams, rounds, leaves*sumStreams*rounds, leaves)
-			off := runSoak(t, shape, sumStreams, rounds, Config{})
-			on := runSoak(t, shape, sumStreams, rounds, Config{Batch: BatchPolicy{
-				MaxBatch: 32, MaxDelay: 2 * time.Millisecond, Adaptive: true,
-			}})
+			got := runSoak(t, shape, sumStreams, rounds, Config{})
 			if t.Failed() {
 				return
 			}
-			compareSoaks(t, off, on, sumStreams)
+			compareSoaks(t, expectedSoak(tree, sumStreams, rounds), got, sumStreams)
 		})
 	}
 }
 
-// compareSoaks asserts two soak runs are eqclass-identical: identical
+// soakRoundSum is the front-end result of one waitforall+sum round in
+// which every back-end contributes rank*1e-3 + round (the soak's and the
+// slow-consumer test's closed-form input). A waitforall batch holds one
+// packet per child in child-slot order and sum folds a batch left to
+// right, so folding the tree in child order reproduces the sum bit for
+// bit.
+func soakRoundSum(tree *topology.Tree, r Rank, round int) float64 {
+	kids := tree.Children(r)
+	if len(kids) == 0 {
+		return float64(r)*1e-3 + float64(round)
+	}
+	acc := soakRoundSum(tree, kids[0], round)
+	for _, c := range kids[1:] {
+		acc += soakRoundSum(tree, c, round)
+	}
+	return acc
+}
+
+// expectedSoak computes what runSoak must observe on tree: every stream's
+// per-round sums and the union of the back-ends' class sets.
+func expectedSoak(tree *topology.Tree, sumStreams, rounds int) soakResult {
+	sums := make([]float64, rounds)
+	for r := range sums {
+		sums[r] = soakRoundSum(tree, 0, r)
+	}
+	want := soakResult{sums: map[int][]float64{}, classes: map[string]map[int64]bool{}}
+	for s := 0; s < sumStreams; s++ {
+		want.sums[s] = sums
+	}
+	for _, leaf := range tree.Leaves() {
+		set := soakClassSet(leaf)
+		for _, k := range set.Keys() {
+			for _, m := range set.Members(k) {
+				if want.classes[k] == nil {
+					want.classes[k] = map[int64]bool{}
+				}
+				want.classes[k][m] = true
+			}
+		}
+	}
+	return want
+}
+
+// compareSoaks asserts two soak results are eqclass-identical: identical
 // per-round reduction sequences per stream and identical equivalence-class
-// sets. "off" names the baseline run, "on" the run under test.
+// sets. "off" names the reference (a baseline run, or expectedSoak), "on"
+// the run under test.
 func compareSoaks(t *testing.T, off, on soakResult, sumStreams int) {
 	t.Helper()
 	for s := 0; s < sumStreams; s++ {

@@ -81,23 +81,21 @@ type Config struct {
 	// OnBackEnd runs application code at each back-end in its own
 	// goroutine. May be nil for networks driven purely by multicast tests.
 	OnBackEnd func(be *BackEnd) error
-	// Batch configures per-link egress batching (see BatchPolicy). The
-	// zero value disables batching: every send is one link operation, the
-	// pre-batching behavior.
+	// Batch tunes per-link egress batching (see BatchPolicy): every link's
+	// outbound packets queue and flush as multi-packet frames by size, age
+	// or control. Unset fields take DefaultBatchPolicy's values, so the
+	// zero value is that policy; MaxBatch 1 flushes every packet.
 	Batch BatchPolicy
-	// LinkWindow, when positive, enables credit-based end-to-end flow
-	// control with a per-link, per-direction window of that many data
-	// packets. Every link's egress queue becomes hard-bounded at the
-	// window, senders may have at most one window of un-retired packets in
-	// flight toward a peer, and receivers grant credits back only as their
-	// pipelines actually retire packets — so a slow consumer throttles its
-	// producers losslessly, with per-node queued-data memory provably
-	// bounded by links × window packets (see DESIGN.md §8). It also
-	// switches per-link egress to the priority-aware scheduler (control >
-	// StreamSpec.Priority > round-robin across streams) and disables the
-	// router's inline fast path (pipelines may block on a window; the
-	// router must not). 0 disables flow control: unbounded queues and the
-	// plain FIFO egress, the pre-credit behavior.
+	// LinkWindow is the per-link, per-direction credit window, in data
+	// packets, of the end-to-end flow control every link runs. Each link's
+	// egress queue is hard-bounded at the window, senders may have at most
+	// one window of un-retired packets in flight toward a peer, and
+	// receivers grant credits back only as their pipelines actually retire
+	// packets — so a slow consumer throttles its producers losslessly, with
+	// per-node queued-data memory bounded by links × window packets (see
+	// DESIGN.md §8). Within the window, egress is scheduled control >
+	// StreamSpec.Priority > round-robin across streams. 0 selects
+	// DefaultLinkWindow; NewNetwork rejects negative values.
 	LinkWindow int
 	// Shards sets how many per-stream pipeline workers each routing
 	// process (the front-end and every internal node) runs: streams hash
@@ -129,10 +127,13 @@ type Config struct {
 	// the existing credit grants and retire inbound credits only when their
 	// own outputs are acknowledged downstream, so a grant means "delivered
 	// at the front-end". On reparent the ring replays and receivers drop
-	// the duplicates by sequence number. Requires LinkWindow > 0 (the ring
-	// bound is the window) and Recoverable (replay rides adoption).
+	// the duplicates by sequence number. Requires Recoverable (replay rides
+	// adoption).
 	ExactlyOnce bool
 }
+
+// DefaultLinkWindow is the credit window of a zero Config.LinkWindow.
+const DefaultLinkWindow = 64
 
 // Metrics exposes cheap global counters for tests and benchmarks.
 type Metrics struct {
@@ -143,7 +144,6 @@ type Metrics struct {
 
 	// Stream-sharded data plane observability.
 	ShardDispatches     atomic.Int64 // work items routed to pipeline shards
-	ShardInline         atomic.Int64 // runs executed on the router's inline fast path
 	ShardQueueHighWater atomic.Int64 // deepest shard mailbox observed (items)
 
 	// Egress batching observability.
@@ -257,19 +257,15 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if reg == nil {
 		reg = filter.NewRegistry()
 	}
-	cfg.Batch = cfg.Batch.normalized()
-	if cfg.LinkWindow > 0 && cfg.Batch.MaxDelay <= 0 {
-		// Flow control retries credit-stalled and dead-link flushes on the
-		// age clock even when batching is off; it needs a sane bound.
-		cfg.Batch.MaxDelay = DefaultBatchDelay
+	if cfg.Batch.MaxBatch < 0 || cfg.LinkWindow < 0 {
+		return nil, fmt.Errorf("core: Config.Batch.MaxBatch (%d) and Config.LinkWindow (%d) must not be negative", cfg.Batch.MaxBatch, cfg.LinkWindow)
 	}
-	if cfg.ExactlyOnce {
-		if cfg.LinkWindow <= 0 {
-			return nil, errors.New("core: ExactlyOnce requires LinkWindow (the replay ring is bounded by the credit window)")
-		}
-		if !cfg.Recoverable {
-			return nil, errors.New("core: ExactlyOnce requires Recoverable (replay happens at adoption reparent)")
-		}
+	cfg.Batch = cfg.Batch.normalized()
+	if cfg.LinkWindow == 0 {
+		cfg.LinkWindow = DefaultLinkWindow
+	}
+	if cfg.ExactlyOnce && !cfg.Recoverable {
+		return nil, errors.New("core: ExactlyOnce requires Recoverable (replay happens at adoption reparent)")
 	}
 	var eps []*transport.Endpoint
 	switch cfg.Transport {
@@ -287,23 +283,20 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.WrapFabric != nil {
 		cfg.WrapFabric(eps)
 	}
-	if cfg.LinkWindow > 0 {
-		// Thread credit accounting through every link end before any
-		// process starts: each process wraps its own ends, so both
-		// directions of every edge are governed independently. (Back-end
-		// endpoints are wrapped by newBackEnd, which also covers dynamic
-		// attachment.)
-		for r, ep := range eps {
-			if cfg.Topology.Node(Rank(r)).IsLeaf() {
-				continue
-			}
-			if ep.Parent != nil {
-				ep.Parent = transport.NewFlowLink(ep.Parent, cfg.LinkWindow)
-			}
-			for i, c := range ep.Children {
-				if c != nil {
-					ep.Children[i] = transport.NewFlowLink(c, cfg.LinkWindow)
-				}
+	// Thread credit accounting through every link end before any process
+	// starts: each process wraps its own ends, so both directions of every
+	// edge are governed independently. (Back-end endpoints are wrapped by
+	// newBackEnd, which also covers dynamic attachment.)
+	for r, ep := range eps {
+		if cfg.Topology.Node(Rank(r)).IsLeaf() {
+			continue
+		}
+		if ep.Parent != nil {
+			ep.Parent = transport.NewFlowLink(ep.Parent, cfg.LinkWindow)
+		}
+		for i, c := range ep.Children {
+			if c != nil {
+				ep.Children[i] = transport.NewFlowLink(c, cfg.LinkWindow)
 			}
 		}
 	}
@@ -340,7 +333,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	// The front-end's shard pool exists before any user-facing API call:
 	// Stream.Close enqueues forget items from user goroutines.
 	nw.fe.shards = newShardPool(nw.shardCount(), nw.fe, &nw.metrics)
-	nw.fe.shards.noInline = nw.flowOn()
 
 	// Start communication processes and back-ends.
 	for r := 1; r < cfg.Topology.Len(); r++ {
@@ -401,18 +393,11 @@ func (nw *Network) shardCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// flowOn reports whether credit-based flow control is enabled.
-func (nw *Network) flowOn() bool { return nw.cfg.LinkWindow > 0 }
-
 // xonce reports whether exactly-once recovery is enabled.
 func (nw *Network) xonce() bool { return nw.cfg.ExactlyOnce }
 
 // ExactlyOnce reports whether the network runs exactly-once recovery.
 func (nw *Network) ExactlyOnce() bool { return nw.cfg.ExactlyOnce }
-
-// FlowControlled reports whether the network runs credit-based flow
-// control, and with what per-link window (0 when disabled).
-func (nw *Network) FlowControlled() int { return nw.cfg.LinkWindow }
 
 // Tree returns the network's topology.
 func (nw *Network) Tree() *topology.Tree { return nw.treeNow() }
@@ -435,7 +420,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"batches":                m.Batches.Load(),
 		"filter_errors":          m.FilterErrors.Load(),
 		"shard_dispatches":       m.ShardDispatches.Load(),
-		"shard_inline":           m.ShardInline.Load(),
 		"shard_queue_high_water": m.ShardQueueHighWater.Load(),
 		"packets_queued":         m.PacketsQueued.Load(),
 		"frames_sent":            m.FramesSent.Load(),

@@ -10,20 +10,21 @@ import (
 )
 
 // BatchPolicy governs per-link egress batching: outbound packets queue in
-// a per-link egress buffer and are flushed as one multi-packet frame when
-// the buffer reaches the flush window (size), when the oldest queued
+// a per-link egress queue and are flushed as one multi-packet frame when
+// the queue reaches the flush window (size), when the oldest queued
 // packet has waited MaxDelay (age), when a control packet must not be
 // delayed (control), or when the owner drains at shutdown/reparent
 // (drain). Batching amortizes per-message link costs — a channel transfer
 // or a TCP write+flush — over the whole frame, which is what keeps
 // per-packet overhead from dominating tree throughput.
 type BatchPolicy struct {
-	// MaxBatch is the flush window in packets; a value <= 1 disables
-	// batching and every Send goes straight to the link.
+	// MaxBatch is the flush window in packets: a queue flushes as soon as
+	// that many packets wait in it. 1 flushes every packet; 0 selects
+	// DefaultBatchPolicy's window. NewNetwork rejects negative values.
 	MaxBatch int
 	// MaxDelay bounds how long a packet may sit in an egress queue before
-	// an age flush. Non-positive values get DefaultBatchDelay when
-	// batching is enabled, so a queued packet can never strand.
+	// an age flush, so a queued packet can never strand. Non-positive
+	// values select DefaultBatchDelay.
 	MaxDelay time.Duration
 	// Adaptive enables the congestion-adaptive window: the effective flush
 	// window doubles (up to MaxBatch) every time traffic fills it before
@@ -33,22 +34,23 @@ type BatchPolicy struct {
 	Adaptive bool
 }
 
-// DefaultBatchDelay is the age bound applied when a policy enables
-// batching without choosing one.
+// DefaultBatchDelay is the age bound of a policy that does not choose one.
 const DefaultBatchDelay = 2 * time.Millisecond
 
-// DefaultBatchPolicy is a good general-purpose batching configuration.
+// DefaultBatchPolicy is the batching configuration of a zero Config.Batch.
 func DefaultBatchPolicy() BatchPolicy {
 	return BatchPolicy{MaxBatch: 32, MaxDelay: DefaultBatchDelay}
 }
 
-// enabled reports whether the policy actually batches.
-func (p BatchPolicy) enabled() bool { return p.MaxBatch > 1 }
-
-// normalized fills defaults so an enabled policy always has an age bound.
+// normalized fills the fields a policy leaves unset from
+// DefaultBatchPolicy, so the zero value is exactly that policy.
 func (p BatchPolicy) normalized() BatchPolicy {
-	if p.enabled() && p.MaxDelay <= 0 {
-		p.MaxDelay = DefaultBatchDelay
+	def := DefaultBatchPolicy()
+	if p.MaxBatch == 0 {
+		p.MaxBatch = def.MaxBatch
+	}
+	if p.MaxDelay <= 0 {
+		p.MaxDelay = def.MaxDelay
 	}
 	return p
 }
@@ -62,8 +64,8 @@ var maxEgressFrameBytes = packet.MaxWireSize
 // maxRetained bounds an egress queue retained across a dead parent link
 // (an orphan waiting for adoption): beyond it the oldest packets are
 // dropped, mirroring the bounded kernel-buffer loss a real crashed link
-// would impose. With flow control on the queue is already hard-bounded at
-// the link window, which is always tighter.
+// would impose. It only binds past the link window's hard bound, when
+// released senders overflowed into the queue while the link was dead.
 const maxRetained = 4096
 
 // maxFlushRounds bounds how many take-and-send rounds one flush performs
@@ -93,8 +95,8 @@ const (
 //
 // Locking is split in two so producers never wait on the wire:
 //
-//   - mu guards the queued packets (buf, or the flow-control scheduler)
-//     and is held only for O(1) bookkeeping — never across a link Send.
+//   - mu guards the queued packets (the scheduler) and is held only for
+//     O(1) bookkeeping — never across a link Send.
 //
 //   - flushMu is the wire ownership: exactly one flusher at a time takes
 //     batches out (under mu) and sends them (outside mu). Triggered
@@ -103,13 +105,12 @@ const (
 //     drains what they appended. Only the explicit drain (shutdown,
 //     reparent, Flush) blocks for the wire.
 //
-// With flow control enabled (the link is a transport.FlowLink) the queue
-// is additionally hard-bounded: data occupancy is capped at the link
-// window by a slot semaphore (senders block, abortable by the owner's
-// stop channels), flushes acquire one wire credit per data packet and
-// stop — stalled — when the peer's window is exhausted, and the scheduler
-// (flowegress.go) orders what a flush sends: order-free control first,
-// then streams by priority, round-robin within a priority, with
+// The queue is hard-bounded by its link's credit window: data occupancy is
+// capped at the window by a slot semaphore (senders block, abortable by
+// the owner's stop channels), flushes acquire one wire credit per data
+// packet and stop — stalled — when the peer's window is exhausted, and the
+// scheduler (flowegress.go) orders what a flush sends: order-free control
+// first, then streams by priority, round-robin within a priority, with
 // order-sensitive control packets acting as barriers that nothing
 // enqueued after them may overtake.
 type egressQueue struct {
@@ -123,16 +124,11 @@ type egressQueue struct {
 	// cannot observe.
 	kick func()
 
-	// fc marks a flow-controlled queue. Immutable after construction (a
-	// replacement link is always the same kind as the one it replaces), so
-	// the hot send path may read it lock-free while setLink swaps the flow
-	// pointer under mu.
-	fc bool
-	// slots is the hard data-occupancy bound in flow-control mode: a
-	// counting semaphore of link-window capacity. Senders on pipeline or
-	// handler goroutines block here when the queue is full; the router
-	// never does (it sends with block=false and may transiently overflow
-	// during recovery replay — see sendCtx).
+	// slots is the hard data-occupancy bound: a counting semaphore of
+	// link-window capacity. Senders on pipeline or handler goroutines block
+	// here when the queue is full; the router never does (it sends with
+	// block=false and may transiently overflow during recovery replay — see
+	// sendCtx).
 	slots chan struct{}
 	// stopA/stopB abort a blocked slot acquisition (owner killed, network
 	// dying); an aborted sender overflows rather than losing the packet.
@@ -142,7 +138,7 @@ type egressQueue struct {
 	// worker waiting on a dead peer's window would otherwise never reach
 	// the quiesce barrier recovery needs to install the replacement link —
 	// a deadlock. Released senders overflow into the (retained, bounded)
-	// buffer, the pre-flow-control orphan behavior.
+	// queue.
 	released chan struct{}
 
 	// flushMu is the wire ownership (see above). Held across link sends.
@@ -153,18 +149,15 @@ type egressQueue struct {
 	// in-process transport, where the slice itself is the channel
 	// transfer — a fresh buffer is taken per flush.
 	takeBuf []*packet.Packet
-	// copies caches transport.BatchCopies(link); read under flushMu,
+	// copies caches transport.BatchCopies(flow); read under flushMu,
 	// written at construction and by setLink (which holds both locks).
 	copies bool
 
-	mu   sync.Mutex
-	link transport.Link
-	// flow is the link's credit accounting when flow control is on (the
-	// same object as link); nil otherwise.
+	mu sync.Mutex
+	// flow is the link with its credit accounting. Written under flushMu
+	// and mu together (setLink), so holding either suffices to read it.
 	flow    *transport.FlowLink
-	buf     []*packet.Packet // plain FIFO (flow control off)
-	sched   *egressSched     // priority scheduler (flow control on)
-	bytes   int              // Σ encoded payload bytes queued (buf mode)
+	sched   egressSched // what is queued, in flush order
 	oldest  time.Time
 	window  int // adaptive effective flush window
 	stalled bool
@@ -191,10 +184,14 @@ type egressQueue struct {
 	// packet's custody moves from the schedule into a ring slot, and the
 	// slot is reused once the cumulative ack retires it.
 	ring *replayRing
-	// ringAcked counts ring entries popped since the current link was
-	// installed — the peer's cumulative count minus this is what a grant
-	// newly acknowledges.
-	ringAcked uint64
+	// Three counters over the data packets of the current link's flush
+	// order, reset by setLink: ringSent is how many noteSent has recorded
+	// as sent, ackTarget the highest cumulative count the peer has
+	// acknowledged, ringAcked how many ring entries have been popped.
+	// retireLocked keeps ringAcked == min(ringSent, ackTarget), so the ring
+	// holds exactly the recorded-but-unacknowledged packets whichever of a
+	// flush's noteSent and its grant's onAck runs first.
+	ringSent, ackTarget, ringAcked uint64
 	// replaying marks ring packets queued for re-flush by setLink but not
 	// yet re-sent: they must be neither re-appended to the ring when their
 	// flush completes nor double-queued by a second setLink.
@@ -222,47 +219,28 @@ func kickFunc(ch chan struct{}) func() {
 }
 
 // newEgressQueue wraps a link with the given (already normalized) policy.
-// A *transport.FlowLink switches the queue into flow-controlled mode:
-// hard-bounded occupancy, credit-aware flushes, priority scheduling.
+// Every link of a Network carries credit accounting (NewNetwork and each
+// rewiring site wrap it), so l is a *transport.FlowLink; anything else is
+// a bug in the caller and panics here.
 func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics, retain bool, kick func()) *egressQueue {
-	q := &egressQueue{link: l, pol: pol, m: m, retain: retain, kick: kick, window: pol.MaxBatch}
-	q.copies = transport.BatchCopies(l)
-	if pol.Adaptive {
+	fl := l.(*transport.FlowLink)
+	q := &egressQueue{pol: pol, m: m, retain: retain, kick: kick, window: pol.MaxBatch}
+	if pol.Adaptive && q.window > 2 {
 		q.window = 2
-		if q.window > pol.MaxBatch {
-			q.window = pol.MaxBatch
-		}
 	}
-	q.adoptFlow(l)
+	q.slots = make(chan struct{}, fl.Window())
+	q.adoptFlow(fl)
 	return q
 }
 
-// adoptFlow switches the queue's credit state to l's (callers hold mu, or
-// own the queue exclusively at construction/reparent time).
-func (q *egressQueue) adoptFlow(l transport.Link) {
-	fl, _ := l.(*transport.FlowLink)
+// adoptFlow points the queue at fl and its credit state (callers hold
+// flushMu and mu, or own the queue exclusively at construction time).
+func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 	q.flow = fl
-	if fl == nil {
-		return
-	}
-	if !q.fc {
-		// First (construction-time) adoption: fc is immutable afterwards —
-		// a replacement link is always the same kind — so the hot send
-		// path may read it lock-free.
-		q.fc = true
-	}
-	if q.sched == nil {
-		q.sched = newEgressSched()
-	}
-	if q.slots == nil {
-		q.slots = make(chan struct{}, fl.Window())
-	}
+	q.copies = transport.BatchCopies(fl)
 	// (Re-)arm the hard bound: a fresh link means the window is enforceable
 	// again after a releaseWaiters interlude.
 	q.released = make(chan struct{})
-	if !q.pol.enabled() {
-		q.window = 1 // flow control without batching: flush per packet
-	}
 	// A grant from the peer may be the only thing that can restart a
 	// stalled queue: resume immediately on refill.
 	fl.SetRefillHook(q.unstall)
@@ -280,14 +258,8 @@ func (q *egressQueue) adoptFlow(l transport.Link) {
 func (q *egressQueue) enableReplay(sink func([]*pendRetire)) {
 	q.xonce = true
 	q.ackSink = sink
-	capacity := transport.DefaultChanBuffer
-	if q.flow != nil {
-		capacity = q.flow.Window()
-	}
-	q.ring = newReplayRing(capacity)
-	if q.flow != nil {
-		q.flow.SetAckHook(q.onAck)
-	}
+	q.ring = newReplayRing(q.flow.Window())
+	q.flow.SetAckHook(q.onAck)
 }
 
 // sendAck enqueues a data packet like sendCtx, registering ack to be
@@ -316,88 +288,87 @@ func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack *pendR
 	return q.sendCtx(p, prio, block)
 }
 
-// noteSent appends just-flushed data packets to the replay ring, in flush
+// noteSent records just-flushed data packets in the replay ring, in flush
 // order — including the sent prefix of a flush whose link died mid-way:
 // those packets are at risk exactly like any other unacknowledged flush.
 // Packets completing a setLink re-flush are already in the ring and are
-// only cleared from the replaying set.
+// only cleared from the replaying set. On an in-process link the peer's
+// grant can arrive before this runs; its acknowledgement is then already in
+// ackTarget and the entry is retired as soon as it is recorded, which is
+// what keeps the ring within the credit window.
 func (q *egressQueue) noteSent(sent []*packet.Packet) {
-	if len(sent) == 0 {
-		return
-	}
+	var acks []*pendRetire
 	q.mu.Lock()
 	for _, p := range sent {
 		if p.Tag == packet.TagControl {
 			continue
 		}
+		q.ringSent++
 		if _, pending := q.replaying[p]; pending {
 			delete(q.replaying, p)
-			continue
+		} else {
+			// Custody transfer: the encoded-body hold taken at enqueue now
+			// belongs to the ring slot and is released when the cumulative
+			// ack pops it — the "replay ring has let go" half of the
+			// release condition.
+			ack, ok := q.meta[p]
+			if ok {
+				delete(q.meta, p)
+			}
+			q.ring.push(ringEntry{p: p, ack: ack})
 		}
-		var ack *pendRetire
-		if a, ok := q.meta[p]; ok {
-			ack = a
-			delete(q.meta, p)
+		if q.ringAcked < q.ackTarget { // a grant outran this record
+			acks = q.retireLocked(acks)
 		}
-		// Custody transfer: the encoded-body hold taken at enqueue now
-		// belongs to the ring slot and is released when the cumulative
-		// ack pops it (onAck) — the "replay ring has let go" half of the
-		// release condition.
-		q.ring.push(ringEntry{p: p, ack: ack})
 	}
 	if n := q.ring.len(); n > q.ringHW {
 		q.ringHW = n
-		for {
-			cur := q.m.ReplayRingHighWater.Load()
-			if int64(n) <= cur || q.m.ReplayRingHighWater.CompareAndSwap(cur, int64(n)) {
-				break
-			}
-		}
+		raiseGauge(&q.m.ReplayRingHighWater, n)
 	}
+	sink := q.ackSink
 	q.mu.Unlock()
+	if len(acks) > 0 && sink != nil {
+		sink(acks)
+	}
 }
 
-// onAck runs on the link's reader goroutine when a grant arrives: the
-// peer's cumulative retirement count acknowledges a prefix of this queue's
-// flush order. Pop the covered ring entries and hand their deferred
-// retirements to the acker — never the wire from here (a reader blocked in
-// a send stops draining its own link). A grant can outrun noteSent on an
-// in-process transport; the pop clamps to the ring and the next cumulative
-// count covers the shortfall.
-func (q *egressQueue) onAck(n int, cum uint64) {
-	var acks []*pendRetire
-	q.mu.Lock()
-	target := q.ringAcked + uint64(n)
-	if cum > 0 {
-		target = cum
+// retireLocked pops every ring entry that is both recorded as sent on the
+// current link and covered by the peer's cumulative acknowledgement,
+// releasing its encoded-body hold and appending its deferred retirement
+// (if any) to acks. Entries below ringSent are always in the ring — pushed
+// by noteSent, or kept across setLink for replay — so the pop cannot run
+// dry. Callers hold mu.
+func (q *egressQueue) retireLocked(acks []*pendRetire) []*pendRetire {
+	limit := q.ackTarget
+	if q.ringSent < limit {
+		limit = q.ringSent
 	}
-	if target < q.ringAcked {
-		target = q.ringAcked
-	}
-	pop := int(target - q.ringAcked)
-	if q.ring == nil {
-		pop = 0
-	} else if pop > q.ring.len() {
-		pop = q.ring.len()
-	}
-	for i := 0; i < pop; i++ {
+	for ; q.ringAcked < limit; q.ringAcked++ {
 		e := q.ring.popFront()
 		if e.ack != nil {
 			acks = append(acks, e.ack)
 		}
-		if _, pending := q.replaying[e.p]; pending {
-			// Acknowledged while queued for re-flush: the copy still
-			// scheduled will be re-appended by its noteSent and retired as
-			// a duplicate by the peer — the count algebra stays consistent
-			// either way, and the encoded-body hold transfers to that
-			// future ring slot (releasing here could recycle bytes the
-			// re-flush is about to put on the wire).
-			delete(q.replaying, e.p)
-		} else {
-			e.p.ReleaseEncoded()
-		}
+		e.p.ReleaseEncoded()
 	}
-	q.ringAcked += uint64(pop)
+	return acks
+}
+
+// onAck runs on the link's reader goroutine when a grant arrives, before
+// the grant's credits return to the send window: the peer's cumulative
+// retirement count acknowledges a prefix of this queue's flush order. Pop
+// the covered ring entries and hand their deferred retirements to the
+// acker — never the wire from here (a reader blocked in a send stops
+// draining its own link). A grant without a cumulative count (cum == 0)
+// acknowledges n more packets than the last one did.
+func (q *egressQueue) onAck(n int, cum uint64) {
+	q.mu.Lock()
+	if cum == 0 {
+		cum = q.ackTarget + uint64(n)
+	}
+	if cum > q.ackTarget {
+		q.ackTarget = cum
+	}
+	acks := q.retireLocked(nil)
 	sink := q.ackSink
 	q.mu.Unlock()
 	if len(acks) > 0 && sink != nil {
@@ -416,9 +387,6 @@ func (q *egressQueue) bindStops(a, b <-chan struct{}) {
 // instead, transiently exceeding the bound rather than deadlocking; the
 // release side is tolerant of the resulting imbalance.
 func (q *egressQueue) acquireSlot(block bool) {
-	if q.slots == nil {
-		return
-	}
 	select {
 	case q.slots <- struct{}{}:
 		return
@@ -446,12 +414,10 @@ func (q *egressQueue) rearmWaiters() {
 		return
 	}
 	q.mu.Lock()
-	if q.slots != nil && q.released != nil {
-		select {
-		case <-q.released:
-			q.released = make(chan struct{})
-		default:
-		}
+	select {
+	case <-q.released:
+		q.released = make(chan struct{})
+	default:
 	}
 	q.mu.Unlock()
 }
@@ -468,21 +434,19 @@ func (q *egressQueue) releaseWaiters() {
 		return
 	}
 	q.mu.Lock()
-	if q.released != nil {
-		select {
-		case <-q.released:
-		default:
-			close(q.released)
-		}
+	select {
+	case <-q.released:
+	default:
+		close(q.released)
 	}
 	// A credit stall against a dead peer must not suppress the age retry:
 	// the retrying flush observes the dead link and retains (bounded) or
 	// drops, releasing slots either way.
 	q.stalled = false
-	if q.queuedLocked() > 0 && q.oldest.IsZero() {
+	if q.sched.count > 0 && q.oldest.IsZero() {
 		q.oldest = time.Now()
 	}
-	kick := q.kick != nil && q.queuedLocked() > 0
+	kick := q.kick != nil && q.sched.count > 0
 	q.mu.Unlock()
 	if kick {
 		q.kick()
@@ -492,9 +456,6 @@ func (q *egressQueue) releaseWaiters() {
 // releaseSlots returns n data-occupancy slots; overflow sends may leave
 // fewer held than released, so draining stops at empty.
 func (q *egressQueue) releaseSlots(n int) {
-	if q.slots == nil {
-		return
-	}
 	for i := 0; i < n; i++ {
 		select {
 		case <-q.slots:
@@ -504,10 +465,8 @@ func (q *egressQueue) releaseSlots(n int) {
 	}
 }
 
-// send enqueues a data packet at default priority, blocking if the
-// flow-control window is exhausted. Flushes once the effective window
-// fills. With batching and flow control both disabled it forwards directly
-// to the link.
+// send enqueues a data packet at default priority, blocking while the
+// queue is at the link window. Flushes once the effective window fills.
 func (q *egressQueue) send(p *packet.Packet) error {
 	return q.sendCtx(p, 0, true)
 }
@@ -517,42 +476,17 @@ func (q *egressQueue) send(p *packet.Packet) error {
 // slot) and router-context overflow (recovery replay, drains: never block
 // the control plane, accept a transient excursion past the window).
 func (q *egressQueue) sendCtx(p *packet.Packet, prio int, block bool) error {
-	if !q.fc {
-		if !q.pol.enabled() {
-			return q.sendDirect(p)
-		}
-		return q.enqueue(p, prio, false)
-	}
 	q.acquireSlot(block)
 	return q.enqueue(p, prio, false)
-}
-
-// sendDirect forwards p straight to the link (batching and flow control
-// both off), holding encoded-body custody across the send so a TCP write
-// serializes into an arena buffer that recycles as soon as the wire has
-// the bytes. Lock-free link read: q.link changes only before the queue is
-// shared or while the owner's shards are quiesced (setLink during
-// reparent), so no sender can observe the swap mid-flight.
-func (q *egressQueue) sendDirect(p *packet.Packet) error {
-	if p.Tag == packet.TagControl {
-		return q.link.Send(p)
-	}
-	p.RetainEncoded(1)
-	err := q.link.Send(p)
-	p.ReleaseEncoded()
-	return err
 }
 
 // sendNow enqueues p and flushes immediately. Control packets use it:
 // order-sensitive control (stream setup/teardown, shutdown) keeps its FIFO
 // position behind already queued data but never waits out a batching
 // window; order-free control (heartbeats) additionally jumps to the
-// scheduler's control lane when flow control is on, so it can never be
-// delayed behind credit-stalled data.
+// scheduler's control lane, so it can never be delayed behind
+// credit-stalled data.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
-	if !q.fc && !q.pol.enabled() {
-		return q.sendDirect(p)
-	}
 	return q.enqueue(p, 0, true)
 }
 
@@ -570,31 +504,20 @@ func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
 		p.RetainEncoded(1)
 	}
 	q.mu.Lock()
-	wasEmpty := q.queuedLocked() == 0
-	if q.sched != nil {
-		q.sched.add(p, prio, ctrl)
-	} else if ctrl {
-		q.buf = append(q.buf, p)
-		q.bytes += p.EncodedSize() + 4
-	} else {
-		q.bufAddLocked(p)
-	}
+	wasEmpty := q.sched.count == 0
+	q.sched.add(p, prio, ctrl)
 	if wasEmpty {
 		q.oldest = time.Now()
 	}
 	q.m.PacketsQueued.Add(1)
 	// The high-water gauge tracks what the link window bounds: data
-	// occupancy in flow-controlled mode, everything queued otherwise.
-	hw := q.queuedLocked()
-	if q.sched != nil {
-		hw = q.sched.data
-	}
-	if hw > q.localHW {
+	// occupancy (control consumes no slots).
+	if hw := q.sched.data; hw > q.localHW {
 		q.localHW = hw
-		q.noteDepth(hw)
+		raiseGauge(&q.m.EgressHighWater, hw)
 	}
-	due := ctrl || q.queuedLocked() >= q.window
-	kick := q.kick != nil && wasEmpty && q.queuedLocked() > 0
+	due := ctrl || q.sched.count >= q.window
+	kick := q.kick != nil && wasEmpty
 	q.mu.Unlock()
 	if kick {
 		q.kick()
@@ -607,35 +530,6 @@ func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
 		cause = flushControl
 	}
 	return q.flush(cause)
-}
-
-// bufAddLocked appends a data packet to the plain FIFO, splitting off a
-// pre-flush when the batch would outgrow the wire's frame byte bound.
-// Individually legal packets must never combine into a frame the receiver
-// would reject; the split flush blocks for the wire here (pre-flow-control
-// behavior for oversize batches, which are rare). A failed split flush is
-// deliberately absorbed: the flusher retained or dropped the buffer, and
-// p queues behind whatever remains — later flushes surface the error.
-func (q *egressQueue) bufAddLocked(p *packet.Packet) {
-	sz := p.EncodedSize()
-	if len(q.buf) > 0 && q.bytes+sz > maxEgressFrameBytes {
-		q.mu.Unlock()
-		_ = q.drainCause(flushSize)
-		q.mu.Lock()
-	}
-	if len(q.buf) == 0 {
-		q.oldest = time.Now()
-	}
-	q.buf = append(q.buf, p)
-	q.bytes += sz + 4
-}
-
-// queuedLocked reports how many packets are queued. Callers hold mu.
-func (q *egressQueue) queuedLocked() int {
-	if q.sched != nil {
-		return q.sched.count
-	}
-	return len(q.buf)
 }
 
 // flush runs the take-and-send loop if no other flusher owns the wire;
@@ -668,22 +562,14 @@ func (q *egressQueue) flushLoop(cause int) error {
 	bypass := cause == flushDrain && !q.xonce
 	for round := 0; round < maxFlushRounds; round++ {
 		q.mu.Lock()
-		var batch []*packet.Packet
-		var total, nData int
-		var stalled bool
-		if q.sched != nil {
-			batch, total, nData, stalled = q.sched.take(q.flow, bypass, q.takeBuf[:0])
-			// The take buffer is recycled across flushes only on links
-			// that copy batches; a retaining link owns the slice once
-			// sendFrames hands it over (the batchalias contract).
-			if q.copies {
-				q.takeBuf = batch[:0]
-			} else {
-				q.takeBuf = nil
-			}
+		batch, total, nData, stalled := q.sched.take(q.flow, bypass, q.takeBuf[:0])
+		// The take buffer is recycled across flushes only on links that
+		// copy batches; a retaining link owns the slice once sendFrames
+		// hands it over (the batchalias contract).
+		if q.copies {
+			q.takeBuf = batch[:0]
 		} else {
-			batch, total = q.buf, q.bytes
-			q.buf, q.bytes = nil, 0
+			q.takeBuf = nil
 		}
 		if len(batch) == 0 {
 			if stalled && q.sched.count > 0 {
@@ -692,7 +578,7 @@ func (q *egressQueue) flushLoop(cause int) error {
 					continue
 				}
 				q.noteStallLocked()
-			} else if q.queuedLocked() == 0 {
+			} else if q.sched.count == 0 {
 				q.oldest = time.Time{}
 			}
 			q.mu.Unlock()
@@ -748,7 +634,7 @@ func (q *egressQueue) flushLoop(cause int) error {
 			q.mu.Unlock()
 			return nil
 		}
-		empty := q.queuedLocked() == 0
+		empty := q.sched.count == 0
 		if empty {
 			q.oldest = time.Time{}
 		}
@@ -798,7 +684,7 @@ func (q *egressQueue) stalls() int64 {
 // the flusher just goes another round) or is blocked on mu and will
 // observe the flag once set. Callers hold mu.
 func (q *egressQueue) grantLandedLocked() bool {
-	if q.flow == nil || !q.flow.TryAcquire() {
+	if !q.flow.TryAcquire() {
 		return false
 	}
 	q.flow.Refund(1)
@@ -837,7 +723,7 @@ func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, byp
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.flow != nil && !bypass {
+	if !bypass {
 		// Refund, not Refill: no hook may run under mu, and there is
 		// nothing to wake — the credits were never the peer's to grant.
 		q.flow.Refund(unsentData)
@@ -851,15 +737,7 @@ func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, byp
 			releaseEncoded(unsent[:n])
 			unsent = unsent[n:]
 		}
-		if q.sched != nil {
-			q.sched.restore(unsent)
-		} else {
-			q.buf = append(unsent, q.buf...)
-			q.bytes = 0
-			for _, r := range q.buf {
-				q.bytes += r.EncodedSize() + 4
-			}
-		}
+		q.sched.restore(unsent)
 		// Restart the age clock so retries back off by MaxDelay instead of
 		// hot-looping on an already-expired deadline.
 		q.oldest = time.Now()
@@ -874,14 +752,13 @@ func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, byp
 // encoding would exceed the wire's frame byte bound — a retained buffer
 // re-flushed after reparenting, or control flushed behind large queued
 // data, can outgrow what a single frame may carry. The common case (total
-// within bound, maintained by send) is a single SendBatch. On error the
-// not-yet-sent packets are returned; already-sent frames are delivered, so
-// nothing is duplicated on retry. Callers hold flushMu (which is what
-// makes reading q.link here safe: setLink swaps it only under flushMu).
+// within bound) is a single SendBatch. On error the not-yet-sent packets
+// are returned; already-sent frames are delivered, so nothing is
+// duplicated on retry. Callers hold flushMu (which is what makes reading
+// q.flow here safe: setLink swaps it only under flushMu).
 func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*packet.Packet, frames int64, err error) {
-	link := q.link
 	if total <= maxEgressFrameBytes+4 {
-		if err := transport.SendBatch(link, buf); err != nil {
+		if err := transport.SendBatch(q.flow, buf); err != nil {
 			return buf, 0, err
 		}
 		return nil, 1, nil
@@ -890,7 +767,7 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 	for i, p := range buf {
 		sz := p.EncodedSize() + 4
 		if i > start && bytes+sz > maxEgressFrameBytes+4 {
-			if err := transport.SendBatch(link, buf[start:i]); err != nil {
+			if err := transport.SendBatch(q.flow, buf[start:i]); err != nil {
 				return buf[start:], frames, err
 			}
 			frames++
@@ -898,7 +775,7 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 		}
 		bytes += sz
 	}
-	if err := transport.SendBatch(link, buf[start:]); err != nil {
+	if err := transport.SendBatch(q.flow, buf[start:]); err != nil {
 		return buf[start:], frames, err
 	}
 	return nil, frames + 1, nil
@@ -934,7 +811,7 @@ func (q *egressQueue) deadline() time.Time {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.queuedLocked() == 0 || q.stalled || q.oldest.IsZero() {
+	if q.sched.count == 0 || q.stalled || q.oldest.IsZero() {
 		return time.Time{}
 	}
 	return q.oldest.Add(q.pol.MaxDelay)
@@ -946,7 +823,7 @@ func (q *egressQueue) pollAge(now time.Time) {
 		return
 	}
 	q.mu.Lock()
-	due := q.queuedLocked() > 0 && !q.stalled && !q.oldest.IsZero() && !now.Before(q.oldest.Add(q.pol.MaxDelay))
+	due := q.sched.count > 0 && !q.stalled && !q.oldest.IsZero() && !now.Before(q.oldest.Add(q.pol.MaxDelay))
 	q.mu.Unlock()
 	if due {
 		_ = q.flush(flushAge)
@@ -973,12 +850,9 @@ func (q *egressQueue) drain() error {
 func (q *egressQueue) setLink(l transport.Link) {
 	q.flushMu.Lock()
 	q.mu.Lock()
-	if old := q.flow; old != nil {
-		old.SetRefillHook(nil)
-		old.SetAckHook(nil)
-	}
-	q.link = l
-	q.adoptFlow(l)
+	q.flow.SetRefillHook(nil)
+	q.flow.SetAckHook(nil)
+	q.adoptFlow(l.(*transport.FlowLink))
 	q.stalled = false
 	if q.xonce {
 		// The new peer's cumulative count starts at zero and will count the
@@ -986,7 +860,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 		// of everything, in ring order, so its prefix correspondence holds
 		// on the replacement link too. Entries already queued for re-flush
 		// by an earlier setLink are still at the schedule head; skip them.
-		q.ringAcked = 0
+		q.ringSent, q.ackTarget, q.ringAcked = 0, 0, 0
 		var replay []*packet.Packet
 		for i := 0; i < q.ring.len(); i++ {
 			e := q.ring.at(i)
@@ -1014,7 +888,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 			q.m.PacketsReplayed.Add(int64(len(replay)))
 		}
 	}
-	queued := q.queuedLocked()
+	queued := q.sched.count
 	if queued > 0 {
 		q.oldest = time.Now()
 	}
@@ -1023,7 +897,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 		_ = q.flushLoop(flushResume)
 	}
 	q.mu.Lock()
-	kick := q.kick != nil && q.queuedLocked() > 0
+	kick := q.kick != nil && q.sched.count > 0
 	q.mu.Unlock()
 	q.flushMu.Unlock()
 	if kick {
@@ -1038,21 +912,15 @@ func (q *egressQueue) clear() {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	dropped := q.queuedLocked()
+	dropped := q.sched.count
 	if dropped == 0 {
 		return
 	}
 	q.m.EgressDrops.Add(int64(dropped))
-	if q.sched != nil {
-		// Drain through take so the scheduler's freelists keep their
-		// recycled epochs and streams, and release the dropped packets'
-		// custody holds.
-		ps, _, _, _ := q.sched.take(nil, true, nil)
-		releaseEncoded(ps)
-	} else {
-		releaseEncoded(q.buf)
-		q.buf, q.bytes = nil, 0
-	}
+	// Drain through take so the scheduler's freelists keep their recycled
+	// epochs and streams, and release the dropped packets' custody holds.
+	ps, _, _, _ := q.sched.take(q.flow, true, nil)
+	releaseEncoded(ps)
 	q.releaseSlots(dropped)
 	q.stalled = false
 	q.oldest = time.Time{}
@@ -1069,30 +937,20 @@ func (q *egressQueue) extract() []*packet.Packet {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	total := q.queuedLocked()
+	total := q.sched.count
 	if total == 0 {
 		return nil
 	}
 	var out []*packet.Packet
-	if q.sched != nil {
-		ps, _, _, _ := q.sched.take(nil, true, nil)
-		for _, p := range ps {
-			if p.Tag != packet.TagControl {
-				out = append(out, p)
-			}
+	ps, _, _, _ := q.sched.take(q.flow, true, nil)
+	for _, p := range ps {
+		if p.Tag != packet.TagControl {
+			out = append(out, p)
 		}
-		// The router re-enqueues the extracted packets through the repaired
-		// routes, re-taking custody there; this queue's holds end here.
-		releaseEncoded(ps)
-	} else {
-		for _, p := range q.buf {
-			if p.Tag != packet.TagControl {
-				out = append(out, p)
-			}
-		}
-		releaseEncoded(q.buf)
-		q.buf, q.bytes = nil, 0
 	}
+	// The router re-enqueues the extracted packets through the repaired
+	// routes, re-taking custody there; this queue's holds end here.
+	releaseEncoded(ps)
 	if d := total - len(out); d > 0 {
 		q.m.EgressDrops.Add(int64(d))
 	}
@@ -1109,14 +967,14 @@ func (q *egressQueue) pending() int {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.queuedLocked()
+	return q.sched.count
 }
 
-// noteDepth maintains the high-water depth gauge.
-func (q *egressQueue) noteDepth(d int) {
+// raiseGauge lifts a high-water gauge to d if d is a new record.
+func raiseGauge(g *atomic.Int64, d int) {
 	for {
-		cur := q.m.EgressHighWater.Load()
-		if int64(d) <= cur || q.m.EgressHighWater.CompareAndSwap(cur, int64(d)) {
+		cur := g.Load()
+		if int64(d) <= cur || g.CompareAndSwap(cur, int64(d)) {
 			return
 		}
 	}

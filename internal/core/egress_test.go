@@ -44,7 +44,7 @@ func TestAdaptiveWindowUnchangedOnFailedFlush(t *testing.T) {
 	a, b := transport.NewPair(4)
 	pol := BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond, Adaptive: true}.normalized()
 	var m Metrics
-	q := newEgressQueue(a, pol, &m, true, nil)
+	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, true, nil)
 	if q.window != 2 {
 		t.Fatalf("adaptive start window = %d, want 2", q.window)
 	}
@@ -66,14 +66,14 @@ func TestAdaptiveWindowUnchangedOnFailedFlush(t *testing.T) {
 	if q.window != 2 {
 		t.Errorf("window after failed age retries = %d, want 2", q.window)
 	}
-	if len(q.buf) != 2 {
-		t.Fatalf("retained %d packets, want 2", len(q.buf))
+	if got := q.pending(); got != 2 {
+		t.Fatalf("retained %d packets, want 2", got)
 	}
 
 	// Reparent onto a live link: the drain re-flushes the retained data,
 	// and subsequent successful size flushes adapt again.
 	na, nb := transport.NewPair(4)
-	q.setLink(na)
+	q.setLink(transport.NewFlowLink(na, 64))
 	got := drainLink(t, nb, 2)
 	for i, p := range got {
 		if v, _ := p.Int(0); v != int64(i) {
@@ -103,7 +103,7 @@ func TestControlKeepsFIFOAcrossFrameSplit(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newEgressQueue(a, pol, &m, false, nil)
+	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, false, nil)
 
 	payload := strings.Repeat("x", 512)
 	const data = 7 // ~3.6 KiB encoded: just under the shrunk frame bound
@@ -149,7 +149,7 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newEgressQueue(a, pol, &m, true, nil)
+	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, true, nil)
 	transport.DropLink(b)
 
 	payload := strings.Repeat("y", 512)
@@ -160,12 +160,12 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 			_ = q.sendNow(packet.MustNew(packet.TagControl, 0, 5, "%d", int64(7)))
 		}
 	}
-	if len(q.buf) != data+1 {
-		t.Fatalf("retained %d packets, want %d", len(q.buf), data+1)
+	if got := q.pending(); got != data+1 {
+		t.Fatalf("retained %d packets, want %d", got, data+1)
 	}
 
 	na, nb := transport.NewPair(64)
-	q.setLink(na)
+	q.setLink(transport.NewFlowLink(na, 64))
 	got := drainLink(t, nb, data+1)
 	want := 0
 	for i, p := range got {
@@ -202,8 +202,8 @@ func TestAgeFlusherRapidStartStop(t *testing.T) {
 	nw.mu.Lock()
 	be := nw.bes[1]
 	nw.mu.Unlock()
-	if be == nil || be.eg == nil {
-		t.Fatal("no batched back-end at rank 1")
+	if be == nil {
+		t.Fatal("no back-end at rank 1")
 	}
 
 	for i := 0; i < 300; i++ {

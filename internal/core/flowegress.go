@@ -5,11 +5,10 @@ import (
 	"repro/internal/transport"
 )
 
-// egressSched is the priority-aware egress scheduler used by
-// flow-controlled queues. It replaces the plain FIFO buffer with a
-// structure that preserves exactly the invariants the overlay needs —
-// per-stream FIFO, and order-sensitive control as barriers — while freeing
-// everything else for scheduling:
+// egressSched is the priority-aware schedule behind every egressQueue. It
+// preserves exactly the invariants the overlay needs — per-stream FIFO,
+// and order-sensitive control as barriers — and frees everything else for
+// scheduling:
 //
 //	control lane  order-free control (heartbeat relays) flushes ahead of
 //	              everything, so liveness traffic is never pinned behind
@@ -21,12 +20,13 @@ import (
 //
 // Order-sensitive control (stream setup/teardown, shutdown) seals the
 // current EPOCH: everything enqueued before it flushes first, the barrier
-// itself next, then the following epoch — the same FIFO position the flat
-// buffer gave it, with scheduling scoped to within an epoch. A stream's
-// packets split across epochs still drain in epoch order, so per-stream
-// FIFO holds unconditionally.
+// itself next, then the following epoch — its FIFO position, with
+// scheduling scoped to within an epoch. A stream's packets split across
+// epochs still drain in epoch order, so per-stream FIFO holds
+// unconditionally.
 //
-// All methods are called with the owning egressQueue's mu held.
+// The zero value is an empty schedule. All methods are called with the
+// owning egressQueue's mu held.
 type egressSched struct {
 	// retained holds the unsent remainder of a failed flush, already in
 	// final wire order; it re-flushes ahead of everything scheduled after
@@ -41,7 +41,7 @@ type egressSched struct {
 	count int
 	// data counts the queued data packets alone — the occupancy the link
 	// window bounds (control consumes no slots), and what the high-water
-	// gauge reports in flow-controlled mode.
+	// gauge reports.
 	data int
 	// freeEpochs and freeStreams recycle drained scheduler scaffolding:
 	// steady-state traffic opens and drains an epoch per flush cycle, and
@@ -72,8 +72,6 @@ type schedStream struct {
 	ps   []*packet.Packet
 	off  int
 }
-
-func newEgressSched() *egressSched { return &egressSched{} }
 
 // retireAndGrant records that the receiving pipeline finished n inbound
 // data packets from fl and, once the link's grant threshold is crossed,
@@ -113,9 +111,6 @@ func sendGrant(m *Metrics, fl *transport.FlowLink, g int) {
 // Under load the idle points are never reached and the 4:1 batching is
 // untouched.
 func flushGrant(m *Metrics, fl *transport.FlowLink) {
-	if fl == nil {
-		return
-	}
 	if g := fl.FlushRetired(); g > 0 {
 		sendGrant(m, fl, g)
 	}
@@ -237,10 +232,10 @@ func (e *schedEpoch) pick() *schedStream {
 
 // take selects the next wire batch: retained remainder first, then the
 // control lane, then epoch by epoch — streams by priority, round-robin
-// within a priority, the epoch's barrier last. With fl non-nil and bypass
-// false, one send credit is acquired per data packet; when the peer's
-// window runs dry selection stops and stalled reports it (everything not
-// selected stays queued exactly where it was). The batch is appended to
+// within a priority, the epoch's barrier last. Unless bypass is set, one
+// send credit is acquired from fl per data packet; when the peer's window
+// runs dry selection stops and stalled reports it (everything not selected
+// stays queued exactly where it was). The batch is appended to
 // dst (pass the flusher's reusable take buffer, or nil); drained epochs
 // and streams return to the scheduler's freelists. Returns the batch, its
 // encoded byte total, and how many data packets it carries (their
@@ -249,7 +244,6 @@ func (e *schedEpoch) pick() *schedStream {
 //tbon:allow creditpair credits acquired here transfer to the returned batch: the flusher either sends it or restores it and refunds unsent data credits (failedFlush)
 func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Packet) (ps []*packet.Packet, total, nData int, stalled bool) {
 	ps = dst
-	needCredit := func() bool { return fl != nil && !bypass }
 	// Order-free control first — even ahead of the retained remainder: a
 	// credit-stalled retained head must never pin a heartbeat relay.
 	for i, p := range s.ctrl {
@@ -262,7 +256,7 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 	for len(s.retained) > 0 {
 		p := s.retained[0]
 		if p.Tag != packet.TagControl {
-			if needCredit() && !fl.TryAcquire() {
+			if !bypass && !fl.TryAcquire() {
 				return ps, total, nData, true
 			}
 			nData++
@@ -284,7 +278,7 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 			if st == nil {
 				break // defensive: n out of sync cannot wedge the flusher
 			}
-			if needCredit() && !fl.TryAcquire() {
+			if !bypass && !fl.TryAcquire() {
 				return ps, total, nData, true
 			}
 			p := st.ps[st.off]

@@ -22,9 +22,6 @@ type feState struct {
 
 	mu     sync.Mutex // guards states; written by NewStream, read by run loop
 	states map[uint32]*streamState
-	// stateCount mirrors len(states) for the lock-free backlog check on
-	// the per-run dispatch path.
-	stateCount atomic.Int32
 
 	// shards runs the root-level filter pipelines. The router is the only
 	// data dispatcher; user goroutines only enqueue forget items
@@ -34,9 +31,6 @@ type feState struct {
 	// goroutine still blocked handing a frame to the abandoned inbox.
 	readStop chan struct{}
 
-	// inbox is the router's ingress channel (set by run); its backlog is
-	// the pressure signal that decides inline execution vs shard dispatch.
-	inbox chan inMsg
 	// ctrlLane is the order-free control ingress (heartbeat beacons): it
 	// bypasses the data inbox so detection keeps working however saturated
 	// the data plane is.
@@ -79,18 +73,12 @@ func (fe *feState) setState(id uint32, ss *streamState) {
 	if fe.states == nil {
 		fe.states = map[uint32]*streamState{}
 	}
-	if _, exists := fe.states[id]; !exists {
-		fe.stateCount.Add(1)
-	}
 	fe.states[id] = ss
 }
 
 func (fe *feState) dropState(id uint32) {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
-	if _, exists := fe.states[id]; exists {
-		fe.stateCount.Add(-1)
-	}
 	delete(fe.states, id)
 }
 
@@ -135,9 +123,7 @@ func (fe *feState) installChild(slot int, l transport.Link) {
 	fe.ep.Children = next
 	fe.epMu.Unlock()
 	if old != nil && old != l {
-		if fl := flowOf(old); fl != nil {
-			fl.Abort()
-		}
+		flowOf(old).Abort()
 	}
 }
 
@@ -149,8 +135,8 @@ func (fe *feState) installChild(slot int, l transport.Link) {
 // adoption will re-route it, so the loss is the same transient in-flight
 // loss the recovery model already covers.
 //
-// With flow control on, each data send first acquires one credit from the
-// child link's window, blocking the CALLER — a user goroutine inside
+// Each data send first acquires one credit from the child link's window,
+// blocking the CALLER — a user goroutine inside
 // Multicast — when the window is exhausted. That is the end-to-end
 // backpressure story: a slow subtree throttles the producer itself, with
 // at most one window of data in flight per link. Control traffic (stream
@@ -176,16 +162,15 @@ func (fe *feState) sendToStream(ss *streamState, p *packet.Packet) error {
 		if l == nil || i >= len(down) || !down[i] {
 			continue
 		}
-		var fl *transport.FlowLink
+		var fl *transport.FlowLink // nil for control: it spends no credit
 		if data {
-			if fl = flowOf(l); fl != nil {
-				// Aborted acquire (network teardown, closed session) falls
-				// through to the send, which surfaces the real link state.
-				// A session stream additionally draws one token from its
-				// tenant's budget, returned automatically when the link
-				// credit comes back.
-				fl.AcquireBudgeted(ss.budget, fe.nw.dying, nil)
-			}
+			// Aborted acquire (network teardown, closed session) falls
+			// through to the send, which surfaces the real link state. A
+			// session stream additionally draws one token from its tenant's
+			// budget, returned automatically when the link credit comes
+			// back.
+			fl = flowOf(l)
+			fl.AcquireBudgeted(ss.budget, fe.nw.dying, nil)
 		}
 		if err := l.Send(p); err != nil {
 			// The packet never went out: refund its credit, or a dead
@@ -213,7 +198,6 @@ func (fe *feState) sendToStream(ss *streamState, p *packet.Packet) error {
 // and transformation execute and results are handed to Stream.Recv.
 func (fe *feState) run() {
 	inbox := make(chan inMsg, 4*(len(fe.ep.Children)+1))
-	fe.inbox = inbox
 	fe.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	defer func() {
 		close(fe.readStop)
@@ -361,7 +345,7 @@ func (fe *feState) handleUp(child int, ps []*packet.Packet) {
 			fe.retireOrdered(src, tr, start, len(run))
 			continue
 		}
-		fe.shards.up(ss, child, run, fe.backlogged(), src, tr, start)
+		fe.shards.up(ss, child, run, src, tr, start)
 	}
 }
 
@@ -388,23 +372,11 @@ func (fe *feState) retireOrdered(fl *transport.FlowLink, tr *inOrder, start uint
 	if tr != nil {
 		n = tr.complete(start, n)
 	}
-	fe.retireNow(fl, n)
-}
-
-// retireNow retires n dropped inbound packets from router context.
-func (fe *feState) retireNow(fl *transport.FlowLink, n int) {
 	retireAndGrant(&fe.nw.metrics, fl, n)
 }
 
-// backlogged mirrors node.backlogged at the root: dispatch to workers only
-// when several streams are live and frames are already waiting.
-func (fe *feState) backlogged() bool {
-	return fe.stateCount.Load() > 1 && len(fe.inbox) > 0
-}
-
 // shardUp runs the root-level pipeline for one run. Called from the
-// stream's up-lane worker (or the router's inline fast path); takes the
-// stream's pipeline lock itself. The front-end never consumes the
+// stream's up-lane worker; takes the stream's pipeline lock itself. The front-end never consumes the
 // deferred retirement: delivery happens right here, so the shard's
 // immediate (in-order) retirement after this call IS the end-to-end
 // acknowledgement — the base case of the cascade.

@@ -45,7 +45,7 @@ type LoadSample struct {
 	// Queued is the parent-egress queue depth at sample time.
 	Queued int64
 	// Stalls is the cumulative count of credit stalls on the parent
-	// egress (zero when flow control is off).
+	// egress.
 	Stalls int64
 	// At is when the report reached the front-end.
 	At time.Time
@@ -243,10 +243,8 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 		transport.DropLink(childEnd)
 		return stillborn(fmt.Errorf("core: splitting %d: %w", hot, err))
 	}
-	if nw.flowOn() {
-		parentEnd = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
-		childEnd = transport.NewFlowLink(childEnd, nw.cfg.LinkWindow)
-	}
+	parentEnd = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
+	childEnd = transport.NewFlowLink(childEnd, nw.cfg.LinkWindow)
 	nw.metrics.RewiredLinks.Add(1)
 
 	// Spawn the sibling process exactly as NewNetwork spawns internal
@@ -362,13 +360,10 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 		if err != nil {
 			continue
 		}
-		if nw.flowOn() {
-			l = transport.NewFlowLink(l, nw.cfg.LinkWindow)
-		}
 		nw.metrics.RewiredLinks.Add(1)
 		movedKids = append(movedKids, c)
 		movedSlots = append(movedSlots, selSlots[i])
-		newLinks = append(newLinks, l)
+		newLinks = append(newLinks, transport.NewFlowLink(l, nw.cfg.LinkWindow))
 	}
 	if len(movedKids) == 0 {
 		return abort(fmt.Errorf("core: split of %d migrated no children", hot))

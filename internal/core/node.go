@@ -50,9 +50,6 @@ type node struct {
 	// egKick wakes the router's timer loop when a shard's enqueue gives an
 	// egress queue a new age deadline the router has not seen.
 	egKick chan struct{}
-	// inbox is the router's ingress channel; its backlog is the pressure
-	// signal that decides inline execution vs shard dispatch.
-	inbox chan inMsg
 	// ctrlLane is the second ingress lane: readers divert order-free
 	// control (heartbeat relays) here, so liveness traffic flows even while
 	// the data inbox is saturated — it can never be head-of-line blocked
@@ -129,12 +126,10 @@ func (n *node) run() {
 	}
 	n.streams = map[uint32]*streamState{}
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
-	n.inbox = inbox
 	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	n.readStop = make(chan struct{})
 	n.egKick = make(chan struct{}, 1)
 	n.shards = newShardPool(n.nw.shardCount(), n, &n.nw.metrics)
-	n.shards.noInline = n.nw.flowOn()
 	defer func() {
 		// Whatever path the router exits by — graceful finish, crash, an
 		// abandoned subtree — the readers and workers must not outlive it.
@@ -142,9 +137,7 @@ func (n *node) run() {
 		n.shards.abort()
 	}()
 
-	// Egress queues wrap every link; with batching and flow control both
-	// disabled they forward directly, so the un-batched hot path is
-	// unchanged.
+	// Egress queues wrap every link.
 	pol := n.nw.cfg.Batch
 	kick := kickFunc(n.egKick)
 	n.parentOut = newEgressQueue(n.ep.Parent, pol, &n.nw.metrics, n.nw.recoverable(), kick)
@@ -301,9 +294,7 @@ func (n *node) installChild(slot int, l transport.Link) {
 		n.ep.Children = append(n.ep.Children, nil)
 	}
 	if old := n.ep.Children[slot]; old != nil && old != l {
-		if fl := flowOf(old); fl != nil {
-			fl.Abort()
-		}
+		flowOf(old).Abort()
 	}
 	n.ep.Children[slot] = l
 	n.epMu.Unlock()
@@ -420,10 +411,8 @@ func readLink(l transport.Link, slot int, inbox chan<- inMsg, ctrl chan<- *packe
 			}
 			return
 		}
-		if ctrl != nil {
-			if ps = splitOrderFree(ps, ctrl); len(ps) == 0 {
-				continue
-			}
+		if ps = splitOrderFree(ps, ctrl); len(ps) == 0 {
+			continue
 		}
 		// Fast path: a buffered non-blocking send costs one channel
 		// operation; the two-way select only runs when the inbox is full
@@ -530,7 +519,7 @@ func (n *node) handleFromParent(ps []*packet.Packet) bool {
 		// per-stream downstream order is preserved.
 		n.nw.metrics.PacketsDown.Add(1)
 		if ss, ok := n.streams[p.StreamID]; ok {
-			n.shards.down(ss, p, n.backlogged(), src)
+			n.shards.down(ss, p, src)
 			continue
 		}
 		// Unknown stream: flood (control may still be propagating on
@@ -542,7 +531,7 @@ func (n *node) handleFromParent(ps []*packet.Packet) bool {
 	return false
 }
 
-// flowOf extracts a link's credit accounting, nil when flow control is off.
+// flowOf extracts a link's credit accounting; nil for a nil (fenced) link.
 func flowOf(l transport.Link) *transport.FlowLink {
 	fl, _ := l.(*transport.FlowLink)
 	return fl
@@ -653,7 +642,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 		// Park the data plane before forwarding: every downstream packet
 		// accepted before the announcement is through its pipeline and in
 		// an egress queue, so the announcement keeps its exact per-link
-		// FIFO position, just as the serial loop preserved it.
+		// FIFO position.
 		n.quiesceShards(func() {})
 		for _, q := range n.childOut {
 			if q != nil {
@@ -725,7 +714,7 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 			n.shards.upRaw(p.StreamID, run, src, tr, start)
 			continue
 		}
-		n.shards.up(ss, child, run, n.backlogged(), src, tr, start)
+		n.shards.up(ss, child, run, src, tr, start)
 	}
 	return false
 }
@@ -768,18 +757,9 @@ func (n *node) cacheCheckpoint(p *packet.Packet) {
 	}
 }
 
-// backlogged reports whether dispatching to shard workers can pay: more
-// than one live stream (otherwise there is nothing to parallelize) and
-// frames already waiting in the inbox (the router is the bottleneck).
-// When false, the router runs pipelines inline — the exact serial-loop
-// fast path, with no mailbox hop and no cross-goroutine wakeup.
-func (n *node) backlogged() bool {
-	return len(n.streams) > 1 && len(n.inbox) > 0
-}
-
 // shardUp runs the upstream pipeline for one run: synchronize, transform,
-// egress. Called from the stream's up-lane worker (or the router's inline
-// fast path); takes the stream's pipeline lock itself. In exactly-once
+// egress. Called from the stream's up-lane worker; takes the stream's
+// pipeline lock itself. In exactly-once
 // mode replay duplicates are dropped first (retirement still counts them:
 // the peer spent credits on the copies too), and the run's deferred
 // retirement rides the last forwarded output — consuming it means the run

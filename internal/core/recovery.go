@@ -171,20 +171,17 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 			cmd.reply <- err
 			return
 		}
-		if n.nw.flowOn() {
-			// Fresh link, fresh credit window on both sides: the retained
-			// egress buffer re-enters the bounded window from zero without
-			// double-spending credits.
-			link = transport.NewFlowLink(link, n.nw.cfg.LinkWindow)
-		}
+		// Fresh link, fresh credit window on both sides: the retained egress
+		// queue re-enters the bounded window from zero without
+		// double-spending credits.
+		link = transport.NewFlowLink(link, n.nw.cfg.LinkWindow)
 		// The old parent is dead or being replaced, but its EOF may not
 		// have been processed yet: release any worker waiting on its
 		// window before quiescing, or the barrier never forms.
 		n.parentOut.releaseWaiters()
 		// Park the shards for the link swap: workers send on parentOut
-		// concurrently, and the un-batched fast path reads the queue's
-		// link lock-free — safe only because every link mutation happens
-		// with the data plane stopped.
+		// concurrently, so every link mutation happens with the data plane
+		// stopped.
 		n.quiesceShards(func() {
 			n.parentMu.Lock()
 			old := n.ep.Parent
@@ -785,12 +782,9 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 				reparented[i] = false
 				return
 			}
-			if nw.flowOn() {
-				// The adopter-side end of a replacement link gets fresh
-				// credit accounting, mirroring the orphan's fresh window.
-				l = transport.NewFlowLink(l, nw.cfg.LinkWindow)
-			}
-			links[i] = l
+			// The adopter-side end of a replacement link gets fresh credit
+			// accounting, mirroring the orphan's fresh window.
+			links[i] = transport.NewFlowLink(l, nw.cfg.LinkWindow)
 			nw.metrics.RewiredLinks.Add(1)
 		}(i)
 	}

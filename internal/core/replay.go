@@ -142,11 +142,14 @@ type ringEntry struct {
 }
 
 // replayRing is the preallocated circular buffer behind an exactly-once
-// egress queue. Capacity is sized to the link window at enableReplay time
-// (the credit protocol bounds flushed-but-unacknowledged data at W), so
-// the steady state pushes and pops recycle the same slot structs with no
-// allocation; it grows by doubling only if a recovery excursion — replay
-// restoration racing fresh traffic — overflows the window bound.
+// egress queue. Capacity is the link window: a flush acquires one credit
+// per data packet, a grant's acknowledgement is applied before its credits
+// return (transport.FlowLink), and noteSent retires entries a grant has
+// already covered, so flushed-but-unacknowledged data never exceeds W and
+// pushes and pops recycle the same slot structs with no allocation.
+// Growth is the safety net for a violated bound — never drop a packet that
+// may need replaying — and shows as ReplayRingHighWater > W, which the
+// chaos sweep and the slow-consumer ring test assert against.
 type replayRing struct {
 	buf  []ringEntry
 	head int

@@ -32,15 +32,14 @@ type SessionInfo struct {
 	Priority int
 	// Budget caps how many link send credits the tenant may hold at once
 	// across the front-end's links (a sub-window of Config.LinkWindow).
-	// 0 or out-of-range values clamp to the full link window; ignored
-	// entirely when flow control is off.
+	// 0 or out-of-range values clamp to the full link window.
 	Budget int
 }
 
 // sessionState is the front-end's record of an open session.
 type sessionState struct {
 	info     SessionInfo
-	budget   *transport.Budget // nil when flow control is off
+	budget   *transport.Budget
 	counters *TenantCounters
 }
 
@@ -74,15 +73,10 @@ func (nw *Network) OpenSession(info SessionInfo) error {
 	if info.Tenant == "" {
 		info.Tenant = fmt.Sprintf("ns%d", info.NS)
 	}
-	var bud *transport.Budget
-	if nw.flowOn() {
-		if info.Budget <= 0 || info.Budget > nw.cfg.LinkWindow {
-			info.Budget = nw.cfg.LinkWindow
-		}
-		bud = transport.NewBudget(info.Budget)
-	} else {
-		info.Budget = 0
+	if info.Budget <= 0 || info.Budget > nw.cfg.LinkWindow {
+		info.Budget = nw.cfg.LinkWindow
 	}
+	bud := transport.NewBudget(info.Budget)
 	nw.mu.Lock()
 	if nw.shutdown {
 		nw.mu.Unlock()
@@ -148,9 +142,7 @@ func (nw *Network) CloseSession(ns uint32) error {
 
 	// Unblock budget-bound senders first: a Multicast parked on the
 	// tenant's own sub-window must never outlive the session.
-	if sess.budget != nil {
-		sess.budget.Abort()
-	}
+	sess.budget.Abort()
 	for _, st := range victims {
 		st.bulkClose()
 	}

@@ -28,12 +28,10 @@ import (
 // plane: dispatch never blocks, so control traffic (recovery commands,
 // attach, heartbeat relays, credit grants) can never be head-of-line
 // blocked behind a slow pipeline. Mailbox occupancy is still bounded —
-// by the flow-control protocol rather than a channel capacity: with
-// Config.LinkWindow set, each inbound link can have at most one window of
+// by the flow-control protocol rather than a channel capacity: each
+// inbound link can have at most one window (Config.LinkWindow) of
 // un-retired packets in the mailboxes, because the shard worker grants
-// credits back only as it finishes items (see retire below). With flow
-// control off, the mailbox absorbs whatever the links deliver — the
-// pre-credit memory model, kept as the ablation baseline.
+// credits back only as it finishes items (see retire below).
 //
 // This is what makes a stream's filter state single-writer: exactly one
 // shard goroutine touches a streamState's synchronizer and transformation —
@@ -72,10 +70,10 @@ type shardItem struct {
 	ps    []*packet.Packet
 	p     *packet.Packet
 	pause *shardPause
-	// src is the flow-controlled link the work arrived on (nil with flow
-	// control off): the worker retires the packets against it once the
-	// pipeline has actually finished them, which is what hands the peer
-	// its credits back.
+	// src is the link the work arrived on (nil only for residue of a link
+	// the router has since fenced): the worker retires the packets against
+	// it once the pipeline has actually finished them, which is what hands
+	// the peer its credits back.
 	src *transport.FlowLink
 	// tr/start are the run's in-order retirement tracker and first arrival
 	// index (exactly-once mode, upstream lane only): retirement toward src
@@ -107,11 +105,10 @@ type shardPause struct {
 // goroutine per stream; each implementation takes the stream's pipeMu
 // around its filter-state access itself (never across a blocking egress
 // fan-out), which is what lets the two lanes share a stream safely.
-// The up-lane ops take the run's deferred-retirement record (nil without
-// flow control) and report whether they CONSUMED it — attached it to an
-// egress packet whose downstream acknowledgement will complete it
-// (exactly-once mode). An unconsumed record is retired by the shard
-// immediately after the call, the pre-exactly-once behavior.
+// The up-lane ops take the run's deferred-retirement record and report
+// whether they CONSUMED it — attached it to an egress packet whose
+// downstream acknowledgement will complete it (exactly-once mode). An
+// unconsumed record is retired by the shard immediately after the call.
 type shardOps interface {
 	shardUp(ss *streamState, child int, run []*packet.Packet, ret *pendRetire) bool
 	shardUpRaw(run []*packet.Packet, ret *pendRetire) bool
@@ -127,10 +124,6 @@ type shardPool struct {
 	ops    shardOps
 	m      *Metrics
 	shards []*shard
-	// noInline disables the router's inline fast path. Flow-controlled
-	// networks set it: pipeline execution can block on a link window, and
-	// the router must never block — workers absorb the waiting instead.
-	noInline bool
 	// stop aborts every worker (crash path); drainStop uses per-shard
 	// sentinels instead so queued work completes first.
 	stop     chan struct{}
@@ -157,10 +150,6 @@ type shard struct {
 	// a down fan-out blocked on a slow consumer's window cannot pin the
 	// upstream retirements that consumer's own sends wait for.
 	up, down lane
-	// kick wakes the up worker to rescan stream deadlines after the
-	// router's inline fast path gave a synchronizer a timer the worker has
-	// not seen (the analogue of the egress queues' kick toward the router).
-	kick chan struct{}
 	// streams tracks the shard's live streams for time-based polling:
 	// registered at stream creation, learned from dispatched work, and
 	// trimmed by close/forget. Touched only by the up-lane goroutine.
@@ -183,7 +172,6 @@ func newShardPool(n int, ops shardOps, m *Metrics) *shardPool {
 	for i := 0; i < n; i++ {
 		sh := &shard{
 			pool:     sp,
-			kick:     make(chan struct{}, 1),
 			streams:  map[uint32]*streamState{},
 			upPend:   map[*transport.FlowLink]struct{}{},
 			downPend: map[*transport.FlowLink]struct{}{},
@@ -222,7 +210,7 @@ func (ln *lane) push(m *Metrics, it shardItem) {
 	}
 	ln.mu.Unlock()
 	if grew {
-		noteShardDepth(m, n)
+		raiseGauge(&m.ShardQueueHighWater, n)
 	}
 	select {
 	case ln.notify <- struct{}{}:
@@ -247,16 +235,6 @@ func (ln *lane) pop() (shardItem, bool) {
 	return it, true
 }
 
-// noteShardDepth maintains the global mailbox high-water gauge.
-func noteShardDepth(m *Metrics, d int) {
-	for {
-		cur := m.ShardQueueHighWater.Load()
-		if int64(d) <= cur || m.ShardQueueHighWater.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
 // laneFor routes an item kind to its lane.
 func (sh *shard) laneFor(kind int) *lane {
 	switch kind {
@@ -267,8 +245,8 @@ func (sh *shard) laneFor(kind int) *lane {
 }
 
 // dispatch enqueues an item on its direction's lane. Pipeline work counts
-// toward ShardDispatches — the inline-vs-dispatched split — while
-// bookkeeping items (register/forget/pause/stop) do not.
+// toward ShardDispatches; bookkeeping items (register/forget/pause/stop)
+// do not.
 func (sp *shardPool) dispatch(sh *shard, it shardItem) {
 	switch it.kind {
 	case itemUp, itemUpRaw, itemDown, itemDownRaw, itemCloseUp, itemCloseDown:
@@ -277,60 +255,23 @@ func (sp *shardPool) dispatch(sh *shard, it shardItem) {
 	sh.laneFor(it.kind).push(sp.m, it)
 }
 
-// tryInline is the router's serial-loop fast path: when nothing is
-// dispatched for the stream (pending == 0, and the router is the sole
-// dispatcher, so nothing can appear concurrently) and the caller reports
-// no backlog worth parallelizing, the pipeline runs on the router's own
-// goroutine — zero mailbox hops and zero cross-goroutine wakeups, exactly
-// the pre-sharding cost. fn takes the stream's pipeline lock itself (the
-// shardOps contract); if it leaves the synchronizer with a timer, the
-// stream's shard is kicked to pick the deadline up (the up worker owns
-// all time-based polling). Flow-controlled pools never inline: the
-// pipeline may block on a link window, and the router must stay
-// unblockable.
-func (sp *shardPool) tryInline(ss *streamState, backlogged bool, fn func()) bool {
-	if sp.noInline || backlogged || ss.pending.Load() != 0 {
-		return false
-	}
-	fn()
-	ss.pipeMu.Lock()
-	d := ss.deadline()
-	ss.pipeMu.Unlock()
-	sp.m.ShardInline.Add(1)
-	if !d.IsZero() {
-		sh := sp.shardFor(ss.id)
-		select {
-		case sh.kick <- struct{}{}:
-		default:
-		}
-	}
-	return true
-}
-
-// up routes an upstream run: inline when the stream is idle and the
-// router unpressured, else through the stream's shard mailbox.
-func (sp *shardPool) up(ss *streamState, child int, run []*packet.Packet, backlogged bool, src *transport.FlowLink, tr *inOrder, start uint64) {
-	if src == nil && sp.tryInline(ss, backlogged, func() { sp.ops.shardUp(ss, child, run, nil) }) {
-		return
-	}
-	ss.pending.Add(1)
+// up routes an upstream run through the stream's shard mailbox. The
+// router never runs a pipeline itself: a pipeline may block on a link
+// window, and the router must stay unblockable.
+func (sp *shardPool) up(ss *streamState, child int, run []*packet.Packet, src *transport.FlowLink, tr *inOrder, start uint64) {
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemUp, ss: ss, child: child, ps: run, src: src, tr: tr, start: start})
 }
 
 // upRaw routes a pass-through run by stream id alone: the id hashes to the
 // same shard that carried the stream while it existed, so data arriving
-// behind a close keeps its order relative to the close's drain (always
-// dispatched — the close it chases rides the same mailbox).
+// behind a close keeps its order relative to the close's drain (the close
+// it chases rides the same mailbox).
 func (sp *shardPool) upRaw(id uint32, run []*packet.Packet, src *transport.FlowLink, tr *inOrder, start uint64) {
 	sp.dispatch(sp.shardFor(id), shardItem{kind: itemUpRaw, id: id, ps: run, src: src, tr: tr, start: start})
 }
 
-// down routes a downstream packet, inline under the same policy as up.
-func (sp *shardPool) down(ss *streamState, p *packet.Packet, backlogged bool, src *transport.FlowLink) {
-	if src == nil && sp.tryInline(ss, backlogged, func() { sp.ops.shardDown(ss, p) }) {
-		return
-	}
-	ss.pending.Add(1)
+// down routes a downstream packet through the stream's shard mailbox.
+func (sp *shardPool) down(ss *streamState, p *packet.Packet, src *transport.FlowLink) {
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemDown, ss: ss, p: p, src: src})
 }
 
@@ -340,14 +281,11 @@ func (sp *shardPool) downRaw(id uint32, p *packet.Packet, src *transport.FlowLin
 	sp.dispatch(sp.shardFor(id), shardItem{kind: itemDownRaw, id: id, p: p, src: src})
 }
 
-// closeStream always dispatches: the up worker must also retire the
-// stream from its poll set, and closes are rare. The close splits across
-// the lanes — the synchronizer drain rides the up lane (behind every
+// closeStream splits a close across the lanes — the synchronizer drain rides the up lane (behind every
 // prior upstream run) and the downstream forward rides the down lane
 // (behind every prior downstream packet); the halves carry no mutual
 // ordering requirement.
 func (sp *shardPool) closeStream(ss *streamState, p *packet.Packet) {
-	ss.pending.Add(2)
 	sh := sp.shardFor(ss.id)
 	sp.dispatch(sh, shardItem{kind: itemCloseUp, ss: ss})
 	sp.dispatch(sh, shardItem{kind: itemCloseDown, ss: ss, p: p})
@@ -360,13 +298,12 @@ func (sp *shardPool) closeStream(ss *streamState, p *packet.Packet) {
 // opCloseSession packet that triggered this already carries the teardown
 // to every child.
 func (sp *shardPool) closeStreamUp(ss *streamState) {
-	ss.pending.Add(1)
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemCloseUp, ss: ss})
 }
 
 // register tracks a just-created stream for time-based polling, so a
-// synchronizer window armed by an inline run fires even if no item ever
-// reaches the worker.
+// synchronizer window armed with the shards quiesced (adoption replaying
+// composed state) fires even if no item ever reaches the worker.
 func (sp *shardPool) register(ss *streamState) {
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemRegister, ss: ss})
 }
@@ -469,12 +406,6 @@ func (sh *shard) runUp() {
 			if timer != nil {
 				timer.Stop()
 			}
-		case <-sh.kick:
-			// An inline run armed a synchronizer timer: fall through and
-			// rescan deadlines.
-			if timer != nil {
-				timer.Stop()
-			}
 		case <-sh.pool.stop:
 			if timer != nil {
 				timer.Stop()
@@ -544,18 +475,15 @@ func (sh *shard) flushPend(pend map[*transport.FlowLink]struct{}) {
 }
 
 // handleUp executes one up-lane item, returning true when the worker
-// should exit. The ops take the stream's pipeline lock internally; the
-// item releases its pending count once done, and flow-controlled items
-// then retire against their source link — the packets are finished only
-// now, which is what makes the grant a statement about pipeline progress
-// rather than queue occupancy.
+// should exit. The ops take the stream's pipeline lock internally; once
+// done, the item retires against its source link — the packets are
+// finished only now, which is what makes the grant a statement about
+// pipeline progress rather than queue occupancy.
 func (sh *shard) handleUp(it shardItem) bool {
 	switch it.kind {
 	case itemUp:
 		sh.track(it.ss)
-		consumed := sh.pool.ops.shardUp(it.ss, it.child, it.ps, it.ret())
-		it.ss.pending.Add(-1)
-		if !consumed {
+		if !sh.pool.ops.shardUp(it.ss, it.child, it.ps, it.ret()) {
 			sh.retireOrdered(sh.upPend, it)
 		}
 	case itemUpRaw:
@@ -565,7 +493,6 @@ func (sh *shard) handleUp(it shardItem) bool {
 	case itemCloseUp:
 		delete(sh.streams, it.ss.id)
 		sh.pool.ops.shardCloseUp(it.ss)
-		it.ss.pending.Add(-1)
 	case itemRegister:
 		sh.track(it.ss)
 	case itemForget:
@@ -587,14 +514,12 @@ func (sh *shard) handleDown(it shardItem) bool {
 	switch it.kind {
 	case itemDown:
 		sh.pool.ops.shardDown(it.ss, it.p)
-		it.ss.pending.Add(-1)
 		sh.retire(sh.downPend, it.src, 1)
 	case itemDownRaw:
 		sh.pool.ops.shardDownRaw(it.p)
 		sh.retire(sh.downPend, it.src, 1)
 	case itemCloseDown:
 		sh.pool.ops.shardCloseDown(it.ss, it.p)
-		it.ss.pending.Add(-1)
 	case itemPause:
 		it.pause.arrived.Done()
 		select {

@@ -30,12 +30,10 @@ type StreamSpec struct {
 	DownTransformation string
 	// RecvBuffer sets the front-end delivery buffer (packets); 0 = 1024.
 	RecvBuffer int
-	// Priority is the stream's egress scheduling priority on
-	// flow-controlled networks (Config.LinkWindow > 0): on every link,
+	// Priority is the stream's egress scheduling priority: on every link,
 	// queued data from higher-priority streams flushes first, and streams
 	// of equal priority round-robin so no stream starves. 0 is the
-	// default class; negative values yield to it. Ignored when flow
-	// control is off (egress is then plain FIFO).
+	// default class; negative values yield to it.
 	Priority int
 }
 
@@ -177,7 +175,7 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	nw.mu.Unlock()
 	nw.fe.setState(id, ss)
 	// Track the stream on its pipeline shard from birth, so a timer armed
-	// by an inline run always has a poller.
+	// with the shards quiesced (adoption replay) always has a poller.
 	nw.fe.shards.register(ss)
 	nw.recMu.Unlock()
 
@@ -238,12 +236,21 @@ func (s *Stream) MulticastPacket(p *packet.Packet) error {
 	return nil
 }
 
-// deliver hands a fully reduced packet to the stream's receiver, dropping
-// it if the stream has been closed.
+// deliver hands a fully reduced packet to the stream's receiver, waiting
+// for room in the receive buffer — unless the stream has been closed or the
+// network is shutting down, when a packet that does not fit is dropped:
+// Shutdown waits for the front-end, so the front-end must not wait for a
+// reader that may never come.
 func (s *Stream) deliver(p *packet.Packet) {
 	select {
 	case s.recvCh <- p:
+		return
+	default:
+	}
+	select {
+	case s.recvCh <- p:
 	case <-s.closed:
+	case <-s.nw.dying:
 	}
 }
 

@@ -91,20 +91,12 @@ type streamState struct {
 	budget *transport.Budget
 	tc     *TenantCounters
 
-	// pipeMu serializes pipeline execution — synchronizer, transformation,
-	// egress, drain, poll — between the router's inline fast path and the
-	// stream's shard worker. It is uncontended in steady state: the router
-	// only runs inline while nothing is dispatched (pending == 0), and the
-	// worker only runs what was dispatched; the lock exists for the
-	// handoff edges (a timer poll racing an inline run). The filters
-	// themselves still need no locks of their own.
+	// pipeMu serializes access to the stream's filter state — synchronizer,
+	// transformation, down-transformation, dedup windows — between the
+	// stream's up-lane and down-lane workers and off-pipeline readers
+	// (checkpoints). It is uncontended in steady state; the filters
+	// themselves need no locks of their own.
 	pipeMu sync.Mutex
-	// pending counts dispatched-but-unfinished shard work items for this
-	// stream. The router may execute a run inline (no mailbox hop, the
-	// serial-loop fast path) only when it reads zero: the router is the
-	// sole dispatcher, so zero means nothing is queued or executing and
-	// per-stream FIFO is preserved.
-	pending atomic.Int32
 	// closed is set by Stream.Close before the forget item is enqueued,
 	// so a data item the router dispatched just before the close cannot
 	// re-register the dead stream in its shard's poll set.
@@ -120,10 +112,9 @@ type streamState struct {
 	// user-goroutine multicasts and pipeline shards; writers (stream
 	// creation, recovery adoption under quiesce, dynamic attach on the
 	// router) swap in a fresh snapshot. The filters themselves (sync,
-	// tform, downTform) take no lock: they are single-writer — driven
-	// only by the stream's shard worker or the router's inline fast path
-	// (mutually excluded by pipeMu + pending), or by the router alone
-	// while the shards are quiesced.
+	// tform, downTform) take no lock: they are driven only by the stream's
+	// shard workers under pipeMu, or by the router alone while the shards
+	// are quiesced.
 	routes atomic.Pointer[streamRoutes]
 }
 
@@ -253,12 +244,6 @@ func (ss *streamState) syncSlot(childIdx int) int {
 		return r.up[childIdx]
 	}
 	return -1
-}
-
-// add feeds an upstream packet arriving on child link slot childIdx through
-// the synchronizer, returning released batches.
-func (ss *streamState) add(childIdx int, p *packet.Packet) [][]*packet.Packet {
-	return ss.sync.Add(ss.syncSlot(childIdx), p)
 }
 
 // addBatch feeds a same-stream run of packets from child link slot

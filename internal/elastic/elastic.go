@@ -61,8 +61,9 @@ type Config struct {
 	// MinQueued is the parent-egress backlog a split candidate must show
 	// when it has no credit stalls — corroborating evidence that the heat
 	// is pressure, not just relative imbalance on an underloaded tree.
-	// Default 1; negative disables the pressure check (heat alone
-	// decides, e.g. on overlays without flow control).
+	// Packets waiting out the egress batching window count as queued, so
+	// the default of 1 only tells an idle uplink from a busy one. Negative
+	// disables the pressure check (heat alone decides).
 	MinQueued int64
 
 	// Compose reconstructs filter state when a merge folds a subtree; may

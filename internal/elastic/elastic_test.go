@@ -118,7 +118,7 @@ func TestElasticSplitsHotSubtreeAndPlateaus(t *testing.T) {
 		// 4:1 skew scores the hot router ~2.3 and ~1.4 once split:
 		// trigger between the two so exactly one split fires.
 		SplitAbove:  1.8,
-		MinQueued:   -1, // no flow control here: heat alone decides
+		MinQueued:   -1, // the overlay is unsaturated: heat alone decides
 		MinMeanRate: 50,
 	})
 	ctl.Start()
@@ -204,6 +204,10 @@ func TestElasticMergesColdSubtree(t *testing.T) {
 		Network:  nw,
 		Period:   50 * time.Millisecond,
 		Cooldown: 10 * time.Second, // one mutation max in this test
+		// Rank 1 carries all the traffic (heat 2.0, the default split
+		// threshold) and its uplink always has packets waiting out the
+		// batching window: keep it from being split before 2 is merged.
+		SplitAbove: 100,
 	})
 	ctl.Start()
 	defer ctl.Stop()

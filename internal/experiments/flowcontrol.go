@@ -11,14 +11,13 @@ import (
 
 // FlowControlConfig parameterizes the flow-control ablation: downstream
 // multicast throughput and memory behavior as a function of the credit
-// window (0 = flow control off, the unbounded/blocking baseline) and of
-// how much slower one consumer is than its siblings.
+// window and of how much slower one consumer is than its siblings.
 type FlowControlConfig struct {
 	// Leaves is the back-end count.
 	Leaves int
 	// FanOut is the tree fan-out.
 	FanOut int
-	// Windows are the credit windows swept; 0 disables flow control.
+	// Windows are the credit windows swept (core.Config.LinkWindow).
 	Windows []int
 	// SlowFactors are the slow-consumer ratios swept: one back-end
 	// processes each packet factor× slower than its siblings (1 = uniform
@@ -30,13 +29,13 @@ type FlowControlConfig struct {
 	PerPacket time.Duration
 }
 
-// DefaultFlowControlConfig sweeps window {off, 16, 64} against uniform and
+// DefaultFlowControlConfig sweeps window {16, 64} against uniform and
 // 100×-slower consumers at laptop-runnable size.
 func DefaultFlowControlConfig() FlowControlConfig {
 	return FlowControlConfig{
 		Leaves:      64,
 		FanOut:      8,
-		Windows:     []int{0, 16, 64},
+		Windows:     []int{16, 64},
 		SlowFactors: []int{1, 100},
 		Rounds:      400,
 		PerPacket:   10 * time.Microsecond,
@@ -50,8 +49,8 @@ type FlowControlRow struct {
 	// Rate is downstream packets per second absorbed by the overlay
 	// (leaves × rounds / wall time).
 	Rate float64
-	// EgressHighWater is the deepest per-link egress queue observed:
-	// bounded by Window when flow control is on, unbounded otherwise.
+	// EgressHighWater is the deepest per-link egress queue observed,
+	// bounded by Window.
 	EgressHighWater int64
 	// MailboxHighWater is the deepest shard mailbox observed.
 	MailboxHighWater int64
@@ -156,14 +155,10 @@ func FlowControlTable(cfg FlowControlConfig, rows []FlowControlRow) string {
 		cfg = DefaultFlowControlConfig()
 	}
 	tb := metrics.NewTable(
-		fmt.Sprintf("ABLATE-FLOWCONTROL — downstream throughput & memory, %d back-ends, one slow consumer (window 0 = flow control off)", cfg.Leaves),
+		fmt.Sprintf("ABLATE-FLOWCONTROL — downstream throughput & memory, %d back-ends, one slow consumer", cfg.Leaves),
 		"window", "slow-x", "pkts/s", "egress-hw", "mailbox-hw", "stalls", "grants")
 	for _, r := range rows {
-		w := fmt.Sprintf("%d", r.Window)
-		if r.Window == 0 {
-			w = "off"
-		}
-		tb.AddRow(w, r.SlowFactor, r.Rate, r.EgressHighWater, r.MailboxHighWater, r.CreditStalls, r.CreditGrants)
+		tb.AddRow(r.Window, r.SlowFactor, r.Rate, r.EgressHighWater, r.MailboxHighWater, r.CreditStalls, r.CreditGrants)
 	}
 	return tb.String()
 }

@@ -22,38 +22,18 @@ type Report struct {
 	// GoMaxProcs records the parallelism the run had available — the
 	// knob the stream-sharded data plane scales with.
 	GoMaxProcs int `json:"gomaxprocs"`
-	// AllocsPerOp / BytesPerOp record the allocation profile of the
-	// experiment's hot path when its rows provide one (AllocProfiler);
-	// omitted for experiments that do not measure allocations. These are
-	// the regression-gate numbers: a change that reintroduces per-packet
-	// garbage shows up here before it shows up as throughput. Pointers so
-	// a measured zero — the steady-state target — still serializes.
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	// Rows carries the per-experiment result rows.
 	Rows any `json:"rows"`
 }
 
-// AllocProfiler is implemented by experiment row sets that measure the
-// allocation profile of their hot path (the zeroalloc ablation); NewReport
-// lifts the numbers into the envelope.
-type AllocProfiler interface {
-	AllocProfile() (allocsPerOp, bytesPerOp float64)
-}
-
 // NewReport stamps rows with the run environment.
 func NewReport(experiment string, rows any) Report {
-	r := Report{
+	return Report{
 		Experiment: experiment,
 		RecordedAt: time.Now().UTC(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Rows:       rows,
 	}
-	if ap, ok := rows.(AllocProfiler); ok {
-		allocs, bytes := ap.AllocProfile()
-		r.AllocsPerOp, r.BytesPerOp = &allocs, &bytes
-	}
-	return r
 }
 
 // WriteJSON emits the reports as one indented JSON array, the BENCH_*.json

@@ -16,7 +16,10 @@ import (
 type ThroughputConfig struct {
 	// DaemonCounts are the x positions (paper: up to 512).
 	DaemonCounts []int
-	// Rounds is the number of data waves each daemon produces.
+	// Rounds is the number of data waves each daemon produces. It must
+	// span many egress flush windows: a burst shorter than one window is
+	// carried by the age flush alone, and the run then measures the age
+	// bound once per tree level, not the front-end's processing rate.
 	Rounds int
 	// Functions is the per-record metric vector width (paper: 32).
 	Functions int
@@ -28,7 +31,7 @@ type ThroughputConfig struct {
 func DefaultThroughputConfig() ThroughputConfig {
 	return ThroughputConfig{
 		DaemonCounts: []int{16, 32, 64, 128, 256, 512},
-		Rounds:       40,
+		Rounds:       400,
 		Functions:    32,
 		FanOut:       8,
 	}

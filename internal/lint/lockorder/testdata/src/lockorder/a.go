@@ -129,7 +129,7 @@ func (q *egressQueue) refundLocked() {
 	q.link.Refund(1)
 }
 
-// relockGood drops mu around the blocking drain, bufAddLocked-style.
+// relockGood drops mu around the blocking send.
 func (q *egressQueue) relockGood(p int) {
 	q.mu.Lock()
 	if len(q.buf) > 0 {

@@ -83,10 +83,7 @@ func (be *BackEnd) SendPacket(p *Packet) error {
 		be.ctr++
 		p = p.WithSeq(MakeSeq(be.rank, be.ctr))
 	}
-	if be.eg != nil {
-		return be.eg.send(p)
-	}
-	return be.parentLink().Send(p)
+	return be.eg.send(p)
 }
 
 // Emit delegates to the chokepoint: fine.

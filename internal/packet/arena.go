@@ -32,7 +32,7 @@ type Buf struct {
 	Data []byte
 
 	// class is the arena size-class exponent, or -1 for a plain
-	// allocation PutBuf will drop (oversize request, or pooling off).
+	// allocation PutBuf will drop (oversize request).
 	class int32
 }
 
@@ -50,24 +50,10 @@ const (
 var arenaPools [arenaClasses]sync.Pool
 
 var (
-	// poolingOff gates the whole arena; the zero value means pooling is
-	// ON. The -exp zeroalloc ablation and the eqclass soak flip it to
-	// compare pooled and unpooled runs over identical workloads.
-	poolingOff atomic.Bool
-
 	arenaGets   atomic.Int64
 	arenaPuts   atomic.Int64
 	arenaMisses atomic.Int64
 )
-
-// SetPooling enables or disables the arena, returning the previous
-// setting. With pooling off GetBuf degenerates to make([]byte, 0, size)
-// and PutBuf is a no-op, which is the ablation baseline: identical code
-// paths, per-use heap allocation.
-func SetPooling(on bool) bool { return !poolingOff.Swap(!on) }
-
-// PoolingEnabled reports whether the arena is active.
-func PoolingEnabled() bool { return !poolingOff.Load() }
 
 // classFor returns the smallest size class holding size bytes, or -1 when
 // the request exceeds the largest class.
@@ -87,9 +73,6 @@ func classFor(size int) int32 {
 // handoff (see the package comment above); the poolrelease analyzer
 // checks that every path does one or the other.
 func GetBuf(size int) *Buf {
-	if !PoolingEnabled() {
-		return &Buf{Data: make([]byte, 0, size), class: -1}
-	}
 	c := classFor(size)
 	if c < 0 {
 		arenaMisses.Add(1)
@@ -113,7 +96,7 @@ func GetBuf(size int) *Buf {
 // protocol (CAS-guarded ReleaseEncoded, single-owner egress slots) and
 // the poolrelease analyzer exist to rule that out.
 func PutBuf(b *Buf) {
-	if b == nil || b.class < 0 || !PoolingEnabled() {
+	if b == nil || b.class < 0 {
 		return
 	}
 	if cap(b.Data) < 1<<b.class {

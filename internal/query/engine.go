@@ -278,13 +278,14 @@ type Engine struct {
 // Option adjusts the overlay configuration an Engine is built on.
 type Option func(*core.Config)
 
-// WithBatch enables per-link egress batching on the engine's overlay.
+// WithBatch sets the per-link egress batching policy of the engine's
+// overlay (see core.Config.Batch).
 func WithBatch(p core.BatchPolicy) Option {
 	return func(c *core.Config) { c.Batch = p }
 }
 
-// WithLinkWindow enables credit-based flow control on the engine's overlay
-// with the given per-link window (see core.Config.LinkWindow).
+// WithLinkWindow sets the per-link credit window of the engine's overlay
+// (see core.Config.LinkWindow).
 func WithLinkWindow(w int) Option {
 	return func(c *core.Config) { c.LinkWindow = w }
 }

@@ -48,10 +48,11 @@ type FlowLink struct {
 	// refillHook, when set, is invoked after inbound grants refill the
 	// pool — the egress queue's stall/resume wakeup.
 	refillHook atomic.Pointer[func()]
-	// ackHook, when set, is invoked after inbound grants with the grant's
-	// credit count and cumulative acknowledged total — the egress replay
-	// ring's retirement signal (exactly-once delivery). It runs on the
-	// link's reader goroutine and must not touch the wire.
+	// ackHook, when set, is invoked on inbound grants, before their credits
+	// return to the pool, with the grant's credit count and cumulative
+	// acknowledged total — the egress replay ring's retirement signal
+	// (exactly-once delivery). It runs on the link's reader goroutine and
+	// must not touch the wire.
 	ackHook atomic.Pointer[func(n int, cum uint64)]
 	// retiredTotal counts every receiver-side retirement on this link for
 	// the link's lifetime; outgoing grants carry it as the cumulative ack.
@@ -239,12 +240,15 @@ func (f *FlowLink) Refill(n int) {
 // refillAck is Refill plus the grant's cumulative acknowledged total, fed
 // to the ack hook so an egress replay ring can retire the acked prefix.
 // cum 0 means "unknown" (legacy grants); the hook falls back to the delta.
+// The ack hook runs BEFORE the credits return: a flusher can spend a
+// credit only after the packets that credit acknowledges have left the
+// ring, which is what bounds the ring by the window.
 func (f *FlowLink) refillAck(n int, cum uint64) {
 	f.releaseBudgets(n)
-	f.Refund(n)
 	if hook := f.ackHook.Load(); hook != nil {
 		(*hook)(n, cum)
 	}
+	f.Refund(n)
 	if hook := f.refillHook.Load(); hook != nil {
 		(*hook)()
 	}
@@ -259,10 +263,10 @@ func (f *FlowLink) SetRefillHook(fn func()) {
 	f.refillHook.Store(&fn)
 }
 
-// SetAckHook registers fn to run after every inbound grant with the
-// grant's credit count and cumulative acknowledged total. Like the refill
-// hook it runs on the link's reader goroutine: it must be quick and must
-// never touch the wire.
+// SetAckHook registers fn to run on every inbound grant, before its
+// credits return to the pool, with the grant's credit count and cumulative
+// acknowledged total. Like the refill hook it runs on the link's reader
+// goroutine: it must be quick and must never touch the wire.
 func (f *FlowLink) SetAckHook(fn func(n int, cum uint64)) {
 	if fn == nil {
 		f.ackHook.Store(nil)
