@@ -141,6 +141,11 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 	if err != nil {
 		return err
 	}
+	if be.nw.xonce() && tag != packet.TagControl {
+		// p is not shared yet, so stamp it in place; SendPacket's WithSeq
+		// would allocate a second Packet only to set this field.
+		p.Seq = packet.MakeSeq(be.rank, be.seqCtr.Add(1))
+	}
 	return be.SendPacket(p)
 }
 

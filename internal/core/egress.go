@@ -500,7 +500,9 @@ func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
 		// here until the flush that ships it lets go — or, exactly-once,
 		// until the replay ring does (DESIGN.md §12). While at least one
 		// queue holds it, the encode body is arena-backed and every
-		// reader of its bytes is covered by a hold.
+		// reader of its bytes is covered by a hold. A packet being
+		// forwarded as received never grows a body — it is framed from
+		// its wire payload — so for it the hold is only a counter.
 		p.RetainEncoded(1)
 	}
 	q.mu.Lock()

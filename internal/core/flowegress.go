@@ -89,17 +89,13 @@ func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	}
 }
 
-// sendGrant builds and sends one credit grant directly on the link, holding
-// encoded-body custody across the send so the grant's wire bytes come from
-// (and immediately return to) the packet arena — grants are the hottest
-// control packets, one per quarter window of data, and would otherwise
-// allocate a fresh body each.
+// sendGrant builds and sends one credit grant directly on the link. Grants
+// are the hottest control packets, one per quarter window of data; being
+// header-only they are framed straight from their fields, so the one
+// allocation a grant costs is the packet itself.
 func sendGrant(m *Metrics, fl *transport.FlowLink, g int) {
 	m.CreditGrants.Add(1)
-	p := fl.GrantPacket(g)
-	p.RetainEncoded(1)
-	_ = fl.Send(p)
-	p.ReleaseEncoded()
+	_ = fl.Send(fl.GrantPacket(g))
 }
 
 // flushGrant returns a below-threshold retirement accumulation to the

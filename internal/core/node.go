@@ -835,7 +835,10 @@ func (n *node) shardCloseUp(ss *streamState) {
 // cadence covers, see DESIGN.md §10). Fresh transform outputs are stamped
 // with this node's origin sequence; forwarded packets keep their origin
 // stamp, which is what lets the front-end recognize a replayed copy of a
-// packet a killed intermediary had already forwarded.
+// packet a killed intermediary had already forwarded. The restamp shares a
+// forwarded packet's wire payload, so behind a pass-through filter the
+// bytes that arrived on a child socket are the bytes framed onto the
+// parent socket: no decode, no re-encode.
 func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret *pendRetire) bool {
 	var outs []*packet.Packet
 	for _, batch := range batches {

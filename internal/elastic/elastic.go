@@ -8,9 +8,13 @@
 // packet rate divided by the mean rate over all live internal processes.
 // Uniform load therefore scores everyone near 1.0 and mutates nothing;
 // a 4:1 skew scores the hot subtree near the split threshold. Hysteresis
-// comes from three guards: separated split/merge thresholds, a per-node
-// mutation cooldown, and at most one mutation per control tick — so the
-// mutation count plateaus once the shape matches the load.
+// comes from four guards: separated split/merge thresholds, a score that
+// must stay past its threshold for decisionHold consecutive samples (one
+// report-to-report delta is a host stall away from reading 2x or 0x), a
+// per-node mutation cooldown, and at most one mutation per control tick —
+// so the mutation count plateaus once the shape matches the load. A
+// process is split only when both halves keep at least two children: one
+// that forwards a single child aggregates nothing, whatever its heat.
 //
 // The controller backs off while a failure is being recovered (mutating a
 // tree whose shape is mid-repair would race the recovery manager's
@@ -98,15 +102,38 @@ type Mutation struct {
 // before its measured rate can justify merging it away.
 const mergeWarmup = 4
 
+// decisionHold is how many consecutive scored samples a rank must spend at
+// or past a threshold before the controller acts on it. A score comes from
+// one report-to-report delta, and a host stall that bunches two reports —
+// or starves every sender for a few ticks, leaving a handful of packets to
+// set the ratios — reads as a 2x or a 0x rate for a tick or two; sustained
+// load holds for as long as it lasts.
+const decisionHold = 3
+
+// minSplitChildren is the fewest live children a split candidate may
+// have: SplitNode halves them, and each half must still aggregate.
+const minSplitChildren = 4
+
 // sample is one rank's previous cumulative counters, for delta rates.
 // n counts how many reports the controller has folded in — a rank's rate
 // is trusted for merges only after a short warm-up, so a freshly split
 // sibling is not judged cold while traffic is still cutting over to it.
+// hot and cold count the consecutive scored samples at or past the split
+// and merge thresholds.
 type sample struct {
-	upPkts int64
-	stalls int64
-	at     time.Time
-	n      int
+	upPkts    int64
+	stalls    int64
+	at        time.Time
+	n         int
+	hot, cold int
+}
+
+// decision is what one tick's reports call for: Kind is "split", "merge"
+// or empty.
+type decision struct {
+	Kind string
+	Rank core.Rank
+	Heat float64
 }
 
 // Controller runs the elastic control loop over one Network.
@@ -224,26 +251,63 @@ func (c *Controller) tick() {
 		return
 	}
 
-	live := nw.LiveInternal()
-	reports := nw.LoadReports()
-	now := time.Now()
+	d, max := c.decide(time.Now(), nw.LiveInternal(), nw.LoadReports(), func(r core.Rank) int {
+		return len(nw.LiveChildren(r))
+	})
+	if max >= 0 {
+		m.HeatScoreMilli.Store(int64(max * 1000))
+	}
+	switch d.Kind {
+	case "split":
+		sib, err := nw.SplitNode(d.Rank)
+		if err != nil {
+			return
+		}
+		c.record(Mutation{Kind: "split", Target: d.Rank, Sibling: sib, Heat: d.Heat, At: time.Now()})
+		c.mu.Lock()
+		c.lastMut[d.Rank] = time.Now()
+		c.lastMut[sib] = time.Now()
+		c.mu.Unlock()
+	case "merge":
+		if c.cfg.Merge != nil {
+			if err := c.cfg.Merge(d.Rank); err != nil {
+				return
+			}
+		} else if _, err := nw.MergeNode(d.Rank, c.cfg.Compose); err != nil {
+			return
+		}
+		c.record(Mutation{Kind: "merge", Target: d.Rank, Heat: d.Heat, At: time.Now()})
+		c.mu.Lock()
+		delete(c.prev, d.Rank)
+		c.lastMut[d.Rank] = time.Now()
+		c.mu.Unlock()
+	}
+}
 
+// decide folds one tick's load reports into the per-rank rates, scores and
+// threshold streaks and returns the mutation they call for, if any, with
+// the highest score (negative when no rank could be scored). It touches
+// nothing but the controller's own bookkeeping — the overlay is described
+// by live (its internal processes), reports and children (a rank's live
+// child count) — so a test can drive it with synthetic report sequences.
+func (c *Controller) decide(now time.Time, live []core.Rank, reports map[core.Rank]core.LoadSample, children func(core.Rank) int) (decision, float64) {
 	type rated struct {
 		rank   core.Rank
 		rate   float64
 		stalls int64
 		queued int64
-		n      int
 	}
 	var rates []rated
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, r := range live {
 		rep, ok := reports[r]
 		if !ok {
 			continue
 		}
 		p, seen := c.prev[r]
-		cur := sample{upPkts: rep.UpPackets, stalls: rep.Stalls, at: rep.At, n: p.n}
+		cur := p
+		cur.upPkts, cur.stalls, cur.at = rep.UpPackets, rep.Stalls, rep.At
 		if !seen || rep.At.After(p.at) {
 			cur.n++
 		}
@@ -251,21 +315,15 @@ func (c *Controller) tick() {
 		if !seen || !rep.At.After(p.at) {
 			continue // need two distinct samples for a rate
 		}
-		dt := rep.At.Sub(p.at).Seconds()
-		if dt <= 0 {
-			continue
-		}
 		rates = append(rates, rated{
 			rank:   r,
-			rate:   float64(rep.UpPackets-p.upPkts) / dt,
+			rate:   float64(rep.UpPackets-p.upPkts) / rep.At.Sub(p.at).Seconds(),
 			stalls: rep.Stalls - p.stalls,
 			queued: rep.Queued,
-			n:      cur.n,
 		})
 	}
 	if len(rates) == 0 {
-		c.mu.Unlock()
-		return
+		return decision{}, -1
 	}
 	var mean float64
 	for _, x := range rates {
@@ -286,21 +344,22 @@ func (c *Controller) tick() {
 		if s > max {
 			max = s
 		}
+		p := c.prev[x.rank]
+		p.hot, p.cold = streak(p.hot, s >= c.cfg.SplitAbove), streak(p.cold, s <= c.cfg.MergeBelow)
+		c.prev[x.rank] = p
 	}
-	m.HeatScoreMilli.Store(int64(max * 1000))
 
 	if mean < c.cfg.MinMeanRate {
-		c.mu.Unlock()
-		return // idle overlay: never churn the shape on noise
+		return decision{}, max // idle overlay: never churn the shape on noise
 	}
 
-	// Split candidate: hottest process over the threshold with pressure
-	// evidence, enough children to share, and a cold cooldown.
+	// Split candidate: hottest process held over the threshold with
+	// pressure evidence, enough children for both halves to aggregate,
+	// and a cold cooldown.
 	var split *rated
 	for i := range rates {
 		x := &rates[i]
-		s := c.scores[x.rank]
-		if s < c.cfg.SplitAbove {
+		if c.prev[x.rank].hot < decisionHold {
 			continue
 		}
 		if x.stalls <= 0 && x.queued < c.cfg.MinQueued {
@@ -309,7 +368,7 @@ func (c *Controller) tick() {
 		if now.Sub(c.lastMut[x.rank]) < c.cfg.Cooldown {
 			continue
 		}
-		if len(nw.LiveChildren(x.rank)) < 2 {
+		if children(x.rank) < minSplitChildren {
 			continue
 		}
 		if split == nil || c.scores[x.rank] > c.scores[split.rank] {
@@ -317,21 +376,10 @@ func (c *Controller) tick() {
 		}
 	}
 	if split != nil {
-		heat := c.scores[split.rank]
-		c.mu.Unlock()
-		sib, err := nw.SplitNode(split.rank)
-		if err != nil {
-			return
-		}
-		c.record(Mutation{Kind: "split", Target: split.rank, Sibling: sib, Heat: heat, At: time.Now()})
-		c.mu.Lock()
-		c.lastMut[split.rank] = time.Now()
-		c.lastMut[sib] = time.Now()
-		c.mu.Unlock()
-		return
+		return decision{Kind: "split", Rank: split.rank, Heat: c.scores[split.rank]}, max
 	}
 
-	// Merge candidate: coldest process under the threshold. Never the
+	// Merge candidate: coldest process held under the threshold. Never the
 	// last internal process (keep the aggregation level), never one whose
 	// reports have gone missing (a congested uplink drops reports — such
 	// a process is hot, not cold).
@@ -339,10 +387,11 @@ func (c *Controller) tick() {
 	if len(live) > 1 && c.cfg.MergeBelow > 0 {
 		for i := range rates {
 			x := &rates[i]
-			if c.scores[x.rank] > c.cfg.MergeBelow {
+			p := c.prev[x.rank]
+			if p.cold < decisionHold {
 				continue
 			}
-			if x.n < mergeWarmup {
+			if p.n < mergeWarmup {
 				continue // too young to judge cold: traffic may still be cutting over
 			}
 			if now.Sub(c.lastMut[x.rank]) < c.cfg.Cooldown {
@@ -354,23 +403,17 @@ func (c *Controller) tick() {
 		}
 	}
 	if merge != nil {
-		heat := c.scores[merge.rank]
-		c.mu.Unlock()
-		if c.cfg.Merge != nil {
-			if err := c.cfg.Merge(merge.rank); err != nil {
-				return
-			}
-		} else if _, err := nw.MergeNode(merge.rank, c.cfg.Compose); err != nil {
-			return
-		}
-		c.record(Mutation{Kind: "merge", Target: merge.rank, Heat: heat, At: time.Now()})
-		c.mu.Lock()
-		delete(c.prev, merge.rank)
-		c.lastMut[merge.rank] = time.Now()
-		c.mu.Unlock()
-		return
+		return decision{Kind: "merge", Rank: merge.rank, Heat: c.scores[merge.rank]}, max
 	}
-	c.mu.Unlock()
+	return decision{}, max
+}
+
+// streak extends a run of consecutive samples past a threshold, or ends it.
+func streak(n int, past bool) int {
+	if !past {
+		return 0
+	}
+	return n + 1
 }
 
 func (c *Controller) record(mut Mutation) {

@@ -286,3 +286,114 @@ func firstScores(c *Controller) map[core.Rank]float64 {
 	s, _ := c.Scores()
 	return s
 }
+
+// feed drives Controller.decide with synthetic load reports, one call per
+// control tick, no overlay and no sleeping: every router's cumulative
+// packet counter advances by what the caller says it forwarded that tick.
+type feed struct {
+	c        *Controller
+	now      time.Time
+	live     []core.Rank
+	children map[core.Rank]int
+	reports  map[core.Rank]core.LoadSample
+}
+
+func newFeed(cfg Config, children map[core.Rank]int) *feed {
+	cfg.MinQueued = -1 // heat alone decides, as on an unsaturated overlay
+	f := &feed{
+		c:        New(cfg),
+		now:      time.Unix(1_000_000, 0),
+		children: children,
+		reports:  map[core.Rank]core.LoadSample{},
+	}
+	for r := core.Rank(1); int(r) <= len(children); r++ {
+		f.live = append(f.live, r)
+	}
+	return f
+}
+
+// tick advances one control period in which router r forwarded pkts[r]
+// packets and returns what the controller would do about it.
+func (f *feed) tick(pkts map[core.Rank]int64) decision {
+	f.now = f.now.Add(f.c.cfg.Period)
+	for _, r := range f.live {
+		rep := f.reports[r]
+		rep.Origin, rep.UpPackets, rep.At = r, rep.UpPackets+pkts[r], f.now
+		f.reports[r] = rep
+	}
+	d, _ := f.c.decide(f.now, f.live, f.reports, func(r core.Rank) int { return f.children[r] })
+	return d
+}
+
+func uniform(n int64) map[core.Rank]int64 {
+	return map[core.Rank]int64{1: n, 2: n, 3: n, 4: n}
+}
+
+// TestDecideIgnoresOneTickSpike: a host stall that bunches two of a
+// router's load reports into one interval reads as a 3x rate (heat 2.0,
+// over the threshold) for exactly one tick, and one that starves a router
+// for a tick as a dead subtree. Neither is load; neither may mutate.
+func TestDecideIgnoresOneTickSpike(t *testing.T) {
+	f := newFeed(Config{SplitAbove: 1.8}, map[core.Rank]int{1: 4, 2: 4, 3: 4, 4: 4})
+	for i := 0; i < 40; i++ {
+		pkts := uniform(100)
+		switch i % 8 {
+		case 3:
+			pkts[1] = 300
+		case 6:
+			pkts[2] = 0
+		}
+		if d := f.tick(pkts); d.Kind != "" {
+			t.Fatalf("tick %d: %s of %d (heat %.2f) on a one-tick excursion", i, d.Kind, d.Rank, d.Heat)
+		}
+	}
+}
+
+// TestDecideSplitsOnSustainedSkew: a 4:1 skew that lasts is acted on as
+// soon as it has held for decisionHold scored samples (the first tick only
+// primes the rate), not before — and the halves of that split, two
+// children each, are never candidates however hot they run.
+func TestDecideSplitsOnSustainedSkew(t *testing.T) {
+	skew := map[core.Rank]int64{1: 400, 2: 100, 3: 100, 4: 100}
+	f := newFeed(Config{SplitAbove: 1.8}, map[core.Rank]int{1: 4, 2: 4, 3: 4, 4: 4})
+	for i := 0; i < decisionHold; i++ {
+		if d := f.tick(skew); d.Kind != "" {
+			t.Fatalf("tick %d: %s of %d before the skew had held for %d samples", i, d.Kind, d.Rank, decisionHold)
+		}
+	}
+	d := f.tick(skew)
+	if d.Kind != "split" || d.Rank != 1 {
+		t.Fatalf("sustained 4:1 skew: decision %+v, want split of 1", d)
+	}
+	if d.Heat < 2.2 || d.Heat > 2.4 {
+		t.Errorf("split heat %.2f, want 4/1.75", d.Heat)
+	}
+
+	for _, kids := range []int{2, 3} {
+		f := newFeed(Config{SplitAbove: 1.8}, map[core.Rank]int{1: kids, 2: 4, 3: 4, 4: 4})
+		for i := 0; i < 20; i++ {
+			if d := f.tick(skew); d.Kind != "" {
+				t.Fatalf("%d-child hot router: %s of %d; a split must leave two children on both halves", kids, d.Kind, d.Rank)
+			}
+		}
+	}
+}
+
+// TestDecideMergesOnSustainedCold: a subtree that stays silent is merged
+// once it has been cold for decisionHold samples and reported mergeWarmup
+// times.
+func TestDecideMergesOnSustainedCold(t *testing.T) {
+	f := newFeed(Config{SplitAbove: 100}, map[core.Rank]int{1: 4, 2: 4, 3: 4, 4: 4})
+	cold := map[core.Rank]int64{1: 100, 2: 100, 3: 0, 4: 100}
+	var got decision
+	ticks := 0
+	for ; ticks < 20 && got.Kind == ""; ticks++ {
+		got = f.tick(cold)
+	}
+	if got.Kind != "merge" || got.Rank != 3 {
+		t.Fatalf("sustained cold subtree: decision %+v, want merge of 3", got)
+	}
+	if ticks <= decisionHold {
+		t.Errorf("merged after %d ticks; the cold score must hold for %d samples first", ticks, decisionHold)
+	}
+}

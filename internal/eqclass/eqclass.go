@@ -105,8 +105,8 @@ func (s *Set) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet.Pac
 
 // FromPacket decodes a class-set packet.
 func FromPacket(p *packet.Packet) (*Set, error) {
-	if p.Format != PacketFormat {
-		return nil, fmt.Errorf("eqclass: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return nil, fmt.Errorf("eqclass: unexpected packet format %q", p.Format())
 	}
 	keys, err := p.StringArray(0)
 	if err != nil {
@@ -170,7 +170,10 @@ func (f *Filter) State() ([]byte, error) {
 	return p.Encode(), nil
 }
 
-// SetState restores a snapshot produced by State.
+// SetState restores a snapshot produced by State. The decoded packet
+// aliases b (see packet.Decode) but does not outlive the call — FromPacket
+// copies every key and member into the Set — so b is the caller's again on
+// return.
 func (f *Filter) SetState(b []byte) error {
 	p, err := packet.Decode(b)
 	if err != nil {
@@ -189,7 +192,8 @@ func (f *Filter) SetState(b []byte) error {
 // composed state through the adopting node's filter pipeline: the adopter
 // absorbs it and re-forwards upstream whatever information had been lost
 // in flight with the failed node, while duplicates are suppressed level by
-// level as usual. Replayed packets carry packet.TagEvent.
+// level as usual. Replayed packets carry packet.TagEvent. The returned
+// packet is built from the Set's own copies, never from state's bytes.
 func (f *Filter) ReplayState(state []byte) ([]*packet.Packet, error) {
 	p, err := packet.Decode(state)
 	if err != nil {

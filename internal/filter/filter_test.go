@@ -131,8 +131,8 @@ func TestConcat(t *testing.T) {
 	a := packet.MustNew(100, 1, 0, "%d %s", int64(1), "one")
 	b := packet.MustNew(100, 1, 0, "%f", 2.5)
 	out := one(t, Concat{}, a, b)
-	if out.Format != "%d %s %f" {
-		t.Fatalf("concat format = %q", out.Format)
+	if out.Format() != "%d %s %f" {
+		t.Fatalf("concat format = %q", out.Format())
 	}
 	if v, _ := out.Int(0); v != 1 {
 		t.Error("concat lost first value")

@@ -78,7 +78,7 @@ func (nr *NumericReduce) Transform(in []*packet.Packet) ([]*packet.Packet, error
 func (nr *NumericReduce) count(in []*packet.Packet) ([]*packet.Packet, error) {
 	var total int64
 	for _, p := range in {
-		if p.Format == "%d" {
+		if p.Format() == "%d" {
 			v, err := p.Int(0)
 			if err != nil {
 				return nil, err
@@ -99,7 +99,7 @@ func (nr *NumericReduce) avg(in []*packet.Packet) ([]*packet.Packet, error) {
 	var weight int64
 	var sum float64
 	for _, p := range in {
-		switch p.Format {
+		switch p.Format() {
 		case "%f":
 			v, err := p.Float(0)
 			if err != nil {
@@ -126,7 +126,7 @@ func (nr *NumericReduce) avg(in []*packet.Packet) ([]*packet.Packet, error) {
 			sum += float64(v)
 			weight++
 		default:
-			return nil, fmt.Errorf("%w: avg cannot consume %q", ErrMixedFormats, p.Format)
+			return nil, fmt.Errorf("%w: avg cannot consume %q", ErrMixedFormats, p.Format())
 		}
 	}
 	mean := 0.0
@@ -141,10 +141,10 @@ func (nr *NumericReduce) avg(in []*packet.Packet) ([]*packet.Packet, error) {
 }
 
 func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
-	format := in[0].Format
+	format := in[0].Format()
 	for _, p := range in[1:] {
-		if p.Format != format {
-			return nil, fmt.Errorf("%w: %q vs %q", ErrMixedFormats, format, p.Format)
+		if p.Format() != format {
+			return nil, fmt.Errorf("%w: %q vs %q", ErrMixedFormats, format, p.Format())
 		}
 	}
 	switch format {
@@ -268,8 +268,8 @@ func (Concat) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 	var fmtParts []string
 	var values []any
 	for _, p := range in {
-		if p.Format != "" {
-			fmtParts = append(fmtParts, p.Format)
+		if p.Format() != "" {
+			fmtParts = append(fmtParts, p.Format())
 		}
 		values = append(values, p.Values()...)
 	}

@@ -112,8 +112,8 @@ func (h *Histogram) ToPacket(tag int32, streamID uint32, src packet.Rank) (*pack
 
 // FromPacket decodes a histogram packet.
 func FromPacket(p *packet.Packet) (*Histogram, error) {
-	if p.Format != PacketFormat {
-		return nil, fmt.Errorf("histogram: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return nil, fmt.Errorf("histogram: unexpected packet format %q", p.Format())
 	}
 	min, err := p.Float(0)
 	if err != nil {

@@ -33,8 +33,8 @@ func MakePacket(tag int32, streamID uint32, src packet.Rank, data []Point, weigh
 // ParsePacket extracts the condensed data, weights and peaks from a
 // mean-shift packet.
 func ParsePacket(p *packet.Packet) (data []Point, weights []float64, peaks []Point, err error) {
-	if p.Format != PacketFormat {
-		return nil, nil, nil, fmt.Errorf("meanshift: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return nil, nil, nil, fmt.Errorf("meanshift: unexpected packet format %q", p.Format())
 	}
 	dv, err := p.FloatArray(0)
 	if err != nil {

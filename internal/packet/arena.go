@@ -17,8 +17,9 @@ import (
 // directly, or a handoff that owns the release from then on (storing it as
 // a packet's wire cache, whose ReleaseEncoded/recycleWire return it). A
 // pooled buffer must never be read after its release: the bytes belong to
-// the next taker. Decode aliases its input (%ac values share the frame
-// buffer), so READ-side frame buffers are never pooled — only send-side
+// the next taker. Decode aliases its input (a decoded packet's whole
+// payload IS a slice of the frame buffer, and forwarding re-sends it from
+// there), so READ-side frame buffers are never pooled — only send-side
 // scratch and encode bodies, whose lifetimes the custody protocol in
 // internal/core bounds explicitly.
 

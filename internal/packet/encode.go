@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 )
@@ -40,16 +39,23 @@ const MaxWireSize = 1 << 28 // 256 MiB
 // ErrWire reports a malformed wire-format packet.
 var ErrWire = errors.New("packet: malformed wire data")
 
-// wireEncodes counts actual serialization passes (Encode bodies executed),
-// the cost the per-packet wire cache exists to amortize: a k-child TCP
-// multicast used to pay k of these per packet, and now pays one. Tests and
-// benchmarks read it through WireEncodes.
+// wireEncodes counts serialization passes — a packet's values walked and
+// written out as wire bytes — the cost the per-packet wire cache amortizes
+// over a multicast's fan-out and a decoded packet never pays at all: its
+// payload is already wire bytes, and header-only packets have nothing to
+// serialize. Tests and benchmarks read it through WireEncodes.
 var wireEncodes atomic.Int64
 
-// WireEncodes returns the number of packet serialization passes performed
+// WireEncodes returns the number of payload serialization passes performed
 // by this process so far. The counter is global and monotonic; callers
 // interested in one workload take a delta.
 func WireEncodes() int64 { return wireEncodes.Load() }
+
+// encodesValues reports whether putting the packet on the wire takes a
+// serialization pass over Go values — a packet built by New with at least
+// one value — and is therefore worth caching. Everything else (a decoded
+// packet, a header-only packet) is framed straight from its fields.
+func (p *Packet) encodesValues() bool { return p.payload == nil && len(p.values) > 0 }
 
 // EncodedBytes returns the packet's wire encoding, serializing at most once
 // no matter how many links, frames, or goroutines ask: the fan-out of a
@@ -61,8 +67,8 @@ func (p *Packet) EncodedBytes() []byte {
 	if b := p.wire.Load(); b != nil {
 		return b.Data
 	}
-	p.encMu.Lock()
-	defer p.encMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if b := p.wire.Load(); b != nil {
 		return b.Data
 	}
@@ -74,7 +80,6 @@ func (p *Packet) EncodedBytes() []byte {
 	} else {
 		buf = &Buf{Data: make([]byte, 0, p.EncodedSize()), class: -1}
 	}
-	wireEncodes.Add(1)
 	buf.Data = p.appendEncode(buf.Data[:0])
 	p.wire.Store(buf)
 	return buf.Data
@@ -82,11 +87,15 @@ func (p *Packet) EncodedBytes() []byte {
 
 // EncodedSize returns the exact number of bytes Encode will produce.
 func (p *Packet) EncodedSize() int {
+	fd := p.desc()
+	n := minEncodedPacket + len(fd.format)
+	if p.payload != nil {
+		return n + len(p.payload)
+	}
 	if b := p.wire.Load(); b != nil {
 		return len(b.Data)
 	}
-	n := 2 + 1 + 4 + 4 + 4 + 8 + 2 + len(p.Format)
-	for i, d := range p.dirs {
+	for i, d := range fd.dirs {
 		switch d {
 		case DirByte:
 			n++
@@ -111,31 +120,37 @@ func (p *Packet) EncodedSize() int {
 	return n
 }
 
-// Encode serializes the packet to its binary wire form. Every call performs
-// a full serialization pass into a fresh allocation; hot paths should
-// prefer EncodedBytes, which caches the result on the packet.
+// Encode serializes the packet to its binary wire form in a fresh
+// allocation; hot paths should prefer EncodedBytes, which caches the result
+// on the packet, or AppendFrame, which writes into the caller's buffer.
 func (p *Packet) Encode() []byte {
-	wireEncodes.Add(1)
 	return p.appendEncode(make([]byte, 0, p.EncodedSize()))
 }
 
-// appendEncode appends the packet's wire form to buf and returns it —
-// the single serialization pass shared by Encode (fresh allocation) and
-// EncodedBytes (cached, possibly arena-backed). Callers count the pass
-// via wireEncodes themselves.
+// appendEncode appends the packet's wire form to buf and returns it: the
+// header from the packet's fields, then the payload — copied as it arrived
+// for a decoded packet, serialized from the values (and counted in
+// wireEncodes) otherwise.
 func (p *Packet) appendEncode(buf []byte) []byte {
+	fd := p.desc()
 	buf = binary.LittleEndian.AppendUint16(buf, wireMagic)
 	buf = append(buf, wireVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Tag))
 	buf = binary.LittleEndian.AppendUint32(buf, p.StreamID)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.SrcRank))
 	buf = binary.LittleEndian.AppendUint64(buf, p.Seq)
-	if len(p.Format) > math.MaxUint16 {
+	if len(fd.format) > math.MaxUint16 {
 		panic("packet: format string too long")
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Format)))
-	buf = append(buf, p.Format...)
-	for i, d := range p.dirs {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(fd.format)))
+	buf = append(buf, fd.format...)
+	if p.payload != nil {
+		return append(buf, p.payload...)
+	}
+	if len(fd.dirs) > 0 {
+		wireEncodes.Add(1)
+	}
+	for i, d := range fd.dirs {
 		switch d {
 		case DirByte:
 			buf = append(buf, p.values[i].(byte))
@@ -247,187 +262,233 @@ func (d *decoder) arrayLen(elemSize int) (int, error) {
 	return int(n), nil
 }
 
-// Decode parses a packet from its binary wire form. The payload byte slices
-// returned share memory with b for %ac directives; callers that retain the
-// packet beyond the life of b must copy.
-func Decode(b []byte) (*Packet, error) {
-	if len(b) > MaxWireSize {
-		return nil, fmt.Errorf("%w: %d bytes exceeds MaxWireSize", ErrWire, len(b))
-	}
-	d := &decoder{b: b}
-	magic, err := d.u16()
+// counted reads a uint32 length and that many bytes (%s, %ac, and each
+// element of %as). The result aliases the input.
+func (d *decoder) counted() ([]byte, error) {
+	n, err := d.arrayLen(1)
 	if err != nil {
 		return nil, err
 	}
+	return d.bytes(n)
+}
+
+func (d *decoder) ints() ([]int64, error) {
+	n, err := d.arrayLen(8)
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]int64, n)
+	for j := range xs {
+		v, err := d.u64()
+		if err != nil {
+			return nil, err
+		}
+		xs[j] = int64(v)
+	}
+	return xs, nil
+}
+
+func (d *decoder) floats() ([]float64, error) {
+	n, err := d.arrayLen(8)
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]float64, n)
+	for j := range xs {
+		v, err := d.u64()
+		if err != nil {
+			return nil, err
+		}
+		xs[j] = math.Float64frombits(v)
+	}
+	return xs, nil
+}
+
+func (d *decoder) strings() ([]string, error) {
+	n, err := d.arrayLen(4)
+	if err != nil {
+		return nil, err
+	}
+	ss := make([]string, n)
+	for j := range ss {
+		sb, err := d.counted()
+		if err != nil {
+			return nil, err
+		}
+		ss[j] = string(sb)
+	}
+	return ss, nil
+}
+
+// skip advances past one value of kind dir, applying exactly the bounds
+// checks decoding it would and allocating nothing. It is both Decode's
+// validation walk and how a typed accessor reaches the i'th value.
+func (d *decoder) skip(dir Directive) error {
+	switch dir {
+	case DirByte:
+		return d.advance(1)
+	case DirInt, DirFloat:
+		return d.advance(8)
+	case DirString, DirByteArray:
+		_, err := d.counted()
+		return err
+	case DirIntArray, DirFloatArray:
+		n, err := d.arrayLen(8)
+		if err != nil {
+			return err
+		}
+		return d.advance(8 * n)
+	case DirStringArray:
+		n, err := d.arrayLen(4)
+		if err != nil {
+			return err
+		}
+		for ; n > 0; n-- {
+			if _, err := d.counted(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (d *decoder) advance(n int) error {
+	_, err := d.bytes(n)
+	return err
+}
+
+// decodeValues materializes a whole payload as Go values: the eager decode
+// every packet used to get, now run at most once per packet and only when
+// Values is called — and, because it checks every bound itself, the
+// reference the fuzz tests hold Decode's validation walk to. %ac values
+// alias payload; everything else is copied out.
+func decodeValues(dirs []Directive, payload []byte) ([]any, error) {
+	d := decoder{b: payload}
+	values := make([]any, len(dirs))
+	for i, dir := range dirs {
+		var v any
+		var err error
+		switch dir {
+		case DirByte:
+			v, err = d.u8()
+		case DirInt:
+			var u uint64
+			u, err = d.u64()
+			v = int64(u)
+		case DirFloat:
+			var u uint64
+			u, err = d.u64()
+			v = math.Float64frombits(u)
+		case DirString:
+			var sb []byte
+			sb, err = d.counted()
+			v = string(sb)
+		case DirByteArray:
+			v, err = d.counted()
+		case DirIntArray:
+			v, err = d.ints()
+		case DirFloatArray:
+			v, err = d.floats()
+		case DirStringArray:
+			v, err = d.strings()
+		}
+		if err != nil {
+			return nil, err
+		}
+		values[i] = v
+	}
+	if d.off != len(payload) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(payload)-d.off)
+	}
+	return values, nil
+}
+
+// decodeHeader parses the fixed header and the format string of a packet in
+// wire form, returning a packet with no payload yet and the bytes that
+// follow the format.
+func decodeHeader(b []byte) (*Packet, []byte, error) {
+	if len(b) > MaxWireSize {
+		return nil, nil, fmt.Errorf("%w: %d bytes exceeds MaxWireSize", ErrWire, len(b))
+	}
+	d := decoder{b: b}
+	magic, err := d.u16()
+	if err != nil {
+		return nil, nil, err
+	}
 	if magic != wireMagic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrWire, magic)
+		return nil, nil, fmt.Errorf("%w: bad magic %#x", ErrWire, magic)
 	}
 	ver, err := d.u8()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ver != wireVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrWire, ver)
+		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrWire, ver)
 	}
 	tag, err := d.u32()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	streamID, err := d.u32()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	src, err := d.u32()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	seq, err := d.u64()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fmtLen, err := d.u16()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fmtBytes, err := d.bytes(int(fmtLen))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	format := string(fmtBytes)
-	dirs, err := ParseFormat(format)
+	fd, err := lookupFormatBytes(fmtBytes)
 	if err != nil {
-		return nil, err
-	}
-	values := make([]any, len(dirs))
-	for i, dir := range dirs {
-		switch dir {
-		case DirByte:
-			v, err := d.u8()
-			if err != nil {
-				return nil, err
-			}
-			values[i] = v
-		case DirInt:
-			v, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			values[i] = int64(v)
-		case DirFloat:
-			v, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			values[i] = math.Float64frombits(v)
-		case DirString:
-			n, err := d.arrayLen(1)
-			if err != nil {
-				return nil, err
-			}
-			sb, err := d.bytes(n)
-			if err != nil {
-				return nil, err
-			}
-			values[i] = string(sb)
-		case DirByteArray:
-			n, err := d.arrayLen(1)
-			if err != nil {
-				return nil, err
-			}
-			bb, err := d.bytes(n)
-			if err != nil {
-				return nil, err
-			}
-			values[i] = bb
-		case DirIntArray:
-			n, err := d.arrayLen(8)
-			if err != nil {
-				return nil, err
-			}
-			xs := make([]int64, n)
-			for j := range xs {
-				v, err := d.u64()
-				if err != nil {
-					return nil, err
-				}
-				xs[j] = int64(v)
-			}
-			values[i] = xs
-		case DirFloatArray:
-			n, err := d.arrayLen(8)
-			if err != nil {
-				return nil, err
-			}
-			xs := make([]float64, n)
-			for j := range xs {
-				v, err := d.u64()
-				if err != nil {
-					return nil, err
-				}
-				xs[j] = math.Float64frombits(v)
-			}
-			values[i] = xs
-		case DirStringArray:
-			n, err := d.arrayLen(4)
-			if err != nil {
-				return nil, err
-			}
-			ss := make([]string, n)
-			for j := range ss {
-				m, err := d.arrayLen(1)
-				if err != nil {
-					return nil, err
-				}
-				sb, err := d.bytes(m)
-				if err != nil {
-					return nil, err
-				}
-				ss[j] = string(sb)
-			}
-			values[i] = ss
-		}
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(b)-d.off)
+		return nil, nil, err
 	}
 	return &Packet{
 		Tag:      int32(tag),
 		StreamID: streamID,
 		SrcRank:  Rank(int32(src)),
 		Seq:      seq,
-		Format:   format,
-		dirs:     dirs,
-		values:   values,
-	}, nil
+		fd:       fd,
+	}, b[d.off:], nil
 }
 
-// WriteTo writes the packet to w with a uint32 length prefix, the framing
-// used by the TCP transport. It implements part of io.WriterTo.
-func (p *Packet) WriteTo(w io.Writer) (int64, error) {
-	enc := p.EncodedBytes()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(enc)))
-	n1, err := w.Write(hdr[:])
+// Decode parses a packet from its binary wire form. It parses the header
+// and the format string, checks that the payload is exactly one well-formed
+// value per directive — truncation, an element count larger than the data
+// that follows, and trailing bytes are all rejected here, never at a later
+// access — and keeps the payload as a slice of b instead of decoding it.
+//
+// The packet therefore aliases b: every value, not only %ac, is read from b
+// when first asked for, and re-encoding copies the payload out of b. The
+// caller must not modify or reuse b while the packet, or any packet
+// restamped from it, is reachable, and a retained packet keeps all of b
+// alive. A caller that needs the bytes back must copy them before Decode.
+func Decode(b []byte) (*Packet, error) {
+	p, payload, err := decodeHeader(b)
 	if err != nil {
-		return int64(n1), err
-	}
-	n2, err := w.Write(enc)
-	return int64(n1 + n2), err
-}
-
-// ReadFrom reads one length-prefixed packet from r, the inverse of WriteTo.
-func ReadFrom(r io.Reader) (*Packet, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxWireSize {
-		return nil, fmt.Errorf("%w: frame length %d exceeds MaxWireSize", ErrWire, n)
+	d := decoder{b: payload}
+	for _, dir := range p.fd.dirs {
+		if err := d.skip(dir); err != nil {
+			return nil, err
+		}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("packet: short frame: %w", err)
+	if d.off != len(payload) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(payload)-d.off)
 	}
-	return Decode(buf)
+	if len(p.fd.dirs) > 0 {
+		p.payload = payload
+	}
+	return p, nil
 }

@@ -35,7 +35,7 @@ const minEncodedPacket = 2 + 1 + 4 + 4 + 4 + 8 + 2
 const MaxFrameBody = MaxWireSize + 8
 
 // EncodedFrameSize returns the number of body bytes EncodeFrame produces
-// (excluding the uint32 body-length prefix WriteFrame adds).
+// (excluding the uint32 body-length prefix a link writes before it).
 func EncodedFrameSize(ps []*Packet) int {
 	n := 4
 	for _, p := range ps {
@@ -45,9 +45,7 @@ func EncodedFrameSize(ps []*Packet) int {
 }
 
 // EncodeFrame serializes the packets into a frame body (everything after
-// the outer length prefix). Packet bodies come from the per-packet wire
-// cache (EncodedBytes), so a packet fanned out into k frames — a TCP
-// multicast — is serialized once and copied k times, never re-encoded.
+// the outer length prefix); see AppendFrame for where the bytes come from.
 func EncodeFrame(ps []*Packet) []byte {
 	return AppendFrame(make([]byte, 0, EncodedFrameSize(ps)), ps)
 }
@@ -56,19 +54,32 @@ func EncodeFrame(ps []*Packet) []byte {
 // allocation-free form of EncodeFrame for callers that keep a reusable
 // scratch buffer (the TCP link's frame writer). dst should have
 // EncodedFrameSize(ps) spare capacity to avoid growth.
+//
+// A packet built by New is copied from its wire cache (EncodedBytes), so
+// one fanned out into k frames — a TCP multicast — is serialized once and
+// copied k times, never re-encoded. A decoded packet being forwarded is
+// written straight into dst, header from its fields and payload from the
+// bytes it arrived as: no serialization pass, no cache body, one copy.
 func AppendFrame(dst []byte, ps []*Packet) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for _, p := range ps {
-		enc := p.EncodedBytes()
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
-		dst = append(dst, enc...)
+		if p.encodesValues() {
+			enc := p.EncodedBytes()
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
+			dst = append(dst, enc...)
+		} else {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(p.EncodedSize()))
+			dst = p.appendEncode(dst)
+		}
 	}
 	return dst
 }
 
 // DecodeFrame parses a frame body produced by EncodeFrame. Each packet's
 // bytes are validated individually; a malformed count, a truncated packet,
-// or trailing garbage fails the whole frame.
+// or trailing garbage fails the whole frame. The packets alias b under
+// Decode's contract: b must not be modified or reused while any of them is
+// reachable, and one retained packet keeps the whole frame body alive.
 func DecodeFrame(b []byte) ([]*Packet, error) {
 	if len(b) > MaxFrameBody {
 		return nil, fmt.Errorf("%w: frame body %d bytes exceeds MaxFrameBody", ErrWire, len(b))
@@ -112,22 +123,12 @@ func DecodeFrame(b []byte) ([]*Packet, error) {
 	return ps, nil
 }
 
-// WriteFrame writes the packets as one length-prefixed frame: a single
-// buffered write amortizes framing over the whole batch.
-func WriteFrame(w io.Writer, ps []*Packet) (int64, error) {
-	body := EncodeFrame(ps)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	n1, err := w.Write(hdr[:])
-	if err != nil {
-		return int64(n1), err
-	}
-	n2, err := w.Write(body)
-	return int64(n1 + n2), err
-}
-
-// ReadFrame reads one length-prefixed frame from r, the inverse of
-// WriteFrame.
+// ReadFrame reads one length-prefixed frame (uint32 body length, then the
+// body) from r. The body is read into a fresh buffer that the returned
+// packets alias and own between them — it is never pooled or reused, which
+// is what lets a received packet be retained, restamped and forwarded
+// without copying its payload out; the garbage collector reclaims the
+// buffer once the last packet of the frame is unreachable.
 func ReadFrame(r io.Reader) ([]*Packet, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

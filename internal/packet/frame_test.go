@@ -17,14 +17,18 @@ func framePackets(t *testing.T) []*Packet {
 	}
 }
 
+// wireFrame returns ps as a link writes them: a uint32 body length, then
+// the frame body.
+func wireFrame(ps []*Packet) *bytes.Buffer {
+	body := EncodeFrame(ps)
+	return bytes.NewBuffer(append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...))
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 3} {
 		ps := framePackets(t)[:n]
-		var buf bytes.Buffer
-		if _, err := WriteFrame(&buf, ps); err != nil {
-			t.Fatalf("WriteFrame(%d packets): %v", n, err)
-		}
-		got, err := ReadFrame(&buf)
+		buf := wireFrame(ps)
+		got, err := ReadFrame(buf)
 		if err != nil {
 			t.Fatalf("ReadFrame(%d packets): %v", n, err)
 		}
@@ -102,11 +106,7 @@ func TestDecodeFrameOversize(t *testing.T) {
 }
 
 func TestReadFrameShortBody(t *testing.T) {
-	ps := framePackets(t)[:1]
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, ps); err != nil {
-		t.Fatal(err)
-	}
+	buf := wireFrame(framePackets(t)[:1])
 	short := buf.Bytes()[:buf.Len()-1]
 	if _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Fatal("short frame body accepted")

@@ -5,9 +5,82 @@ import (
 	"testing"
 )
 
-// FuzzDecode hammers the wire decoder with arbitrary bytes: it must never
-// panic, and anything it accepts must re-encode to a decodable packet with
-// identical header fields (decode/encode is idempotent on valid inputs).
+// checkDecoded holds a packet Decode accepted from data to the eager
+// decoder's semantics. ref is what decodeValues — the old value loop, which
+// checks every bound itself — made of the same payload. Values read three
+// ways (typed accessors on the still wire-backed packet, Values, ref) must
+// each rebuild, through New and the value serializer, the exact bytes that
+// came in (comparing bytes rather than values keeps NaNs comparable); so
+// must the packet itself and a restamped copy, before and after
+// materialization.
+func checkDecoded(t *testing.T, p *Packet, data []byte, ref []any) {
+	t.Helper()
+	rebuild := func(what string, vals []any) {
+		t.Helper()
+		q, err := New(p.Tag, p.StreamID, p.SrcRank, p.Format(), append([]any(nil), vals...)...)
+		if err != nil {
+			t.Fatalf("%s: values do not fit the packet's own format: %v", what, err)
+		}
+		q.Seq = p.Seq
+		if !bytes.Equal(q.Encode(), data) {
+			t.Fatalf("%s: values re-serialize to different bytes", what)
+		}
+	}
+	typed := func(q *Packet) []any {
+		t.Helper()
+		vals := make([]any, q.NumValues())
+		for i, d := range q.Directives() {
+			var err error
+			switch d {
+			case DirByte:
+				vals[i], err = q.Byte(i)
+			case DirInt:
+				vals[i], err = q.Int(i)
+			case DirFloat:
+				vals[i], err = q.Float(i)
+			case DirString:
+				vals[i], err = q.Str(i)
+			case DirByteArray:
+				vals[i], err = q.Bytes(i)
+			case DirIntArray:
+				vals[i], err = q.IntArray(i)
+			case DirFloatArray:
+				vals[i], err = q.FloatArray(i)
+			case DirStringArray:
+				vals[i], err = q.StringArray(i)
+			}
+			if err != nil {
+				t.Fatalf("typed accessor %d (%s) failed on an accepted packet: %v", i, d, err)
+			}
+		}
+		return vals
+	}
+	if len(ref) != p.NumValues() {
+		t.Fatalf("reference decoded %d values, packet has %d", len(ref), p.NumValues())
+	}
+	rebuild("reference", ref)
+	rebuild("typed accessors (wire-backed)", typed(p))
+	hop := p.WithStreamSrc(p.StreamID+1, p.SrcRank+1)
+	rebuild("typed accessors (restamped)", typed(hop.WithStreamSrc(p.StreamID, p.SrcRank)))
+	if !bytes.Equal(p.Encode(), data) {
+		t.Fatal("wire-backed packet does not re-encode byte-identically")
+	}
+	if !bytes.Equal(hop.WithStreamSrc(p.StreamID, p.SrcRank).Encode(), data) {
+		t.Fatal("restamped copy does not re-encode byte-identically")
+	}
+	rebuild("Values", p.Values())
+	rebuild("typed accessors (materialized)", typed(p))
+	rebuild("Values (restamped after materialization)", p.WithSeq(p.Seq+1).Values())
+	if !bytes.Equal(p.Encode(), data) {
+		t.Fatal("materialized packet does not re-encode byte-identically")
+	}
+}
+
+// FuzzDecode hammers the wire decoder with arbitrary bytes. It must never
+// panic; it must accept an input exactly when the header parses and the
+// eager reference decoder materializes the whole payload — nothing that
+// used to fail at Decode may now fail later, at first access; and whatever
+// it accepts must read and re-encode as checkDecoded demands.
 func FuzzDecode(f *testing.F) {
 	seeds := []*Packet{
 		MustNew(100, 0, 0, ""),
@@ -49,21 +122,22 @@ func FuzzDecode(f *testing.F) {
 	trunc := MustNew(103, 9, 2, "").Encode()
 	f.Add(trunc[:len(trunc)-10])
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ref []any
+		hdr, payload, refErr := decodeHeader(data)
+		if refErr == nil {
+			ref, refErr = decodeValues(hdr.Directives(), payload)
+		}
 		p, err := Decode(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Decode error %v, eager reference error %v: the accept/reject boundary moved", err, refErr)
+		}
 		if err != nil {
 			return
 		}
-		re := p.Encode()
-		q, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-decode of accepted packet failed: %v", err)
+		if p.Tag != hdr.Tag || p.StreamID != hdr.StreamID || p.SrcRank != hdr.SrcRank || p.Seq != hdr.Seq || p.Format() != hdr.Format() {
+			t.Fatalf("header fields differ from the header parse: %v vs %v", p, hdr)
 		}
-		if q.Tag != p.Tag || q.StreamID != p.StreamID || q.SrcRank != p.SrcRank || q.Seq != p.Seq || q.Format != p.Format {
-			t.Fatalf("headers changed across re-encode: %v vs %v", p, q)
-		}
-		if !bytes.Equal(re, q.Encode()) {
-			t.Fatal("encode not stable across decode/encode cycle")
-		}
+		checkDecoded(t, p, data, ref)
 	})
 }
 
@@ -71,7 +145,9 @@ func FuzzDecode(f *testing.F) {
 // bodies: it must never panic regardless of corrupt counts, truncated
 // packets, or oversize lengths, and anything it accepts must re-encode to
 // an identical frame (the decoder is exactly the inverse of EncodeFrame on
-// valid inputs).
+// valid inputs) — also after every packet took a forwarding hop's restamp —
+// with every packet in it passing checkDecoded. The frame walk itself is
+// unchanged; the per-packet accept/reject boundary is FuzzDecode's.
 func FuzzDecodeFrame(f *testing.F) {
 	single := MustNew(101, 7, 3, "%d %f %s", int64(-1), 2.5, "x")
 	batch := []*Packet{
@@ -97,6 +173,25 @@ func FuzzDecodeFrame(f *testing.F) {
 		re := EncodeFrame(ps)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted frame does not re-encode identically (%d vs %d bytes)", len(re), len(data))
+		}
+		hops := make([]*Packet, len(ps))
+		for i, p := range ps {
+			hops[i] = p.WithSrc(p.SrcRank + 1).WithSrc(p.SrcRank)
+		}
+		if !bytes.Equal(EncodeFrame(hops), data) {
+			t.Fatal("restamped packets do not re-frame identically")
+		}
+		for i, p := range ps {
+			wire := p.Encode()
+			_, payload, err := decodeHeader(wire)
+			if err != nil {
+				t.Fatalf("packet %d: header of an accepted packet does not parse: %v", i, err)
+			}
+			ref, err := decodeValues(p.Directives(), payload)
+			if err != nil {
+				t.Fatalf("packet %d accepted, but the eager reference rejects it: %v", i, err)
+			}
+			checkDecoded(t, p, wire, ref)
 		}
 		qs, err := DecodeFrame(re)
 		if err != nil {

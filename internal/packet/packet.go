@@ -13,11 +13,23 @@
 // The directives describe, positionally, the values held by the packet.
 // Encoding to and decoding from a binary wire form is implemented in
 // encode.go; counted references for zero-copy multicast in refcount.go.
+//
+// A packet holds its payload in one of two forms. A packet built by New
+// holds Go values and serializes them at most once (EncodedBytes). A packet
+// produced by Decode holds the payload as it arrived — a slice of the
+// decoder's input, validated but not parsed: the typed accessors (Int,
+// Float, Bytes, ...) read straight from those bytes, only the generic
+// Value/Values/String materialize Go values (once), and re-encoding emits
+// the header from the packet's fields followed by the payload bytes
+// unchanged. A process that only routes a packet therefore never parses,
+// boxes or re-serializes its payload. The price is the aliasing contract
+// stated at Decode.
 package packet
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,42 +110,104 @@ var ErrArity = errors.New("packet: format/value arity mismatch")
 // ErrType reports a value whose dynamic type does not match its directive.
 var ErrType = errors.New("packet: value type does not match format directive")
 
-// fmtCache memoizes parsed format strings. Overlay traffic reuses a
-// handful of formats millions of times, and the per-packet parse (a
-// strings.Fields allocation plus a token scan) is pure overhead on the hot
-// path; the cache is capped so hostile inputs cannot grow it unboundedly.
+// formatDesc is a parsed format string. Descriptors are interned (see
+// lookupFormat), so the packets of a stream share one and a Packet carries
+// its format as a single pointer.
+type formatDesc struct {
+	format string
+	dirs   []Directive // shared, read-only
+}
+
+// noFormat describes the empty format string: no directives, no payload.
+// A nil descriptor on a Packet (the zero Packet, NewCreditGrant) means this.
+var noFormat = &formatDesc{}
+
+// formats interns parsed format strings. Overlay traffic reuses a handful
+// of formats millions of times, and the per-packet parse (a strings.Fields
+// allocation plus a token scan) is pure overhead on the hot path. The table
+// is a copy-on-write map: readers index it lock-free — Decode with the
+// format's wire bytes, which a built-in map lookup converts without
+// allocating — and the rare insert copies it under formatsMu. It is capped
+// so hostile inputs cannot grow it unboundedly; past the cap a format is
+// parsed per use.
 var (
-	fmtCache     sync.Map // string -> []Directive (shared, read-only)
-	fmtCacheSize atomic.Int64
+	formats   atomic.Pointer[map[string]*formatDesc]
+	formatsMu sync.Mutex
 )
 
 const fmtCacheCap = 1024
 
-// ParseFormat parses a format string into its directives. The returned
-// slice may be shared with other callers and must not be modified.
-func ParseFormat(format string) ([]Directive, error) {
-	if v, ok := fmtCache.Load(format); ok {
-		return v.([]Directive), nil
+// formatTable returns the current intern table (nil before the first
+// insert; a nil map reads as empty).
+func formatTable() map[string]*formatDesc {
+	if m := formats.Load(); m != nil {
+		return *m
 	}
-	if strings.TrimSpace(format) == "" {
-		return nil, nil
+	return nil
+}
+
+// lookupFormat returns the descriptor for a format string, parsing and
+// interning it on first use.
+func lookupFormat(format string) (*formatDesc, error) {
+	if format == "" {
+		return noFormat, nil
 	}
-	fields := strings.Fields(format)
-	dirs := make([]Directive, 0, len(fields))
-	for _, f := range fields {
+	if fd, ok := formatTable()[format]; ok {
+		return fd, nil
+	}
+	fd := &formatDesc{format: format}
+	for _, f := range strings.Fields(format) {
 		d, ok := parseDirective(f)
 		if !ok {
 			return nil, fmt.Errorf("%w: bad directive %q in %q", ErrBadFormat, f, format)
 		}
-		dirs = append(dirs, d)
+		fd.dirs = append(fd.dirs, d)
 	}
-	if fmtCacheSize.Load() < fmtCacheCap {
-		if v, loaded := fmtCache.LoadOrStore(format, dirs); loaded {
-			return v.([]Directive), nil
-		}
-		fmtCacheSize.Add(1)
+	return internFormat(fd), nil
+}
+
+// lookupFormatBytes is lookupFormat for a format still in wire form; a hit
+// allocates nothing.
+func lookupFormatBytes(b []byte) (*formatDesc, error) {
+	if len(b) == 0 {
+		return noFormat, nil
 	}
-	return dirs, nil
+	if fd, ok := formatTable()[string(b)]; ok {
+		return fd, nil
+	}
+	return lookupFormat(string(b))
+}
+
+// internFormat publishes fd, returning the descriptor every caller should
+// use: the earlier one if another goroutine won the race, fd itself
+// (uninterned) once the table is full.
+func internFormat(fd *formatDesc) *formatDesc {
+	formatsMu.Lock()
+	defer formatsMu.Unlock()
+	old := formatTable()
+	if prev, ok := old[fd.format]; ok {
+		return prev
+	}
+	if len(old) >= fmtCacheCap {
+		return fd
+	}
+	next := make(map[string]*formatDesc, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[fd.format] = fd
+	formats.Store(&next)
+	return fd
+}
+
+// ParseFormat parses a format string into its directives. The returned
+// slice may be shared with other callers and must not be modified.
+func ParseFormat(format string) ([]Directive, error) {
+	fd, err := lookupFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	return fd.dirs, nil
 }
 
 func parseDirective(tok string) (Directive, bool) {
@@ -169,6 +243,11 @@ type Packet struct {
 	StreamID uint32
 	// SrcRank is the rank of the node that created the packet.
 	SrcRank Rank
+
+	// loaded reports that a wire-backed packet's values have been
+	// materialized (see Values). It sits in what would otherwise be padding.
+	loaded atomic.Bool
+
 	// Seq is the packet's origin-stamped delivery sequence number, zero
 	// when unstamped. Exactly-once delivery packs the originating rank and
 	// a per-(origin,stream) counter into it (see MakeSeq); unlike SrcRank,
@@ -176,16 +255,23 @@ type Packet struct {
 	// de-duplicate replayed packets. Credit grants reuse the field to carry
 	// the cumulative acknowledgement count (see credit.go).
 	Seq uint64
-	// Format is the format string describing Values.
-	Format string
 
-	dirs   []Directive
+	// fd is the interned format descriptor; nil means the empty format.
+	fd *formatDesc
+	// values holds the payload as Go values: always for a packet built by
+	// New, and for a wire-backed packet once loaded is set.
 	values []any
+	// payload is the payload in wire form, aliasing Decode's input. It is
+	// non-nil exactly for decoded packets that have values, is validated
+	// against fd at Decode, and is what every re-encode emits.
+	payload []byte
 
-	// wire caches the packet's encoded form so a multicast that places the
-	// same packet on k outgoing links encodes it once; all frames share the
-	// buffer (see EncodedBytes). encMu serializes the one slow-path encode.
-	// Both make Packet non-copyable — header restamps go through restamp.
+	// wire caches the encoded form of a packet built by New so a multicast
+	// that places the same packet on k outgoing links encodes it once; all
+	// frames share the buffer (see EncodedBytes). mu serializes the two
+	// once-only slow paths, that encode and the materialization of a
+	// wire-backed packet's values. Both make Packet non-copyable — header
+	// restamps go through restamp.
 	//
 	// When wireRefs is positive at encode time the cache body comes from
 	// the arena (GetBuf) and is returned to it (PutBuf) by the final
@@ -194,8 +280,19 @@ type Packet struct {
 	// old semantics.
 	wire     atomic.Pointer[Buf]
 	wireRefs atomic.Int32
-	encMu    sync.Mutex
+	mu       sync.Mutex
 }
+
+// desc returns the packet's format descriptor, never nil.
+func (p *Packet) desc() *formatDesc {
+	if p.fd == nil {
+		return noFormat
+	}
+	return p.fd
+}
+
+// Format returns the format string describing the packet's values.
+func (p *Packet) Format() string { return p.desc().format }
 
 // RetainEncoded adds n holds on the packet's encoded body. While at least
 // one hold is outstanding the encode body may come from the arena, and
@@ -246,10 +343,11 @@ func (p *Packet) recycleWire() {
 // The variadic slice is retained by the packet (coerced in place), so
 // callers expanding a long-lived []any with ... must not mutate it after.
 func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*Packet, error) {
-	dirs, err := ParseFormat(format)
+	fd, err := lookupFormat(format)
 	if err != nil {
 		return nil, err
 	}
+	dirs := fd.dirs
 	if len(dirs) != len(values) {
 		return nil, fmt.Errorf("%w: format %q has %d directives, got %d values",
 			ErrArity, format, len(dirs), len(values))
@@ -265,8 +363,7 @@ func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*P
 		Tag:      tag,
 		StreamID: streamID,
 		SrcRank:  src,
-		Format:   format,
-		dirs:     dirs,
+		fd:       fd,
 		values:   values,
 	}, nil
 }
@@ -351,22 +448,73 @@ func coerce(d Directive, v any) (any, error) {
 }
 
 // NumValues returns the number of payload values in the packet.
-func (p *Packet) NumValues() int { return len(p.values) }
+func (p *Packet) NumValues() int { return len(p.desc().dirs) }
 
 // Directives returns the parsed directives. The returned slice must not be
 // modified.
-func (p *Packet) Directives() []Directive { return p.dirs }
+func (p *Packet) Directives() []Directive { return p.desc().dirs }
 
 // Value returns the i'th payload value.
-func (p *Packet) Value(i int) any { return p.values[i] }
+func (p *Packet) Value(i int) any { return p.Values()[i] }
 
-// Values returns all payload values. The returned slice must not be modified.
-func (p *Packet) Values() []any { return p.values }
+// Values returns all payload values. The returned slice must not be
+// modified. On a decoded packet the first call materializes them from the
+// wire payload — one []any plus a box per value, what Decode used to cost
+// every packet — and every later call, from any goroutine, returns the same
+// slice; the typed accessors below never need it.
+func (p *Packet) Values() []any {
+	if p.wireBacked() {
+		return p.load()
+	}
+	return p.values
+}
+
+// wireBacked reports whether the payload must be read from its wire form:
+// the packet was decoded and nobody has materialized its values yet.
+func (p *Packet) wireBacked() bool { return p.payload != nil && !p.loaded.Load() }
+
+// load materializes a wire-backed packet's values exactly once.
+func (p *Packet) load() []any {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.loaded.Load() {
+		vals, err := decodeValues(p.fd.dirs, p.payload)
+		if err != nil {
+			// Decode validated the payload with the same bounds checks.
+			panic("packet: validated payload failed to materialize: " + err.Error())
+		}
+		p.values = vals
+		p.loaded.Store(true)
+	}
+	return p.values
+}
+
+// at returns a cursor on the i'th value of the wire payload. Skipping the
+// values before it cannot fail: Decode walked the whole payload the same
+// way.
+func (p *Packet) at(i int) decoder {
+	d := decoder{b: p.payload}
+	for _, dir := range p.fd.dirs[:i] {
+		_ = d.skip(dir)
+	}
+	return d
+}
+
+// The typed accessors read a wire-backed packet's values in place: scalars
+// and %ac without allocating (Bytes aliases the decoder's input), %s and
+// the other arrays as a fresh copy per call — a caller that needs one
+// repeatedly should keep it. Once Values has materialized the packet they
+// return the materialized values, as they do for a packet built by New.
 
 // Int returns the i'th value as an int64, or an error if it is not one.
 func (p *Packet) Int(i int) (int64, error) {
 	if err := p.check(i, DirInt); err != nil {
 		return 0, err
+	}
+	if p.wireBacked() {
+		d := p.at(i)
+		v, err := d.u64()
+		return int64(v), err
 	}
 	return p.values[i].(int64), nil
 }
@@ -376,14 +524,20 @@ func (p *Packet) Float(i int) (float64, error) {
 	if err := p.check(i, DirFloat); err != nil {
 		return 0, err
 	}
+	if p.wireBacked() {
+		d := p.at(i)
+		v, err := d.u64()
+		return math.Float64frombits(v), err
+	}
 	return p.values[i].(float64), nil
 }
 
 // String returns a human-readable rendering of the packet header and payload.
 func (p *Packet) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "packet{tag=%d stream=%d src=%d fmt=%q", p.Tag, p.StreamID, p.SrcRank, p.Format)
-	for i, v := range p.values {
+	fmt.Fprintf(&b, "packet{tag=%d stream=%d src=%d fmt=%q", p.Tag, p.StreamID, p.SrcRank, p.Format())
+	vals := p.Values()
+	for i, v := range vals {
 		if i == 0 {
 			b.WriteString(" [")
 		} else {
@@ -391,7 +545,7 @@ func (p *Packet) String() string {
 		}
 		fmt.Fprintf(&b, "%v", v)
 	}
-	if len(p.values) > 0 {
+	if len(vals) > 0 {
 		b.WriteString("]")
 	}
 	b.WriteString("}")
@@ -403,6 +557,11 @@ func (p *Packet) Str(i int) (string, error) {
 	if err := p.check(i, DirString); err != nil {
 		return "", err
 	}
+	if p.wireBacked() {
+		d := p.at(i)
+		sb, err := d.counted()
+		return string(sb), err
+	}
 	return p.values[i].(string), nil
 }
 
@@ -411,14 +570,23 @@ func (p *Packet) Byte(i int) (byte, error) {
 	if err := p.check(i, DirByte); err != nil {
 		return 0, err
 	}
+	if p.wireBacked() {
+		d := p.at(i)
+		return d.u8()
+	}
 	return p.values[i].(byte), nil
 }
 
 // Bytes returns the i'th value as a []byte. The returned slice is shared
-// with the packet and must not be modified.
+// with the packet (on a decoded packet, with the decoder's input) and must
+// not be modified.
 func (p *Packet) Bytes(i int) ([]byte, error) {
 	if err := p.check(i, DirByteArray); err != nil {
 		return nil, err
+	}
+	if p.wireBacked() {
+		d := p.at(i)
+		return d.counted()
 	}
 	return p.values[i].([]byte), nil
 }
@@ -428,6 +596,10 @@ func (p *Packet) IntArray(i int) ([]int64, error) {
 	if err := p.check(i, DirIntArray); err != nil {
 		return nil, err
 	}
+	if p.wireBacked() {
+		d := p.at(i)
+		return d.ints()
+	}
 	return p.values[i].([]int64), nil
 }
 
@@ -435,6 +607,10 @@ func (p *Packet) IntArray(i int) ([]int64, error) {
 func (p *Packet) FloatArray(i int) ([]float64, error) {
 	if err := p.check(i, DirFloatArray); err != nil {
 		return nil, err
+	}
+	if p.wireBacked() {
+		d := p.at(i)
+		return d.floats()
 	}
 	return p.values[i].([]float64), nil
 }
@@ -444,35 +620,48 @@ func (p *Packet) StringArray(i int) ([]string, error) {
 	if err := p.check(i, DirStringArray); err != nil {
 		return nil, err
 	}
+	if p.wireBacked() {
+		d := p.at(i)
+		return d.strings()
+	}
 	return p.values[i].([]string), nil
 }
 
 func (p *Packet) check(i int, want Directive) error {
-	if i < 0 || i >= len(p.dirs) {
-		return fmt.Errorf("packet: index %d out of range (%d values)", i, len(p.dirs))
+	dirs := p.desc().dirs
+	if i < 0 || i >= len(dirs) {
+		return fmt.Errorf("packet: index %d out of range (%d values)", i, len(dirs))
 	}
-	if p.dirs[i] != want {
-		return fmt.Errorf("%w: value %d is %s, want %s", ErrType, i, p.dirs[i], want)
+	if dirs[i] != want {
+		return fmt.Errorf("%w: value %d is %s, want %s", ErrType, i, dirs[i], want)
 	}
 	return nil
 }
 
-// restamp returns a header-mutable copy sharing the payload — dirs and
-// values alias the original's backing arrays, which is safe because
-// packets are immutable once constructed (see TestRestampSharesValues).
-// The wire cache and its holds are deliberately NOT carried over: a
-// restamped header encodes to different bytes, and the copy starts
-// untracked (and Packet's cache fields make the struct non-copyable).
+// restamp returns a header-mutable copy sharing the payload in whichever
+// form the original holds it — the values slice, the wire bytes, or both —
+// which is safe because packets are immutable once constructed (see
+// TestRestampSharesValues). A restamped decoded packet therefore still
+// re-encodes without a serialization pass. The wire cache and its holds
+// are deliberately NOT carried over: a restamped header encodes to
+// different bytes, and the copy starts untracked (and Packet's cache
+// fields make the struct non-copyable).
 func (p *Packet) restamp() *Packet {
-	return &Packet{
+	q := &Packet{
 		Tag:      p.Tag,
 		StreamID: p.StreamID,
 		SrcRank:  p.SrcRank,
 		Seq:      p.Seq,
-		Format:   p.Format,
-		dirs:     p.dirs,
-		values:   p.values,
+		fd:       p.fd,
+		payload:  p.payload,
 	}
+	if !p.wireBacked() {
+		q.values = p.values
+		if p.payload != nil {
+			q.loaded.Store(true)
+		}
+	}
+	return q
 }
 
 // seqCounterBits splits Seq: the low 40 bits hold the per-(origin,stream)

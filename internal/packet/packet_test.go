@@ -170,7 +170,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, p := range cases {
 		q := roundTrip(t, p)
-		if q.Tag != p.Tag || q.StreamID != p.StreamID || q.SrcRank != p.SrcRank || q.Format != p.Format {
+		if q.Tag != p.Tag || q.StreamID != p.StreamID || q.SrcRank != p.SrcRank || q.Format() != p.Format() {
 			t.Errorf("header mismatch: got %v want %v", q, p)
 		}
 		if !reflect.DeepEqual(normalize(q.Values()), normalize(p.Values())) {
@@ -243,43 +243,13 @@ func TestDecodeHugeArrayCount(t *testing.T) {
 	p := MustNew(100, 1, 2, "%ad", []int64{1})
 	enc := p.Encode()
 	// The array count is the 4 bytes right after the header+format.
-	hdr := 2 + 1 + 4 + 4 + 4 + 2 + len(p.Format)
+	hdr := 2 + 1 + 4 + 4 + 4 + 2 + len(p.Format())
 	enc[hdr] = 0xFF
 	enc[hdr+1] = 0xFF
 	enc[hdr+2] = 0xFF
 	enc[hdr+3] = 0x7F
 	if _, err := Decode(enc); err == nil {
 		t.Error("Decode with huge array count: want error")
-	}
-}
-
-func TestWriteToReadFrom(t *testing.T) {
-	var buf strings.Builder
-	p := MustNew(100, 1, 2, "%d %s", int64(7), "hello")
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	q, err := ReadFrom(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if v, _ := q.Str(1); v != "hello" {
-		t.Errorf("round trip lost payload: %v", q)
-	}
-	// Two packets back to back.
-	var buf2 strings.Builder
-	p.WriteTo(&buf2)
-	p2 := MustNew(101, 1, 2, "%d", int64(9))
-	p2.WriteTo(&buf2)
-	r := strings.NewReader(buf2.String())
-	if q, err := ReadFrom(r); err != nil || q.Tag != 100 {
-		t.Fatalf("first ReadFrom: %v %v", q, err)
-	}
-	if q, err := ReadFrom(r); err != nil || q.Tag != 101 {
-		t.Fatalf("second ReadFrom: %v %v", q, err)
-	}
-	if _, err := ReadFrom(r); err == nil {
-		t.Error("ReadFrom at EOF: want error")
 	}
 }
 

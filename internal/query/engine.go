@@ -49,8 +49,8 @@ func (pt Partial) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet
 
 // PartialFromPacket decodes a partial.
 func PartialFromPacket(p *packet.Packet) (Partial, error) {
-	if p.Format != PartialFormat {
-		return nil, fmt.Errorf("query: unexpected packet format %q", p.Format)
+	if p.Format() != PartialFormat {
+		return nil, fmt.Errorf("query: unexpected packet format %q", p.Format())
 	}
 	groups, err := p.StringArray(0)
 	if err != nil {

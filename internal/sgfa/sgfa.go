@@ -170,8 +170,8 @@ func (c *Composite) ToPacket(tag int32, streamID uint32, src packet.Rank) (*pack
 
 // FromPacket decodes a composite packet.
 func FromPacket(p *packet.Packet) (*Composite, error) {
-	if p.Format != PacketFormat {
-		return nil, fmt.Errorf("sgfa: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return nil, fmt.Errorf("sgfa: unexpected packet format %q", p.Format())
 	}
 	paths, err := p.StringArray(0)
 	if err != nil {

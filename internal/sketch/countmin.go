@@ -84,8 +84,8 @@ func (cm *CountMin) ToPacket(tag int32, streamID uint32, src packet.Rank) (*pack
 
 // CountMinFromPacket decodes a count-min packet.
 func CountMinFromPacket(p *packet.Packet) (*CountMin, error) {
-	if p.Format != CountMinFormat {
-		return nil, fmt.Errorf("sketch: unexpected count-min format %q", p.Format)
+	if p.Format() != CountMinFormat {
+		return nil, fmt.Errorf("sketch: unexpected count-min format %q", p.Format())
 	}
 	depth, err := p.Int(0)
 	if err != nil {

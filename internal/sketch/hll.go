@@ -91,8 +91,8 @@ func (h *HLL) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet.Pac
 
 // HLLFromPacket decodes a HyperLogLog packet.
 func HLLFromPacket(p *packet.Packet) (*HLL, error) {
-	if p.Format != HLLFormat {
-		return nil, fmt.Errorf("sketch: unexpected HLL format %q", p.Format)
+	if p.Format() != HLLFormat {
+		return nil, fmt.Errorf("sketch: unexpected HLL format %q", p.Format())
 	}
 	prec, err := p.Int(0)
 	if err != nil {

@@ -102,13 +102,13 @@ func (r Request) ToPacket(streamID uint32) (*packet.Packet, error) {
 
 // IsRequest reports whether p is a sketch request.
 func IsRequest(p *packet.Packet) bool {
-	return p.Tag == Tag && p.Format == RequestFormat
+	return p.Tag == Tag && p.Format() == RequestFormat
 }
 
 // ParseRequest decodes a sketch request packet.
 func ParseRequest(p *packet.Packet) (Request, error) {
 	if !IsRequest(p) {
-		return Request{}, fmt.Errorf("sketch: not a request packet (tag %d format %q)", p.Tag, p.Format)
+		return Request{}, fmt.Errorf("sketch: not a request packet (tag %d format %q)", p.Tag, p.Format())
 	}
 	kind, err := p.Str(0)
 	if err != nil {

@@ -177,8 +177,8 @@ func (t *TDigest) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet
 
 // TDigestFromPacket decodes a t-digest packet.
 func TDigestFromPacket(p *packet.Packet) (*TDigest, error) {
-	if p.Format != TDigestFormat {
-		return nil, fmt.Errorf("sketch: unexpected t-digest format %q", p.Format)
+	if p.Format() != TDigestFormat {
+		return nil, fmt.Errorf("sketch: unexpected t-digest format %q", p.Format())
 	}
 	comp, err := p.Float(0)
 	if err != nil {

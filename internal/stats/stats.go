@@ -108,8 +108,8 @@ func (m *Moments) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet
 
 // FromPacket decodes a summary packet.
 func FromPacket(p *packet.Packet) (*Moments, error) {
-	if p.Format != PacketFormat {
-		return nil, fmt.Errorf("stats: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return nil, fmt.Errorf("stats: unexpected packet format %q", p.Format())
 	}
 	n, err := p.Int(0)
 	if err != nil {

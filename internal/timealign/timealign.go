@@ -45,8 +45,8 @@ func (s Series) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet.P
 
 // FromPacket decodes a series packet.
 func FromPacket(p *packet.Packet) (Series, error) {
-	if p.Format != PacketFormat {
-		return Series{}, fmt.Errorf("timealign: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return Series{}, fmt.Errorf("timealign: unexpected packet format %q", p.Format())
 	}
 	bins, err := p.IntArray(0)
 	if err != nil {

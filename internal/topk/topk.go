@@ -88,8 +88,8 @@ func (l *List) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet.Pa
 
 // FromPacket decodes a top-k packet.
 func FromPacket(p *packet.Packet) (*List, error) {
-	if p.Format != PacketFormat {
-		return nil, fmt.Errorf("topk: unexpected packet format %q", p.Format)
+	if p.Format() != PacketFormat {
+		return nil, fmt.Errorf("topk: unexpected packet format %q", p.Format())
 	}
 	k, err := p.Int(0)
 	if err != nil {

@@ -15,10 +15,17 @@ import (
 
 // tcpLink adapts a net.Conn to the Link interface using the packet wire
 // format with multi-packet frames: every Send or SendBatch assembles one
-// length-prefixed frame in the link's persistent scratch buffer — packet
-// bodies copied straight from the encode-once cache — and hands it to the
-// socket as a single write, so a batched flush pays one syscall and zero
-// intermediate copies (no per-frame body allocation, no bufio staging).
+// length-prefixed frame in the link's persistent scratch buffer and hands
+// it to the socket as a single write, so a batched flush pays one syscall
+// and zero intermediate copies (no per-frame body allocation, no bufio
+// staging). packet.AppendFrame fills the scratch: a packet this process
+// built is copied from its encode-once cache; one it received and is
+// passing on is framed from its header fields and the payload bytes it
+// arrived as, so a forwarding hop serializes nothing.
+//
+// Inbound frames are read into a fresh buffer each (packet.ReadFrame) that
+// the decoded packets alias and keep alive; it is never reused, so a
+// received packet may be retained, restamped and re-sent freely.
 type tcpLink struct {
 	conn net.Conn
 
@@ -65,8 +72,8 @@ func (l *tcpLink) SendBatch(ps []*packet.Packet) error {
 
 // writeFrame assembles header + body in the persistent scratch and writes
 // the frame with one conn.Write. appendWireFrame recycles the scratch, so
-// a steady-state flush performs no allocation between the encode-once
-// cache and the socket.
+// a steady-state flush performs no allocation between the packets and the
+// socket.
 func (l *tcpLink) writeFrame(ps []*packet.Packet) error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
