@@ -15,7 +15,6 @@
 //	tbon-bench -exp batching      # ablation: egress flush window sweep
 //	tbon-bench -exp flowcontrol   # ablation: credit window × slow consumer
 //	tbon-bench -exp multitenant   # session fabric: N tenants over one overlay
-//	tbon-bench -exp exactlyonce   # ablation: exactly-once recovery vs lossy adoption
 //	tbon-bench -exp elastic       # ablation: elastic topology mutation under skew
 //	tbon-bench -exp all           # everything
 //
@@ -41,7 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|startup|throughput|overhead|sgfa|fanout|sync|transport|recovery|batching|flowcontrol|multitenant|exactlyonce|elastic|all")
+	exp := flag.String("exp", "all", "experiment: fig4|startup|throughput|overhead|sgfa|fanout|sync|transport|recovery|batching|flowcontrol|multitenant|elastic|all")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (an array of {experiment, rows} envelopes) instead of tables; record as BENCH_*.json to track the perf trajectory")
 	scales := flag.String("scales", "", "comma-separated fig4 scales (default 16,32,48,64,128,256,324)")
 	points := flag.Int("points", 0, "fig4 raw samples per cluster per leaf (default 120)")
@@ -53,8 +52,6 @@ func main() {
 	fcRounds := flag.Int("fc-rounds", 0, "flowcontrol ablation multicast rounds (default 400)")
 	mtLeaves := flag.Int("mt-leaves", 0, "multitenant back-end count (default 64)")
 	mtOps := flag.Int("mt-ops", 0, "multitenant operations per tenant (default 24)")
-	eoPerBE := flag.Int("eo-perbe", 0, "exactlyonce ids per back-end (default 80)")
-	eoSeeds := flag.Int("eo-seeds", 0, "exactlyonce seeded schedules per mode (default 5)")
 	elHotQuota := flag.Int("el-hotquota", 0, "elastic ablation packets per hot leaf (default 4000)")
 	elWindow := flag.Int("el-window", 0, "elastic ablation credit window (default 4)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -257,24 +254,6 @@ func main() {
 			return nil, "", err
 		}
 		return rows, table(func() string { return experiments.MultiTenantTable(cfg, rows) }), nil
-	})
-
-	run("exactlyonce", func() (any, string, error) {
-		cfg := experiments.DefaultExactlyOnceConfig()
-		if *eoPerBE > 0 {
-			cfg.PerBE = *eoPerBE
-		}
-		if *eoSeeds > 0 {
-			cfg.Seeds = cfg.Seeds[:0]
-			for s := 0; s < *eoSeeds; s++ {
-				cfg.Seeds = append(cfg.Seeds, int64(s))
-			}
-		}
-		rows, err := experiments.RunExactlyOnce(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, table(func() string { return experiments.ExactlyOnceTable(cfg, rows) }), nil
 	})
 
 	run("elastic", func() (any, string, error) {

@@ -46,7 +46,6 @@ func main() {
 
 	nw, err := core.NewNetwork(core.Config{
 		Topology:         tree,
-		Recoverable:      true, // splits migrate children over the reparent protocol
 		LoadReportPeriod: 20 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			p, err := be.Recv()

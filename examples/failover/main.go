@@ -33,7 +33,6 @@ func demo(label string, tr core.TransportKind) {
 	nw, err := core.NewNetwork(core.Config{
 		Topology:        tree,
 		Transport:       tr,
-		Recoverable:     true,
 		HeartbeatPeriod: 20 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {

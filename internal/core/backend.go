@@ -50,8 +50,7 @@ type BackEnd struct {
 	egKick chan struct{}
 
 	// seqCtr stamps this back-end's outbound packets with an origin
-	// sequence in exactly-once mode — the identity the whole tree's
-	// duplicate detection keys on.
+	// sequence — the identity the whole tree's duplicate detection keys on.
 	seqCtr atomic.Uint64
 }
 
@@ -68,14 +67,11 @@ func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
 		killCh:     make(chan struct{}),
 		egKick:     make(chan struct{}, 1),
 	}
-	be.eg = newEgressQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, nw.recoverable(), kickFunc(be.egKick))
+	// Leaves originate the upstream flow: their rings replay at reparent
+	// like every sender's, but acknowledgements carry no deferred
+	// retirements (nil sink) — popping just frees memory.
+	be.eg = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, kickFunc(be.egKick), nil)
 	be.eg.bindStops(be.killCh, nw.dying)
-	if nw.xonce() {
-		// Leaves originate the upstream flow: their rings replay at
-		// reparent like every sender's, but acknowledgements carry no
-		// deferred retirements (nil sink) — popping just frees memory.
-		be.eg.enableReplay(nil)
-	}
 	return be
 }
 
@@ -141,7 +137,7 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 	if err != nil {
 		return err
 	}
-	if be.nw.xonce() && tag != packet.TagControl {
+	if tag != packet.TagControl {
 		// p is not shared yet, so stamp it in place; SendPacket's WithSeq
 		// would allocate a second Packet only to set this field.
 		p.Seq = packet.MakeSeq(be.rank, be.seqCtr.Add(1))
@@ -153,22 +149,18 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 // source identity is NOT performed: the caller controls the header. The
 // packet is queued rather than sent immediately, and the call blocks while
 // the queue is at the link window; a nil return means it was accepted and
-// will be flushed by the size or age policy (or retained across a parent
-// failure on recoverable networks), not necessarily that it is on the
-// wire.
+// will be flushed by the size or age policy — or, if the parent has
+// crashed, retained and re-flushed once recovery re-parents this back-end —
+// not necessarily that it is on the wire. A failed flush is surfaced only
+// when no adoption is coming: the back-end was killed or the network is
+// tearing down.
 func (be *BackEnd) SendPacket(p *packet.Packet) error {
-	if be.nw.xonce() && p.Seq == 0 && p.Tag != packet.TagControl {
+	if p.Seq == 0 && p.Tag != packet.TagControl {
 		p = p.WithSeq(packet.MakeSeq(be.rank, be.seqCtr.Add(1)))
 	}
-	err := be.eg.send(p)
-	retained := err != nil && be.eg.retain && !be.killed() && !be.nw.tearingDown()
-	if err != nil && !retained {
+	if err := be.eg.send(p); err != nil && (be.killed() || be.nw.tearingDown()) {
 		return fmt.Errorf("core: back-end %d send: %w", be.rank, err)
 	}
-	// A flush that failed into a crashed parent but retained the batch is
-	// a success from the handler's perspective: the packets are queued
-	// for re-flush once recovery re-parents this back-end. An error
-	// during network teardown is surfaced — no adoption is coming.
 	return nil
 }
 
@@ -254,13 +246,13 @@ loop:
 	for {
 		p, err := be.parentLink().Recv()
 		if err != nil {
-			// On a recoverable network an unexpected EOF means the parent
-			// crashed: survive as an orphan until a grandparent adopts us
-			// (or the network tears down). Release the handler if it is
-			// blocked on the dead parent's window: its sends overflow into
-			// the retained buffer until reparenting.
+			// An unexpected EOF means the parent crashed: survive as an
+			// orphan until a grandparent adopts us (or the network tears
+			// down). Release the handler if it is blocked on the dead
+			// parent's window: its sends overflow into the retained buffer
+			// until reparenting.
 			be.eg.releaseWaiters()
-			if be.nw.recoverable() && !be.killed() {
+			if !be.killed() {
 				select {
 				case req := <-be.reparentCh:
 					l, err := req.rw.Redial(req.addr)

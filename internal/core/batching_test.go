@@ -99,8 +99,7 @@ func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 	var enqueued sync.WaitGroup
 	enqueued.Add(len(tree.Leaves()))
 	nw, err := NewNetwork(Config{
-		Topology:    tree,
-		Recoverable: true,
+		Topology: tree,
 		// Window and age bound are both unreachable before the kill: all
 		// pre-kill traffic is pending egress when the crash hits.
 		Batch: BatchPolicy{MaxBatch: 1024, MaxDelay: time.Hour},

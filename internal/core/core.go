@@ -60,7 +60,16 @@ const (
 	TCPTransport
 )
 
-// Config describes a Network.
+// Config describes a Network. The data plane and the recovery semantics
+// are not configurable: a subtree orphaned by a crashed parent survives and
+// awaits grandparent adoption (Adopt / internal/recovery), and upstream
+// delivery across the failure is exactly-once (DESIGN.md §10) — senders
+// stamp per-origin sequence numbers and keep flushed-but-unacknowledged
+// packets in a replay ring bounded by LinkWindow; receivers acknowledge
+// cumulatively on the credit grants and retire inbound credits only when
+// their own outputs are acknowledged, so a grant means "delivered at the
+// front-end"; on reparent the ring replays and receivers drop the
+// duplicates by sequence number.
 type Config struct {
 	// Topology is the process tree; required.
 	Topology *topology.Tree
@@ -101,13 +110,10 @@ type Config struct {
 	// process (the front-end and every internal node) runs: streams hash
 	// to shards, so distinct streams synchronize, transform, and egress
 	// concurrently while each stream stays strictly FIFO on its own shard.
-	// 0 selects GOMAXPROCS; 1 serializes every stream through one worker,
-	// the pre-sharding pipeline order (the ablation baseline).
+	// 0 selects GOMAXPROCS; 1 runs every stream on one worker pair.
 	Shards int
-	// Recoverable makes subtrees orphaned by a crashed parent survive and
-	// await grandparent adoption (Adopt / internal/recovery) instead of
-	// abandoning ship. Without it a parent crash tears the subtree down,
-	// the pre-recovery behavior.
+	// Recoverable is ignored: always on; retained only until the benchmark
+	// stops assigning it (ROADMAP item 1, first bullet).
 	Recoverable bool
 	// HeartbeatPeriod, when positive, makes every non-root process emit
 	// periodic liveness beacons that relay to the front-end, feeding the
@@ -120,15 +126,8 @@ type Config struct {
 	// them. internal/elastic rate-normalizes the samples into per-subtree
 	// heat scores and drives live tree mutation (SplitNode / MergeNode).
 	LoadReportPeriod time.Duration
-	// ExactlyOnce upgrades recovery from lossy rewiring to exactly-once
-	// upstream delivery (DESIGN.md §10): senders stamp per-origin sequence
-	// numbers and keep flushed-but-unacknowledged packets in a replay ring
-	// bounded by the credit window; receivers acknowledge cumulatively on
-	// the existing credit grants and retire inbound credits only when their
-	// own outputs are acknowledged downstream, so a grant means "delivered
-	// at the front-end". On reparent the ring replays and receivers drop
-	// the duplicates by sequence number. Requires Recoverable (replay rides
-	// adoption).
+	// ExactlyOnce is ignored: always on; retained only until the benchmark
+	// stops assigning it (ROADMAP item 1, first bullet).
 	ExactlyOnce bool
 }
 
@@ -264,9 +263,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.LinkWindow == 0 {
 		cfg.LinkWindow = DefaultLinkWindow
 	}
-	if cfg.ExactlyOnce && !cfg.Recoverable {
-		return nil, errors.New("core: ExactlyOnce requires Recoverable (replay happens at adoption reparent)")
-	}
 	var eps []*transport.Endpoint
 	switch cfg.Transport {
 	case ChanTransport:
@@ -329,6 +325,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cmdCh:    make(chan *cmdAdopt),
 		attachCh: make(chan attachMsg),
 		readStop: make(chan struct{}),
+		ackTrack: map[*transport.FlowLink]*inOrder{},
 	}
 	// The front-end's shard pool exists before any user-facing API call:
 	// Stream.Close enqueues forget items from user goroutines.
@@ -392,12 +389,6 @@ func (nw *Network) shardCount() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// xonce reports whether exactly-once recovery is enabled.
-func (nw *Network) xonce() bool { return nw.cfg.ExactlyOnce }
-
-// ExactlyOnce reports whether the network runs exactly-once recovery.
-func (nw *Network) ExactlyOnce() bool { return nw.cfg.ExactlyOnce }
 
 // Tree returns the network's topology.
 func (nw *Network) Tree() *topology.Tree { return nw.treeNow() }

@@ -73,16 +73,13 @@ const maxRetained = 4096
 // their own size flushes, so the combiner never needs to spin forever.
 const maxFlushRounds = 8
 
-// flush causes, for the metrics counters. flushResume is a credit-aware
-// re-flush after reparenting (counted with the drains, but — unlike a
-// drain — it respects the peer's window and never skews the adaptive
-// window).
+// flush causes, for the metrics counters. flushDrain covers the blocking
+// drains (shutdown, Flush) and the re-flush after reparenting.
 const (
 	flushSize = iota
 	flushAge
 	flushControl
 	flushDrain
-	flushResume
 )
 
 // egressQueue batches outbound packets for one link. It is safe for
@@ -114,9 +111,8 @@ const (
 // order-sensitive control packets acting as barriers that nothing
 // enqueued after them may overtake.
 type egressQueue struct {
-	pol    BatchPolicy
-	m      *Metrics
-	retain bool
+	pol BatchPolicy
+	m   *Metrics
 	// kick, if non-nil, is called (without mu) whenever the buffer
 	// transitions empty -> non-empty or a credit stall clears: the queue
 	// then has an age deadline the owner's timer loop needs to learn
@@ -166,24 +162,23 @@ type egressQueue struct {
 	// it sets a new per-queue record.
 	localHW int
 
-	// Exactly-once replay state (enableReplay). xonce is set once, before
-	// the queue is shared, so hot paths read it lock-free; everything else
-	// is guarded by mu. Flushed data packets are appended to ring and stay
-	// there until the peer's cumulative grant acknowledgement covers them;
-	// setLink re-flushes the un-popped suffix to the replacement link ahead
-	// of everything else. The ring is bounded by the link window: a sender
-	// can never have more unacknowledged packets in flight than credits.
-	xonce bool
+	// Replay state of an upstream queue (newUpstreamQueue); all of it is
+	// nil/zero on a downstream queue, which drops what a dead child link
+	// cannot take — downstream traffic carries no replay ring. ring is set
+	// once, before the queue is shared, so hot paths test it lock-free;
+	// everything else is guarded by mu. Flushed data packets are appended
+	// to ring and stay there until the peer's cumulative grant
+	// acknowledgement covers them; setLink re-flushes the un-popped suffix
+	// to the replacement link ahead of everything else. The ring is the
+	// preallocated circular buffer sized to the link window (the credit
+	// protocol bounds unacknowledged flushed data at W): a flushed packet's
+	// custody moves from the schedule into a ring slot, and the slot is
+	// reused once the cumulative ack retires it.
+	ring *replayRing
 	// ackSink receives the deferred inbound retirements attached to
 	// acknowledged packets (the per-node acker); nil at the back-end, where
 	// acknowledgements only free ring memory.
 	ackSink func([]*pendRetire)
-	// ring is the preallocated circular replay buffer, sized to the link
-	// window (the credit protocol bounds unacknowledged flushed data at
-	// W); its slot structs are the recycled egress slots — a flushed
-	// packet's custody moves from the schedule into a ring slot, and the
-	// slot is reused once the cumulative ack retires it.
-	ring *replayRing
 	// Three counters over the data packets of the current link's flush
 	// order, reset by setLink: ringSent is how many noteSent has recorded
 	// as sent, ackTarget the highest cumulative count the peer has
@@ -218,13 +213,13 @@ func kickFunc(ch chan struct{}) func() {
 	}
 }
 
-// newEgressQueue wraps a link with the given (already normalized) policy.
-// Every link of a Network carries credit accounting (NewNetwork and each
-// rewiring site wrap it), so l is a *transport.FlowLink; anything else is
-// a bug in the caller and panics here.
-func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics, retain bool, kick func()) *egressQueue {
+// newEgressQueue wraps a child link with the given (already normalized)
+// policy: a downstream queue. Every link of a Network carries credit
+// accounting (NewNetwork and each rewiring site wrap it), so l is a
+// *transport.FlowLink; anything else is a bug in the caller and panics here.
+func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics, kick func()) *egressQueue {
 	fl := l.(*transport.FlowLink)
-	q := &egressQueue{pol: pol, m: m, retain: retain, kick: kick, window: pol.MaxBatch}
+	q := &egressQueue{pol: pol, m: m, kick: kick, window: pol.MaxBatch}
 	if pol.Adaptive && q.window > 2 {
 		q.window = 2
 	}
@@ -244,22 +239,22 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 	// A grant from the peer may be the only thing that can restart a
 	// stalled queue: resume immediately on refill.
 	fl.SetRefillHook(q.unstall)
-	if q.xonce {
+	if q.ring != nil {
 		fl.SetAckHook(q.onAck)
 	}
 }
 
-// enableReplay switches the queue into exactly-once mode: flushed data
-// packets are held in the replay ring until the peer's cumulative grant
-// acknowledgement covers them, setLink re-flushes the ring to replacement
-// links, and sink (may be nil) receives the deferred inbound retirements
-// attached to acknowledged packets. Must be called before the queue is
-// shared with other goroutines.
-func (q *egressQueue) enableReplay(sink func([]*pendRetire)) {
-	q.xonce = true
+// newUpstreamQueue wraps a parent link: flushed data packets are held in
+// the replay ring until the peer's cumulative grant acknowledgement covers
+// them, a flush the dead parent cannot take is retained, setLink re-flushes
+// both to the replacement parent, and sink (may be nil) receives the
+// deferred inbound retirements attached to acknowledged packets.
+func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, kick func(), sink func([]*pendRetire)) *egressQueue {
+	q := newEgressQueue(l, pol, m, kick)
 	q.ackSink = sink
 	q.ring = newReplayRing(q.flow.Window())
 	q.flow.SetAckHook(q.onAck)
+	return q
 }
 
 // sendAck enqueues a data packet like sendCtx, registering ack to be
@@ -268,7 +263,7 @@ func (q *egressQueue) enableReplay(sink func([]*pendRetire)) {
 // cumulative and flush order is FIFO, so covering the last packet covers
 // the run.
 func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack *pendRetire) error {
-	if ack == nil || !q.xonce {
+	if ack == nil {
 		return q.sendCtx(p, prio, block)
 	}
 	q.mu.Lock()
@@ -497,8 +492,8 @@ func (q *egressQueue) sendNow(p *packet.Packet) error {
 func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
 	if p.Tag != packet.TagControl {
 		// Custody: the queue holds the data packet's encoded body from
-		// here until the flush that ships it lets go — or, exactly-once,
-		// until the replay ring does (DESIGN.md §12). While at least one
+		// here until the flush that ships it lets go — or, upstream, until
+		// the replay ring does (DESIGN.md §12). While at least one
 		// queue holds it, the encode body is arena-backed and every
 		// reader of its bytes is covered by a hold. A packet being
 		// forwarded as received never grows a body — it is framed from
@@ -555,16 +550,9 @@ func (q *egressQueue) drainCause(cause int) error {
 // until the queue is empty, the peer's credit window is exhausted, the
 // round bound is hit, or the wire fails. Callers hold flushMu.
 func (q *egressQueue) flushLoop(cause int) error {
-	// Drains normally bypass the credit window (shutdown must move even
-	// against a stalled peer), but a replaying queue cannot: every
-	// credit-bypassing send would grow the replay ring past the window
-	// bound W, and the exactly-once guarantee prices replay memory at
-	// exactly links × W. Past-window packets stay queued; the grant that
-	// retires in-flight data re-triggers the flush.
-	bypass := cause == flushDrain && !q.xonce
 	for round := 0; round < maxFlushRounds; round++ {
 		q.mu.Lock()
-		batch, total, nData, stalled := q.sched.take(q.flow, bypass, q.takeBuf[:0])
+		batch, total, nData, stalled := q.sched.take(q.flow, false, q.takeBuf[:0])
 		// The take buffer is recycled across flushes only on links that
 		// copy batches; a retaining link owns the slice once sendFrames
 		// hands it over (the batchalias contract).
@@ -590,15 +578,15 @@ func (q *egressQueue) flushLoop(cause int) error {
 
 		unsent, frames, err := q.sendFrames(batch, total)
 		sent := batch[: len(batch)-len(unsent) : len(batch)]
-		if q.xonce {
+		if q.ring != nil {
 			// Ring-append the sent prefix even when the flush failed: those
 			// frames reached the wire before the link died, and losing them
 			// from the ring would make them unrecoverable. Custody of the
 			// sent packets moves into the ring.
 			q.noteSent(sent)
 		} else {
-			// Sent packets left the queue for good: release the custody
-			// holds taken at enqueue, returning arena-backed encode
+			// Downstream, sent packets left the queue for good: release the
+			// custody holds taken at enqueue, returning arena-backed encode
 			// bodies once every sharing queue has flushed.
 			releaseEncoded(sent)
 		}
@@ -611,19 +599,19 @@ func (q *egressQueue) flushLoop(cause int) error {
 				q.m.FlushAge.Add(1)
 			case flushControl:
 				q.m.FlushControl.Add(1)
-			case flushDrain, flushResume:
+			case flushDrain:
 				q.m.FlushDrain.Add(1)
 			}
 		}
 		if err != nil {
-			q.failedFlush(batch, unsent, nData, bypass)
+			q.failedFlush(unsent, nData)
 			return err
 		}
 		q.releaseSlots(nData)
 		q.mu.Lock()
 		if round == 0 {
 			// Adapt the window only when the flush actually went out: a
-			// dead-link retry loop (retained buffer, recoverable owner) must
+			// dead-link retry loop (retained buffer, orphaned owner) must
 			// not collapse or inflate the adaptive window while nothing moves.
 			q.adapt(cause)
 		}
@@ -712,11 +700,9 @@ func (q *egressQueue) unstall() {
 	}
 }
 
-// failedFlush restores or drops the unsent remainder of a failed
-// flush and refunds any wire credits it had acquired.
-func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, bypass bool) {
-	// Credits were acquired for every data packet taken; refund the unsent
-	// ones (unless the drain bypassed accounting entirely).
+// failedFlush restores (upstream) or drops (downstream) the unsent
+// remainder of a failed flush and refunds the wire credits it had acquired.
+func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 	unsentData := 0
 	for _, p := range unsent {
 		if p.Tag != packet.TagControl {
@@ -725,15 +711,14 @@ func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, byp
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !bypass {
-		// Refund, not Refill: no hook may run under mu, and there is
-		// nothing to wake — the credits were never the peer's to grant.
-		q.flow.Refund(unsentData)
-	}
+	// Credits were acquired for every data packet taken; refund the unsent
+	// ones. Refund, not Refill: no hook may run under mu, and there is
+	// nothing to wake — the credits were never the peer's to grant.
+	q.flow.Refund(unsentData)
 	q.releaseSlots(nData - unsentData) // sent data left the queue for good
-	if q.retain {
-		// The link died under us: keep the unsent remainder (bounded) so a
-		// reparent can re-flush it to the new parent.
+	if q.ring != nil {
+		// The parent link died under us: keep the unsent remainder (bounded)
+		// so a reparent can re-flush it to the new parent.
 		if n := len(unsent) - maxRetained; n > 0 {
 			q.m.EgressDrops.Add(int64(n))
 			releaseEncoded(unsent[:n])
@@ -832,9 +817,11 @@ func (q *egressQueue) pollAge(now time.Time) {
 	}
 }
 
-// drain force-flushes everything queued (shutdown, reparent, Flush),
-// bypassing the credit window: the endpoints are quiescing and losslessness
-// outranks the bound.
+// drain blocks for the wire and flushes what the peer's credit window
+// admits (shutdown, Flush). It never bypasses the window: every
+// credit-bypassing send would grow the replay ring past the bound W that
+// prices replay memory at links × W. Past-window packets stay queued; the
+// grant that retires in-flight data re-triggers the flush.
 func (q *egressQueue) drain() error {
 	if q == nil {
 		return nil
@@ -842,13 +829,13 @@ func (q *egressQueue) drain() error {
 	return q.drainCause(flushDrain)
 }
 
-// setLink repoints the queue at a replacement link (recovery reparenting)
-// and re-flushes anything retained across the old link's death — within
-// the NEW link's credit window, which starts full: retained packets
-// re-enter the bounded window without double-spending credits, and
-// whatever exceeds it stays queued until the new peer grants. If the
-// re-flush fails again the buffer stays retained, and the owner is kicked
-// to re-arm its age timer for the retry.
+// setLink repoints an upstream queue at a replacement parent link (recovery
+// reparenting) and re-flushes its replay ring and anything retained across
+// the old link's death — within the NEW link's credit window, which starts
+// full: retained packets re-enter the bounded window without
+// double-spending credits, and whatever exceeds it stays queued until the
+// new peer grants. If the re-flush fails again the buffer stays retained,
+// and the owner is kicked to re-arm its age timer for the retry.
 func (q *egressQueue) setLink(l transport.Link) {
 	q.flushMu.Lock()
 	q.mu.Lock()
@@ -856,39 +843,37 @@ func (q *egressQueue) setLink(l transport.Link) {
 	q.flow.SetAckHook(nil)
 	q.adoptFlow(l.(*transport.FlowLink))
 	q.stalled = false
-	if q.xonce {
-		// The new peer's cumulative count starts at zero and will count the
-		// replayed packets first: re-flush the un-popped ring suffix ahead
-		// of everything, in ring order, so its prefix correspondence holds
-		// on the replacement link too. Entries already queued for re-flush
-		// by an earlier setLink are still at the schedule head; skip them.
-		q.ringSent, q.ackTarget, q.ringAcked = 0, 0, 0
-		var replay []*packet.Packet
-		for i := 0; i < q.ring.len(); i++ {
-			e := q.ring.at(i)
-			if _, pending := q.replaying[e.p]; pending {
-				continue
-			}
-			if q.replaying == nil {
-				q.replaying = map[*packet.Packet]struct{}{}
-			}
-			q.replaying[e.p] = struct{}{}
-			replay = append(replay, e.p)
+	// The new peer's cumulative count starts at zero and will count the
+	// replayed packets first: re-flush the un-popped ring suffix ahead
+	// of everything, in ring order, so its prefix correspondence holds
+	// on the replacement link too. Entries already queued for re-flush
+	// by an earlier setLink are still at the schedule head; skip them.
+	q.ringSent, q.ackTarget, q.ringAcked = 0, 0, 0
+	var replay []*packet.Packet
+	for i := 0; i < q.ring.len(); i++ {
+		e := q.ring.at(i)
+		if _, pending := q.replaying[e.p]; pending {
+			continue
 		}
-		if len(replay) > 0 {
-			q.sched.restore(replay)
-			// Their occupancy slots were released when they first flushed;
-			// best-effort reacquisition keeps the semaphore near the true
-			// queue depth (overflow past the window is tolerated here, as
-			// in every recovery path).
-			for range replay {
-				select {
-				case q.slots <- struct{}{}:
-				default:
-				}
-			}
-			q.m.PacketsReplayed.Add(int64(len(replay)))
+		if q.replaying == nil {
+			q.replaying = map[*packet.Packet]struct{}{}
 		}
+		q.replaying[e.p] = struct{}{}
+		replay = append(replay, e.p)
+	}
+	if len(replay) > 0 {
+		q.sched.restore(replay)
+		// Their occupancy slots were released when they first flushed;
+		// best-effort reacquisition keeps the semaphore near the true
+		// queue depth (overflow past the window is tolerated here, as
+		// in every recovery path).
+		for range replay {
+			select {
+			case q.slots <- struct{}{}:
+			default:
+			}
+		}
+		q.m.PacketsReplayed.Add(int64(len(replay)))
 	}
 	queued := q.sched.count
 	if queued > 0 {
@@ -896,7 +881,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 	}
 	q.mu.Unlock()
 	if queued > 0 {
-		_ = q.flushLoop(flushResume)
+		_ = q.flushLoop(flushDrain)
 	}
 	q.mu.Lock()
 	kick := q.kick != nil && q.sched.count > 0
@@ -907,32 +892,11 @@ func (q *egressQueue) setLink(l transport.Link) {
 	}
 }
 
-// clear drops everything queued (a fenced-off dead child slot).
-func (q *egressQueue) clear() {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	dropped := q.sched.count
-	if dropped == 0 {
-		return
-	}
-	q.m.EgressDrops.Add(int64(dropped))
-	// Drain through take so the scheduler's freelists keep their recycled
-	// epochs and streams, and release the dropped packets' custody holds.
-	ps, _, _, _ := q.sched.take(q.flow, true, nil)
-	releaseEncoded(ps)
-	q.releaseSlots(dropped)
-	q.stalled = false
-	q.oldest = time.Time{}
-}
-
-// extract removes and returns every queued data packet, in wire order —
-// the exactly-once replacement for clear on a fenced dead child slot:
-// nothing queued there ever reached the wire, so the router re-routes the
-// packets through the repaired stream table instead of dropping them.
-// Control packets addressed to the dead child are dropped as before.
+// extract removes and returns every queued data packet, in wire order, for
+// a fenced dead child slot: nothing queued there ever reached the wire, so
+// the router re-routes the packets through the repaired stream table
+// instead of dropping them. Control packets addressed to the dead child are
+// dropped.
 func (q *egressQueue) extract() []*packet.Packet {
 	if q == nil {
 		return nil

@@ -44,7 +44,7 @@ func TestAdaptiveWindowUnchangedOnFailedFlush(t *testing.T) {
 	a, b := transport.NewPair(4)
 	pol := BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond, Adaptive: true}.normalized()
 	var m Metrics
-	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, true, nil)
+	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil, nil)
 	if q.window != 2 {
 		t.Fatalf("adaptive start window = %d, want 2", q.window)
 	}
@@ -103,7 +103,7 @@ func TestControlKeepsFIFOAcrossFrameSplit(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, false, nil)
+	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
 
 	payload := strings.Repeat("x", 512)
 	const data = 7 // ~3.6 KiB encoded: just under the shrunk frame bound
@@ -149,7 +149,7 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, true, nil)
+	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil, nil)
 	transport.DropLink(b)
 
 	payload := strings.Repeat("y", 512)
@@ -191,9 +191,8 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 // return (run under -race in CI).
 func TestAgeFlusherRapidStartStop(t *testing.T) {
 	nw, err := NewNetwork(Config{
-		Topology:    mustTree(t, "flat:2"),
-		Recoverable: true,
-		Batch:       BatchPolicy{MaxBatch: 8, MaxDelay: 100 * time.Microsecond},
+		Topology: mustTree(t, "flat:2"),
+		Batch:    BatchPolicy{MaxBatch: 8, MaxDelay: 100 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

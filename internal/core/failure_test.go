@@ -211,8 +211,7 @@ func TestStreamFIFOOrder(t *testing.T) {
 	}
 }
 
-// recoverableEcho builds a Recoverable chan-fabric network with
-// heartbeats whose back-ends answer every multicast with their rank as a
+// recoverableEcho builds a chan-fabric network with heartbeats whose back-ends answer every multicast with their rank as a
 // float.
 func recoverableEcho(t *testing.T, spec string, hb time.Duration) *Network {
 	t.Helper()
@@ -226,7 +225,6 @@ func recoverableEchoOn(t *testing.T, spec string, hb time.Duration, kind Transpo
 	nw, err := NewNetwork(Config{
 		Topology:        tree,
 		Transport:       kind,
-		Recoverable:     true,
 		HeartbeatPeriod: hb,
 		OnBackEnd: func(be *BackEnd) error {
 			for {
@@ -452,18 +450,26 @@ func TestHeartbeatsReachFrontEnd(t *testing.T) {
 }
 
 // TestShutdownCountsDeadLinkSends: after a root child crashes, Shutdown's
-// announcement to it fails and the failure is counted (satellite of the
-// recovery work: dead links must be observable).
+// announcement to it fails and the failure is counted (dead links must be
+// observable) — and the crashed child's subtree, orphaned and never
+// adopted, is released by the teardown instead of wedging it.
 func TestShutdownCountsDeadLinkSends(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
-	nw := echoValue(t, tree, ChanTransport) // NOT recoverable: subtree abandons
+	nw := echoValue(t, tree, ChanTransport)
 	if err := nw.Kill(1); err != nil {
 		t.Fatal(err)
 	}
-	// Give the subtree a moment to observe the crash and unwind.
+	// Give the subtree a moment to observe the crash and orphan itself.
 	time.Sleep(50 * time.Millisecond)
-	if err := nw.Shutdown(); err != nil {
-		t.Fatal(err)
+	done := make(chan error, 1)
+	go func() { done <- nw.Shutdown() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not release the un-adopted orphans")
 	}
 	if nw.Metrics().ShutdownSendFailures.Load() == 0 {
 		t.Error("shutdown send to dead link not counted")
@@ -500,9 +506,8 @@ func TestRecvAfterCloseDrains(t *testing.T) {
 func TestAdoptWithTinyLinkBuffers(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
 	nw, err := NewNetwork(Config{
-		Topology:    tree,
-		Recoverable: true,
-		ChanBuf:     1,
+		Topology: tree,
+		ChanBuf:  1,
 		OnBackEnd: func(be *BackEnd) error {
 			for {
 				p, err := be.Recv()

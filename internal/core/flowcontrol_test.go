@@ -22,7 +22,7 @@ func TestEgressPriorityScheduling(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 64)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m, false, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m, nil)
 
 	// Park the wire so everything accumulates, then release and drain.
 	q.flushMu.Lock()
@@ -89,7 +89,7 @@ func TestEgressBarrierOrdering(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 64)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m, false, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m, nil)
 
 	q.flushMu.Lock()
 	pre := packet.MustNew(tagQuery, 1, 1, "%d", int64(1))
@@ -122,7 +122,7 @@ func TestEgressCreditStallAndResume(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 4)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond}.normalized(), &m, false, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond}.normalized(), &m, nil)
 
 	for i := 0; i < 4; i++ {
 		if err := q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i))); err != nil {
@@ -187,7 +187,7 @@ func TestEgressHardBoundBlocksSender(t *testing.T) {
 	_ = b
 	fa := transport.NewFlowLink(a, 2)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 2, MaxDelay: time.Hour}.normalized(), &m, false, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 2, MaxDelay: time.Hour}.normalized(), &m, nil)
 	stop := make(chan struct{})
 	q.bindStops(stop, nil)
 
@@ -412,7 +412,6 @@ func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
 			nw, err := NewNetwork(Config{
 				Topology:        tree,
 				Transport:       kind,
-				Recoverable:     true,
 				HeartbeatPeriod: hb,
 				Batch:           BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
 				LinkWindow:      4,
@@ -505,11 +504,9 @@ func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
 // (mid-stream, windows partially spent), and adoption must rebuild fresh
 // windows on the replacement links. Post-recovery traffic (burst B) must
 // always arrive completely and nothing may ever be duplicated — those are
-// asserted here. How much in-flight burst-A data may be lost is the build
-// variant's policy: the default (exactly-once) build demands zero, the
-// `lossy` ablation build keeps the historical spent-window bound. Returns
-// (burst-A payloads lost, the historical loss bound).
-func overlappingFailureCreditsOutstanding(t *testing.T, kind TransportKind, exactlyOnce bool) (lostA, maxLost int) {
+// asserted here. Returns the burst-A payloads lost, which the caller holds
+// to zero.
+func overlappingFailureCreditsOutstanding(t *testing.T, kind TransportKind) (lostA int) {
 	t.Helper()
 	const window = 8
 	const burstA, burstB = 30, 20
@@ -520,12 +517,10 @@ func overlappingFailureCreditsOutstanding(t *testing.T, kind TransportKind, exac
 	var aSent sync.WaitGroup
 	aSent.Add(len(tree.Leaves()))
 	nw, err := NewNetwork(Config{
-		Topology:    tree,
-		Transport:   kind,
-		Recoverable: true,
-		ExactlyOnce: exactlyOnce,
-		Batch:       BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
-		LinkWindow:  window,
+		Topology:   tree,
+		Transport:  kind,
+		Batch:      BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
+		LinkWindow: window,
 		OnBackEnd: func(be *BackEnd) error {
 			<-start
 			for i := 0; i < burstA; i++ {
@@ -627,14 +622,10 @@ func overlappingFailureCreditsOutstanding(t *testing.T, kind TransportKind, exac
 			}
 		}
 	}
-	// The historical bound: in-flight data at the crashed node, at most
-	// ~a window per affected link (plus frames in the wire buffers).
-	links := len(tree.Children(victim)) + 1
-	maxLost = links * (window + 2*transport.DefaultChanBuffer)
-	t.Logf("lostA=%d historical-bound=%d grants=%d stalls=%d replayed=%d dups-dropped=%d",
-		lostA, maxLost, nw.Metrics().CreditGrants.Load(), nw.Metrics().CreditStalls.Load(),
+	t.Logf("lostA=%d grants=%d stalls=%d replayed=%d dups-dropped=%d",
+		lostA, nw.Metrics().CreditGrants.Load(), nw.Metrics().CreditStalls.Load(),
 		nw.Metrics().PacketsReplayed.Load(), nw.Metrics().DupsDropped.Load())
-	return lostA, maxLost
+	return lostA
 }
 
 // TestReparentWithSaturatedWindowsDepth3 is the regression test for the
@@ -652,11 +643,10 @@ func TestReparentWithSaturatedWindowsDepth3(t *testing.T) {
 	var stID uint32
 	start := make(chan struct{})
 	nw, err := NewNetwork(Config{
-		Topology:    tree,
-		Recoverable: true,
-		ChanBuf:     4, // small wire so the windows genuinely exhaust
-		Batch:       BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
-		LinkWindow:  window,
+		Topology:   tree,
+		ChanBuf:    4, // small wire so the windows genuinely exhaust
+		Batch:      BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
+		LinkWindow: window,
 		OnBackEnd: func(be *BackEnd) error {
 			<-start
 			for i := 0; i < perBE; i++ {

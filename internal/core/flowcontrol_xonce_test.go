@@ -1,5 +1,3 @@
-//go:build !lossy
-
 package core
 
 import (
@@ -9,12 +7,10 @@ import (
 )
 
 // TestOverlappingFailureCreditsOutstanding: an internal node is killed
-// mid-stream with credits outstanding on every surrounding link. With
-// exactly-once recovery the sender replay rings re-deliver the in-flight
-// windows across the adoption, so the scenario's historical "bounded
-// loss" allowance is gone: zero burst-A payloads may be lost, and (as
-// ever) nothing may be duplicated. Build with -tags lossy for the
-// ablation that keeps the old at-most-once bound.
+// mid-stream with credits outstanding on every surrounding link. The
+// sender replay rings re-deliver the in-flight windows across the
+// adoption: zero burst-A payloads may be lost, and nothing may be
+// duplicated.
 func TestOverlappingFailureCreditsOutstanding(t *testing.T) {
 	kinds := []TransportKind{ChanTransport}
 	if !testing.Short() {
@@ -26,8 +22,7 @@ func TestOverlappingFailureCreditsOutstanding(t *testing.T) {
 			name = "tcp"
 		}
 		t.Run(name, func(t *testing.T) {
-			lostA, _ := overlappingFailureCreditsOutstanding(t, kind, true)
-			if lostA != 0 {
+			if lostA := overlappingFailureCreditsOutstanding(t, kind); lostA != 0 {
 				t.Errorf("lost %d burst-A payloads, want 0: exactly-once replay must cover the spent windows", lostA)
 			}
 		})
@@ -65,10 +60,8 @@ func TestReplayRingBoundedUnderSlowConsumerAndKills(t *testing.T) {
 			var stID uint32
 			start := make(chan struct{})
 			nw, err := NewNetwork(Config{
-				Topology:    tree,
-				Transport:   kind,
-				Recoverable: true,
-				ExactlyOnce: true,
+				Topology:  tree,
+				Transport: kind,
 				// Small frame buffers: the backlog the slow consumer creates
 				// must sit in egress queues and replay rings, which is
 				// exactly the memory the window prices.

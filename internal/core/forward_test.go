@@ -24,10 +24,8 @@ func TestForwardHopEncodesNothing(t *testing.T) {
 	payload := make([]byte, 256)
 	var castsSeen atomic.Int64
 	nw, err := NewNetwork(Config{
-		Topology:    mustTree(t, "kary:2^2"),
-		Transport:   TCPTransport,
-		Recoverable: true,
-		ExactlyOnce: true,
+		Topology:  mustTree(t, "kary:2^2"),
+		Transport: TCPTransport,
 		OnBackEnd: func(be *BackEnd) error {
 			p, err := be.Recv() // the start multicast
 			if err != nil {

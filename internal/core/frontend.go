@@ -51,7 +51,7 @@ type feState struct {
 	attachCh chan attachMsg
 
 	// ackTrack maps each inbound child link to its in-order retirement
-	// tracker (exactly-once mode, router-owned): the front-end is the
+	// tracker (router-owned): the front-end is the
 	// acknowledgement cascade's base case — delivery here IS the ack — but
 	// its grants must still follow arrival order for the cumulative count
 	// to acknowledge a prefix of the child's replay ring.
@@ -130,10 +130,10 @@ func (fe *feState) installChild(slot int, l transport.Link) {
 // sendToStream fans a packet out to the stream's participating children.
 // ss routing is index-aligned with the slot snapshot; the seqlock retry
 // makes routing and links a single consistent pair even while an adoption
-// rewires them. On a recoverable network a dead child link is skipped
-// rather than surfaced: the subtree is inside its failure window and
-// adoption will re-route it, so the loss is the same transient in-flight
-// loss the recovery model already covers.
+// rewires them. A dead child link is skipped rather than surfaced: the
+// subtree is inside its failure window and adoption will re-route it, so
+// the loss is the transient downstream in-flight loss the recovery model
+// covers.
 //
 // Each data send first acquires one credit from the child link's window,
 // blocking the CALLER — a user goroutine inside
@@ -181,10 +181,7 @@ func (fe *feState) sendToStream(ss *streamState, p *packet.Packet) error {
 			} else if fl != nil {
 				fl.Refund(1)
 			}
-			if first == nil {
-				if fe.nw.recoverable() && errors.Is(err, transport.ErrClosed) {
-					continue
-				}
+			if first == nil && !errors.Is(err, transport.ErrClosed) {
 				first = err
 			}
 		}
@@ -217,13 +214,10 @@ loop:
 			continue
 		default:
 		}
+		// All children being gone may just mean every root child crashed at
+		// once: stay up — the recovery manager will hand us their orphans
+		// to adopt — until the network tears down.
 		if live <= 0 {
-			// On a recoverable network all children being gone may just
-			// mean every root child crashed at once: stay up, the
-			// recovery manager will hand us their orphans to adopt.
-			if !fe.nw.recoverable() {
-				break
-			}
 			select {
 			case c := <-fe.cmdCh:
 				live += fe.handleAdopt(c, inbox)
@@ -341,7 +335,7 @@ func (fe *feState) handleUp(child int, ps []*packet.Packet) {
 		if ss == nil {
 			// Unknown (e.g. just-closed) stream: drop — there is no
 			// receiver — but still retire the packets so the sender's
-			// credits come back (in arrival order under exactly-once).
+			// credits come back (in arrival order).
 			fe.retireOrdered(src, tr, start, len(run))
 			continue
 		}
@@ -349,14 +343,11 @@ func (fe *feState) handleUp(child int, ps []*packet.Packet) {
 	}
 }
 
-// assignArrival allocates in-order arrival indices for a run from src
-// (exactly-once mode; nil tracker otherwise). Router-only.
+// assignArrival allocates in-order arrival indices for a run from src (no
+// tracker for residue of a fenced link). Router-only.
 func (fe *feState) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint64) {
-	if src == nil || !fe.nw.xonce() {
+	if src == nil {
 		return nil, 0
-	}
-	if fe.ackTrack == nil {
-		fe.ackTrack = map[*transport.FlowLink]*inOrder{}
 	}
 	t := fe.ackTrack[src]
 	if t == nil {
@@ -367,12 +358,11 @@ func (fe *feState) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, 
 }
 
 // retireOrdered retires a router-dropped run, releasing only the newly
-// contiguous arrival prefix when a tracker is in play.
+// contiguous arrival prefix.
 func (fe *feState) retireOrdered(fl *transport.FlowLink, tr *inOrder, start uint64, n int) {
-	if tr != nil {
-		n = tr.complete(start, n)
+	if fl != nil {
+		retireAndGrant(&fe.nw.metrics, fl, tr.complete(start, n))
 	}
-	retireAndGrant(&fe.nw.metrics, fl, n)
 }
 
 // shardUp runs the root-level pipeline for one run. Called from the
@@ -383,9 +373,7 @@ func (fe *feState) retireOrdered(fl *transport.FlowLink, tr *inOrder, start uint
 func (fe *feState) shardUp(ss *streamState, child int, run []*packet.Packet, ret *pendRetire) bool {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	if fe.nw.xonce() {
-		run = ss.dropDups(run, &fe.nw.metrics)
-	}
+	run = ss.dropDups(run, &fe.nw.metrics)
 	fe.flushBatches(ss, ss.addBatch(child, run))
 	return false
 }

@@ -20,9 +20,9 @@ import (
 //   - SplitNode spawns a sibling for a saturated process and migrates half
 //     its children onto it, doubling the routing and uplink capacity of
 //     the hot subtree. Each child moves by the same reparent handshake
-//     recovery uses (Offer / redial / accept), so with ExactlyOnce the
-//     migration is lossless: the child's replay ring re-flushes on the new
-//     link and receivers drop the duplicates.
+//     recovery uses (Offer / redial / accept), so the migration is
+//     lossless: the child's replay ring re-flushes on the new link and
+//     receivers drop the duplicates.
 //
 //   - MergeNode removes a cold process by checkpointing its filter state
 //     and folding its children into its parent via the standard adoption —
@@ -155,17 +155,12 @@ func (nw *Network) LiveInternal() []Rank {
 // is spawned under the same parent and the later half of hot's live
 // children are migrated onto it, so the hot subtree gets a second router
 // and a second parent-link credit window. Migration reuses the recovery
-// reparent protocol per child; on an ExactlyOnce network it is lossless
-// (replay rings re-deliver, receivers deduplicate). Returns the sibling's
-// rank.
+// reparent protocol per child and is lossless (replay rings re-deliver,
+// receivers deduplicate). Returns the sibling's rank.
 //
 // Serialized against recoveries by the same lock Adopt holds, so a
-// mutation never interleaves with an adoption's rewiring. Requires
-// Config.Recoverable (children migrate via the orphan-reparent machinery).
+// mutation never interleaves with an adoption's rewiring.
 func (nw *Network) SplitNode(hot Rank) (Rank, error) {
-	if !nw.cfg.Recoverable {
-		return topology.NoRank, fmt.Errorf("%w: SplitNode needs Config.Recoverable (children migrate via the reparent protocol)", ErrNotMutable)
-	}
 	nw.recMu.Lock()
 	defer nw.recMu.Unlock()
 
@@ -331,28 +326,7 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 		if err != nil {
 			continue
 		}
-		handed := false
-		if cNode != nil {
-			rc := &cmdReparent{rw: nw.rewirer, addr: o.Addr(), reply: make(chan error, 1)}
-			if err := nw.sendNodeCmd(cNode, rc); err == nil {
-				if rerr := <-rc.reply; rerr == nil {
-					handed = true
-				}
-			}
-		} else if cBE != nil && !cBE.killed() {
-			old := cBE.parentLink()
-			select {
-			case cBE.reparentCh <- reparentReq{rw: nw.rewirer, addr: o.Addr()}:
-				// Sever the old link so the back-end's Recv EOFs and it
-				// picks up the buffered rendezvous (the same nudge a
-				// false-positive recovery gives a live back-end).
-				transport.DropLink(old)
-				handed = true
-			case <-cBE.killCh:
-			case <-nw.dying:
-			}
-		}
-		if !handed {
+		if !nw.handReparent(cNode, cBE, o.Addr()) {
 			_ = o.Close()
 			continue
 		}
@@ -437,7 +411,7 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 // checkpointed toward its potential adopters, the process is terminated,
 // and the standard adoption folds its children into its parent. A merge is
 // a controlled failure on purpose — it reuses the proven recovery path end
-// to end, so on an ExactlyOnce network it is lossless. The elective kill
+// to end, so it is lossless. The elective kill
 // is counted in NodesFailed like any crash. compose may be nil to skip
 // filter-state reconstruction (the checkpoint still covers stateful
 // mergeable filters via the adopter's cache).

@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// splitEcho builds a Recoverable chan-fabric network with load reports on,
+// splitEcho builds a chan-fabric network with load reports on,
 // whose back-ends answer every multicast with their rank.
 func splitEcho(t *testing.T, spec string, lr time.Duration) *Network {
 	t.Helper()
 	tree := mustTree(t, spec)
 	nw, err := NewNetwork(Config{
 		Topology:         tree,
-		Recoverable:      true,
 		LoadReportPeriod: lr,
 		OnBackEnd: func(be *BackEnd) error {
 			for {
@@ -176,13 +175,35 @@ func TestSplitNodeValidation(t *testing.T) {
 		t.Errorf("split dead rank: %v, want ErrNotMutable", err)
 	}
 
-	// Non-recoverable networks cannot migrate children.
-	tree := mustTree(t, "kary:2^2")
-	nw2 := echoValue(t, tree, ChanTransport)
-	defer nw2.Shutdown()
-	if _, err := nw2.SplitNode(1); !errors.Is(err, ErrNotMutable) {
-		t.Errorf("split on non-recoverable network: %v, want ErrNotMutable", err)
+}
+
+// TestBareConfigRecoversAndMutates: recovery is the engine, not a mode —
+// Adopt, SplitNode and MergeNode all work on a bare Config{Topology,
+// OnBackEnd}, and the same stream keeps answering in full across them.
+func TestBareConfigRecoversAndMutates(t *testing.T) {
+	nw := echoValue(t, mustTree(t, "kary:2^2"), ChanTransport) // 0; 1,2; leaves 3..6
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sumRound(t, st, 18)
+	q, err := nw.SplitNode(1)
+	if err != nil {
+		t.Fatalf("SplitNode on a bare config: %v", err)
+	}
+	sumRound(t, st, 18)
+	if _, err := nw.MergeNode(q, nil); err != nil {
+		t.Fatalf("MergeNode on a bare config: %v", err)
+	}
+	sumRound(t, st, 18)
+	if err := nw.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Adopt(2, nil); err != nil {
+		t.Fatalf("Adopt on a bare config: %v", err)
+	}
+	sumRound(t, st, 18)
 }
 
 // TestMergeNodeShortensPath: a cold internal process is removed, its

@@ -59,15 +59,15 @@ type node struct {
 
 	// Egress queues, one per link, shared by the router and the shards
 	// (each queue serializes internally). parentOut retains its buffer
-	// across a dead parent link on recoverable networks so the packets
-	// survive until reparenting. The childOut slice itself is mutated only
+	// and replay ring across a dead parent link so the packets survive
+	// until reparenting. The childOut slice itself is mutated only
 	// with the shards quiesced (adoption, attach).
 	parentOut *egressQueue
 	childOut  []*egressQueue
 
 	// orphaned is set when the parent link dies without a shutdown
-	// announcement on a recoverable network; the node then keeps serving
-	// its subtree while it waits for a grandparent adoption (cmdReparent).
+	// announcement; the node then keeps serving its subtree while it waits
+	// for a grandparent adoption (cmdReparent).
 	orphaned bool
 	// parentGen counts reparents and parentEOFSeen counts parent-link EOFs,
 	// so a stale EOF from a replaced link is not mistaken for the death of
@@ -91,13 +91,12 @@ type node struct {
 	parentMu sync.RWMutex
 	epMu     sync.Mutex
 
-	// Exactly-once state (Config.ExactlyOnce; all nil/unused otherwise).
-	// ackTrack maps each inbound child link to its in-order retirement
-	// tracker (router-owned; see inOrder). ackr turns parent
-	// acknowledgements into child credit grants off the reader goroutines.
-	// ckpts caches descendants' filter-state checkpoints (router-owned,
-	// rank -> stream -> blob) for adoption-time composition. reroute
-	// stashes a fenced dead child's never-sent queued packets for
+	// Exactly-once state. ackTrack maps each inbound child link to its
+	// in-order retirement tracker (router-owned; see inOrder). ackr turns
+	// parent acknowledgements into child credit grants off the reader
+	// goroutines. ckpts caches descendants' filter-state checkpoints
+	// (router-owned, rank -> stream -> blob) for adoption-time composition.
+	// reroute stashes a fenced dead child's never-sent queued packets for
 	// re-routing after the adoption repairs the stream table.
 	ackTrack map[*transport.FlowLink]*inOrder
 	ackr     *acker
@@ -131,8 +130,8 @@ func (n *node) run() {
 	n.egKick = make(chan struct{}, 1)
 	n.shards = newShardPool(n.nw.shardCount(), n, &n.nw.metrics)
 	defer func() {
-		// Whatever path the router exits by — graceful finish, crash, an
-		// abandoned subtree — the readers and workers must not outlive it.
+		// Whatever path the router exits by — graceful finish or crash —
+		// the readers and workers must not outlive it.
 		close(n.readStop)
 		n.shards.abort()
 	}()
@@ -140,20 +139,17 @@ func (n *node) run() {
 	// Egress queues wrap every link.
 	pol := n.nw.cfg.Batch
 	kick := kickFunc(n.egKick)
-	n.parentOut = newEgressQueue(n.ep.Parent, pol, &n.nw.metrics, n.nw.recoverable(), kick)
+	n.ackTrack = map[*transport.FlowLink]*inOrder{}
+	n.ackr = newAcker(&n.nw.metrics)
+	defer n.ackr.halt()
+	// Parent acknowledgements pop the replay ring and release the inbound
+	// runs those packets carried — the cascade hop.
+	n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, kick, n.ackr.completed)
 	n.parentOut.bindStops(n.killCh, n.nw.dying)
 	n.outRef.Store(n.parentOut)
-	if n.nw.xonce() {
-		n.ackTrack = map[*transport.FlowLink]*inOrder{}
-		n.ackr = newAcker(&n.nw.metrics)
-		defer n.ackr.halt()
-		// Parent acknowledgements pop the replay ring and release the
-		// inbound runs those packets carried — the cascade hop.
-		n.parentOut.enableReplay(n.ackr.completed)
-	}
 	n.childOut = make([]*egressQueue, len(n.ep.Children))
 	for i, c := range n.ep.Children {
-		n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics, false, kick)
+		n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics, kick)
 		n.childOut[i].bindStops(n.killCh, n.nw.dying)
 	}
 
@@ -283,11 +279,11 @@ func (n *node) parentLink() transport.Link {
 // installChild places a link at the given child slot, growing the slice
 // with nil placeholders if slots were assigned out of order. The slot's
 // egress queue follows the link: a replacement link gets a fresh queue and
-// a fenced-off slot (nil link) drops whatever was still queued to the dead
-// child. The displaced link's credit state is aborted so nothing keeps
-// waiting on a window the dead peer can never refill. Callers must hold
-// the shards quiesced: the childOut slice is read lock-free by the
-// pipeline workers.
+// a fenced-off slot (nil link) stashes whatever was still queued to the dead
+// child for re-routing. The displaced link's credit state is aborted so
+// nothing keeps waiting on a window the dead peer can never refill. Callers
+// must hold the shards quiesced: the childOut slice is read lock-free by
+// the pipeline workers.
 func (n *node) installChild(slot int, l transport.Link) {
 	n.epMu.Lock()
 	for len(n.ep.Children) <= slot {
@@ -302,18 +298,14 @@ func (n *node) installChild(slot int, l transport.Link) {
 		n.childOut = append(n.childOut, nil)
 	}
 	if l == nil {
-		if n.nw.xonce() {
-			// Exactly-once: the fenced queue's packets never reached the
-			// wire; stash them for re-routing once the adoption has
-			// repaired the stream table (handleCmd), instead of dropping.
-			n.reroute = append(n.reroute, n.childOut[slot].extract()...)
-		} else {
-			n.childOut[slot].clear()
-		}
+		// The fenced queue's packets never reached the wire; stash them for
+		// re-routing once the adoption has repaired the stream table
+		// (handleCmd), instead of dropping.
+		n.reroute = append(n.reroute, n.childOut[slot].extract()...)
 		n.childOut[slot] = nil
 		return
 	}
-	n.childOut[slot] = newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics, false, kickFunc(n.egKick))
+	n.childOut[slot] = newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics, kickFunc(n.egKick))
 	n.childOut[slot].bindStops(n.killCh, n.nw.dying)
 }
 
@@ -361,7 +353,7 @@ func orderFreeControl(p *packet.Packet) bool {
 // costs one scan and no allocation. When a split is needed the kept
 // packets go into a FRESH slice: ps came off the wire via RecvBatch, and
 // on the in-process fabric its backing array is still the sender's
-// SendBatch slice, which an exactly-once sender re-reads after the send to
+// SendBatch slice, which the sender re-reads after the send to
 // build its replay ring — compacting in place (ps[:0]) would corrupt the
 // ring under the sender's feet (the PR 7 absorb/dropDups race class).
 func splitOrderFree(ps []*packet.Packet, ctrl chan<- *packet.Packet) []*packet.Packet {
@@ -396,8 +388,8 @@ func splitOrderFree(ps []*packet.Packet, ctrl chan<- *packet.Packet) []*packet.P
 // ctrl lane before the (possibly blocking) inbox delivery, which is the
 // receive half of the two-lane ingress: a saturated data path cannot
 // head-of-line-block liveness traffic. stop covers the owner exiting
-// without draining the inbox (kill, abandoned subtree): a reader must
-// never stay blocked on a channel nobody reads.
+// without draining the inbox (kill): a reader must never stay blocked on a
+// channel nobody reads.
 func readLink(l transport.Link, slot int, inbox chan<- inMsg, ctrl chan<- *packet.Packet, stop <-chan struct{}) {
 	if l == nil {
 		return
@@ -491,19 +483,15 @@ func (n *node) handleFromParent(ps []*packet.Packet) bool {
 		if n.parentEOFSeen <= n.parentGen {
 			return false // EOF of a link already replaced by reparenting
 		}
-		if n.nw.recoverable() && !n.shuttingDown {
-			// Parent crashed: hold the subtree together and wait for the
-			// grandparent to adopt us (the zero-cost recovery model). Any
-			// worker waiting on the dead parent's window must be released
-			// first, or it never reaches the quiesce barrier the coming
-			// reparent needs.
-			n.parentOut.releaseWaiters()
-			n.orphaned = true
-			return false
-		}
-		// Parent vanished without shutdown: abandon the subtree.
-		n.closeAll()
-		return true
+		// Parent crashed: hold the subtree together and wait for the
+		// grandparent to adopt us (the zero-cost recovery model) — released
+		// by the adoption, killCh or nw.dying (at once, if the crash raced a
+		// shutdown). Any worker waiting on the dead parent's window must be
+		// released first, or it never reaches the quiesce barrier the coming
+		// reparent needs.
+		n.parentOut.releaseWaiters()
+		n.orphaned = true
+		return false
 	}
 	src := flowOf(n.ep.Parent)
 	for _, p := range ps {
@@ -719,11 +707,11 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 	return false
 }
 
-// assignArrival allocates in-order arrival indices for a run from src
-// (exactly-once mode; nil tracker otherwise). Router-only: assignment
-// order must be arrival order.
+// assignArrival allocates in-order arrival indices for a run from src (no
+// tracker for residue of a fenced link). Router-only: assignment order must
+// be arrival order.
 func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint64) {
-	if src == nil || n.ackTrack == nil {
+	if src == nil {
 		return nil, 0
 	}
 	t := n.ackTrack[src]
@@ -759,17 +747,14 @@ func (n *node) cacheCheckpoint(p *packet.Packet) {
 
 // shardUp runs the upstream pipeline for one run: synchronize, transform,
 // egress. Called from the stream's up-lane worker; takes the stream's
-// pipeline lock itself. In exactly-once
-// mode replay duplicates are dropped first (retirement still counts them:
-// the peer spent credits on the copies too), and the run's deferred
-// retirement rides the last forwarded output — consuming it means the run
-// is released only when the parent acknowledges those outputs.
+// pipeline lock itself. Replay duplicates are dropped first (retirement
+// still counts them: the peer spent credits on the copies too), and the
+// run's deferred retirement rides the last forwarded output — consuming it
+// means the run is released only when the parent acknowledges those outputs.
 func (n *node) shardUp(ss *streamState, child int, run []*packet.Packet, ret *pendRetire) bool {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	if n.nw.xonce() {
-		run = ss.dropDups(run, &n.nw.metrics)
-	}
+	run = ss.dropDups(run, &n.nw.metrics)
 	return n.flushBatchesAck(ss, ss.addBatch(child, run), true, ret)
 }
 
@@ -783,7 +768,7 @@ func (n *node) shardUpRaw(run []*packet.Packet, ret *pendRetire) bool {
 			_ = n.parentOut.send(q)
 		}
 	}
-	return ret != nil && len(run) > 0 && n.parentOut.xonce
+	return ret != nil && len(run) > 0
 }
 
 // shardDownRaw floods an unknown-stream downstream packet to every child
@@ -824,15 +809,18 @@ func (n *node) shardDown(ss *streamState, p *packet.Packet) {
 func (n *node) shardCloseUp(ss *streamState) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	n.flushBatchesCtx(ss, ss.drain(), true)
+	n.flushBatchesAck(ss, ss.drain(), true, nil)
 }
 
-// flushBatchesAck is flushBatchesCtx with the run's deferred retirement
-// attached to the last forwarded output, reporting whether it was attached
-// (false when the batches produced no output — synchronizer holding, every
-// packet a duplicate — in which case the caller retires immediately; for
-// synchronizer-holding stateful filters that slack is what the checkpoint
-// cadence covers, see DESIGN.md §10). Fresh transform outputs are stamped
+// flushBatchesAck transforms released batches and forwards the results
+// upstream; block selects between the pipeline workers' hard window bound
+// and the router's overflow mode. The run's deferred retirement ret (nil
+// for releases no inbound run caused: polls, drains, recovery replay) is
+// attached to the last forwarded output, and the result reports whether it
+// was attached (false when the batches produced no output — synchronizer
+// holding, every packet a duplicate — in which case the caller retires
+// immediately; for synchronizer-holding stateful filters that slack is what
+// the checkpoint cadence covers, see DESIGN.md §10). Fresh transform outputs are stamped
 // with this node's origin sequence; forwarded packets keep their origin
 // stamp, which is what lets the front-end recognize a replayed copy of a
 // packet a killed intermediary had already forwarded. The restamp shares a
@@ -853,10 +841,9 @@ func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, bloc
 		}
 		outs = append(outs, out...)
 	}
-	xonce := n.nw.xonce()
 	for i, q := range outs {
 		p := q.WithStreamSrc(ss.id, n.rank)
-		if xonce && p.Seq == 0 {
+		if p.Seq == 0 {
 			ss.seqCtr++
 			p = p.WithSeq(packet.MakeSeq(n.rank, ss.seqCtr))
 		}
@@ -866,7 +853,7 @@ func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, bloc
 			_ = n.parentOut.sendCtx(p, ss.prio, block)
 		}
 	}
-	return ret != nil && len(outs) > 0 && n.parentOut.xonce
+	return ret != nil && len(outs) > 0
 }
 
 // shardCloseDown forwards the close downstream behind the stream's prior
@@ -879,22 +866,15 @@ func (n *node) shardCloseDown(ss *streamState, p *packet.Packet) {
 func (n *node) shardPoll(ss *streamState, now time.Time) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	n.flushBatchesCtx(ss, ss.poll(now), true)
+	n.flushBatchesAck(ss, ss.poll(now), true, nil)
 }
 
 // flushBatches transforms released batches and forwards the results
 // upstream from ROUTER context (recovery replay, final drains): it may
 // transiently overflow the parent window rather than block the control
-// plane. Worker context goes through flushBatchesCtx(…, true).
+// plane.
 func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
-	n.flushBatchesCtx(ss, batches, false)
-}
-
-// flushBatchesCtx transforms released batches and forwards the results
-// upstream. block selects between the pipeline workers' hard window bound
-// and the router's overflow mode.
-func (n *node) flushBatchesCtx(ss *streamState, batches [][]*packet.Packet, block bool) {
-	n.flushBatchesAck(ss, batches, block, nil)
+	n.flushBatchesAck(ss, batches, false, nil)
 }
 
 // pollEgress releases egress age flushes that have come due. Synchronizer

@@ -124,17 +124,7 @@ func (*cmdFetchCkpt) isNodeCmd()  {}
 func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 	switch cmd := c.(type) {
 	case *cmdSnapshot:
-		m := map[uint32][]byte{}
-		n.quiesceShards(func() {
-			for id, ss := range n.streams {
-				if st, ok := ss.tform.(filter.StatefulTransformation); ok {
-					if blob, err := st.State(); err == nil && len(blob) > 0 {
-						m[id] = blob
-					}
-				}
-			}
-		})
-		cmd.reply <- m
+		cmd.reply <- n.snapshotFilterState()
 	case *cmdAdopt:
 		states := make([]*streamState, 0, len(n.streams))
 		for _, ss := range n.streams {
@@ -201,16 +191,7 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		// Snapshot under quiesce (a consistent cut of every stream's filter
 		// state), send outside it: sendNow keeps control FIFO behind queued
 		// data without waiting out a batching window.
-		blobs := map[uint32][]byte{}
-		n.quiesceShards(func() {
-			for id, ss := range n.streams {
-				if st, ok := ss.tform.(filter.StatefulTransformation); ok {
-					if blob, err := st.State(); err == nil && len(blob) > 0 {
-						blobs[id] = blob
-					}
-				}
-			}
-		})
+		blobs := n.snapshotFilterState()
 		if !n.orphaned {
 			for id, blob := range blobs {
 				_ = n.parentOut.sendNow(ckptPacket(n.rank, id, ckptHops, blob))
@@ -227,6 +208,22 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		}
 		cmd.reply <- out
 	}
+}
+
+// snapshotFilterState returns every stream's composable filter state, cut
+// consistently with the shards quiesced.
+func (n *node) snapshotFilterState() map[uint32][]byte {
+	blobs := map[uint32][]byte{}
+	n.quiesceShards(func() {
+		for id, ss := range n.streams {
+			if st, ok := ss.tform.(filter.StatefulTransformation); ok {
+				if blob, err := st.State(); err == nil && len(blob) > 0 {
+					blobs[id] = blob
+				}
+			}
+		}
+	})
+	return blobs
 }
 
 // redispatchStash re-routes a fenced dead child's never-sent queued
@@ -388,10 +385,6 @@ func absorbComposed(reg *filter.Registry, ss *streamState, composed map[uint32][
 	_ = m.MergeState(scratch)
 }
 
-// recoverable reports whether orphaned subtrees should survive a parent
-// crash and await adoption (rather than abandoning ship).
-func (nw *Network) recoverable() bool { return nw.cfg.Recoverable }
-
 // tearingDown reports whether network teardown has begun.
 func (nw *Network) tearingDown() bool {
 	select {
@@ -401,9 +394,6 @@ func (nw *Network) tearingDown() bool {
 		return false
 	}
 }
-
-// Recoverable reports whether the network was configured for live recovery.
-func (nw *Network) Recoverable() bool { return nw.cfg.Recoverable }
 
 // Transport returns the network's link substrate kind.
 func (nw *Network) Transport() TransportKind { return nw.cfg.Transport }
@@ -540,6 +530,31 @@ func (nw *Network) sendNodeCmd(n *node, c nodeCmd) error {
 	case <-time.After(5 * time.Second):
 		return fmt.Errorf("core: rank %d did not accept command", n.rank)
 	}
+}
+
+// handReparent gives a child process — internal node n, or back-end be —
+// the rendezvous of its replacement parent link and reports whether the
+// child took it. A node redials from inside its own event loop before it
+// replies. A back-end's old link is severed so that its Recv EOFs and it
+// picks up the buffered rendezvous: a no-op after a real crash, the nudge
+// a false-positive detection or an elective migration (SplitNode) needs.
+func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
+	if n != nil {
+		c := &cmdReparent{rw: nw.rewirer, addr: addr, reply: make(chan error, 1)}
+		return nw.sendNodeCmd(n, c) == nil && <-c.reply == nil
+	}
+	if be == nil || be.killed() {
+		return false
+	}
+	old := be.parentLink()
+	select {
+	case be.reparentCh <- reparentReq{rw: nw.rewirer, addr: addr}:
+		transport.DropLink(old)
+		return true
+	case <-be.killCh:
+	case <-nw.dying:
+	}
+	return false
 }
 
 // replacementAcceptTimeout bounds how long an adoption waits for an
@@ -702,7 +717,6 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 	// link buffer with nobody draining it). Orphan data sent before the
 	// adopter accepts its end just queues in the link — the chan buffer
 	// in-process, the listen backlog's socket buffers on TCP.
-	rw := nw.rewirer
 	offers := make([]transport.Offer, len(orphans))
 	links := make([]transport.Link, len(orphans)) // adopter-side ends
 	reparented := make([]bool, len(orphans))
@@ -730,34 +744,12 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 		nw.mu.Unlock()
 	}
 	for i := range orphans {
-		o, err := rw.Offer()
+		o, err := nw.rewirer.Offer()
 		if err != nil {
 			continue // orphan stays orphaned; a later recovery retries
 		}
 		offers[i] = o
-		if on := orphanNodes[i]; on != nil {
-			c := &cmdReparent{rw: rw, addr: o.Addr(), reply: make(chan error, 1)}
-			if err := nw.sendNodeCmd(on, c); err == nil {
-				if rerr := <-c.reply; rerr == nil {
-					reparented[i] = true
-				}
-			}
-			continue
-		}
-		if ob := orphanBEs[i]; ob != nil && !ob.killed() {
-			old := ob.parentLink()
-			select {
-			case ob.reparentCh <- reparentReq{rw: rw, addr: o.Addr()}:
-				// Sever the old link even if the declared-dead parent is
-				// actually alive (a false-positive detection): the
-				// back-end's Recv then EOFs and it picks up the buffered
-				// rendezvous. For a real crash this is a no-op.
-				transport.DropLink(old)
-				reparented[i] = true
-			case <-ob.killCh:
-			case <-nw.dying:
-			}
-		}
+		reparented[i] = nw.handReparent(orphanNodes[i], orphanBEs[i], o.Addr())
 	}
 	// Accept the adopter-side end of every replacement link, concurrently
 	// so the bounded waits overlap. Bounded: an orphan that died after the
@@ -822,9 +814,8 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 		}
 		<-adopt.reply
 	} else {
-		// The front-end loop exits once every child link is gone (an
-		// unrecoverable state for the root's own children), so do not
-		// wait forever on it.
+		// The front-end loop may be wedged or already gone at teardown, so
+		// do not wait forever on it.
 		select {
 		case nw.fe.cmdCh <- adopt:
 			<-adopt.reply

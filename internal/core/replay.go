@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the building blocks of exactly-once recovery
-// (Config.ExactlyOnce, DESIGN.md §10): the receiver-side duplicate window,
+// (DESIGN.md §10): the receiver-side duplicate window,
 // the in-order retirement tracker that makes cumulative grant
 // acknowledgements meaningful, the deferred-retirement records that chain
 // acknowledgements level by level toward the front-end, and the per-node
@@ -128,7 +128,7 @@ func (t *inOrder) complete(start uint64, n int) int {
 // in some sender's replay ring.
 type pendRetire struct {
 	src   *transport.FlowLink
-	tr    *inOrder // in-order tracker for src (nil: retire by raw count)
+	tr    *inOrder // in-order tracker for src
 	start uint64   // first arrival index of the run
 	n     int      // packets in the run
 }
@@ -141,7 +141,7 @@ type ringEntry struct {
 	ack *pendRetire
 }
 
-// replayRing is the preallocated circular buffer behind an exactly-once
+// replayRing is the preallocated circular buffer behind an upstream
 // egress queue. Capacity is the link window: a flush acquires one credit
 // per data packet, a grant's acknowledgement is applied before its credits
 // return (transport.FlowLink), and noteSent retires entries a grant has
@@ -267,14 +267,7 @@ func (a *acker) run() {
 			}
 			grants := map[*transport.FlowLink]int{}
 			for _, r := range q {
-				if r == nil || r.src == nil {
-					continue
-				}
-				n := r.n
-				if r.tr != nil {
-					n = r.tr.complete(r.start, r.n)
-				}
-				if n > 0 {
+				if n := r.tr.complete(r.start, r.n); n > 0 {
 					grants[r.src] += r.src.Retire(n)
 				}
 			}

@@ -76,9 +76,10 @@ type shardItem struct {
 	// the peer its credits back.
 	src *transport.FlowLink
 	// tr/start are the run's in-order retirement tracker and first arrival
-	// index (exactly-once mode, upstream lane only): retirement toward src
-	// releases only the contiguous arrival prefix, so the cumulative count
-	// in grants stays a true prefix acknowledgement of src's replay ring.
+	// index (upstream lane only; tr is nil exactly when src is): retirement
+	// toward src releases only the contiguous arrival prefix, so the
+	// cumulative count in grants stays a true prefix acknowledgement of
+	// src's replay ring.
 	tr    *inOrder
 	start uint64
 }
@@ -107,8 +108,8 @@ type shardPause struct {
 // fan-out), which is what lets the two lanes share a stream safely.
 // The up-lane ops take the run's deferred-retirement record and report
 // whether they CONSUMED it — attached it to an egress packet whose
-// downstream acknowledgement will complete it (exactly-once mode). An
-// unconsumed record is retired by the shard immediately after the call.
+// downstream acknowledgement will complete it. An unconsumed record is
+// retired by the shard immediately after the call.
 type shardOps interface {
 	shardUp(ss *streamState, child int, run []*packet.Packet, ret *pendRetire) bool
 	shardUpRaw(run []*packet.Packet, ret *pendRetire) bool
@@ -161,9 +162,7 @@ type shard struct {
 	upPend, downPend map[*transport.FlowLink]struct{}
 }
 
-// newShardPool starts n pipeline workers for ops. n < 1 is treated as 1;
-// n == 1 serializes every stream through a single worker (the pre-sharding
-// pipeline order, kept available as the ablation baseline).
+// newShardPool starts n pipeline workers for ops. n < 1 is treated as 1.
 func newShardPool(n int, ops shardOps, m *Metrics) *shardPool {
 	if n < 1 {
 		n = 1
@@ -190,9 +189,6 @@ func newShardPool(n int, ops shardOps, m *Metrics) *shardPool {
 // stream's shard is stable for the life of the process — the property that
 // makes per-stream FIFO hold without any cross-shard coordination.
 func (sp *shardPool) shardFor(id uint32) *shard {
-	if len(sp.shards) == 1 {
-		return sp.shards[0]
-	}
 	h := id * 2654435761 // Fibonacci hash: stream ids are sequential
 	return sp.shards[h%uint32(len(sp.shards))]
 }
@@ -451,18 +447,13 @@ func (sh *shard) retire(pend map[*transport.FlowLink]struct{}, fl *transport.Flo
 }
 
 // retireOrdered retires an up-lane run whose deferred-retirement record
-// the ops did not consume (no exactly-once, or the run produced no
-// downstream output): with a tracker, only the newly contiguous arrival
-// prefix is released.
+// the ops did not consume (the front-end, or a run that produced no
+// downstream output): only the newly contiguous arrival prefix is released.
 func (sh *shard) retireOrdered(pend map[*transport.FlowLink]struct{}, it shardItem) {
 	if it.src == nil {
 		return
 	}
-	n := len(it.ps)
-	if it.tr != nil {
-		n = it.tr.complete(it.start, n)
-	}
-	sh.retire(pend, it.src, n)
+	sh.retire(pend, it.src, it.tr.complete(it.start, len(it.ps)))
 }
 
 // flushPend grants back the below-threshold retirements accumulated on

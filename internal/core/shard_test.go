@@ -188,7 +188,8 @@ func TestMulticastEncodesOnceTCP(t *testing.T) {
 // TestNoGoroutineLeakAfterShutdown verifies every goroutine the engine
 // spawns — link readers, shard workers, heartbeat loops, back-end handlers
 // — terminates on all router exit paths: graceful shutdown, a killed
-// process (no drain), and recovery rewiring, on both fabrics.
+// process (no drain), recovery rewiring, and an orphaned subtree nobody
+// adopts (released by the teardown), on both fabrics.
 func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 	fabrics := []struct {
 		name string
@@ -203,7 +204,6 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 			nw, err := NewNetwork(Config{
 				Topology:        mustTree(t, "kary:3^2"),
 				Transport:       f.kind,
-				Recoverable:     true,
 				HeartbeatPeriod: 5 * time.Millisecond,
 				Shards:          4, // multi-worker data plane regardless of core count
 				Batch:           BatchPolicy{MaxBatch: 16, MaxDelay: time.Millisecond},
@@ -244,6 +244,12 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 				t.Fatal(err)
 			}
 			round()
+			// A second crash is never repaired: its orphans wait for an
+			// adoption that does not come, and Shutdown must release them.
+			if err := nw.Kill(nw.Tree().InternalNodes()[1]); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond) // let the subtree orphan itself
 			if err := nw.Shutdown(); err != nil {
 				t.Fatal(err)
 			}

@@ -269,7 +269,7 @@ func (ss *streamState) drain() [][]*packet.Packet {
 func (ss *streamState) deadline() time.Time { return ss.sync.Deadline() }
 
 // dropDups filters replay duplicates out of an inbound run by origin
-// sequence (exactly-once mode; callers hold pipeMu). The filtered slice is
+// sequence (callers hold pipeMu). The filtered slice is
 // freshly allocated, never a compaction of run: on the in-process fabric
 // run shares its backing array with the slice the sender passed to
 // SendBatch, which the sender still reads after the send to append the

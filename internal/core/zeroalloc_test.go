@@ -1,7 +1,7 @@
 package core
 
 import (
-	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -9,13 +9,26 @@ import (
 	"repro/internal/transport"
 )
 
-// newAllocQueue builds a flow-controlled egress queue over a WriterLink to
-// io.Discard: the full enqueue → schedule → encode → frame → "wire" path
-// runs at memory speed with batching semantics identical to a TCP link.
-func newAllocQueue(window int, pol BatchPolicy) (*egressQueue, *transport.FlowLink) {
-	fl := transport.NewFlowLink(transport.NewWriterLink(io.Discard), window)
-	q := newEgressQueue(fl, pol.normalized(), &Metrics{}, false, nil)
-	return q, fl
+// discardConn is a socket that accepts every write and is never read: under
+// it a TCP link runs the full enqueue → schedule → encode → frame → write
+// path at memory speed.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+func newDiscardLink(window int) *transport.FlowLink {
+	return transport.NewFlowLink(transport.NewTCPLink(discardConn{}), window)
+}
+
+// newAllocQueue builds the egress queue the allocation gates measure over a
+// shipping TCP link to nowhere: an upstream queue (replay ring, popped by
+// the test's Refill acks) or a downstream one.
+func newAllocQueue(window int, pol BatchPolicy, upstream bool) (*egressQueue, *transport.FlowLink) {
+	fl := newDiscardLink(window)
+	if upstream {
+		return newUpstreamQueue(fl, pol.normalized(), &Metrics{}, nil, nil), fl
+	}
+	return newEgressQueue(fl, pol.normalized(), &Metrics{}, nil), fl
 }
 
 func allocPacket(t testing.TB) *packet.Packet {
@@ -52,7 +65,7 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 
 	t.Run("forward", func(t *testing.T) {
-		q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 1})
+		q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 1}, true)
 		p := allocPacket(t)
 		op := func() {
 			if err := q.send(p); err != nil {
@@ -73,7 +86,7 @@ func TestHotPathAllocs(t *testing.T) {
 		var qs [k]*egressQueue
 		var fls [k]*transport.FlowLink
 		for i := range qs {
-			qs[i], fls[i] = newAllocQueue(64, BatchPolicy{MaxBatch: 8})
+			qs[i], fls[i] = newAllocQueue(64, BatchPolicy{MaxBatch: 8}, false)
 		}
 		p := allocPacket(t)
 		op := func() {
@@ -104,7 +117,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	t.Run("credit-grant", func(t *testing.T) {
 		m := &Metrics{}
-		fl := transport.NewFlowLink(transport.NewWriterLink(io.Discard), 64)
+		fl := newDiscardLink(64)
 		quarter := fl.Window() / 4
 		op := func() { retireAndGrant(m, fl, quarter) } // one grant per call
 		for i := 0; i < 64; i++ {
@@ -192,7 +205,7 @@ func TestPoolingEquivalence(t *testing.T) {
 // BenchmarkHotPathForward is the CI allocation gate: run with -benchmem,
 // its allocs/op column is asserted by the workflow's zero-alloc step.
 func BenchmarkHotPathForward(b *testing.B) {
-	q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 1})
+	q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 1}, true)
 	p := allocPacket(b)
 	for i := 0; i < 256; i++ {
 		if err := q.send(p); err != nil {

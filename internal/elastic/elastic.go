@@ -32,8 +32,7 @@ import (
 // has working defaults.
 type Config struct {
 	// Network is the overlay to watch and mutate. Its Config must set
-	// LoadReportPeriod (no reports, no heat) and Recoverable (splits
-	// migrate children over the reparent protocol).
+	// LoadReportPeriod (no reports, no heat).
 	Network *core.Network
 
 	// Period is the control-loop tick. Heat is computed from report

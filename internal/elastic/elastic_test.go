@@ -25,7 +25,6 @@ func buildLoaded(t *testing.T, spec string, burst func(core.Rank) int) (*core.Ne
 	}
 	nw, err := core.NewNetwork(core.Config{
 		Topology:         tree,
-		Recoverable:      true,
 		LoadReportPeriod: 5 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			p, err := be.Recv() // wait for the start multicast

@@ -21,10 +21,9 @@ func TestChaosNoFailuresInvariantHolds(t *testing.T) {
 	for name, kind := range chaosFabrics {
 		t.Run(name, func(t *testing.T) {
 			res, err := RunChaos(ChaosConfig{
-				Spec:        "kary:2^2",
-				Transport:   kind,
-				PerBE:       60,
-				ExactlyOnce: true,
+				Spec:      "kary:2^2",
+				Transport: kind,
+				PerBE:     60,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -42,9 +41,8 @@ func TestChaosSingleKillExactlyOnce(t *testing.T) {
 	for name, kind := range chaosFabrics {
 		t.Run(name, func(t *testing.T) {
 			res, err := RunChaos(ChaosConfig{
-				Spec:        "kary:2^3",
-				Transport:   kind,
-				ExactlyOnce: true,
+				Spec:      "kary:2^3",
+				Transport: kind,
 				Schedule: Schedule{Kills: []KillEvent{
 					{Victim: 3, After: 10 * time.Millisecond},
 				}},
@@ -86,10 +84,9 @@ func TestChaosSeededSchedules(t *testing.T) {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel() // every run is its own network; overlap the 2s orphan-redial timeouts
 					res, err := RunChaos(ChaosConfig{
-						Spec:        "kary:2^3",
-						Transport:   kind,
-						ExactlyOnce: true,
-						Schedule:    sched,
+						Spec:      "kary:2^3",
+						Transport: kind,
+						Schedule:  sched,
 					})
 					if err != nil {
 						t.Fatalf("%v: %v", sched, err)
@@ -97,10 +94,9 @@ func TestChaosSeededSchedules(t *testing.T) {
 					if !res.Ok() {
 						min := Shrink(sched, func(s Schedule) bool {
 							r, err := RunChaos(ChaosConfig{
-								Spec:        "kary:2^3",
-								Transport:   kind,
-								ExactlyOnce: true,
-								Schedule:    s,
+								Spec:      "kary:2^3",
+								Transport: kind,
+								Schedule:  s,
 							})
 							return err == nil && !r.Ok()
 						})
@@ -139,10 +135,9 @@ func TestMutationChaos(t *testing.T) {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
 					res, err := RunChaos(ChaosConfig{
-						Spec:        "kary:2^3",
-						Transport:   kind,
-						ExactlyOnce: true,
-						Schedule:    sched,
+						Spec:      "kary:2^3",
+						Transport: kind,
+						Schedule:  sched,
 					})
 					if err != nil {
 						t.Fatalf("%v: %v", sched, err)
@@ -150,10 +145,9 @@ func TestMutationChaos(t *testing.T) {
 					if !res.Ok() {
 						min := Shrink(sched, func(s Schedule) bool {
 							r, err := RunChaos(ChaosConfig{
-								Spec:        "kary:2^3",
-								Transport:   kind,
-								ExactlyOnce: true,
-								Schedule:    s,
+								Spec:      "kary:2^3",
+								Transport: kind,
+								Schedule:  s,
 							})
 							return err == nil && !r.Ok()
 						})

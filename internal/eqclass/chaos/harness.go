@@ -7,9 +7,7 @@ package chaos
 // against: every injected packet carries a unique id, an arbitrary kill
 // schedule is executed against the running overlay, and afterwards the
 // multiset of ids delivered at the front-end must equal the multiset
-// sent by the back-ends — zero lost, zero duplicated. On an exactly-once
-// network (core.Config.ExactlyOnce) the invariant must hold exactly; on
-// a lossy one the harness reports what the failures cost.
+// sent by the back-ends — zero lost, zero duplicated.
 
 import (
 	"fmt"
@@ -96,18 +94,10 @@ type ChaosConfig struct {
 	// Window is the credit window (core.Config.LinkWindow); default 8 —
 	// small, so kills land with rings and windows genuinely full.
 	Window int
-	// ExactlyOnce selects the recovery mode under test; the invariant is
-	// only guaranteed to hold when true.
-	ExactlyOnce bool
 	// Schedule is the kill plan to execute while the ids stream.
 	Schedule Schedule
 	// Timeout bounds the whole run; default 60s.
 	Timeout time.Duration
-	// StallGrace, when positive, ends the delivery wait early once no new
-	// id has arrived for this long. A lossy (ExactlyOnce off) run never
-	// reaches the expected count — the losses are the result — so without
-	// a stall grace it would sit out the whole Timeout.
-	StallGrace time.Duration
 }
 
 // ChaosResult reports one harness run.
@@ -156,11 +146,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	ledger := NewLedger()
 	nw, err := core.NewNetwork(core.Config{
-		Topology:    tree,
-		Transport:   cfg.Transport,
-		Recoverable: true,
-		LinkWindow:  cfg.Window,
-		ExactlyOnce: cfg.ExactlyOnce,
+		Topology:   tree,
+		Transport:  cfg.Transport,
+		LinkWindow: cfg.Window,
 		OnBackEnd: func(be *core.BackEnd) error {
 			// Wait for the start multicast, stream the ids with light
 			// pacing (so the kill schedule overlaps the traffic), then
@@ -219,24 +207,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	expected := len(tree.Leaves()) * cfg.PerBE
 	deadline := time.Now().Add(cfg.Timeout)
 	lastStart := time.Now()
-	lastProgress := time.Now()
-	lastDeliv := 0
 	for {
 		_, deliv := ledger.Counts()
 		if deliv >= expected {
 			break
 		}
-		if deliv > lastDeliv {
-			lastDeliv = deliv
-			lastProgress = time.Now()
-		}
 		if time.Now().After(deadline) {
 			// Timed out: report what arrived (the caller sees the losses).
-			break
-		}
-		if cfg.StallGrace > 0 && time.Since(lastProgress) > cfg.StallGrace {
-			// Dried up short of the expected count: the shortfall is the
-			// run's loss, which is exactly what a lossy ablation measures.
 			break
 		}
 		// Downstream multicast is at-most-once: a kill racing the start

@@ -4,7 +4,7 @@ package experiments
 // runs with and without the elastic controller, and the rows put
 // sustained throughput, tail latency, and topology churn side by side.
 //
-// The workload is credit-limited on purpose. With ExactlyOnce, credits
+// The workload is credit-limited on purpose. Credits
 // retire end to end — a grant means "delivered at the front-end" — so a
 // router's whole subtree can have at most one uplink window in flight,
 // and with batched egress (age-flush coalescing) the credit round-trip
@@ -157,8 +157,6 @@ func runElasticArm(cfg ElasticConfig, mode string) (ElasticRow, error) {
 	nw, err := core.NewNetwork(core.Config{
 		Topology:         tree,
 		Transport:        cfg.Transport,
-		Recoverable:      true,
-		ExactlyOnce:      true,
 		LinkWindow:       cfg.Window,
 		Batch:            core.DefaultBatchPolicy(),
 		LoadReportPeriod: 10 * time.Millisecond,

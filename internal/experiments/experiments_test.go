@@ -410,51 +410,6 @@ func TestMultiTenantShape(t *testing.T) {
 	}
 }
 
-// TestExactlyOnceAblationShape runs the exactly-once ablation small: the
-// exactly-once arm must hold the delivery invariant with the ring bounded
-// by the window; the lossy arm must at least deliver something and never
-// duplicate (at-most-once).
-func TestExactlyOnceAblationShape(t *testing.T) {
-	cfg := ExactlyOnceConfig{
-		Spec:       "kary:2^3",
-		PerBE:      40,
-		Window:     8,
-		Transports: []core.TransportKind{core.ChanTransport},
-		Seeds:      []int64{0, 1},
-	}
-	rows, err := RunExactlyOnce(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.Runs != len(cfg.Seeds) || r.Kills == 0 {
-			t.Errorf("%+v: runs/kills wrong", r)
-		}
-		if r.Duplicated != 0 {
-			t.Errorf("mode exactly-once=%v duplicated %d ids (at-most-once broken)", r.ExactlyOnce, r.Duplicated)
-		}
-		if r.ExactlyOnce {
-			if !r.InvariantHeld || r.Lost != 0 {
-				t.Errorf("exactly-once arm lost %d ids: %+v", r.Lost, r)
-			}
-			if r.RingHighWater > int64(cfg.Window) {
-				t.Errorf("ring high water %d exceeds window %d", r.RingHighWater, cfg.Window)
-			}
-		} else {
-			if r.Delivered == 0 {
-				t.Errorf("lossy arm delivered nothing: %+v", r)
-			}
-			if r.PacketsReplayed != 0 || r.RingHighWater != 0 {
-				t.Errorf("lossy arm moved replay counters: %+v", r)
-			}
-		}
-	}
-	t.Logf("\n%s", ExactlyOnceTable(cfg, rows))
-}
-
 // TestElasticAblationShape is the elastic smoke: a scaled-down skewed
 // run on the chan fabric where the controller must beat (or at worst
 // match) the static tree on sustained throughput, mutate at least once

@@ -115,7 +115,6 @@ func recoverOneShape(cfg RecoveryConfig, spec string, tr core.TransportKind) (Re
 	nw, err := core.NewNetwork(core.Config{
 		Topology:        tree,
 		Transport:       tr,
-		Recoverable:     true,
 		HeartbeatPeriod: cfg.HeartbeatPeriod,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {

@@ -290,19 +290,6 @@ func WithLinkWindow(w int) Option {
 	return func(c *core.Config) { c.LinkWindow = w }
 }
 
-// WithExactlyOnce upgrades the overlay to exactly-once recovery: adoption
-// plus sender replay and sequence dedup, with replay memory priced at the
-// given credit window (see core.Config.ExactlyOnce). Non-idempotent merge
-// filters — count-min, t-digest — need this to survive failures with
-// bit-identical results.
-func WithExactlyOnce(window int) Option {
-	return func(c *core.Config) {
-		c.Recoverable = true
-		c.ExactlyOnce = true
-		c.LinkWindow = window
-	}
-}
-
 // NewNetwork builds the shared query overlay: back-ends evaluate
 // declarative queries against the given attribute source (invoked per
 // request, so values may change between queries) and answer mergeable-

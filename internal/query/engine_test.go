@@ -248,7 +248,7 @@ func TestMixedTenantSketchKillBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewNetwork(tree, testAttrs, WithExactlyOnce(8))
+	nw, err := NewNetwork(tree, testAttrs, WithLinkWindow(8))
 	if err != nil {
 		t.Fatal(err)
 	}

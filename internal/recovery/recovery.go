@@ -31,7 +31,6 @@
 //
 //	nw, _ := core.NewNetwork(core.Config{
 //	    Topology:        tree,
-//	    Recoverable:     true,
 //	    HeartbeatPeriod: 50 * time.Millisecond,
 //	    ...
 //	})
@@ -129,13 +128,9 @@ type Manager struct {
 	started bool
 }
 
-// New creates a manager for the network. The network must have been
-// built Recoverable; automatic detection (Start) additionally requires
-// heartbeats.
+// New creates a manager for the network. Automatic detection (Start)
+// requires heartbeats (core.Config.HeartbeatPeriod).
 func New(nw *core.Network, cfg Config) (*Manager, error) {
-	if !nw.Recoverable() {
-		return nil, errors.New("recovery: network not built with core.Config.Recoverable")
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * nw.HeartbeatPeriod()
 	}

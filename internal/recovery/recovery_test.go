@@ -44,7 +44,6 @@ func sumEchoOn(t *testing.T, spec string, hb time.Duration, kind core.TransportK
 	nw, err := core.NewNetwork(core.Config{
 		Topology:        mustTree(t, spec),
 		Transport:       kind,
-		Recoverable:     true,
 		HeartbeatPeriod: hb,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
@@ -206,23 +205,16 @@ func TestManagerSequentialFailures(t *testing.T) {
 }
 
 func TestManagerValidation(t *testing.T) {
-	plain, err := core.NewNetwork(core.Config{Topology: mustTree(t, "flat:2")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Shutdown()
-	if _, err := New(plain, Config{}); err == nil {
-		t.Error("non-recoverable network: want error")
-	}
-
-	noHB, err := core.NewNetwork(core.Config{Topology: mustTree(t, "flat:2"), Recoverable: true})
+	// A bare config is a valid manager target (every network recovers);
+	// only automatic detection needs heartbeats.
+	noHB, err := core.NewNetwork(core.Config{Topology: mustTree(t, "flat:2")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer noHB.Shutdown()
-	m, err := New(noHB, Config{Timeout: time.Second})
+	m, err := New(noHB, Config{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("bare config: %v, want manager creation to succeed", err)
 	}
 	if err := m.Start(); err == nil {
 		t.Error("start without heartbeats: want error")
@@ -236,7 +228,7 @@ func TestManagerValidation(t *testing.T) {
 
 	// Live rewiring is fabric-agnostic: a TCP network is a valid manager
 	// target (it used to be rejected as chan-only).
-	tcp, err := core.NewNetwork(core.Config{Topology: mustTree(t, "flat:2"), Recoverable: true, Transport: core.TCPTransport})
+	tcp, err := core.NewNetwork(core.Config{Topology: mustTree(t, "flat:2"), Transport: core.TCPTransport})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +398,6 @@ func runEqclassWorkload(t *testing.T, spec string, kind core.TransportKind, kill
 		Topology:        tree,
 		Registry:        reg,
 		Transport:       kind,
-		Recoverable:     true,
 		HeartbeatPeriod: 10 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {

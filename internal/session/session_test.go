@@ -195,7 +195,6 @@ func runTenants(t *testing.T, spec string, kind core.TransportKind, n int, kill 
 		Topology:        tree,
 		Registry:        reg,
 		Transport:       kind,
-		Recoverable:     true,
 		HeartbeatPeriod: 10 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
