@@ -36,7 +36,7 @@ func main() {
 	spec := flag.String("spec", "balanced:64,8", "topology specification")
 	q := flag.String("q", "select count(rank), avg(load), max(mem) group by zone", "query text")
 	seed := flag.Int64("seed", 1, "attribute noise seed")
-	batch := flag.Int("batch", 0, "egress batching flush window, adaptive up to this many packets (0 = the default policy)")
+	batch := flag.Int("batch", 0, "egress batching flush window in packets (0 = the default policy)")
 	window := flag.Int("window", 0, "credit-based flow-control link window (0 = the default window)")
 	tenants := flag.Int("tenants", 1, "concurrent tenant sessions to run the query in")
 	stats := flag.Bool("stats", false, "print the overlay metrics snapshot (and per-tenant counters with -tenants > 1) after the query")
@@ -46,10 +46,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := []query.Option{query.WithLinkWindow(*window)}
-	if *batch != 0 {
-		opts = append(opts, query.WithBatch(core.BatchPolicy{MaxBatch: *batch, Adaptive: true}))
-	}
+	opts := []query.Option{query.WithLinkWindow(*window), query.WithBatch(core.BatchPolicy{MaxBatch: *batch})}
 	nw, err := query.NewNetwork(tree, func(rank core.Rank) query.AttrSource {
 		rng := rand.New(rand.NewSource(*seed + int64(rank)))
 		return func() map[string]float64 {

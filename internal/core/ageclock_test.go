@@ -1,0 +1,373 @@
+package core
+
+import (
+	"io"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/packet"
+	"repro/internal/transport"
+)
+
+// gateLink is a link end whose outbound application data parks on the wire
+// until the gate opens — a slow socket. Control packets and credit grants
+// pass, and so does everything inbound.
+type gateLink struct {
+	transport.Link
+	gate    chan struct{} // closed by open
+	once    sync.Once
+	entered chan struct{} // one token per data send that reached the wire
+}
+
+func newGateLink(l transport.Link) *gateLink {
+	return &gateLink{Link: l, gate: make(chan struct{}), entered: make(chan struct{}, 16)}
+}
+
+func (g *gateLink) open() { g.once.Do(func() { close(g.gate) }) }
+
+func (g *gateLink) hold(ps ...*packet.Packet) {
+	for _, p := range ps {
+		if p.Tag >= packet.TagFirstApplication {
+			g.entered <- struct{}{}
+			<-g.gate
+			return
+		}
+	}
+}
+
+func (g *gateLink) Send(p *packet.Packet) error {
+	g.hold(p)
+	return g.Link.Send(p)
+}
+
+func (g *gateLink) SendBatch(ps []*packet.Packet) error {
+	g.hold(ps...)
+	return transport.SendBatch(g.Link, ps)
+}
+
+// RecvBatch completes transport.BatchLink, so frames stay frames through the
+// stub in both directions.
+func (g *gateLink) RecvBatch() ([]*packet.Packet, error) { return transport.RecvBatch(g.Link) }
+
+// awaitEntered waits for a data send to park on the gate.
+func (g *gateLink) awaitEntered(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no data send reached the gated link")
+	}
+}
+
+// cpuTime is the process's user+system CPU time so far.
+func cpuTime(t *testing.T) time.Duration {
+	t.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// eventually polls cond until it holds or five seconds pass.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestBusyWireDoesNotSpinAgeClock is the hot-loop regression: while one
+// pipeline worker's size flush holds the wire inside a slow SendBatch,
+// another stream's packet waits in the same queue with its age deadline
+// expired. The deadline's owner used to re-poll it without sleeping (the
+// TryLock fails, the deadline stays expired), burning a core for as long as
+// the send took; the queue's own clock backs off a full MaxDelay instead.
+func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
+	tree := mustTree(t, "kary:2^2")
+	router := tree.InternalNodes()[0]
+	sender := tree.Children(router)[0]
+	var gate *gateLink
+	var idA, idB uint32
+	sendA, sendB := make(chan struct{}), make(chan struct{})
+	nw, err := NewNetwork(Config{
+		Topology: tree,
+		Shards:   2,
+		Batch:    BatchPolicy{MaxBatch: 2},
+		WrapFabric: func(eps []*transport.Endpoint) {
+			gate = newGateLink(eps[router].Parent)
+			eps[router].Parent = gate
+		},
+		OnBackEnd: func(be *BackEnd) error {
+			if be.Rank() == sender {
+				<-sendA
+				_ = be.Send(idA, tagQuery, "%d", int64(1))
+				_ = be.Send(idA, tagQuery, "%d", int64(2))
+				<-sendB
+				_ = be.Send(idB, tagQuery, "%d", int64(3))
+			}
+			for {
+				if _, err := be.Recv(); err != nil {
+					return nil
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	defer gate.open() // a failed run must not leave Shutdown parked on the gate
+	stA, err := nw.NewStream(StreamSpec{Synchronization: "nullsync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := nw.NewStream(StreamSpec{Synchronization: "nullsync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idA, idB = stA.ID(), stB.ID() // sequential ids: different shards of two
+
+	close(sendA)
+	gate.awaitEntered(t) // stream A's worker holds the wire in its size flush
+	close(sendB)
+	nw.mu.Lock()
+	out := nw.byRank[router].outRef.Load()
+	nw.mu.Unlock()
+	eventually(t, "stream B's packet is queued behind the busy wire", func() bool { return out.pending() == 1 })
+
+	before := cpuTime(t)
+	time.Sleep(300 * time.Millisecond)
+	if burned := cpuTime(t) - before; burned >= 100*time.Millisecond {
+		t.Errorf("burned %v of CPU in 300ms with one packet waiting behind a busy wire; its age deadline is being re-polled without sleeping", burned)
+	}
+
+	gate.open()
+	var got []int64
+	for _, st := range []*Stream{stA, stA, stB} {
+		p, err := st.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("after %v: %v", got, err)
+		}
+		v, _ := p.Int(0)
+		got = append(got, v)
+	}
+	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("delivered %v, want [1 2 3]", got)
+	}
+	if err := nw.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Stream{stA, stB} {
+		if p, err := st.Recv(); err != io.EOF {
+			t.Errorf("stream %d delivered an extra packet %v (err %v); want exactly once", st.ID(), p, err)
+		}
+	}
+}
+
+// TestAgeFlushOffTheRouter is the router-on-the-wire regression: an age
+// flush onto a slow child socket used to run on the router goroutine, so
+// heartbeat relays, recovery commands and attachments waited for the send.
+// Only workers — and now the queue's own clock — may wait on the wire.
+func TestAgeFlushOffTheRouter(t *testing.T) {
+	tree := mustTree(t, "kary:2^2")
+	router := tree.InternalNodes()[0]
+	slow := tree.Children(router)[0]
+	var gate *gateLink
+	var delivered atomic.Int64
+	nw, err := NewNetwork(Config{
+		Topology:        tree,
+		HeartbeatPeriod: 5 * time.Millisecond,
+		WrapFabric: func(eps []*transport.Endpoint) {
+			gate = newGateLink(eps[router].Children[0])
+			eps[router].Children[0] = gate
+		},
+		OnBackEnd: func(be *BackEnd) error {
+			for {
+				if _, err := be.Recv(); err != nil {
+					return nil
+				}
+				if be.Rank() == slow {
+					delivered.Add(1)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	defer gate.open()
+	st, err := nw.NewStream(StreamSpec{Synchronization: "nullsync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One packet toward the slow child: too few for a size flush, so only
+	// the age flush can send it.
+	if err := st.Multicast(tagQuery, "%d", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	gate.awaitEntered(t)
+
+	blocked := time.Now()
+	ckpt := make(chan struct{})
+	go func() {
+		nw.CheckpointNow() // a command to every router, this one included
+		close(ckpt)
+	}()
+	select {
+	case <-ckpt:
+	case <-time.After(time.Second):
+		t.Error("the router took no command within 1s of an age flush blocking on a slow child link")
+	}
+	for deadline := blocked.Add(time.Second); !nw.Heartbeats()[slow].After(blocked); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Error("no heartbeat relayed through the router within 1s of an age flush blocking on a slow child link")
+			break
+		}
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d packets passed the closed gate", n)
+	}
+
+	gate.open()
+	eventually(t, "the held packet reaches the slow child", func() bool { return delivered.Load() == 1 })
+	if err := nw.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if n := delivered.Load(); n != 1 {
+		t.Errorf("slow child received %d packets, want exactly 1", n)
+	}
+}
+
+// egressActivity is the slice of the counters an egress retry would move.
+func egressActivity(nw *Network) [3]int64 {
+	m := nw.Metrics()
+	return [3]int64{m.FlushAge.Load(), m.EgressDrops.Load(), m.FramesSent.Load()}
+}
+
+// TestQueueStopsWithOwner: a queue's age clock ends with its owner. A killed
+// orphan that still holds retained packets, and every process after
+// Shutdown, leaves nothing behind that re-arms a timer or touches a link.
+func TestQueueStopsWithOwner(t *testing.T) {
+	const maxDelay = time.Millisecond
+	tree := mustTree(t, "kary:2^3")
+	top := tree.InternalNodes()[0]
+	orphan := tree.Children(top)[0]
+	const perBE = 3
+	var stID uint32
+	send := make(chan struct{})
+	var sent sync.WaitGroup
+	sent.Add(len(tree.Children(orphan)))
+	nw, err := NewNetwork(Config{
+		Topology: tree,
+		Batch:    BatchPolicy{MaxBatch: 64, MaxDelay: maxDelay},
+		OnBackEnd: func(be *BackEnd) error {
+			if tree.Parent(be.Rank()) == orphan {
+				<-send
+				for i := 0; i < perBE; i++ {
+					_ = be.Send(stID, tagQuery, "%d", int64(i))
+				}
+				sent.Done()
+			}
+			for {
+				if _, err := be.Recv(); err != nil {
+					return nil
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Synchronization: "nullsync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stID = st.ID()
+	nw.mu.Lock()
+	n := nw.byRank[orphan]
+	nw.mu.Unlock()
+	var q *egressQueue
+	eventually(t, "the router publishes its parent queue", func() bool { q = n.outRef.Load(); return q != nil })
+
+	// Orphan the node, then let its back-ends send: every flush toward the
+	// dead parent fails and is retained, retried by the age clock.
+	if err := nw.Kill(top); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(send)
+	sent.Wait()
+	want := perBE * len(tree.Children(orphan))
+	eventually(t, "the orphan retains its back-ends' packets", func() bool { return q.pending() == want })
+	eventually(t, "the live orphan's age clock is retrying", func() bool { return !q.deadline().IsZero() })
+
+	quiet := func(when string) {
+		t.Helper()
+		q.mu.Lock()
+		due := q.due
+		q.mu.Unlock()
+		before := egressActivity(nw)
+		time.Sleep(20 * maxDelay)
+		if after := egressActivity(nw); after != before {
+			t.Errorf("%s: flush_age/egress_drops/frames_sent moved %v -> %v", when, before, after)
+		}
+		q.mu.Lock()
+		moved := !q.due.Equal(due)
+		q.mu.Unlock()
+		if moved {
+			t.Errorf("%s: the dead owner's queue re-armed its age clock", when)
+		}
+	}
+	if err := nw.Kill(orphan); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the killed router stops its queues", func() bool {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.stopped
+	})
+	if got := q.pending(); got != want {
+		t.Errorf("killed orphan holds %d packets, want the %d it retained", got, want)
+	}
+	quiet("after Kill")
+	if err := nw.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	quiet("after Shutdown")
+}
+
+// TestStopRacesEnqueue: stop racing the enqueue that arms the clock leaves
+// the queue disarmed whichever wins, and a stopped queue never age-flushes
+// what it still holds (run under -race in CI).
+func TestStopRacesEnqueue(t *testing.T) {
+	pol := BatchPolicy{MaxBatch: 8, MaxDelay: 50 * time.Microsecond}.normalized()
+	var m Metrics
+	for i := 0; i < 300; i++ {
+		a, _ := transport.NewPair(4)
+		q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i)))
+		}()
+		q.stop()
+		<-done
+		if !q.deadline().IsZero() {
+			t.Fatalf("cycle %d: a stopped queue has an armed deadline", i)
+		}
+	}
+	time.Sleep(time.Millisecond) // a callback that beat the last stop finishes
+	flushed := m.FlushAge.Load()
+	time.Sleep(5 * time.Millisecond)
+	if got := m.FlushAge.Load(); got != flushed {
+		t.Errorf("stopped queues kept age-flushing: %d -> %d", flushed, got)
+	}
+}

@@ -105,30 +105,10 @@ func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 	// may have crashed (killed but not yet recovered) — fail rather than
 	// block forever, and mark the stillborn leaf dead so stream
 	// membership never includes it.
-	abort := func(err error) (Rank, error) {
+	if err := nw.handAttach(n, attachMsg{link: parentEnd, slot: slot}); err != nil {
 		transport.DropLink(parentEnd)
 		transport.DropLink(childEnd)
 		return stillborn(err)
-	}
-	msg := attachMsg{link: parentEnd, slot: slot}
-	if n != nil {
-		select {
-		case n.attachCh <- msg:
-		case <-n.killCh:
-			return abort(fmt.Errorf("core: parent %d has crashed", parent))
-		case <-nw.dying:
-			return abort(ErrShutdown)
-		case <-time.After(5 * time.Second):
-			return abort(fmt.Errorf("core: parent %d did not accept the attachment", parent))
-		}
-	} else {
-		select {
-		case nw.fe.attachCh <- msg:
-		case <-nw.dying:
-			return abort(ErrShutdown)
-		case <-time.After(5 * time.Second):
-			return abort(fmt.Errorf("core: front-end did not accept the attachment"))
-		}
 	}
 
 	be := newBackEnd(nw, newRank, &transport.Endpoint{Rank: newRank, Parent: childEnd})

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/packet"
 	"repro/internal/transport"
@@ -42,12 +41,9 @@ type BackEnd struct {
 	killOnce sync.Once
 
 	// eg is the upstream egress queue, shared between the handler goroutine
-	// (Send) and the link loop (age flushes, reparent, drain); the queue
-	// serializes internally. egKick wakes the age flusher when the queue
-	// transitions empty -> non-empty, so an idle back-end costs no timer
-	// traffic at all.
-	eg     *egressQueue
-	egKick chan struct{}
+	// (Send), the queue's own age clock and the link loop (reparent, drain);
+	// the queue serializes internally.
+	eg *egressQueue
 
 	// seqCtr stamps this back-end's outbound packets with an origin
 	// sequence — the identity the whole tree's duplicate detection keys on.
@@ -65,12 +61,11 @@ func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
 		inbox:      make(chan beDelivery, 64),
 		reparentCh: make(chan reparentReq, 1),
 		killCh:     make(chan struct{}),
-		egKick:     make(chan struct{}, 1),
 	}
 	// Leaves originate the upstream flow: their rings replay at reparent
 	// like every sender's, but acknowledgements carry no deferred
 	// retirements (nil sink) — popping just frees memory.
-	be.eg = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, kickFunc(be.egKick), nil)
+	be.eg = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, nil)
 	be.eg.bindStops(be.killCh, nw.dying)
 	return be
 }
@@ -170,58 +165,6 @@ func (be *BackEnd) Flush() error {
 	return be.eg.drain()
 }
 
-// ageFlusher enforces the egress age bound: woken by the first enqueue,
-// it sleeps out the queue's deadline, flushes what is due, and goes back
-// to sleep once the queue empties.
-//
-// Timer discipline: the timer is created lazily on the first arm, and
-// every arm is immediately followed by the select that either drains its
-// channel or returns — so outside that window the timer is always idle,
-// and the deferred stop-and-drain guarantees nothing fires (or leaks a
-// pending tick) after the flusher returns, however rapid the start/stop
-// cycle.
-func (be *BackEnd) ageFlusher(stop <-chan struct{}) {
-	var timer *time.Timer
-	defer func() {
-		if timer != nil && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-be.killCh:
-			return
-		case <-be.egKick:
-		}
-		for {
-			d := be.eg.deadline()
-			if d.IsZero() {
-				break // queue drained; wait for the next kick
-			}
-			if wait := time.Until(d); wait > 0 {
-				if timer == nil {
-					timer = time.NewTimer(wait)
-				} else {
-					timer.Reset(wait)
-				}
-				select {
-				case <-stop:
-					return
-				case <-be.killCh:
-					return
-				case <-timer.C:
-				}
-			}
-			be.eg.pollAge(time.Now())
-		}
-	}
-}
-
 // run is the back-end's link loop: it launches the application handler,
 // delivers downstream data to it, and tears down at shutdown.
 func (be *BackEnd) run() {
@@ -234,14 +177,6 @@ func (be *BackEnd) run() {
 			}
 		}
 	}()
-	// Age flusher: the handler goroutine has no event loop, so this
-	// goroutine enforces the MaxDelay bound on queued packets. It sleeps
-	// until kicked by the first enqueue, then re-arms only while packets
-	// remain queued — an idle back-end costs nothing.
-	flushStop := make(chan struct{})
-	defer close(flushStop)
-	go be.ageFlusher(flushStop)
-
 loop:
 	for {
 		p, err := be.parentLink().Recv()
@@ -271,7 +206,7 @@ loop:
 					// Repoint the egress queue and re-flush anything
 					// retained across the dead parent: accepted packets
 					// survive the failure.
-					be.eg.setLink(l) //tbon:allow mutationquiesce back-ends have no shard pool; this goroutine is the sole egress user
+					be.eg.setLink(l) //tbon:allow mutationquiesce back-ends have no shard pool to park; setLink excludes Send and the age clock on the queue's own locks
 					continue
 				case <-be.nw.dying:
 				case <-be.killCh:
@@ -305,5 +240,6 @@ loop:
 	if !be.killed() {
 		_ = be.eg.drain()
 	}
+	be.eg.stop()
 	_ = be.parentLink().Close()
 }

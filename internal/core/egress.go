@@ -26,12 +26,6 @@ type BatchPolicy struct {
 	// an age flush, so a queued packet can never strand. Non-positive
 	// values select DefaultBatchDelay.
 	MaxDelay time.Duration
-	// Adaptive enables the congestion-adaptive window: the effective flush
-	// window doubles (up to MaxBatch) every time traffic fills it before
-	// the age deadline, and halves after an age flush, so light traffic
-	// keeps near-per-packet latency while heavy traffic converges to
-	// full-window batching — an adaptive backpressure window.
-	Adaptive bool
 }
 
 // DefaultBatchDelay is the age bound of a policy that does not choose one.
@@ -113,12 +107,6 @@ const (
 type egressQueue struct {
 	pol BatchPolicy
 	m   *Metrics
-	// kick, if non-nil, is called (without mu) whenever the buffer
-	// transitions empty -> non-empty or a credit stall clears: the queue
-	// then has an age deadline the owner's timer loop needs to learn
-	// about, since the enqueue may have come from a shard worker the owner
-	// cannot observe.
-	kick func()
 
 	// slots is the hard data-occupancy bound: a counting semaphore of
 	// link-window capacity. Senders on pipeline or handler goroutines block
@@ -152,11 +140,17 @@ type egressQueue struct {
 	mu sync.Mutex
 	// flow is the link with its credit accounting. Written under flushMu
 	// and mu together (setLink), so holding either suffices to read it.
-	flow    *transport.FlowLink
-	sched   egressSched // what is queued, in flush order
-	oldest  time.Time
-	window  int // adaptive effective flush window
+	flow  *transport.FlowLink
+	sched egressSched // what is queued, in flush order
+	// timer is the queue's own age clock: one AfterFunc timer, re-armed in
+	// place (armLocked), whose callback (pollAge) flushes on the timer's
+	// goroutine, so neither a router nor a link reader touches the wire for
+	// an age flush. due is when it was last set to fire (see deadline);
+	// stopped forbids re-arming once the owner is gone (stop).
+	timer   *time.Timer
+	due     time.Time
 	stalled bool
+	stopped bool
 	// localHW mirrors the deepest depth this queue has reported to the
 	// global high-water gauge, so the hot path pays an atomic only when
 	// it sets a new per-queue record.
@@ -202,29 +196,18 @@ type egressQueue struct {
 	stallCt atomic.Int64
 }
 
-// kickFunc returns a non-blocking notifier for ch — the egress queues'
-// empty -> non-empty wakeup toward their owner's timer loop.
-func kickFunc(ch chan struct{}) func() {
-	return func() {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // newEgressQueue wraps a child link with the given (already normalized)
 // policy: a downstream queue. Every link of a Network carries credit
 // accounting (NewNetwork and each rewiring site wrap it), so l is a
 // *transport.FlowLink; anything else is a bug in the caller and panics here.
-func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics, kick func()) *egressQueue {
+func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue {
 	fl := l.(*transport.FlowLink)
-	q := &egressQueue{pol: pol, m: m, kick: kick, window: pol.MaxBatch}
-	if pol.Adaptive && q.window > 2 {
-		q.window = 2
-	}
+	q := &egressQueue{pol: pol, m: m}
 	q.slots = make(chan struct{}, fl.Window())
 	q.adoptFlow(fl)
+	// The age clock exists from the start; the first enqueue arms it.
+	q.timer = time.AfterFunc(pol.MaxDelay, func() { q.pollAge(time.Now()) })
+	q.timer.Stop()
 	return q
 }
 
@@ -249,8 +232,8 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 // them, a flush the dead parent cannot take is retained, setLink re-flushes
 // both to the replacement parent, and sink (may be nil) receives the
 // deferred inbound retirements attached to acknowledged packets.
-func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, kick func(), sink func([]*pendRetire)) *egressQueue {
-	q := newEgressQueue(l, pol, m, kick)
+func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, sink func([]*pendRetire)) *egressQueue {
+	q := newEgressQueue(l, pol, m)
 	q.ackSink = sink
 	q.ring = newReplayRing(q.flow.Window())
 	q.flow.SetAckHook(q.onAck)
@@ -437,15 +420,8 @@ func (q *egressQueue) releaseWaiters() {
 	// A credit stall against a dead peer must not suppress the age retry:
 	// the retrying flush observes the dead link and retains (bounded) or
 	// drops, releasing slots either way.
-	q.stalled = false
-	if q.sched.count > 0 && q.oldest.IsZero() {
-		q.oldest = time.Now()
-	}
-	kick := q.kick != nil && q.sched.count > 0
+	q.unstallLocked()
 	q.mu.Unlock()
-	if kick {
-		q.kick()
-	}
 }
 
 // releaseSlots returns n data-occupancy slots; overflow sends may leave
@@ -461,7 +437,7 @@ func (q *egressQueue) releaseSlots(n int) {
 }
 
 // send enqueues a data packet at default priority, blocking while the
-// queue is at the link window. Flushes once the effective window fills.
+// queue is at the link window. Flushes once MaxBatch packets wait.
 func (q *egressQueue) send(p *packet.Packet) error {
 	return q.sendCtx(p, 0, true)
 }
@@ -504,7 +480,7 @@ func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
 	wasEmpty := q.sched.count == 0
 	q.sched.add(p, prio, ctrl)
 	if wasEmpty {
-		q.oldest = time.Now()
+		q.armLocked(q.pol.MaxDelay)
 	}
 	q.m.PacketsQueued.Add(1)
 	// The high-water gauge tracks what the link window bounds: data
@@ -513,12 +489,8 @@ func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
 		q.localHW = hw
 		raiseGauge(&q.m.EgressHighWater, hw)
 	}
-	due := ctrl || q.sched.count >= q.window
-	kick := q.kick != nil && wasEmpty
+	due := ctrl || q.sched.count >= q.pol.MaxBatch
 	q.mu.Unlock()
-	if kick {
-		q.kick()
-	}
 	if !due {
 		return nil
 	}
@@ -535,13 +507,6 @@ func (q *egressQueue) flush(cause int) error {
 	if !q.flushMu.TryLock() {
 		return nil
 	}
-	defer q.flushMu.Unlock()
-	return q.flushLoop(cause)
-}
-
-// drainCause blocks for wire ownership and drains with the given cause.
-func (q *egressQueue) drainCause(cause int) error {
-	q.flushMu.Lock()
 	defer q.flushMu.Unlock()
 	return q.flushLoop(cause)
 }
@@ -568,8 +533,6 @@ func (q *egressQueue) flushLoop(cause int) error {
 					continue
 				}
 				q.noteStallLocked()
-			} else if q.sched.count == 0 {
-				q.oldest = time.Time{}
 			}
 			q.mu.Unlock()
 			return nil
@@ -609,12 +572,6 @@ func (q *egressQueue) flushLoop(cause int) error {
 		}
 		q.releaseSlots(nData)
 		q.mu.Lock()
-		if round == 0 {
-			// Adapt the window only when the flush actually went out: a
-			// dead-link retry loop (retained buffer, orphaned owner) must
-			// not collapse or inflate the adaptive window while nothing moves.
-			q.adapt(cause)
-		}
 		if stalled && q.sched.count > 0 {
 			if q.grantLandedLocked() {
 				q.mu.Unlock()
@@ -625,9 +582,6 @@ func (q *egressQueue) flushLoop(cause int) error {
 			return nil
 		}
 		empty := q.sched.count == 0
-		if empty {
-			q.oldest = time.Time{}
-		}
 		q.mu.Unlock()
 		if empty {
 			return nil
@@ -682,21 +636,21 @@ func (q *egressQueue) grantLandedLocked() bool {
 }
 
 // unstall clears a credit stall after an inbound grant refilled the send
-// window: the queue's age deadline is re-armed as already due and the
-// owner is kicked — its timer loop sees the expired deadline immediately
-// and flushes. The hook runs on the link's READER goroutine, which must
-// never itself touch the wire: a reader blocked in a send stops draining
-// its own link, and two peers doing that symmetrically would deadlock.
+// window: the age clock is armed at zero delay, so the timer's goroutine
+// resumes the flush at once (counted as an age flush). The hook runs on the
+// link's READER goroutine, which must never itself touch the wire: a reader
+// blocked in a send stops draining its own link, and two peers doing that
+// symmetrically would deadlock.
 func (q *egressQueue) unstall() {
 	q.mu.Lock()
-	was := q.stalled
-	if was {
-		q.stalled = false
-		q.oldest = time.Now().Add(-q.pol.MaxDelay)
-	}
+	q.unstallLocked()
 	q.mu.Unlock()
-	if was && q.kick != nil {
-		q.kick()
+}
+
+func (q *egressQueue) unstallLocked() {
+	if q.stalled {
+		q.stalled = false
+		q.armLocked(0)
 	}
 }
 
@@ -727,7 +681,7 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 		q.sched.restore(unsent)
 		// Restart the age clock so retries back off by MaxDelay instead of
 		// hot-looping on an already-expired deadline.
-		q.oldest = time.Now()
+		q.armLocked(q.pol.MaxDelay)
 	} else {
 		q.m.EgressDrops.Add(int64(len(unsent)))
 		releaseEncoded(unsent)
@@ -768,53 +722,70 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 	return nil, frames + 1, nil
 }
 
-// adapt moves the effective window toward the observed traffic level.
-func (q *egressQueue) adapt(cause int) {
-	if !q.pol.Adaptive {
+// armLocked sets the age clock to fire d from now, replacing any pending
+// arm. It is called wherever the queue gains a deadline its timer does not
+// know yet: the empty -> non-empty enqueue, a cleared credit stall, a
+// retained failed flush, a replacement link. Callers hold mu.
+func (q *egressQueue) armLocked(d time.Duration) {
+	if q.stopped {
 		return
 	}
-	switch cause {
-	case flushSize:
-		if q.window < q.pol.MaxBatch {
-			q.window *= 2
-			if q.window > q.pol.MaxBatch {
-				q.window = q.pol.MaxBatch
-			}
-		}
-	case flushAge:
-		if q.window > 1 {
-			q.window /= 2
-		}
+	q.due = time.Now().Add(d)
+	q.timer.Reset(d)
+}
+
+// stop ends the age clock for good. Every owner exit calls it — the router
+// or back-end finishing or being killed, a child slot displaced or fenced —
+// so nothing keeps retrying a link whose process is gone.
+func (q *egressQueue) stop() {
+	if q == nil {
+		return
 	}
+	q.mu.Lock()
+	q.stopped = true
+	q.mu.Unlock()
+	q.timer.Stop()
 }
 
 // deadline returns when the oldest queued packet must be age-flushed, or
-// the zero time when the queue is empty — or credit-stalled, in which case
-// only an inbound grant (whose refill hook re-arms the deadline) can make
-// progress and a timer would just spin.
+// the zero time when the queue is empty or stopped — or credit-stalled, in
+// which case only an inbound grant (whose refill hook re-arms the clock) can
+// make progress and a timer would just spin.
 func (q *egressQueue) deadline() time.Time {
-	if q == nil {
-		return time.Time{}
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.sched.count == 0 || q.stalled || q.oldest.IsZero() {
+	if q.sched.count == 0 || q.stalled || q.stopped {
 		return time.Time{}
 	}
-	return q.oldest.Add(q.pol.MaxDelay)
+	return q.due
 }
 
-// pollAge flushes the queue if its age deadline has passed.
+// pollAge is the age clock's callback (unit tests also drive it with a
+// chosen now): if the deadline has passed and the wire is free, flush; then,
+// if packets remain and nothing moved the deadline meanwhile, re-arm. A busy
+// wire backs off a full MaxDelay — its flusher drains what is queued, and an
+// expired deadline must not be re-polled without sleeping — while a flush
+// that stopped at its round bound goes again at once. A failed flush has
+// re-armed itself (failedFlush); a stalled queue waits for unstall.
 func (q *egressQueue) pollAge(now time.Time) {
-	if q == nil {
+	d := q.deadline()
+	if d.IsZero() || now.Before(d) {
 		return
 	}
-	q.mu.Lock()
-	due := q.sched.count > 0 && !q.stalled && !q.oldest.IsZero() && !now.Before(q.oldest.Add(q.pol.MaxDelay))
-	q.mu.Unlock()
-	if due {
-		_ = q.flush(flushAge)
+	busy := !q.flushMu.TryLock()
+	if !busy {
+		_ = q.flushLoop(flushAge)
+		q.flushMu.Unlock()
 	}
+	q.mu.Lock()
+	if q.sched.count > 0 && !q.stalled && q.due.Equal(d) {
+		wait := time.Duration(0)
+		if busy {
+			wait = q.pol.MaxDelay
+		}
+		q.armLocked(wait)
+	}
+	q.mu.Unlock()
 }
 
 // drain blocks for the wire and flushes what the peer's credit window
@@ -826,7 +797,9 @@ func (q *egressQueue) drain() error {
 	if q == nil {
 		return nil
 	}
-	return q.drainCause(flushDrain)
+	q.flushMu.Lock()
+	defer q.flushMu.Unlock()
+	return q.flushLoop(flushDrain)
 }
 
 // setLink repoints an upstream queue at a replacement parent link (recovery
@@ -834,8 +807,8 @@ func (q *egressQueue) drain() error {
 // the old link's death — within the NEW link's credit window, which starts
 // full: retained packets re-enter the bounded window without
 // double-spending credits, and whatever exceeds it stays queued until the
-// new peer grants. If the re-flush fails again the buffer stays retained,
-// and the owner is kicked to re-arm its age timer for the retry.
+// new peer grants. If the re-flush fails again the buffer stays retained and
+// the age clock retries it.
 func (q *egressQueue) setLink(l transport.Link) {
 	q.flushMu.Lock()
 	q.mu.Lock()
@@ -877,19 +850,13 @@ func (q *egressQueue) setLink(l transport.Link) {
 	}
 	queued := q.sched.count
 	if queued > 0 {
-		q.oldest = time.Now()
+		q.armLocked(q.pol.MaxDelay)
 	}
 	q.mu.Unlock()
 	if queued > 0 {
 		_ = q.flushLoop(flushDrain)
 	}
-	q.mu.Lock()
-	kick := q.kick != nil && q.sched.count > 0
-	q.mu.Unlock()
 	q.flushMu.Unlock()
-	if kick {
-		q.kick()
-	}
 }
 
 // extract removes and returns every queued data packet, in wire order, for
@@ -922,7 +889,6 @@ func (q *egressQueue) extract() []*packet.Packet {
 	}
 	q.releaseSlots(total)
 	q.stalled = false
-	q.oldest = time.Time{}
 	return out
 }
 

@@ -35,60 +35,6 @@ func drainLink(t *testing.T, l transport.Link, n int) []*packet.Packet {
 	return out
 }
 
-// TestAdaptiveWindowUnchangedOnFailedFlush is the regression test for the
-// flush/adapt ordering bug: a dead-link retry loop (retained buffer,
-// recoverable owner) used to mutate the adaptive window on every failed
-// flush — size-cause retries inflated it, age-cause retries collapsed it
-// to 1 — even though nothing was sent.
-func TestAdaptiveWindowUnchangedOnFailedFlush(t *testing.T) {
-	a, b := transport.NewPair(4)
-	pol := BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond, Adaptive: true}.normalized()
-	var m Metrics
-	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil, nil)
-	if q.window != 2 {
-		t.Fatalf("adaptive start window = %d, want 2", q.window)
-	}
-	transport.DropLink(b) // the parent "crashes"
-
-	// Fill the window: the size flush fails, retains, and must not grow
-	// the window.
-	for i := 0; i < 2; i++ {
-		_ = q.send(packet.MustNew(tagQuery, 1, 5, "%d", int64(i)))
-	}
-	if q.window != 2 {
-		t.Errorf("window after failed size flush = %d, want 2", q.window)
-	}
-	// Age-flush retries against the dead link must not shrink it either.
-	for i := 0; i < 5; i++ {
-		q.oldest = time.Now().Add(-time.Second) // force the deadline past
-		q.pollAge(time.Now())
-	}
-	if q.window != 2 {
-		t.Errorf("window after failed age retries = %d, want 2", q.window)
-	}
-	if got := q.pending(); got != 2 {
-		t.Fatalf("retained %d packets, want 2", got)
-	}
-
-	// Reparent onto a live link: the drain re-flushes the retained data,
-	// and subsequent successful size flushes adapt again.
-	na, nb := transport.NewPair(4)
-	q.setLink(transport.NewFlowLink(na, 64))
-	got := drainLink(t, nb, 2)
-	for i, p := range got {
-		if v, _ := p.Int(0); v != int64(i) {
-			t.Errorf("packet %d carries %d; retained order lost", i, v)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		_ = q.send(packet.MustNew(tagQuery, 1, 5, "%d", int64(i)))
-	}
-	drainLink(t, nb, 2)
-	if q.window != 4 {
-		t.Errorf("window after successful size flush = %d, want 4", q.window)
-	}
-}
-
 // TestControlKeepsFIFOAcrossFrameSplit pins the frame-splitting FIFO
 // invariant: a sendNow control packet queued behind more data than one
 // wire frame may carry keeps its position across the multi-frame split —
@@ -103,7 +49,8 @@ func TestControlKeepsFIFOAcrossFrameSplit(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
+	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m)
+	defer q.stop()
 
 	payload := strings.Repeat("x", 512)
 	const data = 7 // ~3.6 KiB encoded: just under the shrunk frame bound
@@ -149,7 +96,8 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil, nil)
+	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
+	defer q.stop()
 	transport.DropLink(b)
 
 	payload := strings.Repeat("y", 512)
@@ -182,63 +130,5 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 	}
 	if m.FramesSent.Load() < 3 {
 		t.Errorf("re-flush sent %d frames, want a >=3-frame split", m.FramesSent.Load())
-	}
-}
-
-// TestAgeFlusherRapidStartStop exercises the back-end age flusher's
-// stop/drain path: rapid start/stop cycles with enqueues racing the stop
-// must neither deadlock, double-fire, nor leave a timer pending after
-// return (run under -race in CI).
-func TestAgeFlusherRapidStartStop(t *testing.T) {
-	nw, err := NewNetwork(Config{
-		Topology: mustTree(t, "flat:2"),
-		Batch:    BatchPolicy{MaxBatch: 8, MaxDelay: 100 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-	nw.mu.Lock()
-	be := nw.bes[1]
-	nw.mu.Unlock()
-	if be == nil {
-		t.Fatal("no back-end at rank 1")
-	}
-
-	for i := 0; i < 300; i++ {
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			be.ageFlusher(stop)
-			close(done)
-		}()
-		_ = be.eg.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i)))
-		select {
-		case be.egKick <- struct{}{}:
-		default:
-		}
-		close(stop)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("age flusher failed to stop")
-		}
-	}
-	// Whatever the raced stops left queued still drains by the age bound
-	// once the real flusher (started by be.run) is the only one standing.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := be.eg.pending()
-		if n == 0 {
-			break
-		}
-		select {
-		case be.egKick <- struct{}{}:
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d packets still queued; age flusher dead", n)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

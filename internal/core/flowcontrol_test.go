@@ -22,7 +22,8 @@ func TestEgressPriorityScheduling(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 64)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m)
+	defer q.stop()
 
 	// Park the wire so everything accumulates, then release and drain.
 	q.flushMu.Lock()
@@ -89,7 +90,8 @@ func TestEgressBarrierOrdering(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 64)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m)
+	defer q.stop()
 
 	q.flushMu.Lock()
 	pre := packet.MustNew(tagQuery, 1, 1, "%d", int64(1))
@@ -116,13 +118,15 @@ func TestEgressBarrierOrdering(t *testing.T) {
 }
 
 // TestEgressCreditStallAndResume: a flush halts when the peer window is
-// exhausted (counting a stall), the queue reports no deadline while
-// stalled, and an inbound grant resumes it immediately.
+// exhausted (counting a stall), the queue has no armed deadline while
+// stalled, and an inbound grant resumes the flush by itself — the refill
+// hook arms the queue's age clock at zero delay, nobody polls.
 func TestEgressCreditStallAndResume(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 4)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond}.normalized(), &m, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond}.normalized(), &m)
+	defer q.stop()
 
 	for i := 0; i < 4; i++ {
 		if err := q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i))); err != nil {
@@ -131,7 +135,8 @@ func TestEgressCreditStallAndResume(t *testing.T) {
 	}
 	drainLink(t, b, 4) // window now fully outstanding at the "peer"
 
-	// Next sends queue but cannot flush: the window is spent.
+	// Next sends queue but cannot flush: the window is spent, and the size
+	// flush the fourth one triggers stalls.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -144,39 +149,37 @@ func TestEgressCreditStallAndResume(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("senders blocked inside the queue bound")
 	}
-	q.pollAge(time.Now().Add(time.Second)) // age due, but credit-stalled
 	if m.CreditStalls.Load() == 0 {
 		t.Fatal("no credit stall recorded with the window exhausted")
 	}
+	time.Sleep(5 * time.Millisecond) // several age periods: a stalled queue must sit still
 	if got := q.pending(); got != 4 {
 		t.Fatalf("queue holds %d packets, want 4 (hard bound)", got)
 	}
 	if !q.deadline().IsZero() {
-		t.Fatal("stalled queue still advertises an age deadline (would spin the owner)")
+		t.Fatal("stalled queue still has an armed age deadline (its timer would spin)")
+	}
+	if got := m.FlushAge.Load(); got != 0 {
+		t.Fatalf("%d age flushes went out against an exhausted window", got)
 	}
 
-	// The peer retires and grants: absorbing the grant re-arms the age
-	// deadline as already due, so the owner's very next poll flushes. The
-	// grant shares a frame with a data packet so the receive returns.
+	// The peer retires and grants. The grant shares a frame with a data
+	// packet so the receive returns.
 	if err := transport.SendBatch(b, []*packet.Packet{
 		packet.NewCreditGrant(4, 0),
 		packet.MustNew(tagQuery, 2, 2, "%d", int64(0)),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	absorbed := make(chan struct{})
-	go func() {
-		defer close(absorbed)
-		_, _ = fa.RecvBatch() // absorb the grant the way a reader would
-	}()
-	<-absorbed
-	if q.deadline().IsZero() {
-		t.Fatal("grant did not re-arm the age deadline")
+	if _, err := fa.RecvBatch(); err != nil { // absorb the grant the way a reader would
+		t.Fatal(err)
 	}
-	q.pollAge(time.Now()) // the kicked owner's poll
-	drainLink(t, b, 4)
+	drainLink(t, b, 4) // bounded wait: the resumed flush arrives on its own
 	if got := q.pending(); got != 0 {
 		t.Errorf("%d packets still queued after the grant resumed the flush", got)
+	}
+	if got := m.FlushAge.Load(); got != 1 {
+		t.Errorf("resumed flush counted %d age flushes, want 1", got)
 	}
 }
 
@@ -187,7 +190,8 @@ func TestEgressHardBoundBlocksSender(t *testing.T) {
 	_ = b
 	fa := transport.NewFlowLink(a, 2)
 	var m Metrics
-	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 2, MaxDelay: time.Hour}.normalized(), &m, nil)
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 2, MaxDelay: time.Hour}.normalized(), &m)
+	defer q.stop()
 	stop := make(chan struct{})
 	q.bindStops(stop, nil)
 

@@ -52,31 +52,16 @@ type LoadSample struct {
 }
 
 // loadReportLoop periodically emits n's pressure sample on its current
-// parent link. Like heartbeats, reports are lossy-safe and order-free;
-// send failures (a dead parent, pre-adoption) are retried next tick.
+// parent link, until network teardown or n is killed (see beaconLoop).
 func (nw *Network) loadReportLoop(n *node) {
-	t := time.NewTicker(nw.cfg.LoadReportPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-nw.dying:
-			return
-		case <-n.killCh:
-			return
-		case <-t.C:
-			q := n.outRef.Load()
-			var queued, stalls int64
-			if q != nil {
-				queued = int64(q.pending())
-				stalls = q.stalls()
-			}
-			if l := n.parentLink(); l != nil {
-				if err := l.Send(loadReportPacket(n.rank, n.upCount.Load(), queued, stalls)); err == nil {
-					nw.metrics.LoadReportsSent.Add(1)
-				}
+	nw.beaconLoop(nw.cfg.LoadReportPeriod, n.killCh, func() {
+		q := n.outRef.Load() // nil until run publishes it: reads as idle
+		if l := n.parentLink(); l != nil {
+			if err := l.Send(loadReportPacket(n.rank, n.upCount.Load(), int64(q.pending()), q.stalls())); err == nil {
+				nw.metrics.LoadReportsSent.Add(1)
 			}
 		}
-	}
+	})
 }
 
 // noteLoadReport records a load report observed at the front-end.
@@ -285,25 +270,8 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 		transport.DropLink(parentEnd)
 		return stillborn(err)
 	}
-	msg := attachMsg{link: parentEnd, slot: qSlot}
-	if gNode != nil {
-		select {
-		case gNode.attachCh <- msg:
-		case <-gNode.killCh:
-			return abort(fmt.Errorf("core: splitting %d: parent %d has crashed", hot, parent))
-		case <-nw.dying:
-			return abort(ErrShutdown)
-		case <-time.After(5 * time.Second):
-			return abort(fmt.Errorf("core: splitting %d: parent %d did not accept the sibling", hot, parent))
-		}
-	} else {
-		select {
-		case nw.fe.attachCh <- msg:
-		case <-nw.dying:
-			return abort(ErrShutdown)
-		case <-time.After(5 * time.Second):
-			return abort(fmt.Errorf("core: splitting %d: front-end did not accept the sibling", hot))
-		}
+	if err := nw.handAttach(gNode, attachMsg{link: parentEnd, slot: qSlot}); err != nil {
+		return abort(fmt.Errorf("core: splitting %d: %w", hot, err))
 	}
 
 	// Migrate the later half of hot's live children onto the sibling, one
@@ -362,35 +330,23 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 	// routing rebuild, stream re-announcement into the moved subtrees
 	// (children that already carry a stream ignore the replay).
 	adoptQ := &cmdAdopt{deadSlot: -1, slots: newSlots, links: newLinks, slotInfo: infoQ, reply: make(chan error, 1)}
-	if err := nw.sendNodeCmd(n, adoptQ); err != nil {
+	if err := nw.handAdopt(n, adoptQ); err != nil {
 		return topology.NoRank, fmt.Errorf("core: splitting %d: sibling %d: %w", hot, q, err)
 	}
-	<-adoptQ.reply
 
 	// Fence the vacated slots at the donor and rebuild its routing. If hot
 	// died mid-split its own recovery rebuilds everything anyway.
 	adoptHot := &cmdAdopt{deadSlot: -1, vacated: movedSlots, slotInfo: infoHot, reply: make(chan error, 1)}
-	if err := nw.sendNodeCmd(hotNode, adoptHot); err == nil {
-		<-adoptHot.reply
-	}
+	_ = nw.handAdopt(hotNode, adoptHot)
 
 	// Refresh the parent's routing so the sibling's slot starts
 	// participating in member streams (synchronizer slots remap; rounds
 	// gated only on stale routing release).
 	adoptG := &cmdAdopt{deadSlot: -1, slotInfo: infoG, reply: make(chan error, 1)}
-	if gNode != nil {
-		if err := nw.sendNodeCmd(gNode, adoptG); err == nil {
-			<-adoptG.reply
-		}
-	} else {
-		select {
-		case nw.fe.cmdCh <- adoptG:
-			<-adoptG.reply
-		case <-nw.dying:
-			return topology.NoRank, ErrShutdown
-		case <-time.After(5 * time.Second):
-			return topology.NoRank, fmt.Errorf("core: splitting %d: front-end did not refresh routes", hot)
-		}
+	// A parent node that died meanwhile is likewise left to its recovery;
+	// the front-end cannot die, so failing there is teardown or a wedge.
+	if err := nw.handAdopt(gNode, adoptG); err != nil && gNode == nil {
+		return topology.NoRank, fmt.Errorf("core: splitting %d: refreshing routes: %w", hot, err)
 	}
 
 	// Publish the successor topology snapshot (original numbering; dead

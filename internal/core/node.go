@@ -47,9 +47,6 @@ type node struct {
 	// readStop is closed when the router exits, releasing any readLink
 	// goroutine still blocked handing a frame to the abandoned inbox.
 	readStop chan struct{}
-	// egKick wakes the router's timer loop when a shard's enqueue gives an
-	// egress queue a new age deadline the router has not seen.
-	egKick chan struct{}
 	// ctrlLane is the second ingress lane: readers divert order-free
 	// control (heartbeat relays) here, so liveness traffic flows even while
 	// the data inbox is saturated — it can never be head-of-line blocked
@@ -58,7 +55,8 @@ type node struct {
 	ctrlLane chan *packet.Packet
 
 	// Egress queues, one per link, shared by the router and the shards
-	// (each queue serializes internally). parentOut retains its buffer
+	// (each queue serializes internally and keeps its own age clock, which
+	// the router stops on its way out). parentOut retains its buffer
 	// and replay ring across a dead parent link so the packets survive
 	// until reparenting. The childOut slice itself is mutated only
 	// with the shards quiesced (adoption, attach).
@@ -127,29 +125,28 @@ func (n *node) run() {
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
 	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	n.readStop = make(chan struct{})
-	n.egKick = make(chan struct{}, 1)
 	n.shards = newShardPool(n.nw.shardCount(), n, &n.nw.metrics)
 	defer func() {
 		// Whatever path the router exits by — graceful finish or crash —
-		// the readers and workers must not outlive it.
+		// the readers, workers and age clocks must not outlive it.
 		close(n.readStop)
 		n.shards.abort()
+		n.stopEgress()
 	}()
 
 	// Egress queues wrap every link.
 	pol := n.nw.cfg.Batch
-	kick := kickFunc(n.egKick)
 	n.ackTrack = map[*transport.FlowLink]*inOrder{}
 	n.ackr = newAcker(&n.nw.metrics)
 	defer n.ackr.halt()
 	// Parent acknowledgements pop the replay ring and release the inbound
 	// runs those packets carried — the cascade hop.
-	n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, kick, n.ackr.completed)
+	n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, n.ackr.completed)
 	n.parentOut.bindStops(n.killCh, n.nw.dying)
 	n.outRef.Store(n.parentOut)
 	n.childOut = make([]*egressQueue, len(n.ep.Children))
 	for i, c := range n.ep.Children {
-		n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics, kick)
+		n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics)
 		n.childOut[i].bindStops(n.killCh, n.nw.dying)
 	}
 
@@ -161,9 +158,8 @@ func (n *node) run() {
 	n.liveChildren = len(n.ep.Children)
 
 	// fast counts consecutive fast-path iterations; the periodic forced
-	// slow-path pass bounds how long a busy inbox can defer time-based
-	// work (egress age flushes, recovery commands). Synchronizer windows
-	// are the shards' concern now.
+	// pass through the full select bounds how long a busy inbox can defer a
+	// recovery command or an attachment.
 	fast := 0
 	for {
 		// Control lane first: order-free control must flow however deep the
@@ -174,8 +170,8 @@ func (n *node) run() {
 			continue
 		default:
 		}
-		// Fast path: while messages are ready, handle them without the
-		// deadline scan and timer allocation of the full select.
+		// Fast path: while messages are ready, handle them without the full
+		// select.
 		if fast < 1024 {
 			select {
 			case m := <-inbox:
@@ -190,17 +186,6 @@ func (n *node) run() {
 			}
 		}
 		fast = 0
-		var timer *time.Timer
-		var timerC <-chan time.Time
-		if d := n.earliestDeadline(); !d.IsZero() {
-			wait := time.Until(d)
-			if wait <= 0 {
-				n.pollEgress()
-				continue
-			}
-			timer = time.NewTimer(wait)
-			timerC = timer.C
-		}
 		// An orphan additionally watches for network teardown: nobody can
 		// route a shutdown announcement to it until it is adopted.
 		var dyingC <-chan struct{}
@@ -209,46 +194,20 @@ func (n *node) run() {
 		}
 		select {
 		case m := <-inbox:
-			if timer != nil {
-				timer.Stop()
-			}
 			if done := n.handle(m); done {
 				return
 			}
 		case p := <-n.ctrlLane:
-			if timer != nil {
-				timer.Stop()
-			}
 			n.handleOrderFree(p)
-		case <-n.egKick:
-			// A shard gave an egress queue a deadline the scan above did
-			// not see: fall through and recompute.
-			if timer != nil {
-				timer.Stop()
-			}
 		case a := <-n.attachCh:
-			if timer != nil {
-				timer.Stop()
-			}
 			n.addChild(a, inbox)
 		case c := <-n.cmdCh:
-			if timer != nil {
-				timer.Stop()
-			}
 			n.handleCmd(c, inbox)
 		case <-n.killCh:
-			if timer != nil {
-				timer.Stop()
-			}
 			return // crashed: no drain, links already dropped by Kill
 		case <-dyingC:
-			if timer != nil {
-				timer.Stop()
-			}
 			n.finish()
 			return
-		case <-timerC:
-			n.pollEgress()
 		}
 	}
 }
@@ -297,15 +256,17 @@ func (n *node) installChild(slot int, l transport.Link) {
 	for len(n.childOut) <= slot {
 		n.childOut = append(n.childOut, nil)
 	}
+	old := n.childOut[slot]
+	old.stop() // displaced or fenced: its age clock ends with its link
 	if l == nil {
 		// The fenced queue's packets never reached the wire; stash them for
 		// re-routing once the adoption has repaired the stream table
 		// (handleCmd), instead of dropping.
-		n.reroute = append(n.reroute, n.childOut[slot].extract()...)
+		n.reroute = append(n.reroute, old.extract()...)
 		n.childOut[slot] = nil
 		return
 	}
-	n.childOut[slot] = newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics, kickFunc(n.egKick))
+	n.childOut[slot] = newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics)
 	n.childOut[slot].bindStops(n.killCh, n.nw.dying)
 }
 
@@ -877,30 +838,6 @@ func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
 	n.flushBatchesAck(ss, batches, false, nil)
 }
 
-// pollEgress releases egress age flushes that have come due. Synchronizer
-// windows are polled by the shards that own them.
-func (n *node) pollEgress() {
-	now := time.Now()
-	n.parentOut.pollAge(now)
-	for _, q := range n.childOut {
-		q.pollAge(now)
-	}
-}
-
-func (n *node) earliestDeadline() time.Time {
-	var d time.Time
-	min := func(dd time.Time) {
-		if !dd.IsZero() && (d.IsZero() || dd.Before(d)) {
-			d = dd
-		}
-	}
-	min(n.parentOut.deadline())
-	for _, q := range n.childOut {
-		min(q.deadline())
-	}
-	return d
-}
-
 // finish retires the pipeline shards (completing every dispatched item),
 // drains every stream upward, flushes every egress queue, and closes the
 // node's links. Called once all children have closed during shutdown, so
@@ -915,7 +852,16 @@ func (n *node) finish() {
 	for _, q := range n.childOut {
 		_ = q.drain()
 	}
+	n.stopEgress()
 	n.closeAll()
+}
+
+// stopEgress ends every egress queue's age clock: the router is exiting.
+func (n *node) stopEgress() {
+	n.parentOut.stop()
+	for _, q := range n.childOut {
+		q.stop()
+	}
 }
 
 func (n *node) closeAll() {

@@ -466,12 +466,12 @@ func (nw *Network) Heartbeats() map[Rank]time.Time {
 	return out
 }
 
-// heartbeatLoop periodically emits this rank's liveness beacon on its
-// current parent link. It stops at network teardown or when the rank is
-// killed; send failures (a dead parent, pre-adoption) are retried on the
-// next tick.
-func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
-	t := time.NewTicker(nw.cfg.HeartbeatPeriod)
+// beaconLoop runs emit every period until the network tears down or stop
+// closes: the one ticker loop behind heartbeats and load reports. Both are
+// lossy-safe and order-free, so an emit that fails (a dead parent,
+// pre-adoption) is simply retried on the next tick.
+func (nw *Network) beaconLoop(period time.Duration, stop <-chan struct{}, emit func()) {
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
@@ -480,13 +480,21 @@ func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <
 		case <-stop:
 			return
 		case <-t.C:
-			if l := link(); l != nil {
-				if err := l.Send(heartbeatPacket(origin)); err == nil {
-					nw.metrics.HeartbeatsSent.Add(1)
-				}
-			}
+			emit()
 		}
 	}
+}
+
+// heartbeatLoop periodically emits this rank's liveness beacon on its
+// current parent link, until network teardown or the rank is killed.
+func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
+	nw.beaconLoop(nw.cfg.HeartbeatPeriod, stop, func() {
+		if l := link(); l != nil {
+			if err := l.Send(heartbeatPacket(origin)); err == nil {
+				nw.metrics.HeartbeatsSent.Add(1)
+			}
+		}
+	})
 }
 
 // Kill injects a crash fault: the process at rank is terminated without
@@ -555,6 +563,49 @@ func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
 	case <-nw.dying:
 	}
 	return false
+}
+
+// handAttach gives a routing process — internal node parent, or the
+// front-end when parent is nil — its end of a freshly minted child link,
+// failing rather than blocking forever when the parent has crashed (killed
+// but not yet recovered), the network is tearing down, or the loop is wedged.
+func (nw *Network) handAttach(parent *node, msg attachMsg) error {
+	ch, dead, who := nw.fe.attachCh, (<-chan struct{})(nil), "front-end"
+	if parent != nil {
+		ch, dead, who = parent.attachCh, parent.killCh, fmt.Sprintf("parent %d", parent.rank)
+	}
+	select {
+	case ch <- msg:
+		return nil
+	case <-dead:
+		return fmt.Errorf("core: %s has crashed", who)
+	case <-nw.dying:
+		return ErrShutdown
+	case <-time.After(5 * time.Second):
+		return fmt.Errorf("core: %s did not accept the attachment", who)
+	}
+}
+
+// handAdopt delivers an adoption command to its adopter — internal node
+// adopter, or the front-end when adopter is nil — and waits for it to be
+// applied. The front-end loop may be wedged or already gone at teardown, so
+// that hand-off is bounded like sendNodeCmd's.
+func (nw *Network) handAdopt(adopter *node, c *cmdAdopt) error {
+	if adopter != nil {
+		if err := nw.sendNodeCmd(adopter, c); err != nil {
+			return err
+		}
+	} else {
+		select {
+		case nw.fe.cmdCh <- c:
+		case <-nw.dying:
+			return ErrShutdown
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("core: front-end did not accept the adoption")
+		}
+	}
+	<-c.reply
+	return nil
 }
 
 // replacementAcceptTimeout bounds how long an adoption waits for an
@@ -807,25 +858,9 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 		composed: composed,
 		reply:    make(chan error, 1),
 	}
-	if adopterNode != nil {
-		if err := nw.sendNodeCmd(adopterNode, adopt); err != nil {
-			rollback()
-			return nil, err
-		}
-		<-adopt.reply
-	} else {
-		// The front-end loop may be wedged or already gone at teardown, so
-		// do not wait forever on it.
-		select {
-		case nw.fe.cmdCh <- adopt:
-			<-adopt.reply
-		case <-nw.dying:
-			rollback()
-			return nil, ErrShutdown
-		case <-time.After(5 * time.Second):
-			rollback()
-			return nil, fmt.Errorf("core: front-end did not accept the adoption")
-		}
+	if err := nw.handAdopt(adopterNode, adopt); err != nil {
+		rollback()
+		return nil, err
 	}
 
 	rewire := time.Since(start)

@@ -92,7 +92,7 @@ func TestPerStreamFIFOUnder64ConcurrentStreams(t *testing.T) {
 // identical per-round reduction sequences and identical equivalence-class
 // sets — on both link fabrics.
 func TestSoakShardingEquivalence(t *testing.T) {
-	batch := BatchPolicy{MaxBatch: 32, MaxDelay: 2 * time.Millisecond, Adaptive: true}
+	batch := BatchPolicy{MaxBatch: 32, MaxDelay: 2 * time.Millisecond}
 	fabrics := []struct {
 		name  string
 		kind  TransportKind

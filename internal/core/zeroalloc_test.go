@@ -23,12 +23,16 @@ func newDiscardLink(window int) *transport.FlowLink {
 // newAllocQueue builds the egress queue the allocation gates measure over a
 // shipping TCP link to nowhere: an upstream queue (replay ring, popped by
 // the test's Refill acks) or a downstream one.
-func newAllocQueue(window int, pol BatchPolicy, upstream bool) (*egressQueue, *transport.FlowLink) {
+func newAllocQueue(tb testing.TB, window int, pol BatchPolicy, upstream bool) (*egressQueue, *transport.FlowLink) {
 	fl := newDiscardLink(window)
+	var q *egressQueue
 	if upstream {
-		return newUpstreamQueue(fl, pol.normalized(), &Metrics{}, nil, nil), fl
+		q = newUpstreamQueue(fl, pol.normalized(), &Metrics{}, nil)
+	} else {
+		q = newEgressQueue(fl, pol.normalized(), &Metrics{})
 	}
-	return newEgressQueue(fl, pol.normalized(), &Metrics{}, nil), fl
+	tb.Cleanup(q.stop)
+	return q, fl
 }
 
 func allocPacket(t testing.TB) *packet.Packet {
@@ -65,7 +69,7 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 
 	t.Run("forward", func(t *testing.T) {
-		q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 1}, true)
+		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
 		p := allocPacket(t)
 		op := func() {
 			if err := q.send(p); err != nil {
@@ -86,7 +90,7 @@ func TestHotPathAllocs(t *testing.T) {
 		var qs [k]*egressQueue
 		var fls [k]*transport.FlowLink
 		for i := range qs {
-			qs[i], fls[i] = newAllocQueue(64, BatchPolicy{MaxBatch: 8}, false)
+			qs[i], fls[i] = newAllocQueue(t, 64, BatchPolicy{MaxBatch: 8}, false)
 		}
 		p := allocPacket(t)
 		op := func() {
@@ -205,7 +209,7 @@ func TestPoolingEquivalence(t *testing.T) {
 // BenchmarkHotPathForward is the CI allocation gate: run with -benchmem,
 // its allocs/op column is asserted by the workflow's zero-alloc step.
 func BenchmarkHotPathForward(b *testing.B) {
-	q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 1}, true)
+	q, fl := newAllocQueue(b, 64, BatchPolicy{MaxBatch: 1}, true)
 	p := allocPacket(b)
 	for i := 0; i < 256; i++ {
 		if err := q.send(p); err != nil {
