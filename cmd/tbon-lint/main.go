@@ -1,7 +1,7 @@
 // Command tbon-lint is the repo's invariant checker: a multichecker over
 // the internal/lint suite (batchalias, creditpair, lockorder, seqstamp,
-// ctrlfifo, poolrelease), each of which mechanically enforces one of the
-// concurrency or resource contracts written down in DESIGN.md §11.
+// ctrlfifo, mutationquiesce), each of which mechanically enforces one of
+// the concurrency contracts written down in DESIGN.md §11.
 //
 // Usage:
 //

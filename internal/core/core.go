@@ -401,11 +401,7 @@ func (nw *Network) Metrics() *Metrics { return &nw.metrics }
 // harness. Values are read individually (not atomically as a set), which
 // is fine for observability.
 func (m *Metrics) Snapshot() map[string]int64 {
-	arenaGets, arenaPuts, arenaMisses := packet.ArenaStats()
 	return map[string]int64{
-		"arena_gets":             arenaGets,
-		"arena_puts":             arenaPuts,
-		"arena_misses":           arenaMisses,
 		"packets_up":             m.PacketsUp.Load(),
 		"packets_down":           m.PacketsDown.Load(),
 		"batches":                m.Batches.Load(),

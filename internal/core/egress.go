@@ -165,9 +165,9 @@ type egressQueue struct {
 	// acknowledgement covers them; setLink re-flushes the un-popped suffix
 	// to the replacement link ahead of everything else. The ring is the
 	// preallocated circular buffer sized to the link window (the credit
-	// protocol bounds unacknowledged flushed data at W): a flushed packet's
-	// custody moves from the schedule into a ring slot, and the slot is
-	// reused once the cumulative ack retires it.
+	// protocol bounds unacknowledged flushed data at W): a flushed packet
+	// moves from the schedule into a ring slot, and the slot is reused once
+	// the cumulative ack retires it.
 	ring *replayRing
 	// ackSink receives the deferred inbound retirements attached to
 	// acknowledged packets (the per-node acker); nil at the back-end, where
@@ -285,10 +285,6 @@ func (q *egressQueue) noteSent(sent []*packet.Packet) {
 		if _, pending := q.replaying[p]; pending {
 			delete(q.replaying, p)
 		} else {
-			// Custody transfer: the encoded-body hold taken at enqueue now
-			// belongs to the ring slot and is released when the cumulative
-			// ack pops it — the "replay ring has let go" half of the
-			// release condition.
 			ack, ok := q.meta[p]
 			if ok {
 				delete(q.meta, p)
@@ -312,8 +308,8 @@ func (q *egressQueue) noteSent(sent []*packet.Packet) {
 
 // retireLocked pops every ring entry that is both recorded as sent on the
 // current link and covered by the peer's cumulative acknowledgement,
-// releasing its encoded-body hold and appending its deferred retirement
-// (if any) to acks. Entries below ringSent are always in the ring — pushed
+// appending its deferred retirement (if any) to acks. Entries below
+// ringSent are always in the ring — pushed
 // by noteSent, or kept across setLink for replay — so the pop cannot run
 // dry. Callers hold mu.
 func (q *egressQueue) retireLocked(acks []*pendRetire) []*pendRetire {
@@ -322,11 +318,9 @@ func (q *egressQueue) retireLocked(acks []*pendRetire) []*pendRetire {
 		limit = q.ringSent
 	}
 	for ; q.ringAcked < limit; q.ringAcked++ {
-		e := q.ring.popFront()
-		if e.ack != nil {
+		if e := q.ring.popFront(); e.ack != nil {
 			acks = append(acks, e.ack)
 		}
-		e.p.ReleaseEncoded()
 	}
 	return acks
 }
@@ -466,16 +460,6 @@ func (q *egressQueue) sendNow(p *packet.Packet) error {
 // the wire: a triggered flush that finds another flusher active is
 // absorbed by that flusher's drain loop.
 func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
-	if p.Tag != packet.TagControl {
-		// Custody: the queue holds the data packet's encoded body from
-		// here until the flush that ships it lets go — or, upstream, until
-		// the replay ring does (DESIGN.md §12). While at least one
-		// queue holds it, the encode body is arena-backed and every
-		// reader of its bytes is covered by a hold. A packet being
-		// forwarded as received never grows a body — it is framed from
-		// its wire payload — so for it the hold is only a counter.
-		p.RetainEncoded(1)
-	}
 	q.mu.Lock()
 	wasEmpty := q.sched.count == 0
 	q.sched.add(p, prio, ctrl)
@@ -544,14 +528,8 @@ func (q *egressQueue) flushLoop(cause int) error {
 		if q.ring != nil {
 			// Ring-append the sent prefix even when the flush failed: those
 			// frames reached the wire before the link died, and losing them
-			// from the ring would make them unrecoverable. Custody of the
-			// sent packets moves into the ring.
+			// from the ring would make them unrecoverable.
 			q.noteSent(sent)
-		} else {
-			// Downstream, sent packets left the queue for good: release the
-			// custody holds taken at enqueue, returning arena-backed encode
-			// bodies once every sharing queue has flushed.
-			releaseEncoded(sent)
 		}
 		if frames > 0 {
 			q.m.FramesSent.Add(frames)
@@ -588,18 +566,6 @@ func (q *egressQueue) flushLoop(cause int) error {
 		}
 	}
 	return nil
-}
-
-// releaseEncoded drops the enqueue-time custody hold of every data packet
-// in ps, recycling arena-backed encode bodies once the last holding queue
-// lets go. Control packets are never tracked (they are encoded at most once
-// per link and their bodies are not pooled).
-func releaseEncoded(ps []*packet.Packet) {
-	for _, p := range ps {
-		if p.Tag != packet.TagControl {
-			p.ReleaseEncoded()
-		}
-	}
 }
 
 // noteStallLocked marks the queue credit-stalled: its age deadline is
@@ -675,7 +641,6 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 		// so a reparent can re-flush it to the new parent.
 		if n := len(unsent) - maxRetained; n > 0 {
 			q.m.EgressDrops.Add(int64(n))
-			releaseEncoded(unsent[:n])
 			unsent = unsent[n:]
 		}
 		q.sched.restore(unsent)
@@ -684,7 +649,6 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 		q.armLocked(q.pol.MaxDelay)
 	} else {
 		q.m.EgressDrops.Add(int64(len(unsent)))
-		releaseEncoded(unsent)
 		q.releaseSlots(unsentData)
 	}
 }
@@ -881,9 +845,6 @@ func (q *egressQueue) extract() []*packet.Packet {
 			out = append(out, p)
 		}
 	}
-	// The router re-enqueues the extracted packets through the repaired
-	// routes, re-taking custody there; this queue's holds end here.
-	releaseEncoded(ps)
 	if d := total - len(out); d > 0 {
 		q.m.EgressDrops.Add(int64(d))
 	}

@@ -45,28 +45,15 @@ func allocPacket(t testing.TB) *packet.Packet {
 }
 
 // TestHotPathAllocs pins the data plane's steady-state allocation behavior
-// with testing.AllocsPerRun: the encoded-body cycle is allocation-free, the
-// flow-controlled forward path stays at or under 2 allocs per packet, a
-// k-way multicast at or under 2 per child queue, and the credit-grant
-// protocol amortizes under 1 alloc per retired data packet. Regressions
-// here are exactly the per-packet garbage this PR removed.
+// with testing.AllocsPerRun: the flow-controlled forward path stays at or
+// under 2 allocs per packet, a k-way multicast at or under 2 per child
+// queue, and the credit-grant protocol amortizes under 1 alloc per retired
+// data packet. A regression here is per-packet garbage on a path that only
+// moves a packet's bytes.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by race instrumentation")
 	}
-
-	t.Run("encoded-body", func(t *testing.T) {
-		p := allocPacket(t)
-		cycle := func() {
-			p.RetainEncoded(1)
-			_ = p.EncodedBytes()
-			p.ReleaseEncoded()
-		}
-		cycle() // warm the arena's size class
-		if n := testing.AllocsPerRun(200, cycle); n > 0 {
-			t.Errorf("encoded-body cycle allocates %.2f/op, want 0", n)
-		}
-	})
 
 	t.Run("forward", func(t *testing.T) {
 		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
@@ -78,7 +65,7 @@ func TestHotPathAllocs(t *testing.T) {
 			fl.Refill(1)
 		}
 		for i := 0; i < 256; i++ {
-			op() // warm freelists, arena classes, frame scratch
+			op() // warm freelists and frame scratch
 		}
 		if n := testing.AllocsPerRun(500, op); n > 2 {
 			t.Errorf("forward path allocates %.2f/op, want <= 2", n)
@@ -94,9 +81,9 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		p := allocPacket(t)
 		op := func() {
-			// The downstream fan-out shape: enqueue to every child queue
-			// first (k custody holds on one shared encode body), then each
-			// link flushes; the body recycles when the last queue lets go.
+			// The downstream fan-out shape: enqueue the one packet to every
+			// child queue first, then each link frames it from the shared
+			// payload.
 			for _, q := range qs {
 				if err := q.sendCtx(p, 0, true); err != nil {
 					t.Fatal(err)
@@ -134,9 +121,9 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 }
 
-// runPoolSoak drives a fixed reduction workload and returns every
+// runWaveSoak drives a fixed reduction workload and returns every
 // front-end result in arrival order.
-func runPoolSoak(t *testing.T, kind TransportKind, waves int) []float64 {
+func runWaveSoak(t *testing.T, kind TransportKind, waves int) []float64 {
 	t.Helper()
 	nw, err := NewNetwork(Config{
 		Topology:   mustTree(t, "kary:3^2"),
@@ -178,12 +165,12 @@ func runPoolSoak(t *testing.T, kind TransportKind, waves int) []float64 {
 	return out
 }
 
-// TestPoolingEquivalence asserts that recycling encode bodies and frame
-// scratch through the arena never changes what the overlay delivers: on
-// both fabrics every wave's result is the sum the tree must compute.
-// Pooling changes where bytes live; a buffer recycled while still
-// referenced would show here as a corrupted value.
-func TestPoolingEquivalence(t *testing.T) {
+// TestBufferReuseEquivalence asserts that the buffers the data plane reuses —
+// the TCP link's frame scratch, the flusher's take buffer, ring slots —
+// never change what the overlay delivers: on both fabrics every wave's
+// result is the sum the tree must compute. A buffer reused while a packet
+// still referenced it would show here as a corrupted value.
+func TestBufferReuseEquivalence(t *testing.T) {
 	const waves = 40
 	var want float64
 	for _, leaf := range mustTree(t, "kary:3^2").Leaves() {
@@ -197,7 +184,7 @@ func TestPoolingEquivalence(t *testing.T) {
 		{"tcp", TCPTransport},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for i, v := range runPoolSoak(t, tc.kind, waves) {
+			for i, v := range runWaveSoak(t, tc.kind, waves) {
 				if v != want {
 					t.Errorf("wave %d delivered %v, want %v", i, v, want)
 				}

@@ -181,17 +181,16 @@ func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
 		if err != nil {
 			return nil, err
 		}
-		accCopy := append([]int64(nil), acc...)
 		for _, p := range in[1:] {
 			xs, _ := p.IntArray(0)
-			if len(xs) != len(accCopy) {
-				return nil, fmt.Errorf("%w: array lengths %d vs %d", ErrMixedFormats, len(accCopy), len(xs))
+			if len(xs) != len(acc) {
+				return nil, fmt.Errorf("%w: array lengths %d vs %d", ErrMixedFormats, len(acc), len(xs))
 			}
 			for i, v := range xs {
-				accCopy[i] = nr.foldInt(accCopy[i], v)
+				acc[i] = nr.foldInt(acc[i], v)
 			}
 		}
-		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%ad", accCopy)
+		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%ad", acc)
 		if err != nil {
 			return nil, err
 		}
@@ -201,17 +200,16 @@ func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
 		if err != nil {
 			return nil, err
 		}
-		accCopy := append([]float64(nil), acc...)
 		for _, p := range in[1:] {
 			xs, _ := p.FloatArray(0)
-			if len(xs) != len(accCopy) {
-				return nil, fmt.Errorf("%w: array lengths %d vs %d", ErrMixedFormats, len(accCopy), len(xs))
+			if len(xs) != len(acc) {
+				return nil, fmt.Errorf("%w: array lengths %d vs %d", ErrMixedFormats, len(acc), len(xs))
 			}
 			for i, v := range xs {
-				accCopy[i] = nr.foldFloat(accCopy[i], v)
+				acc[i] = nr.foldFloat(acc[i], v)
 			}
 		}
-		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%af", accCopy)
+		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%af", acc)
 		if err != nil {
 			return nil, err
 		}

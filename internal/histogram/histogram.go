@@ -130,7 +130,7 @@ func FromPacket(p *packet.Packet) (*Histogram, error) {
 	if !(min < max) || len(bins) == 0 {
 		return nil, fmt.Errorf("histogram: invalid payload [%g,%g) %d bins", min, max, len(bins))
 	}
-	return &Histogram{Min: min, Max: max, Bins: append([]int64(nil), bins...)}, nil
+	return &Histogram{Min: min, Max: max, Bins: bins}, nil
 }
 
 // Filter merges child histograms bin-wise.

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -208,5 +209,41 @@ func BenchmarkMerge64Histograms(b *testing.B) {
 		if _, err := (Filter{}).Transform(pkts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPacketIsASnapshot is the regression for packets that aliased their
+// histogram: ToPacket used to hand the packet the live Bins, so an Add after
+// it changed a packet already queued, retained for replay or in a sibling's
+// hands. The packet holds the counts as of ToPacket, and decoding and
+// merging it must not change what it encodes to.
+func TestPacketIsASnapshot(t *testing.T) {
+	h, err := New(0, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Add(1)
+	h.Add(9)
+	p, err := h.ToPacket(100, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := p.Encode()
+	h.Add(1)
+	h.Add(5)
+
+	g, err := FromPacket(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Count() != 2 || g.Bins[0] != 1 || g.Bins[4] != 1 {
+		t.Errorf("packet decodes to bins %v, want the two observations made before ToPacket", g.Bins)
+	}
+	if err := g.Merge(h); err != nil {
+		t.Fatal(err)
+	}
+	g.Add(3)
+	if !bytes.Equal(p.Encode(), wire) {
+		t.Error("the packet encodes differently after its source and its decoded copy were updated")
 	}
 }

@@ -207,23 +207,6 @@ func ChainContains(call *ast.CallExpr, name string) bool {
 	return false
 }
 
-// ContainsCall reports whether any call under n invokes one of names
-// (matched against CalleeName).
-func ContainsCall(n ast.Node, names map[string]bool) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok && names[CalleeName(call)] {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // FuncsOf yields every function declaration with a body in the files.
 func FuncsOf(files []*ast.File, fn func(*ast.FuncDecl)) {
 	for _, f := range files {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/lint/ctrlfifo"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/mutationquiesce"
-	"repro/internal/lint/poolrelease"
 	"repro/internal/lint/seqstamp"
 )
 
@@ -23,7 +22,6 @@ func All() []*lint.Analyzer {
 		lockorder.Analyzer,
 		seqstamp.Analyzer,
 		ctrlfifo.Analyzer,
-		poolrelease.Analyzer,
 		mutationquiesce.Analyzer,
 	}
 }

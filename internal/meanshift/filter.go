@@ -52,7 +52,7 @@ func ParsePacket(p *packet.Packet) (data []Point, weights []float64, peaks []Poi
 	if len(wv) != len(data) {
 		return nil, nil, nil, fmt.Errorf("meanshift: %d points but %d weights", len(data), len(wv))
 	}
-	return data, append([]float64(nil), wv...), FloatsToPoints(pv), nil
+	return data, wv, FloatsToPoints(pv), nil
 }
 
 // TotalWeight sums a weight vector (the number of raw samples the

@@ -1,77 +1,10 @@
 package packet
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 )
-
-// TestEncodedBytesConcurrent hammers the per-packet wire cache from many
-// goroutines at once — the multicast shape, where every child link asks for
-// the same packet's bytes: exactly one serialization pass may happen, and
-// every caller must see identical, decodable bytes.
-func TestEncodedBytesConcurrent(t *testing.T) {
-	p := MustNew(100, 7, 3, "%d %s %af", int64(42), "payload", []float64{1, 2, 3})
-	before := WireEncodes()
-	const goroutines = 16
-	outs := make([][]byte, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			outs[g] = p.EncodedBytes()
-		}(g)
-	}
-	wg.Wait()
-	if delta := WireEncodes() - before; delta != 1 {
-		t.Errorf("%d goroutines cost %d serialization passes, want exactly 1", goroutines, delta)
-	}
-	for g := 1; g < goroutines; g++ {
-		if !bytes.Equal(outs[0], outs[g]) {
-			t.Fatalf("goroutine %d saw different bytes", g)
-		}
-	}
-	q, err := Decode(outs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Tag != 100 || q.StreamID != 7 || q.SrcRank != 3 {
-		t.Errorf("cached bytes decode to header %d/%d/%d", q.Tag, q.StreamID, q.SrcRank)
-	}
-}
-
-// TestRestampDropsCache: a header restamp must never reuse the old
-// header's cached bytes, while an identity restamp shares the packet (and
-// therefore its cache).
-func TestRestampDropsCache(t *testing.T) {
-	p := MustNew(100, 1, 2, "%d", int64(9))
-	first := p.EncodedBytes()
-
-	q := p.WithStreamSrc(5, 8)
-	dq, err := Decode(q.EncodedBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dq.StreamID != 5 || dq.SrcRank != 8 {
-		t.Fatalf("restamped packet encodes stream=%d src=%d; stale cache", dq.StreamID, dq.SrcRank)
-	}
-	dp, err := Decode(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.StreamID != 1 || dp.SrcRank != 2 {
-		t.Fatalf("original cache mutated: stream=%d src=%d", dp.StreamID, dp.SrcRank)
-	}
-
-	if same := p.WithStreamSrc(1, 2); same != p {
-		t.Error("identity restamp allocated a copy; the fan-out path loses the shared cache")
-	}
-	if same := p.WithStream(1); same != p {
-		t.Error("identity WithStream allocated a copy")
-	}
-}
 
 // TestParseFormatConcurrent hammers the format-string cache the way many
 // parallel streams do — the same handful of hot formats plus a churn of

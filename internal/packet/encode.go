@@ -40,10 +40,10 @@ const MaxWireSize = 1 << 28 // 256 MiB
 var ErrWire = errors.New("packet: malformed wire data")
 
 // wireEncodes counts serialization passes — a packet's values walked and
-// written out as wire bytes — the cost the per-packet wire cache amortizes
-// over a multicast's fan-out and a decoded packet never pays at all: its
-// payload is already wire bytes, and header-only packets have nothing to
-// serialize. Tests and benchmarks read it through WireEncodes.
+// written out as wire bytes. New performs the only one a packet ever gets:
+// framing, forwarding and multicast copy the payload bytes, and header-only
+// packets have nothing to serialize. Tests and benchmarks read it through
+// WireEncodes.
 var wireEncodes atomic.Int64
 
 // WireEncodes returns the number of payload serialization passes performed
@@ -51,86 +51,20 @@ var wireEncodes atomic.Int64
 // interested in one workload take a delta.
 func WireEncodes() int64 { return wireEncodes.Load() }
 
-// encodesValues reports whether putting the packet on the wire takes a
-// serialization pass over Go values — a packet built by New with at least
-// one value — and is therefore worth caching. Everything else (a decoded
-// packet, a header-only packet) is framed straight from its fields.
-func (p *Packet) encodesValues() bool { return p.payload == nil && len(p.values) > 0 }
-
-// EncodedBytes returns the packet's wire encoding, serializing at most once
-// no matter how many links, frames, or goroutines ask: the fan-out of a
-// multicast shares one buffer. The returned slice is shared and must not
-// be modified. When the packet has encoded-body holds outstanding
-// (RetainEncoded) the body is taken from the arena and returned to it by
-// the final ReleaseEncoded; such callers must keep a hold across the read.
-func (p *Packet) EncodedBytes() []byte {
-	if b := p.wire.Load(); b != nil {
-		return b.Data
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b := p.wire.Load(); b != nil {
-		return b.Data
-	}
-	var buf *Buf
-	if p.wireRefs.Load() > 0 {
-		// Tracked packet: pool the body; storing it as the wire cache is
-		// the ownership handoff, ReleaseEncoded the matching release.
-		buf = GetBuf(p.EncodedSize())
-	} else {
-		buf = &Buf{Data: make([]byte, 0, p.EncodedSize()), class: -1}
-	}
-	buf.Data = p.appendEncode(buf.Data[:0])
-	p.wire.Store(buf)
-	return buf.Data
-}
-
 // EncodedSize returns the exact number of bytes Encode will produce.
 func (p *Packet) EncodedSize() int {
-	fd := p.desc()
-	n := minEncodedPacket + len(fd.format)
-	if p.payload != nil {
-		return n + len(p.payload)
-	}
-	if b := p.wire.Load(); b != nil {
-		return len(b.Data)
-	}
-	for i, d := range fd.dirs {
-		switch d {
-		case DirByte:
-			n++
-		case DirInt, DirFloat:
-			n += 8
-		case DirString:
-			n += 4 + len(p.values[i].(string))
-		case DirByteArray:
-			n += 4 + len(p.values[i].([]byte))
-		case DirIntArray:
-			n += 4 + 8*len(p.values[i].([]int64))
-		case DirFloatArray:
-			n += 4 + 8*len(p.values[i].([]float64))
-		case DirStringArray:
-			ss := p.values[i].([]string)
-			n += 4
-			for _, s := range ss {
-				n += 4 + len(s)
-			}
-		}
-	}
-	return n
+	return minEncodedPacket + len(p.desc().format) + len(p.payload)
 }
 
 // Encode serializes the packet to its binary wire form in a fresh
-// allocation; hot paths should prefer EncodedBytes, which caches the result
-// on the packet, or AppendFrame, which writes into the caller's buffer.
+// allocation; hot paths should prefer AppendFrame, which writes into the
+// caller's buffer.
 func (p *Packet) Encode() []byte {
 	return p.appendEncode(make([]byte, 0, p.EncodedSize()))
 }
 
 // appendEncode appends the packet's wire form to buf and returns it: the
-// header from the packet's fields, then the payload — copied as it arrived
-// for a decoded packet, serialized from the values (and counted in
-// wireEncodes) otherwise.
+// header from the packet's fields, then the payload bytes as they are.
 func (p *Packet) appendEncode(buf []byte) []byte {
 	fd := p.desc()
 	buf = binary.LittleEndian.AppendUint16(buf, wireMagic)
@@ -144,50 +78,7 @@ func (p *Packet) appendEncode(buf []byte) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(fd.format)))
 	buf = append(buf, fd.format...)
-	if p.payload != nil {
-		return append(buf, p.payload...)
-	}
-	if len(fd.dirs) > 0 {
-		wireEncodes.Add(1)
-	}
-	for i, d := range fd.dirs {
-		switch d {
-		case DirByte:
-			buf = append(buf, p.values[i].(byte))
-		case DirInt:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(p.values[i].(int64)))
-		case DirFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.values[i].(float64)))
-		case DirString:
-			s := p.values[i].(string)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		case DirByteArray:
-			b := p.values[i].([]byte)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-			buf = append(buf, b...)
-		case DirIntArray:
-			xs := p.values[i].([]int64)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(xs)))
-			for _, x := range xs {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-			}
-		case DirFloatArray:
-			xs := p.values[i].([]float64)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(xs)))
-			for _, x := range xs {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-		case DirStringArray:
-			ss := p.values[i].([]string)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ss)))
-			for _, s := range ss {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-				buf = append(buf, s...)
-			}
-		}
-	}
-	return buf
+	return append(buf, p.payload...)
 }
 
 // decoder is a bounds-checked cursor over wire bytes.
@@ -357,11 +248,10 @@ func (d *decoder) advance(n int) error {
 	return err
 }
 
-// decodeValues materializes a whole payload as Go values: the eager decode
-// every packet used to get, now run at most once per packet and only when
-// Values is called — and, because it checks every bound itself, the
-// reference the fuzz tests hold Decode's validation walk to. %ac values
-// alias payload; everything else is copied out.
+// decodeValues materializes a whole payload as Go values, at most once per
+// packet and only when Values is called — and, because it checks every bound
+// itself, it is the reference the fuzz tests hold Decode's validation walk
+// to. %ac values alias payload; everything else is copied out.
 func decodeValues(dirs []Directive, payload []byte) ([]any, error) {
 	d := decoder{b: payload}
 	values := make([]any, len(dirs))

@@ -55,22 +55,14 @@ func EncodeFrame(ps []*Packet) []byte {
 // scratch buffer (the TCP link's frame writer). dst should have
 // EncodedFrameSize(ps) spare capacity to avoid growth.
 //
-// A packet built by New is copied from its wire cache (EncodedBytes), so
-// one fanned out into k frames — a TCP multicast — is serialized once and
-// copied k times, never re-encoded. A decoded packet being forwarded is
-// written straight into dst, header from its fields and payload from the
-// bytes it arrived as: no serialization pass, no cache body, one copy.
+// Each packet is written straight into dst, header from its fields and
+// payload from the bytes it holds: no serialization pass, one copy, however
+// many frames a multicast puts the same packet in.
 func AppendFrame(dst []byte, ps []*Packet) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for _, p := range ps {
-		if p.encodesValues() {
-			enc := p.EncodedBytes()
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
-			dst = append(dst, enc...)
-		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(p.EncodedSize()))
-			dst = p.appendEncode(dst)
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.EncodedSize()))
+		dst = p.appendEncode(dst)
 	}
 	return dst
 }

@@ -2,13 +2,16 @@ package packet
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
 )
 
 // checkDecoded holds a packet Decode accepted from data to the eager
 // decoder's semantics. ref is what decodeValues — the old value loop, which
 // checks every bound itself — made of the same payload. Values read three
-// ways (typed accessors on the still wire-backed packet, Values, ref) must
+// ways (typed accessors before materialization, Values, ref) must
 // each rebuild, through New and the value serializer, the exact bytes that
 // came in (comparing bytes rather than values keeps NaNs comparable); so
 // must the packet itself and a restamped copy, before and after
@@ -59,11 +62,11 @@ func checkDecoded(t *testing.T, p *Packet, data []byte, ref []any) {
 		t.Fatalf("reference decoded %d values, packet has %d", len(ref), p.NumValues())
 	}
 	rebuild("reference", ref)
-	rebuild("typed accessors (wire-backed)", typed(p))
+	rebuild("typed accessors", typed(p))
 	hop := p.WithStreamSrc(p.StreamID+1, p.SrcRank+1)
 	rebuild("typed accessors (restamped)", typed(hop.WithStreamSrc(p.StreamID, p.SrcRank)))
 	if !bytes.Equal(p.Encode(), data) {
-		t.Fatal("wire-backed packet does not re-encode byte-identically")
+		t.Fatal("packet does not re-encode byte-identically")
 	}
 	if !bytes.Equal(hop.WithStreamSrc(p.StreamID, p.SrcRank).Encode(), data) {
 		t.Fatal("restamped copy does not re-encode byte-identically")
@@ -224,4 +227,88 @@ func FuzzFormatRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzNewRoundTrip fuzzes the origin path. The input is a format and a
+// payload in wire form; whenever the eager reference decoder makes values of
+// them, New must turn those values back into exactly that payload —
+// EncodedSize exact, Decode accepting the result, Values deep-equal (floats
+// by bits, so NaNs compare), re-encode byte-identical — and what New built
+// must read like what Decode returns.
+func FuzzNewRoundTrip(f *testing.F) {
+	golden, _ := hex.DecodeString(goldenPacket)
+	goldenP, err := Decode(golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range []*Packet{
+		goldenP,
+		MustNew(100, 0, 0, ""),
+		MustNew(100, 1, 2, "%d", int64(7)),
+		MustNew(101, 1, 3, "%d %ac", int64(1), []byte("payload")),
+		MustNew(102, 7, 3, "%c %d %f %s", byte(255), int64(-1), math.NaN(), ""),
+		MustNew(102, 7, 3, "%ac %ad %af %as", []byte{}, []int64{}, []float64{}, []string{}),
+		MustNew(102, 7, 3, "%as %as", []string{"", "a", ""}, []string{"\x00"}),
+	} {
+		f.Add(p.Format(), p.payload)
+	}
+	f.Fuzz(func(t *testing.T, format string, payload []byte) {
+		dirs, err := ParseFormat(format)
+		if err != nil || len(format) > math.MaxUint16 {
+			return
+		}
+		vals, err := decodeValues(dirs, payload)
+		if err != nil {
+			return
+		}
+		before := WireEncodes()
+		p, err := New(104, 9, 2, format, append([]any(nil), vals...)...)
+		if err != nil {
+			t.Fatalf("New rejected values the decoder produced for %q: %v", format, err)
+		}
+		if d := WireEncodes() - before; len(dirs) > 0 && d < 1 {
+			t.Fatalf("New counted %d serialization passes", d)
+		}
+		if !bytes.Equal(p.payload, payload) || (p.payload != nil) != (len(dirs) > 0) {
+			t.Fatalf("New serialized %q to %x, want %x", format, p.payload, payload)
+		}
+		wire := p.Encode()
+		if p.EncodedSize() != len(wire) {
+			t.Fatalf("EncodedSize %d, Encode wrote %d bytes", p.EncodedSize(), len(wire))
+		}
+		q, err := Decode(wire)
+		if err != nil {
+			t.Fatalf("Decode rejected what New built: %v", err)
+		}
+		if !reflect.DeepEqual(floatBits(q.Values()), floatBits(vals)) {
+			t.Fatalf("values came back as %v, want %v", q.Values(), vals)
+		}
+		if !reflect.DeepEqual(floatBits(p.Values()), floatBits(vals)) {
+			t.Fatalf("the built packet's own Values are %v, want %v", p.Values(), vals)
+		}
+		if !bytes.Equal(q.Encode(), wire) {
+			t.Fatal("decoded copy does not re-encode byte-identically")
+		}
+		checkDecoded(t, p, wire, vals)
+	})
+}
+
+// floatBits replaces floats by their bit patterns so DeepEqual can compare
+// values that hold NaNs.
+func floatBits(vals []any) []any {
+	out := make([]any, len(vals))
+	for i, v := range vals {
+		switch x := v.(type) {
+		case float64:
+			v = math.Float64bits(x)
+		case []float64:
+			bits := make([]uint64, len(x))
+			for j, e := range x {
+				bits[j] = math.Float64bits(e)
+			}
+			v = bits
+		}
+		out[i] = v
+	}
+	return out
 }

@@ -12,24 +12,25 @@
 //
 // The directives describe, positionally, the values held by the packet.
 // Encoding to and decoding from a binary wire form is implemented in
-// encode.go; counted references for zero-copy multicast in refcount.go.
+// encode.go.
 //
-// A packet holds its payload in one of two forms. A packet built by New
-// holds Go values and serializes them at most once (EncodedBytes). A packet
-// produced by Decode holds the payload as it arrived — a slice of the
-// decoder's input, validated but not parsed: the typed accessors (Int,
-// Float, Bytes, ...) read straight from those bytes, only the generic
-// Value/Values/String materialize Go values (once), and re-encoding emits
-// the header from the packet's fields followed by the payload bytes
-// unchanged. A process that only routes a packet therefore never parses,
-// boxes or re-serializes its payload. The price is the aliasing contract
-// stated at Decode.
+// Every packet is its header fields plus its payload in wire form. New
+// serializes the caller's values into a payload buffer of the packet's own;
+// Decode keeps the payload as it arrived — a slice of the decoder's input,
+// validated but not parsed. The typed accessors (Int, Float, Bytes, ...)
+// read straight from those bytes, only the generic Value/Values/String
+// materialize Go values (once), and encoding emits the header from the
+// packet's fields followed by the payload bytes unchanged. A process that
+// only routes a packet therefore never parses, boxes or re-serializes its
+// payload. The price is the aliasing contract stated at Decode.
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,7 +235,7 @@ func parseDirective(tok string) (Directive, bool) {
 
 // Packet is an application-level message. Packets are immutable once
 // constructed; filters produce new packets rather than mutating inputs, which
-// is what makes counted references safe for zero-copy multicast.
+// is what lets a multicast place one packet on every outgoing link.
 type Packet struct {
 	// Tag identifies the logical message type.
 	Tag int32
@@ -244,8 +245,8 @@ type Packet struct {
 	// SrcRank is the rank of the node that created the packet.
 	SrcRank Rank
 
-	// loaded reports that a wire-backed packet's values have been
-	// materialized (see Values). It sits in what would otherwise be padding.
+	// loaded reports that the payload has been materialized into values
+	// (see Values). It sits in what would otherwise be padding.
 	loaded atomic.Bool
 
 	// Seq is the packet's origin-stamped delivery sequence number, zero
@@ -258,29 +259,16 @@ type Packet struct {
 
 	// fd is the interned format descriptor; nil means the empty format.
 	fd *formatDesc
-	// values holds the payload as Go values: always for a packet built by
-	// New, and for a wire-backed packet once loaded is set.
-	values []any
-	// payload is the payload in wire form, aliasing Decode's input. It is
-	// non-nil exactly for decoded packets that have values, is validated
-	// against fd at Decode, and is what every re-encode emits.
+	// payload is the payload in wire form — New's own buffer, or a slice of
+	// Decode's input. It is non-nil exactly when the format has at least one
+	// directive, is valid against fd, and is what every accessor reads and
+	// every encode emits.
 	payload []byte
-
-	// wire caches the encoded form of a packet built by New so a multicast
-	// that places the same packet on k outgoing links encodes it once; all
-	// frames share the buffer (see EncodedBytes). mu serializes the two
-	// once-only slow paths, that encode and the materialization of a
-	// wire-backed packet's values. Both make Packet non-copyable — header
-	// restamps go through restamp.
-	//
-	// When wireRefs is positive at encode time the cache body comes from
-	// the arena (GetBuf) and is returned to it (PutBuf) by the final
-	// ReleaseEncoded; with no holders the body is a plain allocation the
-	// GC reclaims, so code that never touches the custody API keeps its
-	// old semantics.
-	wire     atomic.Pointer[Buf]
-	wireRefs atomic.Int32
-	mu       sync.Mutex
+	// values is the payload materialized as Go values, set once loaded is;
+	// mu serializes that materialization and makes Packet non-copyable —
+	// header restamps go through restamp.
+	values []any
+	mu     sync.Mutex
 }
 
 // desc returns the packet's format descriptor, never nil.
@@ -294,54 +282,21 @@ func (p *Packet) desc() *formatDesc {
 // Format returns the format string describing the packet's values.
 func (p *Packet) Format() string { return p.desc().format }
 
-// RetainEncoded adds n holds on the packet's encoded body. While at least
-// one hold is outstanding the encode body may come from the arena, and
-// holders must keep their hold across any read of EncodedBytes — the final
-// ReleaseEncoded recycles the buffer, after which its bytes belong to the
-// next arena taker. The egress custody protocol in internal/core is the
-// canonical caller: enqueue retains, the flush (or the replay-ring
-// retirement under exactly-once) releases.
-func (p *Packet) RetainEncoded(n int32) { p.wireRefs.Add(n) }
+// RetainEncoded has no effect; retained only until bench/ladder.go stops
+// calling it (ROADMAP item 1).
+func (p *Packet) RetainEncoded(int32) {}
 
-// ReleaseEncoded drops one hold, returning the cached encode body to the
-// arena when the last hold goes. It reports whether this call was the
-// final release. Releasing with no holds outstanding is a no-op returning
-// false — that makes the double-release that an ack-during-replay
-// re-append could otherwise produce harmless: the second custody chain
-// finds the count already at zero and recycles nothing.
-func (p *Packet) ReleaseEncoded() bool {
-	for {
-		v := p.wireRefs.Load()
-		if v <= 0 {
-			return false
-		}
-		if p.wireRefs.CompareAndSwap(v, v-1) {
-			if v == 1 {
-				p.recycleWire()
-				return true
-			}
-			return false
-		}
-	}
-}
+// ReleaseEncoded has no effect and returns false; retained only until
+// bench/ladder.go stops calling it (ROADMAP item 1).
+func (p *Packet) ReleaseEncoded() bool { return false }
 
-// EncodedRefs returns the current number of encoded-body holds (for tests
-// and metrics).
-func (p *Packet) EncodedRefs() int32 { return p.wireRefs.Load() }
+// EncodedBytes returns Encode(); retained only until bench/ladder.go stops
+// calling it (ROADMAP item 1).
+func (p *Packet) EncodedBytes() []byte { return p.Encode() }
 
-// recycleWire drops the wire cache and returns a pooled body to the
-// arena. Safe against concurrent encodes: an encode racing past the swap
-// stores a fresh buffer that simply retires to the GC (nobody holds a
-// reference that would recycle it).
-func (p *Packet) recycleWire() {
-	if b := p.wire.Swap(nil); b != nil {
-		PutBuf(b)
-	}
-}
-
-// New constructs a packet, validating the values against the format string.
-// The variadic slice is retained by the packet (coerced in place), so
-// callers expanding a long-lived []any with ... must not mutate it after.
+// New constructs a packet, validating the values against the format string
+// and serializing them into the packet's payload. Values are copied: the
+// packet shares nothing with the caller's slices.
 func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*Packet, error) {
 	fd, err := lookupFormat(format)
 	if err != nil {
@@ -352,19 +307,34 @@ func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*P
 		return nil, fmt.Errorf("%w: format %q has %d directives, got %d values",
 			ErrArity, format, len(dirs), len(values))
 	}
-	for i, v := range values {
-		cv, err := coerce(dirs[i], v)
-		if err != nil {
-			return nil, fmt.Errorf("value %d: %w", i, err)
+	var payload []byte
+	if len(dirs) > 0 {
+		size := 0
+		for i, d := range dirs {
+			switch d {
+			case DirByte:
+				size++
+			case DirInt, DirFloat:
+				size += 8
+			default:
+				size += 4 + countedSize(values[i])
+			}
 		}
-		values[i] = cv
+		payload = make([]byte, 0, size)
+		for i, d := range dirs {
+			var ok bool
+			if payload, ok = appendValue(payload, d, values[i]); !ok {
+				return nil, fmt.Errorf("value %d: %w", i, mismatch(d, values[i]))
+			}
+		}
+		wireEncodes.Add(1)
 	}
 	return &Packet{
 		Tag:      tag,
 		StreamID: streamID,
 		SrcRank:  src,
 		fd:       fd,
-		values:   values,
+		payload:  payload,
 	}, nil
 }
 
@@ -378,73 +348,118 @@ func MustNew(tag int32, streamID uint32, src Rank, format string, values ...any)
 	return p
 }
 
-// coerce normalizes v to the canonical Go type for directive d, accepting
-// the common convertible types so callers can pass int literals and the like.
-func coerce(d Directive, v any) (any, error) {
+// countedSize returns the encoded size, after the count prefix, of a string
+// or array value; zero for anything else, which appendValue then rejects.
+func countedSize(v any) int {
+	switch x := v.(type) {
+	case string:
+		return len(x)
+	case []byte:
+		return len(x)
+	case []int64:
+		return 8 * len(x)
+	case []int:
+		return 8 * len(x)
+	case []float64:
+		return 8 * len(x)
+	case []string:
+		n := 4 * len(x)
+		for _, s := range x {
+			n += len(s)
+		}
+		return n
+	}
+	return 0
+}
+
+// appendValue appends the wire encoding of v as directive d, accepting the
+// common convertible types so callers can pass int literals and the like.
+// It reports false, appending nothing, when v does not fit d.
+func appendValue(buf []byte, d Directive, v any) ([]byte, bool) {
+	le := binary.LittleEndian
 	switch d {
 	case DirByte:
 		switch x := v.(type) {
 		case byte:
-			return x, nil
+			return append(buf, x), true
 		case int:
-			if x < 0 || x > 255 {
-				return nil, fmt.Errorf("%w: int %d out of byte range", ErrType, x)
+			if x >= 0 && x <= 255 {
+				return append(buf, byte(x)), true
 			}
-			return byte(x), nil
 		}
 	case DirInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return le.AppendUint64(buf, uint64(x)), true
 		case int:
-			return int64(x), nil
+			return le.AppendUint64(buf, uint64(x)), true
 		case int32:
-			return int64(x), nil
+			return le.AppendUint64(buf, uint64(x)), true
 		case uint32:
-			return int64(x), nil
+			return le.AppendUint64(buf, uint64(x)), true
 		case Rank:
-			return int64(x), nil
+			return le.AppendUint64(buf, uint64(x)), true
 		}
 	case DirFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return le.AppendUint64(buf, math.Float64bits(x)), true
 		case float32:
-			return float64(x), nil
+			return le.AppendUint64(buf, math.Float64bits(float64(x))), true
 		case int:
-			return float64(x), nil
+			return le.AppendUint64(buf, math.Float64bits(float64(x))), true
 		}
 	case DirString:
 		if x, ok := v.(string); ok {
-			return x, nil
+			return append(le.AppendUint32(buf, uint32(len(x))), x...), true
 		}
 	case DirByteArray:
 		if x, ok := v.([]byte); ok {
-			return x, nil
+			return append(le.AppendUint32(buf, uint32(len(x))), x...), true
 		}
 	case DirIntArray:
 		switch x := v.(type) {
 		case []int64:
-			return x, nil
-		case []int:
-			out := make([]int64, len(x))
-			for i, e := range x {
-				out[i] = int64(e)
+			buf = le.AppendUint32(buf, uint32(len(x)))
+			for _, e := range x {
+				buf = le.AppendUint64(buf, uint64(e))
 			}
-			return out, nil
+			return buf, true
+		case []int:
+			buf = le.AppendUint32(buf, uint32(len(x)))
+			for _, e := range x {
+				buf = le.AppendUint64(buf, uint64(e))
+			}
+			return buf, true
 		}
 	case DirFloatArray:
 		if x, ok := v.([]float64); ok {
-			return x, nil
+			buf = le.AppendUint32(buf, uint32(len(x)))
+			for _, e := range x {
+				buf = le.AppendUint64(buf, math.Float64bits(e))
+			}
+			return buf, true
 		}
 	case DirStringArray:
 		if x, ok := v.([]string); ok {
-			return x, nil
+			buf = le.AppendUint32(buf, uint32(len(x)))
+			for _, s := range x {
+				buf = append(le.AppendUint32(buf, uint32(len(s))), s...)
+			}
+			return buf, true
 		}
-	default:
-		return nil, fmt.Errorf("%w: unknown directive", ErrBadFormat)
 	}
-	return nil, fmt.Errorf("%w: got %T for %s", ErrType, v, d)
+	return buf, false
+}
+
+// mismatch describes why appendValue rejected v. It names v's type through
+// reflect instead of handing v to fmt, which would make every New's values
+// escape to the heap.
+func mismatch(d Directive, v any) error {
+	if x, ok := v.(int); ok && d == DirByte {
+		return fmt.Errorf("%w: int %d out of byte range", ErrType, x)
+	}
+	return fmt.Errorf("%w: got %v for %s", ErrType, reflect.TypeOf(v), d)
 }
 
 // NumValues returns the number of payload values in the packet.
@@ -458,29 +473,25 @@ func (p *Packet) Directives() []Directive { return p.desc().dirs }
 func (p *Packet) Value(i int) any { return p.Values()[i] }
 
 // Values returns all payload values. The returned slice must not be
-// modified. On a decoded packet the first call materializes them from the
-// wire payload — one []any plus a box per value, what Decode used to cost
-// every packet — and every later call, from any goroutine, returns the same
-// slice; the typed accessors below never need it.
+// modified. The first call materializes them from the wire payload — one
+// []any plus a box per value — and every later call, from any goroutine,
+// returns the same slice; the typed accessors below never need it.
 func (p *Packet) Values() []any {
-	if p.wireBacked() {
+	if p.payload != nil && !p.loaded.Load() {
 		return p.load()
 	}
 	return p.values
 }
 
-// wireBacked reports whether the payload must be read from its wire form:
-// the packet was decoded and nobody has materialized its values yet.
-func (p *Packet) wireBacked() bool { return p.payload != nil && !p.loaded.Load() }
-
-// load materializes a wire-backed packet's values exactly once.
+// load materializes the payload's values exactly once.
 func (p *Packet) load() []any {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.loaded.Load() {
 		vals, err := decodeValues(p.fd.dirs, p.payload)
 		if err != nil {
-			// Decode validated the payload with the same bounds checks.
+			// New wrote the payload; Decode validated it with the same
+			// bounds checks.
 			panic("packet: validated payload failed to materialize: " + err.Error())
 		}
 		p.values = vals
@@ -490,8 +501,7 @@ func (p *Packet) load() []any {
 }
 
 // at returns a cursor on the i'th value of the wire payload. Skipping the
-// values before it cannot fail: Decode walked the whole payload the same
-// way.
+// values before it cannot fail: the payload is valid against fd.
 func (p *Packet) at(i int) decoder {
 	d := decoder{b: p.payload}
 	for _, dir := range p.fd.dirs[:i] {
@@ -500,23 +510,19 @@ func (p *Packet) at(i int) decoder {
 	return d
 }
 
-// The typed accessors read a wire-backed packet's values in place: scalars
-// and %ac without allocating (Bytes aliases the decoder's input), %s and
-// the other arrays as a fresh copy per call — a caller that needs one
-// repeatedly should keep it. Once Values has materialized the packet they
-// return the materialized values, as they do for a packet built by New.
+// The typed accessors read the wire payload in place, whether or not Values
+// has materialized it: scalars and %ac without allocating (Bytes aliases
+// the payload), %s and the other arrays as a fresh copy per call, which the
+// caller owns — one that needs it repeatedly should keep it.
 
 // Int returns the i'th value as an int64, or an error if it is not one.
 func (p *Packet) Int(i int) (int64, error) {
 	if err := p.check(i, DirInt); err != nil {
 		return 0, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		v, err := d.u64()
-		return int64(v), err
-	}
-	return p.values[i].(int64), nil
+	d := p.at(i)
+	v, err := d.u64()
+	return int64(v), err
 }
 
 // Float returns the i'th value as a float64.
@@ -524,12 +530,9 @@ func (p *Packet) Float(i int) (float64, error) {
 	if err := p.check(i, DirFloat); err != nil {
 		return 0, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		v, err := d.u64()
-		return math.Float64frombits(v), err
-	}
-	return p.values[i].(float64), nil
+	d := p.at(i)
+	v, err := d.u64()
+	return math.Float64frombits(v), err
 }
 
 // String returns a human-readable rendering of the packet header and payload.
@@ -557,12 +560,9 @@ func (p *Packet) Str(i int) (string, error) {
 	if err := p.check(i, DirString); err != nil {
 		return "", err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		sb, err := d.counted()
-		return string(sb), err
-	}
-	return p.values[i].(string), nil
+	d := p.at(i)
+	sb, err := d.counted()
+	return string(sb), err
 }
 
 // Byte returns the i'th value as a byte.
@@ -570,61 +570,46 @@ func (p *Packet) Byte(i int) (byte, error) {
 	if err := p.check(i, DirByte); err != nil {
 		return 0, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		return d.u8()
-	}
-	return p.values[i].(byte), nil
+	d := p.at(i)
+	return d.u8()
 }
 
-// Bytes returns the i'th value as a []byte. The returned slice is shared
-// with the packet (on a decoded packet, with the decoder's input) and must
-// not be modified.
+// Bytes returns the i'th value as a []byte. The returned slice aliases the
+// packet's payload (on a decoded packet, the decoder's input) and must not
+// be modified.
 func (p *Packet) Bytes(i int) ([]byte, error) {
 	if err := p.check(i, DirByteArray); err != nil {
 		return nil, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		return d.counted()
-	}
-	return p.values[i].([]byte), nil
+	d := p.at(i)
+	return d.counted()
 }
 
-// IntArray returns the i'th value as a []int64 (shared, do not modify).
+// IntArray returns the i'th value as a fresh []int64.
 func (p *Packet) IntArray(i int) ([]int64, error) {
 	if err := p.check(i, DirIntArray); err != nil {
 		return nil, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		return d.ints()
-	}
-	return p.values[i].([]int64), nil
+	d := p.at(i)
+	return d.ints()
 }
 
-// FloatArray returns the i'th value as a []float64 (shared, do not modify).
+// FloatArray returns the i'th value as a fresh []float64.
 func (p *Packet) FloatArray(i int) ([]float64, error) {
 	if err := p.check(i, DirFloatArray); err != nil {
 		return nil, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		return d.floats()
-	}
-	return p.values[i].([]float64), nil
+	d := p.at(i)
+	return d.floats()
 }
 
-// StringArray returns the i'th value as a []string (shared, do not modify).
+// StringArray returns the i'th value as a fresh []string.
 func (p *Packet) StringArray(i int) ([]string, error) {
 	if err := p.check(i, DirStringArray); err != nil {
 		return nil, err
 	}
-	if p.wireBacked() {
-		d := p.at(i)
-		return d.strings()
-	}
-	return p.values[i].([]string), nil
+	d := p.at(i)
+	return d.strings()
 }
 
 func (p *Packet) check(i int, want Directive) error {
@@ -638,14 +623,10 @@ func (p *Packet) check(i int, want Directive) error {
 	return nil
 }
 
-// restamp returns a header-mutable copy sharing the payload in whichever
-// form the original holds it — the values slice, the wire bytes, or both —
-// which is safe because packets are immutable once constructed (see
-// TestRestampSharesValues). A restamped decoded packet therefore still
-// re-encodes without a serialization pass. The wire cache and its holds
-// are deliberately NOT carried over: a restamped header encodes to
-// different bytes, and the copy starts untracked (and Packet's cache
-// fields make the struct non-copyable).
+// restamp returns a header-mutable copy sharing the payload — and the
+// materialized values, if Values has run — which is safe because packets are
+// immutable once constructed (see TestRestampSharesPayload). Restamping
+// therefore never copies or re-serializes a payload.
 func (p *Packet) restamp() *Packet {
 	q := &Packet{
 		Tag:      p.Tag,
@@ -655,11 +636,9 @@ func (p *Packet) restamp() *Packet {
 		fd:       p.fd,
 		payload:  p.payload,
 	}
-	if !p.wireBacked() {
+	if p.loaded.Load() {
 		q.values = p.values
-		if p.payload != nil {
-			q.loaded.Store(true)
-		}
+		q.loaded.Store(true)
 	}
 	return q
 }

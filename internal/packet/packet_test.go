@@ -285,67 +285,6 @@ func TestQuickEncodedSize(t *testing.T) {
 	}
 }
 
-func TestRefCounting(t *testing.T) {
-	p := MustNew(100, 1, 2, "%d", int64(7))
-	r := NewRef(p)
-	released := 0
-	r.SetOnRelease(func() { released++ })
-	r.Retain(3) // count 4
-	if got := r.Count(); got != 4 {
-		t.Fatalf("Count = %d, want 4", got)
-	}
-	for i := 0; i < 3; i++ {
-		if r.Release() {
-			t.Fatalf("Release %d: reported final too early", i)
-		}
-	}
-	if !r.Release() {
-		t.Fatal("final Release: want true")
-	}
-	if released != 1 {
-		t.Fatalf("onRelease ran %d times, want 1", released)
-	}
-}
-
-func TestRefReleasePanicsWhenDead(t *testing.T) {
-	r := NewRef(MustNew(100, 1, 2, "%d", int64(7)))
-	r.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("Release of dead ref: want panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestRefEncodedIsStable(t *testing.T) {
-	r := NewRef(MustNew(100, 1, 2, "%ad", []int64{1, 2, 3}))
-	a := r.Encoded()
-	b := r.Encoded()
-	if &a[0] != &b[0] {
-		t.Error("Encoded allocated twice; want cached buffer")
-	}
-}
-
-func TestRefConcurrentReleases(t *testing.T) {
-	const n = 64
-	r := NewRef(MustNew(100, 1, 2, "%d", int64(7)))
-	r.Retain(n - 1)
-	done := make(chan bool, n)
-	for i := 0; i < n; i++ {
-		go func() { done <- r.Release() }()
-	}
-	finals := 0
-	for i := 0; i < n; i++ {
-		if <-done {
-			finals++
-		}
-	}
-	if finals != 1 {
-		t.Errorf("%d goroutines saw the final release, want exactly 1", finals)
-	}
-}
-
 func BenchmarkEncode(b *testing.B) {
 	p := MustNew(100, 1, 2, "%d %s %af", int64(7), "hello", make([]float64, 256))
 	b.ReportAllocs()
@@ -354,6 +293,17 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkNew is what building one leaf packet costs; CI holds it to 2
+// allocs/op (the Packet and its payload buffer).
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = MustNew(100, 1, 2, "%d", int64(i)+1000)
+	}
+}
+
+var benchSink *Packet
+
 func BenchmarkDecode(b *testing.B) {
 	p := MustNew(100, 1, 2, "%d %s %af", int64(7), "hello", make([]float64, 256))
 	enc := p.Encode()
@@ -361,31 +311,6 @@ func BenchmarkDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(enc); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRefSharedEncodeFanout16(b *testing.B) {
-	// Zero-copy path: one encode shared by 16 simulated children.
-	p := MustNew(100, 1, 2, "%af", make([]float64, 1024))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := NewRef(p)
-		r.Retain(15)
-		for c := 0; c < 16; c++ {
-			_ = r.Encoded()
-			r.Release()
-		}
-	}
-}
-
-func BenchmarkCopyEncodeFanout16(b *testing.B) {
-	// Deep-copy baseline: each child encodes independently.
-	p := MustNew(100, 1, 2, "%af", make([]float64, 1024))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for c := 0; c < 16; c++ {
-			_ = p.Encode()
 		}
 	}
 }

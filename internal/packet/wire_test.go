@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"encoding/hex"
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -14,10 +15,11 @@ import (
 // reduce_sat_chan, a workload that never encodes or decodes, 6–15 % of
 // pkts_per_s (median ≈ 8 %) and 5–9 % of live_heap_mb. Format and dirs
 // therefore live behind one interned descriptor pointer and the loaded flag
-// in former padding; a new field has to fit the same way.
+// in former padding; a new field has to fit the same way. The struct is
+// 88 bytes, in the 96-byte class.
 func TestPacketSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 112 {
-		t.Fatalf("Packet is %d bytes; it must stay within the 112-byte size class", n)
+	if n := unsafe.Sizeof(Packet{}); n > 96 {
+		t.Fatalf("Packet is %d bytes; it must stay within the 96-byte size class", n)
 	}
 }
 
@@ -77,18 +79,16 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 }
 
-// TestDecodedPacketForwardsWithoutEncoding is TestRestampDropsCache and
-// TestRestampSharesValues for a received packet: a restamp shares the wire
-// payload (no copy, no decode), carries the new header and none of the old
-// packet's cache or holds, and neither it nor the original costs a
-// serialization pass or a cache body to put on the wire.
+// TestDecodedPacketForwardsWithoutEncoding is TestRestampSharesPayload for a
+// received packet: a restamp shares the wire payload (no copy, no decode)
+// and carries the new header, and neither it nor the original costs a
+// serialization pass to put on the wire.
 func TestDecodedPacketForwardsWithoutEncoding(t *testing.T) {
 	wire := MustNew(100, 1, 2, "%d %af", int64(9), []float64{1, 2, 3}).Encode()
 	p, err := Decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RetainEncoded(1)
 	before := WireEncodes()
 
 	q := p.WithStreamSrc(5, 8)
@@ -104,14 +104,8 @@ func TestDecodedPacketForwardsWithoutEncoding(t *testing.T) {
 	if q.values != nil || q.loaded.Load() {
 		t.Error("restamp materialized the payload")
 	}
-	if q.EncodedRefs() != 0 {
-		t.Errorf("restamp inherited %d encoded-body holds; clones must start untracked", q.EncodedRefs())
-	}
 
 	frame := EncodeFrame([]*Packet{p, q})
-	if p.wire.Load() != nil || q.wire.Load() != nil {
-		t.Error("framing a decoded packet built a cache body; it must be written straight from header fields and payload")
-	}
 	if d := WireEncodes() - before; d != 0 {
 		t.Errorf("forwarding a decoded packet cost %d serialization passes, want 0", d)
 	}
@@ -135,62 +129,119 @@ func TestDecodedPacketForwardsWithoutEncoding(t *testing.T) {
 	if rv := r.Values(); len(rv) != len(vals) || &rv[0] != &vals[0] {
 		t.Error("restamp of a materialized packet re-materialized; must alias the values slice")
 	}
-	if !p.ReleaseEncoded() {
-		t.Error("final ReleaseEncoded returned false")
-	}
 }
 
-// TestDecodedPacketConcurrentUse shares one decoded packet between many
-// goroutines the way a multicast hop and a filter do — generic reads that
-// materialize, typed reads that may run before, during or after that,
-// restamps and framing — and every one must see the same payload. Run
-// under -race: materialization is the one write to a shared packet.
-func TestDecodedPacketConcurrentUse(t *testing.T) {
-	wire := MustNew(100, 7, 3, "%d %s %af %ac", int64(42), "payload", []float64{1, 2, 3}, []byte{4, 5}).Encode()
-	p, err := Decode(wire)
+// TestRestampSharesPayload is the aliasing regression for the single-field
+// restamp path (WithSeq/WithStream/WithSrc/WithStreamSrc) on a packet built
+// by New: the clone shares the payload bytes — no copy, no second
+// serialization pass — encodes its own header, leaves the original's
+// untouched, and an identity restamp is the packet itself.
+func TestRestampSharesPayload(t *testing.T) {
+	p := MustNew(100, 1, 2, "%d %af", int64(9), []float64{1, 2, 3})
+	before := WireEncodes()
+
+	q := p.WithSeq(MakeSeq(2, 1)).WithStreamSrc(5, 8)
+	if q == p {
+		t.Fatal("a restamp with a new header must clone")
+	}
+	if &q.payload[0] != &p.payload[0] || len(q.payload) != len(p.payload) {
+		t.Error("restamp copied the payload; single-field restamps must share it")
+	}
+	if q.values != nil || q.loaded.Load() {
+		t.Error("restamp materialized the payload")
+	}
+	dq, err := Decode(q.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []byte
-	want = AppendFrame(want, []*Packet{p.WithSrc(9)})
-	const goroutines = 16
-	firsts := make([]*any, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				firsts[g] = &p.Values()[0]
-			}
-			if v, err := p.Int(0); err != nil || v != 42 {
-				t.Errorf("Int(0) = %d, %v", v, err)
-			}
-			if s, err := p.Str(1); err != nil || s != "payload" {
-				t.Errorf("Str(1) = %q, %v", s, err)
-			}
-			if xs, err := p.FloatArray(2); err != nil || len(xs) != 3 || xs[2] != 3 {
-				t.Errorf("FloatArray(2) = %v, %v", xs, err)
-			}
-			if b, err := p.Bytes(3); err != nil || !bytes.Equal(b, []byte{4, 5}) {
-				t.Errorf("Bytes(3) = %v, %v", b, err)
-			}
-			if got := AppendFrame(nil, []*Packet{p.WithSrc(9)}); !bytes.Equal(got, want) {
-				t.Error("a concurrent restamp framed different bytes")
-			}
-			if !bytes.Equal(p.EncodedBytes(), wire) {
-				t.Error("EncodedBytes differs from the bytes the packet arrived as")
-			}
-			if g%2 == 1 {
-				firsts[g] = &p.Values()[0]
-			}
-		}(g)
+	if dq.StreamID != 5 || dq.SrcRank != 8 || dq.Seq != MakeSeq(2, 1) {
+		t.Errorf("restamped packet encodes stream=%d src=%d seq=%d", dq.StreamID, dq.SrcRank, dq.Seq)
 	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if firsts[g] != firsts[0] {
-			t.Fatalf("goroutine %d got its own values slice; materialization must happen once", g)
-		}
+	if got, err := dq.FloatArray(1); err != nil || len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Errorf("restamped packet payload decoded to %v, %v", got, err)
+	}
+	if dp, err := Decode(p.Encode()); err != nil || dp.StreamID != 1 || dp.SrcRank != 2 || dp.Seq != 0 {
+		t.Errorf("restamping changed what the original encodes to: %v, %v", dp, err)
+	}
+	if d := WireEncodes() - before; d != 0 {
+		t.Errorf("restamping and encoding cost %d serialization passes, want 0", d)
+	}
+
+	if same := p.WithStreamSrc(1, 2); same != p {
+		t.Error("identity restamp allocated a copy")
+	}
+	if same := p.WithStream(1); same != p {
+		t.Error("identity WithStream allocated a copy")
+	}
+	vals := p.Values()
+	if rv := p.WithSrc(7).Values(); len(rv) != len(vals) || &rv[0] != &vals[0] {
+		t.Error("restamp of a materialized packet re-materialized; must alias the values slice")
+	}
+}
+
+// TestDecodedPacketConcurrentUse shares one packet between many goroutines
+// the way a multicast hop and a filter do — generic reads that materialize,
+// typed reads that may run before, during or after that, restamps and
+// framing — and every one must see the same payload. It runs on a decoded
+// packet (a TCP hop) and on the packet New built (the chan-fabric multicast,
+// where every child holds the front-end's own pointer). Run under -race:
+// materialization is the one write to a shared packet.
+func TestDecodedPacketConcurrentUse(t *testing.T) {
+	built := MustNew(100, 7, 3, "%d %s %af %ac %ad", int64(42), "payload", []float64{1, 2, 3}, []byte{4, 5}, []int64{6, 7})
+	wire := built.Encode()
+	decoded, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Packet{"decoded": decoded, "built": built} {
+		t.Run(name, func(t *testing.T) {
+			var want []byte
+			want = AppendFrame(want, []*Packet{p.WithSrc(9)})
+			const goroutines = 16
+			firsts := make([]*any, goroutines)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					if g%2 == 0 {
+						firsts[g] = &p.Values()[0]
+					}
+					if v, err := p.Int(0); err != nil || v != 42 {
+						t.Errorf("Int(0) = %d, %v", v, err)
+					}
+					if s, err := p.Str(1); err != nil || s != "payload" {
+						t.Errorf("Str(1) = %q, %v", s, err)
+					}
+					if xs, err := p.FloatArray(2); err != nil || len(xs) != 3 || xs[2] != 3 {
+						t.Errorf("FloatArray(2) = %v, %v", xs, err)
+					}
+					if b, err := p.Bytes(3); err != nil || !bytes.Equal(b, []byte{4, 5}) {
+						t.Errorf("Bytes(3) = %v, %v", b, err)
+					}
+					if xs, err := p.IntArray(4); err != nil || len(xs) != 2 || xs[1] != 7 {
+						t.Errorf("IntArray(4) = %v, %v", xs, err)
+					} else {
+						xs[1] = -1 // the copy is the caller's; nobody else may see this
+					}
+					if got := AppendFrame(nil, []*Packet{p.WithSrc(9)}); !bytes.Equal(got, want) {
+						t.Error("a concurrent restamp framed different bytes")
+					}
+					if !bytes.Equal(p.Encode(), wire) {
+						t.Error("Encode differs from the packet's wire bytes")
+					}
+					if g%2 == 1 {
+						firsts[g] = &p.Values()[0]
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g := 1; g < goroutines; g++ {
+				if firsts[g] != firsts[0] {
+					t.Fatalf("goroutine %d got its own values slice; materialization must happen once", g)
+				}
+			}
+		})
 	}
 }
 
@@ -228,4 +279,74 @@ func TestDecodeAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Int + Bytes on a decoded packet allocate %.0f objects, want 0", n)
 	}
+}
+
+// TestNewAllocs pins the origin path's allocation budget: New allocates the
+// Packet and its payload buffer and nothing else — the variadic []any and
+// the boxes in it stay on the caller's stack, which holds only while values
+// does not escape New (go build -gcflags=-m says so; this is the pin).
+func TestNewAllocs(t *testing.T) {
+	n := int64(1000) // above the runtime's preallocated small-integer boxes
+	kib := make([]byte, 1024)
+	xs := make([]float64, 64)
+	for _, c := range []struct {
+		format string
+		build  func() *Packet
+	}{
+		{"%d", func() *Packet { n++; return MustNew(100, 1, 2, "%d", n) }},
+		{"%d %ac", func() *Packet { n++; return MustNew(100, 1, 2, "%d %ac", n, kib) }},
+		{"%af", func() *Packet { return MustNew(100, 1, 2, "%af", xs) }},
+	} {
+		if got := testing.AllocsPerRun(100, func() { benchSink = c.build() }); got > 2 {
+			t.Errorf("New(%q) allocates %.0f objects per packet, want <= 2", c.format, got)
+		}
+	}
+}
+
+// TestPacketDoesNotAliasItsMaker is the regression for packets that shared
+// memory with whoever built or read them: New used to keep the caller's
+// slices, and the array accessors used to return the packet's own. A packet
+// is immutable in fact only if neither side can reach its bytes.
+func TestPacketDoesNotAliasItsMaker(t *testing.T) {
+	bs := []byte{1, 2, 3}
+	is := []int64{4, 5, 6}
+	fs := []float64{7, 8, 9}
+	ss := []string{"ten", "eleven"}
+	p := MustNew(100, 1, 2, "%ac %ad %af %as", bs, is, fs, ss)
+	want := MustNew(100, 1, 2, "%ac %ad %af %as",
+		[]byte{1, 2, 3}, []int64{4, 5, 6}, []float64{7, 8, 9}, []string{"ten", "eleven"}).Encode()
+
+	bs[0], is[0], fs[0], ss[0] = 99, 99, 99, "mutated"
+	check := func(when string) {
+		t.Helper()
+		if b, err := p.Bytes(0); err != nil || !bytes.Equal(b, []byte{1, 2, 3}) {
+			t.Errorf("%s: Bytes = %v, %v", when, b, err)
+		}
+		if xs, err := p.IntArray(1); err != nil || !reflect.DeepEqual(xs, []int64{4, 5, 6}) {
+			t.Errorf("%s: IntArray = %v, %v", when, xs, err)
+		}
+		if xs, err := p.FloatArray(2); err != nil || !reflect.DeepEqual(xs, []float64{7, 8, 9}) {
+			t.Errorf("%s: FloatArray = %v, %v", when, xs, err)
+		}
+		if xs, err := p.StringArray(3); err != nil || !reflect.DeepEqual(xs, []string{"ten", "eleven"}) {
+			t.Errorf("%s: StringArray = %v, %v", when, xs, err)
+		}
+		if !bytes.Equal(p.Encode(), want) {
+			t.Errorf("%s: the packet encodes to different bytes", when)
+		}
+	}
+	check("after the maker mutated its slices")
+
+	// What an array accessor returns is the reader's: writing to it must not
+	// reach the packet. (Bytes is the documented exception — a read-only
+	// alias of the payload, which is what keeps a 1 KiB read free.)
+	ia, _ := p.IntArray(1)
+	fa, _ := p.FloatArray(2)
+	sa, _ := p.StringArray(3)
+	ia[1], fa[1], sa[1] = -1, -1, "overwritten"
+	check("after a reader wrote to what the accessors returned")
+	_ = p.Values()
+	ia, _ = p.IntArray(1)
+	ia[2] = -1
+	check("after materialization and another write")
 }

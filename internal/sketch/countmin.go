@@ -102,5 +102,5 @@ func CountMinFromPacket(p *packet.Packet) (*CountMin, error) {
 	if depth < 1 || width < 1 || int64(len(rows)) != depth*width {
 		return nil, fmt.Errorf("sketch: count-min %dx%d with %d cells", depth, width, len(rows))
 	}
-	return &CountMin{depth: int(depth), width: int(width), rows: append([]int64(nil), rows...)}, nil
+	return &CountMin{depth: int(depth), width: int(width), rows: rows}, nil
 }

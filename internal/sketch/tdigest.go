@@ -171,8 +171,7 @@ const TDigestFormat = "%f %af %af"
 // ToPacket encodes the digest (compressed form).
 func (t *TDigest) ToPacket(tag int32, streamID uint32, src packet.Rank) (*packet.Packet, error) {
 	t.compress()
-	return packet.New(tag, streamID, src, TDigestFormat,
-		t.compression, append([]float64(nil), t.means...), append([]float64(nil), t.weights...))
+	return packet.New(tag, streamID, src, TDigestFormat, t.compression, t.means, t.weights)
 }
 
 // TDigestFromPacket decodes a t-digest packet.
@@ -201,7 +200,7 @@ func TDigestFromPacket(p *packet.Packet) (*TDigest, error) {
 		}
 	}
 	td := NewTDigest(comp)
-	td.means = append([]float64(nil), means...)
-	td.weights = append([]float64(nil), weights...)
+	td.means = means
+	td.weights = weights
 	return td, nil
 }

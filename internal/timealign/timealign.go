@@ -64,8 +64,8 @@ func FromPacket(p *packet.Packet) (Series, error) {
 		return Series{}, err
 	}
 	return Series{
-		Bins:      append([]int64(nil), bins...),
-		Values:    append([]float64(nil), values...),
+		Bins:      bins,
+		Values:    values,
 		Watermark: wm,
 	}, nil
 }

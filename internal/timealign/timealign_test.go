@@ -1,6 +1,7 @@
 package timealign
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -298,5 +299,33 @@ func TestQuickAlignmentConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPacketIsASnapshot is the regression for packets that aliased their
+// series: ToPacket used to hand the packet the live Bins and Values, so a
+// back-end that kept filling the series changed a packet already queued or
+// retained for replay. The packet holds the series as of ToPacket, and
+// decoding and updating it must not change what it encodes to.
+func TestPacketIsASnapshot(t *testing.T) {
+	s := Series{Bins: []int64{1, 2}, Values: []float64{0.5, 1.5}, Watermark: 2}
+	p, err := s.ToPacket(100, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := p.Encode()
+	s.Bins[1], s.Values[1] = 7, 7
+	s.Bins, s.Values = append(s.Bins, 3), append(s.Values, 2.5)
+
+	g, err := FromPacket(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Bins) != 2 || g.Bins[1] != 2 || g.Values[1] != 1.5 {
+		t.Errorf("packet decodes to %+v, want the series as of ToPacket", g)
+	}
+	g.Bins[0], g.Values[0] = 9, 9
+	if !bytes.Equal(p.Encode(), wire) {
+		t.Error("the packet encodes differently after its source and its decoded copy were updated")
 	}
 }

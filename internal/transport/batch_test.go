@@ -74,11 +74,12 @@ func TestBatchInterleavesWithSingles(t *testing.T) {
 	}
 }
 
-// TestFramesSharePacketEncodings pins the "links accept pre-encoded
-// bodies" contract: the TCP frame writer consumes each packet's cached
-// wire bytes, so sending the same packets over k links serializes each
-// packet once — the encode-once half of a multicast — instead of once per
-// link. (The chan transport moves pointers and never encodes at all.)
+// TestFramesSharePacketEncodings pins the "links frame a packet's own
+// bytes" contract: the TCP frame writer copies each packet's payload as
+// New serialized it, so sending the same packets over k links costs the one
+// serialization pass each packet got when it was built — the encode-once
+// half of a multicast — and none per link. (The chan transport moves
+// pointers and never touches the bytes at all.)
 func TestFramesSharePacketEncodings(t *testing.T) {
 	var tcp linkFactory
 	for _, f := range factories() {
@@ -94,8 +95,8 @@ func TestFramesSharePacketEncodings(t *testing.T) {
 		}
 	}()
 	const n = 6
-	batch := mkBatch(n)
 	before := packet.WireEncodes()
+	batch := mkBatch(n)
 	if err := SendBatch(a1, append([]*packet.Packet(nil), batch...)); err != nil {
 		t.Fatal(err)
 	}
