@@ -10,10 +10,11 @@ import (
 )
 
 // ErrBadAttachParent reports an AttachBackEnd target that cannot accept a
-// new child: a back-end (leaves have no routing loop), or the front-end
-// of a tree that has internal communication processes (attach under one
-// of those instead). The front-end itself is a valid parent only on flat
-// (depth-1) topologies, where it is the sole routing process.
+// new child: one that is unknown or dead, a back-end (leaves have no
+// routing loop), or the front-end of a tree that has internal
+// communication processes (attach under one of those instead). The
+// front-end itself is a valid parent only on flat (depth-1) topologies,
+// where it is the sole routing process.
 var ErrBadAttachParent = errors.New("core: attach parent cannot accept children")
 
 // AttachBackEnd implements the paper's dynamic topology model: "back-end
@@ -30,100 +31,89 @@ var ErrBadAttachParent = errors.New("core: attach parent cannot accept children"
 // is minted by the network's Rewirer (the parent side listens, the
 // newcomer redials).
 func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
+	nw.recMu.Lock()
+	defer nw.recMu.Unlock()
 	nw.mu.Lock()
-	if nw.shutdown {
-		nw.mu.Unlock()
-		return topology.NoRank, ErrShutdown
+	_, err := nw.target(parent, ErrBadAttachParent, false, true)
+	if err == nil && parent == 0 && len(nw.view.internal()) > 0 {
+		err = fmt.Errorf("%w: %d is the front-end of a non-flat tree", ErrBadAttachParent, parent)
 	}
-	old := nw.tree
-	pn := old.Node(parent)
-	if pn == nil || !nw.view.valid(parent) {
-		nw.mu.Unlock()
-		return topology.NoRank, fmt.Errorf("core: no such parent %d", parent)
-	}
-	if nw.view.backend[parent] {
-		nw.mu.Unlock()
-		return topology.NoRank, fmt.Errorf("%w: %d is a back-end", ErrBadAttachParent, parent)
-	}
-	if pn.IsRoot() && len(old.InternalNodes()) > 0 {
-		nw.mu.Unlock()
-		return topology.NoRank, fmt.Errorf("%w: %d is the front-end of a non-flat tree", ErrBadAttachParent, parent)
-	}
-	if nw.view.dead[parent] {
-		nw.mu.Unlock()
-		return topology.NoRank, fmt.Errorf("core: parent %d has failed", parent)
-	}
-	// Build the successor topology as a fresh immutable tree; running
-	// nodes read the network's tree pointer, never mutate it.
-	parents := make([]Rank, old.Len()+1)
-	for r := 0; r < old.Len(); r++ {
-		parents[r] = old.Parent(Rank(r))
-	}
-	parents[old.Len()] = parent
-	newTree, err := topology.FromParents(parents)
-	if err != nil {
-		nw.mu.Unlock()
-		return topology.NoRank, fmt.Errorf("core: attaching back-end: %w", err)
-	}
-	newRank, slot := nw.view.addLeaf(parent)
-	nw.tree = newTree
-	n := nw.byRank[parent] // nil when the parent is the front-end
 	nw.mu.Unlock()
-
-	// Mint the link through the fabric's rewiring protocol. Both halves
-	// run here — the network process owns the parent's rendezvous and the
-	// newcomer's redial alike — but the split keeps the code path the one
-	// a distributed joiner would use.
-	stillborn := func(err error) (Rank, error) {
-		nw.mu.Lock()
-		nw.view.dead[newRank] = true
-		nw.mu.Unlock()
+	if err != nil {
 		return topology.NoRank, err
 	}
+	return nw.attach(parent, true)
+}
+
+// attach is the one path that adds a process to the running tree — a
+// back-end, or (for a split) an internal router that starts with no
+// children. It registers the rank as parent's next child in the view,
+// mints both halves of the edge through the fabric's rewiring protocol
+// (the network process owns the parent's rendezvous and the newcomer's
+// redial alike, but the split keeps the code path the one a distributed
+// joiner would use), spawns the process, and installs the parent's end
+// through the install command, which completes only once the parent
+// routes with it: a stream created afterwards sees the new shape end to
+// end. On failure — the parent crashed (killed but not yet recovered), or
+// teardown — the rank is stillborn. Callers hold recMu.
+func (nw *Network) attach(parent Rank, backend bool) (Rank, error) {
+	nw.mu.Lock()
+	r, slot := nw.view.add(parent, backend)
+	pn := nw.byRank[parent] // nil when the parent is the front-end
+	nw.mu.Unlock()
+	fail := func(err error) (Rank, error) {
+		nw.stillborn(r)
+		return topology.NoRank, fmt.Errorf("core: attaching under %d: %w", parent, err)
+	}
+
 	off, err := nw.rewirer.Offer()
 	if err != nil {
-		return stillborn(fmt.Errorf("core: attaching back-end: %w", err))
+		return fail(err)
 	}
 	childEnd, err := nw.rewirer.Redial(off.Addr())
 	if err != nil {
 		_ = off.Close()
-		return stillborn(fmt.Errorf("core: attaching back-end: %w", err))
+		return fail(err)
 	}
 	parentEnd, err := off.Accept()
 	if err != nil {
 		transport.DropLink(childEnd)
-		return stillborn(fmt.Errorf("core: attaching back-end: %w", err))
+		return fail(err)
 	}
 	// Both ends of the new edge get credit accounting from birth (the
-	// child end is wrapped by newBackEnd below).
+	// child end is wrapped by the process spawn starts).
 	parentEnd = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
 	nw.metrics.RewiredLinks.Add(1)
 
-	// Hand the new link to the parent's event loop; the send completes
-	// only once the loop is servicing attachments, so a stream created
-	// after this call observes the new topology end to end. The parent
-	// may have crashed (killed but not yet recovered) — fail rather than
-	// block forever, and mark the stillborn leaf dead so stream
-	// membership never includes it.
-	if err := nw.handAttach(n, attachMsg{link: parentEnd, slot: slot}); err != nil {
+	// Spawn reader-first, so the pre-announcements below cannot wedge on a
+	// full link buffer.
+	nw.spawn(r, &transport.Endpoint{Rank: r, Parent: childEnd}, backend)
+	if !backend {
+		// Pre-announce every live stream before the parent learns of the
+		// router: the announcements are the first packets it receives, so
+		// its stream table exists before any data can arrive. (Data racing
+		// ahead would still be safe — unknown streams pass through or
+		// flood — this just shortens the pass-through window.)
+		for _, ss := range nw.fe.snapshotStates() {
+			_ = parentEnd.Send(ss.announcePacket())
+		}
+	}
+	c := &cmdInstall{slots: []int{slot}, links: []transport.Link{parentEnd}, slotInfo: nw.slotInfoAt(parent)}
+	if err := nw.install(pn, c); err != nil {
 		transport.DropLink(parentEnd)
-		transport.DropLink(childEnd)
-		return stillborn(err)
+		return fail(err)
 	}
+	return r, nil
+}
 
-	be := newBackEnd(nw, newRank, &transport.Endpoint{Rank: newRank, Parent: childEnd})
+// stillborn retires rank r, whose attach or split could not complete: the
+// view marks it dead, so it never joins a stream (its slot at the parent
+// stays, routing nothing), and its process, if one was spawned, crashes.
+func (nw *Network) stillborn(r Rank) {
 	nw.mu.Lock()
-	nw.bes[newRank] = be
+	nw.view.dead[r] = true
 	nw.mu.Unlock()
-	nw.wg.Add(1)
-	go func() {
-		defer nw.wg.Done()
-		be.run()
-	}()
-	if nw.cfg.HeartbeatPeriod > 0 {
-		go nw.heartbeatLoop(newRank, be.parentLink, be.killCh)
-	}
-	return newRank, nil
+	nw.crash(r)
 }
 
 // ErrNoEligibleParent reports that PlaceBackEnd found no live internal
@@ -174,19 +164,14 @@ func (nw *Network) PlaceBackEnd(pl Placement) (Rank, error) {
 	}
 	// Candidates in rank order: live internal processes, or the front-end
 	// alone on a flat tree (mirrors AttachBackEnd's validity rules).
-	var cands []Rank
-	for r := 1; r < len(nw.view.parent); r++ {
-		if !nw.view.dead[r] && !nw.view.backend[r] {
-			cands = append(cands, Rank(r))
-		}
-	}
+	cands := nw.view.internal()
 	if len(cands) == 0 {
 		cands = append(cands, 0)
 	}
 	if pl.MaxFanOut > 0 {
 		kept := cands[:0]
 		for _, r := range cands {
-			if nw.view.liveChildCount(r) < pl.MaxFanOut {
+			if len(nw.view.liveKids(r)) < pl.MaxFanOut {
 				kept = append(kept, r)
 			}
 		}
@@ -209,13 +194,4 @@ func (nw *Network) PlaceBackEnd(pl Placement) (Rank, error) {
 		nw.metrics.PlacementsFirstFit.Add(1)
 	}
 	return nw.AttachBackEnd(best)
-}
-
-// treeNow returns the topology snapshot from network creation (plus
-// attachments). Recovery does not rewrite this tree — the live shape in
-// original numbering is tracked by the view; see Adopt.
-func (nw *Network) treeNow() *topology.Tree {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.tree
 }

@@ -195,23 +195,23 @@ type Metrics struct {
 // Shutdown) is safe for concurrent use.
 type Network struct {
 	cfg      Config
-	tree     *topology.Tree
 	registry *filter.Registry
 	metrics  Metrics
 	rewirer  transport.Rewirer
 
-	fe    *feState
-	nodes []*node
-	wg    sync.WaitGroup
+	fe *feState
+	wg sync.WaitGroup
 
 	// dying closes when Shutdown begins; orphaned processes and heartbeat
 	// loops, which no shutdown announcement can reach, watch it.
 	dying chan struct{}
-	// recMu serializes live recoveries (Adopt).
+	// recMu serializes live tree mutations (Adopt, SplitNode,
+	// AttachBackEnd), so the slot snapshots one of them installs are never
+	// interleaved with another's.
 	recMu sync.Mutex
 
 	mu      sync.Mutex
-	view    *liveView // current shape in original numbering
+	view    *liveView // current shape in original numbering; Tree() reads it
 	byRank  map[Rank]*node
 	bes     map[Rank]*BackEnd
 	streams map[uint32]*Stream
@@ -279,23 +279,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.WrapFabric != nil {
 		cfg.WrapFabric(eps)
 	}
-	// Thread credit accounting through every link end before any process
-	// starts: each process wraps its own ends, so both directions of every
-	// edge are governed independently. (Back-end endpoints are wrapped by
-	// newBackEnd, which also covers dynamic attachment.)
-	for r, ep := range eps {
-		if cfg.Topology.Node(Rank(r)).IsLeaf() {
-			continue
-		}
-		if ep.Parent != nil {
-			ep.Parent = transport.NewFlowLink(ep.Parent, cfg.LinkWindow)
-		}
-		for i, c := range ep.Children {
-			if c != nil {
-				ep.Children[i] = transport.NewFlowLink(c, cfg.LinkWindow)
-			}
-		}
-	}
+	// Every process wraps its own link ends with credit accounting before
+	// it starts (spawn, newBackEnd), so both directions of every edge are
+	// governed independently; the front-end's ends are wrapped here.
+	wrapEnds(eps[0], cfg.LinkWindow)
+
 	rewirer := cfg.Rewirer
 	if rewirer == nil {
 		switch cfg.Transport {
@@ -309,7 +297,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	nw := &Network{
 		cfg:      cfg,
 		rewirer:  rewirer,
-		tree:     cfg.Topology,
 		registry: reg,
 		streams:  map[uint32]*Stream{},
 		nextSeq:  map[uint32]uint32{},
@@ -322,8 +309,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	nw.fe = &feState{
 		nw:       nw,
 		ep:       eps[0],
-		cmdCh:    make(chan *cmdAdopt),
-		attachCh: make(chan attachMsg),
+		cmdCh:    make(chan nodeCmd),
 		readStop: make(chan struct{}),
 		ackTrack: map[*transport.FlowLink]*inOrder{},
 	}
@@ -333,42 +319,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 
 	// Start communication processes and back-ends.
 	for r := 1; r < cfg.Topology.Len(); r++ {
-		tn := cfg.Topology.Node(Rank(r))
-		n := &node{
-			nw:       nw,
-			rank:     Rank(r),
-			ep:       eps[r],
-			leaf:     tn.IsLeaf(),
-			attachCh: make(chan attachMsg),
-			cmdCh:    make(chan nodeCmd),
-			killCh:   make(chan struct{}),
-		}
-		nw.nodes = append(nw.nodes, n)
-		nw.wg.Add(1)
-		if n.leaf {
-			be := newBackEnd(nw, Rank(r), eps[r])
-			n.be = be
-			nw.bes[Rank(r)] = be
-			go func() {
-				defer nw.wg.Done()
-				be.run()
-			}()
-			if cfg.HeartbeatPeriod > 0 {
-				go nw.heartbeatLoop(Rank(r), be.parentLink, be.killCh)
-			}
-		} else {
-			nw.byRank[Rank(r)] = n
-			go func() {
-				defer nw.wg.Done()
-				n.run()
-			}()
-			if cfg.HeartbeatPeriod > 0 {
-				go nw.heartbeatLoop(Rank(r), n.parentLink, n.killCh)
-			}
-			if cfg.LoadReportPeriod > 0 {
-				go nw.loadReportLoop(n)
-			}
-		}
+		nw.spawn(Rank(r), eps[r], cfg.Topology.Node(Rank(r)).IsLeaf())
 	}
 
 	// Start the front-end receive loop.
@@ -378,6 +329,53 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nw.fe.run()
 	}()
 	return nw, nil
+}
+
+// wrapEnds threads credit accounting through a routing process's own link
+// ends.
+func wrapEnds(ep *transport.Endpoint, window int) {
+	if ep.Parent != nil {
+		ep.Parent = transport.NewFlowLink(ep.Parent, window)
+	}
+	for i, c := range ep.Children {
+		if c != nil {
+			ep.Children[i] = transport.NewFlowLink(c, window)
+		}
+	}
+}
+
+// spawn starts the process at rank r on its endpoint — a back-end when
+// backend is set, else a communication process — together with its
+// heartbeat loop and, for a router, its load-report loop. NewNetwork starts
+// every process through it, and so does the attach path.
+func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) {
+	var run func()
+	var link func() transport.Link
+	var stop chan struct{}
+	var n *node
+	nw.mu.Lock()
+	if backend {
+		be := newBackEnd(nw, r, ep)
+		nw.bes[r] = be
+		run, link, stop = be.run, be.parentLink, be.killCh
+	} else {
+		wrapEnds(ep, nw.cfg.LinkWindow)
+		n = &node{nw: nw, rank: r, ep: ep, cmdCh: make(chan nodeCmd), killCh: make(chan struct{})}
+		nw.byRank[r] = n
+		run, link, stop = n.run, n.parentLink, n.killCh
+	}
+	nw.mu.Unlock()
+	nw.wg.Add(1)
+	go func() {
+		defer nw.wg.Done()
+		run()
+	}()
+	if nw.cfg.HeartbeatPeriod > 0 {
+		go nw.heartbeatLoop(r, link, stop)
+	}
+	if n != nil && nw.cfg.LoadReportPeriod > 0 {
+		go nw.loadReportLoop(n)
+	}
 }
 
 // shardCount resolves Config.Shards: 0 means one pipeline worker per
@@ -390,8 +388,22 @@ func (nw *Network) shardCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Tree returns the network's topology.
-func (nw *Network) Tree() *topology.Tree { return nw.treeNow() }
+// Tree returns the overlay's shape as a topology in original numbering,
+// built from the live view on each call: every rank ever assigned is in it,
+// attached back-ends and split siblings included. A dead rank keeps its
+// last parent, so a failed router whose orphans were adopted, or a
+// stillborn attach or split sibling, appears as a childless node that
+// Leaves lists. LiveParent and LiveChildren give the live shape.
+func (nw *Network) Tree() *topology.Tree {
+	nw.mu.Lock()
+	parents := append([]Rank(nil), nw.view.parent...)
+	nw.mu.Unlock()
+	t, err := topology.FromParents(parents)
+	if err != nil {
+		panic("core: the live view is not a tree: " + err.Error())
+	}
+	return t
+}
 
 // Metrics returns the network's counters.
 func (nw *Network) Metrics() *Metrics { return &nw.metrics }

@@ -12,8 +12,8 @@ import (
 )
 
 // feState is the front-end's half of the overlay: it owns the root's links,
-// runs the root's receive ROUTER (per-link FIFO ingress, control, adoption
-// and attach commands), and dispatches data runs to per-stream pipeline
+// runs the root's receive ROUTER (per-link FIFO ingress, control, the
+// install command), and dispatches data runs to per-stream pipeline
 // shards where the last level of filtering executes before results are
 // handed to Stream receivers.
 type feState struct {
@@ -36,19 +36,17 @@ type feState struct {
 	// the data plane is.
 	ctrlLane chan *packet.Packet
 
-	// epMu guards ep.Children, which recovery grows when the front-end
-	// adopts the orphans of a failed child; Multicast and NewStream read
-	// the slice from user goroutines.
+	// epMu guards ep.Children, which the install command grows when the
+	// front-end adopts the orphans of a failed child or takes an attached
+	// child; Multicast and NewStream read the slice from user goroutines.
 	epMu sync.RWMutex
-	// adoptSeq is a seqlock around adoptions: odd while handleAdopt is
+	// adoptSeq is a seqlock around installs: odd while handleInstall is
 	// rewiring, bumped again when done. Multicasts use it to read stream
 	// routing and the link slice as one consistent pair.
 	adoptSeq atomic.Uint64
-	// cmdCh delivers adoption commands into the receive loop.
-	cmdCh chan *cmdAdopt
-	// attachCh delivers links for back-ends attached directly under the
-	// front-end (flat topologies; see AttachBackEnd).
-	attachCh chan attachMsg
+	// cmdCh delivers the install command into the receive loop, through
+	// the same bounded hand-off as a node's (sendNodeCmd).
+	cmdCh chan nodeCmd
 
 	// ackTrack maps each inbound child link to its in-order retirement
 	// tracker (router-owned): the front-end is the
@@ -190,7 +188,7 @@ func (fe *feState) sendToStream(ss *streamState, p *packet.Packet) error {
 }
 
 // run is the front-end router loop: it keeps per-link FIFO ingress order,
-// notes heartbeats, applies adoptions and attachments, and dispatches data
+// notes heartbeats, applies install commands, and dispatches data
 // runs to the stream's pipeline shard, where the root-level synchronizer
 // and transformation execute and results are handed to Stream.Recv.
 func (fe *feState) run() {
@@ -220,9 +218,7 @@ loop:
 		if live <= 0 {
 			select {
 			case c := <-fe.cmdCh:
-				live += fe.handleAdopt(c, inbox)
-			case a := <-fe.attachCh:
-				live += fe.handleAttach(a, inbox)
+				live += fe.handleInstall(c, inbox)
 			case <-fe.nw.dying:
 				break loop
 			}
@@ -238,9 +234,7 @@ loop:
 		case p := <-fe.ctrlLane:
 			fe.handleOrderFree(p)
 		case c := <-fe.cmdCh:
-			live += fe.handleAdopt(c, inbox)
-		case a := <-fe.attachCh:
-			live += fe.handleAttach(a, inbox)
+			live += fe.handleInstall(c, inbox)
 		}
 	}
 	// All children gone: retire the shards (completing everything already
@@ -251,42 +245,22 @@ loop:
 	}
 }
 
-// handleAdopt applies an adoption at the root: the front-end itself is the
-// grandparent of the failed child's orphans. It returns the number of new
-// live child links.
-func (fe *feState) handleAdopt(c *cmdAdopt, inbox chan inMsg) int {
+// handleInstall applies the install command at the root — the only
+// command the front-end receives — and returns the number of new live
+// child links.
+func (fe *feState) handleInstall(c nodeCmd, inbox chan inMsg) int {
+	cmd := c.(*cmdInstall)
 	states := fe.snapshotStates()
 	fe.adoptSeq.Add(1) // odd: rewiring in progress
-	// Park the pipeline shards: applyAdoption rebuilds synchronizers and
+	// Park the pipeline shards: applyInstall rebuilds synchronizers and
 	// replays composed state through filters the workers otherwise own.
 	fe.shards.quiesce(func() {
-		applyAdoption(c, fe.ep, fe.nw.registry, fe.installChild, states, fe.flushBatches, inbox, fe.ctrlLane, fe.readStop)
+		applyInstall(cmd, fe.ep, fe.nw.registry, fe.installChild, states, fe.flushBatches, inbox, fe.ctrlLane, fe.readStop)
 	})
 	fe.adoptSeq.Add(1) // even again: links and routing consistent
-	c.reply <- nil
-	return len(c.links)
-}
-
-// handleAttach installs a dynamically attached back-end's link as a new
-// front-end child slot (flat topologies, where the front-end is the sole
-// routing process). Existing streams do not include the newcomer; their
-// routing slices just widen. Returns the number of new live child links.
-func (fe *feState) handleAttach(a attachMsg, inbox chan inMsg) int {
-	states := fe.snapshotStates()
-	fe.adoptSeq.Add(1)              // odd: rewiring in progress
-	fe.installChild(a.slot, a.link) //tbon:allow mutationquiesce adoptSeq is odd: readers retry, and the new link carries no traffic yet
-	for _, ss := range states {
-		ss.growSlots(a.slot + 1)
-	}
-	fe.adoptSeq.Add(1) // even again: links and routing consistent
-	go readLink(a.link, a.slot, inbox, fe.ctrlLane, fe.readStop)
-	if fe.nw.tearingDown() {
-		// The newcomer raced a shutdown whose announcement sweep may have
-		// snapshotted the links before this install: pass the
-		// announcement on so it terminates like everyone else.
-		_ = a.link.Send(packet.MustNew(packet.TagControl, 0, 0, ctrlShutdownFormat, int64(opShutdown)))
-	}
-	return 1
+	fe.nw.passShutdown(cmd.links, false, 0)
+	close(cmd.done)
+	return len(cmd.links)
 }
 
 // handleOrderFree processes one control-lane packet at the root: beacons

@@ -17,16 +17,7 @@ type inMsg struct {
 	ps    []*packet.Packet
 }
 
-// attachMsg delivers a dynamically created child link together with the
-// slot index the live view assigned to it, so the event loop installs it at
-// the same index the routing tables use.
-type attachMsg struct {
-	link transport.Link
-	slot int
-}
-
-// node is a communication process (or the shell around a back-end, which
-// has its own loop in backend.go). Its run loop is the control-plane
+// node is a communication process. Its run loop is the control-plane
 // ROUTER of the stream-sharded data plane (see shard.go): it owns links,
 // reader goroutines, the streams table, control packets, and recovery
 // commands, and dispatches data-packet runs to per-stream pipeline shards.
@@ -34,8 +25,6 @@ type node struct {
 	nw   *Network
 	rank Rank
 	ep   *transport.Endpoint
-	leaf bool
-	be   *BackEnd
 
 	streams      map[uint32]*streamState
 	shuttingDown bool
@@ -59,7 +48,7 @@ type node struct {
 	// the router stops on its way out). parentOut retains its buffer
 	// and replay ring across a dead parent link so the packets survive
 	// until reparenting. The childOut slice itself is mutated only
-	// with the shards quiesced (adoption, attach).
+	// with the shards quiesced (the install command).
 	parentOut *egressQueue
 	childOut  []*egressQueue
 
@@ -73,11 +62,8 @@ type node struct {
 	parentGen     int
 	parentEOFSeen int
 
-	// attachCh delivers links for dynamically attached back-ends
-	// (AttachBackEnd); the event loop installs them as new child slots.
-	attachCh chan attachMsg
-	// cmdCh delivers recovery commands (state snapshot, adoption,
-	// reparenting) into the event loop.
+	// cmdCh delivers commands (state snapshot, the install command,
+	// reparenting, checkpoints) into the event loop.
 	cmdCh chan nodeCmd
 	// killCh is closed by Kill to crash the node: the event loop exits
 	// immediately, without draining.
@@ -117,10 +103,6 @@ type node struct {
 // the per-stream pipeline shards, which synchronize, transform, and egress
 // concurrently.
 func (n *node) run() {
-	if n.leaf {
-		n.be.run()
-		return
-	}
 	n.streams = map[uint32]*streamState{}
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
 	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
@@ -159,7 +141,7 @@ func (n *node) run() {
 
 	// fast counts consecutive fast-path iterations; the periodic forced
 	// pass through the full select bounds how long a busy inbox can defer a
-	// recovery command or an attachment.
+	// command.
 	fast := 0
 	for {
 		// Control lane first: order-free control must flow however deep the
@@ -199,8 +181,6 @@ func (n *node) run() {
 			}
 		case p := <-n.ctrlLane:
 			n.handleOrderFree(p)
-		case a := <-n.attachCh:
-			n.addChild(a, inbox)
 		case c := <-n.cmdCh:
 			n.handleCmd(c, inbox)
 		case <-n.killCh:
@@ -268,28 +248,6 @@ func (n *node) installChild(slot int, l transport.Link) {
 	}
 	n.childOut[slot] = newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics)
 	n.childOut[slot].bindStops(n.killCh, n.nw.dying)
-}
-
-// addChild installs a dynamically attached back-end's link as a new child
-// slot. Existing streams do not include the newcomer (their membership was
-// fixed at creation); streams created afterwards see it via the updated
-// topology snapshot.
-func (n *node) addChild(a attachMsg, inbox chan inMsg) {
-	// installChild grows the childOut slice the shards traverse while
-	// fanning multicasts out; attach is rare, so park the data plane.
-	n.quiesceShards(func() {
-		n.installChild(a.slot, a.link)
-		for _, ss := range n.streams {
-			ss.growSlots(a.slot + 1)
-		}
-	})
-	n.liveChildren++
-	if n.shuttingDown {
-		// The newcomer raced a shutdown: pass the announcement on so it
-		// terminates like everyone else.
-		_ = a.link.Send(packet.MustNew(packet.TagControl, 0, n.rank, ctrlShutdownFormat, int64(opShutdown)))
-	}
-	go readLink(a.link, a.slot, inbox, n.ctrlLane, n.readStop)
 }
 
 // ctrlLaneDepth buffers the order-free control lane. It only fills when

@@ -62,21 +62,21 @@ type cmdSnapshot struct {
 	reply chan map[uint32][]byte
 }
 
-// cmdAdopt installs orphan links as new child slots and rebuilds stream
-// routing/synchronizers from a fresh slot snapshot.
-type cmdAdopt struct {
-	deadSlot int // the failed child's slot, fenced off (-1 none)
-	// vacated lists further child slots to fence off: a split migrated
-	// those children to the new sibling, so the donor must stop routing to
-	// them (SplitNode). Unlike deadSlot the children are alive — just
-	// elsewhere — which is why the fence rides the same adoption machinery
-	// that handles a dead child's slot.
-	vacated  []int
+// cmdInstall is the one command that changes a router's child slots, at
+// internal nodes and the front-end alike: fence slots, install new child
+// links and start their readers, rebuild every stream's routing from a
+// fresh slot snapshot, re-announce streams into the new subtrees, and
+// restore composed filter state. An attach is this command with one link;
+// refreshing a router's routing is this command with none.
+type cmdInstall struct {
+	// fence lists child slots to cut off: a dead child's, or slots a
+	// migration vacated (those children are alive, just elsewhere).
+	fence    []int
 	slots    []int            // child slot index per new link
-	links    []transport.Link // parent-side ends, index-aligned with slots
-	slotInfo []slotInfo       // full refreshed slot snapshot for the adopter
+	links    []transport.Link // router-side ends, index-aligned with slots
+	slotInfo []slotInfo       // the router's full refreshed slot snapshot
 	composed map[uint32][]byte
-	reply    chan error
+	done     chan struct{}
 }
 
 // reparentReq hands an orphaned back-end the rendezvous of its
@@ -112,7 +112,7 @@ type cmdFetchCkpt struct {
 }
 
 func (*cmdSnapshot) isNodeCmd()   {}
-func (*cmdAdopt) isNodeCmd()      {}
+func (*cmdInstall) isNodeCmd()    {}
 func (*cmdReparent) isNodeCmd()   {}
 func (*cmdCheckpoint) isNodeCmd() {}
 func (*cmdFetchCkpt) isNodeCmd()  {}
@@ -125,35 +125,26 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 	switch cmd := c.(type) {
 	case *cmdSnapshot:
 		cmd.reply <- n.snapshotFilterState()
-	case *cmdAdopt:
+	case *cmdInstall:
 		states := make([]*streamState, 0, len(n.streams))
 		for _, ss := range n.streams {
 			states = append(states, ss)
 		}
-		// The dead child's EOF may still be queued behind data: release any
+		// A fenced child's EOF may still be queued behind data: release any
 		// worker waiting on its window NOW, or it never reaches the quiesce
-		// barrier below. Vacated (split-migrated) slots get the same
-		// treatment — their links are about to be fenced too.
-		if cmd.deadSlot >= 0 && cmd.deadSlot < len(n.childOut) {
-			n.childOut[cmd.deadSlot].releaseWaiters()
-		}
-		for _, s := range cmd.vacated {
+		// barrier below.
+		for _, s := range cmd.fence {
 			if s >= 0 && s < len(n.childOut) {
 				n.childOut[s].releaseWaiters()
 			}
 		}
 		n.quiesceShards(func() {
-			applyAdoption(cmd, n.ep, n.nw.registry, n.installChild, states, n.flushBatches, inbox, n.ctrlLane, n.readStop)
+			applyInstall(cmd, n.ep, n.nw.registry, n.installChild, states, n.flushBatches, inbox, n.ctrlLane, n.readStop)
 			n.redispatchStash(cmd.slots)
 		})
 		n.liveChildren += len(cmd.links)
-		if n.shuttingDown {
-			down := packet.MustNew(packet.TagControl, 0, n.rank, ctrlShutdownFormat, int64(opShutdown))
-			for _, l := range cmd.links {
-				_ = l.Send(down)
-			}
-		}
-		cmd.reply <- nil
+		n.nw.passShutdown(cmd.links, n.shuttingDown, n.rank)
+		close(cmd.done)
 	case *cmdReparent:
 		link, err := cmd.rw.Redial(cmd.addr)
 		if err != nil {
@@ -229,7 +220,7 @@ func (n *node) snapshotFilterState() map[uint32][]byte {
 // redispatchStash re-routes a fenced dead child's never-sent queued
 // packets through the repaired stream table: they were destined for the
 // dead child's subtree, whose members are now reachable through the newly
-// adopted slots. Runs under quiesce right after applyAdoption; sends are
+// adopted slots. Runs under quiesce right after applyInstall; sends are
 // router-context (non-blocking) so recovery never wedges on a full window.
 func (n *node) redispatchStash(slots []int) {
 	if len(n.reroute) == 0 {
@@ -251,25 +242,21 @@ func (n *node) redispatchStash(slots []int) {
 	}
 }
 
-// applyAdoption runs the adoption sequence shared by internal nodes and
-// the front-end: fence the declared-dead child off (even a false positive
-// — alive but silent — must not keep feeding this node), install the new
-// child links, start their readers, and repair every stream. The readers
-// start before stream repair so both link directions drain while
-// announcements are sent — their packets are only processed after the
-// command completes, once routing is rebuilt. Callers run this with their
-// pipeline shards quiesced (it mutates child slots and synchronizer state
-// the shards otherwise own) and keep their own bookkeeping (live-child
-// counts, shutdown racing) around it.
-func applyAdoption(c *cmdAdopt, ep *transport.Endpoint, reg *filter.Registry,
+// applyInstall runs the install command, the same at internal nodes and
+// the front-end: fence the listed slots (a declared-dead child — even a
+// false positive, alive but silent, must not keep feeding this router — or
+// a migrated one), install the new child links, start their readers, and
+// repair every stream. The readers start before stream repair so both link
+// directions drain while announcements are sent — their packets are only
+// processed after the command completes, once routing is rebuilt. Callers
+// run this with their pipeline shards quiesced (it mutates child slots and
+// synchronizer state the shards otherwise own) and keep their own
+// bookkeeping (live-child counts, the shutdown rule) around it.
+func applyInstall(c *cmdInstall, ep *transport.Endpoint, reg *filter.Registry,
 	install func(slot int, l transport.Link), states []*streamState,
 	flush func(*streamState, [][]*packet.Packet), inbox chan inMsg,
 	ctrl chan *packet.Packet, readStop <-chan struct{}) {
-	if c.deadSlot >= 0 && c.deadSlot < len(ep.Children) {
-		transport.DropLink(ep.Children[c.deadSlot])
-		install(c.deadSlot, nil)
-	}
-	for _, s := range c.vacated {
+	for _, s := range c.fence {
 		if s >= 0 && s < len(ep.Children) {
 			transport.DropLink(ep.Children[s])
 			install(s, nil)
@@ -284,13 +271,28 @@ func applyAdoption(c *cmdAdopt, ep *transport.Endpoint, reg *filter.Registry,
 	repairStreams(reg, states, c, flush)
 }
 
-// repairStreams applies an adoption to every stream at the adopter:
-// rebuild slot routing and synchronization, re-announce the stream into
-// the adopted subtrees, and restore the lost level's composable filter
+// passShutdown is the install command's one shutdown rule, the same at both
+// routers: links installed after the router has seen opShutdown (seen), or
+// after teardown began, may have missed the announcement sweep, so it is
+// passed on to them here. A reparented orphan no longer watches teardown;
+// without this it would wait for the announcement forever.
+func (nw *Network) passShutdown(links []transport.Link, seen bool, from Rank) {
+	if len(links) == 0 || !seen && !nw.tearingDown() {
+		return
+	}
+	down := packet.MustNew(packet.TagControl, 0, from, ctrlShutdownFormat, int64(opShutdown))
+	for _, l := range links {
+		_ = l.Send(down)
+	}
+}
+
+// repairStreams applies an install to every stream at the router: rebuild
+// slot routing and synchronization, re-announce the stream into the newly
+// installed subtrees, and restore the lost level's composable filter
 // state — by replay through the normal pipeline when the filter supports
 // it (also regenerating information lost in flight), else by a silent
 // state absorb.
-func repairStreams(reg *filter.Registry, states []*streamState, c *cmdAdopt,
+func repairStreams(reg *filter.Registry, states []*streamState, c *cmdInstall,
 	flush func(*streamState, [][]*packet.Packet)) {
 	for _, ss := range states {
 		// Rounds that were only gated on the dead slot complete now —
@@ -506,38 +508,64 @@ func (nw *Network) Kill(r Rank) error {
 		return fmt.Errorf("%w: the front-end cannot be killed", ErrNotRecoverable)
 	}
 	nw.mu.Lock()
-	if nw.shutdown {
-		nw.mu.Unlock()
+	down := nw.shutdown
+	nw.mu.Unlock()
+	if down {
 		return ErrShutdown
 	}
-	n := nw.byRank[r]
-	be := nw.bes[r]
-	nw.mu.Unlock()
-	if n == nil && be == nil {
+	if !nw.crash(r) {
 		return fmt.Errorf("core: no such rank %d", r)
 	}
 	nw.metrics.NodesFailed.Add(1)
-	if be != nil {
-		be.kill()
-	} else {
-		n.kill()
-	}
 	return nil
 }
 
-// sendNodeCmd delivers a command to a node's event loop, failing rather
-// than deadlocking if the node is dead or the network is tearing down.
+// crash terminates the process at r abruptly, reporting false when no
+// process runs there.
+func (nw *Network) crash(r Rank) bool {
+	nw.mu.Lock()
+	n, be := nw.byRank[r], nw.bes[r]
+	nw.mu.Unlock()
+	switch {
+	case be != nil:
+		be.kill()
+	case n != nil:
+		n.kill()
+	default:
+		return false
+	}
+	return true
+}
+
+// sendNodeCmd delivers a command to a routing process's event loop — node
+// n, or the front-end when n is nil — failing rather than deadlocking if
+// the node is dead, the network is tearing down, or the loop is wedged.
 func (nw *Network) sendNodeCmd(n *node, c nodeCmd) error {
+	ch, dead, r := nw.fe.cmdCh, (<-chan struct{})(nil), Rank(0)
+	if n != nil {
+		ch, dead, r = n.cmdCh, n.killCh, n.rank
+	}
 	select {
-	case n.cmdCh <- c:
+	case ch <- c:
 		return nil
-	case <-n.killCh:
-		return fmt.Errorf("core: rank %d is dead", n.rank)
+	case <-dead:
+		return fmt.Errorf("core: rank %d is dead", r)
 	case <-nw.dying:
 		return ErrShutdown
 	case <-time.After(5 * time.Second):
-		return fmt.Errorf("core: rank %d did not accept command", n.rank)
+		return fmt.Errorf("core: rank %d did not accept command", r)
 	}
+}
+
+// install hands a router — node n, or the front-end when n is nil — the
+// install command and waits until it has been applied.
+func (nw *Network) install(n *node, c *cmdInstall) error {
+	c.done = make(chan struct{})
+	if err := nw.sendNodeCmd(n, c); err != nil {
+		return err
+	}
+	<-c.done
+	return nil
 }
 
 // handReparent gives a child process — internal node n, or back-end be —
@@ -565,54 +593,10 @@ func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
 	return false
 }
 
-// handAttach gives a routing process — internal node parent, or the
-// front-end when parent is nil — its end of a freshly minted child link,
-// failing rather than blocking forever when the parent has crashed (killed
-// but not yet recovered), the network is tearing down, or the loop is wedged.
-func (nw *Network) handAttach(parent *node, msg attachMsg) error {
-	ch, dead, who := nw.fe.attachCh, (<-chan struct{})(nil), "front-end"
-	if parent != nil {
-		ch, dead, who = parent.attachCh, parent.killCh, fmt.Sprintf("parent %d", parent.rank)
-	}
-	select {
-	case ch <- msg:
-		return nil
-	case <-dead:
-		return fmt.Errorf("core: %s has crashed", who)
-	case <-nw.dying:
-		return ErrShutdown
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("core: %s did not accept the attachment", who)
-	}
-}
-
-// handAdopt delivers an adoption command to its adopter — internal node
-// adopter, or the front-end when adopter is nil — and waits for it to be
-// applied. The front-end loop may be wedged or already gone at teardown, so
-// that hand-off is bounded like sendNodeCmd's.
-func (nw *Network) handAdopt(adopter *node, c *cmdAdopt) error {
-	if adopter != nil {
-		if err := nw.sendNodeCmd(adopter, c); err != nil {
-			return err
-		}
-	} else {
-		select {
-		case nw.fe.cmdCh <- c:
-		case <-nw.dying:
-			return ErrShutdown
-		case <-time.After(5 * time.Second):
-			return fmt.Errorf("core: front-end did not accept the adoption")
-		}
-	}
-	<-c.reply
-	return nil
-}
-
-// replacementAcceptTimeout bounds how long an adoption waits for an
-// orphan's redial to land on its offer. An orphan that dies between the
-// reparent handoff and its redial (an overlapping failure) must not wedge
-// the recovery: its offer is abandoned and its slot stays empty until its
-// own recovery, like any other dead child.
+// replacementAcceptTimeout bounds how long a reparent waits for a child's
+// redial to land on its offer. A child that dies between the hand-off and
+// its redial (an overlapping failure) must not wedge the mutation: its
+// offer is abandoned and it does not move.
 const replacementAcceptTimeout = 2 * time.Second
 
 // acceptReplacement waits, bounded, for the orphan's redial to land on the
@@ -642,6 +626,123 @@ func acceptReplacement(o transport.Offer) (transport.Link, error) {
 	}
 }
 
+// reparent is the one path that moves existing children between routers —
+// the reconfiguration step of the zero-cost recovery model. The view moves
+// kids from `from` to `to`; each child is handed the rendezvous of a fresh
+// link to `to` and redials it from inside its own loop; `to` installs the
+// links it accepted, carrying composed (the lost level's filter state).
+// The old slots are fenced at `to` when `from` is dead (an adoption) or at
+// `from` itself when it lives on (a split's donor), and when the two are
+// siblings their parent's routing is refreshed so both slots carry the
+// leaves they now hold. A child that does not move goes back to a live
+// `from`; under a dead one it keeps its slot at `to` with no link, awaiting
+// its own recovery like any dead child (a reader-less link would wedge
+// `to`). If `to` cannot take the install, everything is rolled back. It
+// returns how many children moved. Callers hold recMu.
+func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]byte) (int, error) {
+	nw.mu.Lock()
+	fromSlots, toSlots := nw.view.move(kids, from, to)
+	fromDead := nw.view.dead[from]
+	kidNodes := make([]*node, len(kids))
+	kidBEs := make([]*BackEnd, len(kids))
+	for i, c := range kids {
+		kidNodes[i], kidBEs[i] = nw.byRank[c], nw.bes[c]
+	}
+	nw.mu.Unlock()
+
+	// Hand every child its rendezvous first: each redials from inside its
+	// own event loop, so its reader is live before `to` sends stream
+	// re-announcements (those sends could otherwise block on a full link
+	// buffer with nobody draining it). Data a child sends before `to`
+	// accepts just queues in the link — the chan buffer in-process, the
+	// listen backlog's socket buffers on TCP.
+	offers := make([]transport.Offer, len(kids))
+	for i := range kids {
+		o, err := nw.rewirer.Offer()
+		if err != nil {
+			continue
+		}
+		if !nw.handReparent(kidNodes[i], kidBEs[i], o.Addr()) {
+			_ = o.Close()
+			continue
+		}
+		offers[i] = o
+	}
+	// Accept concurrently so the bounded waits overlap: a child that died
+	// after the hand-off (an overlapping failure) never redials, and must
+	// not wedge the mutation — after replacementAcceptTimeout (once, not per
+	// child) its offer is abandoned and it counts as not moved.
+	links := make([]transport.Link, len(kids))
+	var wg sync.WaitGroup
+	for i, o := range offers {
+		if o == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, o transport.Offer) {
+			defer wg.Done()
+			if l, err := acceptReplacement(o); err == nil {
+				// The router-side end gets fresh credit accounting,
+				// mirroring the child's fresh window.
+				links[i] = transport.NewFlowLink(l, nw.cfg.LinkWindow)
+				nw.metrics.RewiredLinks.Add(1)
+			}
+		}(i, o)
+	}
+	wg.Wait()
+
+	var slots, vacated []int
+	var moved []transport.Link
+	nw.mu.Lock()
+	for i, l := range links {
+		switch {
+		case l != nil:
+			slots, vacated, moved = append(slots, toSlots[i]), append(vacated, fromSlots[i]), append(moved, l)
+		case !fromDead:
+			nw.view.unmove(kids[i], from, fromSlots[i], to, toSlots[i])
+		}
+	}
+	toCmd := &cmdInstall{slots: slots, links: moved, slotInfo: nw.view.slotInfoLocked(to), composed: composed}
+	var fromCmd, gCmd *cmdInstall
+	g := nw.view.parent[from]
+	if fromDead {
+		toCmd.fence = []int{nw.view.slotOf(to, from)}
+	} else {
+		fromCmd = &cmdInstall{fence: vacated, slotInfo: nw.view.slotInfoLocked(from)}
+		if g == nw.view.parent[to] {
+			gCmd = &cmdInstall{slotInfo: nw.view.slotInfoLocked(g)}
+		}
+	}
+	toNode, fromNode, gNode := nw.byRank[to], nw.byRank[from], nw.byRank[g]
+	nw.mu.Unlock()
+
+	if err := nw.install(toNode, toCmd); err != nil {
+		// `to` died or the network is tearing down: sever the new links so
+		// the moved children fall back to waiting, and restore the view so
+		// a later retry starts from a consistent state.
+		for _, l := range moved {
+			transport.DropLink(l)
+		}
+		nw.mu.Lock()
+		for i, c := range kids {
+			if links[i] != nil || fromDead {
+				nw.view.unmove(c, from, fromSlots[i], to, toSlots[i])
+			}
+		}
+		nw.mu.Unlock()
+		return 0, err
+	}
+	// Best-effort: a router that died meanwhile is rebuilt by its own
+	// recovery, and the front-end fails only at teardown.
+	if fromCmd != nil {
+		_ = nw.install(fromNode, fromCmd)
+	}
+	if gCmd != nil {
+		_ = nw.install(gNode, gCmd)
+	}
+	return len(moved), nil
+}
+
 // Adopt applies the zero-cost recovery rule to the running overlay after
 // the process at failed has crashed: its parent adopts the orphans, every
 // affected stream's routing and synchronization is rebuilt, streams are
@@ -656,39 +757,21 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 	start := time.Now()
 
 	nw.mu.Lock()
-	if nw.shutdown {
-		nw.mu.Unlock()
-		return nil, ErrShutdown
+	parent, err := nw.target(failed, ErrNotRecoverable, true, false)
+	var orphans []Rank
+	if err == nil {
+		orphans = nw.view.liveKids(failed)
+		nw.view.dead[failed] = true
 	}
-	if failed == 0 {
-		nw.mu.Unlock()
-		return nil, fmt.Errorf("%w: the front-end is a single point of control", ErrNotRecoverable)
-	}
-	if !nw.view.valid(failed) {
-		nw.mu.Unlock()
-		return nil, fmt.Errorf("%w: no such rank %d", ErrNotRecoverable, failed)
-	}
-	if nw.view.dead[failed] {
-		nw.mu.Unlock()
-		return nil, fmt.Errorf("%w: rank %d already recovered", ErrNotRecoverable, failed)
-	}
-	parent := nw.view.parent[failed]
-	if nw.view.dead[parent] {
-		nw.mu.Unlock()
-		return nil, fmt.Errorf("%w: parent %d of %d has also failed; recover it first", ErrNotRecoverable, parent, failed)
-	}
-	deadSlot := nw.view.slotOf(parent, failed)
-	origFailedChildren := append([]Rank(nil), nw.view.children[failed]...)
-	orphans, slots := nw.view.adopt(failed, parent)
-	info := nw.view.slotInfoLocked(parent)
 	orphanNodes := make([]*node, len(orphans))
-	orphanBEs := make([]*BackEnd, len(orphans))
 	for i, o := range orphans {
 		orphanNodes[i] = nw.byRank[o]
-		orphanBEs[i] = nw.bes[o]
 	}
 	adopterNode := nw.byRank[parent] // nil when the front-end adopts
 	nw.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	// 1. Snapshot the orphans' composable filter state (internal orphans
 	// only; back-ends carry no filter state).
@@ -761,105 +844,14 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 		}
 	}
 
-	// 3. Mint one replacement-link rendezvous per orphan and re-parent the
-	// orphans first: each orphan redials its offer from inside its own
-	// event loop, so its reader goroutine is live before the adopter sends
-	// stream re-announcements (those sends could otherwise block on a full
-	// link buffer with nobody draining it). Orphan data sent before the
-	// adopter accepts its end just queues in the link — the chan buffer
-	// in-process, the listen backlog's socket buffers on TCP.
-	offers := make([]transport.Offer, len(orphans))
-	links := make([]transport.Link, len(orphans)) // adopter-side ends
-	reparented := make([]bool, len(orphans))
-	// rollback undoes the view mutation, abandons open offers, and severs
-	// the accepted links if the adopter cannot complete the installation
-	// (e.g. it was killed while this recovery ran), so a later retry
-	// starts from a consistent state and already-reparented orphans fall
-	// back to waiting. The orphan slots are vacated, not removed: a
-	// concurrent attach may have appended further slots whose indices
-	// must not shift.
-	rollback := func() {
-		for i := range orphans {
-			if offers[i] != nil {
-				_ = offers[i].Close()
-			}
-			transport.DropLink(links[i])
-		}
+	// 3. Move the orphans under the adopter, which fences the dead child's
+	// slot and absorbs the composed state. An adopter that cannot take them
+	// (it was killed while this recovery ran) leaves failed alive in the
+	// view, so shallowest-first recovery redoes this adoption later.
+	if _, err := nw.reparent(orphans, failed, parent, composed); err != nil {
 		nw.mu.Lock()
 		nw.view.dead[failed] = false
-		nw.view.children[failed] = origFailedChildren
-		nw.view.vacate(parent, slots)
-		for _, o := range orphans {
-			nw.view.parent[o] = failed
-		}
 		nw.mu.Unlock()
-	}
-	for i := range orphans {
-		o, err := nw.rewirer.Offer()
-		if err != nil {
-			continue // orphan stays orphaned; a later recovery retries
-		}
-		offers[i] = o
-		reparented[i] = nw.handReparent(orphanNodes[i], orphanBEs[i], o.Addr())
-	}
-	// Accept the adopter-side end of every replacement link, concurrently
-	// so the bounded waits overlap. Bounded: an orphan that died after the
-	// handoff (an overlapping failure) never redials, and must not wedge
-	// this adoption — after replacementAcceptTimeout (once, not per
-	// orphan) its offer is abandoned and it is treated like any other
-	// unreparented orphan.
-	var acceptWG sync.WaitGroup
-	for i := range orphans {
-		if !reparented[i] {
-			if offers[i] != nil {
-				_ = offers[i].Close()
-				offers[i] = nil
-			}
-			continue
-		}
-		acceptWG.Add(1)
-		go func(i int) {
-			defer acceptWG.Done()
-			l, err := acceptReplacement(offers[i])
-			if err != nil {
-				reparented[i] = false
-				return
-			}
-			// The adopter-side end of a replacement link gets fresh credit
-			// accounting, mirroring the orphan's fresh window.
-			links[i] = transport.NewFlowLink(l, nw.cfg.LinkWindow)
-			nw.metrics.RewiredLinks.Add(1)
-		}(i)
-	}
-	acceptWG.Wait()
-	for i := range offers {
-		offers[i] = nil // accepts consumed (or closed) every open offer
-	}
-
-	// 4. Install the adopter-side ends at the adopter: new child slots,
-	// stream routing/synchronizer rebuild, re-announce, state repair. An
-	// orphan that could not be reparented (itself dead — a cascading
-	// failure) gets no link: its slot stays empty until its own recovery,
-	// exactly like any other dead child awaiting adoption, instead of
-	// wiring a reader-less link that would wedge the adopter.
-	liveSlots := make([]int, 0, len(orphans))
-	liveLinks := make([]transport.Link, 0, len(orphans))
-	for i := range orphans {
-		if reparented[i] {
-			liveSlots = append(liveSlots, slots[i])
-			liveLinks = append(liveLinks, links[i])
-		}
-	}
-	adopt := &cmdAdopt{
-		deadSlot: deadSlot,
-		slots:    liveSlots,
-		links:    liveLinks,
-		slotInfo: info,
-		composed: composed,
-		reply:    make(chan error, 1),
-	}
-	if err := nw.handAdopt(adopterNode, adopt); err != nil {
-		rollback()
 		return nil, err
 	}
 

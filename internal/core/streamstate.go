@@ -110,11 +110,10 @@ type streamState struct {
 
 	// routes is the current immutable routing snapshot, read lock-free by
 	// user-goroutine multicasts and pipeline shards; writers (stream
-	// creation, recovery adoption under quiesce, dynamic attach on the
-	// router) swap in a fresh snapshot. The filters themselves (sync,
-	// tform, downTform) take no lock: they are driven only by the stream's
-	// shard workers under pipeMu, or by the router alone while the shards
-	// are quiesced.
+	// creation, the install command under quiesce) swap in a fresh
+	// snapshot. The filters themselves (sync, tform, downTform) take no
+	// lock: they are driven only by the stream's shard workers under
+	// pipeMu, or by the router alone while the shards are quiesced.
 	routes atomic.Pointer[streamRoutes]
 }
 
@@ -160,8 +159,9 @@ func newStreamState(nw *Network, rank Rank, reg *filter.Registry,
 
 // rebuildSlots recomputes the routing snapshot from a fresh slot
 // snapshot and rewires the synchronizer accordingly. It is
-// called once at stream creation and again whenever recovery changes the
-// node's child set; packets already queued per surviving slot are preserved
+// called once at stream creation and again by every install command that
+// changes the node's child set (a new slot whose subtree holds no member
+// routes nothing); packets already queued per surviving slot are preserved
 // when the synchronizer supports remapping, and batches completed by the
 // removal of a dead slot are returned for the caller to flush.
 func (ss *streamState) rebuildSlots(slots []slotInfo) [][]*packet.Packet {
@@ -212,24 +212,6 @@ func (ss *streamState) rebuildSlots(slots []slotInfo) [][]*packet.Packet {
 	return released
 }
 
-// growSlots widens the routing slices to cover child slots up to n-1,
-// marking new slots as non-participating (dynamic attach: existing
-// streams' membership was fixed at creation).
-func (ss *streamState) growSlots(n int) {
-	old := ss.routes.Load()
-	if len(old.down) >= n {
-		return
-	}
-	down := make([]bool, n)
-	up := make([]int, n)
-	copy(down, old.down)
-	copy(up, old.up)
-	for i := len(old.up); i < n; i++ {
-		up[i] = -1
-	}
-	ss.routes.Store(&streamRoutes{down: down, up: up, numUp: old.numUp})
-}
-
 // announcePacket rebuilds the opNewStream control message for this stream,
 // used to (re-)establish it in adopted subtrees during recovery.
 func (ss *streamState) announcePacket() *packet.Packet {
@@ -237,7 +219,7 @@ func (ss *streamState) announcePacket() *packet.Packet {
 }
 
 // syncSlot maps a child link slot to the synchronizer's dense slot space
-// via the lock-free routing snapshot (growSlots may swap it concurrently).
+// via the lock-free routing snapshot.
 func (ss *streamState) syncSlot(childIdx int) int {
 	r := ss.routes.Load()
 	if childIdx >= 0 && childIdx < len(r.up) {

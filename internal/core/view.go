@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/topology"
+import (
+	"fmt"
+
+	"repro/internal/topology"
+)
 
 // liveView tracks the overlay's current shape in the ORIGINAL rank
 // numbering, which never changes at runtime (packets, nodes and streams all
@@ -10,7 +14,8 @@ import "repro/internal/topology"
 //
 // children is slot-aligned with each node's transport.Endpoint.Children:
 // a dead child keeps its slot (the link is gone but the index must not
-// shift), and adoption appends orphan slots at the end. All access is
+// shift), a moved child leaves a placeholder behind, and new children —
+// attached, or moved in — take slots appended at the end. All access is
 // guarded by Network.mu.
 type liveView struct {
 	parent   []Rank
@@ -39,60 +44,89 @@ func newLiveView(t *topology.Tree) *liveView {
 // valid reports whether r names a node the view knows about.
 func (v *liveView) valid(r Rank) bool { return r >= 0 && int(r) < len(v.parent) }
 
-// addLeaf registers a dynamically attached back-end under parent and
+// add registers a newly spawned process under parent — a back-end when
+// backend is set, else a communication process (a split sibling) — and
 // returns its rank and the child-slot index it occupies at the parent.
-func (v *liveView) addLeaf(parent Rank) (Rank, int) {
+func (v *liveView) add(parent Rank, backend bool) (Rank, int) {
 	r := Rank(len(v.parent))
 	v.parent = append(v.parent, parent)
 	v.children = append(v.children, nil)
 	v.dead = append(v.dead, false)
-	v.backend = append(v.backend, true)
+	v.backend = append(v.backend, backend)
 	slot := len(v.children[parent])
 	v.children[parent] = append(v.children[parent], r)
 	return r, slot
 }
 
-// addInternal registers a dynamically spawned communication process under
-// parent (a split sibling; see SplitNode) and returns its rank and the
-// child-slot index it occupies at the parent.
-func (v *liveView) addInternal(parent Rank) (Rank, int) {
-	r := Rank(len(v.parent))
-	v.parent = append(v.parent, parent)
-	v.children = append(v.children, nil)
-	v.dead = append(v.dead, false)
-	v.backend = append(v.backend, false)
-	slot := len(v.children[parent])
-	v.children[parent] = append(v.children[parent], r)
-	return r, slot
-}
-
-// liveChildCount returns how many of r's child slots hold live children.
-func (v *liveView) liveChildCount(r Rank) int {
-	n := 0
+// liveKids returns r's live children in slot order.
+func (v *liveView) liveKids(r Rank) []Rank {
+	var out []Rank
 	for _, c := range v.children[r] {
 		if c != topology.NoRank && !v.dead[c] {
-			n++
+			out = append(out, c)
 		}
 	}
-	return n
+	return out
 }
 
-// adopt marks failed dead and re-parents its live children onto newParent,
-// appending one child slot per orphan. It returns the orphans in slot order
-// and the slot indices they occupy at newParent.
-func (v *liveView) adopt(failed, newParent Rank) (orphans []Rank, slots []int) {
-	v.dead[failed] = true
-	for _, c := range v.children[failed] {
-		if c == topology.NoRank || v.dead[c] {
-			continue
+// internal returns the live communication processes — neither the
+// front-end nor back-ends — in rank order, split siblings included.
+func (v *liveView) internal() []Rank {
+	var out []Rank
+	for r := 1; r < len(v.parent); r++ {
+		if !v.dead[r] && !v.backend[r] {
+			out = append(out, Rank(r))
 		}
-		orphans = append(orphans, c)
-		slots = append(slots, len(v.children[newParent]))
-		v.children[newParent] = append(v.children[newParent], c)
-		v.parent[c] = newParent
 	}
-	v.children[failed] = nil
-	return orphans, slots
+	return out
+}
+
+// move re-parents kids from one router to another: each leaves a
+// placeholder in its slot at from and takes a new slot appended at to. It
+// returns both slot lists, index-aligned with kids.
+func (v *liveView) move(kids []Rank, from, to Rank) (fromSlots, toSlots []int) {
+	for _, c := range kids {
+		fromSlots = append(fromSlots, v.slotOf(from, c))
+		toSlots = append(toSlots, len(v.children[to]))
+		v.children[to] = append(v.children[to], c)
+		v.parent[c] = to
+	}
+	v.vacate(from, fromSlots)
+	return fromSlots, toSlots
+}
+
+// unmove returns one child of a move to its slot at from, leaving a
+// placeholder in its slot at to.
+func (v *liveView) unmove(c, from Rank, fromSlot int, to Rank, toSlot int) {
+	v.children[from][fromSlot] = c
+	v.vacate(to, []int{toSlot})
+	v.parent[c] = from
+}
+
+// target is the one precondition check of a tree mutation, called with
+// Network.mu held: ErrShutdown once teardown has begun; otherwise r must be
+// a known, live rank — not a back-end unless leafOK, not the front-end
+// unless rootOK — whose parent is alive, and every other failure wraps the
+// caller's sentinel. It returns r's parent.
+func (nw *Network) target(r Rank, sentinel error, leafOK, rootOK bool) (Rank, error) {
+	v := nw.view
+	switch {
+	case nw.shutdown:
+		return topology.NoRank, ErrShutdown
+	case r == 0 && !rootOK:
+		return topology.NoRank, fmt.Errorf("%w: rank 0 is the front-end", sentinel)
+	case !v.valid(r):
+		return topology.NoRank, fmt.Errorf("%w: no such rank %d", sentinel, r)
+	case v.dead[r]:
+		return topology.NoRank, fmt.Errorf("%w: rank %d is already dead", sentinel, r)
+	case v.backend[r] && !leafOK:
+		return topology.NoRank, fmt.Errorf("%w: rank %d is a back-end", sentinel, r)
+	}
+	p := v.parent[r]
+	if p != topology.NoRank && v.dead[p] {
+		return topology.NoRank, fmt.Errorf("%w: parent %d of %d has failed; recover it first", sentinel, p, r)
+	}
+	return p, nil
 }
 
 // slotOf returns the child-slot index of child at parent, or -1.
@@ -107,8 +141,8 @@ func (v *liveView) slotOf(parent, child Rank) int {
 
 // vacate turns parent's given child slots into permanent placeholders
 // (topology.NoRank). Slot indices must stay stable — they align with the
-// owner's link slots — so a rolled-back adoption blanks its slots instead
-// of removing them.
+// owner's link slots — so a child that moves away blanks its slot instead
+// of removing it.
 func (v *liveView) vacate(parent Rank, slots []int) {
 	for _, s := range slots {
 		if s >= 0 && s < len(v.children[parent]) {

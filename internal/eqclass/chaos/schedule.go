@@ -25,13 +25,14 @@ type KillEvent struct {
 
 // MutationEvent reshapes the live topology at an offset: "split" grows a
 // sibling for Victim and migrates half its children, "merge" folds Victim
-// into its parent (a controlled kill through the recovery path). Mutation
-// failures are tolerated — the schedule may have already crashed the
-// victim, and a split racing a kill is exactly the interleaving under
-// test — but a merge's kill is always driven to recovery so no subtree is
-// left dark.
+// into its parent (a controlled kill through the recovery path), "attach"
+// joins a new back-end under Victim. Mutation failures are tolerated — the
+// schedule may have already crashed the victim, and a split racing a kill
+// is exactly the interleaving under test — but a merge's kill is always
+// driven to recovery so no subtree is left dark. An attached back-end is
+// not a member of the running stream, so the ledger expects nothing of it.
 type MutationEvent struct {
-	Kind   string // "split" | "merge"
+	Kind   string // "split" | "merge" | "attach"
 	Victim core.Rank
 	After  time.Duration
 }
@@ -102,7 +103,9 @@ func GenSchedule(tree *topology.Tree, seed int64) Schedule {
 // internal processes the kill plan leaves alone — a kill and a merge of
 // the same rank would just be the kill twice, while disjoint victims
 // force the split/merge machinery to run concurrently with genuine
-// failures.
+// failures — plus one mid-stream attach under such a process. The attach
+// draws from its own random stream, so every seed's kills, splits and
+// merges are the ones it generated before attaches existed.
 func GenMutationSchedule(tree *topology.Tree, seed int64) Schedule {
 	s := GenSchedule(tree, seed)
 	rng := rand.New(rand.NewSource(seed ^ 0x6d757461))
@@ -132,6 +135,15 @@ func GenMutationSchedule(tree *topology.Tree, seed int64) Schedule {
 		})
 	}
 	sort.Slice(s.Mutations, func(i, j int) bool { return s.Mutations[i].After < s.Mutations[j].After })
+	if len(free) > 0 {
+		arng := rand.New(rand.NewSource(seed ^ 0x61747461))
+		s.Mutations = append(s.Mutations, MutationEvent{
+			Kind:   "attach",
+			Victim: free[arng.Intn(len(free))],
+			After:  time.Duration(arng.Intn(80)) * time.Millisecond,
+		})
+		sort.SliceStable(s.Mutations, func(i, j int) bool { return s.Mutations[i].After < s.Mutations[j].After })
+	}
 	return s
 }
 
@@ -183,6 +195,8 @@ func (s Schedule) execute(nw *core.Network, mgr *recovery.Manager, tree *topolog
 			addVictim(e.kill.Victim)
 		case e.mut.Kind == "split":
 			_, _ = nw.SplitNode(e.mut.Victim)
+		case e.mut.Kind == "attach":
+			_, _ = nw.AttachBackEnd(e.mut.Victim)
 		case e.mut.Kind == "merge":
 			if seen[e.mut.Victim] {
 				continue // already crashed by an earlier kill event

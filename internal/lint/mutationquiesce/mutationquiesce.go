@@ -1,6 +1,6 @@
 // Package mutationquiesce enforces the topology-mutation barrier: the
 // primitives that rewire a live routing process — installChild, setLink,
-// applyAdoption, repairStreams, rebuildSlots, redispatchStash — mutate
+// applyInstall, repairStreams, rebuildSlots, redispatchStash — mutate
 // state the shard pipelines read without locks, so every call must happen
 // with the data plane parked. A call site is compliant when it sits
 // inside the func-literal argument of quiesce/quiesceShards (the barrier
@@ -10,9 +10,9 @@
 // data race with the routers by construction (DESIGN.md §9, §13).
 //
 // Setup code that mutates state no pipeline can see yet — a stream being
-// constructed, a back-end whose sole goroutine owns the egress, a flat
-// front-end installing a link no stream routes to — is a deliberate
-// exception: annotate it with //tbon:allow mutationquiesce <reason>.
+// constructed, a back-end whose sole goroutine owns the egress — is a
+// deliberate exception: annotate it with //tbon:allow mutationquiesce
+// <reason>.
 package mutationquiesce
 
 import (
@@ -33,7 +33,7 @@ var Analyzer = &lint.Analyzer{
 var primitives = map[string]bool{
 	"installChild":    true,
 	"setLink":         true,
-	"applyAdoption":   true,
+	"applyInstall":    true,
 	"repairStreams":   true,
 	"rebuildSlots":    true,
 	"redispatchStash": true,

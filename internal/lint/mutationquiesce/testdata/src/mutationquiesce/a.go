@@ -10,7 +10,7 @@ func (n *node) quiesceShards(f func()) { f() }
 func (n *node) quiesce(f func())       { f() }
 func (n *node) installChild(l *link)   {}
 func (n *node) setLink(l *link)        {}
-func (n *node) applyAdoption()         {}
+func (n *node) applyInstall()          {}
 func (n *node) rebuildSlots(k int)     {}
 
 func cond() bool { return false }
@@ -27,7 +27,7 @@ func wrapped(n *node, l *link) {
 // barrier literal; span containment still covers it.
 func wrappedNested(n *node, l *link) {
 	n.quiesce(func() {
-		fix := func() { n.applyAdoption() }
+		fix := func() { n.applyInstall() }
 		fix()
 	})
 }
