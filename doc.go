@@ -7,6 +7,7 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory), runnable examples under examples/, command-line tools under
-// cmd/, and the benchmark harness regenerating each of the paper's tables
-// and figures in bench_test.go and cmd/tbon-bench.
+// cmd/, and cmd/tbon-bench regenerates each of the paper's tables and
+// figures. The benchmark that records performance is the separate module
+// under bench/.
 package repro

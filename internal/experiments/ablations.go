@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/meanshift"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -87,11 +86,11 @@ func RunFanOutSweep(cfg FanOutSweepConfig) ([]FanOutRow, error) {
 
 // FanOutTable renders the sweep.
 func FanOutTable(leaves int, rows []FanOutRow) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("ABLATE-FANOUT — %d back-ends, varying fan-out (paper §3.2 open question)", leaves),
 		"fan-out", "depth", "internal-nodes", "makespan")
 	for _, r := range rows {
-		tb.AddRow(r.FanOut, r.Depth, r.Internal, r.Makespan)
+		tb.addRow(r.FanOut, r.Depth, r.Internal, r.Makespan)
 	}
 	return tb.String()
 }
@@ -178,11 +177,11 @@ func RunSyncPolicyAblation(leaves int, straggle time.Duration) ([]SyncPolicyRow,
 
 // SyncPolicyTable renders the ablation.
 func SyncPolicyTable(rows []SyncPolicyRow) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		"ABLATE-SYNC — synchronization policy vs first-result latency (one straggling back-end)",
 		"policy", "fe-deliveries", "first-result latency")
 	for _, r := range rows {
-		tb.AddRow(r.Policy, r.Deliveries, r.Latency)
+		tb.addRow(r.Policy, r.Deliveries, r.Latency)
 	}
 	return tb.String()
 }
@@ -254,11 +253,11 @@ func RunTransportAblation(leaves, rounds int) ([]TransportRow, error) {
 
 // TransportTable renders the ablation.
 func TransportTable(leaves int, rows []TransportRow) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("ABLATE-TRANSPORT — reduction round over %d back-ends", leaves),
 		"transport", "round latency")
 	for _, r := range rows {
-		tb.AddRow(r.Transport, r.RoundTrip)
+		tb.addRow(r.Transport, r.RoundTrip)
 	}
 	return tb.String()
 }

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/elastic"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -344,12 +343,12 @@ func ElasticTable(cfg ElasticConfig, rows []ElasticRow) string {
 	if cfg.Spec == "" {
 		cfg = DefaultElasticConfig()
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("ABLATE-ELASTIC — load-driven tree mutation under 4:1 subtree skew, %s, window %d",
 			cfg.Spec, cfg.Window),
 		"mode", "elapsed-s", "pkts/s", "hot/leaf/s", "cold/leaf/s", "cold-p50-ms", "cold-p99-ms", "splits", "merges", "last-mut-s", "lost")
 	for _, r := range rows {
-		tb.AddRow(r.Mode, r.ElapsedSec, r.RatePkts, r.HotRate, r.ColdRate,
+		tb.addRow(r.Mode, r.ElapsedSec, r.RatePkts, r.HotRate, r.ColdRate,
 			r.P50Ms, r.P99Ms, r.Splits, r.Merges, r.LastMutationSec, r.Lost)
 	}
 	return tb.String()

@@ -284,14 +284,14 @@ func TestMakespanModelMonotone(t *testing.T) {
 // configured timeout, totals dominated by detection, not rewiring).
 func TestRecoveryStudy(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
-	cfg.Shapes = []string{"kary:2^3", "kary:4^2"}
+	cfg.Shapes = []string{"kary:2^3", "kary:4^2", "kary:8^2"}
 	rows, err := RunRecovery(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One row per (transport, shape): live rewiring runs on both fabrics.
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (2 shapes x 2 fabrics)", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6 (3 shapes x 2 fabrics)", len(rows))
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
@@ -313,101 +313,6 @@ func TestRecoveryStudy(t *testing.T) {
 		t.Errorf("fabrics measured = %v, want both chan and tcp", seen)
 	}
 	t.Logf("\n%s", RecoveryTable(rows))
-}
-
-// TestBatchingAblationShape: the sweep covers every (fan-out, window)
-// pair, rates are positive, and the batched runs actually batch (mean
-// frame size above 1).
-func TestBatchingAblationShape(t *testing.T) {
-	cfg := BatchingConfig{
-		Leaves:   64,
-		FanOuts:  []int{8},
-		Windows:  []int{1, 16},
-		Rounds:   50,
-		MaxDelay: 2 * time.Millisecond,
-	}
-	rows, err := RunBatching(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.Rate <= 0 {
-			t.Errorf("fanout %d window %d: rate %v", r.FanOut, r.Window, r.Rate)
-		}
-	}
-	if rows[1].AvgFrame <= 1 {
-		t.Errorf("batched run mean frame size %.2f, want > 1", rows[1].AvgFrame)
-	}
-	t.Logf("\n%s", BatchingTable(cfg, rows))
-}
-
-// TestFlowControlAblationShape: the credit-window × slow-consumer sweep
-// runs end to end, every row honors its window bound on the egress gauge,
-// and the protocol visibly engages.
-func TestFlowControlAblationShape(t *testing.T) {
-	cfg := FlowControlConfig{
-		Leaves:      16,
-		FanOut:      4,
-		Windows:     []int{8, 32},
-		SlowFactors: []int{1, 50},
-		Rounds:      60,
-		PerPacket:   5 * time.Microsecond,
-	}
-	rows, err := RunFlowControl(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if r.Rate <= 0 {
-			t.Errorf("window %d slow %d: rate %v", r.Window, r.SlowFactor, r.Rate)
-		}
-		if r.EgressHighWater > int64(r.Window) {
-			t.Errorf("window %d slow %d: egress high-water %d exceeds the window",
-				r.Window, r.SlowFactor, r.EgressHighWater)
-		}
-		if r.CreditGrants == 0 {
-			t.Errorf("window %d slow %d: no grants; flow control never engaged", r.Window, r.SlowFactor)
-		}
-	}
-	t.Logf("\n%s", FlowControlTable(cfg, rows))
-}
-
-// TestMultiTenantShape runs the session-fabric study small: every swept
-// tenant count completes its ops, fairness is a sane ratio, and the
-// concurrent rows don't collapse versus the sequential baseline.
-func TestMultiTenantShape(t *testing.T) {
-	cfg := DefaultMultiTenantConfig()
-	cfg.Leaves, cfg.FanOut = 16, 4
-	cfg.Tenants = []int{1, 2, 4}
-	cfg.OpsPerTenant = 8
-	cfg.SketchItems = 50
-	rows, err := RunMultiTenant(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Ops != r.Tenants*cfg.OpsPerTenant {
-			t.Errorf("%d tenants: ops = %d", r.Tenants, r.Ops)
-		}
-		if r.AggRate <= 0 || r.MinRate <= 0 || r.MaxRate < r.MinRate {
-			t.Errorf("%d tenants: rates %+v", r.Tenants, r)
-		}
-		if r.Fairness <= 0 || r.Fairness > 1.0001 {
-			t.Errorf("%d tenants: fairness = %g", r.Tenants, r.Fairness)
-		}
-	}
-	if rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %g", rows[0].Speedup)
-	}
 }
 
 // TestElasticAblationShape is the elastic smoke: a scaled-down skewed

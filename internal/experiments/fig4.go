@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/meanshift"
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -262,11 +261,11 @@ func distributedMakespan(tree *topology.Tree, leafData [][]meanshift.Point, cfg 
 
 // Fig4Table renders the rows in the paper's layout.
 func Fig4Table(rows []Fig4Row) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		"Figure 4 — Mean-shift Processing Times (simulated parallel-machine makespan)",
 		"scale", "single", "flat(1-deep)", "deep(2-deep)", "deep-fanout", "peaks")
 	for _, r := range rows {
-		tb.AddRow(r.Scale, r.Single, r.Flat, r.Deep, r.DeepFanOut, r.Peaks)
+		tb.addRow(r.Scale, r.Single, r.Flat, r.Deep, r.DeepFanOut, r.Peaks)
 	}
 	return tb.String()
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/filter"
-	"repro/internal/metrics"
 	"repro/internal/sgfa"
 	"repro/internal/topology"
 )
@@ -43,11 +42,11 @@ func RunOverhead() ([]OverheadRow, error) {
 
 // OverheadTable renders the rows.
 func OverheadTable(rows []OverheadRow) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		"T-OVERHEAD — internal nodes needed to connect N back-ends (paper §3.2)",
 		"back-ends", "fan-out", "internal", "overhead")
 	for _, r := range rows {
-		tb.AddRow(r.BackEnds, r.FanOut, r.Internal, fmt.Sprintf("%.2f%%", 100*r.Overhead))
+		tb.addRow(r.BackEnds, r.FanOut, r.Internal, fmt.Sprintf("%.2f%%", 100*r.Overhead))
 	}
 	return tb.String()
 }
@@ -190,14 +189,14 @@ func RunSGFA(cfg SGFAConfig) (*SGFAResult, error) {
 
 // SGFATable renders the result.
 func SGFATable(r *SGFAResult) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("T-SGFA — sub-graph folding at %d back-ends (paper: thousand-node runs)", r.Leaves),
 		"metric", "value")
-	tb.AddRow("host equivalence classes", r.Classes)
-	tb.AddRow("leaf payload bytes", r.LeafBytes)
-	tb.AddRow("front-end payload bytes", r.RootBytes)
-	tb.AddRow("payload reduction", fmt.Sprintf("%.1fx", r.Reduction))
-	tb.AddRow("wall time", r.WallTime)
-	tb.AddRow("fold correct", r.FoldCorrect)
+	tb.addRow("host equivalence classes", r.Classes)
+	tb.addRow("leaf payload bytes", r.LeafBytes)
+	tb.addRow("front-end payload bytes", r.RootBytes)
+	tb.addRow("payload reduction", fmt.Sprintf("%.1fx", r.Reduction))
+	tb.addRow("wall time", r.WallTime)
+	tb.addRow("fold correct", r.FoldCorrect)
 	return tb.String()
 }

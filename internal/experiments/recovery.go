@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -28,7 +27,7 @@ type RecoveryConfig struct {
 	Net simnet.Model
 }
 
-// transportName labels a substrate in tables and benchmarks.
+// transportName labels a substrate in tables.
 func transportName(kind core.TransportKind) string {
 	if kind == core.TCPTransport {
 		return "tcp"
@@ -201,12 +200,12 @@ func recoverOneShape(cfg RecoveryConfig, spec string, tr core.TransportKind) (Re
 
 // RecoveryTable renders the study.
 func RecoveryTable(rows []RecoveryRow) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		"T-RECOVERY — Live failure recovery latency vs. tree shape and fabric",
 		"shape", "fabric", "nodes", "leaves", "depth", "victim", "orphans",
 		"detect", "rewire", "total", "modeled-net", "correct")
 	for _, r := range rows {
-		tb.AddRow(r.Shape, r.Transport, r.Nodes, r.Leaves, r.Depth, int(r.Victim), r.Orphans,
+		tb.addRow(r.Shape, r.Transport, r.Nodes, r.Leaves, r.Depth, int(r.Victim), r.Orphans,
 			r.Detection, r.Rewire, r.Total, r.ModeledReconnect, r.Correct)
 	}
 	return tb.String()

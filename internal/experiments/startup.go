@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/clockskew"
 	"repro/internal/eqclass"
-	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -221,11 +220,11 @@ func absDur(d time.Duration) time.Duration {
 
 // StartupTable renders the result in the paper's terms.
 func StartupTable(r *StartupResult) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("T-STARTUP — tool startup with %d daemons (paper: >60s flat -> <20s tree, 3.4x)", r.Daemons),
 		"organization", "connect", "skew-detect", "reports", "total", "fe-report-msgs")
-	tb.AddRow("flat (one-to-many)", r.FlatConnect, r.FlatSkew, r.FlatReports, r.FlatTotal, r.ReportMsgsFlat)
-	tb.AddRow("tree (TBON)", r.TreeConnect, r.TreeSkew, r.TreeReports, r.TreeTotal, r.ReportMsgsTree)
-	tb.AddRow("speedup", "", "", "", fmt.Sprintf("%.1fx", r.Speedup), "")
+	tb.addRow("flat (one-to-many)", r.FlatConnect, r.FlatSkew, r.FlatReports, r.FlatTotal, r.ReportMsgsFlat)
+	tb.addRow("tree (TBON)", r.TreeConnect, r.TreeSkew, r.TreeReports, r.TreeTotal, r.ReportMsgsTree)
+	tb.addRow("speedup", "", "", "", fmt.Sprintf("%.1fx", r.Speedup), "")
 	return tb.String()
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -158,12 +157,12 @@ func throughputRun(tree *topology.Tree, tform, sync string, cfg ThroughputConfig
 
 // ThroughputTable renders the rows.
 func ThroughputTable(rows []ThroughputRow) string {
-	tb := metrics.NewTable(
+	tb := newTable(
 		"T-THROUGHPUT — front-end processing rate (daemon-records/s; paper: flat saturates past 32 daemons)",
 		"daemons", "flat rec/s", "tree rec/s", "tree/flat")
 	for _, r := range rows {
 		ratio := r.TreeRate / r.FlatRate
-		tb.AddRow(r.Daemons, r.FlatRate, r.TreeRate, fmt.Sprintf("%.1fx", ratio))
+		tb.addRow(r.Daemons, r.FlatRate, r.TreeRate, fmt.Sprintf("%.1fx", ratio))
 	}
 	return tb.String()
 }

@@ -8,7 +8,7 @@
 // the same amortization argument the paper makes for its filter model.
 //
 // The package also ships a tiny request/response protocol so tools (the
-// query engine's sketch sessions, tbon-bench tenants) can drive sketch
+// query engine's sketch sessions, examples/multitenant) can drive sketch
 // workloads over any stream: a request packet names the sketch kind and a
 // deterministic synthetic workload (items per back-end, seed); back-ends
 // answer with their local sketch, and the stream's merge filter reduces the
