@@ -59,7 +59,13 @@ func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 func (nw *Network) attach(parent Rank, backend bool) (Rank, error) {
 	nw.mu.Lock()
 	r, slot := nw.view.add(parent, backend)
-	pn := nw.byRank[parent] // nil when the parent is the front-end
+	pn := nw.byRank[parent]
+	var streams []*streamState
+	if !backend {
+		for _, st := range nw.streams {
+			streams = append(streams, st.ss)
+		}
+	}
 	nw.mu.Unlock()
 	fail := func(err error) (Rank, error) {
 		nw.stillborn(r)
@@ -88,15 +94,13 @@ func (nw *Network) attach(parent Rank, backend bool) (Rank, error) {
 	// Spawn reader-first, so the pre-announcements below cannot wedge on a
 	// full link buffer.
 	nw.spawn(r, &transport.Endpoint{Rank: r, Parent: childEnd}, backend)
-	if !backend {
-		// Pre-announce every live stream before the parent learns of the
-		// router: the announcements are the first packets it receives, so
-		// its stream table exists before any data can arrive. (Data racing
-		// ahead would still be safe — unknown streams pass through or
-		// flood — this just shortens the pass-through window.)
-		for _, ss := range nw.fe.snapshotStates() {
-			_ = parentEnd.Send(ss.announcePacket())
-		}
+	// Pre-announce every live stream to a new router before the parent
+	// learns of it: the announcements are the first packets it receives,
+	// so its stream table exists before any data can arrive. (Data racing
+	// ahead would still be safe — unknown streams pass through or flood —
+	// this just shortens the pass-through window.)
+	for _, ss := range streams {
+		_ = parentEnd.Send(ss.announcePacket())
 	}
 	c := &cmdInstall{slots: []int{slot}, links: []transport.Link{parentEnd}, slotInfo: nw.slotInfoAt(parent)}
 	if err := nw.install(pn, c); err != nil {

@@ -199,8 +199,9 @@ type Network struct {
 	metrics  Metrics
 	rewirer  transport.Rewirer
 
-	fe *feState
-	wg sync.WaitGroup
+	// root is the front-end's router, the node at rank 0 (also byRank[0]).
+	root *node
+	wg   sync.WaitGroup
 
 	// dying closes when Shutdown begins; orphaned processes and heartbeat
 	// loops, which no shutdown announcement can reach, watch it.
@@ -232,12 +233,6 @@ type Network struct {
 	// sample per internal rank (LoadReports).
 	loadMu  sync.Mutex
 	loadRep map[Rank]LoadSample
-
-	// ckptMu guards the front-end's cache of descendants' filter-state
-	// checkpoints (rank -> stream -> blob), folded into adoption
-	// composition when the front-end itself is the adopter.
-	ckptMu sync.Mutex
-	ckpts  map[Rank]map[uint32][]byte
 }
 
 // ErrShutdown is returned by front-end operations on a stopped network.
@@ -279,10 +274,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.WrapFabric != nil {
 		cfg.WrapFabric(eps)
 	}
-	// Every process wraps its own link ends with credit accounting before
-	// it starts (spawn, newBackEnd), so both directions of every edge are
-	// governed independently; the front-end's ends are wrapped here.
-	wrapEnds(eps[0], cfg.LinkWindow)
 
 	rewirer := cfg.Rewirer
 	if rewirer == nil {
@@ -306,28 +297,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		bes:      map[Rank]*BackEnd{},
 		lastHB:   map[Rank]time.Time{},
 	}
-	nw.fe = &feState{
-		nw:       nw,
-		ep:       eps[0],
-		cmdCh:    make(chan nodeCmd),
-		readStop: make(chan struct{}),
-		ackTrack: map[*transport.FlowLink]*inOrder{},
-	}
-	// The front-end's shard pool exists before any user-facing API call:
-	// Stream.Close enqueues forget items from user goroutines.
-	nw.fe.shards = newShardPool(nw.shardCount(), nw.fe, &nw.metrics)
-
-	// Start communication processes and back-ends.
+	// Start the front-end's router, then every communication process and
+	// back-end.
+	nw.root = nw.spawn(0, eps[0], false)
 	for r := 1; r < cfg.Topology.Len(); r++ {
 		nw.spawn(Rank(r), eps[r], cfg.Topology.Node(Rank(r)).IsLeaf())
 	}
-
-	// Start the front-end receive loop.
-	nw.wg.Add(1)
-	go func() {
-		defer nw.wg.Done()
-		nw.fe.run()
-	}()
 	return nw, nil
 }
 
@@ -345,10 +320,13 @@ func wrapEnds(ep *transport.Endpoint, window int) {
 }
 
 // spawn starts the process at rank r on its endpoint — a back-end when
-// backend is set, else a communication process — together with its
-// heartbeat loop and, for a router, its load-report loop. NewNetwork starts
-// every process through it, and so does the attach path.
-func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) {
+// backend is set, else a router — together with its heartbeat loop and,
+// for a router, its load-report loop; the root, rank 0, beacons to nobody.
+// Every process wraps its own link ends with credit accounting before it
+// starts (wrapEnds, newBackEnd), so both directions of every edge are
+// governed independently. NewNetwork starts every process through it, and
+// so does the attach path. It returns the router, nil for a back-end.
+func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 	var run func()
 	var link func() transport.Link
 	var stop chan struct{}
@@ -370,12 +348,16 @@ func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) {
 		defer nw.wg.Done()
 		run()
 	}()
+	if r == 0 {
+		return n
+	}
 	if nw.cfg.HeartbeatPeriod > 0 {
 		go nw.heartbeatLoop(r, link, stop)
 	}
 	if n != nil && nw.cfg.LoadReportPeriod > 0 {
 		go nw.loadReportLoop(n)
 	}
+	return n
 }
 
 // shardCount resolves Config.Shards: 0 means one pipeline worker per
@@ -474,7 +456,7 @@ func (nw *Network) Shutdown() error {
 	// Announce shutdown to every child subtree. A dead child is already
 	// gone; count the failure so dead links are observable, and keep going.
 	down := packet.MustNew(packet.TagControl, 0, 0, ctrlShutdownFormat, int64(opShutdown))
-	for _, l := range nw.fe.childLinks() {
+	for _, l := range nw.root.childLinks() {
 		if l == nil {
 			continue
 		}

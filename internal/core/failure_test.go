@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/eqclass"
 	"repro/internal/filter"
 	"repro/internal/packet"
 )
@@ -688,5 +690,105 @@ func TestAdoptReleasesWedgedRound(t *testing.T) {
 	}
 	if v, _ := p.Float(0); v != 12 { // 3+4+5
 		t.Errorf("released round sum = %g, want 12", v)
+	}
+}
+
+// TestAdopterCheckpointFoldsIntoComposition: a victim's checkpoint, cached
+// at its adopter, is the extra composition input Adopt hands the composer
+// after the orphans' snapshots — whether the adopter is the front-end
+// (kary:2^2, victim 2) or an internal node (kary:2^3, victim 3).
+func TestAdopterCheckpointFoldsIntoComposition(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		victim Rank
+	}{{"kary:2^2", 2}, {"kary:2^3", 3}} {
+		t.Run(tc.spec, func(t *testing.T) {
+			tree := mustTree(t, tc.spec)
+			reg := filter.NewRegistry()
+			eqclass.Register(reg)
+			nw, err := NewNetwork(Config{
+				Topology: tree,
+				Registry: reg,
+				OnBackEnd: func(be *BackEnd) error {
+					for {
+						p, err := be.Recv()
+						if err != nil {
+							return nil
+						}
+						rp, err := soakClassSet(be.Rank()).ToPacket(p.Tag, p.StreamID, be.Rank())
+						if err != nil {
+							return err
+						}
+						_ = be.SendPacket(rp)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Shutdown()
+			st, err := nw.NewStream(StreamSpec{Transformation: eqclass.FilterName})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Let the stream see data: every distinct pair reaches the
+			// front-end once.
+			want := eqclass.NewSet()
+			for _, leaf := range tree.Leaves() {
+				want.Merge(soakClassSet(leaf))
+			}
+			if err := st.Multicast(tagQuery, ""); err != nil {
+				t.Fatal(err)
+			}
+			for got := 0; got < want.Len(); {
+				p, err := st.RecvTimeout(5 * time.Second)
+				if err != nil {
+					t.Fatalf("after %d of %d pairs: %v", got, want.Len(), err)
+				}
+				set, err := eqclass.FromPacket(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += set.Len()
+			}
+
+			if nw.CheckpointNow() == 0 {
+				t.Fatal("CheckpointNow took no checkpoint")
+			}
+			// The checkpoint is a control packet racing this command.
+			nw.mu.Lock()
+			adopter := nw.byRank[tree.Parent(tc.victim)]
+			nw.mu.Unlock()
+			var ckpt []byte
+			eventually(t, "the adopter caches the victim's checkpoint", func() bool {
+				c := &cmdFetchCkpt{rank: tc.victim, reply: make(chan map[uint32][]byte, 1)}
+				if err := nw.sendNodeCmd(adopter, c); err != nil {
+					t.Fatal(err)
+				}
+				ckpt = (<-c.reply)[st.ID()]
+				return len(ckpt) > 0
+			})
+
+			if err := nw.Kill(tc.victim); err != nil {
+				t.Fatal(err)
+			}
+			var inputs [][]byte
+			ad, err := nw.Adopt(tc.victim, func(id uint32, tform string, children [][]byte) ([]byte, error) {
+				inputs = children
+				return children[len(children)-1], nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(inputs) != len(ad.Orphans)+1 {
+				t.Fatalf("composer got %d inputs for %d orphans, want the checkpoint as one more", len(inputs), len(ad.Orphans))
+			}
+			if !bytes.Equal(inputs[len(inputs)-1], ckpt) {
+				t.Error("the extra composition input is not the victim's cached checkpoint")
+			}
+			if ad.StreamsComposed < 1 {
+				t.Errorf("StreamsComposed = %d, want >= 1", ad.StreamsComposed)
+			}
+		})
 	}
 }

@@ -776,3 +776,72 @@ func TestFlowControlMetricsSnapshot(t *testing.T) {
 		t.Errorf("snapshot values wrong: %v", snap)
 	}
 }
+
+// TestClosedStreamCreditsReturnToLeaf: a leaf that keeps sending on a
+// stream the front-end has closed gets every credit back. The root drops
+// the late packets, and fewer than a grant threshold of them (5 of a
+// quarter window of 16) return only through the idle flush.
+func TestClosedStreamCreditsReturnToLeaf(t *testing.T) {
+	for _, kind := range []TransportKind{ChanTransport, TCPTransport} {
+		name := "chan"
+		if kind == TCPTransport {
+			name = "tcp"
+		}
+		t.Run(name, func(t *testing.T) {
+			const leaf, late = Rank(1), 5
+			ids := make(chan uint32, 1)
+			free := make(chan int, 1)
+			nw, err := NewNetwork(Config{
+				Topology:  mustTree(t, "flat:2"),
+				Transport: kind,
+				OnBackEnd: func(be *BackEnd) error {
+					if be.Rank() == leaf {
+						id := <-ids
+						for i := 0; i < late; i++ {
+							if err := be.Send(id, tagQuery, "%d", int64(i)); err != nil {
+								t.Error(err)
+							}
+						}
+						if err := be.Flush(); err != nil {
+							t.Error(err)
+						}
+						// Count the credits the parent link can spend now,
+						// handing them straight back, until the window is
+						// whole again or a second has passed.
+						fl := flowOf(be.parentLink())
+						n := 0
+						for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+							for n = 0; fl.TryAcquire(); n++ {
+							}
+							fl.Refund(n)
+							if n == fl.Window() || time.Now().After(deadline) {
+								break
+							}
+						}
+						free <- n
+					}
+					for {
+						if _, err := be.Recv(); err != nil {
+							return nil
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Shutdown()
+			st, err := nw.NewStream(StreamSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ids <- st.ID()
+			if n := <-free; n != DefaultLinkWindow {
+				t.Errorf("leaf can spend %d of its %d credits 1s after sending %d packets on a closed stream", n, DefaultLinkWindow, late)
+			}
+		})
+	}
+}

@@ -79,7 +79,7 @@ type schedStream struct {
 // sent directly on the link, never through an egress queue, because
 // grants are order-free and must not wait behind (possibly stalled)
 // data. This is the single implementation of the credit-return protocol,
-// shared by shard workers, the front-end router, and BackEnd.Recv.
+// shared by shard workers and BackEnd.Recv.
 func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	if fl == nil || n == 0 {
 		return

@@ -21,6 +21,13 @@ type inMsg struct {
 // ROUTER of the stream-sharded data plane (see shard.go): it owns links,
 // reader goroutines, the streams table, control packets, and recovery
 // commands, and dispatches data-packet runs to per-stream pipeline shards.
+//
+// The front-end's router is the node at rank 0, the root, and differs in
+// two ways only. Its upward sink is local: a finished batch is delivered to
+// its Stream, order-free control is consumed, checkpoints are cached but
+// not relayed. And it has no parent link and no child egress queues: user
+// goroutines send the root's downstream traffic directly on its child
+// links (frontend.go).
 type node struct {
 	nw   *Network
 	rank Rank
@@ -43,12 +50,12 @@ type node struct {
 	// transport absorbs them at the receive edge.
 	ctrlLane chan *packet.Packet
 
-	// Egress queues, one per link, shared by the router and the shards
-	// (each queue serializes internally and keeps its own age clock, which
-	// the router stops on its way out). parentOut retains its buffer
-	// and replay ring across a dead parent link so the packets survive
-	// until reparenting. The childOut slice itself is mutated only
-	// with the shards quiesced (the install command).
+	// Egress queues, one per link (the root has none), shared by the
+	// router and the shards (each queue serializes internally and keeps its
+	// own age clock, which the router stops on its way out). parentOut
+	// retains its buffer and replay ring across a dead parent link so the
+	// packets survive until reparenting. The childOut slice itself is
+	// mutated only with the shards quiesced (the install command).
 	parentOut *egressQueue
 	childOut  []*egressQueue
 
@@ -71,9 +78,15 @@ type node struct {
 	killOnce sync.Once
 
 	// parentMu guards ep.Parent for readers outside the event loop (the
-	// heartbeat goroutine); epMu guards ep.Children structure for Kill.
+	// heartbeat goroutine); epMu guards ep.Children, a copy-on-write slice
+	// that Kill and, at the root, user-goroutine multicasts read outside it.
 	parentMu sync.RWMutex
-	epMu     sync.Mutex
+	epMu     sync.RWMutex
+	// adoptSeq is a seqlock around installs: odd while one is rewiring,
+	// bumped again when done. At the root, user-goroutine multicasts use it
+	// to read stream routing and the link slice as one consistent pair
+	// (sendToStream); no one reads it at other ranks.
+	adoptSeq atomic.Uint64
 
 	// Exactly-once state. ackTrack maps each inbound child link to its
 	// in-order retirement tracker (router-owned; see inOrder). ackr turns
@@ -107,7 +120,7 @@ func (n *node) run() {
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
 	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	n.readStop = make(chan struct{})
-	n.shards = newShardPool(n.nw.shardCount(), n, &n.nw.metrics)
+	n.shards = newShardPool(n.nw.shardCount(), n)
 	defer func() {
 		// Whatever path the router exits by — graceful finish or crash —
 		// the readers, workers and age clocks must not outlive it.
@@ -116,20 +129,22 @@ func (n *node) run() {
 		n.stopEgress()
 	}()
 
-	// Egress queues wrap every link.
-	pol := n.nw.cfg.Batch
 	n.ackTrack = map[*transport.FlowLink]*inOrder{}
-	n.ackr = newAcker(&n.nw.metrics)
-	defer n.ackr.halt()
-	// Parent acknowledgements pop the replay ring and release the inbound
-	// runs those packets carried — the cascade hop.
-	n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, n.ackr.completed)
-	n.parentOut.bindStops(n.killCh, n.nw.dying)
-	n.outRef.Store(n.parentOut)
-	n.childOut = make([]*egressQueue, len(n.ep.Children))
-	for i, c := range n.ep.Children {
-		n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics)
-		n.childOut[i].bindStops(n.killCh, n.nw.dying)
+	if n.rank != 0 {
+		// Egress queues wrap every link but the root's.
+		pol := n.nw.cfg.Batch
+		n.ackr = newAcker(&n.nw.metrics)
+		defer n.ackr.halt()
+		// Parent acknowledgements pop the replay ring and release the
+		// inbound runs those packets carried — the cascade hop.
+		n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, n.ackr.completed)
+		n.parentOut.bindStops(n.killCh, n.nw.dying)
+		n.outRef.Store(n.parentOut)
+		n.childOut = make([]*egressQueue, len(n.ep.Children))
+		for i, c := range n.ep.Children {
+			n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics)
+			n.childOut[i].bindStops(n.killCh, n.nw.dying)
+		}
 	}
 
 	// Reader goroutines: one per link, feeding the event loop.
@@ -169,9 +184,10 @@ func (n *node) run() {
 		}
 		fast = 0
 		// An orphan additionally watches for network teardown: nobody can
-		// route a shutdown announcement to it until it is adopted.
+		// route a shutdown announcement to it until it is adopted. So does
+		// the root, for which teardown is the announcement.
 		var dyingC <-chan struct{}
-		if n.orphaned {
+		if n.orphaned || n.rank == 0 && !n.shuttingDown {
 			dyingC = n.nw.dying
 		}
 		select {
@@ -186,8 +202,14 @@ func (n *node) run() {
 		case <-n.killCh:
 			return // crashed: no drain, links already dropped by Kill
 		case <-dyingC:
-			n.finish()
-			return
+			// Shutdown has sent the root's children the announcement
+			// itself; the root finishes once they have. An orphan finishes
+			// at once.
+			n.shuttingDown = true
+			if n.orphaned || n.liveChildren == 0 {
+				n.finish()
+				return
+			}
 		}
 	}
 }
@@ -200,10 +222,7 @@ func (n *node) kill() {
 	parent := n.ep.Parent
 	n.parentMu.RUnlock()
 	transport.DropLink(parent)
-	n.epMu.Lock()
-	children := append([]transport.Link(nil), n.ep.Children...)
-	n.epMu.Unlock()
-	for _, c := range children {
+	for _, c := range n.childLinks() {
 		transport.DropLink(c)
 	}
 }
@@ -215,24 +234,40 @@ func (n *node) parentLink() transport.Link {
 	return n.ep.Parent
 }
 
-// installChild places a link at the given child slot, growing the slice
-// with nil placeholders if slots were assigned out of order. The slot's
-// egress queue follows the link: a replacement link gets a fresh queue and
-// a fenced-off slot (nil link) stashes whatever was still queued to the dead
-// child for re-routing. The displaced link's credit state is aborted so
-// nothing keeps waiting on a window the dead peer can never refill. Callers
-// must hold the shards quiesced: the childOut slice is read lock-free by
-// the pipeline workers.
+// childLinks returns the child link slots. The slice is copy-on-write
+// (installChild swaps in a fresh one), so returning the reference is safe
+// and keeps the root's per-packet multicast path allocation-free.
+func (n *node) childLinks() []transport.Link {
+	n.epMu.RLock()
+	defer n.epMu.RUnlock()
+	return n.ep.Children
+}
+
+// installChild places a link at the given child slot, growing the slots
+// with nil placeholders if they were assigned out of order, in a fresh
+// slice so concurrent childLinks readers keep a consistent snapshot. The
+// displaced link's credit state is aborted: nothing keeps waiting on a
+// window the dead peer can never refill, and user goroutines blocked on it
+// (a root multicast into a failed subtree) let their sends observe the
+// link's real state. The slot's egress queue, at every rank but the root,
+// follows the link: a replacement link gets a fresh queue and a fenced-off
+// slot (nil link) stashes whatever was still queued to the dead child for
+// re-routing. Callers must hold the shards quiesced: the childOut slice is
+// read lock-free by the pipeline workers.
 func (n *node) installChild(slot int, l transport.Link) {
 	n.epMu.Lock()
-	for len(n.ep.Children) <= slot {
-		n.ep.Children = append(n.ep.Children, nil)
-	}
-	if old := n.ep.Children[slot]; old != nil && old != l {
-		flowOf(old).Abort()
-	}
-	n.ep.Children[slot] = l
+	next := make([]transport.Link, max(len(n.ep.Children), slot+1))
+	copy(next, n.ep.Children)
+	displaced := next[slot]
+	next[slot] = l
+	n.ep.Children = next
 	n.epMu.Unlock()
+	if displaced != nil && displaced != l {
+		flowOf(displaced).Abort()
+	}
+	if n.rank == 0 {
+		return
+	}
 	for len(n.childOut) <= slot {
 		n.childOut = append(n.childOut, nil)
 	}
@@ -362,14 +397,32 @@ func (n *node) quiesceShards(fn func()) {
 	}
 }
 
-// handleOrderFree processes one control-lane packet on the router:
-// heartbeat beacons and load reports relay toward the front-end with
-// flush-through (their latency compounds per level, and they carry no
+// handleOrderFree processes one order-free control packet (a heartbeat
+// beacon or a load report) on the router: it relays toward the front-end
+// with flush-through (its latency compounds per level, and it carries no
 // ordering semantics, so jumping ahead of shard-pending or credit-stalled
-// data is safe). An orphan drops the relay — the dead parent link would
-// have dropped it anyway.
+// data is safe). The root consumes it: beacons feed the failure detector,
+// load reports the elastic controller.
 func (n *node) handleOrderFree(p *packet.Packet) {
-	if op, err := ctrlOp(p); err == nil && (op == opHeartbeat || op == opLoadReport) && !n.orphaned {
+	if n.rank != 0 {
+		n.relay(p)
+		return
+	}
+	switch op, _ := ctrlOp(p); op {
+	case opHeartbeat:
+		if origin, err := parseHeartbeat(p); err == nil {
+			n.nw.noteHeartbeat(origin)
+		}
+	case opLoadReport:
+		n.nw.noteLoadReport(p)
+	}
+}
+
+// relay sends a control packet one level up with flush-through. The root
+// has no parent and an orphan's is dead, so both drop it — stale relays
+// must not displace an orphan's retained data from its egress buffer.
+func (n *node) relay(p *packet.Packet) {
+	if n.rank != 0 && !n.orphaned {
 		_ = n.parentOut.sendNow(p)
 	}
 }
@@ -377,8 +430,7 @@ func (n *node) handleOrderFree(p *packet.Packet) {
 // nextRun returns j such that ps[i:j] is a maximal run of data packets on
 // ps[i]'s stream: control packets and stream changes end a run, so
 // feeding runs to the synchronizer whole preserves exact per-link FIFO
-// semantics. Both the node and the front-end ingress split frames with
-// this single rule; a run is also the unit of shard dispatch.
+// semantics. A run is also the unit of shard dispatch.
 func nextRun(ps []*packet.Packet, i int) int {
 	j := i + 1
 	for j < len(ps) && ps[j].Tag != packet.TagControl && ps[j].StreamID == ps[i].StreamID {
@@ -592,17 +644,13 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		p := ps[i]
 		if p.Tag == packet.TagControl {
 			// Upstream order-free control is normally diverted by the
-			// reader; anything that still lands here relays toward the
-			// front-end with flush-through as before. An orphan drops the
-			// relay (the dead parent link would have dropped it anyway) so
-			// stale beacons cannot displace retained data packets from the
-			// egress buffer.
+			// reader; anything that still lands here is handled the same.
 			if orderFreeControl(p) {
 				n.handleOrderFree(p)
 			} else if op, err := ctrlOp(p); err == nil && op == opCheckpoint {
 				n.cacheCheckpoint(p)
-			} else if !n.orphaned {
-				_ = n.parentOut.sendNow(p)
+			} else {
+				n.relay(p)
 			}
 			i++
 			continue
@@ -615,9 +663,9 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		tr, start := n.assignArrival(src, len(run))
 		ss, ok := n.streams[p.StreamID]
 		if !ok {
-			// Stream unknown here (e.g. closed): pass through unfiltered,
-			// via the shard the id hashes to so late data stays behind a
-			// just-dispatched close drain.
+			// Stream unknown here (e.g. closed): pass through unfiltered —
+			// at the root, drop and retire — via the shard the id hashes to
+			// so late data stays behind a just-dispatched close drain.
 			n.shards.upRaw(p.StreamID, run, src, tr, start)
 			continue
 		}
@@ -644,7 +692,8 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 // cacheCheckpoint records a descendant's filter-state checkpoint for
 // adoption-time composition, then relays it one level further while its
 // hop budget lasts — so the state an adopter needs is already at the
-// grandparent (and great-grandparent) when the parent dies.
+// grandparent (and great-grandparent) when the parent dies. The root, an
+// adopter like any other, caches the checkpoints that reach it.
 func (n *node) cacheCheckpoint(p *packet.Packet) {
 	origin, id, hops, blob, err := parseCheckpoint(p)
 	if err != nil {
@@ -659,8 +708,8 @@ func (n *node) cacheCheckpoint(p *packet.Packet) {
 		n.ckpts[origin] = m
 	}
 	m[id] = blob
-	if hops > 1 && !n.orphaned {
-		_ = n.parentOut.sendNow(ckptPacket(origin, id, hops-1, blob))
+	if hops > 1 {
+		n.relay(ckptPacket(origin, id, hops-1, blob))
 	}
 }
 
@@ -678,8 +727,12 @@ func (n *node) shardUp(ss *streamState, child int, run []*packet.Packet, ret *pe
 }
 
 // shardUpRaw forwards a pass-through run (stream not carried here); the
-// deferred retirement rides the last packet.
+// deferred retirement rides the last packet. The root has nowhere to
+// forward it: the run is dropped, and the shard retires it.
 func (n *node) shardUpRaw(run []*packet.Packet, ret *pendRetire) bool {
+	if n.rank == 0 {
+		return false
+	}
 	for i, q := range run {
 		if ret != nil && i == len(run)-1 {
 			_ = n.parentOut.sendAck(q, 0, true, ret)
@@ -745,7 +798,10 @@ func (n *node) shardCloseUp(ss *streamState) {
 // packet a killed intermediary had already forwarded. The restamp shares a
 // forwarded packet's wire payload, so behind a pass-through filter the
 // bytes that arrived on a child socket are the bytes framed onto the
-// parent socket: no decode, no re-encode.
+// parent socket: no decode, no re-encode. At the root the outputs go to
+// the stream's receiver instead: delivery there is the acknowledgement
+// cascade's base case, so nothing is attached and the shard retires the
+// run at once.
 func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret *pendRetire) bool {
 	var outs []*packet.Packet
 	for _, batch := range batches {
@@ -756,6 +812,10 @@ func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, bloc
 		out, err := ss.tform.Transform(batch)
 		if err != nil {
 			n.nw.metrics.FilterErrors.Add(1)
+			continue
+		}
+		if n.rank == 0 {
+			ss.st.deliverUp(out)
 			continue
 		}
 		outs = append(outs, out...)

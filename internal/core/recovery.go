@@ -111,11 +111,19 @@ type cmdFetchCkpt struct {
 	reply chan map[uint32][]byte
 }
 
+// cmdStream registers a stream NewStream opened in the root's table or,
+// with drop set, removes one Stream.Close or CloseSession closed.
+type cmdStream struct {
+	ss   *streamState
+	drop bool
+}
+
 func (*cmdSnapshot) isNodeCmd()   {}
 func (*cmdInstall) isNodeCmd()    {}
 func (*cmdReparent) isNodeCmd()   {}
 func (*cmdCheckpoint) isNodeCmd() {}
 func (*cmdFetchCkpt) isNodeCmd()  {}
+func (*cmdStream) isNodeCmd()     {}
 
 // handleCmd executes a recovery command inside the node's event loop.
 // Commands that read or rebuild filter state park the pipeline shards
@@ -126,10 +134,6 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 	case *cmdSnapshot:
 		cmd.reply <- n.snapshotFilterState()
 	case *cmdInstall:
-		states := make([]*streamState, 0, len(n.streams))
-		for _, ss := range n.streams {
-			states = append(states, ss)
-		}
 		// A fenced child's EOF may still be queued behind data: release any
 		// worker waiting on its window NOW, or it never reaches the quiesce
 		// barrier below.
@@ -138,10 +142,12 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 				n.childOut[s].releaseWaiters()
 			}
 		}
+		n.adoptSeq.Add(1) // odd: rewiring in progress
 		n.quiesceShards(func() {
-			applyInstall(cmd, n.ep, n.nw.registry, n.installChild, states, n.flushBatches, inbox, n.ctrlLane, n.readStop)
+			n.applyInstall(cmd, inbox)
 			n.redispatchStash(cmd.slots)
 		})
+		n.adoptSeq.Add(1) // even again: links and routing consistent
 		n.liveChildren += len(cmd.links)
 		n.nw.passShutdown(cmd.links, n.shuttingDown, n.rank)
 		close(cmd.done)
@@ -183,10 +189,8 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		// state), send outside it: sendNow keeps control FIFO behind queued
 		// data without waiting out a batching window.
 		blobs := n.snapshotFilterState()
-		if !n.orphaned {
-			for id, blob := range blobs {
-				_ = n.parentOut.sendNow(ckptPacket(n.rank, id, ckptHops, blob))
-			}
+		for id, blob := range blobs {
+			n.relay(ckptPacket(n.rank, id, ckptHops, blob))
 		}
 		if len(blobs) > 0 {
 			n.nw.metrics.CheckpointsTaken.Add(int64(len(blobs)))
@@ -198,6 +202,17 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 			out[id] = b
 		}
 		cmd.reply <- out
+	case *cmdStream:
+		// A dropped stream's synchronizer drains behind the runs already
+		// dispatched, into a receiver that is closed; later runs take
+		// upRaw, which drops them at the root and returns their credits.
+		if cmd.drop {
+			delete(n.streams, cmd.ss.id)
+			n.shards.closeStreamUp(cmd.ss)
+		} else {
+			n.streams[cmd.ss.id] = cmd.ss
+			n.shards.register(cmd.ss)
+		}
 	}
 }
 
@@ -242,37 +257,34 @@ func (n *node) redispatchStash(slots []int) {
 	}
 }
 
-// applyInstall runs the install command, the same at internal nodes and
-// the front-end: fence the listed slots (a declared-dead child — even a
-// false positive, alive but silent, must not keep feeding this router — or
-// a migrated one), install the new child links, start their readers, and
-// repair every stream. The readers start before stream repair so both link
-// directions drain while announcements are sent — their packets are only
-// processed after the command completes, once routing is rebuilt. Callers
-// run this with their pipeline shards quiesced (it mutates child slots and
-// synchronizer state the shards otherwise own) and keep their own
-// bookkeeping (live-child counts, the shutdown rule) around it.
-func applyInstall(c *cmdInstall, ep *transport.Endpoint, reg *filter.Registry,
-	install func(slot int, l transport.Link), states []*streamState,
-	flush func(*streamState, [][]*packet.Packet), inbox chan inMsg,
-	ctrl chan *packet.Packet, readStop <-chan struct{}) {
+// applyInstall runs the install command: fence the listed slots (a
+// declared-dead child — even a false positive, alive but silent, must not
+// keep feeding this router — or a migrated one), install the new child
+// links, start their readers, and repair every stream. The readers start
+// before stream repair so both link directions drain while announcements
+// are sent — their packets are only processed after the command completes,
+// once routing is rebuilt. Callers run this with the pipeline shards
+// quiesced (it mutates child slots and synchronizer state the shards
+// otherwise own) and keep the live-child count and the shutdown rule
+// around it.
+func (n *node) applyInstall(c *cmdInstall, inbox chan inMsg) {
 	for _, s := range c.fence {
-		if s >= 0 && s < len(ep.Children) {
-			transport.DropLink(ep.Children[s])
-			install(s, nil)
+		if s >= 0 && s < len(n.ep.Children) {
+			transport.DropLink(n.ep.Children[s])
+			n.installChild(s, nil)
 		}
 	}
 	for i, l := range c.links {
-		install(c.slots[i], l)
+		n.installChild(c.slots[i], l)
 	}
 	for i, l := range c.links {
-		go readLink(l, c.slots[i], inbox, ctrl, readStop)
+		go readLink(l, c.slots[i], inbox, n.ctrlLane, n.readStop)
 	}
-	repairStreams(reg, states, c, flush)
+	n.repairStreams(c)
 }
 
-// passShutdown is the install command's one shutdown rule, the same at both
-// routers: links installed after the router has seen opShutdown (seen), or
+// passShutdown is the install command's one shutdown rule: links installed
+// after the router has seen opShutdown (seen), or
 // after teardown began, may have missed the announcement sweep, so it is
 // passed on to them here. A reparented orphan no longer watches teardown;
 // without this it would wait for the announcement forever.
@@ -292,19 +304,18 @@ func (nw *Network) passShutdown(links []transport.Link, seen bool, from Rank) {
 // state — by replay through the normal pipeline when the filter supports
 // it (also regenerating information lost in flight), else by a silent
 // state absorb.
-func repairStreams(reg *filter.Registry, states []*streamState, c *cmdInstall,
-	flush func(*streamState, [][]*packet.Packet)) {
-	for _, ss := range states {
+func (n *node) repairStreams(c *cmdInstall) {
+	for _, ss := range n.streams {
 		// Rounds that were only gated on the dead slot complete now —
 		// flush them first, they are the oldest data.
 		if released := ss.rebuildSlots(c.slotInfo); len(released) > 0 {
-			flush(ss, released)
+			n.flushBatches(ss, released)
 		}
 		announceStream(ss, c.slots, c.links)
 		if batch := replayComposed(ss, c.composed); batch != nil {
-			flush(ss, [][]*packet.Packet{batch})
+			n.flushBatches(ss, [][]*packet.Packet{batch})
 		} else {
-			absorbComposed(reg, ss, c.composed)
+			absorbComposed(n.nw.registry, ss, c.composed)
 		}
 	}
 }
@@ -407,26 +418,6 @@ func (nw *Network) HeartbeatPeriod() time.Duration { return nw.cfg.HeartbeatPeri
 // Registry returns the filter registry the overlay instantiates from.
 func (nw *Network) Registry() *filter.Registry { return nw.registry }
 
-// cacheCheckpoint records a descendant's filter-state checkpoint observed
-// at the front-end — the adopter when one of the root's own children dies.
-func (nw *Network) cacheCheckpoint(p *packet.Packet) {
-	origin, id, _, blob, err := parseCheckpoint(p)
-	if err != nil {
-		return
-	}
-	nw.ckptMu.Lock()
-	if nw.ckpts == nil {
-		nw.ckpts = map[Rank]map[uint32][]byte{}
-	}
-	m := nw.ckpts[origin]
-	if m == nil {
-		m = map[uint32][]byte{}
-		nw.ckpts[origin] = m
-	}
-	m[id] = blob
-	nw.ckptMu.Unlock()
-}
-
 // CheckpointNow asks every internal node to checkpoint its per-stream
 // composable filter state toward its potential adopters, returning the
 // number of (node, stream) checkpoints taken. internal/recovery drives
@@ -434,8 +425,10 @@ func (nw *Network) cacheCheckpoint(p *packet.Packet) {
 func (nw *Network) CheckpointNow() int {
 	nw.mu.Lock()
 	nodes := make([]*node, 0, len(nw.byRank))
-	for _, n := range nw.byRank {
-		nodes = append(nodes, n)
+	for r, n := range nw.byRank {
+		if r != 0 { // the root's state has no adopter to go to
+			nodes = append(nodes, n)
+		}
 	}
 	nw.mu.Unlock()
 	total := 0
@@ -537,28 +530,24 @@ func (nw *Network) crash(r Rank) bool {
 	return true
 }
 
-// sendNodeCmd delivers a command to a routing process's event loop — node
-// n, or the front-end when n is nil — failing rather than deadlocking if
-// the node is dead, the network is tearing down, or the loop is wedged.
+// sendNodeCmd delivers a command to a router's event loop, failing rather
+// than deadlocking if the node is dead, the network is tearing down, or
+// the loop is wedged.
 func (nw *Network) sendNodeCmd(n *node, c nodeCmd) error {
-	ch, dead, r := nw.fe.cmdCh, (<-chan struct{})(nil), Rank(0)
-	if n != nil {
-		ch, dead, r = n.cmdCh, n.killCh, n.rank
-	}
 	select {
-	case ch <- c:
+	case n.cmdCh <- c:
 		return nil
-	case <-dead:
-		return fmt.Errorf("core: rank %d is dead", r)
+	case <-n.killCh:
+		return fmt.Errorf("core: rank %d is dead", n.rank)
 	case <-nw.dying:
 		return ErrShutdown
 	case <-time.After(5 * time.Second):
-		return fmt.Errorf("core: rank %d did not accept command", r)
+		return fmt.Errorf("core: rank %d did not accept command", n.rank)
 	}
 }
 
-// install hands a router — node n, or the front-end when n is nil — the
-// install command and waits until it has been applied.
+// install hands router n the install command and waits until it has been
+// applied.
 func (nw *Network) install(n *node, c *cmdInstall) error {
 	c.done = make(chan struct{})
 	if err := nw.sendNodeCmd(n, c); err != nil {
@@ -767,7 +756,7 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 	for i, o := range orphans {
 		orphanNodes[i] = nw.byRank[o]
 	}
-	adopterNode := nw.byRank[parent] // nil when the front-end adopts
+	adopterNode := nw.byRank[parent]
 	nw.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -793,20 +782,9 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 	// information that was already above the orphans, in flight with the
 	// failed node, when it crashed.
 	var ckpt map[uint32][]byte
-	if adopterNode != nil {
-		c := &cmdFetchCkpt{rank: failed, reply: make(chan map[uint32][]byte, 1)}
-		if err := nw.sendNodeCmd(adopterNode, c); err == nil {
-			ckpt = <-c.reply
-		}
-	} else {
-		nw.ckptMu.Lock()
-		if m := nw.ckpts[failed]; len(m) > 0 {
-			ckpt = make(map[uint32][]byte, len(m))
-			for id, b := range m {
-				ckpt[id] = b
-			}
-		}
-		nw.ckptMu.Unlock()
+	c := &cmdFetchCkpt{rank: failed, reply: make(chan map[uint32][]byte, 1)}
+	if err := nw.sendNodeCmd(adopterNode, c); err == nil {
+		ckpt = <-c.reply
 	}
 
 	// 2. Reconstruct the failed node's state per stream by composition.
@@ -822,8 +800,8 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 			ids[id] = true
 		}
 		for id := range ids {
-			fss := nw.fe.state(id)
-			if fss == nil {
+			st := nw.Stream(id)
+			if st == nil {
 				continue
 			}
 			blobs := make([][]byte, len(orphans), len(orphans)+1)
@@ -833,7 +811,7 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 			if b := ckpt[id]; len(b) > 0 {
 				blobs = append(blobs, b)
 			}
-			blob, err := compose(id, fss.tformName, blobs)
+			blob, err := compose(id, st.ss.tformName, blobs)
 			if err != nil {
 				nw.metrics.FilterErrors.Add(1)
 				continue

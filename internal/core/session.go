@@ -106,7 +106,7 @@ func (nw *Network) OpenSession(info SessionInfo) error {
 	// dead child is already gone; recovery re-plays stream announcements,
 	// and the session op carries no state a node cannot live without.
 	p := openSessionPacket(info)
-	for _, l := range nw.fe.childLinks() {
+	for _, l := range nw.root.childLinks() {
 		if l == nil {
 			continue
 		}
@@ -149,7 +149,7 @@ func (nw *Network) CloseSession(ns uint32) error {
 	nw.metrics.SessionsClosed.Add(1)
 	if flood {
 		p := closeSessionPacket(ns)
-		for _, l := range nw.fe.childLinks() {
+		for _, l := range nw.root.childLinks() {
 			if l == nil {
 				continue
 			}

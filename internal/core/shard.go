@@ -12,7 +12,7 @@ import (
 // and every internal communication process) into a thin control-plane
 // router and a pool of per-stream pipeline shards:
 //
-//   - The ROUTER (node.run / feState.run) keeps exclusive ownership of the
+//   - The ROUTER (node.run) keeps exclusive ownership of the
 //     links and their reader goroutines, the streams table, control-packet
 //     handling, attach/recovery commands, and per-link FIFO ingress order.
 //     It never runs filters on data packets.
@@ -56,7 +56,6 @@ const (
 	itemCloseUp          // drain the stream's synchronizer (up half of a close)
 	itemCloseDown        // forward the close downstream behind prior down data
 	itemRegister         // track a new stream for time-based polling
-	itemForget           // drop the stream from the shard's poll set (front-end close)
 	itemPause            // park at the quiesce barrier until released
 	itemStop             // graceful worker exit (drainStop)
 )
@@ -65,7 +64,6 @@ const (
 type shardItem struct {
 	kind  int
 	ss    *streamState
-	id    uint32 // stream id for itemUpRaw/itemForget (ss may be nil)
 	child int
 	ps    []*packet.Packet
 	p     *packet.Packet
@@ -100,29 +98,17 @@ type shardPause struct {
 	release chan struct{}
 }
 
-// shardOps is the per-stream pipeline work a shard executes on behalf of
-// its owner; implemented by node (internal processes) and feState (root).
-// Calls arrive from exactly one up-lane goroutine and one down-lane
-// goroutine per stream; each implementation takes the stream's pipeMu
-// around its filter-state access itself (never across a blocking egress
-// fan-out), which is what lets the two lanes share a stream safely.
-// The up-lane ops take the run's deferred-retirement record and report
-// whether they CONSUMED it — attached it to an egress packet whose
-// downstream acknowledgement will complete it. An unconsumed record is
-// retired by the shard immediately after the call.
-type shardOps interface {
-	shardUp(ss *streamState, child int, run []*packet.Packet, ret *pendRetire) bool
-	shardUpRaw(run []*packet.Packet, ret *pendRetire) bool
-	shardDown(ss *streamState, p *packet.Packet)
-	shardDownRaw(p *packet.Packet)
-	shardCloseUp(ss *streamState)
-	shardCloseDown(ss *streamState, p *packet.Packet)
-	shardPoll(ss *streamState, now time.Time)
-}
-
-// shardPool runs the pipeline workers for one routing process.
+// shardPool runs the pipeline workers for one routing process n. Each
+// stream's work arrives from exactly one up-lane goroutine and one
+// down-lane goroutine; n's pipeline ops take the stream's pipeMu around
+// their filter-state access themselves (never across a blocking egress
+// fan-out), which is what lets the two lanes share a stream safely. The
+// up-lane ops take the run's deferred-retirement record and report whether
+// they CONSUMED it — attached it to an egress packet whose downstream
+// acknowledgement will complete it. An unconsumed record is retired by the
+// shard immediately after the call.
 type shardPool struct {
-	ops    shardOps
+	n      *node
 	m      *Metrics
 	shards []*shard
 	// stop aborts every worker (crash path); drainStop uses per-shard
@@ -153,7 +139,9 @@ type shard struct {
 	up, down lane
 	// streams tracks the shard's live streams for time-based polling:
 	// registered at stream creation, learned from dispatched work, and
-	// trimmed by close/forget. Touched only by the up-lane goroutine.
+	// trimmed by close — which the router dispatches behind all of the
+	// stream's work, so nothing re-tracks a closed stream. Touched only by
+	// the up-lane goroutine.
 	streams map[uint32]*streamState
 	// upPend / downPend track the links each lane retired against since its
 	// last idle flush; when a lane's mailbox drains, the below-threshold
@@ -162,13 +150,14 @@ type shard struct {
 	upPend, downPend map[*transport.FlowLink]struct{}
 }
 
-// newShardPool starts n pipeline workers for ops. n < 1 is treated as 1.
-func newShardPool(n int, ops shardOps, m *Metrics) *shardPool {
-	if n < 1 {
-		n = 1
+// newShardPool starts count pipeline workers for n. count < 1 is treated
+// as 1.
+func newShardPool(count int, n *node) *shardPool {
+	if count < 1 {
+		count = 1
 	}
-	sp := &shardPool{ops: ops, m: m, stop: make(chan struct{})}
-	for i := 0; i < n; i++ {
+	sp := &shardPool{n: n, m: &n.nw.metrics, stop: make(chan struct{})}
+	for i := 0; i < count; i++ {
 		sh := &shard{
 			pool:     sp,
 			streams:  map[uint32]*streamState{},
@@ -241,8 +230,7 @@ func (sh *shard) laneFor(kind int) *lane {
 }
 
 // dispatch enqueues an item on its direction's lane. Pipeline work counts
-// toward ShardDispatches; bookkeeping items (register/forget/pause/stop)
-// do not.
+// toward ShardDispatches; bookkeeping items (register/pause/stop) do not.
 func (sp *shardPool) dispatch(sh *shard, it shardItem) {
 	switch it.kind {
 	case itemUp, itemUpRaw, itemDown, itemDownRaw, itemCloseUp, itemCloseDown:
@@ -263,7 +251,7 @@ func (sp *shardPool) up(ss *streamState, child int, run []*packet.Packet, src *t
 // behind a close keeps its order relative to the close's drain (the close
 // it chases rides the same mailbox).
 func (sp *shardPool) upRaw(id uint32, run []*packet.Packet, src *transport.FlowLink, tr *inOrder, start uint64) {
-	sp.dispatch(sp.shardFor(id), shardItem{kind: itemUpRaw, id: id, ps: run, src: src, tr: tr, start: start})
+	sp.dispatch(sp.shardFor(id), shardItem{kind: itemUpRaw, ps: run, src: src, tr: tr, start: start})
 }
 
 // down routes a downstream packet through the stream's shard mailbox.
@@ -274,7 +262,7 @@ func (sp *shardPool) down(ss *streamState, p *packet.Packet, src *transport.Flow
 // downRaw routes an unknown-stream downstream flood through the id's
 // shard, keeping the router off the (possibly window-bounded) egress path.
 func (sp *shardPool) downRaw(id uint32, p *packet.Packet, src *transport.FlowLink) {
-	sp.dispatch(sp.shardFor(id), shardItem{kind: itemDownRaw, id: id, p: p, src: src})
+	sp.dispatch(sp.shardFor(id), shardItem{kind: itemDownRaw, p: p, src: src})
 }
 
 // closeStream splits a close across the lanes — the synchronizer drain rides the up lane (behind every
@@ -288,11 +276,12 @@ func (sp *shardPool) closeStream(ss *streamState, p *packet.Packet) {
 }
 
 // closeStreamUp dispatches only the up half of a stream teardown, used by
-// session bulk close: the synchronizer still drains behind every upstream
-// run dispatched before it (same mailbox FIFO as closeStream), but no
-// per-stream close is forwarded downstream — the single flooded
-// opCloseSession packet that triggered this already carries the teardown
-// to every child.
+// session bulk close and by the root: the synchronizer still drains behind
+// every upstream run dispatched before it (same mailbox FIFO as
+// closeStream), but no per-stream close is forwarded downstream — the
+// single flooded opCloseSession packet that triggered this already carries
+// the teardown to every child, and the root's user goroutines send their
+// closes themselves.
 func (sp *shardPool) closeStreamUp(ss *streamState) {
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemCloseUp, ss: ss})
 }
@@ -302,10 +291,6 @@ func (sp *shardPool) closeStreamUp(ss *streamState) {
 // composed state) fires even if no item ever reaches the worker.
 func (sp *shardPool) register(ss *streamState) {
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemRegister, ss: ss})
-}
-
-func (sp *shardPool) forget(id uint32) {
-	sp.dispatch(sp.shardFor(id), shardItem{kind: itemForget, id: id})
 }
 
 // quiesce parks every shard at a barrier — all work dispatched before the
@@ -337,8 +322,7 @@ func (sp *shardPool) quiesce(fn func()) {
 // drainStop retires the workers gracefully: every item already dispatched
 // is processed, then each worker exits. Only the owning router may call it
 // (it must be the sole remaining dispatcher). The pool is marked stopped
-// afterwards so stragglers (a user-goroutine forget racing shutdown)
-// cannot wedge on state nobody owns.
+// afterwards, which makes a later quiesce or abort a no-op.
 func (sp *shardPool) drainStop() {
 	for _, sh := range sp.shards {
 		sh.up.push(sp.m, shardItem{kind: itemStop})
@@ -447,8 +431,8 @@ func (sh *shard) retire(pend map[*transport.FlowLink]struct{}, fl *transport.Flo
 }
 
 // retireOrdered retires an up-lane run whose deferred-retirement record
-// the ops did not consume (the front-end, or a run that produced no
-// downstream output): only the newly contiguous arrival prefix is released.
+// the ops did not consume (the root, or a run that produced no upstream
+// output): only the newly contiguous arrival prefix is released.
 func (sh *shard) retireOrdered(pend map[*transport.FlowLink]struct{}, it shardItem) {
 	if it.src == nil {
 		return
@@ -473,21 +457,19 @@ func (sh *shard) flushPend(pend map[*transport.FlowLink]struct{}) {
 func (sh *shard) handleUp(it shardItem) bool {
 	switch it.kind {
 	case itemUp:
-		sh.track(it.ss)
-		if !sh.pool.ops.shardUp(it.ss, it.child, it.ps, it.ret()) {
+		sh.streams[it.ss.id] = it.ss
+		if !sh.pool.n.shardUp(it.ss, it.child, it.ps, it.ret()) {
 			sh.retireOrdered(sh.upPend, it)
 		}
 	case itemUpRaw:
-		if !sh.pool.ops.shardUpRaw(it.ps, it.ret()) {
+		if !sh.pool.n.shardUpRaw(it.ps, it.ret()) {
 			sh.retireOrdered(sh.upPend, it)
 		}
 	case itemCloseUp:
 		delete(sh.streams, it.ss.id)
-		sh.pool.ops.shardCloseUp(it.ss)
+		sh.pool.n.shardCloseUp(it.ss)
 	case itemRegister:
-		sh.track(it.ss)
-	case itemForget:
-		delete(sh.streams, it.id)
+		sh.streams[it.ss.id] = it.ss
 	case itemPause:
 		it.pause.arrived.Done()
 		select {
@@ -504,13 +486,13 @@ func (sh *shard) handleUp(it shardItem) bool {
 func (sh *shard) handleDown(it shardItem) bool {
 	switch it.kind {
 	case itemDown:
-		sh.pool.ops.shardDown(it.ss, it.p)
+		sh.pool.n.shardDown(it.ss, it.p)
 		sh.retire(sh.downPend, it.src, 1)
 	case itemDownRaw:
-		sh.pool.ops.shardDownRaw(it.p)
+		sh.pool.n.shardDownRaw(it.p)
 		sh.retire(sh.downPend, it.src, 1)
 	case itemCloseDown:
-		sh.pool.ops.shardCloseDown(it.ss, it.p)
+		sh.pool.n.shardCloseDown(it.ss, it.p)
 	case itemPause:
 		it.pause.arrived.Done()
 		select {
@@ -523,20 +505,10 @@ func (sh *shard) handleDown(it shardItem) bool {
 	return false
 }
 
-// track adds the stream to the shard's poll set — unless it has been
-// closed, so a data item dispatched just before a front-end close cannot
-// resurrect a stream its forget item already removed (the dead state
-// would otherwise be polled forever).
-func (sh *shard) track(ss *streamState) {
-	if !ss.closed.Load() {
-		sh.streams[ss.id] = ss
-	}
-}
-
 func (sh *shard) poll() {
 	now := time.Now()
 	for _, ss := range sh.streams {
-		sh.pool.ops.shardPoll(ss, now)
+		sh.pool.n.shardPoll(ss, now)
 	}
 }
 

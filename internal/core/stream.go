@@ -42,6 +42,7 @@ type StreamSpec struct {
 type Stream struct {
 	nw        *Network
 	id        uint32
+	ss        *streamState // the root's filter and routing state
 	members   []Rank
 	tform     string
 	sync      string
@@ -154,7 +155,6 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 		// immutable for the session's lifetime, so lock-free reads are safe.
 		ss.budget = sess.budget
 		ss.tc = sess.counters
-		sess.counters.StreamsOpened.Add(1)
 	}
 
 	buf := spec.RecvBuffer
@@ -164,25 +164,33 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	st := &Stream{
 		nw:      nw,
 		id:      id,
+		ss:      ss,
 		members: append([]Rank(nil), members...),
 		tform:   spec.Transformation,
 		sync:    spec.Synchronization,
 		recvCh:  make(chan *packet.Packet, buf),
 		closed:  make(chan struct{}),
 	}
+	ss.st = st
+	// Register the stream in the root's table before it is announced: the
+	// router takes the command ahead of any inbox message that could carry
+	// the stream's data.
+	if err := nw.sendNodeCmd(nw.root, &cmdStream{ss: ss}); err != nil {
+		nw.recMu.Unlock()
+		return nil, fmt.Errorf("core: registering stream %d: %w", id, err)
+	}
+	if sess != nil {
+		sess.counters.StreamsOpened.Add(1)
+	}
 	nw.mu.Lock()
 	nw.streams[id] = st
 	nw.mu.Unlock()
-	nw.fe.setState(id, ss)
-	// Track the stream on its pipeline shard from birth, so a timer armed
-	// with the shards quiesced (adoption replay) always has a poller.
-	nw.fe.shards.register(ss)
 	nw.recMu.Unlock()
 
 	// Announce downstream along member paths only.
 	ctrl := newStreamPacket(id, spec.Transformation, spec.Synchronization,
 		spec.DownTransformation, spec.Priority, members)
-	if err := nw.fe.sendToStream(ss, ctrl); err != nil {
+	if err := nw.root.sendToStream(ss, ctrl); err != nil {
 		return nil, fmt.Errorf("core: announcing stream %d: %w", id, err)
 	}
 	return st, nil
@@ -221,19 +229,32 @@ func (s *Stream) MulticastPacket(p *packet.Packet) error {
 		return ErrShutdown
 	default:
 	}
-	ss := s.nw.fe.state(s.id)
-	if ss == nil {
-		return ErrShutdown
-	}
 	p = p.WithStream(s.id)
 	s.nw.metrics.PacketsDown.Add(1)
-	if ss.tc != nil {
-		ss.tc.PacketsDown.Add(1)
+	if tc := s.ss.tc; tc != nil {
+		tc.PacketsDown.Add(1)
 	}
-	if err := s.nw.fe.sendToStream(ss, p); err != nil {
+	if err := s.nw.root.sendToStream(s.ss, p); err != nil {
 		return fmt.Errorf("core: multicast on stream %d: %w", s.id, err)
 	}
 	return nil
+}
+
+// deliverUp is the root's upward sink: a batch's reduced results are
+// restamped with the stream and the root as their source and handed to the
+// receiver. A closed stream's results are dropped.
+func (s *Stream) deliverUp(out []*packet.Packet) {
+	select {
+	case <-s.closed:
+		return
+	default:
+	}
+	if tc := s.ss.tc; tc != nil {
+		tc.PacketsUp.Add(int64(len(out)))
+	}
+	for _, q := range out {
+		s.deliver(q.WithStreamSrc(s.id, 0))
+	}
 }
 
 // deliver hands a fully reduced packet to the stream's receiver, waiting
@@ -301,11 +322,8 @@ func (s *Stream) RecvTimeout(d time.Duration) (*packet.Packet, error) {
 func (s *Stream) Close() error {
 	var sendErr error
 	s.closeOnce.Do(func() {
-		ss := s.nw.fe.state(s.id)
-		if ss != nil {
-			sendErr = s.nw.fe.sendToStream(ss, closeStreamPacket(s.id))
-		}
-		s.teardownFE(ss)
+		sendErr = s.nw.root.sendToStream(s.ss, closeStreamPacket(s.id))
+		s.teardownFE()
 	})
 	return sendErr
 }
@@ -315,28 +333,26 @@ func (s *Stream) Close() error {
 // closes every stream of the namespace at every node, so announcing each
 // close individually would only duplicate work on the wire.
 func (s *Stream) bulkClose() {
-	s.closeOnce.Do(func() { s.teardownFE(s.nw.fe.state(s.id)) })
+	s.closeOnce.Do(s.teardownFE)
 }
 
 // teardownFE is the front-end half of a stream close, shared by Close and
-// bulkClose (both run under closeOnce).
-func (s *Stream) teardownFE(ss *streamState) {
-	s.nw.fe.dropState(s.id)
-	// Trim the stream from its pipeline shard's poll set; data still in
-	// flight for it is dropped by the router (no state) from here on,
-	// and the closed mark keeps an already-dispatched item from
-	// re-registering the dead state behind the forget.
-	if ss != nil {
-		ss.closed.Store(true)
-		if ss.tc != nil {
-			ss.tc.StreamsClosed.Add(1)
-		}
+// bulkClose (both run under closeOnce). The receiver closes first, so
+// results still in the root's pipeline are dropped (deliverUp); then the
+// root's router forgets the stream, and data still in flight for it is
+// dropped there with its credits returned. The router is told last: a
+// worker blocked delivering into a full receiver can hold the router in a
+// quiesce that only the close releases.
+func (s *Stream) teardownFE() {
+	if tc := s.ss.tc; tc != nil {
+		tc.StreamsClosed.Add(1)
 	}
-	s.nw.fe.shards.forget(s.id)
 	s.nw.mu.Lock()
 	delete(s.nw.streams, s.id)
 	s.nw.mu.Unlock()
 	close(s.closed)
+	// Best effort: a root that cannot take the command is tearing down.
+	_ = s.nw.sendNodeCmd(s.nw.root, &cmdStream{ss: s.ss, drop: true})
 }
 
 // closeRecv marks the stream closed without control traffic; used at

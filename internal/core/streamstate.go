@@ -83,11 +83,13 @@ type streamState struct {
 	// carried by the announcement so every level schedules consistently).
 	prio int
 
-	// budget and tc are set only at the front-end (rank 0) for streams
-	// opened inside a tenant session: budget is the tenant's credit
-	// sub-window (front-end sends acquire through it) and tc the tenant's
-	// traffic counters. Both immutable for the stream's lifetime; nil for
-	// legacy namespace-0 streams and at every other rank.
+	// st is the stream's receiver at the root (rank 0), where the stream
+	// was opened, and nil at every other rank. budget and tc are set only
+	// at the root for streams opened inside a tenant session: budget is the
+	// tenant's credit sub-window (front-end sends acquire through it) and
+	// tc the tenant's traffic counters. All immutable for the stream's
+	// lifetime; budget and tc are nil for legacy namespace-0 streams.
+	st     *Stream
 	budget *transport.Budget
 	tc     *TenantCounters
 
@@ -97,10 +99,6 @@ type streamState struct {
 	// (checkpoints). It is uncontended in steady state; the filters
 	// themselves need no locks of their own.
 	pipeMu sync.Mutex
-	// closed is set by Stream.Close before the forget item is enqueued,
-	// so a data item the router dispatched just before the close cannot
-	// re-register the dead stream in its shard's poll set.
-	closed atomic.Bool
 
 	// Exactly-once per-stream state, guarded by pipeMu like the filters:
 	// dedup holds one duplicate-detection window per packet origin, and
@@ -153,62 +151,73 @@ func newStreamState(nw *Network, rank Rank, reg *filter.Registry,
 		members:    memberSet,
 		prio:       prio,
 	}
-	ss.rebuildSlots(nw.slotInfoAt(rank)) //tbon:allow mutationquiesce constructor: the stream is not yet published to any shard
+	r := routesFor(nw.slotInfoAt(rank), memberSet)
+	ss.routes.Store(r)
+	setNumChildren(sy, r.numUp)
+	setNumChildren(tf, r.numUp)
 	return ss, nil
 }
 
-// rebuildSlots recomputes the routing snapshot from a fresh slot
-// snapshot and rewires the synchronizer accordingly. It is
-// called once at stream creation and again by every install command that
-// changes the node's child set (a new slot whose subtree holds no member
-// routes nothing); packets already queued per surviving slot are preserved
-// when the synchronizer supports remapping, and batches completed by the
-// removal of a dead slot are returned for the caller to flush.
-func (ss *streamState) rebuildSlots(slots []slotInfo) [][]*packet.Packet {
-	var oldUpSlot []int
-	oldNumUp := 0
-	first := ss.routes.Load() == nil
-	if !first {
-		old := ss.routes.Load()
-		oldUpSlot, oldNumUp = old.up, old.numUp
-	}
-	down := make([]bool, len(slots))
-	up := make([]int, len(slots))
-	remap := make([]int, oldNumUp)
-	for i := range remap {
-		remap[i] = -1
-	}
-	dense := 0
+// routesFor computes a stream's routing from a slot snapshot: a slot
+// routes when it is alive and its subtree holds a member (a new slot whose
+// subtree holds none routes nothing), and participating slots take dense
+// synchronizer indices in slot order.
+func routesFor(slots []slotInfo, members map[Rank]bool) *streamRoutes {
+	r := &streamRoutes{down: make([]bool, len(slots)), up: make([]int, len(slots))}
 	for i, sl := range slots {
-		up[i] = -1
+		r.up[i] = -1
 		if sl.dead {
 			continue
 		}
 		for _, leaf := range sl.leaves {
-			if ss.members[leaf] {
-				down[i] = true
+			if members[leaf] {
+				r.down[i] = true
 				break
 			}
 		}
-		if !down[i] {
-			continue
+		if r.down[i] {
+			r.up[i] = r.numUp
+			r.numUp++
 		}
-		up[i] = dense
-		if i < len(oldUpSlot) && oldUpSlot[i] >= 0 && oldUpSlot[i] < len(remap) {
-			remap[oldUpSlot[i]] = dense
-		}
-		dense++
 	}
-	ss.routes.Store(&streamRoutes{down: down, up: up, numUp: dense})
+	return r
+}
+
+// setNumChildren tells a child-aware filter how many children feed it.
+func setNumChildren(f any, n int) {
+	if ca, ok := f.(filter.ChildAware); ok {
+		ca.SetNumChildren(n)
+	}
+}
+
+// rebuildSlots swaps in the routing of a fresh slot snapshot and rewires
+// the synchronizer accordingly, for every install command that changes the
+// node's child set: packets already queued per surviving slot are
+// preserved when the synchronizer supports remapping, and batches
+// completed by the removal of a dead slot are returned for the caller to
+// flush.
+func (ss *streamState) rebuildSlots(slots []slotInfo) [][]*packet.Packet {
+	old := ss.routes.Load()
+	r := routesFor(slots, ss.members)
+	ss.routes.Store(r)
 	var released [][]*packet.Packet
-	if r, ok := ss.sync.(filter.SlotRemapper); ok && !first {
-		released = r.RemapSlots(remap, dense)
-	} else if ca, ok := ss.sync.(filter.ChildAware); ok {
-		ca.SetNumChildren(dense)
+	if rm, ok := ss.sync.(filter.SlotRemapper); ok {
+		// remap[old dense index] = new dense index, or -1 for a slot that
+		// no longer participates.
+		remap := make([]int, old.numUp)
+		for i := range remap {
+			remap[i] = -1
+		}
+		for i, u := range old.up {
+			if u >= 0 && i < len(r.up) {
+				remap[u] = r.up[i]
+			}
+		}
+		released = rm.RemapSlots(remap, r.numUp)
+	} else {
+		setNumChildren(ss.sync, r.numUp)
 	}
-	if ca, ok := ss.tform.(filter.ChildAware); ok {
-		ca.SetNumChildren(dense)
-	}
+	setNumChildren(ss.tform, r.numUp)
 	return released
 }
 

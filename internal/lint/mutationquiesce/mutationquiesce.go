@@ -9,10 +9,9 @@
 // entry (the adopt/reparent orchestration shape). Anything else is a
 // data race with the routers by construction (DESIGN.md §9, §13).
 //
-// Setup code that mutates state no pipeline can see yet — a stream being
-// constructed, a back-end whose sole goroutine owns the egress — is a
-// deliberate exception: annotate it with //tbon:allow mutationquiesce
-// <reason>.
+// Code that mutates state no pipeline can see — a back-end whose sole
+// goroutine owns the egress — is a deliberate exception: annotate it with
+// //tbon:allow mutationquiesce <reason>.
 package mutationquiesce
 
 import (
