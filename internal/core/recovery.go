@@ -11,7 +11,7 @@ import (
 	"repro/internal/transport"
 )
 
-// This file implements the live half of the paper's companion reliability
+// This file implements the engine side of the paper's companion reliability
 // model (Arnold & Miller, "Zero-cost reliability for tree-based overlay
 // networks") on a running Network:
 //

@@ -8,8 +8,8 @@ import (
 
 // liveView tracks the overlay's current shape in the ORIGINAL rank
 // numbering, which never changes at runtime (packets, nodes and streams all
-// carry original ranks). The offline planner (internal/reliability) compacts
-// ranks after a failure; the live engine instead keeps dead ranks in place,
+// carry original ranks). It is the one record of the tree: Tree() snapshots
+// it and internal/recovery's detector walks it. Dead ranks stay in place,
 // marked, so links, slots and stream members stay valid.
 //
 // children is slot-aligned with each node's transport.Endpoint.Children:

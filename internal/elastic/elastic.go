@@ -16,9 +16,10 @@
 // process is split only when both halves keep at least two children: one
 // that forwards a single child aggregates nothing, whatever its heat.
 //
-// The controller backs off while a failure is being recovered (mutating a
-// tree whose shape is mid-repair would race the recovery manager's
-// bookkeeping), resuming once recoveries catch up with failures.
+// The controller backs off while a failure is being recovered, because the
+// tree is mid-repair: a crashed process awaits adoption, and a mutation
+// around it would fight the repair. It resumes once recoveries catch up
+// with failures.
 package elastic
 
 import (
@@ -72,11 +73,6 @@ type Config struct {
 	// Compose reconstructs filter state when a merge folds a subtree; may
 	// be nil (checkpoint-based recovery still applies).
 	Compose core.StateComposer
-
-	// Merge overrides how a merge is executed (e.g. routed through a
-	// recovery manager so its bookkeeping tracks the fold). Nil uses
-	// Network.MergeNode directly.
-	Merge func(cold core.Rank) error
 
 	// OnMutation, when non-nil, observes every mutation as it commits.
 	OnMutation func(Mutation)
@@ -268,11 +264,7 @@ func (c *Controller) tick() {
 		c.lastMut[sib] = time.Now()
 		c.mu.Unlock()
 	case "merge":
-		if c.cfg.Merge != nil {
-			if err := c.cfg.Merge(d.Rank); err != nil {
-				return
-			}
-		} else if _, err := nw.MergeNode(d.Rank, c.cfg.Compose); err != nil {
+		if _, err := nw.MergeNode(d.Rank, c.cfg.Compose); err != nil {
 			return
 		}
 		c.record(Mutation{Kind: "merge", Target: d.Rank, Heat: d.Heat, At: time.Now()})

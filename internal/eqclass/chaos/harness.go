@@ -202,7 +202,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// parent and child both dead) converge in that order, exactly as the
 	// heartbeat detector would drive them.
 	execDone := make(chan error, 1)
-	go func() { execDone <- cfg.Schedule.execute(nw, mgr, tree) }()
+	go func() { execDone <- cfg.Schedule.execute(nw, mgr) }()
 
 	expected := len(tree.Leaves()) * cfg.PerBE
 	deadline := time.Now().Add(cfg.Timeout)

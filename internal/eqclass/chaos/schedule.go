@@ -6,6 +6,7 @@ package chaos
 // event deletion.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -25,12 +26,13 @@ type KillEvent struct {
 
 // MutationEvent reshapes the live topology at an offset: "split" grows a
 // sibling for Victim and migrates half its children, "merge" folds Victim
-// into its parent (a controlled kill through the recovery path), "attach"
-// joins a new back-end under Victim. Mutation failures are tolerated — the
-// schedule may have already crashed the victim, and a split racing a kill
-// is exactly the interleaving under test — but a merge's kill is always
-// driven to recovery so no subtree is left dark. An attached back-end is
-// not a member of the running stream, so the ledger expects nothing of it.
+// into its parent (core.Network.MergeNode, the elastic controller's path),
+// "attach" joins a new back-end under Victim. Mutation failures are
+// tolerated — the schedule may have already crashed the victim, and a split
+// racing a kill is exactly the interleaving under test — but a merge's kill
+// is always driven to recovery so no subtree is left dark. An attached
+// back-end is not a member of the running stream, so the ledger expects
+// nothing of it.
 type MutationEvent struct {
 	Kind   string // "split" | "merge" | "attach"
 	Victim core.Rank
@@ -149,17 +151,17 @@ func GenMutationSchedule(tree *topology.Tree, seed int64) Schedule {
 
 // execute runs the schedule as one timeline: kills and mutations fire in
 // offset order against the streaming overlay, then every rank left dead —
-// kill victims plus merges whose inline fold could not complete — is
-// recovered shallowest-first (an orphaned subtree's own failure is only
+// kill victims plus merges whose fold could not complete — is recovered
+// shallowest-first by live depth (an orphaned subtree's own failure is only
 // recoverable after its parent's), retrying while adoptions race.
 //
 // Splits are best-effort: the donor may already be dead or mid-recovery,
-// and that race is exactly the interleaving under test. A merge is a
-// controlled kill driven through the manager, so its bookkeeping stays
-// consistent with the fold; when the inline recovery loses a race (the
-// victim's parent is itself dead until the final pass), the victim joins
-// the final pass instead of leaving a dark subtree.
-func (s Schedule) execute(nw *core.Network, mgr *recovery.Manager, tree *topology.Tree) error {
+// and that race is exactly the interleaving under test. A merge refused
+// before its kill (core.ErrNotMutable) is skipped the same way; one whose
+// fold loses a race after the kill (the victim's parent is itself dead
+// until the final pass) joins the final pass instead of leaving a dark
+// subtree.
+func (s Schedule) execute(nw *core.Network, mgr *recovery.Manager) error {
 	type event struct {
 		after time.Duration
 		kill  *KillEvent
@@ -201,18 +203,18 @@ func (s Schedule) execute(nw *core.Network, mgr *recovery.Manager, tree *topolog
 			if seen[e.mut.Victim] {
 				continue // already crashed by an earlier kill event
 			}
-			nw.CheckpointNow()
-			if err := nw.Kill(e.mut.Victim); err != nil {
-				continue // raced another failure; the kill path owns it
-			}
-			if _, err := mgr.Recover(e.mut.Victim); err != nil {
+			if _, err := nw.MergeNode(e.mut.Victim, nil); err != nil && !errors.Is(err, core.ErrNotMutable) {
 				addVictim(e.mut.Victim)
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		return tree.Node(victims[i]).Level < tree.Node(victims[j]).Level
-	})
+	depth := map[core.Rank]int{}
+	for _, v := range victims {
+		for r := nw.LiveParent(v); r != topology.NoRank; r = nw.LiveParent(r) {
+			depth[v]++
+		}
+	}
+	sort.SliceStable(victims, func(i, j int) bool { return depth[victims[i]] < depth[victims[j]] })
 	for _, v := range victims {
 		var err error
 		for attempt := 0; attempt < 5; attempt++ {

@@ -1,18 +1,17 @@
-// Package recovery turns the offline reliability planner into live,
-// in-engine fault tolerance for a running core.Network. It provides the
-// missing half of the zero-cost reliability model (Arnold & Miller, cited
-// by internal/reliability): internal/reliability plans a recovery;
-// this package detects failures and applies the plan to the running
-// overlay.
+// Package recovery is the failure detector of the zero-cost reliability
+// model (Arnold & Miller, cited by internal/reliability) for a running
+// core.Network.
 //
 // The Manager watches the heartbeat beacons every non-root process relays
-// to the front-end (core.Config.HeartbeatPeriod). When a process falls
-// silent past the configured timeout it is declared failed: the manager
-// asks reliability.Recover for the reconfiguration plan, drives
-// core.Network.Adopt to apply it live (grandparent adoption, stream
-// re-announcement, synchronizer rebuild), and reconstructs the lost
-// node's composable filter state with reliability.ComposeStates from the
-// orphans' snapshots.
+// to the front-end (core.Config.HeartbeatPeriod). Each poll walks the
+// engine's live view from the front-end (core.Network.LiveChildren), so
+// every rank is watched at its current depth — split siblings, attached
+// back-ends and moved routers included — and the tree has one record, the
+// engine's. A process silent past the timeout is declared failed, and
+// core.Network.Adopt applies the topology rule live (grandparent adoption,
+// stream re-announcement, synchronizer rebuild) with the state rule,
+// reliability.ComposeStates, rebuilding the lost node's filter state from
+// the orphans' snapshots.
 //
 // When an ancestor fails, every descendant's beacon goes quiet at once
 // (their only path to the front-end ran through the dead process). The
@@ -48,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/reliability"
-	"repro/internal/topology"
 )
 
 // Config parameterizes the failure detector.
@@ -57,11 +55,11 @@ type Config struct {
 	// declared failed. It should be several heartbeat periods; New
 	// rejects anything under two periods.
 	Timeout time.Duration
-	// LeafTimeout is the (longer) silence required to declare a back-end
-	// failed; default 3×Timeout. Fencing an internal process by mistake
-	// is recoverable — its subtrees are re-adopted — but fencing a
-	// healthy back-end silently removes a data source forever, so leaves
-	// get extra patience against scheduling stalls.
+	// LeafTimeout is the (longer) silence required to declare a rank with
+	// no live children failed; default 3×Timeout. Fencing an internal
+	// process by mistake is recoverable — its subtrees are re-adopted —
+	// but fencing a healthy back-end silently removes a data source
+	// forever, so leaves get extra patience against scheduling stalls.
 	LeafTimeout time.Duration
 	// Poll is the detector's check interval; default Timeout/4.
 	Poll time.Duration
@@ -76,24 +74,14 @@ type Config struct {
 	OnRecovery func(Report)
 }
 
-// Report describes one completed recovery.
+// Report describes one completed recovery: the engine's adoption, plus
+// how long the failure went undetected.
 type Report struct {
-	// Failed, NewParent and Orphans are original-numbering ranks, as used
-	// by the live network.
-	Failed    core.Rank
-	NewParent core.Rank
-	Orphans   []core.Rank
-	// Plan is the offline reconfiguration plan (compacted numbering) the
-	// recovery applied.
-	Plan *reliability.Plan
-	// StreamsComposed counts streams whose lost filter state was
-	// reconstructed from the orphans' snapshots.
-	StreamsComposed int
+	core.Adoption
 	// Detection is the observed silence when the failure was declared
-	// (zero for manually triggered recoveries), Rewire the time spent
-	// reconfiguring the running overlay, Total their sum.
+	// (zero for manually triggered recoveries); Total is Detection plus
+	// the adoption's Rewire.
 	Detection time.Duration
-	Rewire    time.Duration
 	Total     time.Duration
 	// At is when the recovery completed.
 	At time.Time
@@ -106,26 +94,19 @@ type Manager struct {
 	cfg Config
 
 	mu sync.Mutex
-	// planTree mirrors the overlay in the planner's compacted numbering;
-	// origOf / curOf translate between planning ranks and the live
-	// network's original ranks.
-	planTree *topology.Tree
-	origOf   []core.Rank
-	curOf    map[core.Rank]core.Rank
-	// baseline is the per-rank floor for silence judgments: ranks are
-	// only judged against max(baseline, last beacon), giving fresh starts
-	// after recoveries and at detector startup.
+	// baseline is the per-rank floor for silence judgments: a rank is
+	// judged against max(baseline, last beacon), and gets its baseline
+	// when the detector's walk first sees it. Clearing it at startup and
+	// after every recovery grants the whole overlay fresh grace.
 	baseline map[core.Rank]time.Time
 	reports  []Report
 
-	// runMu serializes whole recoveries (plan → adopt → fold), so a
-	// manual Recover racing the detector cannot fold two plans computed
-	// against the same pre-recovery tree.
+	// runMu serializes recoveries against periodic checkpoints, so a node
+	// is never asked to snapshot mid-adoption.
 	runMu sync.Mutex
 
-	stop    chan struct{}
-	done    chan struct{}
-	started bool
+	stop, done chan struct{}
+	started    bool
 }
 
 // New creates a manager for the network. Automatic detection (Start)
@@ -146,20 +127,7 @@ func New(nw *core.Network, cfg Config) (*Manager, error) {
 			cfg.Poll = time.Millisecond
 		}
 	}
-	tree := nw.Tree()
-	m := &Manager{
-		nw:       nw,
-		cfg:      cfg,
-		planTree: tree,
-		origOf:   make([]core.Rank, tree.Len()),
-		curOf:    make(map[core.Rank]core.Rank, tree.Len()),
-		baseline: map[core.Rank]time.Time{},
-	}
-	for r := 0; r < tree.Len(); r++ {
-		m.origOf[r] = core.Rank(r)
-		m.curOf[core.Rank(r)] = core.Rank(r)
-	}
-	return m, nil
+	return &Manager{nw: nw, cfg: cfg, baseline: map[core.Rank]time.Time{}}, nil
 }
 
 // Start launches the failure detector. It requires heartbeats. A stopped
@@ -177,10 +145,7 @@ func (m *Manager) Start() error {
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
 	stop, done := m.stop, m.done
-	now := time.Now()
-	for orig := range m.curOf {
-		m.baseline[orig] = now
-	}
+	clear(m.baseline)
 	m.mu.Unlock()
 	go m.watch(stop, done)
 	if m.cfg.CheckpointPeriod > 0 {
@@ -189,9 +154,8 @@ func (m *Manager) Start() error {
 	return nil
 }
 
-// checkpointLoop periodically drives adopter checkpoints until the
-// detector is stopped. Checkpoints are serialized against recoveries so a
-// node is never asked to snapshot mid-adoption.
+// checkpointLoop periodically drives adopter checkpoints, serialized
+// against recoveries (runMu), until the detector is stopped.
 func (m *Manager) checkpointLoop(stop <-chan struct{}) {
 	t := time.NewTicker(m.cfg.CheckpointPeriod)
 	defer t.Stop()
@@ -239,57 +203,50 @@ func (m *Manager) watch(stop <-chan struct{}, done chan<- struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
+			// A recovery that fails is retried from the next tick's walk.
 			if victim, silence, ok := m.detect(); ok {
-				if _, err := m.recover(victim, silence); err != nil {
-					// Unrecoverable (e.g. torn down): back off to the
-					// next tick; transient races resolve themselves.
-					continue
-				}
+				_, _ = m.recover(victim, silence)
 			}
 		}
 	}
 }
 
-// detect returns the shallowest process whose beacon has been silent past
-// the timeout, if any.
-func (m *Manager) detect() (core.Rank, time.Duration, bool) {
+// detect walks the live tree breadth-first from the front-end and returns
+// the shallowest process whose beacon has been silent past its timeout —
+// the longest-silent one when several share that depth — if any.
+func (m *Manager) detect() (victim core.Rank, silence time.Duration, ok bool) {
 	hb := m.nw.Heartbeats()
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var victim core.Rank
-	var silence time.Duration
-	level := -1
-	for orig, cur := range m.curOf {
-		if cur == 0 {
-			continue // the front-end does not beacon
+	for level := m.nw.LiveChildren(0); len(level) > 0 && !ok; {
+		var next []core.Rank
+		for _, r := range level {
+			kids := m.nw.LiveChildren(r)
+			next = append(next, kids...)
+			last, seen := m.baseline[r]
+			if !seen {
+				m.baseline[r] = now // first sighting: its grace starts now
+				continue
+			}
+			if t, beat := hb[r]; beat && t.After(last) {
+				last = t
+			}
+			limit := m.cfg.Timeout
+			if len(kids) == 0 {
+				limit = m.cfg.LeafTimeout
+			}
+			if s := now.Sub(last); s > limit && s > silence {
+				victim, silence, ok = r, s, true
+			}
 		}
-		last := m.baseline[orig]
-		if t, ok := hb[orig]; ok && t.After(last) {
-			last = t
-		}
-		if last.IsZero() {
-			continue // detector not started for this rank yet
-		}
-		node := m.planTree.Node(cur)
-		limit := m.cfg.Timeout
-		if node.IsLeaf() {
-			limit = m.cfg.LeafTimeout
-		}
-		s := now.Sub(last)
-		if s <= limit {
-			continue
-		}
-		if lv := node.Level; level == -1 || lv < level || (lv == level && s > silence) {
-			victim, silence, level = orig, s, lv
-		}
+		level = next
 	}
-	return victim, silence, level != -1
+	return victim, silence, ok
 }
 
-// Recover manually triggers recovery of the process at the given
-// (original-numbering) rank, for callers that detected the failure by
-// other means (e.g. fault-injection harnesses).
+// Recover manually triggers recovery of the process at the given rank, for
+// callers that detected the failure by other means (e.g. fault injection).
 func (m *Manager) Recover(failed core.Rank) (Report, error) {
 	return m.recover(failed, 0)
 }
@@ -297,54 +254,20 @@ func (m *Manager) Recover(failed core.Rank) (Report, error) {
 func (m *Manager) recover(failed core.Rank, silence time.Duration) (Report, error) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	m.mu.Lock()
-	cur, ok := m.curOf[failed]
-	if !ok {
-		m.mu.Unlock()
-		return Report{}, fmt.Errorf("recovery: rank %d unknown or already recovered", failed)
-	}
-	plan, err := reliability.Recover(m.planTree, cur)
-	m.mu.Unlock()
-	if err != nil {
-		return Report{}, err
-	}
-
 	adoption, err := m.nw.Adopt(failed, m.compose)
 	if err != nil {
 		return Report{}, err
 	}
-
-	m.mu.Lock()
-	// Fold the plan into the rank translation: planning ranks compact
-	// around the hole while original ranks are stable.
-	origOf := make([]core.Rank, plan.Tree.Len())
-	curOf := make(map[core.Rank]core.Rank, plan.Tree.Len())
-	for old, orig := range m.origOf {
-		if nu, ok := plan.Remap[core.Rank(old)]; ok && nu != topology.NoRank {
-			origOf[nu] = orig
-			curOf[orig] = nu
-		}
+	rep := Report{
+		Adoption:  *adoption,
+		Detection: silence,
+		Total:     silence + adoption.Rewire,
+		At:        time.Now(),
 	}
-	m.planTree = plan.Tree
-	m.origOf = origOf
-	m.curOf = curOf
+	m.mu.Lock()
 	// Fresh grace for everyone: the re-attached subtree's beacons need a
 	// moment to resume flowing through the new links.
-	now := time.Now()
-	for orig := range m.curOf {
-		m.baseline[orig] = now
-	}
-	rep := Report{
-		Failed:          failed,
-		NewParent:       adoption.NewParent,
-		Orphans:         adoption.Orphans,
-		Plan:            plan,
-		StreamsComposed: adoption.StreamsComposed,
-		Detection:       silence,
-		Rewire:          adoption.Rewire,
-		Total:           silence + adoption.Rewire,
-		At:              now,
-	}
+	clear(m.baseline)
 	m.reports = append(m.reports, rep)
 	cb := m.cfg.OnRecovery
 	m.mu.Unlock()
@@ -361,13 +284,9 @@ func (m *Manager) recover(failed core.Rank, silence time.Duration) (Report, erro
 func (m *Manager) compose(streamID uint32, transformation string, children [][]byte) ([]byte, error) {
 	reg := m.nw.Registry()
 	probe, err := reg.NewTransformation(transformation)
-	if err != nil {
-		return nil, nil
-	}
-	if _, ok := probe.(filter.StatefulTransformation); !ok {
-		return nil, nil
-	}
-	if _, ok := probe.(reliability.Merger); !ok {
+	_, stateful := probe.(filter.StatefulTransformation)
+	_, merger := probe.(reliability.Merger)
+	if err != nil || !stateful || !merger {
 		return nil, nil
 	}
 	return reliability.ComposeStates(func() filter.StatefulTransformation {

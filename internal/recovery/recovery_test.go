@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -110,8 +111,10 @@ func TestManagerAutoRecoversInternalFailure(t *testing.T) {
 	if rep.Detection <= 0 || rep.Total < rep.Rewire {
 		t.Errorf("latencies: detection %v, rewire %v, total %v", rep.Detection, rep.Rewire, rep.Total)
 	}
-	if rep.Plan == nil || rep.Plan.Tree.Len() != 6 {
-		t.Error("report carries no usable plan")
+	for _, o := range rep.Orphans {
+		if p := nw.LiveParent(o); p != 0 {
+			t.Errorf("orphan %d has live parent %d, want the front-end", o, p)
+		}
 	}
 
 	// The same stream keeps serving the full membership.
@@ -598,5 +601,105 @@ func TestManagerSimultaneousCascade(t *testing.T) {
 	}
 	if v, _ := p.Float(0); v != 18 { // all four back-ends survived
 		t.Errorf("post-cascade sum = %g, want 18", v)
+	}
+}
+
+// liveBackEnds lists the back-ends still in the live tree: Tree()'s leaves
+// minus the dead ranks it keeps in place.
+func liveBackEnds(nw *core.Network) []core.Rank {
+	var out []core.Rank
+	for _, r := range nw.Tree().Leaves() {
+		if nw.LiveParent(r) != topology.NoRank {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// recoverAfterMutation starts the detector on kary:2^3 (0; 1,2; 3..6;
+// leaves 7..14), reshapes the live tree with mutate, kills the rank mutate
+// returns, and requires the detector to recover it by reference [2]'s
+// rule, checked against the live engine: every orphan's live parent is the
+// adopter, and the live back-ends are the previous set minus a killed leaf.
+func recoverAfterMutation(t *testing.T, kind core.TransportKind, mutate func(*core.Network) (core.Rank, error)) {
+	t.Helper()
+	nw := sumEchoOn(t, "kary:2^3", 10*time.Millisecond, kind)
+	defer nw.Shutdown()
+	mgr, err := New(nw, Config{Timeout: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Stop()
+
+	victim, err := mutate(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.DeleteFunc(liveBackEnds(nw), func(r core.Rank) bool { return r == victim })
+	if err := nw.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !slices.ContainsFunc(mgr.Reports(), func(r Report) bool { return r.Failed == victim }) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d never recovered: reports %+v, engine recoveries %d",
+				victim, mgr.Reports(), nw.Metrics().RecoveriesCompleted.Load())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	reps := mgr.Reports()
+	if len(reps) != 1 {
+		t.Errorf("reports = %+v, want only the recovery of %d", reps, victim)
+	}
+	for _, rep := range reps {
+		for _, o := range rep.Orphans {
+			if p := nw.LiveParent(o); p != rep.NewParent {
+				t.Errorf("orphan %d of %d has live parent %d, want %d", o, rep.Failed, p, rep.NewParent)
+			}
+		}
+	}
+	if got := liveBackEnds(nw); !slices.Equal(got, want) {
+		t.Errorf("live back-ends = %v, want %v", got, want)
+	}
+}
+
+// TestManagerRecoversDeeperKillAfterMerge: a rank merged away is gone from
+// the live tree, so the detector never judges it again and a deeper
+// failure after the merge is still reached.
+func TestManagerRecoversDeeperKillAfterMerge(t *testing.T) {
+	for name, kind := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			recoverAfterMutation(t, kind, func(nw *core.Network) (core.Rank, error) {
+				_, err := nw.MergeNode(1, nil)
+				return 5, err
+			})
+		})
+	}
+}
+
+// TestManagerRecoversKilledSplitSibling: a sibling spawned by a split is
+// watched like every other router.
+func TestManagerRecoversKilledSplitSibling(t *testing.T) {
+	for name, kind := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			recoverAfterMutation(t, kind, func(nw *core.Network) (core.Rank, error) {
+				return nw.SplitNode(1)
+			})
+		})
+	}
+}
+
+// TestManagerRecoversKilledAttachedBackEnd: a back-end attached at runtime
+// is watched, under LeafTimeout, like every other back-end.
+func TestManagerRecoversKilledAttachedBackEnd(t *testing.T) {
+	for name, kind := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			recoverAfterMutation(t, kind, func(nw *core.Network) (core.Rank, error) {
+				return nw.AttachBackEnd(3)
+			})
+		})
 	}
 }

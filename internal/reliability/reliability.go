@@ -11,11 +11,11 @@
 //     histograms, folded graphs), the lost node's filter state is exactly
 //     the composition of its children's filter states, which survive.
 //
-// The package provides the reconfiguration planner, the state composition
-// operator over filter.StatefulTransformation snapshots, and a composed
-// recovery helper used by the tests to show end-to-end semantic
-// equivalence between a never-failed overlay and a failed-and-recovered
-// one.
+// The live engine owns the first rule: core.Network.Adopt moves the
+// orphans through its one reparent path, and its live view is the only
+// record of the tree. This package owns the second: the state composition
+// operator over filter.StatefulTransformation snapshots, which
+// internal/recovery hands the engine as its composer.
 package reliability
 
 import (
@@ -23,87 +23,7 @@ import (
 	"fmt"
 
 	"repro/internal/filter"
-	"repro/internal/topology"
 )
-
-// Rank aliases the overlay rank type.
-type Rank = topology.Rank
-
-// Plan describes the reconfiguration that recovers from one failure.
-type Plan struct {
-	// Failed is the lost communication process (old numbering).
-	Failed Rank
-	// NewParent is the rank (old numbering) that adopts the orphans:
-	// the failed node's parent.
-	NewParent Rank
-	// Orphans are the failed node's children (old numbering), in order.
-	Orphans []Rank
-	// Tree is the recovered topology with ranks compacted.
-	Tree *topology.Tree
-	// Remap maps old ranks to new ranks; the failed rank maps to
-	// topology.NoRank.
-	Remap map[Rank]Rank
-}
-
-// ErrUnrecoverable reports a failure the adoption rule cannot repair.
-var ErrUnrecoverable = errors.New("reliability: unrecoverable failure")
-
-// Recover plans the reconfiguration for the failure of the given node.
-// The front-end (rank 0) is a single point of control and cannot be
-// recovered by adoption; back-end failures simply remove the leaf.
-func Recover(tree *topology.Tree, failed Rank) (*Plan, error) {
-	n := tree.Node(failed)
-	if n == nil {
-		return nil, fmt.Errorf("%w: no such rank %d", ErrUnrecoverable, failed)
-	}
-	if failed == 0 {
-		return nil, fmt.Errorf("%w: the front-end cannot fail over", ErrUnrecoverable)
-	}
-	parent := tree.Parent(failed)
-	orphans := append([]Rank(nil), tree.Children(failed)...)
-
-	// Build the recovered parent vector in old numbering, skip the dead
-	// rank, then compact.
-	oldLen := tree.Len()
-	parents := make([]Rank, 0, oldLen-1)
-	remap := make(map[Rank]Rank, oldLen)
-	// First pass: assign new ranks.
-	next := Rank(0)
-	for r := Rank(0); int(r) < oldLen; r++ {
-		if r == failed {
-			remap[r] = topology.NoRank
-			continue
-		}
-		remap[r] = next
-		next++
-	}
-	// Second pass: rewritten parents.
-	for r := Rank(0); int(r) < oldLen; r++ {
-		if r == failed {
-			continue
-		}
-		p := tree.Parent(r)
-		if p == failed {
-			p = parent // adoption by the grandparent
-		}
-		if p == topology.NoRank {
-			parents = append(parents, topology.NoRank)
-		} else {
-			parents = append(parents, remap[p])
-		}
-	}
-	newTree, err := topology.FromParents(parents)
-	if err != nil {
-		return nil, fmt.Errorf("reliability: recovered tree invalid: %w", err)
-	}
-	return &Plan{
-		Failed:    failed,
-		NewParent: parent,
-		Orphans:   orphans,
-		Tree:      newTree,
-		Remap:     remap,
-	}, nil
-}
 
 // ComposeStates rebuilds a lost node's filter state from its surviving
 // children's snapshots: a fresh filter instance absorbs each child state in

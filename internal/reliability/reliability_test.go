@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,89 +20,114 @@ type packetAlias = packet.Packet
 // eqclassPacket wraps a class-set packet built by the test helpers.
 type eqclassPacket struct{ p *packet.Packet }
 
+// The topology rule of reference [2] lives in the engine (core.Network.Adopt);
+// the tests below check the engine against the rule. adoptChecked kills
+// failed, has the engine adopt its orphans, and asserts the rule: the failed
+// rank's parent adopts exactly its live children, and no back-end but the
+// failed one is lost.
+func adoptChecked(t *testing.T, nw *core.Network, failed core.Rank) *core.Adoption {
+	t.Helper()
+	parent, kids, before := nw.LiveParent(failed), nw.LiveChildren(failed), liveBackEnds(nw)
+	if err := nw.Kill(failed); err != nil {
+		t.Fatal(err)
+	}
+	ad, err := nw.Adopt(failed, nil)
+	if err != nil {
+		t.Fatalf("adopt %d: %v", failed, err)
+	}
+	if ad.NewParent != parent || !slices.Equal(ad.Orphans, kids) {
+		t.Errorf("adoption of %d: parent %d, orphans %v; want %d, %v", failed, ad.NewParent, ad.Orphans, parent, kids)
+	}
+	for _, o := range ad.Orphans {
+		if p := nw.LiveParent(o); p != parent {
+			t.Errorf("orphan %d has live parent %d, want %d", o, p, parent)
+		}
+	}
+	want := slices.DeleteFunc(before, func(r core.Rank) bool { return r == failed })
+	if got := liveBackEnds(nw); !slices.Equal(got, want) {
+		t.Errorf("live back-ends after losing %d = %v, want %v", failed, got, want)
+	}
+	return ad
+}
+
+// liveBackEnds lists the back-ends still in the live tree: Tree()'s leaves
+// minus the dead ranks it keeps in place.
+func liveBackEnds(nw *core.Network) []core.Rank {
+	var out []core.Rank
+	for _, r := range nw.Tree().Leaves() {
+		if nw.LiveParent(r) != topology.NoRank {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// liveNet starts an overlay on tree whose back-ends answer every multicast
+// with their rank.
+func liveNet(t *testing.T, tree *topology.Tree) *core.Network {
+	t.Helper()
+	nw, err := core.NewNetwork(core.Config{
+		Topology: tree,
+		OnBackEnd: func(be *core.BackEnd) error {
+			for {
+				p, err := be.Recv()
+				if err != nil {
+					return nil
+				}
+				if err := be.Send(p.StreamID, p.Tag, "%f", float64(be.Rank())); err != nil {
+					return nil
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nw.Shutdown() })
+	return nw
+}
+
 func TestRecoverInternalNode(t *testing.T) {
 	tree, err := topology.ParseSpec("kary:2^2") // 0; 1,2; 3,4,5,6
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Recover(tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NewParent != 0 {
-		t.Errorf("NewParent = %d, want 0", plan.NewParent)
-	}
-	if len(plan.Orphans) != 2 || plan.Orphans[0] != 3 || plan.Orphans[1] != 4 {
-		t.Errorf("Orphans = %v", plan.Orphans)
-	}
-	if plan.Tree.Len() != 6 {
-		t.Fatalf("recovered tree has %d nodes, want 6", plan.Tree.Len())
-	}
-	// Orphans 3,4 (old) are now children of the root.
-	for _, old := range plan.Orphans {
-		nr := plan.Remap[old]
-		if nr == topology.NoRank {
-			t.Fatalf("orphan %d erased", old)
-		}
-		if plan.Tree.Parent(nr) != 0 {
-			t.Errorf("orphan %d (new %d) has parent %d, want 0", old, nr, plan.Tree.Parent(nr))
-		}
-	}
-	// Leaf count is preserved: no data sources were lost.
-	if got := len(plan.Tree.Leaves()); got != 4 {
-		t.Errorf("recovered tree has %d leaves, want 4", got)
-	}
-	if plan.Remap[1] != topology.NoRank {
-		t.Error("failed rank still mapped")
+	ad := adoptChecked(t, liveNet(t, tree), 1)
+	if ad.NewParent != 0 || !slices.Equal(ad.Orphans, []core.Rank{3, 4}) {
+		t.Errorf("adoption = parent %d, orphans %v; want 0, [3 4]", ad.NewParent, ad.Orphans)
 	}
 }
 
 func TestRecoverLeaf(t *testing.T) {
 	tree, _ := topology.ParseSpec("kary:2^2")
-	plan, err := Recover(tree, 5)
-	if err != nil {
-		t.Fatal(err)
+	nw := liveNet(t, tree)
+	if ad := adoptChecked(t, nw, 5); len(ad.Orphans) != 0 {
+		t.Errorf("leaf failure has orphans: %v", ad.Orphans)
 	}
-	if len(plan.Orphans) != 0 {
-		t.Errorf("leaf failure has orphans: %v", plan.Orphans)
-	}
-	if got := len(plan.Tree.Leaves()); got != 3 {
-		t.Errorf("leaves after leaf failure = %d, want 3", got)
+	if got := len(liveBackEnds(nw)); got != 3 {
+		t.Errorf("back-ends after leaf failure = %d, want 3", got)
 	}
 }
 
 func TestRecoverErrors(t *testing.T) {
 	tree, _ := topology.ParseSpec("kary:2^2")
-	if _, err := Recover(tree, 0); !errors.Is(err, ErrUnrecoverable) {
+	nw := liveNet(t, tree)
+	if _, err := nw.Adopt(0, nil); !errors.Is(err, core.ErrNotRecoverable) {
 		t.Errorf("front-end failure: %v", err)
 	}
-	if _, err := Recover(tree, 99); !errors.Is(err, ErrUnrecoverable) {
+	if _, err := nw.Adopt(99, nil); !errors.Is(err, core.ErrNotRecoverable) {
 		t.Errorf("unknown rank: %v", err)
 	}
 }
 
 func TestRecoverChain(t *testing.T) {
-	// Two successive failures keep the tree valid and all leaves attached.
+	// Two successive failures keep the tree whole and every leaf attached.
 	tree, _ := topology.ParseSpec("kary:2^3") // 15 nodes
-	p1, err := Recover(tree, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail another internal node of the recovered tree.
-	var internal Rank = topology.NoRank
-	for _, r := range p1.Tree.InternalNodes() {
-		internal = r
-		break
-	}
-	if internal == topology.NoRank {
-		t.Fatal("no internal node to fail")
-	}
-	p2, err := Recover(p1.Tree, internal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(p2.Tree.Leaves()); got != 8 {
-		t.Errorf("leaves after two failures = %d, want 8", got)
+	nw := liveNet(t, tree)
+	adoptChecked(t, nw, 2)
+	adoptChecked(t, nw, nw.LiveInternal()[0])
+	if got := len(liveBackEnds(nw)); got != 8 {
+		t.Errorf("back-ends after two failures = %d, want 8", got)
 	}
 }
 
@@ -204,46 +230,19 @@ func TestComposeStatesRequiresMerger(t *testing.T) {
 }
 
 // TestSemanticEquivalenceAfterRecovery is the end-to-end check: the same
-// workload produces the same front-end answer on the original overlay and
-// on the recovered overlay (failed node removed, orphans adopted). The
-// reduction is a sum, whose per-leaf contributions are disjoint, so the
-// answer must be identical.
+// workload produces the same front-end answer before and after a mid-level
+// communication process is lost and its orphans adopted. The reduction is a
+// sum, whose per-leaf contributions are disjoint, so the answer must be
+// identical.
 func TestSemanticEquivalenceAfterRecovery(t *testing.T) {
-	run := func(tree *topology.Tree) float64 {
+	tree, _ := topology.ParseSpec("kary:3^2")
+	nw := liveNet(t, tree)
+	st, err := nw.NewStream(core.StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() float64 {
 		t.Helper()
-		nw, err := core.NewNetwork(core.Config{
-			Topology: tree,
-			OnBackEnd: func(be *core.BackEnd) error {
-				for {
-					p, err := be.Recv()
-					if err != nil {
-						return nil
-					}
-					// Contribution depends on identity, not rank, so it is
-					// stable across renumbering: use the leaf's position
-					// among leaves.
-					leaves := tree.Leaves()
-					var idx int
-					for i, l := range leaves {
-						if l == be.Rank() {
-							idx = i
-							break
-						}
-					}
-					if err := be.Send(p.StreamID, p.Tag, "%f", float64(1000+idx)); err != nil {
-						return nil
-					}
-				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nw.Shutdown()
-		st, err := nw.NewStream(core.StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := st.Multicast(100, ""); err != nil {
 			t.Fatal(err)
 		}
@@ -257,32 +256,26 @@ func TestSemanticEquivalenceAfterRecovery(t *testing.T) {
 		}
 		return v
 	}
-
-	tree, _ := topology.ParseSpec("kary:3^2")
-	want := run(tree)
-	plan, err := Recover(tree, 2) // lose one mid-level comm process
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := run(plan.Tree)
-	if got != want {
+	want := round()
+	adoptChecked(t, nw, 2)
+	if got := round(); got != want {
 		t.Errorf("recovered overlay computed %g, original %g", got, want)
 	}
 }
 
-// Property: recovery never loses a leaf and always produces a valid tree,
-// for any internal-node failure in any random tree.
+// Property: the engine's adoption never loses a leaf and always leaves a
+// valid tree, for any internal-node failure in any random tree.
 func TestQuickRecoveryPreservesLeaves(t *testing.T) {
 	f := func(seed int64, szRaw uint8) bool {
 		sz := int(szRaw%60) + 5
-		parents := make([]Rank, sz)
+		parents := make([]core.Rank, sz)
 		parents[0] = topology.NoRank
 		for i := 1; i < sz; i++ {
 			m := (int64(i) + seed) % int64(i) // parent < i
 			if m < 0 {
 				m += int64(i)
 			}
-			parents[i] = Rank(m)
+			parents[i] = core.Rank(m)
 		}
 		tree, err := topology.FromParents(parents)
 		if err != nil {
@@ -296,14 +289,12 @@ func TestQuickRecoveryPreservesLeaves(t *testing.T) {
 		if vi < 0 {
 			vi += len(internal)
 		}
-		victim := internal[vi]
-		plan, err := Recover(tree, victim)
-		if err != nil {
-			return false
-		}
-		return len(plan.Tree.Leaves()) == len(tree.Leaves())
+		nw := liveNet(t, tree)
+		defer nw.Shutdown()
+		adoptChecked(t, nw, internal[vi])
+		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }

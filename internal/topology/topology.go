@@ -45,8 +45,10 @@ func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 // IsRoot reports whether the node is the front-end.
 func (n *Node) IsRoot() bool { return n.Parent == NoRank }
 
-// Tree is a validated process-tree. The zero value is not usable; construct
-// trees with the builders in this package or FromParents.
+// Tree is a validated, immutable process-tree shape. The zero value is not
+// usable; construct trees with the builders in this package or FromParents.
+// A running overlay's current shape is core.Network's live view, which
+// Network.Tree snapshots into a new Tree.
 type Tree struct {
 	nodes []Node
 }
@@ -263,80 +265,4 @@ func (t *Tree) Equal(u *Tree) bool {
 		}
 	}
 	return true
-}
-
-// AttachLeaf adds a new back-end as a child of parent, returning the new
-// node's rank. This supports the paper's dynamic topology model in which
-// back-ends may join after the internal tree has been instantiated. The
-// parent must not be a leaf of a multi-level tree unless allowLeafParent is
-// true (attaching to a leaf turns that leaf into a communication process).
-func (t *Tree) AttachLeaf(parent Rank, allowLeafParent bool) (Rank, error) {
-	p := t.Node(parent)
-	if p == nil {
-		return NoRank, fmt.Errorf("%w: no such parent %d", ErrInvalid, parent)
-	}
-	if p.IsLeaf() && !allowLeafParent && t.Len() > 1 {
-		return NoRank, fmt.Errorf("%w: parent %d is a back-end", ErrInvalid, parent)
-	}
-	r := Rank(len(t.nodes))
-	t.nodes = append(t.nodes, Node{
-		Rank:   r,
-		Parent: parent,
-		Level:  p.Level + 1,
-	})
-	// NOTE: t.nodes may have been reallocated; re-resolve the parent.
-	t.nodes[parent].Children = append(t.nodes[parent].Children, r)
-	return r, nil
-}
-
-// RemoveSubtree deletes the subtree rooted at r (which must not be the
-// root), compacting ranks. It returns the mapping from old ranks to new
-// ranks (NoRank for removed nodes). This supports failure-driven
-// reconfiguration; see internal/reliability.
-func (t *Tree) RemoveSubtree(r Rank) (map[Rank]Rank, error) {
-	if r == 0 {
-		return nil, fmt.Errorf("%w: cannot remove the front-end", ErrInvalid)
-	}
-	if t.Node(r) == nil {
-		return nil, fmt.Errorf("%w: no such node %d", ErrInvalid, r)
-	}
-	doomed := map[Rank]bool{}
-	var mark func(Rank)
-	mark = func(x Rank) {
-		doomed[x] = true
-		for _, c := range t.nodes[x].Children {
-			mark(c)
-		}
-	}
-	mark(r)
-
-	remap := make(map[Rank]Rank, len(t.nodes))
-	var kept []Node
-	for i := range t.nodes {
-		old := Rank(i)
-		if doomed[old] {
-			remap[old] = NoRank
-			continue
-		}
-		remap[old] = Rank(len(kept))
-		kept = append(kept, t.nodes[i])
-	}
-	for i := range kept {
-		kept[i].Rank = Rank(i)
-		if kept[i].Parent != NoRank {
-			kept[i].Parent = remap[kept[i].Parent]
-		}
-		var cs []Rank
-		for _, c := range kept[i].Children {
-			if nc := remap[c]; nc != NoRank {
-				cs = append(cs, nc)
-			}
-		}
-		kept[i].Children = cs
-	}
-	t.nodes = kept
-	if err := t.computeLevels(); err != nil {
-		return nil, err
-	}
-	return remap, nil
 }

@@ -221,67 +221,6 @@ func TestParseSpecTrailingComma(t *testing.T) {
 	}
 }
 
-func TestAttachLeaf(t *testing.T) {
-	tr, _ := KAry(2, 2)
-	n0 := tr.Len()
-	r, err := tr.AttachLeaf(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != n0+1 || tr.Parent(r) != 1 {
-		t.Errorf("AttachLeaf: len=%d parent=%d", tr.Len(), tr.Parent(r))
-	}
-	if tr.Node(r).Level != 2 {
-		t.Errorf("attached leaf level = %d, want 2", tr.Node(r).Level)
-	}
-	// Attaching to a back-end without permission fails.
-	if _, err := tr.AttachLeaf(3, false); err == nil {
-		t.Error("AttachLeaf to back-end: want error")
-	}
-	// With permission the back-end becomes internal.
-	r2, err := tr.AttachLeaf(3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Node(3).IsLeaf() {
-		t.Error("node 3 should no longer be a leaf")
-	}
-	if tr.Parent(r2) != 3 {
-		t.Errorf("Parent(%d) = %d, want 3", r2, tr.Parent(r2))
-	}
-	if _, err := tr.AttachLeaf(999, false); err == nil {
-		t.Error("AttachLeaf to missing parent: want error")
-	}
-}
-
-func TestRemoveSubtree(t *testing.T) {
-	tr, _ := KAry(2, 2) // 0; 1,2; 3,4,5,6
-	remap, err := tr.RemoveSubtree(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 4 { // removed 1,3,4
-		t.Fatalf("after removal: %d nodes, want 4", tr.Len())
-	}
-	if remap[1] != NoRank || remap[3] != NoRank || remap[4] != NoRank {
-		t.Errorf("remap should delete 1,3,4: %v", remap)
-	}
-	// Old rank 2 is now rank 1 and still the root's child.
-	if remap[2] != 1 || tr.Parent(1) != 0 {
-		t.Errorf("remap[2]=%d parent=%d", remap[2], tr.Parent(1))
-	}
-	s := tr.Stats()
-	if s.Leaves != 2 || s.Depth != 2 {
-		t.Errorf("post-removal stats: %+v", s)
-	}
-	if _, err := tr.RemoveSubtree(0); err == nil {
-		t.Error("RemoveSubtree(root): want error")
-	}
-	if _, err := tr.RemoveSubtree(99); err == nil {
-		t.Error("RemoveSubtree(missing): want error")
-	}
-}
-
 // Property: for any valid random tree, stats invariants hold.
 func TestQuickTreeInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 max_lines=6214
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=21581
+max_repo_lines=21340
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
