@@ -13,7 +13,6 @@
 //	tbon-bench -exp sync          # ablation: synchronization policies
 //	tbon-bench -exp transport     # ablation: chan vs TCP substrate
 //	tbon-bench -exp recovery      # T-RECOVERY: failure recovery latency
-//	tbon-bench -exp elastic       # ablation: elastic topology mutation under skew
 //	tbon-bench -exp all           # everything
 //
 // Sizes are configurable; defaults reproduce the paper's scales. An
@@ -39,10 +38,9 @@ import (
 
 // sizes holds the size flags; a zero value keeps the runner's default.
 type sizes struct {
-	scales               string
-	points, daemons      int
-	sgfaLeaves           int
-	elHotQuota, elWindow int
+	scales          string
+	points, daemons int
+	sgfaLeaves      int
 }
 
 // runners is every -exp name in the order -exp all runs them; each entry
@@ -137,20 +135,6 @@ var runners = []struct {
 		}
 		return experiments.RecoveryTable(rows), nil
 	}},
-	{"elastic", func(sz *sizes) (string, error) {
-		cfg := experiments.DefaultElasticConfig()
-		if sz.elHotQuota > 0 {
-			cfg.HotQuota = sz.elHotQuota
-		}
-		if sz.elWindow > 0 {
-			cfg.Window = sz.elWindow
-		}
-		rows, err := experiments.RunElastic(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.ElasticTable(cfg, rows), nil
-	}},
 }
 
 func main() {
@@ -175,8 +159,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs.IntVar(&sz.points, "points", 0, "fig4 raw samples per cluster per leaf (default 120)")
 	fs.IntVar(&sz.daemons, "daemons", 0, "startup daemon count (default 512)")
 	fs.IntVar(&sz.sgfaLeaves, "sgfa-leaves", 0, "sgfa back-end count (default 1024)")
-	fs.IntVar(&sz.elHotQuota, "el-hotquota", 0, "elastic ablation packets per hot leaf (default 4000)")
-	fs.IntVar(&sz.elWindow, "el-window", 0, "elastic ablation credit window (default 4)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the selected experiments) to this file")
 	if err := fs.Parse(args); err != nil {

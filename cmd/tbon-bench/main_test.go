@@ -18,7 +18,7 @@ func TestUnknownExperiment(t *testing.T) {
 	if stdout.Len() != 0 {
 		t.Errorf("stdout = %q, want nothing", stdout.String())
 	}
-	for _, name := range []string{"fig4", "startup", "throughput", "overhead", "sgfa", "fanout", "sync", "transport", "recovery", "elastic"} {
+	for _, name := range []string{"fig4", "startup", "throughput", "overhead", "sgfa", "fanout", "sync", "transport", "recovery"} {
 		if !strings.Contains(stderr.String(), name) {
 			t.Errorf("stderr does not name runner %q: %q", name, stderr.String())
 		}

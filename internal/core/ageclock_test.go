@@ -245,6 +245,93 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 	}
 }
 
+// TestRoundsNeedNoAgeFlush: a command round — a multicast down a 3-level
+// tree, each back-end echoing one value, the sum reduced back up — crosses
+// every egress queue kind (child queues, back-end queues, parent queues)
+// and never fills a flush window. With an age bound of an hour, the only
+// thing that can move those packets is each producer's idle point, so a
+// round that completes proves no hop waited for the age clock.
+func TestRoundsNeedNoAgeFlush(t *testing.T) {
+	const rounds = 50
+	for _, tc := range []struct {
+		name string
+		kind TransportKind
+	}{
+		{"chan", ChanTransport},
+		{"tcp", TCPTransport},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := mustTree(t, "kary:4^3")
+			nw, err := NewNetwork(Config{
+				Topology:  tree,
+				Transport: tc.kind,
+				Batch:     BatchPolicy{MaxDelay: time.Hour},
+				OnBackEnd: func(be *BackEnd) error {
+					for {
+						p, err := be.Recv()
+						if err != nil {
+							return nil
+						}
+						if err := be.Send(p.StreamID, p.Tag, "%f", 1.0); err != nil {
+							return nil
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Shutdown()
+			st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := float64(len(tree.Leaves()))
+			for i := 0; i < rounds; i++ {
+				if err := st.Multicast(tagQuery, "%d", int64(i)); err != nil {
+					t.Fatal(err)
+				}
+				p, err := st.RecvTimeout(3 * time.Second)
+				if err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+				if v, _ := p.Float(0); v != want {
+					t.Fatalf("round %d: sum %v, want %v", i, v, want)
+				}
+			}
+			if n := nw.Metrics().FlushAge.Load(); n != 0 {
+				t.Errorf("%d age flushes under an age bound of an hour", n)
+			}
+		})
+	}
+}
+
+// TestIdleFlushHandsOffToBusyWire: an idle flush that finds another flusher
+// owning the wire — one that may already have taken its last batch — must
+// not leave its packet to the age bound: the owner re-arms the clock at zero
+// when it lets go, and the packet leaves at once.
+func TestIdleFlushHandsOffToBusyWire(t *testing.T) {
+	a, b := transport.NewPair(16)
+	var m Metrics
+	q := newEgressQueue(transport.NewFlowLink(a, 64), BatchPolicy{MaxDelay: time.Hour}.normalized(), &m)
+	defer q.stop()
+	q.flushMu.Lock() // the owner, past its last take
+	if err := q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(1))); err != nil {
+		q.flushMu.Unlock()
+		t.Fatal(err)
+	}
+	q.idle()
+	eventually(t, "the idle flush hands off to the busy wire", q.handoff.Load)
+	q.unlockWire()
+	drainLink(t, b, 1)
+	if got := m.FlushIdle.Load(); got != 1 {
+		t.Errorf("flush_idle = %d, want 1", got)
+	}
+	if got := m.FlushAge.Load(); got != 0 {
+		t.Errorf("flush_age = %d, want 0", got)
+	}
+}
+
 // egressActivity is the slice of the counters an egress retry would move.
 func egressActivity(nw *Network) [3]int64 {
 	m := nw.Metrics()

@@ -150,6 +150,7 @@ type Metrics struct {
 	FramesSent      atomic.Int64 // frames flushed to links by egress queues
 	FlushSize       atomic.Int64 // flushes triggered by a full window
 	FlushAge        atomic.Int64 // flushes triggered by the age bound
+	FlushIdle       atomic.Int64 // flushes triggered by the producer going idle
 	FlushControl    atomic.Int64 // flushes forced by control packets
 	FlushDrain      atomic.Int64 // flushes at shutdown/reparent drains
 	EgressHighWater atomic.Int64 // deepest egress queue observed (packets)
@@ -406,6 +407,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"frames_sent":            m.FramesSent.Load(),
 		"flush_size":             m.FlushSize.Load(),
 		"flush_age":              m.FlushAge.Load(),
+		"flush_idle":             m.FlushIdle.Load(),
 		"flush_control":          m.FlushControl.Load(),
 		"flush_drain":            m.FlushDrain.Load(),
 		"egress_high_water":      m.EgressHighWater.Load(),

@@ -11,20 +11,23 @@ import (
 
 // BatchPolicy governs per-link egress batching: outbound packets queue in
 // a per-link egress queue and are flushed as one multi-packet frame when
-// the queue reaches the flush window (size), when the oldest queued
-// packet has waited MaxDelay (age), when a control packet must not be
-// delayed (control), or when the owner drains at shutdown/reparent
-// (drain). Batching amortizes per-message link costs — a channel transfer
-// or a TCP write+flush — over the whole frame, which is what keeps
-// per-packet overhead from dominating tree throughput.
+// the queue reaches the flush window (size), when its producer reaches an
+// idle point (idle), when a control packet must not be delayed (control),
+// when the owner drains at shutdown/reparent (drain), or, as the backstop
+// for a producer that never idles, when the oldest queued packet has
+// waited MaxDelay (age). Batching amortizes per-message link costs — a
+// channel transfer or a TCP write+flush — over the whole frame: what
+// accumulates while the producer is busy is the batch, and an idle
+// producer makes no packet wait.
 type BatchPolicy struct {
 	// MaxBatch is the flush window in packets: a queue flushes as soon as
 	// that many packets wait in it. 1 flushes every packet; 0 selects
 	// DefaultBatchPolicy's window. NewNetwork rejects negative values.
 	MaxBatch int
 	// MaxDelay bounds how long a packet may sit in an egress queue before
-	// an age flush, so a queued packet can never strand. Non-positive
-	// values select DefaultBatchDelay.
+	// an age flush, so a queued packet can never strand, even behind a
+	// producer that never idles. Non-positive values select
+	// DefaultBatchDelay.
 	MaxDelay time.Duration
 }
 
@@ -68,10 +71,12 @@ const maxRetained = 4096
 const maxFlushRounds = 8
 
 // flush causes, for the metrics counters. flushDrain covers the blocking
-// drains (shutdown, Flush) and the re-flush after reparenting.
+// drains (shutdown, Flush) and the re-flush after reparenting; flushIdle is
+// the age clock armed at zero by the producer's idle point (idle).
 const (
 	flushSize = iota
 	flushAge
+	flushIdle
 	flushControl
 	flushDrain
 )
@@ -144,13 +149,19 @@ type egressQueue struct {
 	sched egressSched // what is queued, in flush order
 	// timer is the queue's own age clock: one AfterFunc timer, re-armed in
 	// place (armLocked), whose callback (pollAge) flushes on the timer's
-	// goroutine, so neither a router nor a link reader touches the wire for
-	// an age flush. due is when it was last set to fire (see deadline);
-	// stopped forbids re-arming once the owner is gone (stop).
+	// goroutine, so neither a router, a shard worker nor a link reader
+	// touches the wire for an age or idle flush. due is when it was last set
+	// to fire (see deadline); idleDue marks that arm as an idle point's
+	// (flushIdle); stopped forbids re-arming once the owner is gone (stop).
 	timer   *time.Timer
 	due     time.Time
+	idleDue bool
 	stalled bool
 	stopped bool
+	// handoff is set by an idle flush that found the wire busy; the owner
+	// re-arms the clock when it lets go (unlockWire), so the packets are
+	// not stranded behind a flush that already took its last batch.
+	handoff atomic.Bool
 	// localHW mirrors the deepest depth this queue has reported to the
 	// global high-water gauge, so the hot path pays an atomic only when
 	// it sets a new per-queue record.
@@ -354,10 +365,13 @@ func (q *egressQueue) bindStops(a, b <-chan struct{}) {
 }
 
 // acquireSlot takes one data-occupancy slot, blocking (abortably) when the
-// queue is at the link window and block is true. Callers that may not
-// block — the router during recovery replay and final drains — overflow
-// instead, transiently exceeding the bound rather than deadlocking; the
-// release side is tolerant of the resulting imbalance.
+// queue is at the link window and block is true. A producer about to block
+// is at an idle point: it can add nothing until the queue drains, so what it
+// queued leaves now — on a window below MaxBatch the size flush can never
+// fire, and the queue would otherwise wait out MaxDelay every window.
+// Callers that may not block — the router during recovery replay and final
+// drains — overflow instead, transiently exceeding the bound rather than
+// deadlocking; the release side is tolerant of the resulting imbalance.
 func (q *egressQueue) acquireSlot(block bool) {
 	select {
 	case q.slots <- struct{}{}:
@@ -367,6 +381,7 @@ func (q *egressQueue) acquireSlot(block bool) {
 	if !block {
 		return
 	}
+	q.idle()
 	q.mu.Lock()
 	rel := q.released
 	q.mu.Unlock()
@@ -491,8 +506,33 @@ func (q *egressQueue) flush(cause int) error {
 	if !q.flushMu.TryLock() {
 		return nil
 	}
-	defer q.flushMu.Unlock()
+	defer q.unlockWire()
 	return q.flushLoop(cause)
+}
+
+// unlockWire releases the wire, re-arming the clock for an idle flush
+// that found it busy (handoff).
+func (q *egressQueue) unlockWire() {
+	q.flushMu.Unlock()
+	if q.handoff.Load() && q.handoff.CompareAndSwap(true, false) {
+		q.idle()
+	}
+}
+
+// idle is the producer's idle point: what it queued leaves now instead of
+// after MaxDelay. The flush runs on the queue's own clock, armed at zero,
+// never on the caller: a shard worker or a back-end handler must not block
+// on a slow link. A credit-stalled queue waits for its unstalling grant.
+func (q *egressQueue) idle() {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	if q.sched.count > 0 && !q.stalled && !q.stopped {
+		q.armLocked(0)
+		q.idleDue = true
+	}
+	q.mu.Unlock()
 }
 
 // flushLoop repeatedly takes a batch (under mu) and sends it (outside mu)
@@ -538,6 +578,8 @@ func (q *egressQueue) flushLoop(cause int) error {
 				q.m.FlushSize.Add(1)
 			case flushAge:
 				q.m.FlushAge.Add(1)
+			case flushIdle:
+				q.m.FlushIdle.Add(1)
 			case flushControl:
 				q.m.FlushControl.Add(1)
 			case flushDrain:
@@ -688,13 +730,14 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 
 // armLocked sets the age clock to fire d from now, replacing any pending
 // arm. It is called wherever the queue gains a deadline its timer does not
-// know yet: the empty -> non-empty enqueue, a cleared credit stall, a
-// retained failed flush, a replacement link. Callers hold mu.
+// know yet: the empty -> non-empty enqueue, an idle point, a cleared credit
+// stall, a retained failed flush, a replacement link. Callers hold mu.
 func (q *egressQueue) armLocked(d time.Duration) {
 	if q.stopped {
 		return
 	}
 	q.due = time.Now().Add(d)
+	q.idleDue = false
 	q.timer.Reset(d)
 }
 
@@ -718,6 +761,10 @@ func (q *egressQueue) stop() {
 func (q *egressQueue) deadline() time.Time {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.deadlineLocked()
+}
+
+func (q *egressQueue) deadlineLocked() time.Time {
 	if q.sched.count == 0 || q.stalled || q.stopped {
 		return time.Time{}
 	}
@@ -728,18 +775,32 @@ func (q *egressQueue) deadline() time.Time {
 // chosen now): if the deadline has passed and the wire is free, flush; then,
 // if packets remain and nothing moved the deadline meanwhile, re-arm. A busy
 // wire backs off a full MaxDelay — its flusher drains what is queued, and an
-// expired deadline must not be re-polled without sleeping — while a flush
+// expired deadline must not be re-polled without sleeping — unless the poll
+// is an idle point's, which hands off to the wire's owner instead. A flush
 // that stopped at its round bound goes again at once. A failed flush has
 // re-armed itself (failedFlush); a stalled queue waits for unstall.
 func (q *egressQueue) pollAge(now time.Time) {
-	d := q.deadline()
+	q.mu.Lock()
+	d, cause := q.deadlineLocked(), flushAge
+	if q.idleDue {
+		cause = flushIdle
+	}
+	q.mu.Unlock()
 	if d.IsZero() || now.Before(d) {
 		return
 	}
 	busy := !q.flushMu.TryLock()
+	if busy && cause == flushIdle {
+		// An owner that let go before the flag landed left the wire free.
+		q.handoff.Store(true)
+		if !q.flushMu.TryLock() {
+			return
+		}
+		busy = false
+	}
 	if !busy {
-		_ = q.flushLoop(flushAge)
-		q.flushMu.Unlock()
+		_ = q.flushLoop(cause)
+		q.unlockWire()
 	}
 	q.mu.Lock()
 	if q.sched.count > 0 && !q.stalled && q.due.Equal(d) {
@@ -748,6 +809,7 @@ func (q *egressQueue) pollAge(now time.Time) {
 			wait = q.pol.MaxDelay
 		}
 		q.armLocked(wait)
+		q.idleDue = cause == flushIdle // busy implies an age cause
 	}
 	q.mu.Unlock()
 }
@@ -762,7 +824,7 @@ func (q *egressQueue) drain() error {
 		return nil
 	}
 	q.flushMu.Lock()
-	defer q.flushMu.Unlock()
+	defer q.unlockWire()
 	return q.flushLoop(flushDrain)
 }
 
@@ -820,7 +882,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 	if queued > 0 {
 		_ = q.flushLoop(flushDrain)
 	}
-	q.flushMu.Unlock()
+	q.unlockWire()
 }
 
 // extract removes and returns every queued data packet, in wire order, for

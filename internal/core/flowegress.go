@@ -89,13 +89,13 @@ func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	}
 }
 
-// sendGrant builds and sends one credit grant directly on the link. Grants
-// are the hottest control packets, one per quarter window of data; being
-// header-only they are framed straight from their fields, so the one
-// allocation a grant costs is the packet itself.
+// sendGrant sends one credit grant directly on the link. Grants are the
+// hottest control packets, one per quarter window of data or per idle
+// point; on TCP one is framed from its fields and absorbed at the peer's
+// read edge without a packet, so it allocates nothing on either side.
 func sendGrant(m *Metrics, fl *transport.FlowLink, g int) {
 	m.CreditGrants.Add(1)
-	_ = fl.Send(fl.GrantPacket(g))
+	_ = fl.SendGrant(g)
 }
 
 // flushGrant returns a below-threshold retirement accumulation to the

@@ -120,7 +120,6 @@ func (n *node) run() {
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
 	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	n.readStop = make(chan struct{})
-	n.shards = newShardPool(n.nw.shardCount(), n)
 	defer func() {
 		// Whatever path the router exits by — graceful finish or crash —
 		// the readers, workers and age clocks must not outlive it.
@@ -146,6 +145,9 @@ func (n *node) run() {
 			n.childOut[i].bindStops(n.killCh, n.nw.dying)
 		}
 	}
+	// The workers start after the queues exist: an idle worker releases
+	// them (shard.go).
+	n.shards = newShardPool(n.nw.shardCount(), n)
 
 	// Reader goroutines: one per link, feeding the event loop.
 	go readLink(n.ep.Parent, -1, inbox, n.ctrlLane, n.readStop)

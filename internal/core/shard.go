@@ -360,8 +360,10 @@ func (sh *shard) runUp() {
 			}
 			// Mailbox drained: nothing further will push the lane's
 			// retirement accumulations over the grant threshold, so return
-			// them to the peers now (budget-limited senders may be waiting).
+			// them to the peers now (budget-limited senders may be waiting),
+			// and let what the lane queued upstream leave now too.
 			sh.flushPend(sh.upPend)
+			sh.pool.n.parentOut.idle()
 			select {
 			case <-sh.pool.stop:
 				return
@@ -409,8 +411,12 @@ func (sh *shard) runDown() {
 			continue
 		}
 		// Mailbox drained: grant back the lane's below-threshold
-		// retirements before sleeping (see runUp).
+		// retirements and release its child queues before sleeping (see
+		// runUp). The childOut slice changes only with the shards parked.
 		sh.flushPend(sh.downPend)
+		for _, q := range sh.pool.n.childOut {
+			q.idle()
+		}
 		select {
 		case <-sh.down.notify:
 		case <-sh.pool.stop:

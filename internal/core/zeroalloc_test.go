@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -18,6 +19,32 @@ func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
 
 func newDiscardLink(window int) *transport.FlowLink {
 	return transport.NewFlowLink(transport.NewTCPLink(discardConn{}), window)
+}
+
+// loopConn is a socket that reads back what was written to it and reports
+// io.EOF when nothing is pending: a TCP link over it receives its own
+// frames at memory speed, on the caller's goroutine.
+type loopConn struct {
+	net.Conn
+	buf []byte
+	off int
+}
+
+func (c *loopConn) Write(b []byte) (int, error) {
+	if c.off == len(c.buf) {
+		c.buf, c.off = c.buf[:0], 0
+	}
+	c.buf = append(c.buf, b...)
+	return len(b), nil
+}
+
+func (c *loopConn) Read(b []byte) (int, error) {
+	if c.off == len(c.buf) {
+		return 0, io.EOF
+	}
+	n := copy(b, c.buf[c.off:])
+	c.off += n
+	return n, nil
 }
 
 // newAllocQueue builds the egress queue the allocation gates measure over a
@@ -47,9 +74,10 @@ func allocPacket(t testing.TB) *packet.Packet {
 // TestHotPathAllocs pins the data plane's steady-state allocation behavior
 // with testing.AllocsPerRun: the flow-controlled forward path stays at or
 // under 2 allocs per packet, a k-way multicast at or under 2 per child
-// queue, and the credit-grant protocol amortizes under 1 alloc per retired
-// data packet. A regression here is per-packet garbage on a path that only
-// moves a packet's bytes.
+// queue, the credit-grant protocol amortizes under 1 alloc per retired
+// data packet, and on TCP a grant's whole trip — sent, received, absorbed —
+// allocates nothing. A regression here is per-packet garbage on a path that
+// only moves a packet's bytes.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by race instrumentation")
@@ -117,6 +145,29 @@ func TestHotPathAllocs(t *testing.T) {
 		n := testing.AllocsPerRun(300, op)
 		if per := n / float64(quarter); per > 1 {
 			t.Errorf("credit grants amortize to %.2f allocs per retired packet (%.1f/grant), want <= 1", per, n)
+		}
+	})
+
+	t.Run("tcp-grant", func(t *testing.T) {
+		// The link's frames come back to it: each grant it sends is the
+		// grant-only frame its reader absorbs, refilling the credit spent.
+		fl := transport.NewFlowLink(transport.NewTCPLink(&loopConn{buf: make([]byte, 0, 256)}), 64)
+		op := func() {
+			if !fl.TryAcquire() {
+				t.Fatal("window exhausted: a grant was not absorbed")
+			}
+			if err := fl.SendGrant(1); err != nil {
+				t.Fatal(err)
+			}
+			if ps, err := fl.RecvBatch(); err != io.EOF {
+				t.Fatalf("RecvBatch = %v, %v; want the grant absorbed and io.EOF", ps, err)
+			}
+		}
+		for i := 0; i < 128; i++ {
+			op()
+		}
+		if n := testing.AllocsPerRun(500, op); n != 0 {
+			t.Errorf("a TCP credit grant allocates %.2f/op sent and received, want 0", n)
 		}
 	})
 }

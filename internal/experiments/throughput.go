@@ -17,8 +17,8 @@ type ThroughputConfig struct {
 	DaemonCounts []int
 	// Rounds is the number of data waves each daemon produces. It must
 	// span many egress flush windows: a burst shorter than one window is
-	// carried by the age flush alone, and the run then measures the age
-	// bound once per tree level, not the front-end's processing rate.
+	// carried by idle flushes alone, and the run then measures per-hop
+	// wakeups, not the front-end's processing rate.
 	Rounds int
 	// Functions is the per-record metric vector width (paper: 32).
 	Functions int

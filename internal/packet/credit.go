@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // Credit-grant control packets are the return half of the overlay's
 // credit-based flow control (see internal/transport's FlowLink and DESIGN.md
 // §8): a receiver that has retired n data packets from a link direction
@@ -45,4 +47,47 @@ func CreditGrantAck(p *Packet) uint64 {
 		return 0
 	}
 	return p.Seq
+}
+
+// GrantFrameSize is the length of a wire frame that carries one credit
+// grant and nothing else: the uint32 body-length prefix, the frame's packet
+// count and the packet's length prefix, then the header-only grant.
+const GrantFrameSize = 4 + 4 + 4 + minEncodedPacket
+
+// AppendGrantFrame appends the complete wire frame, length prefix
+// included, that AppendFrame would write for NewCreditGrant(n, acked) — the
+// same bytes, written from the two fields, so a link can return credits
+// without building a Packet.
+func AppendGrantFrame(dst []byte, n uint32, acked uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, GrantFrameSize-4)
+	dst = binary.LittleEndian.AppendUint32(dst, 1)
+	dst = binary.LittleEndian.AppendUint32(dst, minEncodedPacket)
+	dst = binary.LittleEndian.AppendUint16(dst, wireMagic)
+	dst = append(dst, wireVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(TagCredit))
+	dst = binary.LittleEndian.AppendUint32(dst, n)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // SrcRank
+	dst = binary.LittleEndian.AppendUint64(dst, acked)
+	return binary.LittleEndian.AppendUint16(dst, 0) // no format
+}
+
+// ParseGrantFrame reads a complete wire frame, length prefix included, that
+// carries exactly one header-only credit grant, returning its credit count
+// and cumulative ack in place. It accepts exactly the GrantFrameSize-byte
+// frames whose body DecodeFrame decodes to one TagCredit packet; ok is
+// false for every other input, which the caller then reads as an ordinary
+// frame.
+func ParseGrantFrame(b []byte) (n uint32, acked uint64, ok bool) {
+	le := binary.LittleEndian
+	if len(b) != GrantFrameSize ||
+		le.Uint32(b[0:]) != GrantFrameSize-4 ||
+		le.Uint32(b[4:]) != 1 ||
+		le.Uint32(b[8:]) != minEncodedPacket ||
+		le.Uint16(b[12:]) != wireMagic ||
+		b[14] != wireVersion ||
+		int32(le.Uint32(b[15:])) != TagCredit ||
+		le.Uint16(b[35:]) != 0 {
+		return 0, 0, false
+	}
+	return le.Uint32(b[19:]), le.Uint64(b[27:]), true
 }

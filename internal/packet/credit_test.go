@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -146,5 +147,39 @@ func TestSeqSurvivesWireAndRestamp(t *testing.T) {
 	}
 	if q := p.WithSrc(11); q.Seq != p.Seq {
 		t.Error("WithSrc dropped Seq")
+	}
+}
+
+// TestGrantFrameWireCompatible: the frame a link writes from a grant's two
+// fields is byte for byte the frame AppendFrame writes for the grant packet,
+// length prefix included, and ParseGrantFrame reads the fields back — so
+// either end may take either path.
+func TestGrantFrameWireCompatible(t *testing.T) {
+	for _, tc := range []struct {
+		n   uint32
+		cum uint64
+	}{
+		{1, 0},
+		{16, 640},
+		{^uint32(0), ^uint64(0)},
+	} {
+		g := NewCreditGrant(tc.n, tc.cum)
+		want := binary.LittleEndian.AppendUint32(nil, uint32(EncodedFrameSize([]*Packet{g})))
+		want = AppendFrame(want, []*Packet{g})
+		got := AppendGrantFrame(nil, tc.n, tc.cum)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendGrantFrame(%d, %d) = %x, want %x", tc.n, tc.cum, got, want)
+		}
+		if len(got) != GrantFrameSize {
+			t.Errorf("grant frame is %d bytes, want GrantFrameSize %d", len(got), GrantFrameSize)
+		}
+		n, cum, ok := ParseGrantFrame(got)
+		if !ok || n != tc.n || cum != tc.cum {
+			t.Errorf("ParseGrantFrame = (%d, %d, %v), want (%d, %d, true)", n, cum, ok, tc.n, tc.cum)
+		}
+	}
+	data := AppendFrame(binary.LittleEndian.AppendUint32(nil, GrantFrameSize-4), []*Packet{MustNew(TagFirstApplication, 1, 0, "")})
+	if _, _, ok := ParseGrantFrame(data); ok {
+		t.Error("ParseGrantFrame accepted a data packet's frame")
 	}
 }

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -168,8 +169,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})   // absurd count
 	f.Add(append([]byte{1, 0, 0, 0}, 0xFF)) // count 1, garbage length
 	f.Add(append(EncodeFrame(batch), 0x00)) // trailing byte
+	f.Add(EncodeFrame([]*Packet{NewCreditGrant(16, 1<<33)}))
+	f.Add(EncodeFrame([]*Packet{MustNew(TagCredit, 16, 0, "%d", int64(1))})) // a grant with a payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ps, err := DecodeFrame(data)
+		checkGrantFrame(t, data, ps, err)
 		if err != nil {
 			return
 		}
@@ -204,6 +208,25 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-decode count %d, want %d", len(qs), len(ps))
 		}
 	})
+}
+
+// checkGrantFrame holds ParseGrantFrame to DecodeFrame's verdict on the
+// frame body data: the prefixed frame parses as a grant exactly when data
+// decodes to one header-only TagCredit packet, with the same count and ack.
+// The raw bytes, read as a whole frame, must not panic it either.
+func checkGrantFrame(t *testing.T, data []byte, ps []*Packet, err error) {
+	t.Helper()
+	ParseGrantFrame(data)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+	frame = append(frame, data...)
+	n, acked, ok := ParseGrantFrame(frame)
+	grant := err == nil && len(ps) == 1 && ps[0].Tag == TagCredit && len(frame) == GrantFrameSize
+	if ok != grant {
+		t.Fatalf("ParseGrantFrame ok = %v, DecodeFrame says one header-only grant = %v (err %v)", ok, grant, err)
+	}
+	if ok && (n != ps[0].StreamID || acked != ps[0].Seq) {
+		t.Fatalf("ParseGrantFrame = (%d, %d), DecodeFrame = (%d, %d)", n, acked, ps[0].StreamID, ps[0].Seq)
+	}
 }
 
 // FuzzFormatRoundTrip fuzzes format strings through the parser: parsing

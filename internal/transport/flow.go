@@ -27,7 +27,8 @@ import (
 //     un-granted packets at the receiver, and W ≥ the grant threshold, so
 //     the threshold is always eventually crossed).
 //
-//   - Inbound grants are absorbed inside Recv/RecvBatch and refill the
+//   - Inbound grants are absorbed inside Recv/RecvBatch (on TCP, a
+//     grant-only frame already at the link's read edge) and refill the
 //     sender pool directly, waking any Acquire-blocked sender; they are
 //     invisible above the transport.
 //
@@ -82,7 +83,21 @@ func NewFlowLink(l Link, w int) *FlowLink {
 		w = 1
 	}
 	f := &FlowLink{Link: l, window: w, tokens: make(chan struct{}, w), dead: make(chan struct{})}
+	if g, ok := l.(grantLink); ok {
+		g.absorbGrants(f.refillAck)
+	}
 	return f
+}
+
+// grantLink is implemented by links that carry credit grants without a
+// Packet (the TCP transport): writeGrant frames a grant from its two fields
+// into the link's send scratch, and absorbGrants registers the wrapping
+// FlowLink's refill to take every grant-only inbound frame at the read
+// edge, parsed in place and never decoded. The wire bytes are those of
+// NewCreditGrant, so the two ends of a link need not agree on the path.
+type grantLink interface {
+	writeGrant(n uint32, acked uint64) error
+	absorbGrants(fn func(n int, acked uint64))
 }
 
 // Abort marks the link finished, releasing every blocked Acquire (they
@@ -282,6 +297,16 @@ func (f *FlowLink) SetAckHook(fn func(n int, cum uint64)) {
 // the cumulative count never undercounts the credits it accompanies.
 func (f *FlowLink) GrantPacket(n int) *packet.Packet {
 	return packet.NewCreditGrant(uint32(n), f.retiredTotal.Load())
+}
+
+// SendGrant returns n credits to the peer, stamped like GrantPacket, directly
+// on the wrapped link. A link that frames grants from their fields (TCP)
+// sends one without allocating; any other link is sent GrantPacket(n).
+func (f *FlowLink) SendGrant(n int) error {
+	if g, ok := f.Link.(grantLink); ok {
+		return g.writeGrant(uint32(n), f.retiredTotal.Load())
+	}
+	return f.Link.Send(f.GrantPacket(n))
 }
 
 // Retire records that the receiving pipeline finished n inbound data

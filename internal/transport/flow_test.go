@@ -208,3 +208,73 @@ func TestFlowLinkDelegation(t *testing.T) {
 		t.Fatal("peer Recv succeeded after a dropped FlowLink")
 	}
 }
+
+// TestFlowLinkSendGrantEveryFabric: on both fabrics a grant sent with
+// SendGrant — framed from its fields on TCP — reaches the peer's FlowLink
+// with its count and cumulative ack, alongside a grant that travels as a
+// packet in a mixed frame; and a peer that does not wrap its end still
+// reads the grant as the TagCredit packet NewCreditGrant builds.
+func TestFlowLinkSendGrantEveryFabric(t *testing.T) {
+	for _, fac := range factories() {
+		t.Run(fac.name, func(t *testing.T) {
+			a, b := fac.make(t)
+			defer a.Close()
+			defer b.Close()
+			fa, fb := NewFlowLink(a, 4), NewFlowLink(b, 4)
+			for i := 0; i < 4; i++ {
+				fa.TryAcquire()
+			}
+			type ack struct {
+				n   int
+				cum uint64
+			}
+			acks := make(chan ack, 4)
+			fa.SetAckHook(func(n int, cum uint64) { acks <- ack{n, cum} })
+
+			fb.Retire(3)
+			if err := fb.SendGrant(2); err != nil {
+				t.Fatal(err)
+			}
+			data := packet.MustNew(packet.TagFirstApplication, 9, 2, "%d", int64(5))
+			if err := SendBatch(b, []*packet.Packet{packet.NewCreditGrant(1, 3), data}); err != nil {
+				t.Fatal(err)
+			}
+			ps, err := fa.RecvBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ps) != 1 || ps[0].StreamID != 9 {
+				t.Fatalf("RecvBatch returned %v, want the 1 data packet", ps)
+			}
+			for _, want := range []ack{{2, 3}, {1, 3}} {
+				if got := <-acks; got != want {
+					t.Errorf("ack hook saw %+v, want %+v", got, want)
+				}
+			}
+			n := 0
+			for fa.TryAcquire() {
+				n++
+			}
+			if n != 3 {
+				t.Fatalf("grants refilled %d credits, want 3", n)
+			}
+
+			// An unwrapped end reads the grant as a packet.
+			c, d := fac.make(t)
+			defer c.Close()
+			defer d.Close()
+			fc := NewFlowLink(c, 4)
+			fc.Retire(1)
+			if err := fc.SendGrant(1); err != nil {
+				t.Fatal(err)
+			}
+			p, err := d.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := packet.CreditGrantValue(p); !ok || v != 1 || packet.CreditGrantAck(p) != 1 {
+				t.Errorf("unwrapped end read %v, want NewCreditGrant(1, 1)", p)
+			}
+		})
+	}
+}

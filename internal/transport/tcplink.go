@@ -26,6 +26,12 @@ import (
 // Inbound frames are read into a fresh buffer each (packet.ReadFrame) that
 // the decoded packets alias and keep alive; it is never reused, so a
 // received packet may be retained, restamped and re-sent freely.
+//
+// Credit grants, the hottest control traffic, take neither path: the
+// wrapping FlowLink sends one as a fixed-size frame written from its fields
+// (writeGrant), and the reader hands a grant-only frame to that FlowLink
+// straight out of the read buffer (absorbGrant) — no Packet, slice or frame
+// buffer on either side.
 type tcpLink struct {
 	conn net.Conn
 
@@ -40,6 +46,9 @@ type tcpLink struct {
 	r       *bufio.Reader
 	pending []*packet.Packet // partially consumed inbound frame
 	pendOff int
+	// grants, when set (by the wrapping FlowLink, under recvMu), receives
+	// every grant-only inbound frame instead of the frame being decoded.
+	grants func(n int, acked uint64)
 
 	closeOnce sync.Once
 	closeErr  error
@@ -103,6 +112,43 @@ func appendWireFrame(scratch []byte, ps []*packet.Packet) (frame, keep []byte) {
 	return buf, scratch
 }
 
+// writeGrant writes one grant-only frame, assembled from the grant's fields
+// in the persistent scratch.
+func (l *tcpLink) writeGrant(n uint32, acked uint64) error {
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	l.scratch = packet.AppendGrantFrame(l.scratch[:0], n, acked)
+	if _, err := l.conn.Write(l.scratch); err != nil {
+		return l.mapErr(err)
+	}
+	return nil
+}
+
+func (l *tcpLink) absorbGrants(fn func(n int, acked uint64)) {
+	l.recvMu.Lock()
+	l.grants = fn
+	l.recvMu.Unlock()
+}
+
+// absorbGrant consumes the next inbound frame if it is a lone credit grant,
+// handing it to the grant sink; callers hold recvMu. Every frame that
+// carries a packet is at least GrantFrameSize bytes, so the peek waits for
+// no more than the next frame's own bytes. The link ending at a frame
+// boundary is reported here; ending mid-frame is left to ReadFrame.
+func (l *tcpLink) absorbGrant() (bool, error) {
+	b, err := l.r.Peek(packet.GrantFrameSize)
+	if len(b) == 0 && err != nil {
+		return false, err
+	}
+	n, acked, ok := packet.ParseGrantFrame(b)
+	if !ok {
+		return false, nil
+	}
+	_, _ = l.r.Discard(packet.GrantFrameSize) // the peek buffered these bytes: Discard cannot fail
+	l.grants(int(n), acked)
+	return true, nil
+}
+
 // BatchCopies reports true: the batch's bytes are on the socket (or in
 // the kernel buffer) before SendBatch returns, and neither the slice nor
 // the encoded bodies are retained by the link.
@@ -146,17 +192,31 @@ func (l *tcpLink) RecvBatch() ([]*packet.Packet, error) {
 // hold recvMu.
 func (l *tcpLink) readFrame() ([]*packet.Packet, error) {
 	for {
+		if l.grants != nil {
+			absorbed, err := l.absorbGrant()
+			if err != nil {
+				return nil, recvErr(err)
+			}
+			if absorbed {
+				continue
+			}
+		}
 		ps, err := packet.ReadFrame(l.r)
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || isClosedConn(err) {
-				return nil, io.EOF
-			}
-			return nil, err
+			return nil, recvErr(err)
 		}
 		if len(ps) > 0 {
 			return ps, nil
 		}
 	}
+}
+
+// recvErr maps the end of the connection, however it shows, to io.EOF.
+func recvErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || isClosedConn(err) {
+		return io.EOF
+	}
+	return err
 }
 
 func (l *tcpLink) Close() error {

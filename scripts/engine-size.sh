@@ -8,13 +8,23 @@
 # the bench/ module (aim 2, reported every round). The ceilings are the
 # values at the last PR that moved them; a PR that lowers a number lowers
 # its ceiling, and one that raises it has to say why here.
+#
+# Raised: internal/core 6214 -> 6293 for the work-conserving egress
+# (ROADMAP item 2): each producer's idle point (egressQueue.idle and its
+# call sites in the shard lanes, BackEnd.Recv and a blocked acquireSlot),
+# the hand-off that keeps an idle flush from stranding behind a busy wire
+# (unlockWire) and the flush_idle counter. Outside bench/ the total still
+# fell, 21340 -> 21176: the elastic ablation runner went (it measured the
+# age-flush floor), while TCP credit grants became allocation-free
+# (packet.AppendGrantFrame / ParseGrantFrame, the TCP link's grant writer
+# and read-edge absorber).
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=6214
+max_lines=6293
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=21340
+max_repo_lines=21176
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
