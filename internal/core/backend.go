@@ -10,10 +10,6 @@ import (
 	"repro/internal/transport"
 )
 
-// BackEnd is the handle application code uses at a leaf of the overlay.
-// Its methods are safe to call from the handler goroutine; Recv returns
-// io.EOF once the network shuts down, at which point the handler should
-// return.
 // beDelivery is one downstream packet together with the link it arrived
 // on: retirement at Recv must credit the link that actually carried the
 // packet — after a reparent, inbox residue from the dead parent must not
@@ -23,6 +19,10 @@ type beDelivery struct {
 	src *transport.FlowLink
 }
 
+// BackEnd is the handle application code uses at a leaf of the overlay.
+// Its methods are safe to call from the handler goroutine; Recv returns
+// io.EOF once the network shuts down, at which point the handler should
+// return.
 type BackEnd struct {
 	nw    *Network
 	rank  Rank

@@ -794,16 +794,15 @@ func (n *node) shardCloseUp(ss *streamState) {
 // was attached (false when the batches produced no output — synchronizer
 // holding, every packet a duplicate — in which case the caller retires
 // immediately; for synchronizer-holding stateful filters that slack is what
-// the checkpoint cadence covers, see DESIGN.md §10). Fresh transform outputs are stamped
-// with this node's origin sequence; forwarded packets keep their origin
-// stamp, which is what lets the front-end recognize a replayed copy of a
-// packet a killed intermediary had already forwarded. The restamp shares a
-// forwarded packet's wire payload, so behind a pass-through filter the
-// bytes that arrived on a child socket are the bytes framed onto the
-// parent socket: no decode, no re-encode. At the root the outputs go to
-// the stream's receiver instead: delivery there is the acknowledgement
-// cascade's base case, so nothing is attached and the shard retires the
-// run at once.
+// the checkpoint cadence covers, see DESIGN.md §10). An output with
+// Seq == 0 was built by this node's filter and nobody else holds it, so it
+// is stamped in place with the stream, this node's rank and its next
+// origin sequence. A forwarded packet keeps its origin stamp — how the
+// front-end recognizes a replayed copy — and gets a header copy sharing
+// its payload: a chan link hands up the child's own pointer, still in the
+// child's replay ring. At the root the outputs go to the stream's receiver
+// instead: delivery there is the acknowledgement cascade's base case, so
+// nothing is attached and the shard retires the run at once.
 func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret *pendRetire) bool {
 	var outs []*packet.Packet
 	for _, batch := range batches {
@@ -822,11 +821,12 @@ func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, bloc
 		}
 		outs = append(outs, out...)
 	}
-	for i, q := range outs {
-		p := q.WithStreamSrc(ss.id, n.rank)
+	for i, p := range outs {
 		if p.Seq == 0 {
 			ss.seqCtr++
-			p = p.WithSeq(packet.MakeSeq(n.rank, ss.seqCtr))
+			p.StreamID, p.SrcRank, p.Seq = ss.id, n.rank, packet.MakeSeq(n.rank, ss.seqCtr)
+		} else {
+			p = p.WithStreamSrc(ss.id, n.rank)
 		}
 		if ret != nil && i == len(outs)-1 {
 			_ = n.parentOut.sendAck(p, ss.prio, block, ret)

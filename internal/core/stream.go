@@ -241,8 +241,10 @@ func (s *Stream) MulticastPacket(p *packet.Packet) error {
 }
 
 // deliverUp is the root's upward sink: a batch's reduced results are
-// restamped with the stream and the root as their source and handed to the
-// receiver. A closed stream's results are dropped.
+// restamped with the stream and the root as their source — in place when
+// the root's filter built them (Seq == 0, see flushBatchesAck), as a header
+// copy when forwarded — and handed to the receiver. A closed stream's
+// results are dropped.
 func (s *Stream) deliverUp(out []*packet.Packet) {
 	select {
 	case <-s.closed:
@@ -253,7 +255,12 @@ func (s *Stream) deliverUp(out []*packet.Packet) {
 		tc.PacketsUp.Add(int64(len(out)))
 	}
 	for _, q := range out {
-		s.deliver(q.WithStreamSrc(s.id, 0))
+		if q.Seq != 0 {
+			q = q.WithStreamSrc(s.id, 0)
+		} else {
+			q.StreamID, q.SrcRank = s.id, 0
+		}
+		s.deliver(q)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/packet"
 	"repro/internal/transport"
 )
@@ -74,7 +75,8 @@ func allocPacket(t testing.TB) *packet.Packet {
 // TestHotPathAllocs pins the data plane's steady-state allocation behavior
 // with testing.AllocsPerRun: the flow-controlled forward path stays at or
 // under 2 allocs per packet, a k-way multicast at or under 2 per child
-// queue, the credit-grant protocol amortizes under 1 alloc per retired
+// queue, a filter's reduce output reaches the parent queue with no header
+// copy, the credit-grant protocol amortizes under 1 alloc per retired
 // data packet, and on TCP a grant's whole trip — sent, received, absorbed —
 // allocates nothing. A regression here is per-packet garbage on a path that
 // only moves a packet's bytes.
@@ -131,6 +133,34 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(300, op); n > 2*k {
 			t.Errorf("%d-way multicast allocates %.2f/op, want <= %d", k, n, 2*k)
+		}
+	})
+
+	t.Run("reduce-output", func(t *testing.T) {
+		// An interior node's released batch: the sum filter builds one
+		// packet and its result slice, flushBatchesAck collects the outputs
+		// and stamps that packet in place, and the parent queue forwards it
+		// at the forward path's cost. A restamp copy per header field would
+		// add one allocation each.
+		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
+		n := &node{nw: &Network{}, rank: 3, parentOut: q}
+		ss := &streamState{id: 1, tform: filter.NewNumericReduce(filter.OpSum)}
+		batches := [][]*packet.Packet{{
+			packet.MustNew(tagQuery, 1, 7, "%d", 1000).WithSeq(packet.MakeSeq(7, 1)),
+			packet.MustNew(tagQuery, 1, 8, "%d", 2000).WithSeq(packet.MakeSeq(8, 1)),
+		}}
+		op := func() {
+			n.flushBatchesAck(ss, batches, true, nil)
+			fl.Refill(1)
+		}
+		for i := 0; i < 256; i++ {
+			op()
+		}
+		if got := n.nw.metrics.FilterErrors.Load(); got != 0 {
+			t.Fatalf("the sum filter failed %d times", got)
+		}
+		if n := testing.AllocsPerRun(500, op); n > 4 {
+			t.Errorf("a reduce output allocates %.2f/op from Transform to the parent queue, want <= 4", n)
 		}
 	})
 

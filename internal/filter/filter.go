@@ -45,6 +45,12 @@ type Transformation interface {
 	// direction on one stream and returns the packets to forward. A nil or
 	// empty result suppresses forwarding entirely (used e.g. by
 	// equivalence-class filters that only forward novel information).
+	//
+	// Ownership: an output with Seq == 0 is one the filter built, and
+	// returning it hands it to the node, which stamps its stream, source
+	// and sequence in place — so a filter must not keep such a packet or
+	// return it again, in this call or a later one. An output with
+	// Seq != 0 is forwarded (an input passed through) and is never written.
 	Transform(in []*packet.Packet) ([]*packet.Packet, error)
 }
 

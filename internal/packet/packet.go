@@ -234,8 +234,10 @@ func parseDirective(tok string) (Directive, bool) {
 }
 
 // Packet is an application-level message. Packets are immutable once
-// constructed; filters produce new packets rather than mutating inputs, which
-// is what lets a multicast place one packet on every outgoing link.
+// shared; filters produce new packets rather than mutating inputs, which
+// is what lets a multicast place one packet on every outgoing link. Only
+// the process that built a packet may set its header fields, before it
+// hands the packet on.
 type Packet struct {
 	// Tag identifies the logical message type.
 	Tag int32
@@ -307,35 +309,65 @@ func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*P
 		return nil, fmt.Errorf("%w: format %q has %d directives, got %d values",
 			ErrArity, format, len(dirs), len(values))
 	}
-	var payload []byte
-	if len(dirs) > 0 {
-		size := 0
-		for i, d := range dirs {
-			switch d {
-			case DirByte:
-				size++
-			case DirInt, DirFloat:
-				size += 8
-			default:
-				size += 4 + countedSize(values[i])
-			}
+	size := 0
+	for i, d := range dirs {
+		switch d {
+		case DirByte:
+			size++
+		case DirInt, DirFloat:
+			size += 8
+		default:
+			size += 4 + countedSize(values[i])
 		}
-		payload = make([]byte, 0, size)
+	}
+	p, payload := alloc(size)
+	if len(dirs) > 0 {
 		for i, d := range dirs {
 			var ok bool
 			if payload, ok = appendValue(payload, d, values[i]); !ok {
 				return nil, fmt.Errorf("value %d: %w", i, mismatch(d, values[i]))
 			}
 		}
+		p.payload = payload
 		wireEncodes.Add(1)
 	}
-	return &Packet{
-		Tag:      tag,
-		StreamID: streamID,
-		SrcRank:  src,
-		fd:       fd,
-		payload:  payload,
-	}, nil
+	p.Tag, p.StreamID, p.SrcRank, p.fd = tag, streamID, src, fd
+	return p, nil
+}
+
+// A packet whose payload fits one of these shares a single allocation with
+// it: each wrapper fills a Go size class exactly (the 88-byte Packet plus
+// N bytes: 96, 112, 128), so a one-scalar packet costs what its header
+// alone did. Larger payloads get a buffer of their own.
+type (
+	packet8 struct {
+		Packet
+		buf [8]byte
+	}
+	packet24 struct {
+		Packet
+		buf [24]byte
+	}
+	packet40 struct {
+		Packet
+		buf [40]byte
+	}
+)
+
+// alloc returns a zero Packet and an empty payload buffer of capacity size.
+func alloc(size int) (*Packet, []byte) {
+	switch {
+	case size <= 8:
+		w := new(packet8)
+		return &w.Packet, w.buf[:0:size]
+	case size <= 24:
+		w := new(packet24)
+		return &w.Packet, w.buf[:0:size]
+	case size <= 40:
+		w := new(packet40)
+		return &w.Packet, w.buf[:0:size]
+	}
+	return new(Packet), make([]byte, 0, size)
 }
 
 // MustNew is New but panics on error; intended for statically correct
@@ -673,25 +705,7 @@ func (p *Packet) WithSeq(seq uint64) *Packet {
 
 // WithStream returns a copy of the packet re-addressed to the given stream.
 // The payload is shared, not copied.
-func (p *Packet) WithStream(id uint32) *Packet {
-	if p.StreamID == id {
-		return p // immutable: an identical restamp can share the packet
-	}
-	q := p.restamp()
-	q.StreamID = id
-	return q
-}
-
-// WithSrc returns a copy of the packet with a new source rank. The payload
-// is shared, not copied.
-func (p *Packet) WithSrc(r Rank) *Packet {
-	if p.SrcRank == r {
-		return p
-	}
-	q := p.restamp()
-	q.SrcRank = r
-	return q
-}
+func (p *Packet) WithStream(id uint32) *Packet { return p.WithStreamSrc(id, p.SrcRank) }
 
 // WithStreamSrc re-addresses the packet to a stream and source in one
 // copy; the hot upstream forwarding path re-stamps both per hop.

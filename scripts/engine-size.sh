@@ -18,13 +18,22 @@
 # age-flush floor), while TCP credit grants became allocation-free
 # (packet.AppendGrantFrame / ParseGrantFrame, the TCP link's grant writer
 # and read-edge absorber).
+#
+# Raised: internal/core 6293 -> 6300 and outside bench/ 21176 -> 21203 for
+# one object per packet a node builds: packet.New's fused header-and-payload
+# allocation (three size-class wrappers and alloc; +14 in internal/packet
+# net of folding WithStream into WithStreamSrc and of Packet.WithSrc, whose
+# only callers were tests, becoming a one-line helper in them), the
+# in-place stamp of a node's own filter outputs (flushBatchesAck and the
+# root's deliverUp, +7 in internal/core) and the filter.Transformation
+# ownership contract that makes it safe (+6 in internal/filter).
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=6293
+max_lines=6300
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=21176
+max_repo_lines=21203
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
