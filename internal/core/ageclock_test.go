@@ -72,6 +72,16 @@ func cpuTime(t *testing.T) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
+// refreshRouting hands router r the install command with no links (a
+// routing refresh) and waits until its loop has applied it. It returns the
+// router.
+func refreshRouting(nw *Network, r Rank) (*node, error) {
+	nw.mu.Lock()
+	n := nw.byRank[r]
+	nw.mu.Unlock()
+	return n, nw.install(n, &cmdInstall{slotInfo: nw.slotInfoAt(r)})
+}
+
 // eventually polls cond until it holds or five seconds pass.
 func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -136,8 +146,9 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 	close(sendA)
 	gate.awaitEntered(t) // stream A's worker holds the wire in its size flush
 	close(sendB)
+	// The worker parked on the gate started after run built the queue.
 	nw.mu.Lock()
-	out := nw.byRank[router].outRef.Load()
+	out := nw.byRank[router].parentOut
 	nw.mu.Unlock()
 	eventually(t, "stream B's packet is queued behind the busy wire", func() bool { return out.pending() == 1 })
 
@@ -215,13 +226,13 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 	gate.awaitEntered(t)
 
 	blocked := time.Now()
-	ckpt := make(chan struct{})
+	refreshed := make(chan struct{})
 	go func() {
-		nw.CheckpointNow() // a command to every router, this one included
-		close(ckpt)
+		_, _ = refreshRouting(nw, router) // a command into this router's loop
+		close(refreshed)
 	}()
 	select {
-	case <-ckpt:
+	case <-refreshed:
 	case <-time.After(time.Second):
 		t.Error("the router took no command within 1s of an age flush blocking on a slow child link")
 	}
@@ -378,11 +389,12 @@ func TestQueueStopsWithOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	stID = st.ID()
-	nw.mu.Lock()
-	n := nw.byRank[orphan]
-	nw.mu.Unlock()
-	var q *egressQueue
-	eventually(t, "the router publishes its parent queue", func() bool { q = n.outRef.Load(); return q != nil })
+	// run builds the queue before its loop takes the command.
+	n, err := refreshRouting(nw, orphan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := n.parentOut
 
 	// Orphan the node, then let its back-ends send: every flush toward the
 	// dead parent fails and is retained, retried by the age clock.

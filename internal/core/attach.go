@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/topology"
 	"repro/internal/transport"
@@ -118,84 +117,4 @@ func (nw *Network) stillborn(r Rank) {
 	nw.view.dead[r] = true
 	nw.mu.Unlock()
 	nw.crash(r)
-}
-
-// ErrNoEligibleParent reports that PlaceBackEnd found no live internal
-// process (or, on a flat tree, front-end) with a free child slot under the
-// requested fan-out cap.
-var ErrNoEligibleParent = errors.New("core: no eligible parent for placement")
-
-// Placement parameterizes load-aware back-end placement. The zero value
-// means "no load information, no fan-out cap" and degrades to first-fit.
-type Placement struct {
-	// Scores maps internal ranks to heat scores (higher = hotter), as
-	// produced by the elastic controller. Ranks absent from the map score
-	// zero (coldest). Nil means no load information.
-	Scores map[Rank]float64
-	// ScoresAt is when Scores was computed. Zero means unknown.
-	ScoresAt time.Time
-	// Staleness bounds how old Scores may be before placement falls back
-	// to first-fit. Zero means scores never go stale.
-	Staleness time.Duration
-	// MaxFanOut caps live children per parent. Zero or negative means
-	// uncapped.
-	MaxFanOut int
-}
-
-// fresh reports whether the heat scores are usable for placement.
-func (pl Placement) fresh() bool {
-	if pl.Scores == nil {
-		return false
-	}
-	if pl.Staleness <= 0 || pl.ScoresAt.IsZero() {
-		return pl.Scores != nil
-	}
-	return time.Since(pl.ScoresAt) <= pl.Staleness
-}
-
-// PlaceBackEnd attaches a new back-end under the least-loaded eligible
-// parent: the live internal process with the lowest heat score whose live
-// child count is under the fan-out cap (ties break toward the lower rank).
-// With no usable scores — nil, or older than pl.Staleness — it falls back
-// to first-fit (lowest-rank eligible parent). On a flat tree the front-end
-// is the only eligible parent. Returns ErrNoEligibleParent when every
-// candidate is at the cap.
-func (nw *Network) PlaceBackEnd(pl Placement) (Rank, error) {
-	nw.mu.Lock()
-	if nw.shutdown {
-		nw.mu.Unlock()
-		return topology.NoRank, ErrShutdown
-	}
-	// Candidates in rank order: live internal processes, or the front-end
-	// alone on a flat tree (mirrors AttachBackEnd's validity rules).
-	cands := nw.view.internal()
-	if len(cands) == 0 {
-		cands = append(cands, 0)
-	}
-	if pl.MaxFanOut > 0 {
-		kept := cands[:0]
-		for _, r := range cands {
-			if len(nw.view.liveKids(r)) < pl.MaxFanOut {
-				kept = append(kept, r)
-			}
-		}
-		cands = kept
-	}
-	nw.mu.Unlock()
-	if len(cands) == 0 {
-		return topology.NoRank, ErrNoEligibleParent
-	}
-
-	best := cands[0]
-	if pl.fresh() {
-		for _, r := range cands[1:] {
-			if pl.Scores[r] < pl.Scores[best] {
-				best = r
-			}
-		}
-		nw.metrics.PlacementsLoadAware.Add(1)
-	} else {
-		nw.metrics.PlacementsFirstFit.Add(1)
-	}
-	return nw.AttachBackEnd(best)
 }

@@ -15,14 +15,7 @@ const (
 	opHeartbeat    int64 = 4 // liveness beacon, flowing upstream to the front-end
 	opOpenSession  int64 = 5 // announce a tenant session's stream-id namespace
 	opCloseSession int64 = 6 // tear down every stream of a namespace, non-quiescing
-	opCheckpoint   int64 = 7 // filter-state checkpoint, cached at potential adopters
-	opLoadReport   int64 = 8 // per-node pressure sample, flowing upstream to the front-end
 )
-
-// ckptHops is how many levels upstream a checkpoint travels: a node's
-// checkpoint is cached by its parent and grandparent — exactly the set of
-// potential adopters of its children when it fails.
-const ckptHops = 2
 
 // Control packet formats, one per op.
 const (
@@ -39,11 +32,6 @@ const (
 	ctrlOpenSessionFormat = "%d %d %s %d %d"
 	// op, namespace
 	ctrlCloseSessionFormat = "%d %d"
-	// op, origin rank, streamID, hops remaining, opaque filter-state blob
-	ctrlCheckpointFormat = "%d %d %d %d %ac"
-	// op, origin rank, cumulative upstream packets routed, parent-egress
-	// queue depth, cumulative credit stalls
-	ctrlLoadReportFormat = "%d %d %d %d %d"
 )
 
 // newStreamPacket encodes an opNewStream control message. prio is the
@@ -77,34 +65,6 @@ func parseHeartbeat(p *packet.Packet) (Rank, error) {
 		return 0, err
 	}
 	return Rank(origin), nil
-}
-
-// loadReportPacket encodes an opLoadReport control message: origin's
-// cumulative count of upstream data packets routed, its parent-egress
-// queue depth at sample time, and its cumulative credit-stall count. The
-// counters are cumulative so the front-end can rate-normalize by delta
-// regardless of how many reports a congested path drops.
-func loadReportPacket(origin Rank, upPkts, queued, stalls int64) *packet.Packet {
-	return packet.MustNew(packet.TagControl, 0, origin, ctrlLoadReportFormat,
-		opLoadReport, int64(origin), upPkts, queued, stalls)
-}
-
-// parseLoadReport decodes an opLoadReport control message.
-func parseLoadReport(p *packet.Packet) (origin Rank, upPkts, queued, stalls int64, err error) {
-	rawOrigin, err := p.Int(1)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if upPkts, err = p.Int(2); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if queued, err = p.Int(3); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if stalls, err = p.Int(4); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return Rank(rawOrigin), upPkts, queued, stalls, nil
 }
 
 // ctrlOp extracts the operation code from a control packet.
@@ -204,32 +164,4 @@ func parseCloseSession(p *packet.Packet) (uint32, error) {
 		return 0, err
 	}
 	return uint32(rawNS), nil
-}
-
-// ckptPacket encodes an opCheckpoint control message carrying origin's
-// serialized filter state for one stream, to be relayed hops levels up.
-func ckptPacket(origin Rank, id uint32, hops int, blob []byte) *packet.Packet {
-	return packet.MustNew(packet.TagControl, 0, origin, ctrlCheckpointFormat,
-		opCheckpoint, int64(origin), int64(id), int64(hops), blob)
-}
-
-// parseCheckpoint decodes an opCheckpoint control message.
-func parseCheckpoint(p *packet.Packet) (origin Rank, id uint32, hops int, blob []byte, err error) {
-	rawOrigin, err := p.Int(1)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	rawID, err := p.Int(2)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	rawHops, err := p.Int(3)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	blob, err = p.Bytes(4)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return Rank(rawOrigin), uint32(rawID), int(rawHops), blob, nil
 }

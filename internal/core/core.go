@@ -119,13 +119,6 @@ type Config struct {
 	// periodic liveness beacons that relay to the front-end, feeding the
 	// failure detector in internal/recovery.
 	HeartbeatPeriod time.Duration
-	// LoadReportPeriod, when positive, makes every internal communication
-	// process emit periodic opLoadReport control packets — cumulative
-	// upstream packet counts, parent-egress queue depth, credit stalls —
-	// that relay order-free to the front-end, where LoadReports exposes
-	// them. internal/elastic rate-normalizes the samples into per-subtree
-	// heat scores and drives live tree mutation (SplitNode / MergeNode).
-	LoadReportPeriod time.Duration
 	// ExactlyOnce is ignored: always on; retained only until the benchmark
 	// stops assigning it (ROADMAP item 1, first bullet).
 	ExactlyOnce bool
@@ -149,8 +142,9 @@ type Metrics struct {
 	PacketsQueued   atomic.Int64 // packets accepted by egress queues
 	FramesSent      atomic.Int64 // frames flushed to links by egress queues
 	FlushSize       atomic.Int64 // flushes triggered by a full window
-	FlushAge        atomic.Int64 // flushes triggered by the age bound
+	FlushAge        atomic.Int64 // flushes triggered by the MaxDelay backstop
 	FlushIdle       atomic.Int64 // flushes triggered by the producer going idle
+	FlushGrant      atomic.Int64 // flushes resumed by a credit grant after a stall
 	FlushControl    atomic.Int64 // flushes forced by control packets
 	FlushDrain      atomic.Int64 // flushes at shutdown/reparent drains
 	EgressHighWater atomic.Int64 // deepest egress queue observed (packets)
@@ -179,17 +173,11 @@ type Metrics struct {
 	ReplayRingHighWater atomic.Int64 // deepest sender replay ring observed (packets)
 	PacketsReplayed     atomic.Int64 // ring packets re-flushed after a reparent
 	DupsDropped         atomic.Int64 // replay duplicates dropped by receivers
-	CheckpointsTaken    atomic.Int64 // per-node filter-state checkpoint rounds
 
-	// Elastic-topology observability.
-	LoadReportsSent     atomic.Int64 // opLoadReport samples emitted by internal nodes
-	LoadReportsSeen     atomic.Int64 // samples observed at the front-end
-	TopologyMutations   atomic.Int64 // live tree mutations applied (splits + merges)
-	NodesSplit          atomic.Int64 // saturated nodes split into a sibling pair
-	NodesMerged         atomic.Int64 // cold nodes merged away into their parent
-	HeatScoreMilli      atomic.Int64 // hottest heat score last computed, x1000 (gauge)
-	PlacementsLoadAware atomic.Int64 // PlaceBackEnd choices driven by heat scores
-	PlacementsFirstFit  atomic.Int64 // PlaceBackEnd fallbacks to first-fit (stale/no scores)
+	// Live tree-mutation observability.
+	TopologyMutations atomic.Int64 // live tree mutations applied (splits + merges)
+	NodesSplit        atomic.Int64 // nodes split into a sibling pair (SplitNode)
+	NodesMerged       atomic.Int64 // nodes merged away into their parent (MergeNode)
 }
 
 // Network is a running TBON instance. The front-end API (NewStream,
@@ -229,11 +217,6 @@ type Network struct {
 
 	hbMu   sync.Mutex
 	lastHB map[Rank]time.Time
-
-	// loadMu guards the front-end's record of the latest opLoadReport
-	// sample per internal rank (LoadReports).
-	loadMu  sync.Mutex
-	loadRep map[Rank]LoadSample
 }
 
 // ErrShutdown is returned by front-end operations on a stopped network.
@@ -321,8 +304,8 @@ func wrapEnds(ep *transport.Endpoint, window int) {
 }
 
 // spawn starts the process at rank r on its endpoint — a back-end when
-// backend is set, else a router — together with its heartbeat loop and,
-// for a router, its load-report loop; the root, rank 0, beacons to nobody.
+// backend is set, else a router — together with its heartbeat loop; the
+// root, rank 0, beacons to nobody.
 // Every process wraps its own link ends with credit accounting before it
 // starts (wrapEnds, newBackEnd), so both directions of every edge are
 // governed independently. NewNetwork starts every process through it, and
@@ -354,9 +337,6 @@ func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 	}
 	if nw.cfg.HeartbeatPeriod > 0 {
 		go nw.heartbeatLoop(r, link, stop)
-	}
-	if n != nil && nw.cfg.LoadReportPeriod > 0 {
-		go nw.loadReportLoop(n)
 	}
 	return n
 }
@@ -408,6 +388,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"flush_size":             m.FlushSize.Load(),
 		"flush_age":              m.FlushAge.Load(),
 		"flush_idle":             m.FlushIdle.Load(),
+		"flush_grant":            m.FlushGrant.Load(),
 		"flush_control":          m.FlushControl.Load(),
 		"flush_drain":            m.FlushDrain.Load(),
 		"egress_high_water":      m.EgressHighWater.Load(),
@@ -428,15 +409,9 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"replay_ring_high_water": m.ReplayRingHighWater.Load(),
 		"packets_replayed":       m.PacketsReplayed.Load(),
 		"dups_dropped":           m.DupsDropped.Load(),
-		"checkpoints_taken":      m.CheckpointsTaken.Load(),
-		"load_reports_sent":      m.LoadReportsSent.Load(),
-		"load_reports_seen":      m.LoadReportsSeen.Load(),
 		"topology_mutations":     m.TopologyMutations.Load(),
 		"nodes_split":            m.NodesSplit.Load(),
 		"nodes_merged":           m.NodesMerged.Load(),
-		"heat_score_milli":       m.HeatScoreMilli.Load(),
-		"placements_load_aware":  m.PlacementsLoadAware.Load(),
-		"placements_first_fit":   m.PlacementsFirstFit.Load(),
 	}
 }
 

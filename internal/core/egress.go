@@ -71,12 +71,15 @@ const maxRetained = 4096
 const maxFlushRounds = 8
 
 // flush causes, for the metrics counters. flushDrain covers the blocking
-// drains (shutdown, Flush) and the re-flush after reparenting; flushIdle is
-// the age clock armed at zero by the producer's idle point (idle).
+// drains (shutdown, Flush) and the re-flush after reparenting. flushIdle
+// and flushGranted are the age clock armed at zero by the producer's idle
+// point (idle) and by a cleared credit stall (unstall); flushAge is the
+// clock firing at the MaxDelay backstop.
 const (
 	flushSize = iota
 	flushAge
 	flushIdle
+	flushGranted
 	flushControl
 	flushDrain
 )
@@ -151,13 +154,14 @@ type egressQueue struct {
 	// place (armLocked), whose callback (pollAge) flushes on the timer's
 	// goroutine, so neither a router, a shard worker nor a link reader
 	// touches the wire for an age or idle flush. due is when it was last set
-	// to fire (see deadline); idleDue marks that arm as an idle point's
-	// (flushIdle); stopped forbids re-arming once the owner is gone (stop).
-	timer   *time.Timer
-	due     time.Time
-	idleDue bool
-	stalled bool
-	stopped bool
+	// to fire (see deadline); armCause is the flush cause that arm counts
+	// under (flushAge unless an idle point or a grant set it); stopped
+	// forbids re-arming once the owner is gone (stop).
+	timer    *time.Timer
+	due      time.Time
+	armCause int
+	stalled  bool
+	stopped  bool
 	// handoff is set by an idle flush that found the wire busy; the owner
 	// re-arms the clock when it lets go (unlockWire), so the packets are
 	// not stranded behind a flush that already took its last batch.
@@ -200,11 +204,6 @@ type egressQueue struct {
 	// flush that sends it moves it into the ring.
 	meta   map[*packet.Packet]*pendRetire
 	ringHW int
-
-	// stallCt counts this queue's credit stalls cumulatively (the global
-	// CreditStalls counter aggregates across queues); it feeds the per-node
-	// load reports, so it is atomic — the sampler reads it off-goroutine.
-	stallCt atomic.Int64
 }
 
 // newEgressQueue wraps a child link with the given (already normalized)
@@ -530,7 +529,7 @@ func (q *egressQueue) idle() {
 	q.mu.Lock()
 	if q.sched.count > 0 && !q.stalled && !q.stopped {
 		q.armLocked(0)
-		q.idleDue = true
+		q.armCause = flushIdle
 	}
 	q.mu.Unlock()
 }
@@ -580,6 +579,8 @@ func (q *egressQueue) flushLoop(cause int) error {
 				q.m.FlushAge.Add(1)
 			case flushIdle:
 				q.m.FlushIdle.Add(1)
+			case flushGranted:
+				q.m.FlushGrant.Add(1)
 			case flushControl:
 				q.m.FlushControl.Add(1)
 			case flushDrain:
@@ -616,18 +617,8 @@ func (q *egressQueue) flushLoop(cause int) error {
 func (q *egressQueue) noteStallLocked() {
 	if !q.stalled {
 		q.stalled = true
-		q.stallCt.Add(1)
 		q.m.CreditStalls.Add(1)
 	}
-}
-
-// stalls reports the queue's cumulative credit-stall count; safe for any
-// goroutine (load-report sampling).
-func (q *egressQueue) stalls() int64 {
-	if q == nil {
-		return 0
-	}
-	return q.stallCt.Load()
 }
 
 // grantLandedLocked probes for a grant that arrived between take()'s
@@ -645,7 +636,7 @@ func (q *egressQueue) grantLandedLocked() bool {
 
 // unstall clears a credit stall after an inbound grant refilled the send
 // window: the age clock is armed at zero delay, so the timer's goroutine
-// resumes the flush at once (counted as an age flush). The hook runs on the
+// resumes the flush at once (counted as a grant flush). The hook runs on the
 // link's READER goroutine, which must never itself touch the wire: a reader
 // blocked in a send stops draining its own link, and two peers doing that
 // symmetrically would deadlock.
@@ -659,6 +650,7 @@ func (q *egressQueue) unstallLocked() {
 	if q.stalled {
 		q.stalled = false
 		q.armLocked(0)
+		q.armCause = flushGranted
 	}
 }
 
@@ -737,7 +729,7 @@ func (q *egressQueue) armLocked(d time.Duration) {
 		return
 	}
 	q.due = time.Now().Add(d)
-	q.idleDue = false
+	q.armCause = flushAge
 	q.timer.Reset(d)
 }
 
@@ -781,10 +773,7 @@ func (q *egressQueue) deadlineLocked() time.Time {
 // re-armed itself (failedFlush); a stalled queue waits for unstall.
 func (q *egressQueue) pollAge(now time.Time) {
 	q.mu.Lock()
-	d, cause := q.deadlineLocked(), flushAge
-	if q.idleDue {
-		cause = flushIdle
-	}
+	d, cause := q.deadlineLocked(), q.armCause
 	q.mu.Unlock()
 	if d.IsZero() || now.Before(d) {
 		return
@@ -809,7 +798,9 @@ func (q *egressQueue) pollAge(now time.Time) {
 			wait = q.pol.MaxDelay
 		}
 		q.armLocked(wait)
-		q.idleDue = cause == flushIdle // busy implies an age cause
+		if !busy {
+			q.armCause = cause // a busy wire's back-off is the age backstop
+		}
 	}
 	q.mu.Unlock()
 }

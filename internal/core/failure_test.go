@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/eqclass"
 	"repro/internal/filter"
 	"repro/internal/packet"
 )
@@ -693,102 +691,64 @@ func TestAdoptReleasesWedgedRound(t *testing.T) {
 	}
 }
 
-// TestAdopterCheckpointFoldsIntoComposition: a victim's checkpoint, cached
-// at its adopter, is the extra composition input Adopt hands the composer
-// after the orphans' snapshots — whether the adopter is the front-end
-// (kary:2^2, victim 2) or an internal node (kary:2^3, victim 3).
-func TestAdopterCheckpointFoldsIntoComposition(t *testing.T) {
-	for _, tc := range []struct {
-		spec   string
-		victim Rank
-	}{{"kary:2^2", 2}, {"kary:2^3", 3}} {
-		t.Run(tc.spec, func(t *testing.T) {
-			tree := mustTree(t, tc.spec)
-			reg := filter.NewRegistry()
-			eqclass.Register(reg)
-			nw, err := NewNetwork(Config{
-				Topology: tree,
-				Registry: reg,
-				OnBackEnd: func(be *BackEnd) error {
-					for {
-						p, err := be.Recv()
-						if err != nil {
-							return nil
-						}
-						rp, err := soakClassSet(be.Rank()).ToPacket(p.Tag, p.StreamID, be.Rank())
-						if err != nil {
-							return err
-						}
-						_ = be.SendPacket(rp)
-					}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Shutdown()
-			st, err := nw.NewStream(StreamSpec{Transformation: eqclass.FilterName})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Let the stream see data: every distinct pair reaches the
-			// front-end once.
-			want := eqclass.NewSet()
-			for _, leaf := range tree.Leaves() {
-				want.Merge(soakClassSet(leaf))
-			}
-			if err := st.Multicast(tagQuery, ""); err != nil {
-				t.Fatal(err)
-			}
-			for got := 0; got < want.Len(); {
-				p, err := st.RecvTimeout(5 * time.Second)
+// TestHeldPartialRoundSurvivesKill: a partial round the victim's
+// synchronizer holds must survive the victim. With leaf 4 gated, rank 1
+// holds leaf 3's reply alone and has already acknowledged it, so it has
+// left leaf 3's replay ring; sum has no state to compose, so once rank 1
+// dies no source holds that reply and the root's round waits for it
+// forever.
+func TestHeldPartialRoundSurvivesKill(t *testing.T) {
+	t.Skip("a held partial round of a stateless filter is lost with its holder; ROADMAP item 3's protocol work un-skips this")
+	tree := mustTree(t, "kary:2^2")
+	release := make(chan struct{})
+	defer close(release)
+	nw, err := NewNetwork(Config{
+		Topology: tree,
+		OnBackEnd: func(be *BackEnd) error {
+			for {
+				p, err := be.Recv()
 				if err != nil {
-					t.Fatalf("after %d of %d pairs: %v", got, want.Len(), err)
+					return nil
 				}
-				set, err := eqclass.FromPacket(p)
-				if err != nil {
-					t.Fatal(err)
+				if be.Rank() == 4 {
+					<-release
 				}
-				got += set.Len()
+				_ = be.Send(p.StreamID, p.Tag, "%f", float64(be.Rank()))
 			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Multicast(tagQuery, ""); err != nil {
+		t.Fatal(err)
+	}
+	nw.mu.Lock()
+	leaf3 := nw.bes[3].eg
+	nw.mu.Unlock()
+	eventually(t, "rank 1 holds and acknowledges leaf 3's reply", func() bool {
+		leaf3.mu.Lock()
+		defer leaf3.mu.Unlock()
+		return leaf3.ringAcked == 1
+	})
 
-			if nw.CheckpointNow() == 0 {
-				t.Fatal("CheckpointNow took no checkpoint")
-			}
-			// The checkpoint is a control packet racing this command.
-			nw.mu.Lock()
-			adopter := nw.byRank[tree.Parent(tc.victim)]
-			nw.mu.Unlock()
-			var ckpt []byte
-			eventually(t, "the adopter caches the victim's checkpoint", func() bool {
-				c := &cmdFetchCkpt{rank: tc.victim, reply: make(chan map[uint32][]byte, 1)}
-				if err := nw.sendNodeCmd(adopter, c); err != nil {
-					t.Fatal(err)
-				}
-				ckpt = (<-c.reply)[st.ID()]
-				return len(ckpt) > 0
-			})
-
-			if err := nw.Kill(tc.victim); err != nil {
-				t.Fatal(err)
-			}
-			var inputs [][]byte
-			ad, err := nw.Adopt(tc.victim, func(id uint32, tform string, children [][]byte) ([]byte, error) {
-				inputs = children
-				return children[len(children)-1], nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(inputs) != len(ad.Orphans)+1 {
-				t.Fatalf("composer got %d inputs for %d orphans, want the checkpoint as one more", len(inputs), len(ad.Orphans))
-			}
-			if !bytes.Equal(inputs[len(inputs)-1], ckpt) {
-				t.Error("the extra composition input is not the victim's cached checkpoint")
-			}
-			if ad.StreamsComposed < 1 {
-				t.Errorf("StreamsComposed = %d, want >= 1", ad.StreamsComposed)
-			}
-		})
+	if err := nw.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Adopt(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	release <- struct{}{}
+	p, err := st.RecvTimeout(5 * time.Second)
+	if err != nil {
+		t.Fatalf("the round rank 1 held never completed: %v", err)
+	}
+	if v, _ := p.Float(0); v != 18 {
+		t.Errorf("sum = %g, want 18", v)
 	}
 }

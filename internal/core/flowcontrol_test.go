@@ -178,8 +178,10 @@ func TestEgressCreditStallAndResume(t *testing.T) {
 	if got := q.pending(); got != 0 {
 		t.Errorf("%d packets still queued after the grant resumed the flush", got)
 	}
-	if got := m.FlushAge.Load(); got != 1 {
-		t.Errorf("resumed flush counted %d age flushes, want 1", got)
+	// The resumed flush is the grant's, not the age backstop's.
+	if snap := m.Snapshot(); snap["flush_grant"] != 1 || snap["flush_age"] != 0 {
+		t.Errorf("flush_grant = %d, flush_age = %d; want the resumed flush as 1 grant flush and no age flush",
+			snap["flush_grant"], snap["flush_age"])
 	}
 }
 

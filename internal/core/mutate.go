@@ -3,95 +3,32 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/packet"
 	"repro/internal/topology"
 )
 
-// This file implements live, load-driven topology mutation — the elastic
-// half of the overlay (DESIGN.md §13). Internal processes periodically
-// sample their own pressure (opLoadReport control packets, relayed
-// order-free to the front-end like heartbeats); internal/elastic turns the
-// samples into per-subtree heat scores and drives two mutations over the
-// PR 3 rewiring protocol:
+// This file implements live tree mutation (DESIGN.md §13): two elective
+// changes to a running overlay's shape, each built from the paths recovery
+// already uses, so neither has a loss path of its own.
 //
-//   - SplitNode attaches a sibling for a saturated process and reparents
-//     half its children onto it, doubling the routing and uplink capacity
-//     of the hot subtree. The children move by the one reparent path
-//     recovery uses (Offer / redial / accept), so the migration is
-//     lossless: the child's replay ring re-flushes on the new link and
-//     receivers drop the duplicates.
+//   - SplitNode attaches a sibling for an internal process and reparents
+//     the later half of its children onto it, giving that subtree a second
+//     router and a second parent-link credit window. The children move by
+//     the one reparent path recovery uses (Offer / redial / accept), so the
+//     migration is lossless: the child's replay ring re-flushes on the new
+//     link and receivers drop the duplicates.
 //
-//   - MergeNode removes a cold process by checkpointing its filter state
-//     and folding its children into its parent via the standard adoption —
-//     a controlled failure, by design reusing the proven recovery path.
+//   - MergeNode removes an internal process by killing it and letting the
+//     standard adoption fold its children into its parent: a controlled
+//     failure, recovered by sender replay and state composition like any
+//     crash.
+//
+// The engine never calls either on its own; the chaos harness
+// (internal/eqclass/chaos) and the recovery detector's tests drive them.
 
 // ErrNotMutable reports a SplitNode/MergeNode target the live engine
 // cannot mutate.
 var ErrNotMutable = errors.New("core: topology not mutable here")
-
-// LoadSample is one internal process's most recent load report as observed
-// at the front-end. UpPackets and Stalls are cumulative counters — readers
-// rate-normalize by delta between samples, so reports lost on a congested
-// path skew nothing.
-type LoadSample struct {
-	// Origin is the reporting process.
-	Origin Rank
-	// UpPackets is the cumulative count of upstream data packets the
-	// process has routed.
-	UpPackets int64
-	// Queued is the parent-egress queue depth at sample time.
-	Queued int64
-	// Stalls is the cumulative count of credit stalls on the parent
-	// egress.
-	Stalls int64
-	// At is when the report reached the front-end.
-	At time.Time
-}
-
-// loadReportLoop periodically emits n's pressure sample on its current
-// parent link, until network teardown or n is killed (see beaconLoop).
-func (nw *Network) loadReportLoop(n *node) {
-	nw.beaconLoop(nw.cfg.LoadReportPeriod, n.killCh, func() {
-		q := n.outRef.Load() // nil until run publishes it: reads as idle
-		if l := n.parentLink(); l != nil {
-			if err := l.Send(loadReportPacket(n.rank, n.upCount.Load(), int64(q.pending()), q.stalls())); err == nil {
-				nw.metrics.LoadReportsSent.Add(1)
-			}
-		}
-	})
-}
-
-// noteLoadReport records a load report observed at the front-end.
-func (nw *Network) noteLoadReport(p *packet.Packet) {
-	origin, up, queued, stalls, err := parseLoadReport(p)
-	if err != nil {
-		return
-	}
-	nw.metrics.LoadReportsSeen.Add(1)
-	nw.loadMu.Lock()
-	if nw.loadRep == nil {
-		nw.loadRep = map[Rank]LoadSample{}
-	}
-	nw.loadRep[origin] = LoadSample{
-		Origin: origin, UpPackets: up, Queued: queued, Stalls: stalls, At: time.Now(),
-	}
-	nw.loadMu.Unlock()
-}
-
-// LoadReports snapshots the latest load sample per internal rank. Ranks
-// that have never reported are absent; a dead rank's last sample lingers
-// until overwritten (consumers should check liveness via LiveInternal).
-func (nw *Network) LoadReports() map[Rank]LoadSample {
-	nw.loadMu.Lock()
-	defer nw.loadMu.Unlock()
-	out := make(map[Rank]LoadSample, len(nw.loadRep))
-	for r, s := range nw.loadRep {
-		out[r] = s
-	}
-	return out
-}
 
 // LiveParent returns r's current parent in the live shape (original
 // numbering, reflecting adoptions and mutations), or topology.NoRank when
@@ -178,33 +115,19 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 	return q, nil
 }
 
-// MergeNode removes a cold internal process from the aggregation path,
-// shortening its subtree by one level: its composable filter state is
-// checkpointed toward its potential adopters, the process is terminated,
-// and the standard adoption folds its children into its parent. A merge is
-// a controlled failure on purpose — it reuses the proven recovery path end
-// to end, so it is lossless. The elective kill
-// is counted in NodesFailed like any crash. compose may be nil to skip
-// filter-state reconstruction (the checkpoint still covers stateful
-// mergeable filters via the adopter's cache).
+// MergeNode removes an internal process from the aggregation path,
+// shortening its subtree by one level: the process is terminated and the
+// standard adoption folds its children into its parent. A merge is a
+// controlled failure on purpose — it reuses the proven recovery path end
+// to end, so it is lossless. The elective kill is counted in NodesFailed
+// like any crash. compose is Adopt's: nil skips filter-state
+// reconstruction.
 func (nw *Network) MergeNode(cold Rank, compose StateComposer) (*Adoption, error) {
 	nw.mu.Lock()
 	_, err := nw.target(cold, ErrNotMutable, false, false)
-	coldNode := nw.byRank[cold]
 	nw.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-
-	// Checkpoint the victim's filter state toward its adopters before the
-	// kill, so the adoption can fold in what was in flight above its
-	// children. Best-effort: composition from the children's own
-	// snapshots remains the primary source.
-	if coldNode != nil {
-		c := &cmdCheckpoint{reply: make(chan int, 1)}
-		if err := nw.sendNodeCmd(coldNode, c); err == nil {
-			<-c.reply
-		}
 	}
 	if err := nw.Kill(cold); err != nil {
 		return nil, err

@@ -6,35 +6,11 @@ import (
 	"time"
 )
 
-// splitEcho builds a chan-fabric network with load reports on,
-// whose back-ends answer every multicast with their rank.
-func splitEcho(t *testing.T, spec string, lr time.Duration) *Network {
-	t.Helper()
-	tree := mustTree(t, spec)
-	nw, err := NewNetwork(Config{
-		Topology:         tree,
-		LoadReportPeriod: lr,
-		OnBackEnd: func(be *BackEnd) error {
-			for {
-				p, err := be.Recv()
-				if err != nil {
-					return nil
-				}
-				_ = be.Send(p.StreamID, p.Tag, "%f", float64(be.Rank()))
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nw
-}
-
 // TestSplitNodeRedistributesChildren is the core split check: a saturated
 // internal process gains a sibling, half its children migrate, and both a
 // pre-split stream and a fresh one keep producing full-membership answers.
 func TestSplitNodeRedistributesChildren(t *testing.T) {
-	nw := splitEcho(t, "kary:4^2", 0) // internals 1..4; leaves 5..20
+	nw := recoverableEcho(t, "kary:4^2", 0) // internals 1..4; leaves 5..20
 	defer nw.Shutdown()
 	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
 	if err != nil {
@@ -109,7 +85,7 @@ func TestSplitNodeRedistributesChildren(t *testing.T) {
 // TestSplitNodeRepeatedly: a donor can split more than once, and a split
 // sibling can itself split — capacity scales 1 -> 2 -> 3 routers.
 func TestSplitNodeRepeatedly(t *testing.T) {
-	nw := splitEcho(t, "kary:4^2", 0)
+	nw := recoverableEcho(t, "kary:4^2", 0)
 	defer nw.Shutdown()
 	st, err := nw.NewStream(StreamSpec{Transformation: "count", Synchronization: "waitforall"})
 	if err != nil {
@@ -146,7 +122,7 @@ func TestSplitNodeRepeatedly(t *testing.T) {
 
 // TestSplitNodeValidation covers the unsplittable cases.
 func TestSplitNodeValidation(t *testing.T) {
-	nw := splitEcho(t, "kary:2^2", 0)
+	nw := recoverableEcho(t, "kary:2^2", 0)
 	defer nw.Shutdown()
 	if _, err := nw.SplitNode(0); !errors.Is(err, ErrNotMutable) {
 		t.Errorf("split front-end: %v, want ErrNotMutable", err)
@@ -209,7 +185,7 @@ func TestBareConfigRecoversAndMutates(t *testing.T) {
 // TestMergeNodeShortensPath: a cold internal process is removed, its
 // children fold into its parent, and streams keep answering in full.
 func TestMergeNodeShortensPath(t *testing.T) {
-	nw := splitEcho(t, "kary:2^2", 0)
+	nw := recoverableEcho(t, "kary:2^2", 0)
 	defer nw.Shutdown()
 	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
 	if err != nil {
@@ -263,7 +239,7 @@ func TestMergeNodeShortensPath(t *testing.T) {
 // kill the donor right after a split; recovery must still fold its
 // remaining children into the parent and every leaf stays reachable.
 func TestSplitThenKillDonorConverges(t *testing.T) {
-	nw := splitEcho(t, "kary:4^2", 0)
+	nw := recoverableEcho(t, "kary:4^2", 0)
 	defer nw.Shutdown()
 	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
 	if err != nil {
@@ -293,41 +269,5 @@ func TestSplitThenKillDonorConverges(t *testing.T) {
 		if v, _ := p.Float(0); v != want {
 			t.Errorf("round %d: sum = %g, want %g", i, v, want)
 		}
-	}
-}
-
-// TestLoadReportsReachFrontEnd: internal processes' pressure samples relay
-// up to the front-end and rate counters advance under traffic.
-func TestLoadReportsReachFrontEnd(t *testing.T) {
-	nw := splitEcho(t, "kary:2^2", 5*time.Millisecond)
-	defer nw.Shutdown()
-	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := st.Multicast(tagQuery, ""); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.RecvTimeout(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep := nw.LoadReports()
-		if s1, ok1 := rep[1]; ok1 {
-			if s2, ok2 := rep[2]; ok2 && s1.UpPackets > 0 && s2.UpPackets > 0 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("load reports incomplete: %v", nw.LoadReports())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	m := nw.Metrics()
-	if m.LoadReportsSent.Load() == 0 || m.LoadReportsSeen.Load() == 0 {
-		t.Error("load report metrics not counted")
 	}
 }

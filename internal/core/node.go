@@ -24,8 +24,7 @@ type inMsg struct {
 //
 // The front-end's router is the node at rank 0, the root, and differs in
 // two ways only. Its upward sink is local: a finished batch is delivered to
-// its Stream, order-free control is consumed, checkpoints are cached but
-// not relayed. And it has no parent link and no child egress queues: user
+// its Stream and order-free control is consumed, not relayed. And it has no parent link and no child egress queues: user
 // goroutines send the root's downstream traffic directly on its child
 // links (frontend.go).
 type node struct {
@@ -70,7 +69,7 @@ type node struct {
 	parentEOFSeen int
 
 	// cmdCh delivers commands (state snapshot, the install command,
-	// reparenting, checkpoints) into the event loop.
+	// reparenting, stream registration) into the event loop.
 	cmdCh chan nodeCmd
 	// killCh is closed by Kill to crash the node: the event loop exits
 	// immediately, without draining.
@@ -91,24 +90,11 @@ type node struct {
 	// Exactly-once state. ackTrack maps each inbound child link to its
 	// in-order retirement tracker (router-owned; see inOrder). ackr turns
 	// parent acknowledgements into child credit grants off the reader
-	// goroutines. ckpts caches descendants' filter-state checkpoints
-	// (router-owned, rank -> stream -> blob) for adoption-time composition.
-	// reroute stashes a fenced dead child's never-sent queued packets for
+	// goroutines. reroute stashes a fenced dead child's never-sent queued packets for
 	// re-routing after the adoption repairs the stream table.
 	ackTrack map[*transport.FlowLink]*inOrder
 	ackr     *acker
-	ckpts    map[Rank]map[uint32][]byte
 	reroute  []*packet.Packet
-
-	// Elastic-topology load sampling (Config.LoadReportPeriod). upCount is
-	// the cumulative upstream data packets this router has dispatched (one
-	// atomic add per run, beside the global counter); outRef publishes the
-	// parent egress queue to the load-report goroutine, which samples its
-	// depth and stall count — the pointer is written once by run before any
-	// traffic flows and never reassigned (reparenting swaps the queue's
-	// link, not the queue).
-	upCount atomic.Int64
-	outRef  atomic.Pointer[egressQueue]
 }
 
 // run executes the communication-process router loop: route downstream
@@ -138,7 +124,6 @@ func (n *node) run() {
 		// inbound runs those packets carried — the cascade hop.
 		n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, n.ackr.completed)
 		n.parentOut.bindStops(n.killCh, n.nw.dying)
-		n.outRef.Store(n.parentOut)
 		n.childOut = make([]*egressQueue, len(n.ep.Children))
 		for i, c := range n.ep.Children {
 			n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics)
@@ -293,14 +278,14 @@ func (n *node) installChild(slot int, l transport.Link) {
 const ctrlLaneDepth = 256
 
 // orderFreeControl reports whether p is control traffic with no data-plane
-// ordering semantics (heartbeat beacons and load reports). Such packets
-// ride the ingress control lane, bypassing the data inbox entirely.
+// ordering semantics (a heartbeat beacon). Such packets ride the ingress
+// control lane, bypassing the data inbox entirely.
 func orderFreeControl(p *packet.Packet) bool {
 	if p.Tag != packet.TagControl {
 		return false
 	}
 	op, err := ctrlOp(p)
-	return err == nil && (op == opHeartbeat || op == opLoadReport)
+	return err == nil && op == opHeartbeat
 }
 
 // splitOrderFree diverts order-free control packets in ps to the control
@@ -400,23 +385,17 @@ func (n *node) quiesceShards(fn func()) {
 }
 
 // handleOrderFree processes one order-free control packet (a heartbeat
-// beacon or a load report) on the router: it relays toward the front-end
-// with flush-through (its latency compounds per level, and it carries no
-// ordering semantics, so jumping ahead of shard-pending or credit-stalled
-// data is safe). The root consumes it: beacons feed the failure detector,
-// load reports the elastic controller.
+// beacon) on the router: it relays toward the front-end with flush-through
+// (its latency compounds per level, and it carries no ordering semantics,
+// so jumping ahead of shard-pending or credit-stalled data is safe). The
+// root consumes it: beacons feed the failure detector.
 func (n *node) handleOrderFree(p *packet.Packet) {
 	if n.rank != 0 {
 		n.relay(p)
 		return
 	}
-	switch op, _ := ctrlOp(p); op {
-	case opHeartbeat:
-		if origin, err := parseHeartbeat(p); err == nil {
-			n.nw.noteHeartbeat(origin)
-		}
-	case opLoadReport:
-		n.nw.noteLoadReport(p)
+	if origin, err := parseHeartbeat(p); err == nil {
+		n.nw.noteHeartbeat(origin)
 	}
 }
 
@@ -649,8 +628,6 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 			// reader; anything that still lands here is handled the same.
 			if orderFreeControl(p) {
 				n.handleOrderFree(p)
-			} else if op, err := ctrlOp(p); err == nil && op == opCheckpoint {
-				n.cacheCheckpoint(p)
 			} else {
 				n.relay(p)
 			}
@@ -661,7 +638,6 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		run := ps[i:j]
 		i = j
 		n.nw.metrics.PacketsUp.Add(int64(len(run)))
-		n.upCount.Add(int64(len(run)))
 		tr, start := n.assignArrival(src, len(run))
 		ss, ok := n.streams[p.StreamID]
 		if !ok {
@@ -689,30 +665,6 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 		n.ackTrack[src] = t
 	}
 	return t, t.assign(nPkts)
-}
-
-// cacheCheckpoint records a descendant's filter-state checkpoint for
-// adoption-time composition, then relays it one level further while its
-// hop budget lasts — so the state an adopter needs is already at the
-// grandparent (and great-grandparent) when the parent dies. The root, an
-// adopter like any other, caches the checkpoints that reach it.
-func (n *node) cacheCheckpoint(p *packet.Packet) {
-	origin, id, hops, blob, err := parseCheckpoint(p)
-	if err != nil {
-		return
-	}
-	m := n.ckpts[origin]
-	if m == nil {
-		if n.ckpts == nil {
-			n.ckpts = map[Rank]map[uint32][]byte{}
-		}
-		m = map[uint32][]byte{}
-		n.ckpts[origin] = m
-	}
-	m[id] = blob
-	if hops > 1 {
-		n.relay(ckptPacket(origin, id, hops-1, blob))
-	}
 }
 
 // shardUp runs the upstream pipeline for one run: synchronize, transform,
@@ -793,8 +745,9 @@ func (n *node) shardCloseUp(ss *streamState) {
 // attached to the last forwarded output, and the result reports whether it
 // was attached (false when the batches produced no output — synchronizer
 // holding, every packet a duplicate — in which case the caller retires
-// immediately; for synchronizer-holding stateful filters that slack is what
-// the checkpoint cadence covers, see DESIGN.md §10). An output with
+// immediately). A held run is thus acknowledged before its round completes:
+// if this node dies it is in no sender's ring, and only state composition
+// of a composable filter restores it (DESIGN.md §10). An output with
 // Seq == 0 was built by this node's filter and nobody else holds it, so it
 // is stamped in place with the stream, this node's rank and its next
 // origin sequence. A forwarded packet keeps its origin stamp — how the

@@ -23,9 +23,17 @@ import (
 //     internal/recovery's detector watches for silence;
 //   - live reconfiguration: Adopt applies the grandparent-adoption rule in
 //     place — orphans are re-linked under the failed node's parent, stream
-//     routing and synchronizer child counts are rebuilt, streams are
-//     re-announced into adopted subtrees, and the lost node's composable
-//     filter state is reconstructed from the orphans' snapshots.
+//     routing and synchronizer child counts are rebuilt, and streams are
+//     re-announced into adopted subtrees.
+//
+// What the lost node held comes back from two sources, neither of which
+// costs anything before a failure: each orphan's sender replay ring
+// re-flushes its unacknowledged packets to the adopter (setLink), and the
+// lost node's composable filter state is reconstructed from the orphans'
+// snapshots (reference [2]'s state composition). For a composable filter
+// the second covers what the first cannot: a run the lost node's
+// synchronizer held was already retired and acknowledged, so it left its
+// sender's ring.
 
 // StateComposer rebuilds a failed node's per-stream filter state from its
 // surviving children's snapshots (internal/recovery supplies
@@ -96,21 +104,6 @@ type cmdReparent struct {
 	reply chan error
 }
 
-// cmdCheckpoint asks a node to checkpoint its per-stream composable filter
-// state upstream (opCheckpoint control packets, cached ckptHops levels up
-// at its potential adopters). Replies with the number of streams
-// checkpointed.
-type cmdCheckpoint struct {
-	reply chan int
-}
-
-// cmdFetchCkpt reads the node's cached checkpoint blobs for one (failed)
-// descendant rank, for adoption-time composition.
-type cmdFetchCkpt struct {
-	rank  Rank
-	reply chan map[uint32][]byte
-}
-
 // cmdStream registers a stream NewStream opened in the root's table or,
 // with drop set, removes one Stream.Close or CloseSession closed.
 type cmdStream struct {
@@ -118,12 +111,10 @@ type cmdStream struct {
 	drop bool
 }
 
-func (*cmdSnapshot) isNodeCmd()   {}
-func (*cmdInstall) isNodeCmd()    {}
-func (*cmdReparent) isNodeCmd()   {}
-func (*cmdCheckpoint) isNodeCmd() {}
-func (*cmdFetchCkpt) isNodeCmd()  {}
-func (*cmdStream) isNodeCmd()     {}
+func (*cmdSnapshot) isNodeCmd() {}
+func (*cmdInstall) isNodeCmd()  {}
+func (*cmdReparent) isNodeCmd() {}
+func (*cmdStream) isNodeCmd()   {}
 
 // handleCmd executes a recovery command inside the node's event loop.
 // Commands that read or rebuild filter state park the pipeline shards
@@ -184,24 +175,6 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		})
 		go readLink(link, -1, inbox, n.ctrlLane, n.readStop)
 		cmd.reply <- nil
-	case *cmdCheckpoint:
-		// Snapshot under quiesce (a consistent cut of every stream's filter
-		// state), send outside it: sendNow keeps control FIFO behind queued
-		// data without waiting out a batching window.
-		blobs := n.snapshotFilterState()
-		for id, blob := range blobs {
-			n.relay(ckptPacket(n.rank, id, ckptHops, blob))
-		}
-		if len(blobs) > 0 {
-			n.nw.metrics.CheckpointsTaken.Add(int64(len(blobs)))
-		}
-		cmd.reply <- len(blobs)
-	case *cmdFetchCkpt:
-		out := make(map[uint32][]byte, len(n.ckpts[cmd.rank]))
-		for id, b := range n.ckpts[cmd.rank] {
-			out[id] = b
-		}
-		cmd.reply <- out
 	case *cmdStream:
 		// A dropped stream's synchronizer drains behind the runs already
 		// dispatched, into a receiver that is closed; later runs take
@@ -418,29 +391,6 @@ func (nw *Network) HeartbeatPeriod() time.Duration { return nw.cfg.HeartbeatPeri
 // Registry returns the filter registry the overlay instantiates from.
 func (nw *Network) Registry() *filter.Registry { return nw.registry }
 
-// CheckpointNow asks every internal node to checkpoint its per-stream
-// composable filter state toward its potential adopters, returning the
-// number of (node, stream) checkpoints taken. internal/recovery drives
-// this periodically (Config.CheckpointPeriod); tests call it directly.
-func (nw *Network) CheckpointNow() int {
-	nw.mu.Lock()
-	nodes := make([]*node, 0, len(nw.byRank))
-	for r, n := range nw.byRank {
-		if r != 0 { // the root's state has no adopter to go to
-			nodes = append(nodes, n)
-		}
-	}
-	nw.mu.Unlock()
-	total := 0
-	for _, n := range nodes {
-		c := &cmdCheckpoint{reply: make(chan int, 1)}
-		if err := nw.sendNodeCmd(n, c); err == nil {
-			total += <-c.reply
-		}
-	}
-	return total
-}
-
 // noteHeartbeat records a liveness beacon observed at the front-end.
 func (nw *Network) noteHeartbeat(origin Rank) {
 	nw.metrics.HeartbeatsSeen.Add(1)
@@ -461,12 +411,12 @@ func (nw *Network) Heartbeats() map[Rank]time.Time {
 	return out
 }
 
-// beaconLoop runs emit every period until the network tears down or stop
-// closes: the one ticker loop behind heartbeats and load reports. Both are
-// lossy-safe and order-free, so an emit that fails (a dead parent,
+// heartbeatLoop periodically emits this rank's liveness beacon on its
+// current parent link, until network teardown or the rank is killed.
+// Beacons are lossy-safe and order-free, so one that fails (a dead parent,
 // pre-adoption) is simply retried on the next tick.
-func (nw *Network) beaconLoop(period time.Duration, stop <-chan struct{}, emit func()) {
-	t := time.NewTicker(period)
+func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
+	t := time.NewTicker(nw.cfg.HeartbeatPeriod)
 	defer t.Stop()
 	for {
 		select {
@@ -475,21 +425,13 @@ func (nw *Network) beaconLoop(period time.Duration, stop <-chan struct{}, emit f
 		case <-stop:
 			return
 		case <-t.C:
-			emit()
-		}
-	}
-}
-
-// heartbeatLoop periodically emits this rank's liveness beacon on its
-// current parent link, until network teardown or the rank is killed.
-func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
-	nw.beaconLoop(nw.cfg.HeartbeatPeriod, stop, func() {
-		if l := link(); l != nil {
-			if err := l.Send(heartbeatPacket(origin)); err == nil {
-				nw.metrics.HeartbeatsSent.Add(1)
+			if l := link(); l != nil {
+				if err := l.Send(heartbeatPacket(origin)); err == nil {
+					nw.metrics.HeartbeatsSent.Add(1)
+				}
 			}
 		}
-	})
+	}
 }
 
 // Kill injects a crash fault: the process at rank is terminated without
@@ -756,7 +698,6 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 	for i, o := range orphans {
 		orphanNodes[i] = nw.byRank[o]
 	}
-	adopterNode := nw.byRank[parent]
 	nw.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -775,18 +716,6 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 		}
 	}
 
-	// 1b. The adopter may hold the failed node's own last checkpoint
-	// (opCheckpoint travels ckptHops levels up): fold it in as one more
-	// composition input. Safe for mergeable, monotone filter states —
-	// re-absorbing an older self is idempotent there — and it recovers
-	// information that was already above the orphans, in flight with the
-	// failed node, when it crashed.
-	var ckpt map[uint32][]byte
-	c := &cmdFetchCkpt{rank: failed, reply: make(chan map[uint32][]byte, 1)}
-	if err := nw.sendNodeCmd(adopterNode, c); err == nil {
-		ckpt = <-c.reply
-	}
-
 	// 2. Reconstruct the failed node's state per stream by composition.
 	composed := map[uint32][]byte{}
 	if compose != nil {
@@ -796,20 +725,14 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 				ids[id] = true
 			}
 		}
-		for id := range ckpt {
-			ids[id] = true
-		}
 		for id := range ids {
 			st := nw.Stream(id)
 			if st == nil {
 				continue
 			}
-			blobs := make([][]byte, len(orphans), len(orphans)+1)
+			blobs := make([][]byte, len(orphans))
 			for i, s := range snaps {
 				blobs[i] = s[id]
-			}
-			if b := ckpt[id]; len(b) > 0 {
-				blobs = append(blobs, b)
 			}
 			blob, err := compose(id, st.ss.tformName, blobs)
 			if err != nil {

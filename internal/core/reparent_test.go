@@ -59,7 +59,7 @@ func TestRootAdoptRacesShutdown(t *testing.T) {
 // or a later SplitNode — must be in Tree() under the parent the view
 // gives it, with Tree() covering exactly the ranks the view has assigned.
 func TestAbortedSplitKeepsRanksConsistent(t *testing.T) {
-	nw := splitEcho(t, "kary:4^2", 0) // internals 1..4; leaves 5..20
+	nw := recoverableEcho(t, "kary:4^2", 0) // internals 1..4; leaves 5..20
 	defer nw.Shutdown()
 	// Rank 1's back-ends die unrecovered: its split finds no child to move.
 	for r := Rank(5); r <= 8; r++ {

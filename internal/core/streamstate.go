@@ -95,9 +95,8 @@ type streamState struct {
 
 	// pipeMu serializes access to the stream's filter state — synchronizer,
 	// transformation, down-transformation, dedup windows — between the
-	// stream's up-lane and down-lane workers and off-pipeline readers
-	// (checkpoints). It is uncontended in steady state; the filters
-	// themselves need no locks of their own.
+	// stream's up-lane and down-lane workers. It is uncontended in steady
+	// state; the filters themselves need no locks of their own.
 	pipeMu sync.Mutex
 
 	// Exactly-once per-stream state, guarded by pipeMu like the filters:

@@ -113,7 +113,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 	}
 }
 
-// TestMutationChaos is the elastic-topology extension of the sweep:
+// TestMutationChaos is the live-mutation extension of the sweep:
 // seeded schedules interleaving crash-failures with topology mutations —
 // splits that reshape a subtree while packets are in flight, merges that
 // fold a router through the recovery path — must still hold the PR 7

@@ -26,7 +26,7 @@ type KillEvent struct {
 
 // MutationEvent reshapes the live topology at an offset: "split" grows a
 // sibling for Victim and migrates half its children, "merge" folds Victim
-// into its parent (core.Network.MergeNode, the elastic controller's path),
+// into its parent (core.Network.MergeNode),
 // "attach" joins a new back-end under Victim. Mutation failures are
 // tolerated — the schedule may have already crashed the victim, and a split
 // racing a kill is exactly the interleaving under test — but a merge's kill

@@ -161,7 +161,7 @@ func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 	return []*packet.Packet{out}, nil
 }
 
-// State serializes the filter's seen-set for checkpointing (reliability).
+// State serializes the filter's seen-set for state composition (reliability).
 func (f *Filter) State() ([]byte, error) {
 	p, err := f.seen.ToPacket(0, 0, packet.UnknownRank)
 	if err != nil {

@@ -126,7 +126,7 @@ func TestFilterStateRoundTrip(t *testing.T) {
 	}
 }
 
-// The filter must satisfy the checkpointable interface used by reliability.
+// The filter must satisfy the snapshot interface state composition uses.
 var _ filter.StatefulTransformation = (*Filter)(nil)
 
 // TestTreeWideSuppression runs the Paradyn scenario end to end: 27 daemons

@@ -61,10 +61,10 @@ type TransformFunc func(in []*packet.Packet) ([]*packet.Packet, error)
 func (f TransformFunc) Transform(in []*packet.Packet) ([]*packet.Packet, error) { return f(in) }
 
 // StatefulTransformation is implemented by transformations whose persistent
-// filter state can be externalized. The reliability layer uses this to
-// checkpoint filter state so a recovered node can resume the reduction
-// without data loss (the paper's "zero-cost reliability" mechanism composes
-// such states).
+// filter state can be externalized. Adoption snapshots the orphans' states
+// and composes them into the lost node's (the paper's "zero-cost
+// reliability" state rule, internal/reliability), restoring what the lost
+// node had acknowledged but still held.
 type StatefulTransformation interface {
 	Transformation
 	// State returns an opaque, serializable snapshot of the filter state.

@@ -107,9 +107,9 @@ func FuzzDecode(f *testing.F) {
 		MustNew(TagControl, 0, 0, "%d %d %s %d %d",
 			int64(5), int64(4095), "", int64(0), int64(0)),
 		MustNew(TagControl, 0, 0, "%d %d", int64(6), int64(9)),
-		// Load report (op 8): origin, cumulative upstream packets, queue
-		// depth, cumulative stalls — core's opLoadReport wire shape, so
-		// mutations exercise the elastic-topology control path.
+		// Five ints on the control tag, one of them 40 bits wide: an
+		// unassigned op (8), so mutations exercise wide integers in
+		// control payloads.
 		MustNew(TagControl, 0, 3, "%d %d %d %d %d",
 			int64(8), int64(3), int64(1<<40), int64(17), int64(0)),
 	}

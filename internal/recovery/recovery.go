@@ -11,7 +11,13 @@
 // core.Network.Adopt applies the topology rule live (grandparent adoption,
 // stream re-announcement, synchronizer rebuild) with the state rule,
 // reliability.ComposeStates, rebuilding the lost node's filter state from
-// the orphans' snapshots.
+// the orphans' snapshots. Recovery has these two sources and no periodic
+// traffic beyond the beacons: each orphan's sender replay ring re-flushes
+// what the lost node never acknowledged, and composition restores, for a
+// composable filter like eqclass, what it had acknowledged but still held
+// (a partial round in its synchronizer included). A partial round of a
+// stateless filter such as sum has neither source and is lost with the
+// node (ROADMAP item 3).
 //
 // When an ancestor fails, every descendant's beacon goes quiet at once
 // (their only path to the front-end ran through the dead process). The
@@ -63,12 +69,6 @@ type Config struct {
 	LeafTimeout time.Duration
 	// Poll is the detector's check interval; default Timeout/4.
 	Poll time.Duration
-	// CheckpointPeriod, when positive, makes the manager periodically ask
-	// every internal node to checkpoint its composable filter state toward
-	// its potential adopters (core.Network.CheckpointNow). An adoption then
-	// folds the failed node's own last checkpoint into the composition,
-	// recovering state that was in flight above the orphans when it died.
-	CheckpointPeriod time.Duration
 	// OnRecovery, if non-nil, is invoked (from the detector goroutine)
 	// after each completed recovery.
 	OnRecovery func(Report)
@@ -100,10 +100,6 @@ type Manager struct {
 	// after every recovery grants the whole overlay fresh grace.
 	baseline map[core.Rank]time.Time
 	reports  []Report
-
-	// runMu serializes recoveries against periodic checkpoints, so a node
-	// is never asked to snapshot mid-adoption.
-	runMu sync.Mutex
 
 	stop, done chan struct{}
 	started    bool
@@ -148,27 +144,7 @@ func (m *Manager) Start() error {
 	clear(m.baseline)
 	m.mu.Unlock()
 	go m.watch(stop, done)
-	if m.cfg.CheckpointPeriod > 0 {
-		go m.checkpointLoop(stop)
-	}
 	return nil
-}
-
-// checkpointLoop periodically drives adopter checkpoints, serialized
-// against recoveries (runMu), until the detector is stopped.
-func (m *Manager) checkpointLoop(stop <-chan struct{}) {
-	t := time.NewTicker(m.cfg.CheckpointPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			m.runMu.Lock()
-			m.nw.CheckpointNow()
-			m.runMu.Unlock()
-		}
-	}
 }
 
 // Stop halts the detector (manual Recover keeps working).
@@ -252,8 +228,6 @@ func (m *Manager) Recover(failed core.Rank) (Report, error) {
 }
 
 func (m *Manager) recover(failed core.Rank, silence time.Duration) (Report, error) {
-	m.runMu.Lock()
-	defer m.runMu.Unlock()
 	adoption, err := m.nw.Adopt(failed, m.compose)
 	if err != nil {
 		return Report{}, err

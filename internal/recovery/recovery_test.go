@@ -12,7 +12,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/eqclass"
 	"repro/internal/filter"
+	"repro/internal/packet"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 const tagQuery = 100
@@ -526,6 +528,125 @@ func TestChaosKillMidStreamMatchesUnfailedRun(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ackWatch wraps a child's end of its parent link and closes absorbed once
+// the child's credit layer has taken in a grant acknowledging its first
+// upstream packet: the layer absorbs a frame's grants before it asks for
+// the next frame. Only the link's one reader calls RecvBatch.
+type ackWatch struct {
+	transport.Link
+	acked, closed bool
+	absorbed      chan struct{}
+}
+
+func (w *ackWatch) RecvBatch() ([]*packet.Packet, error) {
+	if w.acked && !w.closed {
+		w.closed = true
+		close(w.absorbed)
+	}
+	ps, err := transport.RecvBatch(w.Link)
+	for _, p := range ps {
+		if _, ok := packet.CreditGrantValue(p); ok && packet.CreditGrantAck(p) >= 1 {
+			w.acked = true
+		}
+	}
+	return ps, err
+}
+
+func (w *ackWatch) SendBatch(ps []*packet.Packet) error { return transport.SendBatch(w.Link, ps) }
+
+// TestCompositionRestoresHeldPartialRound pins why reference [2]'s state
+// composition is not subsumed by sender replay. On kary:2^3 under
+// waitforall, with leaves 9 and 10 gated, rank 1 holds orphan 3's round-0
+// eqclass delta alone in a partial round. A run a synchronizer holds is
+// retired and acknowledged at once, so the delta has left rank 3's replay
+// ring; once rank 1 dies, only rank 3's composed filter state still has
+// it, and Manager.Recover must bring it to the root.
+func TestCompositionRestoresHeldPartialRound(t *testing.T) {
+	reg := filter.NewRegistry()
+	eqclass.Register(reg)
+	tree := mustTree(t, "kary:2^3") // 1 -> 3, 4; 3 -> 7, 8; 4 -> 9, 10
+	release := make(chan struct{})
+	var watch *ackWatch
+	nw, err := core.NewNetwork(core.Config{
+		Topology: tree,
+		Registry: reg,
+		WrapFabric: func(eps []*transport.Endpoint) {
+			watch = &ackWatch{Link: eps[3].Parent, absorbed: make(chan struct{})}
+			eps[3].Parent = watch
+		},
+		OnBackEnd: func(be *core.BackEnd) error {
+			for {
+				p, err := be.Recv()
+				if err != nil {
+					return nil
+				}
+				round, err := p.Int(0)
+				if err != nil {
+					continue
+				}
+				if r := be.Rank(); r == 9 || r == 10 {
+					<-release
+				}
+				s := eqclass.NewSet()
+				s.Add(fmt.Sprintf("k%d", be.Rank()), round)
+				rp, err := s.ToPacket(p.Tag, p.StreamID, be.Rank())
+				if err != nil {
+					return err
+				}
+				_ = be.SendPacket(rp)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	defer close(release)
+	mgr, err := New(nw, Config{Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := nw.NewStream(core.StreamSpec{Transformation: eqclass.FilterName, Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Multicast(tagQuery, "%d", int64(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1 acknowledges a run only once its pipeline is done with it,
+	// and waitforall keeps rank 3's delta waiting for rank 4's.
+	select {
+	case <-watch.absorbed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 1 never acknowledged orphan 3's round-0 delta")
+	}
+
+	if err := nw.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mgr.Recover(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StreamsComposed == 0 {
+		t.Error("no stream state composed from orphan 3's snapshot")
+	}
+	got := eqclass.NewSet()
+	held := func() bool {
+		return slices.Contains(got.Members("k7"), 0) && slices.Contains(got.Members("k8"), 0)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !held(); {
+		p, err := st.RecvTimeout(time.Until(deadline))
+		if err != nil {
+			t.Fatalf("root holds %q; rank 3's held delta k7=0,k8=0 never arrived: %v", setFingerprint(got), err)
+		}
+		if s, err := eqclass.FromPacket(p); err == nil {
+			got.Merge(s)
+		}
+	}
+	t.Logf("root holds %q; packets replayed %d", setFingerprint(got), nw.Metrics().PacketsReplayed.Load())
 }
 
 // TestManagerRestart: a stopped manager can be started again (regression:

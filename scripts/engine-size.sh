@@ -27,13 +27,20 @@
 # in-place stamp of a node's own filter outputs (flushBatchesAck and the
 # root's deliverUp, +7 in internal/core) and the filter.Transformation
 # ownership contract that makes it safe (+6 in internal/filter).
+#
+# Lowered: internal/core 6300 -> 5915 and outside bench/ 21203 -> 20236 for
+# deleting the two opt-in side channels nothing shipped with: adopter
+# checkpoints (opCheckpoint, the adopters' checkpoint cache, CheckpointNow,
+# recovery.Config.CheckpointPeriod) and the elastic controller with its
+# load-report channel (internal/elastic, examples/elastic, opLoadReport,
+# Config.LoadReportPeriod, the per-router upCount, PlaceBackEnd).
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=6300
+max_lines=5915
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=21203
+max_repo_lines=20236
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
