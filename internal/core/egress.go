@@ -105,26 +105,24 @@ const (
 //     reparent, Flush) blocks for the wire.
 //
 // The queue is hard-bounded by its link's credit window: data occupancy is
-// capped at the window by a slot semaphore (senders block, abortable by
-// the owner's stop channels), flushes acquire one wire credit per data
-// packet and stop — stalled — when the peer's window is exhausted, and the
-// scheduler (flowegress.go) orders what a flush sends: order-free control
-// first, then streams by priority, round-robin within a priority, with
-// order-sensitive control packets acting as barriers that nothing
-// enqueued after them may overtake.
+// capped at the window by a slot count kept under mu (senders block,
+// abortable by the owner's stop channels), a flush acquires one wire
+// credit per data packet, all in one step, and stops — stalled — when the
+// peer's window is exhausted, and the scheduler (flowegress.go) orders
+// what a flush sends: order-free control first, then streams by priority,
+// round-robin within a priority, with order-sensitive control packets
+// acting as barriers that nothing enqueued after them may overtake.
 type egressQueue struct {
 	pol BatchPolicy
 	m   *Metrics
 
-	// slots is the hard data-occupancy bound: a counting semaphore of
-	// link-window capacity. Senders on pipeline or handler goroutines block
-	// here when the queue is full; the router never does (it sends with
-	// block=false and may transiently overflow during recovery replay — see
-	// sendCtx).
-	slots chan struct{}
 	// stopA/stopB abort a blocked slot acquisition (owner killed, network
 	// dying); an aborted sender overflows rather than losing the packet.
 	stopA, stopB <-chan struct{}
+	// slotFree wakes producers blocked on a full queue (waitSlotLocked).
+	// One wake-up can stand for several freed slots, so a woken producer
+	// that leaves free slots behind passes it on.
+	slotFree chan struct{}
 	// released (guarded by mu; closed by releaseWaiters, re-armed by
 	// setLink) aborts blocked slot acquisitions when the link dies: a
 	// worker waiting on a dead peer's window would otherwise never reach
@@ -150,6 +148,13 @@ type egressQueue struct {
 	// and mu together (setLink), so holding either suffices to read it.
 	flow  *transport.FlowLink
 	sched egressSched // what is queued, in flush order
+	// held is the hard data-occupancy bound: the data slots taken, out of
+	// window (the link window). Senders on pipeline or handler goroutines
+	// block when the queue is full, counted in slotWaiters; the router
+	// never does (it sends with block=false and may transiently overflow
+	// during recovery replay — see sendCtx). Overflowing sends take no
+	// slot.
+	held, window, slotWaiters int
 	// timer is the queue's own age clock: one AfterFunc timer, re-armed in
 	// place (armLocked), whose callback (pollAge) flushes on the timer's
 	// goroutine, so neither a router, a shard worker nor a link reader
@@ -212,8 +217,7 @@ type egressQueue struct {
 // *transport.FlowLink; anything else is a bug in the caller and panics here.
 func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue {
 	fl := l.(*transport.FlowLink)
-	q := &egressQueue{pol: pol, m: m}
-	q.slots = make(chan struct{}, fl.Window())
+	q := &egressQueue{pol: pol, m: m, window: fl.Window(), slotFree: make(chan struct{}, 1)}
 	q.adoptFlow(fl)
 	// The age clock exists from the start; the first enqueue arms it.
 	q.timer = time.AfterFunc(pol.MaxDelay, func() { q.pollAge(time.Now()) })
@@ -363,32 +367,48 @@ func (q *egressQueue) bindStops(a, b <-chan struct{}) {
 	q.stopA, q.stopB = a, b
 }
 
-// acquireSlot takes one data-occupancy slot, blocking (abortably) when the
-// queue is at the link window and block is true. A producer about to block
-// is at an idle point: it can add nothing until the queue drains, so what it
-// queued leaves now — on a window below MaxBatch the size flush can never
-// fire, and the queue would otherwise wait out MaxDelay every window.
-// Callers that may not block — the router during recovery replay and final
-// drains — overflow instead, transiently exceeding the bound rather than
-// deadlocking; the release side is tolerant of the resulting imbalance.
-func (q *egressQueue) acquireSlot(block bool) {
-	select {
-	case q.slots <- struct{}{}:
-		return
-	default:
+// waitSlotLocked blocks (abortably) for a data-occupancy slot of a full
+// queue. A producer about to block is at an idle point: it can add nothing
+// until the queue drains, so what it queued leaves now — on a window below
+// MaxBatch the size flush can never fire, and the queue would otherwise
+// wait out MaxDelay every window. An aborted wait (stop channels, a dead
+// link's releaseWaiters) takes no slot: the packet overflows, transiently
+// exceeding the bound rather than deadlocking. Callers hold mu, which is
+// released while blocked and held again on return.
+func (q *egressQueue) waitSlotLocked() {
+	q.idleLocked()
+	for q.held >= q.window {
+		rel := q.released
+		q.slotWaiters++
+		q.mu.Unlock()
+		woken := false
+		select {
+		case <-q.slotFree:
+			woken = true
+		case <-q.stopA:
+		case <-q.stopB:
+		case <-rel:
+		}
+		q.mu.Lock()
+		q.slotWaiters--
+		if !woken {
+			return
+		}
 	}
-	if !block {
-		return
-	}
-	q.idle()
-	q.mu.Lock()
-	rel := q.released
-	q.mu.Unlock()
-	select {
-	case q.slots <- struct{}{}:
-	case <-q.stopA:
-	case <-q.stopB:
-	case <-rel:
+	q.held++
+	q.releaseSlotsLocked(0) // pass the wake-up on while slots remain
+}
+
+// releaseSlotsLocked returns n data-occupancy slots and, while any are
+// free, wakes a blocked producer; overflow sends may leave fewer held than
+// released, so the count stops at zero. Callers hold mu.
+func (q *egressQueue) releaseSlotsLocked(n int) {
+	q.held = max(q.held-n, 0)
+	if q.held < q.window && q.slotWaiters > 0 {
+		select {
+		case q.slotFree <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	}
 }
 
@@ -432,31 +452,25 @@ func (q *egressQueue) releaseWaiters() {
 	q.mu.Unlock()
 }
 
-// releaseSlots returns n data-occupancy slots; overflow sends may leave
-// fewer held than released, so draining stops at empty.
-func (q *egressQueue) releaseSlots(n int) {
-	for i := 0; i < n; i++ {
-		select {
-		case <-q.slots:
-		default:
-			return
-		}
-	}
-}
-
 // send enqueues a data packet at default priority, blocking while the
 // queue is at the link window. Flushes once MaxBatch packets wait.
 func (q *egressQueue) send(p *packet.Packet) error {
 	return q.sendCtx(p, 0, true)
 }
 
-// sendCtx enqueues a data packet with a stream priority. block chooses
-// between the hard bound (pipeline workers, back-end handlers: wait for a
-// slot) and router-context overflow (recovery replay, drains: never block
-// the control plane, accept a transient excursion past the window).
+// sendCtx enqueues a data packet with a stream priority, taking its
+// occupancy slot in the same critical section. block chooses between the
+// hard bound (pipeline workers, back-end handlers: wait for a slot) and
+// router-context overflow (recovery replay, drains: never block the
+// control plane, accept a transient excursion past the window).
 func (q *egressQueue) sendCtx(p *packet.Packet, prio int, block bool) error {
-	q.acquireSlot(block)
-	return q.enqueue(p, prio, false)
+	q.mu.Lock()
+	if q.held < q.window {
+		q.held++
+	} else if block {
+		q.waitSlotLocked()
+	}
+	return q.enqueueLocked(p, prio, false)
 }
 
 // sendNow enqueues p and flushes immediately. Control packets use it:
@@ -466,15 +480,15 @@ func (q *egressQueue) sendCtx(p *packet.Packet, prio int, block bool) error {
 // scheduler's control lane, so it can never be delayed behind
 // credit-stalled data.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
-	return q.enqueue(p, 0, true)
+	q.mu.Lock()
+	return q.enqueueLocked(p, 0, true)
 }
 
-// enqueue appends p (ctrl marks a sendNow control packet), updates the
-// bookkeeping, and triggers whatever flush is due. Producers never wait on
-// the wire: a triggered flush that finds another flusher active is
-// absorbed by that flusher's drain loop.
-func (q *egressQueue) enqueue(p *packet.Packet, prio int, ctrl bool) error {
-	q.mu.Lock()
+// enqueueLocked appends p (ctrl marks a sendNow control packet), updates
+// the bookkeeping, unlocks mu, and triggers whatever flush is due.
+// Producers never wait on the wire: a triggered flush that finds another
+// flusher active is absorbed by that flusher's drain loop.
+func (q *egressQueue) enqueueLocked(p *packet.Packet, prio int, ctrl bool) error {
 	wasEmpty := q.sched.count == 0
 	q.sched.add(p, prio, ctrl)
 	if wasEmpty {
@@ -527,11 +541,15 @@ func (q *egressQueue) idle() {
 		return
 	}
 	q.mu.Lock()
+	q.idleLocked()
+	q.mu.Unlock()
+}
+
+func (q *egressQueue) idleLocked() {
 	if q.sched.count > 0 && !q.stalled && !q.stopped {
 		q.armLocked(0)
 		q.armCause = flushIdle
 	}
-	q.mu.Unlock()
 }
 
 // flushLoop repeatedly takes a batch (under mu) and sends it (outside mu)
@@ -549,62 +567,52 @@ func (q *egressQueue) flushLoop(cause int) error {
 		} else {
 			q.takeBuf = nil
 		}
-		if len(batch) == 0 {
-			if stalled && q.sched.count > 0 {
-				if q.grantLandedLocked() {
-					q.mu.Unlock()
-					continue
-				}
-				q.noteStallLocked()
-			}
+		if len(batch) > 0 {
 			q.mu.Unlock()
-			return nil
-		}
-		q.mu.Unlock()
-
-		unsent, frames, err := q.sendFrames(batch, total)
-		sent := batch[: len(batch)-len(unsent) : len(batch)]
-		if q.ring != nil {
-			// Ring-append the sent prefix even when the flush failed: those
-			// frames reached the wire before the link died, and losing them
-			// from the ring would make them unrecoverable.
-			q.noteSent(sent)
-		}
-		if frames > 0 {
-			q.m.FramesSent.Add(frames)
-			switch cause {
-			case flushSize:
-				q.m.FlushSize.Add(1)
-			case flushAge:
-				q.m.FlushAge.Add(1)
-			case flushIdle:
-				q.m.FlushIdle.Add(1)
-			case flushGranted:
-				q.m.FlushGrant.Add(1)
-			case flushControl:
-				q.m.FlushControl.Add(1)
-			case flushDrain:
-				q.m.FlushDrain.Add(1)
+			unsent, frames, err := q.sendFrames(batch, total)
+			sent := batch[: len(batch)-len(unsent) : len(batch)]
+			if q.ring != nil {
+				// Ring-append the sent prefix even when the flush failed:
+				// those frames reached the wire before the link died, and
+				// losing them from the ring would make them unrecoverable.
+				q.noteSent(sent)
 			}
+			if frames > 0 {
+				q.m.FramesSent.Add(frames)
+				switch cause {
+				case flushSize:
+					q.m.FlushSize.Add(1)
+				case flushAge:
+					q.m.FlushAge.Add(1)
+				case flushIdle:
+					q.m.FlushIdle.Add(1)
+				case flushGranted:
+					q.m.FlushGrant.Add(1)
+				case flushControl:
+					q.m.FlushControl.Add(1)
+				case flushDrain:
+					q.m.FlushDrain.Add(1)
+				}
+			}
+			if err != nil {
+				q.failedFlush(unsent, nData)
+				return err
+			}
+			q.mu.Lock()
+			q.releaseSlotsLocked(nData)
 		}
-		if err != nil {
-			q.failedFlush(unsent, nData)
-			return err
-		}
-		q.releaseSlots(nData)
-		q.mu.Lock()
 		if stalled && q.sched.count > 0 {
-			if q.grantLandedLocked() {
+			// A grant that landed since take found no stall to clear (the
+			// flag is set only below): go another round instead.
+			if q.flow.Available() > 0 {
 				q.mu.Unlock()
 				continue
 			}
 			q.noteStallLocked()
-			q.mu.Unlock()
-			return nil
 		}
-		empty := q.sched.count == 0
+		done := len(batch) == 0 || stalled || q.sched.count == 0
 		q.mu.Unlock()
-		if empty {
+		if done {
 			return nil
 		}
 	}
@@ -619,19 +627,6 @@ func (q *egressQueue) noteStallLocked() {
 		q.stalled = true
 		q.m.CreditStalls.Add(1)
 	}
-}
-
-// grantLandedLocked probes for a grant that arrived between take()'s
-// failed credit acquisition and now: the refill's unstall either ran
-// before the stall flag existed (a lost wakeup, which this probe closes —
-// the flusher just goes another round) or is blocked on mu and will
-// observe the flag once set. Callers hold mu.
-func (q *egressQueue) grantLandedLocked() bool {
-	if !q.flow.TryAcquire() {
-		return false
-	}
-	q.flow.Refund(1)
-	return true
 }
 
 // unstall clears a credit stall after an inbound grant refilled the send
@@ -669,7 +664,7 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 	// ones. Refund, not Refill: no hook may run under mu, and there is
 	// nothing to wake — the credits were never the peer's to grant.
 	q.flow.Refund(unsentData)
-	q.releaseSlots(nData - unsentData) // sent data left the queue for good
+	q.releaseSlotsLocked(nData - unsentData) // sent data left the queue for good
 	if q.ring != nil {
 		// The parent link died under us: keep the unsent remainder (bounded)
 		// so a reparent can re-flush it to the new parent.
@@ -683,7 +678,7 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 		q.armLocked(q.pol.MaxDelay)
 	} else {
 		q.m.EgressDrops.Add(int64(len(unsent)))
-		q.releaseSlots(unsentData)
+		q.releaseSlotsLocked(unsentData)
 	}
 }
 
@@ -854,15 +849,10 @@ func (q *egressQueue) setLink(l transport.Link) {
 	if len(replay) > 0 {
 		q.sched.restore(replay)
 		// Their occupancy slots were released when they first flushed;
-		// best-effort reacquisition keeps the semaphore near the true
-		// queue depth (overflow past the window is tolerated here, as
-		// in every recovery path).
-		for range replay {
-			select {
-			case q.slots <- struct{}{}:
-			default:
-			}
-		}
+		// best-effort reacquisition keeps the count near the true queue
+		// depth (overflow past the window is tolerated here, as in every
+		// recovery path).
+		q.held = min(q.window, q.held+len(replay))
 		q.m.PacketsReplayed.Add(int64(len(replay)))
 	}
 	queued := q.sched.count
@@ -901,7 +891,7 @@ func (q *egressQueue) extract() []*packet.Packet {
 	if d := total - len(out); d > 0 {
 		q.m.EgressDrops.Add(int64(d))
 	}
-	q.releaseSlots(total)
+	q.releaseSlotsLocked(total)
 	q.stalled = false
 	return out
 }

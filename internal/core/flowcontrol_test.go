@@ -219,6 +219,61 @@ func TestEgressHardBoundBlocksSender(t *testing.T) {
 	}
 }
 
+// TestEgressFlushWakesEveryBlockedProducer: four producers blocked on a
+// full queue all proceed once one flush frees the four slots. The flush
+// leaves one wake-up, so this holds only if each woken producer passes it
+// on while slots remain.
+func TestEgressFlushWakesEveryBlockedProducer(t *testing.T) {
+	a, _ := transport.NewPair(64)
+	const w = 4
+	fa := transport.NewFlowLink(a, w)
+	var m Metrics
+	q := newEgressQueue(fa, BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized(), &m)
+	defer q.stop()
+	stop := make(chan struct{})
+	defer close(stop)
+	q.bindStops(stop, nil)
+
+	// No wire credits, so nothing flushes, and a full queue.
+	if got := fa.TryAcquireN(w); got != w {
+		t.Fatalf("took %d credits of a window of %d", got, w)
+	}
+	for i := 0; i < w; i++ {
+		_ = q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i)))
+	}
+	done := make(chan struct{}, w)
+	for i := 0; i < w; i++ {
+		go func(i int) {
+			_ = q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(w+i)))
+			done <- struct{}{}
+		}(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		waiting := q.slotWaiters
+		q.mu.Unlock()
+		if waiting == w {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d producers blocked, want %d", waiting, w)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// One grant: the stalled queue resumes and one flush sends the four
+	// queued packets, releasing their slots at once.
+	fa.Refill(w)
+	timeout := time.After(time.Second)
+	for i := 0; i < w; i++ {
+		select {
+		case <-done:
+		case <-timeout:
+			t.Fatalf("%d of %d blocked producers still asleep 1s after a flush freed %d slots", w-i, w, w)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end slow-consumer tests.
 

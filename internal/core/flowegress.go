@@ -228,17 +228,23 @@ func (e *schedEpoch) pick() *schedStream {
 
 // take selects the next wire batch: retained remainder first, then the
 // control lane, then epoch by epoch — streams by priority, round-robin
-// within a priority, the epoch's barrier last. Unless bypass is set, one
-// send credit is acquired from fl per data packet; when the peer's window
-// runs dry selection stops and stalled reports it (everything not selected
-// stays queued exactly where it was). The batch is appended to
-// dst (pass the flusher's reusable take buffer, or nil); drained epochs
-// and streams return to the scheduler's freelists. Returns the batch, its
-// encoded byte total, and how many data packets it carries (their
-// occupancy slots are released by the flusher once the wire accepts them).
+// within a priority, the epoch's barrier last. Unless bypass is set, the
+// send credits for every queued data packet are requested from fl in one
+// step; take is stalled exactly when it got fewer than it has queued data,
+// and selection stops at the first data packet it holds no credit for
+// (everything not selected stays queued exactly where it was). A credit
+// left unspent is refunded. The batch is appended to dst (pass the
+// flusher's reusable take buffer, or nil); drained epochs and streams
+// return to the scheduler's freelists. Returns the batch, its encoded byte
+// total, and how many data packets it carries (their occupancy slots are
+// released by the flusher once the wire accepts them).
 //
 //tbon:allow creditpair credits acquired here transfer to the returned batch: the flusher either sends it or restores it and refunds unsent data credits (failedFlush)
 func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Packet) (ps []*packet.Packet, total, nData int, stalled bool) {
+	credits := s.data
+	if !bypass {
+		credits = fl.TryAcquireN(s.data)
+	}
 	ps = dst
 	// Order-free control first — even ahead of the retained remainder: a
 	// credit-stalled retained head must never pin a heartbeat relay.
@@ -252,7 +258,7 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 	for len(s.retained) > 0 {
 		p := s.retained[0]
 		if p.Tag != packet.TagControl {
-			if !bypass && !fl.TryAcquire() {
+			if nData == credits {
 				return ps, total, nData, true
 			}
 			nData++
@@ -274,7 +280,7 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 			if st == nil {
 				break // defensive: n out of sync cannot wedge the flusher
 			}
-			if !bypass && !fl.TryAcquire() {
+			if nData == credits {
 				return ps, total, nData, true
 			}
 			p := st.ps[st.off]
@@ -302,6 +308,9 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 	}
 	if len(s.epochs) == 0 {
 		s.epochs = nil
+	}
+	if !bypass {
+		fl.Refund(credits - nData) // defensive: a data count out of sync
 	}
 	return ps, total, nData, false
 }

@@ -80,7 +80,10 @@ type inOrder struct {
 	mu   sync.Mutex
 	next uint64 // next arrival index to assign
 	low  uint64 // every index < low is complete
-	done map[uint64]struct{}
+	// done maps the start of each range completed out of order, above low,
+	// to its end; first is the least start in done while it is non-empty.
+	done  map[uint64]uint64
+	first uint64
 }
 
 // assign reserves n arrival indices and returns the first. Called only by
@@ -95,29 +98,47 @@ func (t *inOrder) assign(n int) uint64 {
 
 // complete marks [start, start+n) finished and returns how many indices
 // became newly contiguous from the bottom — the amount now safe to retire.
+// A run that completes in order only moves low; one that completes early
+// is recorded as one range until low reaches it.
 func (t *inOrder) complete(start uint64, n int) int {
+	end := start + uint64(n)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := uint64(0); i < uint64(n); i++ {
-		idx := start + i
-		if idx < t.low {
-			continue
+	if n <= 0 || end <= t.low {
+		return 0
+	}
+	if start > t.low {
+		if len(t.done) == 0 || start < t.first {
+			t.first = start
 		}
 		if t.done == nil {
-			t.done = map[uint64]struct{}{}
+			t.done = map[uint64]uint64{}
 		}
-		t.done[idx] = struct{}{}
+		t.done[start] = max(t.done[start], end)
+		return 0
 	}
-	adv := 0
-	for {
-		if _, ok := t.done[t.low]; !ok {
-			break
+	from := t.low
+	t.low = end
+	for len(t.done) > 0 && t.first <= t.low {
+		if e, ok := t.done[t.low]; ok { // the range that follows
+			delete(t.done, t.low)
+			t.low = max(t.low, e)
+			continue
 		}
-		delete(t.done, t.low)
-		t.low++
-		adv++
+		// first is stale, or a range starts inside the new prefix
+		// (overlapping completions): absorb every range low reaches and
+		// recompute first.
+		t.first = ^uint64(0)
+		for s, e := range t.done {
+			if s <= t.low {
+				delete(t.done, s)
+				t.low = max(t.low, e)
+			} else {
+				t.first = min(t.first, s)
+			}
+		}
 	}
-	return adv
+	return int(t.low - from)
 }
 
 // pendRetire is one inbound run whose credit retirement is deferred until

@@ -1,7 +1,8 @@
 // Package creditpair is a lostcancel-style checker for the credit
-// protocol: every FlowLink.Acquire / TryAcquire / AcquireBudgeted (and
-// Budget.Acquire) must, on every control-flow path from the acquisition to
-// the function's exit, either spend the credit on a send or give it back —
+// protocol: every FlowLink.Acquire / TryAcquire / TryAcquireN /
+// AcquireBudgeted (and Budget.Acquire) must, on every control-flow path
+// from the acquisition to the function's exit, either spend the credit on
+// a send or give it back —
 // Refund, RefundBudgeted, Release, or Abort. A path that returns without
 // doing either leaks a send credit: the link's window shrinks permanently
 // and eventually wedges every sender sharing the link (DESIGN.md §8).
@@ -13,10 +14,13 @@
 //	if !fl.TryAcquire() { ... }               // failure arm exempt, held after
 //	if cond || !fl.Acquire(a, b) { ... }      // same, inside a ||/&& chain
 //	if fl.TryAcquire() { ... }                // held inside the then arm
+//	k := fl.TryAcquireN(n)                    // counted: held while k > 0,
+//	if k == 0 { ... }                         // so this arm is exempt
+//	                                          // (likewise else of k > 0)
 //
 // Functions that DEFINE the primitives (named Acquire/TryAcquire/
-// AcquireBudgeted) are skipped, as are functions using goto/labels or a
-// deferred release (analyzed conservatively as safe). Ownership transfer —
+// TryAcquireN/AcquireBudgeted) are skipped, as are functions using
+// goto/labels or a deferred release (analyzed conservatively as safe). Ownership transfer —
 // returning still-spendable credits to the caller, as the egress
 // scheduler's take does — is a deliberate exception: annotate it with
 // //tbon:allow creditpair <reason>.
@@ -38,6 +42,7 @@ var Analyzer = &lint.Analyzer{
 var acquireNames = map[string]bool{
 	"Acquire":         true,
 	"TryAcquire":      true,
+	"TryAcquireN":     true,
 	"AcquireBudgeted": true,
 }
 
@@ -114,6 +119,9 @@ var none = outcome{}
 // walker evaluates reachability-without-settling over a function body.
 type walker struct {
 	bail bool // goto/labels/deferred release: analyze as safe
+	// count names the variable a counted acquisition assigned; an if arm
+	// it rules out (count == 0) holds no credit.
+	count string
 }
 
 func (w *walker) stmts(list []ast.Stmt, from int) outcome {
@@ -171,12 +179,18 @@ func (w *walker) stmt(s ast.Stmt) outcome {
 		if settles(st.Init) || settles(st.Cond) {
 			return none
 		}
-		r := w.stmt(st.Body)
-		if st.Else != nil {
-			r = r.or(w.stmt(st.Else))
-		} else {
-			r.fall = true
+		held, zero := w.countArms(st.Cond)
+		r := none
+		if !zero {
+			r = w.stmt(st.Body)
 		}
+		if held {
+			return r // the else arm (or skipping the if) holds no credit
+		}
+		if st.Else != nil {
+			return r.or(w.stmt(st.Else))
+		}
+		r.fall = true
 		return r
 	case *ast.ForStmt:
 		if settles(st.Init) || settles(st.Cond) || settles(st.Post) {
@@ -317,7 +331,7 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 		}
 		inner := frames[len(frames)-1]
 
-		w := &walker{}
+		w := &walker{count: countVar(inner.encl, acq)}
 		acc := none
 		// If the acquire sits in an if-condition, the failure arm holds no
 		// credit: start past the if when the call is negated, inside the
@@ -374,6 +388,42 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 			pass.Reportf(acq.Pos(), "credit acquired by %s may leak: a control-flow path reaches return without a send or Refund/RefundBudgeted/Release/Abort (annotate intentional ownership transfer with //tbon:allow creditpair)", lint.CalleeName(acq))
 		}
 	}
+}
+
+// countVar returns the variable a counted acquisition is assigned to
+// (k := fl.TryAcquireN(n), or k = ...), or "" for any other shape.
+func countVar(s ast.Stmt, acq *ast.CallExpr) string {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok || lint.CalleeName(acq) != "TryAcquireN" || len(as.Lhs) != 1 || len(as.Rhs) != 1 || ast.Unparen(as.Rhs[0]) != acq {
+		return ""
+	}
+	if id, ok := as.Lhs[0].(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// countArms reports whether cond compares the walker's count variable
+// against zero, and which way: held means only the then arm can hold
+// credits (k > 0, k != 0, k >= 1), zero that the then arm holds none
+// (k == 0, k <= 0, k < 1).
+func (w *walker) countArms(cond ast.Expr) (held, zero bool) {
+	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if w.count == "" || !ok {
+		return false, false
+	}
+	id, ok := ast.Unparen(be.X).(*ast.Ident)
+	lit, isLit := ast.Unparen(be.Y).(*ast.BasicLit)
+	if !ok || id.Name != w.count || !isLit {
+		return false, false
+	}
+	switch be.Op.String() + lit.Value {
+	case ">0", "!=0", ">=1":
+		return true, false
+	case "==0", "<=0", "<1":
+		return false, true
+	}
+	return false, false
 }
 
 // containsNode reports whether target lies within n.

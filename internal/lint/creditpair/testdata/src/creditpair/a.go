@@ -8,6 +8,7 @@ type FlowLink struct{}
 
 func (f *FlowLink) Acquire(a, b <-chan struct{}) bool { return true }
 func (f *FlowLink) TryAcquire() bool                  { return true }
+func (f *FlowLink) TryAcquireN(n int) int             { return n }
 func (f *FlowLink) AcquireBudgeted(b *Budget, a, c <-chan struct{}) bool {
 	return true
 }
@@ -65,7 +66,34 @@ func refundOnError(f *FlowLink, stop <-chan struct{}) error {
 	return nil
 }
 
-// probe is the TryAcquire→Refund window-liveness probe (grantLandedLocked).
+// leakCounted takes a batch's credits and returns on the size check
+// without refunding them.
+func leakCounted(f *FlowLink, n int) error {
+	k := f.TryAcquireN(n) // want `credit acquired by TryAcquireN may leak`
+	if k == 0 {
+		return errStalled
+	}
+	if tooBig() {
+		return errTooBig
+	}
+	return f.Send(struct{}{})
+}
+
+// refundCounted holds credits only while k > 0: the k == 0 arm holds none,
+// and the size check refunds what it took.
+func refundCounted(f *FlowLink, n int) error {
+	k := f.TryAcquireN(n)
+	if k == 0 {
+		return errStalled
+	}
+	if tooBig() {
+		f.Refund(k)
+		return errTooBig
+	}
+	return f.Send(struct{}{})
+}
+
+// probe is a TryAcquire→Refund window-liveness probe.
 func probe(f *FlowLink) bool {
 	if f == nil || !f.TryAcquire() {
 		return false

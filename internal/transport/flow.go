@@ -14,10 +14,12 @@ import (
 //
 // Each direction of a link is governed by a fixed window W of send credits:
 //
-//   - The SENDER side holds a pool of W credit tokens. Every data packet it
-//     puts on the wire must first acquire one (TryAcquire / Acquire), so at
-//     most W data packets can be "in flight" — on the wire or un-retired at
-//     the receiver — per direction. Control traffic never consumes credits.
+//   - The SENDER side holds a pool of W credits, kept as a count of the
+//     data packets in flight. Every data packet it puts on the wire must
+//     first acquire one (Acquire, TryAcquire, or TryAcquireN for a whole
+//     batch at once), so at most W data packets can be "in flight" — on
+//     the wire or un-retired at the receiver — per direction. Control
+//     traffic never consumes credits.
 //
 //   - The RECEIVER side calls Retire as its pipeline actually finishes
 //     packets (not merely enqueues them). Retirements accumulate and, once
@@ -39,11 +41,9 @@ import (
 // so retained buffers re-entering the window cannot double-spend credits.
 type FlowLink struct {
 	Link
-	window int
-	// tokens is the sender-side credit pool: a buffered channel used as a
-	// counting semaphore, which makes Acquire abortable by arbitrary stop
-	// channels. Sending into it takes a credit; draining it returns one.
-	tokens chan struct{}
+	// credits is the sender-side pool, counting the data packets in
+	// flight; a batch takes or returns n credits in one step.
+	credits credits
 	// retired accumulates receiver-side retirements since the last grant.
 	retired atomic.Int64
 	// refillHook, when set, is invoked after inbound grants refill the
@@ -58,13 +58,6 @@ type FlowLink struct {
 	// retiredTotal counts every receiver-side retirement on this link for
 	// the link's lifetime; outgoing grants carry it as the cumulative ack.
 	retiredTotal atomic.Uint64
-	// dead releases blocked Acquire callers once the link is known
-	// finished (closed, dropped, or replaced after a failure): credits
-	// from a dead peer are never coming, so waiting is pointless — the
-	// caller proceeds and lets the send surface the link's real state.
-	dead     chan struct{}
-	deadOnce sync.Once
-
 	// budMu guards budQ, the FIFO of per-tenant Budget stamps for credits
 	// taken via AcquireBudgeted. Credits are fungible, so when a grant
 	// refills n credits the n oldest stamps are released — attribution is
@@ -77,12 +70,9 @@ type FlowLink struct {
 }
 
 // NewFlowLink wraps l with a credit window of w packets per direction.
-// w must be positive.
+// w < 1 is treated as 1.
 func NewFlowLink(l Link, w int) *FlowLink {
-	if w < 1 {
-		w = 1
-	}
-	f := &FlowLink{Link: l, window: w, tokens: make(chan struct{}, w), dead: make(chan struct{})}
+	f := &FlowLink{Link: l, credits: newCredits(w)}
 	if g, ok := l.(grantLink); ok {
 		g.absorbGrants(f.refillAck)
 	}
@@ -106,7 +96,10 @@ type grantLink interface {
 // must not stay charged for them. Idempotent; implied by Close and Drop,
 // and called explicitly when recovery replaces a failed link.
 func (f *FlowLink) Abort() {
-	f.deadOnce.Do(func() { close(f.dead) })
+	// A dead link's credits are never coming back, so waiting is
+	// pointless: blocked Acquire callers proceed and let the send surface
+	// the link's real state.
+	f.credits.abort()
 	f.releaseBudgets(int(^uint(0) >> 1))
 }
 
@@ -131,7 +124,7 @@ func (f *FlowLink) releaseBudgets(n int) {
 }
 
 // Window returns the link's per-direction credit window.
-func (f *FlowLink) Window() int { return f.window }
+func (f *FlowLink) Window() int { return int(f.credits.cap) }
 
 // Inner returns the wrapped link.
 func (f *FlowLink) Inner() Link { return f.Link }
@@ -140,7 +133,7 @@ func (f *FlowLink) Inner() Link { return f.Link }
 // a grant: a quarter window batches the reverse traffic 4:1 while staying
 // safely below the window (the deadlock-freedom condition).
 func (f *FlowLink) grantThreshold() int64 {
-	t := int64(f.window) / 4
+	t := f.credits.cap / 4
 	if t < 1 {
 		t = 1
 	}
@@ -148,33 +141,20 @@ func (f *FlowLink) grantThreshold() int64 {
 }
 
 // TryAcquire takes one send credit if one is available.
-func (f *FlowLink) TryAcquire() bool {
-	select {
-	case f.tokens <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
+func (f *FlowLink) TryAcquire() bool { return f.credits.tryTake(1) == 1 }
+
+// TryAcquireN takes up to n send credits in one step and returns how many
+// it took: a flusher acquires a whole batch's credits at once.
+func (f *FlowLink) TryAcquireN(n int) int { return f.credits.tryTake(n) }
+
+// Available reports how many send credits are free, without taking any.
+func (f *FlowLink) Available() int { return f.credits.available() }
 
 // Acquire blocks for one send credit, aborting (false) if either stop
-// channel fires first. Nil stop channels never fire.
+// channel fires first. Nil stop channels never fire. On a finished link it
+// proceeds (true) without a credit: the send reports the truth.
 func (f *FlowLink) Acquire(stopA, stopB <-chan struct{}) bool {
-	select {
-	case f.tokens <- struct{}{}:
-		return true
-	default:
-	}
-	select {
-	case f.tokens <- struct{}{}:
-		return true
-	case <-f.dead:
-		return true // finished link: proceed, the send reports the truth
-	case <-stopA:
-		return false
-	case <-stopB:
-		return false
-	}
+	return f.credits.take(stopA, stopB)
 }
 
 // AcquireBudgeted takes one credit from the tenant budget b and one send
@@ -198,7 +178,7 @@ func (f *FlowLink) AcquireBudgeted(b *Budget, stopA, stopB <-chan struct{}) bool
 	f.budMu.Lock()
 	dead := false
 	select {
-	case <-f.dead:
+	case <-f.credits.dead:
 		dead = true
 	default:
 		f.budQ = append(f.budQ, b)
@@ -230,19 +210,11 @@ func (f *FlowLink) RefundBudgeted(n int) {
 	f.Refund(n)
 }
 
-// Refund returns n unused send credits without waking anyone: the caller
-// is the would-be sender itself, unwinding a failed flush — possibly with
-// its own queue lock held, so no hook may run. Credits beyond the window
-// are discarded, which keeps the invariant self-healing.
-func (f *FlowLink) Refund(n int) {
-	for ; n > 0; n-- {
-		select {
-		case <-f.tokens:
-		default:
-			return
-		}
-	}
-}
+// Refund returns n unused send credits in one step, running no hook: the
+// caller is the would-be sender itself, unwinding a failed flush —
+// possibly with its own queue lock held. Credits beyond the window are
+// discarded, which keeps the invariant self-healing.
+func (f *FlowLink) Refund(n int) { f.credits.give(n) }
 
 // Refill returns n send credits to the pool (an inbound grant from the
 // peer) and runs the refill hook — the egress queue's stall/resume wakeup.
