@@ -322,7 +322,7 @@ func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 		run, link, stop = be.run, be.parentLink, be.killCh
 	} else {
 		wrapEnds(ep, nw.cfg.LinkWindow)
-		n = &node{nw: nw, rank: r, ep: ep, cmdCh: make(chan nodeCmd), killCh: make(chan struct{})}
+		n = newNode(nw, r, ep)
 		nw.byRank[r] = n
 		run, link, stop = n.run, n.parentLink, n.killCh
 	}
@@ -433,14 +433,7 @@ func (nw *Network) Shutdown() error {
 	// Announce shutdown to every child subtree. A dead child is already
 	// gone; count the failure so dead links are observable, and keep going.
 	down := packet.MustNew(packet.TagControl, 0, 0, ctrlShutdownFormat, int64(opShutdown))
-	for _, l := range nw.root.childLinks() {
-		if l == nil {
-			continue
-		}
-		if err := l.Send(down); err != nil {
-			nw.metrics.ShutdownSendFailures.Add(1)
-		}
-	}
+	nw.metrics.ShutdownSendFailures.Add(int64(nw.root.floodNow(down)))
 	nw.wg.Wait()
 
 	nw.mu.Lock()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/packet"
@@ -23,10 +22,10 @@ type inMsg struct {
 // commands, and dispatches data-packet runs to per-stream pipeline shards.
 //
 // The front-end's router is the node at rank 0, the root, and differs in
-// two ways only. Its upward sink is local: a finished batch is delivered to
-// its Stream and order-free control is consumed, not relayed. And it has no parent link and no child egress queues: user
-// goroutines send the root's downstream traffic directly on its child
-// links (frontend.go).
+// its upward sink only: it has no parent link or queue, a finished batch is
+// delivered to its Stream, and order-free control is consumed, not relayed.
+// Downstream it is a router like any other; its user goroutines enqueue
+// onto its child egress queues where a router's shard workers would.
 type node struct {
 	nw   *Network
 	rank Rank
@@ -49,12 +48,13 @@ type node struct {
 	// transport absorbs them at the receive edge.
 	ctrlLane chan *packet.Packet
 
-	// Egress queues, one per link (the root has none), shared by the
-	// router and the shards (each queue serializes internally and keeps its
-	// own age clock, which the router stops on its way out). parentOut
-	// retains its buffer and replay ring across a dead parent link so the
-	// packets survive until reparenting. The childOut slice itself is
-	// mutated only with the shards quiesced (the install command).
+	// Egress queues, one per link (the root has no parent queue), shared by
+	// the router, the shards and, at the root, user goroutines (each queue
+	// serializes internally and keeps its own age clock, which the router
+	// stops on its way out). parentOut retains its buffer and replay ring
+	// across a dead parent link so the packets survive until reparenting.
+	// The childOut slice itself is mutated only by the install command,
+	// with the shards quiesced and epMu held for writing.
 	parentOut *egressQueue
 	childOut  []*egressQueue
 
@@ -77,15 +77,13 @@ type node struct {
 	killOnce sync.Once
 
 	// parentMu guards ep.Parent for readers outside the event loop (the
-	// heartbeat goroutine); epMu guards ep.Children, a copy-on-write slice
-	// that Kill and, at the root, user-goroutine multicasts read outside it.
+	// heartbeat goroutine). epMu guards the child slots — ep.Children, a
+	// copy-on-write slice Kill reads, and childOut — together with every
+	// stream's routing: an install holds it for writing, and the root's
+	// user goroutines hold it for reading while they enqueue, so a send
+	// sees slots and routing as one consistent pair.
 	parentMu sync.RWMutex
 	epMu     sync.RWMutex
-	// adoptSeq is a seqlock around installs: odd while one is rewiring,
-	// bumped again when done. At the root, user-goroutine multicasts use it
-	// to read stream routing and the link slice as one consistent pair
-	// (sendToStream); no one reads it at other ranks.
-	adoptSeq atomic.Uint64
 
 	// Exactly-once state. ackTrack maps each inbound child link to its
 	// in-order retirement tracker (router-owned; see inOrder). ackr turns
@@ -115,20 +113,8 @@ func (n *node) run() {
 	}()
 
 	n.ackTrack = map[*transport.FlowLink]*inOrder{}
-	if n.rank != 0 {
-		// Egress queues wrap every link but the root's.
-		pol := n.nw.cfg.Batch
-		n.ackr = newAcker(&n.nw.metrics)
+	if n.ackr != nil {
 		defer n.ackr.halt()
-		// Parent acknowledgements pop the replay ring and release the
-		// inbound runs those packets carried — the cascade hop.
-		n.parentOut = newUpstreamQueue(n.ep.Parent, pol, &n.nw.metrics, n.ackr.completed)
-		n.parentOut.bindStops(n.killCh, n.nw.dying)
-		n.childOut = make([]*egressQueue, len(n.ep.Children))
-		for i, c := range n.ep.Children {
-			n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics)
-			n.childOut[i].bindStops(n.killCh, n.nw.dying)
-		}
 	}
 	// The workers start after the queues exist: an idle worker releases
 	// them (shard.go).
@@ -201,10 +187,38 @@ func (n *node) run() {
 	}
 }
 
+// newNode builds the router at rank r over its (credit-wrapped) endpoint,
+// with an egress queue on every link, before its event loop starts: the
+// root's user goroutines may send as soon as NewNetwork returns.
+func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
+	n := &node{nw: nw, rank: r, ep: ep, cmdCh: make(chan nodeCmd), killCh: make(chan struct{})}
+	if ep.Parent != nil {
+		// Parent acknowledgements pop the replay ring and release the
+		// inbound runs those packets carried — the cascade hop.
+		n.ackr = newAcker(&nw.metrics)
+		n.parentOut = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, n.ackr.completed)
+		n.parentOut.bindStops(n.killCh, nw.dying)
+	}
+	n.childOut = make([]*egressQueue, len(ep.Children))
+	for i, c := range ep.Children {
+		n.childOut[i] = n.newChildQueue(c)
+	}
+	return n
+}
+
+// newChildQueue wraps a child link in a downstream egress queue.
+func (n *node) newChildQueue(l transport.Link) *egressQueue {
+	q := newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics)
+	q.bindStops(n.killCh, n.nw.dying)
+	return q
+}
+
 // kill crashes the node: its links are severed abruptly (peers observe
 // unexpected EOF, in-flight packets are lost) and the event loop exits.
+// The links go first: a pipeline worker the crash releases from a window
+// wait must not get a grant or a packet out — a crashed process sends
+// nothing.
 func (n *node) kill() {
-	n.killOnce.Do(func() { close(n.killCh) })
 	n.parentMu.RLock()
 	parent := n.ep.Parent
 	n.parentMu.RUnlock()
@@ -212,6 +226,7 @@ func (n *node) kill() {
 	for _, c := range n.childLinks() {
 		transport.DropLink(c)
 	}
+	n.killOnce.Do(func() { close(n.killCh) })
 }
 
 // parentLink returns the current parent link; safe outside the event loop.
@@ -221,9 +236,8 @@ func (n *node) parentLink() transport.Link {
 	return n.ep.Parent
 }
 
-// childLinks returns the child link slots. The slice is copy-on-write
-// (installChild swaps in a fresh one), so returning the reference is safe
-// and keeps the root's per-packet multicast path allocation-free.
+// childLinks returns the child link slots, a slice installChild swaps,
+// never edits.
 func (n *node) childLinks() []transport.Link {
 	n.epMu.RLock()
 	defer n.epMu.RUnlock()
@@ -231,45 +245,36 @@ func (n *node) childLinks() []transport.Link {
 }
 
 // installChild places a link at the given child slot, growing the slots
-// with nil placeholders if they were assigned out of order, in a fresh
-// slice so concurrent childLinks readers keep a consistent snapshot. The
-// displaced link's credit state is aborted: nothing keeps waiting on a
-// window the dead peer can never refill, and user goroutines blocked on it
-// (a root multicast into a failed subtree) let their sends observe the
-// link's real state. The slot's egress queue, at every rank but the root,
-// follows the link: a replacement link gets a fresh queue and a fenced-off
-// slot (nil link) stashes whatever was still queued to the dead child for
-// re-routing. Callers must hold the shards quiesced: the childOut slice is
-// read lock-free by the pipeline workers.
+// with nil placeholders if they were assigned out of order. The displaced
+// link's credit state is aborted: nothing keeps waiting on a window the
+// dead peer can never refill, and the tenant budget tokens stamped on it
+// return. The slot's egress queue follows the link: a replacement link
+// gets a fresh queue and a fenced-off slot (nil link) stashes whatever was
+// still queued to the dead child for re-routing. Callers hold the shards
+// quiesced, since the pipeline workers read childOut lock-free, and epMu
+// for writing. Both slices are swapped for fresh ones, so a reader that
+// takes them under the read lock keeps a consistent snapshot.
 func (n *node) installChild(slot int, l transport.Link) {
-	n.epMu.Lock()
-	next := make([]transport.Link, max(len(n.ep.Children), slot+1))
-	copy(next, n.ep.Children)
-	displaced := next[slot]
-	next[slot] = l
-	n.ep.Children = next
-	n.epMu.Unlock()
+	links := make([]transport.Link, max(len(n.ep.Children), slot+1))
+	copy(links, n.ep.Children)
+	outs := make([]*egressQueue, len(links))
+	copy(outs, n.childOut)
+	displaced, old := links[slot], outs[slot]
+	links[slot] = l
 	if displaced != nil && displaced != l {
 		flowOf(displaced).Abort()
 	}
-	if n.rank == 0 {
-		return
-	}
-	for len(n.childOut) <= slot {
-		n.childOut = append(n.childOut, nil)
-	}
-	old := n.childOut[slot]
 	old.stop() // displaced or fenced: its age clock ends with its link
 	if l == nil {
 		// The fenced queue's packets never reached the wire; stash them for
 		// re-routing once the adoption has repaired the stream table
 		// (handleCmd), instead of dropping.
 		n.reroute = append(n.reroute, old.extract()...)
-		n.childOut[slot] = nil
-		return
+		outs[slot] = nil
+	} else {
+		outs[slot] = n.newChildQueue(l)
 	}
-	n.childOut[slot] = newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics)
-	n.childOut[slot].bindStops(n.killCh, n.nw.dying)
+	n.ep.Children, n.childOut = links, outs
 }
 
 // ctrlLaneDepth buffers the order-free control lane. It only fills when
@@ -506,6 +511,84 @@ func (n *node) sendDownstreamNow(ss *streamState, p *packet.Packet) {
 	}
 }
 
+// floodNow sends a control packet to every child through its egress queue,
+// flushing at once, and returns how many of those flushes failed. Sessions
+// and shutdown are not routed by membership, so the flood is total. The
+// idle point covers a flush that found the wire busy.
+func (n *node) floodNow(p *packet.Packet) (failed int) {
+	n.epMu.RLock()
+	defer n.epMu.RUnlock()
+	for _, q := range n.childOut {
+		if q != nil && q.sendNow(p) != nil {
+			failed++
+		}
+	}
+	n.idleChildren()
+	return failed
+}
+
+// idleChildren is a producer's idle point for every child queue: what it
+// queued leaves now, on each queue's own clock.
+func (n *node) idleChildren() {
+	for _, q := range n.childOut {
+		q.idle()
+	}
+}
+
+// rootSend is how the root's user goroutines send downstream: through the
+// child egress queues, like every router's shard workers, under epMu's read
+// lock so an install cannot move the slots mid-fan-out. A user goroutine
+// has no mailbox that drains, so each send is its own idle point: the
+// queues it filled flush before it returns, not after MaxDelay. Control
+// (stream announce and close) flushes at once; data on a session stream
+// takes the tenant's budget per child first (rootSendBudgeted).
+func (n *node) rootSend(ss *streamState, p *packet.Packet) {
+	if ss.budget != nil && p.Tag != packet.TagControl {
+		n.rootSendBudgeted(ss, p)
+		return
+	}
+	n.epMu.RLock()
+	defer n.epMu.RUnlock()
+	if p.Tag == packet.TagControl {
+		n.sendDownstreamNow(ss, p)
+	} else {
+		n.sendDownstream(ss, p)
+	}
+	n.idleChildren()
+}
+
+// rootSendBudgeted fans a session stream's data packet out one child at a
+// time, taking a token of the tenant's budget before each enqueue and
+// stamping it on that child's link, whose credit FIFO releases it once: on
+// the grant that returns it or the link's Abort (a closed session's budget
+// stops constraining). The token wait happens outside epMu — an install must
+// never wait for a tenant's grants — so the fan-out runs over the slots it
+// found first: a child whose queue an install replaced meanwhile is
+// skipped, its token returned, and its subtree is inside the failure
+// window the adoption repairs.
+func (n *node) rootSendBudgeted(ss *streamState, p *packet.Packet) {
+	n.epMu.RLock()
+	outs, down := n.childOut, ss.routeSnapshot()
+	n.epMu.RUnlock()
+	for i, q := range outs {
+		if q == nil || i >= len(down) || !down[i] {
+			continue
+		}
+		if !ss.budget.Acquire(n.nw.dying, nil) {
+			return // the network is tearing down
+		}
+		n.epMu.RLock()
+		if n.childOut[i] == q { // installs grow the slots, never shrink them
+			q.flow.StampBudget(ss.budget)
+			_ = q.sendCtx(p, ss.prio, true)
+			q.idle()
+		} else {
+			ss.budget.Release(1)
+		}
+		n.epMu.RUnlock()
+	}
+}
+
 func (n *node) handleControl(p *packet.Packet) bool {
 	op, err := ctrlOp(p)
 	if err != nil {
@@ -551,11 +634,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 		// Sessions carry no per-node state today — stream announcements
 		// establish everything a node needs — so the open is a pure
 		// namespace reservation relayed to every child subtree.
-		for _, q := range n.childOut {
-			if q != nil {
-				_ = q.sendNow(p)
-			}
-		}
+		n.floodNow(p)
 	case opCloseSession:
 		ns, err := parseCloseSession(p)
 		if err != nil {
@@ -572,11 +651,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			delete(n.streams, id)
 			n.shards.closeStreamUp(ss)
 		}
-		for _, q := range n.childOut {
-			if q != nil {
-				_ = q.sendNow(p)
-			}
-		}
+		n.floodNow(p)
 	case opShutdown:
 		n.shuttingDown = true
 		// Park the data plane before forwarding: every downstream packet
@@ -584,11 +659,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 		// an egress queue, so the announcement keeps its exact per-link
 		// FIFO position.
 		n.quiesceShards(func() {})
-		for _, q := range n.childOut {
-			if q != nil {
-				_ = q.sendNow(p)
-			}
-		}
+		n.floodNow(p)
 		if n.liveChildren == 0 {
 			n.finish()
 			return true
@@ -603,9 +674,7 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		// The child's link is dead: release any worker waiting on its
 		// window (nothing can refill it; the slot stays as-is until the
 		// child's own recovery fences or replaces it).
-		if child < len(n.childOut) {
-			n.childOut[child].releaseWaiters()
-		}
+		n.childOut[child].releaseWaiters()
 		if n.shuttingDown && n.liveChildren == 0 {
 			n.finish()
 			return true

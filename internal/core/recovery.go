@@ -133,12 +133,15 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 				n.childOut[s].releaseWaiters()
 			}
 		}
-		n.adoptSeq.Add(1) // odd: rewiring in progress
 		n.quiesceShards(func() {
+			// The root's user goroutines read the slots and the routing
+			// under the read lock; quiesceShards has already released any
+			// of them waiting on a queue slot.
+			n.epMu.Lock()
+			defer n.epMu.Unlock()
 			n.applyInstall(cmd, inbox)
 			n.redispatchStash(cmd.slots)
 		})
-		n.adoptSeq.Add(1) // even again: links and routing consistent
 		n.liveChildren += len(cmd.links)
 		n.nw.passShutdown(cmd.links, n.shuttingDown, n.rank)
 		close(cmd.done)
@@ -209,7 +212,8 @@ func (n *node) snapshotFilterState() map[uint32][]byte {
 // packets through the repaired stream table: they were destined for the
 // dead child's subtree, whose members are now reachable through the newly
 // adopted slots. Runs under quiesce right after applyInstall; sends are
-// router-context (non-blocking) so recovery never wedges on a full window.
+// router-context (non-blocking) so recovery never wedges on a full window,
+// and leave at once, on the queues' own clocks.
 func (n *node) redispatchStash(slots []int) {
 	if len(n.reroute) == 0 {
 		return
@@ -228,6 +232,7 @@ func (n *node) redispatchStash(slots []int) {
 			}
 		}
 	}
+	n.idleChildren()
 }
 
 // applyInstall runs the install command: fence the listed slots (a

@@ -101,17 +101,10 @@ func (nw *Network) OpenSession(info SessionInfo) error {
 	nw.mu.Unlock()
 	nw.metrics.SessionsOpened.Add(1)
 
-	// Announce to every child subtree, like Shutdown: sessions are not
-	// routed by membership (their streams are), so the flood is total. A
-	// dead child is already gone; recovery re-plays stream announcements,
-	// and the session op carries no state a node cannot live without.
-	p := openSessionPacket(info)
-	for _, l := range nw.root.childLinks() {
-		if l == nil {
-			continue
-		}
-		_ = l.Send(p)
-	}
+	// Announce to every child subtree, like Shutdown. A dead child is
+	// already gone; recovery re-plays stream announcements, and the session
+	// op carries no state a node cannot live without.
+	nw.root.floodNow(openSessionPacket(info))
 	return nil
 }
 
@@ -148,13 +141,7 @@ func (nw *Network) CloseSession(ns uint32) error {
 	}
 	nw.metrics.SessionsClosed.Add(1)
 	if flood {
-		p := closeSessionPacket(ns)
-		for _, l := range nw.root.childLinks() {
-			if l == nil {
-				continue
-			}
-			_ = l.Send(p)
-		}
+		nw.root.floodNow(closeSessionPacket(ns))
 	}
 	return nil
 }

@@ -280,8 +280,8 @@ func (sp *shardPool) closeStream(ss *streamState, p *packet.Packet) {
 // every upstream run dispatched before it (same mailbox FIFO as
 // closeStream), but no per-stream close is forwarded downstream — the
 // single flooded opCloseSession packet that triggered this already carries
-// the teardown to every child, and the root's user goroutines send their
-// closes themselves.
+// the teardown to every child, and at the root Stream.Close and
+// CloseSession queue the close onto the child queues themselves.
 func (sp *shardPool) closeStreamUp(ss *streamState) {
 	sp.dispatch(sp.shardFor(ss.id), shardItem{kind: itemCloseUp, ss: ss})
 }
@@ -414,9 +414,7 @@ func (sh *shard) runDown() {
 		// retirements and release its child queues before sleeping (see
 		// runUp). The childOut slice changes only with the shards parked.
 		sh.flushPend(sh.downPend)
-		for _, q := range sh.pool.n.childOut {
-			q.idle()
-		}
+		sh.pool.n.idleChildren()
 		select {
 		case <-sh.down.notify:
 		case <-sh.pool.stop:

@@ -188,11 +188,8 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	nw.recMu.Unlock()
 
 	// Announce downstream along member paths only.
-	ctrl := newStreamPacket(id, spec.Transformation, spec.Synchronization,
-		spec.DownTransformation, spec.Priority, members)
-	if err := nw.root.sendToStream(ss, ctrl); err != nil {
-		return nil, fmt.Errorf("core: announcing stream %d: %w", id, err)
-	}
+	nw.root.rootSend(ss, newStreamPacket(id, spec.Transformation, spec.Synchronization,
+		spec.DownTransformation, spec.Priority, members))
 	return st, nil
 }
 
@@ -214,6 +211,17 @@ func (s *Stream) Members() []Rank { return s.members }
 // sends regardless of member count. The values are retained by the packet
 // (see packet.New): a caller expanding a long-lived []any with ... must
 // not mutate it after.
+//
+// A nil return means the packet was accepted into the egress queue of every
+// participating live child of the root, which flushes it without waiting
+// for more; the call blocks only while a child's queue holds a full credit
+// window or, on a session stream, while the tenant's budget is spent. An
+// accepted packet then fares as at every router: a queue fenced by its
+// child's failure hands its packets to the adopted orphans, and a flush
+// that reaches a dead child is dropped and counted in Metrics.EgressDrops.
+// Multicast returns packet.New's error for a malformed format or value,
+// and ErrShutdown once the stream is closed (Close, CloseSession or
+// Network.Shutdown); nothing else.
 func (s *Stream) Multicast(tag int32, format string, values ...any) error {
 	p, err := packet.New(tag, s.id, 0, format, values...)
 	if err != nil {
@@ -222,7 +230,8 @@ func (s *Stream) Multicast(tag int32, format string, values ...any) error {
 	return s.MulticastPacket(p)
 }
 
-// MulticastPacket sends a pre-built packet downstream to all members.
+// MulticastPacket sends a pre-built packet downstream to all members, on
+// Multicast's terms; its only error is ErrShutdown.
 func (s *Stream) MulticastPacket(p *packet.Packet) error {
 	select {
 	case <-s.closed:
@@ -234,9 +243,7 @@ func (s *Stream) MulticastPacket(p *packet.Packet) error {
 	if tc := s.ss.tc; tc != nil {
 		tc.PacketsDown.Add(1)
 	}
-	if err := s.nw.root.sendToStream(s.ss, p); err != nil {
-		return fmt.Errorf("core: multicast on stream %d: %w", s.id, err)
-	}
+	s.nw.root.rootSend(s.ss, p)
 	return nil
 }
 
@@ -325,14 +332,15 @@ func (s *Stream) RecvTimeout(d time.Duration) (*packet.Packet, error) {
 // Close tears the stream down: communication processes drain their
 // synchronizers, forget the stream, and propagate the close toward the
 // members. Packets already in flight above a draining node are delivered
-// unfiltered and dropped at the front-end.
+// unfiltered and dropped at the front-end. The close is queued behind the
+// stream's earlier multicasts like any downstream packet, so Close returns
+// nil.
 func (s *Stream) Close() error {
-	var sendErr error
 	s.closeOnce.Do(func() {
-		sendErr = s.nw.root.sendToStream(s.ss, closeStreamPacket(s.id))
+		s.nw.root.rootSend(s.ss, closeStreamPacket(s.id))
 		s.teardownFE()
 	})
-	return sendErr
+	return nil
 }
 
 // bulkClose tears down the stream's front-end state without per-stream

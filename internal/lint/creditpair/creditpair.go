@@ -1,15 +1,14 @@
 // Package creditpair is a lostcancel-style checker for the credit
-// protocol: every FlowLink.Acquire / TryAcquire / TryAcquireN /
-// AcquireBudgeted (and Budget.Acquire) must, on every control-flow path
-// from the acquisition to the function's exit, either spend the credit on
-// a send or give it back —
-// Refund, RefundBudgeted, Release, or Abort. A path that returns without
+// protocol: every FlowLink.Acquire / TryAcquire / TryAcquireN (and
+// Budget.Acquire) must, on every control-flow path from the acquisition to
+// the function's exit, either spend the credit on a send or give it back —
+// Refund, Release, or Abort. A path that returns without
 // doing either leaks a send credit: the link's window shrinks permanently
 // and eventually wedges every sender sharing the link (DESIGN.md §8).
 //
 // Recognized acquisition shapes:
 //
-//	fl.AcquireBudgeted(b, stopA, stopB)       // statement: held afterwards
+//	b.Acquire(stopA, stopB)                   // statement: held afterwards
 //	ok := fl.Acquire(a, b)                    // held afterwards (both arms)
 //	if !fl.TryAcquire() { ... }               // failure arm exempt, held after
 //	if cond || !fl.Acquire(a, b) { ... }      // same, inside a ||/&& chain
@@ -19,7 +18,7 @@
 //	                                          // (likewise else of k > 0)
 //
 // Functions that DEFINE the primitives (named Acquire/TryAcquire/
-// TryAcquireN/AcquireBudgeted) are skipped, as are functions using
+// TryAcquireN) are skipped, as are functions using
 // goto/labels or a deferred release (analyzed conservatively as safe). Ownership transfer —
 // returning still-spendable credits to the caller, as the egress
 // scheduler's take does — is a deliberate exception: annotate it with
@@ -40,18 +39,16 @@ var Analyzer = &lint.Analyzer{
 }
 
 var acquireNames = map[string]bool{
-	"Acquire":         true,
-	"TryAcquire":      true,
-	"TryAcquireN":     true,
-	"AcquireBudgeted": true,
+	"Acquire":     true,
+	"TryAcquire":  true,
+	"TryAcquireN": true,
 }
 
 // releases give a credit (or its budget stamp) back without sending.
 var releases = map[string]bool{
-	"Refund":         true,
-	"RefundBudgeted": true,
-	"Release":        true,
-	"Abort":          true,
+	"Refund":  true,
+	"Release": true,
+	"Abort":   true,
 }
 
 // consumes spend the credit on the wire (directly or by enqueueing into an
@@ -385,7 +382,7 @@ func checkFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		if acc.ret || acc.fall {
-			pass.Reportf(acq.Pos(), "credit acquired by %s may leak: a control-flow path reaches return without a send or Refund/RefundBudgeted/Release/Abort (annotate intentional ownership transfer with //tbon:allow creditpair)", lint.CalleeName(acq))
+			pass.Reportf(acq.Pos(), "credit acquired by %s may leak: a control-flow path reaches return without a send or Refund/Release/Abort (annotate intentional ownership transfer with //tbon:allow creditpair)", lint.CalleeName(acq))
 		}
 	}
 }

@@ -9,17 +9,14 @@ type FlowLink struct{}
 func (f *FlowLink) Acquire(a, b <-chan struct{}) bool { return true }
 func (f *FlowLink) TryAcquire() bool                  { return true }
 func (f *FlowLink) TryAcquireN(n int) int             { return n }
-func (f *FlowLink) AcquireBudgeted(b *Budget, a, c <-chan struct{}) bool {
-	return true
-}
-func (f *FlowLink) Refund(n int)         {}
-func (f *FlowLink) RefundBudgeted(n int) {}
-func (f *FlowLink) Abort()               {}
-func (f *FlowLink) Send(p any) error     { return nil }
+func (f *FlowLink) Refund(n int)                      {}
+func (f *FlowLink) Abort()                            {}
+func (f *FlowLink) Send(p any) error                  { return nil }
 
 type Budget struct{}
 
-func (b *Budget) Release(n int) {}
+func (b *Budget) Acquire(a, c <-chan struct{}) bool { return true }
+func (b *Budget) Release(n int)                     {}
 
 var errStalled = errors.New("stalled")
 var errTooBig = errors.New("too big")
@@ -43,7 +40,7 @@ func leakOnEarlyReturn(f *FlowLink, stop <-chan struct{}) error {
 // leakStatementForm acquires in statement position and falls into an
 // unguarded error return.
 func leakStatementForm(f *FlowLink, b *Budget, stop <-chan struct{}) error {
-	f.AcquireBudgeted(b, stop, nil) // want `credit acquired by AcquireBudgeted may leak`
+	b.Acquire(stop, nil) // want `credit acquired by Acquire may leak`
 	if err := work(); err != nil {
 		return err
 	}

@@ -48,15 +48,14 @@ func queueMutex(key string) bool {
 // blockingCalls may block indefinitely (on a peer, a window, or a hook)
 // and therefore must not run under a queue mutex.
 var blockingCalls = map[string]bool{
-	"Send":            true,
-	"SendBatch":       true,
-	"send":            true,
-	"sendCtx":         true,
-	"sendNow":         true,
-	"sendAck":         true,
-	"Acquire":         true,
-	"AcquireBudgeted": true,
-	"Refill":          true,
+	"Send":      true,
+	"SendBatch": true,
+	"send":      true,
+	"sendCtx":   true,
+	"sendNow":   true,
+	"sendAck":   true,
+	"Acquire":   true,
+	"Refill":    true,
 }
 
 // lockKey derives the lock identity for a call like x.f.Lock(): the field

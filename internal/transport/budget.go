@@ -9,12 +9,12 @@ package transport
 // subtree has stopped consuming cannot pin every credit of a shared link
 // and starve its neighbors' data plane.
 //
-// A Budget is pure accounting — it wraps no link. It pairs with
-// FlowLink.AcquireBudgeted, which takes a budget token and a link credit as
-// one atomic step and returns the budget token automatically when the
-// link's credit comes back (grant, refund, or link death). Like FlowLink's
-// window, an aborted Budget stops constraining: Acquire succeeds
-// immediately so teardown can never wedge a sender.
+// A Budget is pure accounting — it wraps no link. A sender takes a token
+// (Acquire) before it queues a packet for a link and stamps it on that
+// link (FlowLink.StampBudget), so the token returns when the link's credit
+// does: the peer's grant, or the link's death. Like FlowLink's window, an
+// aborted Budget stops constraining: Acquire succeeds immediately so
+// teardown can never wedge a sender.
 type Budget struct {
 	// credits is the pool. Aborting it releases blocked Acquire callers
 	// once the budget's owner is gone (session closed): constraints from a

@@ -67,23 +67,29 @@ func budgetPair(t *testing.T, w int) (*FlowLink, *FlowLink) {
 	return NewFlowLink(a, w), NewFlowLink(b, w)
 }
 
-func TestAcquireBudgetedReleasesOnRefill(t *testing.T) {
+// charge takes one token of b and stamps it on fl, the way a sender
+// charges a packet it queues for the link to its tenant.
+func charge(t *testing.T, fl *FlowLink, b *Budget) {
+	t.Helper()
+	if !b.TryAcquire() {
+		t.Fatal("budget exhausted")
+	}
+	fl.StampBudget(b)
+}
+
+func TestStampBudgetReleasesOnRefill(t *testing.T) {
 	fl, _ := budgetPair(t, 4)
 	b := NewBudget(2)
-	if !fl.AcquireBudgeted(b, nil, nil) || !fl.AcquireBudgeted(b, nil, nil) {
-		t.Fatal("budgeted acquires within both windows must succeed")
-	}
+	charge(t, fl, b)
+	charge(t, fl, b)
 	if b.InUse() != 2 {
 		t.Fatalf("budget in use = %d, want 2", b.InUse())
 	}
-	if b.TryAcquire() {
-		t.Fatal("budget must be exhausted")
-	}
-	// The link window still has 2 free credits, but the tenant's budget is
-	// spent: a budgeted acquire must block even though the link would not.
+	// The link window is untouched, but the tenant's budget is spent: the
+	// tenant's next acquire must block even though the link would not.
 	stop := make(chan struct{})
 	got := make(chan bool, 1)
-	go func() { got <- fl.AcquireBudgeted(b, stop, nil) }()
+	go func() { got <- b.Acquire(stop, nil) }()
 	select {
 	case <-got:
 		t.Fatal("acquire should block on the exhausted tenant budget")
@@ -93,48 +99,54 @@ func TestAcquireBudgetedReleasesOnRefill(t *testing.T) {
 	// unblocking the tenant.
 	fl.Refill(1)
 	if v := <-got; !v {
-		t.Fatal("refill must unblock the budgeted acquire")
+		t.Fatal("refill must unblock the tenant's acquire")
 	}
 	close(stop)
+	// The second stamp is released by the next grant, not twice by one.
+	fl.Refill(1)
+	fl.Refill(1)
+	if b.InUse() != 1 {
+		t.Fatalf("after three one-credit grants, budget in use = %d, want 1 (the token taken after the first)", b.InUse())
+	}
 }
 
-func TestAcquireBudgetedRefundAndAbort(t *testing.T) {
+func TestStampBudgetAbort(t *testing.T) {
 	fl, _ := budgetPair(t, 4)
 	b := NewBudget(4)
 	for i := 0; i < 3; i++ {
-		if !fl.AcquireBudgeted(b, nil, nil) {
-			t.Fatal("acquire")
-		}
+		charge(t, fl, b)
 	}
-	// A failed send unwinds its own (newest) stamp.
-	fl.RefundBudgeted(1)
-	if b.InUse() != 2 {
-		t.Fatalf("after refund, budget in use = %d, want 2", b.InUse())
-	}
-	// Link death returns every remaining stamp: a tenant must not stay
-	// charged for credits a dead peer can never retire.
+	// Link death returns every stamp: a tenant must not stay charged for
+	// credits a dead peer can never retire.
 	fl.Abort()
 	if b.InUse() != 0 {
 		t.Fatalf("after abort, budget in use = %d, want 0", b.InUse())
 	}
-	// Acquires against the dead link proceed without stranding tokens.
-	if !fl.AcquireBudgeted(b, nil, nil) {
-		t.Fatal("acquire on dead link must proceed")
-	}
+	// A stamp on the dead link returns its token at once.
+	charge(t, fl, b)
 	if b.InUse() != 0 {
-		t.Fatalf("dead-link acquire leaked a budget token: in use = %d", b.InUse())
+		t.Fatalf("dead-link stamp leaked a budget token: in use = %d", b.InUse())
+	}
+	// Aborting the budget itself (a closed session) releases its waiters.
+	for b.TryAcquire() {
+	}
+	got := make(chan bool, 1)
+	go func() { got <- b.Acquire(nil, nil) }()
+	b.Abort()
+	if v := <-got; !v {
+		t.Fatal("an aborted budget must grant its blocked acquire")
 	}
 }
 
-func TestAcquireBudgetedNilBudget(t *testing.T) {
+func TestStampBudgetNilBudget(t *testing.T) {
 	fl, _ := budgetPair(t, 1)
-	if !fl.AcquireBudgeted(nil, nil, nil) {
-		t.Fatal("nil budget must degrade to plain Acquire")
+	fl.StampBudget(nil) // unbudgeted traffic: no stamp
+	if !fl.TryAcquire() {
+		t.Fatal("a nil stamp must not touch the link window")
 	}
-	stop := make(chan struct{})
-	close(stop)
-	if fl.AcquireBudgeted(nil, stop, nil) {
-		t.Fatal("stopped plain acquire must report false")
+	fl.Refill(1) // no stamp to release, nothing to panic on
+	if fl.Available() != 1 {
+		t.Fatalf("available = %d, want 1", fl.Available())
 	}
 }
 
@@ -145,9 +157,10 @@ func TestBudgetedGrantsOverWire(t *testing.T) {
 	b := NewBudget(2)
 	data := packet.MustNew(100, 1, 0, "%d", int64(7))
 	for i := 0; i < 2; i++ {
-		if !fl.AcquireBudgeted(b, nil, nil) {
+		if !fl.TryAcquire() {
 			t.Fatal("acquire")
 		}
+		charge(t, fl, b)
 		if err := fl.Send(data); err != nil {
 			t.Fatal(err)
 		}

@@ -58,13 +58,12 @@ type FlowLink struct {
 	// retiredTotal counts every receiver-side retirement on this link for
 	// the link's lifetime; outgoing grants carry it as the cumulative ack.
 	retiredTotal atomic.Uint64
-	// budMu guards budQ, the FIFO of per-tenant Budget stamps for credits
-	// taken via AcquireBudgeted. Credits are fungible, so when a grant
-	// refills n credits the n oldest stamps are released — attribution is
-	// FIFO-approximate when budgeted and unbudgeted traffic interleave on
-	// one link, but the sum of outstanding budget tokens always equals the
-	// number of budgeted credits still in flight, and every stamp is
-	// released by exactly one of Refill, RefundBudgeted, or Abort.
+	// budMu guards budQ, the FIFO of per-tenant Budget tokens stamped on
+	// this link (StampBudget) by senders that queued a packet for it.
+	// Credits are fungible, so when a grant refills n credits the n oldest
+	// stamps are released — attribution is FIFO-approximate when budgeted
+	// and unbudgeted traffic interleave on one link, but every stamp is
+	// released by exactly one of Refill or Abort.
 	budMu sync.Mutex
 	budQ  []*Budget
 }
@@ -157,23 +156,13 @@ func (f *FlowLink) Acquire(stopA, stopB <-chan struct{}) bool {
 	return f.credits.take(stopA, stopB)
 }
 
-// AcquireBudgeted takes one credit from the tenant budget b and one send
-// credit from the link's window as a single step, stamping the link credit
-// with the budget so the budget token returns automatically when the
-// credit does (inbound grant, refund of a failed send, or link death).
-// Aborting either side lets the caller proceed — a dead link or a closed
-// session must never wedge a sender — and the stamp discipline still
-// releases exactly once. Returns false only when a stop channel fired.
-func (f *FlowLink) AcquireBudgeted(b *Budget, stopA, stopB <-chan struct{}) bool {
+// StampBudget charges one token of the tenant budget b, which the caller
+// has already taken, to this link: the token returns when the link's
+// credits do — the grant that reaches the stamp in FIFO order, or Abort.
+// On a finished link it returns at once. A nil b is a no-op.
+func (f *FlowLink) StampBudget(b *Budget) {
 	if b == nil {
-		return f.Acquire(stopA, stopB)
-	}
-	if !b.Acquire(stopA, stopB) {
-		return false
-	}
-	if !f.Acquire(stopA, stopB) {
-		b.Release(1)
-		return false
+		return
 	}
 	f.budMu.Lock()
 	dead := false
@@ -185,29 +174,10 @@ func (f *FlowLink) AcquireBudgeted(b *Budget, stopA, stopB <-chan struct{}) bool
 	}
 	f.budMu.Unlock()
 	if dead {
-		// The link died before (or while) we stamped: Abort already swept
-		// the FIFO, so return the token directly rather than stranding it.
+		// Abort already swept the FIFO: return the token directly rather
+		// than stranding it.
 		b.Release(1)
 	}
-	return true
-}
-
-// RefundBudgeted returns n unused send credits taken via AcquireBudgeted
-// (a failed send unwinding), releasing the newest n budget stamps — the
-// ones the unwinding sender itself just pushed.
-func (f *FlowLink) RefundBudgeted(n int) {
-	f.budMu.Lock()
-	k := n
-	if k > len(f.budQ) {
-		k = len(f.budQ)
-	}
-	popped := append([]*Budget(nil), f.budQ[len(f.budQ)-k:]...)
-	f.budQ = f.budQ[:len(f.budQ)-k]
-	f.budMu.Unlock()
-	for _, b := range popped {
-		b.Release(1)
-	}
-	f.Refund(n)
 }
 
 // Refund returns n unused send credits in one step, running no hook: the

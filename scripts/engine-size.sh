@@ -47,13 +47,22 @@
 # channels (-66). The creditpair analyzer learned the counted
 # TryAcquireN shape (+50, and +28 of testdata fixture, which this count
 # includes).
+#
+# Lowered: internal/core 5935 -> 5921 and outside bench/ 20375 -> 20324 for
+# one downstream path: the root's user sends go through its child egress
+# queues like every router's, so frontend.go (sendToStream), the adoptSeq
+# seqlock and the root's no-queue branches in run and installChild went,
+# and in internal/transport FlowLink.AcquireBudgeted and RefundBudgeted
+# shrank to one StampBudget. What it added is the root's send helpers
+# (rootSend, rootSendBudgeted, floodNow, idleChildren) and the node
+# constructor that builds every router's queues before its loop starts.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5935
+max_lines=5921
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=20375
+max_repo_lines=20324
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
