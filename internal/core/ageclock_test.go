@@ -184,7 +184,11 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 // TestAgeFlushOffTheRouter is the router-on-the-wire regression: an age
 // flush onto a slow child socket used to run on the router goroutine, so
 // heartbeat relays, recovery commands and attachments waited for the send.
-// Only workers — and now the queue's own clock — may wait on the wire.
+// The goroutines that may wait on the wire are the queue's own clock, a
+// shard lane in a size flush, a back-end handler (Send, and the idle flush
+// in Recv) and a front-end user goroutine (its sends' idle flush, outside
+// epMu) — never the router or a link reader, and never a lane at its idle
+// point, which only arms the clock.
 func TestAgeFlushOffTheRouter(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
 	router := tree.InternalNodes()[0]

@@ -104,14 +104,15 @@ func (be *BackEnd) killed() bool {
 // Recv blocks for the next downstream packet addressed to this back-end
 // (multicast data on any stream it belongs to). It returns io.EOF when the
 // network is shutting down. Recv is the handler's idle point: about to
-// block on an empty inbox, it first lets what the handler sent leave. It
-// is also the retirement point of downstream traffic: the handler actually
-// consuming a packet is what hands the parent its send credit back — a
-// handler that stops reading throttles the whole path back to the
-// front-end producer, with one window of packets in flight.
+// block on an empty inbox, it first flushes what the handler sent, on the
+// handler's own goroutine. It is also the retirement point of downstream
+// traffic: the handler actually consuming a packet is what hands the
+// parent its send credit back — a handler that stops reading throttles the
+// whole path back to the front-end producer, with one window of packets in
+// flight.
 func (be *BackEnd) Recv() (*packet.Packet, error) {
 	if len(be.inbox) == 0 {
-		be.eg.idle()
+		be.eg.idleNow()
 	}
 	d, ok := <-be.inbox
 	if !ok {
@@ -122,6 +123,7 @@ func (be *BackEnd) Recv() (*packet.Packet, error) {
 		// The handler has consumed everything delivered so far: grant the
 		// below-threshold remainder back rather than sitting on it (see
 		// flushGrant — a budget-limited producer may need these credits).
+		// On TCP it rides the handler's reply.
 		flushGrant(&be.nw.metrics, d.src)
 	}
 	return d.p, nil

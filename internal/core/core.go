@@ -152,7 +152,8 @@ type Metrics struct {
 
 	// Credit-based flow control observability.
 	CreditStalls atomic.Int64 // flushes cut short by an exhausted peer window
-	CreditGrants atomic.Int64 // credit-grant packets sent back to peers
+	CreditGrants atomic.Int64 // credit grants returned to peers, alone or inside a data write
+	GrantsRidden atomic.Int64 // credit grants that left inside a data write
 
 	// Multi-tenant session fabric observability.
 	SessionsOpened   atomic.Int64 // tenant sessions admitted (OpenSession)
@@ -395,6 +396,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"egress_drops":           m.EgressDrops.Load(),
 		"credit_stalls":          m.CreditStalls.Load(),
 		"credit_grants":          m.CreditGrants.Load(),
+		"grants_ridden":          m.GrantsRidden.Load(),
 		"sessions_opened":        m.SessionsOpened.Load(),
 		"sessions_closed":        m.SessionsClosed.Load(),
 		"sessions_rejected":      m.SessionsRejected.Load(),

@@ -72,9 +72,9 @@ const maxFlushRounds = 8
 
 // flush causes, for the metrics counters. flushDrain covers the blocking
 // drains (shutdown, Flush) and the re-flush after reparenting. flushIdle
-// and flushGranted are the age clock armed at zero by the producer's idle
-// point (idle) and by a cleared credit stall (unstall); flushAge is the
-// clock firing at the MaxDelay backstop.
+// is a producer's idle point, on the caller (idleNow) or the clock armed at
+// zero (idle); flushGranted is the clock armed at zero by a cleared credit
+// stall (unstall); flushAge is the clock firing at the MaxDelay backstop.
 const (
 	flushSize = iota
 	flushAge
@@ -137,7 +137,8 @@ type egressQueue struct {
 	// It is recycled across flushes only when the link copies batches
 	// before SendBatch returns (copies); on retaining links — the
 	// in-process transport, where the slice itself is the channel
-	// transfer — a fresh buffer is taken per flush.
+	// transfer — a fresh buffer is taken per flush, allocated once at the
+	// queued count rather than grown packet by packet.
 	takeBuf []*packet.Packet
 	// copies caches transport.BatchCopies(flow); read under flushMu,
 	// written at construction and by setLink (which holds both locks).
@@ -155,15 +156,20 @@ type egressQueue struct {
 	// during recovery replay — see sendCtx). Overflowing sends take no
 	// slot.
 	held, window, slotWaiters int
-	// timer is the queue's own age clock: one AfterFunc timer, re-armed in
-	// place (armLocked), whose callback (pollAge) flushes on the timer's
-	// goroutine, so neither a router, a shard worker nor a link reader
-	// touches the wire for an age or idle flush. due is when it was last set
-	// to fire (see deadline); armCause is the flush cause that arm counts
-	// under (flushAge unless an idle point or a grant set it); stopped
-	// forbids re-arming once the owner is gone (stop).
+	// timer is the queue's own clock: one AfterFunc timer, re-armed in
+	// place (retimeLocked) for the earlier of two deadlines, whose callback
+	// (pollAge) runs on the timer's goroutine, so neither a router, a shard
+	// lane nor a link reader touches the wire for an age flush, a grant
+	// flush or a lane's idle point. due is the data deadline (see
+	// deadline); armCause is the flush cause it counts under (flushAge
+	// unless an idle point or a grant set it). grantDue is the backstop of
+	// the grant owed on the link (owe), zero when none is: it is kept
+	// apart from due because it holds whatever the data side is doing —
+	// a stalled, empty or busy queue still pays it. stopped forbids
+	// re-arming once the owner is gone (stop).
 	timer    *time.Timer
 	due      time.Time
+	grantDue time.Time
 	armCause int
 	stalled  bool
 	stopped  bool
@@ -234,8 +240,10 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 	// again after a releaseWaiters interlude.
 	q.released = make(chan struct{})
 	// A grant from the peer may be the only thing that can restart a
-	// stalled queue: resume immediately on refill.
+	// stalled queue: resume immediately on refill. Idle grants this side
+	// owes the peer ride the queue's frames, backstopped by its clock.
 	fl.SetRefillHook(q.unstall)
+	fl.SetGrantHooks(q.owe, q.m.grantRode)
 	if q.ring != nil {
 		fl.SetAckHook(q.onAck)
 	}
@@ -532,10 +540,11 @@ func (q *egressQueue) unlockWire() {
 	}
 }
 
-// idle is the producer's idle point: what it queued leaves now instead of
-// after MaxDelay. The flush runs on the queue's own clock, armed at zero,
-// never on the caller: a shard worker or a back-end handler must not block
-// on a slow link. A credit-stalled queue waits for its unstalling grant.
+// idle is a shard lane's or the router's idle point: what it queued leaves
+// now instead of after MaxDelay. The flush runs on the queue's own clock,
+// armed at zero, never on the caller: a lane that serves several links must
+// not block on one slow one. A credit-stalled queue waits for its
+// unstalling grant.
 func (q *egressQueue) idle() {
 	if q == nil {
 		return
@@ -552,13 +561,34 @@ func (q *egressQueue) idleLocked() {
 	}
 }
 
+// idleNow is the idle point of a goroutine that may wait on the wire — a
+// back-end handler about to block in Recv, a user goroutine at the root
+// done sending: it flushes on the caller, the goroutine that already holds
+// the data, rather than waking the clock's. A busy wire is handed off to
+// its owner, as the clock's idle flush does.
+func (q *egressQueue) idleNow() {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	d := q.deadlineLocked()
+	q.mu.Unlock()
+	if !d.IsZero() {
+		q.flushDue(d, flushIdle)
+	}
+}
+
 // flushLoop repeatedly takes a batch (under mu) and sends it (outside mu)
 // until the queue is empty, the peer's credit window is exhausted, the
 // round bound is hit, or the wire fails. Callers hold flushMu.
 func (q *egressQueue) flushLoop(cause int) error {
 	for round := 0; round < maxFlushRounds; round++ {
 		q.mu.Lock()
-		batch, total, nData, stalled := q.sched.take(q.flow, false, q.takeBuf[:0])
+		dst := q.takeBuf[:0]
+		if !q.copies {
+			dst = make([]*packet.Packet, 0, q.sched.count)
+		}
+		batch, total, nData, stalled := q.sched.take(q.flow, false, dst)
 		// The take buffer is recycled across flushes only on links that
 		// copy batches; a retaining link owns the slice once sendFrames
 		// hands it over (the batchalias contract).
@@ -600,6 +630,9 @@ func (q *egressQueue) flushLoop(cause int) error {
 			}
 			q.mu.Lock()
 			q.releaseSlotsLocked(nData)
+			if !q.grantDue.IsZero() && q.flow.Owed() == 0 {
+				q.grantDue = time.Time{} // the frame carried it
+			}
 		}
 		if stalled && q.sched.count > 0 {
 			// A grant that landed since take found no stall to clear (the
@@ -611,6 +644,9 @@ func (q *egressQueue) flushLoop(cause int) error {
 			q.noteStallLocked()
 		}
 		done := len(batch) == 0 || stalled || q.sched.count == 0
+		if done {
+			q.retimeLocked() // no stale wake-up for a deadline just met
+		}
 		q.mu.Unlock()
 		if done {
 			return nil
@@ -715,9 +751,9 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 	return nil, frames + 1, nil
 }
 
-// armLocked sets the age clock to fire d from now, replacing any pending
-// arm. It is called wherever the queue gains a deadline its timer does not
-// know yet: the empty -> non-empty enqueue, an idle point, a cleared credit
+// armLocked sets the data deadline d from now, replacing any pending one.
+// It is called wherever the queue gains a deadline its timer does not know
+// yet: the empty -> non-empty enqueue, an idle point, a cleared credit
 // stall, a retained failed flush, a replacement link. Callers hold mu.
 func (q *egressQueue) armLocked(d time.Duration) {
 	if q.stopped {
@@ -725,7 +761,65 @@ func (q *egressQueue) armLocked(d time.Duration) {
 	}
 	q.due = time.Now().Add(d)
 	q.armCause = flushAge
-	q.timer.Reset(d)
+	q.retimeLocked()
+}
+
+// retimeLocked points the clock at the earlier of the data deadline and the
+// grant deadline, and stops it when neither is pending. While an idle flush
+// has handed off to a busy wire, the data deadline is the wire owner's,
+// which re-arms it when it lets go (unlockWire), so the clock keeps only the
+// grant's. Callers hold mu.
+func (q *egressQueue) retimeLocked() {
+	if q.stopped {
+		return
+	}
+	var next time.Time
+	if !q.handoff.Load() {
+		next = q.deadlineLocked()
+	}
+	if !q.grantDue.IsZero() && (next.IsZero() || q.grantDue.Before(next)) {
+		next = q.grantDue
+	}
+	if next.IsZero() {
+		q.timer.Stop()
+		return
+	}
+	q.timer.Reset(time.Until(next))
+}
+
+// owe is the link's owe hook: a grant to the peer became owed. The next
+// frame this queue writes carries it; unless one does first, the clock
+// pays it at the grant deadline — MaxDelay, capped at DefaultBatchDelay so
+// that a policy forbidding age flushes does not also hold a peer's credits.
+func (q *egressQueue) owe() {
+	q.mu.Lock()
+	if q.grantDue.IsZero() && !q.stopped {
+		q.grantDue = time.Now().Add(min(q.pol.MaxDelay, DefaultBatchDelay))
+		q.retimeLocked()
+	}
+	q.mu.Unlock()
+}
+
+// payOwed is the grant backstop: once the grant deadline has passed, the
+// owed grant is written on its own. It runs whatever the data side is
+// doing — stalled, empty, or with another flusher on the wire — and goes
+// through the link's send lock, not flushMu: two peers each stalled on the
+// grant the other owes must not wait for a data flush that cannot come.
+func (q *egressQueue) payOwed(now time.Time) {
+	q.mu.Lock()
+	g, fl := q.grantDue, q.flow
+	due := !g.IsZero() && !now.Before(g)
+	if due {
+		q.grantDue = time.Time{}
+	}
+	q.mu.Unlock()
+	if !due {
+		return
+	}
+	// A failed write is a dead link, which its reader reports.
+	if paid, _ := fl.PayOwed(); paid {
+		q.m.CreditGrants.Add(1)
+	}
 }
 
 // stop ends the age clock for good. Every owner exit calls it — the router
@@ -758,26 +852,41 @@ func (q *egressQueue) deadlineLocked() time.Time {
 	return q.due
 }
 
-// pollAge is the age clock's callback (unit tests also drive it with a
-// chosen now): if the deadline has passed and the wire is free, flush; then,
-// if packets remain and nothing moved the deadline meanwhile, re-arm. A busy
-// wire backs off a full MaxDelay — its flusher drains what is queued, and an
-// expired deadline must not be re-polled without sleeping — unless the poll
-// is an idle point's, which hands off to the wire's owner instead. A flush
-// that stopped at its round bound goes again at once. A failed flush has
-// re-armed itself (failedFlush); a stalled queue waits for unstall.
+// pollAge is the clock's callback (unit tests also drive it with a chosen
+// now): it pays an owed grant whose deadline has passed (payOwed), then
+// flushes if the data deadline has passed (flushDue). A clock that woke for
+// one deadline while the other is still pending is pointed at that one.
 func (q *egressQueue) pollAge(now time.Time) {
+	q.payOwed(now)
 	q.mu.Lock()
 	d, cause := q.deadlineLocked(), q.armCause
-	q.mu.Unlock()
 	if d.IsZero() || now.Before(d) {
+		q.retimeLocked()
+		q.mu.Unlock()
 		return
 	}
+	q.mu.Unlock()
+	q.flushDue(d, cause)
+}
+
+// flushDue is the flush body of a data deadline d that has come — the
+// clock's (pollAge) or a caller's idle point (idleNow): if the wire is
+// free, flush; then, if packets remain and nothing moved the deadline
+// meanwhile, re-arm. A busy wire backs off a full MaxDelay — its flusher
+// drains what is queued, and an expired deadline must not be re-polled
+// without sleeping — unless the flush is an idle point's, which hands off
+// to the wire's owner instead. A flush that stopped at its round bound goes
+// again at once, on the clock. A failed flush has re-armed itself
+// (failedFlush); a stalled queue waits for unstall.
+func (q *egressQueue) flushDue(d time.Time, cause int) {
 	busy := !q.flushMu.TryLock()
 	if busy && cause == flushIdle {
 		// An owner that let go before the flag landed left the wire free.
 		q.handoff.Store(true)
 		if !q.flushMu.TryLock() {
+			q.mu.Lock()
+			q.retimeLocked() // an owed grant's backstop is not the owner's
+			q.mu.Unlock()
 			return
 		}
 		busy = false
@@ -796,6 +905,8 @@ func (q *egressQueue) pollAge(now time.Time) {
 		if !busy {
 			q.armCause = cause // a busy wire's back-off is the age backstop
 		}
+	} else {
+		q.retimeLocked()
 	}
 	q.mu.Unlock()
 }
@@ -826,6 +937,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 	q.mu.Lock()
 	q.flow.SetRefillHook(nil)
 	q.flow.SetAckHook(nil)
+	q.flow.SetGrantHooks(nil, nil)
 	q.adoptFlow(l.(*transport.FlowLink))
 	q.stalled = false
 	// The new peer's cumulative count starts at zero and will count the

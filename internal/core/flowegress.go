@@ -76,10 +76,11 @@ type schedStream struct {
 // retireAndGrant records that the receiving pipeline finished n inbound
 // data packets from fl and, once the link's grant threshold is crossed,
 // returns the whole accumulation to the peer as one compact grant —
-// sent directly on the link, never through an egress queue, because
-// grants are order-free and must not wait behind (possibly stalled)
-// data. This is the single implementation of the credit-return protocol,
-// shared by shard workers and BackEnd.Recv.
+// sent directly on the link at once, never through an egress queue,
+// because grants are order-free and must not wait behind (possibly
+// stalled) data. It takes any credits the link owes with it. This is the
+// single implementation of the credit-return protocol, shared by shard
+// workers and BackEnd.Recv.
 func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	if fl == nil || n == 0 {
 		return
@@ -98,16 +99,27 @@ func sendGrant(m *Metrics, fl *transport.FlowLink, g int) {
 	_ = fl.SendGrant(g)
 }
 
+// grantRode is a FlowLink's ride hook: an owed grant left inside a data
+// write, where it cost no write of its own.
+func (m *Metrics) grantRode() {
+	m.CreditGrants.Add(1)
+	m.GrantsRidden.Add(1)
+}
+
 // flushGrant returns a below-threshold retirement accumulation to the
 // peer. Receivers call it at their idle points — shard mailbox drained,
 // back-end inbox empty — where Retire's quarter-window batching stops
 // being a liveness mechanism: nothing further will cross the threshold,
 // and a sender throttled by a tenant sub-budget smaller than
 // threshold × fan-out is waiting for credits its packets already earned.
-// Under load the idle points are never reached and the 4:1 batching is
-// untouched.
+// On TCP the grant is owed (FlowLink.OweIdle), so a receiver that answers
+// — a back-end's reply, a router's reduced output — returns it in the same
+// write, and the link queue's backstop pays it if no frame leaves first
+// (the ride or the backstop counts it: grantRode, payOwed); elsewhere it
+// is sent at once. Under load the idle points are never reached and the
+// 4:1 batching is untouched.
 func flushGrant(m *Metrics, fl *transport.FlowLink) {
-	if g := fl.FlushRetired(); g > 0 {
+	if g := fl.FlushRetired(); g > 0 && !fl.OweIdle(g) {
 		sendGrant(m, fl, g)
 	}
 }

@@ -1,0 +1,236 @@
+package core
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/packet"
+	"repro/internal/transport"
+)
+
+// tcpLinkPair connects two TCP link ends over loopback.
+func tcpLinkPair(t *testing.T) (a, b transport.Link) {
+	t.Helper()
+	ln, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan transport.Link, 1)
+	go func() {
+		l, _ := ln.Accept()
+		accepted <- l
+	}()
+	a, err = transport.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b = <-accepted; b == nil {
+		a.Close()
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+	})
+	return a, b
+}
+
+// readData runs fl's reader until the link closes — absorbing the grants
+// the peer writes — and counts the data packets it delivers.
+func readData(fl *transport.FlowLink) *atomic.Int64 {
+	var n atomic.Int64
+	go func() {
+		for {
+			ps, err := fl.RecvBatch()
+			if err != nil {
+				return
+			}
+			n.Add(int64(len(ps)))
+		}
+	}()
+	return &n
+}
+
+// retireOne retires one inbound packet on fl below the grant threshold and
+// returns its credit from an idle point, which must owe it.
+func retireOne(t *testing.T, m *Metrics, fl *transport.FlowLink) {
+	t.Helper()
+	if g := fl.Retire(1); g != 0 {
+		t.Fatalf("one retirement crossed the grant threshold (%d)", g)
+	}
+	flushGrant(m, fl)
+	if fl.Owed() != 1 {
+		t.Fatalf("%d credits owed after an idle grant of 1; want it owed, not sent", fl.Owed())
+	}
+}
+
+// grantDeadline reads the queue's grant backstop.
+func grantDeadline(q *egressQueue) time.Time {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.grantDue
+}
+
+// TestOwedGrantsCannotDeadlockStalledPeers: two peers, each with its
+// queue credit-stalled and each owing the other the below-threshold grant
+// that would unstall it. No data frame can leave to carry either grant, so
+// the backstop on each queue's clock must write it on its own, whatever
+// the data side is doing — stalled here, then empty, then with the wire
+// held by another flusher — no later than the grant deadline. Folding the
+// grant deadline into the data deadline, which a stalled or empty queue
+// does not have, deadlocks the pair.
+func TestOwedGrantsCannotDeadlockStalledPeers(t *testing.T) {
+	const window, batch = 8, 8
+	pol := BatchPolicy{MaxBatch: batch, MaxDelay: time.Hour}.normalized()
+	a, b := tcpLinkPair(t)
+	fa, fb := transport.NewFlowLink(a, window), transport.NewFlowLink(b, window)
+	var m Metrics
+	qa, qb := newEgressQueue(fa, pol, &m), newEgressQueue(fb, pol, &m)
+	defer qa.stop()
+	defer qb.stop()
+	atB, atA := readData(fb), readData(fa) // what qa and qb delivered
+
+	for _, q := range []*egressQueue{qa, qb} {
+		for i := 0; i <= window; i++ { // a size flush spends the window; one more waits
+			if err := q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := q.drain(); err != nil {
+			t.Fatal(err)
+		}
+		q.mu.Lock()
+		stalled := q.stalled
+		q.mu.Unlock()
+		if !stalled || q.pending() != 1 {
+			t.Fatalf("queue stalled=%v with %d queued; want stalled with 1", stalled, q.pending())
+		}
+	}
+	eventually(t, "each peer receives a window", func() bool { return atA.Load() == window && atB.Load() == window })
+
+	// owe retires one packet on fl and owes its credit from an idle point,
+	// then drives q's clock at the grant deadline, which must have paid it.
+	owe := func(what string, q *egressQueue, fl *transport.FlowLink) {
+		t.Helper()
+		before, grants := time.Now(), m.CreditGrants.Load()
+		retireOne(t, &m, fl)
+		after := time.Now()
+		due := grantDeadline(q)
+		if due.IsZero() {
+			// Only the clock, firing already, may have cleared it.
+			due = after.Add(DefaultBatchDelay)
+		} else if due.Before(before.Add(DefaultBatchDelay)) || due.After(after.Add(DefaultBatchDelay)) {
+			t.Errorf("%s: grant deadline %v after the owe, want %v under a one-hour MaxDelay", what, due.Sub(before), DefaultBatchDelay)
+		}
+		q.pollAge(due)
+		if n := fl.Owed(); n != 0 {
+			t.Errorf("%s: %d credits still owed past the grant deadline", what, n)
+		}
+		if got := m.CreditGrants.Load() - grants; got != 1 {
+			t.Errorf("%s: credit_grants rose by %d, want 1", what, got)
+		}
+	}
+	owe("stalled a", qa, fa) // the grant for b's data, which unstalls qb
+	owe("stalled b", qb, fb)
+	eventually(t, "both stalled queues resume", func() bool {
+		return atA.Load() == window+1 && atB.Load() == window+1 && qa.pending() == 0 && qb.pending() == 0
+	})
+
+	owe("empty", qa, fa)
+	qa.flushMu.Lock() // another flusher owns the wire
+	owe("busy wire", qa, fa)
+
+	// An idle flush that hands its packet off to the busy wire's owner
+	// leaves the data deadline to that owner, not the grant deadline the
+	// clock also held: the clock alone still pays the grant, with the wire
+	// held throughout.
+	if err := fb.SendGrant(1); err != nil { // a credit for the packet
+		t.Fatal(err)
+	}
+	eventually(t, "qa has a credit", func() bool { return fa.Available() == 1 })
+	if err := qa.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(window+1))); err != nil {
+		t.Fatal(err)
+	}
+	retireOne(t, &m, fa)
+	qa.idle() // the clock, at zero, finds the wire busy
+	eventually(t, "the idle flush hands off to the busy wire", qa.handoff.Load)
+	eventually(t, "the clock pays the grant owed behind a hand-off", func() bool { return fa.Owed() == 0 })
+	qa.unlockWire()
+	eventually(t, "the handed-off packet leaves", func() bool { return atB.Load() == window+2 })
+	if got := m.GrantsRidden.Load(); got != 0 {
+		t.Errorf("grants_ridden = %d with no data frame to carry one", got)
+	}
+}
+
+// TestBackEndReplyCarriesCommandGrant: on TCP, a back-end's Recv owes its
+// parent the credit for the command it returns, and the handler's reply —
+// flushed on the handler's own goroutine at its next Recv — carries that
+// grant in the same write, microseconds later, well inside the backstop.
+// Afterwards no credit is lost in either direction of a leaf's link.
+func TestBackEndReplyCarriesCommandGrant(t *testing.T) {
+	const rounds = 200
+	tree := mustTree(t, "kary:4^3")
+	leaves := len(tree.Leaves())
+	nw, err := NewNetwork(Config{
+		Topology:  tree,
+		Transport: TCPTransport,
+		OnBackEnd: func(be *BackEnd) error {
+			for {
+				p, err := be.Recv()
+				if err != nil {
+					return nil
+				}
+				if err := be.Send(p.StreamID, p.Tag, "%f", 1.0); err != nil {
+					return nil
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if err := st.Multicast(tagQuery, "%d", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		p, err := st.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if v, _ := p.Float(0); v != float64(leaves) {
+			t.Fatalf("round %d: sum %v, want %d", i, v, leaves)
+		}
+	}
+	m := nw.Metrics()
+	if got, want := m.GrantsRidden.Load(), int64(rounds/2*leaves); got < want {
+		t.Errorf("grants_ridden = %d after %d rounds over %d leaves, want >= %d", got, rounds, leaves, want)
+	}
+	if got, want := m.FlushIdle.Load(), int64(rounds/2*leaves); got < want {
+		t.Errorf("flush_idle = %d after %d rounds over %d leaves, want >= %d", got, rounds, leaves, want)
+	}
+
+	// Both directions of every leaf's link get their whole window back:
+	// the leaf's (its replies, granted by its parent) and its parent's
+	// (its commands, granted by the leaf).
+	whole := func(fl *transport.FlowLink) bool { return fl.Available() == fl.Window() && fl.Owed() == 0 }
+	for _, leaf := range tree.Leaves() {
+		nw.mu.Lock()
+		be, parent := nw.bes[leaf], nw.byRank[tree.Parent(leaf)]
+		nw.mu.Unlock()
+		slot := -1
+		for i, c := range tree.Children(tree.Parent(leaf)) {
+			if c == leaf {
+				slot = i
+			}
+		}
+		up, down := flowOf(be.parentLink()), flowOf(parent.childLinks()[slot])
+		eventually(t, "leaf windows are whole", func() bool { return whole(up) && whole(down) })
+	}
+}

@@ -538,23 +538,32 @@ func (n *node) idleChildren() {
 // rootSend is how the root's user goroutines send downstream: through the
 // child egress queues, like every router's shard workers, under epMu's read
 // lock so an install cannot move the slots mid-fan-out. A user goroutine
-// has no mailbox that drains, so each send is its own idle point: the
-// queues it filled flush before it returns, not after MaxDelay. Control
-// (stream announce and close) flushes at once; data on a session stream
-// takes the tenant's budget per child first (rootSendBudgeted).
+// has no mailbox that drains, so each send is its own idle point: it
+// flushes the queues it filled itself before it returns, not after
+// MaxDelay — after releasing epMu, so an install never waits on the wire.
+// Control (stream announce and close) flushes at once; data on a session
+// stream takes the tenant's budget per child first (rootSendBudgeted).
 func (n *node) rootSend(ss *streamState, p *packet.Packet) {
 	if ss.budget != nil && p.Tag != packet.TagControl {
 		n.rootSendBudgeted(ss, p)
 		return
 	}
 	n.epMu.RLock()
-	defer n.epMu.RUnlock()
 	if p.Tag == packet.TagControl {
 		n.sendDownstreamNow(ss, p)
 	} else {
 		n.sendDownstream(ss, p)
 	}
-	n.idleChildren()
+	outs := n.childOut
+	n.epMu.RUnlock()
+	idleQueuesNow(outs)
+}
+
+// idleQueuesNow runs each queue's idle point on the caller (egressQueue.idleNow).
+func idleQueuesNow(qs []*egressQueue) {
+	for _, q := range qs {
+		q.idleNow()
+	}
 }
 
 // rootSendBudgeted fans a session stream's data packet out one child at a
@@ -565,28 +574,36 @@ func (n *node) rootSend(ss *streamState, p *packet.Packet) {
 // never wait for a tenant's grants — so the fan-out runs over the slots it
 // found first: a child whose queue an install replaced meanwhile is
 // skipped, its token returned, and its subtree is inside the failure
-// window the adoption repairs.
+// window the adoption repairs. The fan-out enqueues first and flushes
+// after, as rootSend does, so it stays as short as an enqueue loop; only
+// a send about to wait for a token flushes the children filled so far
+// first — its idle point.
 func (n *node) rootSendBudgeted(ss *streamState, p *packet.Packet) {
 	n.epMu.RLock()
 	outs, down := n.childOut, ss.routeSnapshot()
 	n.epMu.RUnlock()
+	from := 0 // outs[from:] have not had this send's idle point
 	for i, q := range outs {
 		if q == nil || i >= len(down) || !down[i] {
 			continue
 		}
-		if !ss.budget.Acquire(n.nw.dying, nil) {
-			return // the network is tearing down
+		if !ss.budget.TryAcquire() {
+			idleQueuesNow(outs[from:i])
+			from = i
+			if !ss.budget.Acquire(n.nw.dying, nil) {
+				return // the network is tearing down
+			}
 		}
 		n.epMu.RLock()
 		if n.childOut[i] == q { // installs grow the slots, never shrink them
 			q.flow.StampBudget(ss.budget)
 			_ = q.sendCtx(p, ss.prio, true)
-			q.idle()
 		} else {
 			ss.budget.Release(1)
 		}
 		n.epMu.RUnlock()
 	}
+	idleQueuesNow(outs[from:])
 }
 
 func (n *node) handleControl(p *packet.Packet) bool {

@@ -223,16 +223,21 @@ func (r *replayRing) grow() {
 // Completions arrive from link reader goroutines (the egress ring's ack
 // hook), which must never touch the wire themselves — a reader blocked in
 // a send stops draining its own link, and two peers doing that
-// symmetrically deadlock. The acker's own goroutine does the wire work:
-// it completes each run against its in-order tracker, retires whatever
-// became contiguous, and returns the credits immediately as one combined
-// grant per link (full flush rather than threshold batching: a cascade
-// hop's worth of latency already separates these grants from the work
-// they acknowledge, and the sender may be blocked on exactly them).
+// symmetrically deadlock. So completed does only what needs no wire: it
+// completes each run against its in-order tracker, retires whatever
+// became contiguous, and returns the credits in full (full flush rather
+// than threshold batching: a cascade hop's worth of latency already
+// separates these grants from the work they acknowledge, and the sender
+// may be blocked on exactly them). A remainder below the threshold is
+// owed where the link can owe it (FlowLink.OweIdle) — on TCP, before the
+// reader even delivers the frame that carried the acknowledgement, so the
+// command that frame usually holds carries the grant on down. A grant that
+// crossed the threshold, or that the link cannot owe, is a send: the
+// acker's own goroutine does that wire work, one combined grant per link.
 type acker struct {
 	m      *Metrics
 	mu     sync.Mutex
-	q      []*pendRetire
+	q      map[*transport.FlowLink]int // grants to send, by link
 	notify chan struct{}
 	stop   chan struct{}
 	done   chan struct{}
@@ -250,15 +255,35 @@ func newAcker(m *Metrics) *acker {
 	return a
 }
 
-// completed hands the acker a batch of acknowledged runs. Safe from any
+// completed retires a batch of acknowledged runs. Safe from any
 // goroutine; never blocks and never touches the wire.
 func (a *acker) completed(rs []*pendRetire) {
-	a.mu.Lock()
-	a.q = append(a.q, rs...)
-	a.mu.Unlock()
-	select {
-	case a.notify <- struct{}{}:
-	default:
+	send := false
+	for _, r := range rs {
+		n := r.tr.complete(r.start, r.n)
+		if n == 0 {
+			continue
+		}
+		g := r.src.Retire(n)
+		if g == 0 {
+			g = r.src.FlushRetired()
+			if g == 0 || r.src.OweIdle(g) {
+				continue
+			}
+		}
+		a.mu.Lock()
+		if a.q == nil {
+			a.q = map[*transport.FlowLink]int{}
+		}
+		a.q[r.src] += g
+		a.mu.Unlock()
+		send = true
+	}
+	if send {
+		select {
+		case a.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -286,17 +311,8 @@ func (a *acker) run() {
 			if len(q) == 0 {
 				break
 			}
-			grants := map[*transport.FlowLink]int{}
-			for _, r := range q {
-				if n := r.tr.complete(r.start, r.n); n > 0 {
-					grants[r.src] += r.src.Retire(n)
-				}
-			}
-			for fl, g := range grants {
-				g += fl.FlushRetired()
-				if g > 0 {
-					sendGrant(a.m, fl, g)
-				}
+			for fl, g := range q {
+				sendGrant(a.m, fl, g+fl.FlushRetired())
 			}
 		}
 	}

@@ -24,20 +24,26 @@ func newDiscardLink(window int) *transport.FlowLink {
 
 // loopConn is a socket that reads back what was written to it and reports
 // io.EOF when nothing is pending: a TCP link over it receives its own
-// frames at memory speed, on the caller's goroutine.
+// frames at memory speed, on the caller's goroutine. writes counts the
+// Write calls.
 type loopConn struct {
 	net.Conn
-	buf []byte
-	off int
+	buf    []byte
+	off    int
+	writes int
 }
 
 func (c *loopConn) Write(b []byte) (int, error) {
+	c.writes++
 	if c.off == len(c.buf) {
 		c.buf, c.off = c.buf[:0], 0
 	}
 	c.buf = append(c.buf, b...)
 	return len(b), nil
 }
+
+// skip drops everything written so far, unread.
+func (c *loopConn) skip() { c.off = len(c.buf) }
 
 func (c *loopConn) Read(b []byte) (int, error) {
 	if c.off == len(c.buf) {
@@ -77,9 +83,10 @@ func allocPacket(t testing.TB) *packet.Packet {
 // under 2 allocs per packet, a k-way multicast at or under 2 per child
 // queue, a filter's reduce output reaches the parent queue with no header
 // copy, the credit-grant protocol amortizes under 1 alloc per retired
-// data packet, and on TCP a grant's whole trip — sent, received, absorbed —
-// allocates nothing. A regression here is per-packet garbage on a path that
-// only moves a packet's bytes.
+// data packet, on TCP a grant's whole trip — sent, received, absorbed —
+// allocates nothing, and neither does an owed grant riding a data write; a
+// flush onto a chan link allocates its batch once. A regression here is
+// per-packet garbage on a path that only moves a packet's bytes.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by race instrumentation")
@@ -164,6 +171,36 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("chan-batch", func(t *testing.T) {
+		// A chan link keeps the slice it is sent, so every flush takes a
+		// fresh batch: one allocation at the queued count, never grown.
+		// The cycle's other allocation is the scheduler's epoch list,
+		// which every flush cycle pays (see forward).
+		const batch = 8
+		a, b := transport.NewPair(4)
+		fl := transport.NewFlowLink(a, 64)
+		q := newEgressQueue(fl, BatchPolicy{MaxBatch: batch}.normalized(), &Metrics{})
+		t.Cleanup(q.stop)
+		p := allocPacket(t)
+		op := func() {
+			for i := 0; i < batch; i++ { // the last send is the size flush
+				if err := q.sendCtx(p, 0, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ps, err := transport.RecvBatch(b); err != nil || len(ps) != batch {
+				t.Fatalf("peer received %d packets (%v), want one frame of %d", len(ps), err, batch)
+			}
+			fl.Refill(batch)
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		if n := testing.AllocsPerRun(300, op); n != 2 {
+			t.Errorf("a %d-packet flush onto a chan link allocates %.2f/op, want 2 (the batch and the epoch list)", batch, n)
+		}
+	})
+
 	t.Run("credit-grant", func(t *testing.T) {
 		m := &Metrics{}
 		fl := newDiscardLink(64)
@@ -198,6 +235,65 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(500, op); n != 0 {
 			t.Errorf("a TCP credit grant allocates %.2f/op sent and received, want 0", n)
+		}
+	})
+
+	t.Run("tcp-grant-rides", func(t *testing.T) {
+		// Credits owed on a link with no backstop hook: only a frame can
+		// pay them, and it must do so inside its own write.
+		var m Metrics
+		conn := &loopConn{buf: make([]byte, 0, 1024)}
+		fl := transport.NewFlowLink(transport.NewTCPLink(conn), 64)
+		fl.SetGrantHooks(nil, m.grantRode)
+		p := allocPacket(t)
+		batch := []*packet.Packet{p, p, p}
+		for _, send := range []struct {
+			name string
+			n    int
+			fn   func() error
+		}{
+			{"packet", 1, func() error { return fl.Send(p) }},
+			{"batch", len(batch), func() error { return fl.SendBatch(batch) }},
+		} {
+			if got := fl.TryAcquireN(3); got != 3 {
+				t.Fatalf("%s: took %d credits, want 3", send.name, got)
+			}
+			fl.Owe(3)
+			writes, rides := conn.writes, m.GrantsRidden.Load()
+			if err := send.fn(); err != nil {
+				t.Fatal(err)
+			}
+			if got := conn.writes - writes; got != 1 {
+				t.Errorf("%s: the owed grant and the data took %d writes, want 1", send.name, got)
+			}
+			if got := m.GrantsRidden.Load() - rides; got != 1 {
+				t.Errorf("%s: grants_ridden rose by %d, want 1", send.name, got)
+			}
+			if fl.Owed() != 0 {
+				t.Errorf("%s: %d credits still owed after the write", send.name, fl.Owed())
+			}
+			ps, err := fl.RecvBatch()
+			if err != nil || len(ps) != send.n {
+				t.Fatalf("%s: RecvBatch = %d packets, %v; want the %d sent", send.name, len(ps), err, send.n)
+			}
+			if got := fl.Available(); got != fl.Window() {
+				t.Errorf("%s: %d of %d credits free when the data arrived: the grant ahead of it was not absorbed first",
+					send.name, got, fl.Window())
+			}
+			op := func() {
+				fl.Owe(3)
+				if err := send.fn(); err != nil {
+					t.Fatal(err)
+				}
+				conn.skip()
+			}
+			rides, writes = m.GrantsRidden.Load(), conn.writes
+			if n := testing.AllocsPerRun(200, op); n != 0 {
+				t.Errorf("%s: a write carrying an owed grant allocates %.2f/op, want 0", send.name, n)
+			}
+			if r, w := m.GrantsRidden.Load()-rides, int64(conn.writes-writes); r != w {
+				t.Errorf("%s: %d writes carried %d grants, want one each", send.name, w, r)
+			}
 		}
 	})
 }

@@ -29,6 +29,16 @@ import (
 //     un-granted packets at the receiver, and W ≥ the grant threshold, so
 //     the threshold is always eventually crossed).
 //
+//   - A receiver whose pipeline goes idle below the threshold returns the
+//     remainder with OweIdle. On a link that frames its own grants (TCP)
+//     and whose egress queue has attached a backstop (SetGrantHooks), that
+//     grant is OWED rather than written: the next frame written on the link
+//     carries it as a grant frame ahead of its data, in the same write, and
+//     only if no frame leaves first does the queue's clock pay it on its
+//     own (PayOwed). Any grant written at once takes the owed credits with
+//     it. Elsewhere (the chan fabric, a link no queue attached to) the idle
+//     grant is sent at once.
+//
 //   - Inbound grants are absorbed inside Recv/RecvBatch (on TCP, a
 //     grant-only frame already at the link's read edge) and refill the
 //     sender pool directly, waking any Acquire-blocked sender; they are
@@ -58,6 +68,16 @@ type FlowLink struct {
 	// retiredTotal counts every receiver-side retirement on this link for
 	// the link's lifetime; outgoing grants carry it as the cumulative ack.
 	retiredTotal atomic.Uint64
+	// frames is the wrapped link when it frames its own grants (TCP).
+	frames grantLink
+	// owed counts the credits returned to the peer but not yet written:
+	// the next frame written carries them (carryOwed), or PayOwed does.
+	owed atomic.Int64
+	// oweHook, when set, runs when a grant becomes owed (0 -> n) — the
+	// egress queue arming its backstop; rideHook runs when an owed grant
+	// leaves inside a data frame. See SetGrantHooks.
+	oweHook  atomic.Pointer[func()]
+	rideHook atomic.Pointer[func()]
 	// budMu guards budQ, the FIFO of per-tenant Budget tokens stamped on
 	// this link (StampBudget) by senders that queued a packet for it.
 	// Credits are fungible, so when a grant refills n credits the n oldest
@@ -73,20 +93,25 @@ type FlowLink struct {
 func NewFlowLink(l Link, w int) *FlowLink {
 	f := &FlowLink{Link: l, credits: newCredits(w)}
 	if g, ok := l.(grantLink); ok {
+		f.frames = g
 		g.absorbGrants(f.refillAck)
+		g.carryGrants(f.carryOwed)
 	}
 	return f
 }
 
 // grantLink is implemented by links that carry credit grants without a
 // Packet (the TCP transport): writeGrant frames a grant from its two fields
-// into the link's send scratch, and absorbGrants registers the wrapping
+// into the link's send scratch, absorbGrants registers the wrapping
 // FlowLink's refill to take every grant-only inbound frame at the read
-// edge, parsed in place and never decoded. The wire bytes are those of
-// NewCreditGrant, so the two ends of a link need not agree on the path.
+// edge, parsed in place and never decoded, and carryGrants registers the
+// claim of the owed grant that every data frame written puts ahead of its
+// packets, in the same write. The wire bytes are those of NewCreditGrant,
+// so the two ends of a link need not agree on the path.
 type grantLink interface {
 	writeGrant(n uint32, acked uint64) error
 	absorbGrants(fn func(n int, acked uint64))
+	carryGrants(fn func() (n uint32, acked uint64))
 }
 
 // Abort marks the link finished, releasing every blocked Acquire (they
@@ -212,13 +237,7 @@ func (f *FlowLink) refillAck(n int, cum uint64) {
 }
 
 // SetRefillHook registers fn to run after every inbound grant refill.
-func (f *FlowLink) SetRefillHook(fn func()) {
-	if fn == nil {
-		f.refillHook.Store(nil)
-		return
-	}
-	f.refillHook.Store(&fn)
-}
+func (f *FlowLink) SetRefillHook(fn func()) { storeHook(&f.refillHook, fn) }
 
 // SetAckHook registers fn to run on every inbound grant, before its
 // credits return to the pool, with the grant's credit count and cumulative
@@ -242,13 +261,95 @@ func (f *FlowLink) GrantPacket(n int) *packet.Packet {
 }
 
 // SendGrant returns n credits to the peer, stamped like GrantPacket, directly
-// on the wrapped link. A link that frames grants from their fields (TCP)
-// sends one without allocating; any other link is sent GrantPacket(n).
+// on the wrapped link, together with any owed credits. A link that frames
+// grants from their fields (TCP) sends one without allocating; any other
+// link is sent GrantPacket(n).
 func (f *FlowLink) SendGrant(n int) error {
-	if g, ok := f.Link.(grantLink); ok {
-		return g.writeGrant(uint32(n), f.retiredTotal.Load())
+	if f.owed.Load() > 0 {
+		n += int(f.owed.Swap(0))
+	}
+	if n == 0 {
+		return nil
+	}
+	if f.frames != nil {
+		return f.frames.writeGrant(uint32(n), f.retiredTotal.Load())
 	}
 	return f.Link.Send(f.GrantPacket(n))
+}
+
+// OweIdle owes n below-threshold credits to the peer (Owe) if the link
+// frames its own grants and its egress queue has attached a backstop
+// (SetGrantHooks), reporting whether it did: the next frame written
+// carries them, and the backstop pays them if none leaves first. It never
+// touches the wire, so a link's reader may call it.
+func (f *FlowLink) OweIdle(n int) bool {
+	if f.frames == nil || f.oweHook.Load() == nil {
+		return false
+	}
+	f.Owe(n)
+	return true
+}
+
+// Owe adds n credits to the grant owed to the peer. The grant leaves in the
+// next frame written on the link, in a grant written at once (SendGrant),
+// or by PayOwed; the owe hook runs when the grant is new (0 -> n), so the
+// link's queue can arm its backstop for it.
+func (f *FlowLink) Owe(n int) {
+	if n > 0 && f.owed.Add(int64(n)) == int64(n) {
+		if hook := f.oweHook.Load(); hook != nil {
+			(*hook)()
+		}
+	}
+}
+
+// Owed reports how many credits are owed to the peer and not yet written.
+func (f *FlowLink) Owed() int { return int(f.owed.Load()) }
+
+// PayOwed writes the owed grant on its own, if there is one, reporting
+// whether it did: the backstop for an owed grant no frame carried. It goes
+// through the link's send lock alone, whatever the data side is doing.
+func (f *FlowLink) PayOwed() (paid bool, err error) {
+	n := int(f.owed.Swap(0))
+	if n == 0 {
+		return false, nil
+	}
+	return true, f.SendGrant(n)
+}
+
+// carryOwed claims the owed grant for the frame the wrapped link is about
+// to write, under its send lock: the frame carries the returned credits
+// and cumulative ack as a grant frame ahead of its data. n == 0 means none
+// is owed.
+func (f *FlowLink) carryOwed() (n uint32, acked uint64) {
+	if f.owed.Load() == 0 {
+		return 0, 0
+	}
+	k := f.owed.Swap(0)
+	if k == 0 {
+		return 0, 0
+	}
+	if hook := f.rideHook.Load(); hook != nil {
+		(*hook)()
+	}
+	return uint32(k), f.retiredTotal.Load()
+}
+
+// SetGrantHooks attaches the egress queue that writes on this link: owe runs
+// when a grant becomes owed (the queue arms its backstop, which lets OweIdle
+// owe at all), and ride runs when an owed grant leaves inside a data frame,
+// under the link's send lock. Either may be nil; both must be quick and
+// must never touch the wire.
+func (f *FlowLink) SetGrantHooks(owe, ride func()) {
+	storeHook(&f.oweHook, owe)
+	storeHook(&f.rideHook, ride)
+}
+
+func storeHook(p *atomic.Pointer[func()], fn func()) {
+	if fn == nil {
+		p.Store(nil)
+		return
+	}
+	p.Store(&fn)
 }
 
 // Retire records that the receiving pipeline finished n inbound data

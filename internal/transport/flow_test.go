@@ -278,3 +278,67 @@ func TestFlowLinkSendGrantEveryFabric(t *testing.T) {
 		})
 	}
 }
+
+// TestFlowLinkIdleGrantsOweOnlyWhereFramesCarryThem: an idle grant is owed
+// only on a link that frames its own grants and whose queue attached a
+// backstop; anywhere else the caller sends it at once. Owed credits leave
+// with the next grant sent at once, or alone through PayOwed, and reach
+// the peer either way.
+func TestFlowLinkIdleGrantsOweOnlyWhereFramesCarryThem(t *testing.T) {
+	for _, fac := range factories() {
+		t.Run(fac.name, func(t *testing.T) {
+			a, b := fac.make(t)
+			defer a.Close()
+			defer b.Close()
+			fa, fb := NewFlowLink(a, 8), NewFlowLink(b, 8)
+			fa.TryAcquireN(8)
+			go func() { // absorbs the peer's grants until the link closes
+				for {
+					if _, err := fa.RecvBatch(); err != nil {
+						return
+					}
+				}
+			}()
+			// free waits until fa's pool has n credits free.
+			free := func(n int) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); fa.Available() != n; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d credits free, want %d", fa.Available(), n)
+					}
+				}
+			}
+
+			if fb.OweIdle(1) {
+				t.Fatal("OweIdle owed a grant with no backstop attached")
+			}
+			owes := 0
+			fb.SetGrantHooks(func() { owes++ }, nil)
+			if fac.name == "chan" {
+				if fb.OweIdle(2) || fb.Owed() != 0 {
+					t.Fatalf("chan: OweIdle owed %d credits; a chan link sends its grants at once", fb.Owed())
+				}
+				return
+			}
+			if !fb.OweIdle(2) || fb.Owed() != 2 || owes != 1 {
+				t.Fatalf("tcp: %d credits owed, %d owe hooks; want 2 and 1", fb.Owed(), owes)
+			}
+			fb.Owe(1) // adds to the grant already owed: no new hook
+			if owes != 1 {
+				t.Errorf("owe hook ran %d times for one owed grant", owes)
+			}
+			if err := fb.SendGrant(1); err != nil { // takes the 3 owed along
+				t.Fatal(err)
+			}
+			free(4)
+			fb.Owe(2)
+			if paid, err := fb.PayOwed(); !paid || err != nil || fb.Owed() != 0 {
+				t.Fatalf("PayOwed = %v, %v with %d still owed; want the grant paid", paid, err, fb.Owed())
+			}
+			if paid, _ := fb.PayOwed(); paid {
+				t.Error("PayOwed paid with nothing owed")
+			}
+			free(6)
+		})
+	}
+}

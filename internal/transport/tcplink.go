@@ -29,9 +29,10 @@ import (
 //
 // Credit grants, the hottest control traffic, take neither path: the
 // wrapping FlowLink sends one as a fixed-size frame written from its fields
-// (writeGrant), and the reader hands a grant-only frame to that FlowLink
-// straight out of the read buffer (absorbGrant) — no Packet, slice or frame
-// buffer on either side.
+// (writeGrant) — or, when the grant is owed, every data frame puts it ahead
+// of its packets in the same write (carry) — and the reader hands a
+// grant-only frame to that FlowLink straight out of the read buffer
+// (absorbGrant): no Packet, slice or frame buffer on either side.
 type tcpLink struct {
 	conn net.Conn
 
@@ -41,6 +42,9 @@ type tcpLink struct {
 	// send path allocates nothing; oversize frames fall back to a
 	// one-shot buffer the GC reclaims.
 	scratch []byte
+	// carry, when set (by the wrapping FlowLink, under sendMu), claims the
+	// grant owed to the peer for each data frame written; n == 0 is none.
+	carry func() (n uint32, acked uint64)
 
 	recvMu  sync.Mutex
 	r       *bufio.Reader
@@ -79,30 +83,35 @@ func (l *tcpLink) SendBatch(ps []*packet.Packet) error {
 	return l.writeFrame(ps)
 }
 
-// writeFrame assembles header + body in the persistent scratch and writes
-// the frame with one conn.Write. appendWireFrame recycles the scratch, so
-// a steady-state flush performs no allocation between the packets and the
-// socket.
+// writeFrame assembles header + body in the persistent scratch, behind
+// the owed grant if there is one, and writes both frames with one
+// conn.Write. appendWireFrame recycles the scratch, so a steady-state
+// flush performs no allocation between the packets and the socket.
 func (l *tcpLink) writeFrame(ps []*packet.Packet) error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	var buf []byte
-	buf, l.scratch = appendWireFrame(l.scratch, ps)
+	buf := l.scratch[:0]
+	if l.carry != nil {
+		if n, acked := l.carry(); n > 0 {
+			buf = packet.AppendGrantFrame(buf, n, acked)
+		}
+	}
+	buf, l.scratch = appendWireFrame(buf, l.scratch, ps)
 	if _, err := l.conn.Write(buf); err != nil {
 		return l.mapErr(err)
 	}
 	return nil
 }
 
-// appendWireFrame builds a complete wire frame (uint32 body-length prefix
-// plus body) for ps in scratch, growing it as needed, and returns the
-// frame alongside the scratch to retain for the next call — the grown
-// buffer when it stayed within maxFrameScratch, the old one otherwise.
-func appendWireFrame(scratch []byte, ps []*packet.Packet) (frame, keep []byte) {
+// appendWireFrame appends a complete wire frame (uint32 body-length prefix
+// plus body) for ps to buf, which is empty or holds a grant frame at the
+// start of scratch, growing it as needed, and returns the bytes to write
+// alongside the scratch to retain for the next call — the grown buffer
+// when it stayed within maxFrameScratch, the old one otherwise.
+func appendWireFrame(buf, scratch []byte, ps []*packet.Packet) (frame, keep []byte) {
 	body := packet.EncodedFrameSize(ps)
-	buf := scratch[:0]
-	if cap(buf) < 4+body {
-		buf = make([]byte, 0, 4+body)
+	if cap(buf)-len(buf) < 4+body {
+		buf = append(make([]byte, 0, len(buf)+4+body), buf...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(body))
 	buf = packet.AppendFrame(buf, ps)
@@ -128,6 +137,12 @@ func (l *tcpLink) absorbGrants(fn func(n int, acked uint64)) {
 	l.recvMu.Lock()
 	l.grants = fn
 	l.recvMu.Unlock()
+}
+
+func (l *tcpLink) carryGrants(fn func() (n uint32, acked uint64)) {
+	l.sendMu.Lock()
+	l.carry = fn
+	l.sendMu.Unlock()
 }
 
 // absorbGrant consumes the next inbound frame if it is a lone credit grant,

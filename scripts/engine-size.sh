@@ -56,13 +56,23 @@
 # shrank to one StampBudget. What it added is the root's send helpers
 # (rootSend, rootSendBudgeted, floodNow, idleChildren) and the node
 # constructor that builds every router's queues before its loop starts.
+#
+# Raised: internal/core 5921 -> 6082 and outside bench/ 20324 -> 20601 for
+# one write per hop. In internal/core the queue's one clock gained a grant
+# deadline beside the data deadline (grantDue, retimeLocked, owe, payOwed)
+# and the flush body pollAge shares with the on-caller idle flush
+# (flushDue, idleNow) that BackEnd.Recv and the root's sends now run; the
+# acker retires and owes on the completing goroutine. In internal/transport
+# FlowLink keeps the owed credits (Owe, OweIdle, PayOwed, the hooks) and
+# the TCP link writes an owed grant ahead of each data frame. The timer
+# sites stay at 6: the grant backstop is the existing clock.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5921
+max_lines=6082
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=20324
+max_repo_lines=20601
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
