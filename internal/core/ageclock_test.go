@@ -94,10 +94,11 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 // TestBusyWireDoesNotSpinAgeClock is the hot-loop regression: while one
 // pipeline worker's size flush holds the wire inside a slow SendBatch,
-// another stream's packet waits in the same queue with its age deadline
+// another stream's packet waits in the same queue with its deadline
 // expired. The deadline's owner used to re-poll it without sleeping (the
 // TryLock fails, the deadline stays expired), burning a core for as long as
-// the send took; the queue's own clock backs off a full MaxDelay instead.
+// the send took; the queue's own clock hands the packet off to the wire's
+// owner instead.
 func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
 	router := tree.InternalNodes()[0]
@@ -187,8 +188,7 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 // The goroutines that may wait on the wire are the queue's own clock, a
 // shard lane in a size flush, a back-end handler (Send, and the idle flush
 // in Recv) and a front-end user goroutine (its sends' idle flush, outside
-// epMu) — never the router or a link reader, and never a lane at its idle
-// point, which only arms the clock.
+// epMu) — never the router or a link reader.
 func TestAgeFlushOffTheRouter(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
 	router := tree.InternalNodes()[0]
@@ -223,7 +223,7 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One packet toward the slow child: too few for a size flush, so only
-	// the age flush can send it.
+	// the queue's clock can send it.
 	if err := st.Multicast(tagQuery, "%d", int64(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +264,9 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 // tree, each back-end echoing one value, the sum reduced back up — crosses
 // every egress queue kind (child queues, back-end queues, parent queues)
 // and never fills a flush window. With an age bound of an hour, the only
-// thing that can move those packets is each producer's idle point, so a
-// round that completes proves no hop waited for the age clock.
+// things that can move those packets are the clock each enqueue arms at
+// zero and a handler's Recv, so a round that completes proves no hop waited
+// for an age flush.
 func TestRoundsNeedNoAgeFlush(t *testing.T) {
 	const rounds = 50
 	for _, tc := range []struct {
@@ -321,10 +322,73 @@ func TestRoundsNeedNoAgeFlush(t *testing.T) {
 	}
 }
 
-// TestIdleFlushHandsOffToBusyWire: an idle flush that finds another flusher
-// owning the wire — one that may already have taken its last batch — must
-// not leave its packet to the age bound: the owner re-arms the clock at zero
-// when it lets go, and the packet leaves at once.
+// TestBurstNeedsNoRecv: a back-end handler that sends a burst below the
+// flush window and then waits somewhere other than Recv — here on its own
+// channel, for the whole test — still gets the burst to the front-end at
+// once: the enqueue that made each queue non-empty armed its clock at zero.
+// With an age bound of an hour, an age flush cannot be what moved it.
+func TestBurstNeedsNoRecv(t *testing.T) {
+	const burst = 10 // below the default window of 32
+	for _, tc := range []struct {
+		name string
+		kind TransportKind
+	}{
+		{"chan", ChanTransport},
+		{"tcp", TCPTransport},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := mustTree(t, "kary:2^2")
+			ids := make(chan uint32)
+			park := make(chan struct{})
+			nw, err := NewNetwork(Config{
+				Topology:  tree,
+				Transport: tc.kind,
+				Batch:     BatchPolicy{MaxDelay: time.Hour},
+				OnBackEnd: func(be *BackEnd) error {
+					id := <-ids
+					for i := 0; i < burst; i++ {
+						if err := be.Send(id, tagQuery, "%d", int64(i)); err != nil {
+							return err
+						}
+					}
+					<-park
+					for {
+						if _, err := be.Recv(); err != nil {
+							return nil
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Shutdown()
+			defer close(park)
+			st, err := nw.NewStream(StreamSpec{Synchronization: "nullsync"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range tree.Leaves() {
+				ids <- st.ID()
+			}
+			want := burst * len(tree.Leaves())
+			for i := 0; i < want; i++ {
+				if _, err := st.RecvTimeout(5 * time.Second); err != nil {
+					t.Fatalf("after %d of %d packets: %v", i, want, err)
+				}
+			}
+			if n := nw.Metrics().FlushAge.Load(); n != 0 {
+				t.Errorf("%d age flushes under an age bound of an hour", n)
+			}
+		})
+	}
+}
+
+// TestIdleFlushHandsOffToBusyWire: the idle flush the enqueue armed at zero
+// that finds another flusher owning the wire — one that may already have
+// taken its last batch — must not leave its packet to the age bound: the
+// owner re-arms the clock at zero when it lets go, and the packet leaves at
+// once.
 func TestIdleFlushHandsOffToBusyWire(t *testing.T) {
 	a, b := transport.NewPair(16)
 	var m Metrics
@@ -335,7 +399,6 @@ func TestIdleFlushHandsOffToBusyWire(t *testing.T) {
 		q.flushMu.Unlock()
 		t.Fatal(err)
 	}
-	q.idle()
 	eventually(t, "the idle flush hands off to the busy wire", q.handoff.Load)
 	q.unlockWire()
 	drainLink(t, b, 1)
@@ -448,8 +511,8 @@ func TestQueueStopsWithOwner(t *testing.T) {
 }
 
 // TestStopRacesEnqueue: stop racing the enqueue that arms the clock leaves
-// the queue disarmed whichever wins, and a stopped queue never age-flushes
-// what it still holds (run under -race in CI).
+// the queue disarmed whichever wins, and a stopped queue never flushes what
+// it still holds on its clock (run under -race in CI).
 func TestStopRacesEnqueue(t *testing.T) {
 	pol := BatchPolicy{MaxBatch: 8, MaxDelay: 50 * time.Microsecond}.normalized()
 	var m Metrics
@@ -468,9 +531,24 @@ func TestStopRacesEnqueue(t *testing.T) {
 		}
 	}
 	time.Sleep(time.Millisecond) // a callback that beat the last stop finishes
-	flushed := m.FlushAge.Load()
+	clockFlushes := func() int64 { return m.FlushAge.Load() + m.FlushIdle.Load() }
+	flushed := clockFlushes()
 	time.Sleep(5 * time.Millisecond)
-	if got := m.FlushAge.Load(); got != flushed {
-		t.Errorf("stopped queues kept age-flushing: %d -> %d", flushed, got)
+	if got := clockFlushes(); got != flushed {
+		t.Errorf("stopped queues kept flushing on their clocks: %d -> %d", flushed, got)
 	}
+}
+
+// TestNewQueueClockRace: a queue's clock can fire before its constructor
+// has stopped it (here a nanosecond after it is built). The callback must
+// find the timer it re-arms, not a nil one (run under -race in CI).
+func TestNewQueueClockRace(t *testing.T) {
+	pol := BatchPolicy{MaxDelay: time.Nanosecond}.normalized()
+	var m Metrics
+	a, _ := transport.NewPair(1)
+	fl := transport.NewFlowLink(a, 64)
+	for i := 0; i < 20000; i++ {
+		newEgressQueue(fl, pol, &m).stop()
+	}
+	time.Sleep(time.Millisecond) // a callback that beat the last stop finishes
 }

@@ -103,13 +103,13 @@ func (be *BackEnd) killed() bool {
 
 // Recv blocks for the next downstream packet addressed to this back-end
 // (multicast data on any stream it belongs to). It returns io.EOF when the
-// network is shutting down. Recv is the handler's idle point: about to
-// block on an empty inbox, it first flushes what the handler sent, on the
-// handler's own goroutine. It is also the retirement point of downstream
-// traffic: the handler actually consuming a packet is what hands the
-// parent its send credit back — a handler that stops reading throttles the
-// whole path back to the front-end producer, with one window of packets in
-// flight.
+// network is shutting down. About to block on an empty inbox, Recv
+// flushes what the handler sent on the handler's own goroutine, sparing
+// the queue's clock the wake-up its first send armed. It is also the
+// retirement point of downstream traffic: the handler actually consuming
+// a packet is what hands the parent its send credit back — a handler that
+// stops reading throttles the whole path back to the front-end producer,
+// with one window of packets in flight.
 func (be *BackEnd) Recv() (*packet.Packet, error) {
 	if len(be.inbox) == 0 {
 		be.eg.idleNow()
@@ -150,7 +150,7 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 // source identity is NOT performed: the caller controls the header. The
 // packet is queued rather than sent immediately, and the call blocks while
 // the queue is at the link window; a nil return means it was accepted and
-// will be flushed by the size, idle or age policy — or, if the parent has
+// leaves as soon as the handler yields the CPU — or, if the parent has
 // crashed, retained and re-flushed once recovery re-parents this back-end —
 // not necessarily that it is on the wire. A failed flush is surfaced only
 // when no adoption is coming: the back-end was killed or the network is
@@ -163,15 +163,6 @@ func (be *BackEnd) SendPacket(p *packet.Packet) error {
 		return fmt.Errorf("core: back-end %d send: %w", be.rank, err)
 	}
 	return nil
-}
-
-// Flush forces the back-end's egress queue onto the wire and waits for it.
-// A handler that returns to Recv needs no Flush: Recv flushes before it
-// waits. Flush is the end-of-burst call for a handler that waits somewhere
-// else — a sleep, a timer, its own channel — and would otherwise leave the
-// burst's tail to the MaxDelay backstop.
-func (be *BackEnd) Flush() error {
-	return be.eg.drain()
 }
 
 // run is the back-end's link loop: it launches the application handler,

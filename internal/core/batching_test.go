@@ -10,28 +10,51 @@ import (
 	"repro/internal/eqclass"
 	"repro/internal/filter"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
+// gateLeaves parks every leaf's outbound data on a gate in its parent
+// link (a Config.WrapFabric), so what a back-end sends stays in the
+// back-end — in a flush parked on the wire, or queued behind it — until
+// the test opens the gates.
+func gateLeaves(tree *topology.Tree, gates map[Rank]*gateLink) func([]*transport.Endpoint) {
+	return func(eps []*transport.Endpoint) {
+		for _, leaf := range tree.Leaves() {
+			g := newGateLink(eps[leaf].Parent)
+			gates[leaf] = g
+			eps[leaf].Parent = g
+		}
+	}
+}
+
 // TestShutdownFlushesEgress is the packet-stranded-in-queue regression
-// test: with a flush window far larger than the traffic and an age bound
-// longer than the test, the only thing that can deliver the packets is the
-// shutdown drain. Every accepted packet must reach the front-end.
+// test: Shutdown starts while every back-end's payloads are still in the
+// back-end, parked on its gated parent link or queued behind it, and the
+// gates open only after it has started. Shutdown must wait for them:
+// every accepted packet must reach the front-end.
 func TestShutdownFlushesEgress(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
 	const perBE = 3
+	gates := map[Rank]*gateLink{}
+	var sent sync.WaitGroup
+	sent.Add(len(tree.Leaves()))
 	nw, err := NewNetwork(Config{
-		Topology: tree,
-		Batch:    BatchPolicy{MaxBatch: 1024, MaxDelay: time.Hour},
+		Topology:   tree,
+		Batch:      BatchPolicy{MaxBatch: 1024, MaxDelay: time.Hour},
+		WrapFabric: gateLeaves(tree, gates),
 		OnBackEnd: func(be *BackEnd) error {
 			p, err := be.Recv()
 			if err != nil {
+				sent.Done()
 				return nil
 			}
 			for i := 0; i < perBE; i++ {
 				if err := be.Send(p.StreamID, p.Tag, "%d", int64(be.Rank())*100+int64(i)); err != nil {
+					sent.Done()
 					return err
 				}
 			}
+			sent.Done()
 			for {
 				if _, err := be.Recv(); err != nil {
 					return nil
@@ -42,6 +65,11 @@ func TestShutdownFlushesEgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		for _, g := range gates {
+			g.open() // a failed run must not leave Shutdown parked on a gate
+		}
+	}()
 	st, err := nw.NewStream(StreamSpec{Synchronization: "nullsync"})
 	if err != nil {
 		t.Fatal(err)
@@ -49,10 +77,20 @@ func TestShutdownFlushesEgress(t *testing.T) {
 	if err := st.Multicast(tagQuery, ""); err != nil {
 		t.Fatal(err)
 	}
-	// Give the back-ends a moment to enqueue, then shut down with the
-	// packets still sitting in egress queues.
-	time.Sleep(200 * time.Millisecond)
-	if err := nw.Shutdown(); err != nil {
+	sent.Wait()
+	for _, g := range gates {
+		g.awaitEntered(t)
+	}
+	// Every payload is still in its back-end. Shut down, and give the
+	// announcement time to reach the back-ends before the gates open.
+	shut := make(chan error, 1)
+	go func() { shut <- nw.Shutdown() }()
+	<-nw.dying
+	time.Sleep(20 * time.Millisecond)
+	for _, g := range gates {
+		g.open()
+	}
+	if err := <-shut; err != nil {
 		t.Fatal(err)
 	}
 	got := map[int64]int{}
@@ -86,11 +124,12 @@ func TestShutdownFlushesEgress(t *testing.T) {
 
 // TestKillWithPendingEgressNoLossNoDup is the batching × recovery chaos
 // test: a mid-level communication process is killed while its subtree's
-// back-ends hold accepted-but-unflushed packets in their egress queues.
-// Grandparent adoption must re-parent the orphans with those queues
-// intact: after recovery and shutdown every accepted packet arrives at the
-// front-end exactly once — none lost with the dead link, none duplicated
-// by the re-flush.
+// back-ends hold accepted packets that have not reached it — parked on
+// their gated parent links or queued behind them. The gates open only
+// after the kill. Grandparent adoption must re-parent the orphans with
+// those packets intact: after recovery and shutdown every accepted packet
+// arrives at the front-end exactly once — none lost with the dead link,
+// none duplicated by the re-flush.
 func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 	tree := mustTree(t, "kary:4^2")
 	const perBE = 5
@@ -98,11 +137,13 @@ func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 	ready := make(chan struct{})
 	var enqueued sync.WaitGroup
 	enqueued.Add(len(tree.Leaves()))
+	gates := map[Rank]*gateLink{}
 	nw, err := NewNetwork(Config{
 		Topology: tree,
-		// Window and age bound are both unreachable before the kill: all
-		// pre-kill traffic is pending egress when the crash hits.
-		Batch: BatchPolicy{MaxBatch: 1024, MaxDelay: time.Hour},
+		// No size or age flush before the kill: all pre-kill traffic stays
+		// in the back-ends, on or behind their gates, when the crash hits.
+		Batch:      BatchPolicy{MaxBatch: 1024, MaxDelay: time.Hour},
+		WrapFabric: gateLeaves(tree, gates),
 		OnBackEnd: func(be *BackEnd) error {
 			<-ready
 			for i := 0; i < perBE; i++ {
@@ -128,12 +169,19 @@ func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 	}
 	stID = st.ID()
 	close(ready)
-	enqueued.Wait() // every payload now sits in a back-end egress queue
+	enqueued.Wait()
+	for _, g := range gates {
+		g.awaitEntered(t)
+	}
+	// Every payload now sits in its back-end, on or behind its gate.
 
 	victim := tree.InternalNodes()[0]
 	victimLeaves := len(tree.Children(victim))
 	if err := nw.Kill(victim); err != nil {
 		t.Fatal(err)
+	}
+	for _, g := range gates {
+		g.open()
 	}
 	if _, err := nw.Adopt(victim, nil); err != nil {
 		t.Fatal(err)

@@ -142,8 +142,8 @@ type Metrics struct {
 	PacketsQueued   atomic.Int64 // packets accepted by egress queues
 	FramesSent      atomic.Int64 // frames flushed to links by egress queues
 	FlushSize       atomic.Int64 // flushes triggered by a full window
-	FlushAge        atomic.Int64 // flushes triggered by the MaxDelay backstop
-	FlushIdle       atomic.Int64 // flushes triggered by the producer going idle
+	FlushAge        atomic.Int64 // retries after the MaxDelay back-off (failed flush, replacement link)
+	FlushIdle       atomic.Int64 // flushes once the producer yields: the queue's clock or an on-caller idle point
 	FlushGrant      atomic.Int64 // flushes resumed by a credit grant after a stall
 	FlushControl    atomic.Int64 // flushes forced by control packets
 	FlushDrain      atomic.Int64 // flushes at shutdown/reparent drains

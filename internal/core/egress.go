@@ -11,27 +11,28 @@ import (
 
 // BatchPolicy governs per-link egress batching: outbound packets queue in
 // a per-link egress queue and are flushed as one multi-packet frame when
-// the queue reaches the flush window (size), when its producer reaches an
-// idle point (idle), when a control packet must not be delayed (control),
-// when the owner drains at shutdown/reparent (drain), or, as the backstop
-// for a producer that never idles, when the oldest queued packet has
-// waited MaxDelay (age). Batching amortizes per-message link costs — a
-// channel transfer or a TCP write+flush — over the whole frame: what
-// accumulates while the producer is busy is the batch, and an idle
-// producer makes no packet wait.
+// the queue reaches the flush window (size), when a control packet must
+// not be delayed (control), when the owner drains at shutdown/reparent
+// (drain), and otherwise as soon as the producer yields the CPU: the
+// enqueue that makes the queue non-empty arms its clock at zero (idle).
+// Batching amortizes per-message link costs — a channel transfer or a TCP
+// write+flush — over the whole frame: what accumulates while the producer
+// is busy (or the wire is) is the batch, and no packet waits for a timer.
 type BatchPolicy struct {
 	// MaxBatch is the flush window in packets: a queue flushes as soon as
 	// that many packets wait in it. 1 flushes every packet; 0 selects
 	// DefaultBatchPolicy's window. NewNetwork rejects negative values.
 	MaxBatch int
-	// MaxDelay bounds how long a packet may sit in an egress queue before
-	// an age flush, so a queued packet can never strand, even behind a
-	// producer that never idles. Non-positive values select
-	// DefaultBatchDelay.
+	// MaxDelay is the retry back-off of a failed flush (a dead link whose
+	// packets are retained for a replacement) and of a replacement link's
+	// re-flush (age), and it caps the backstop of a credit grant owed to
+	// the peer. No packet on a live link waits for it. Non-positive values
+	// select DefaultBatchDelay.
 	MaxDelay time.Duration
 }
 
-// DefaultBatchDelay is the age bound of a policy that does not choose one.
+// DefaultBatchDelay is the retry back-off of a policy that does not choose
+// one, and the cap of every queue's owed-grant backstop.
 const DefaultBatchDelay = 2 * time.Millisecond
 
 // DefaultBatchPolicy is the batching configuration of a zero Config.Batch.
@@ -71,10 +72,11 @@ const maxRetained = 4096
 const maxFlushRounds = 8
 
 // flush causes, for the metrics counters. flushDrain covers the blocking
-// drains (shutdown, Flush) and the re-flush after reparenting. flushIdle
-// is a producer's idle point, on the caller (idleNow) or the clock armed at
-// zero (idle); flushGranted is the clock armed at zero by a cleared credit
-// stall (unstall); flushAge is the clock firing at the MaxDelay backstop.
+// drains (shutdown) and the re-flush after reparenting. flushIdle is the
+// clock armed at zero by the enqueue that made the queue non-empty, or a
+// caller's idle point (idleNow); flushGranted is the clock armed at zero by
+// a cleared credit stall (unstall); flushAge is the clock firing at the
+// MaxDelay back-off of a failed flush or a replacement link.
 const (
 	flushSize = iota
 	flushAge
@@ -102,7 +104,7 @@ const (
 //     flushes use TryLock, so a producer or the router that finds a flush
 //     already in progress simply moves on — the active flusher loops and
 //     drains what they appended. Only the explicit drain (shutdown,
-//     reparent, Flush) blocks for the wire.
+//     reparent) blocks for the wire.
 //
 // The queue is hard-bounded by its link's credit window: data occupancy is
 // capped at the window by a slot count kept under mu (senders block,
@@ -159,10 +161,9 @@ type egressQueue struct {
 	// timer is the queue's own clock: one AfterFunc timer, re-armed in
 	// place (retimeLocked) for the earlier of two deadlines, whose callback
 	// (pollAge) runs on the timer's goroutine, so neither a router, a shard
-	// lane nor a link reader touches the wire for an age flush, a grant
-	// flush or a lane's idle point. due is the data deadline (see
-	// deadline); armCause is the flush cause it counts under (flushAge
-	// unless an idle point or a grant set it). grantDue is the backstop of
+	// lane nor a link reader touches the wire for an idle, grant or age
+	// flush. due is the data deadline (see deadline); armCause is the flush
+	// cause it counts under. grantDue is the backstop of
 	// the grant owed on the link (owe), zero when none is: it is kept
 	// apart from due because it holds whatever the data side is doing —
 	// a stalled, empty or busy queue still pays it. stopped forbids
@@ -225,9 +226,13 @@ func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue 
 	fl := l.(*transport.FlowLink)
 	q := &egressQueue{pol: pol, m: m, window: fl.Window(), slotFree: make(chan struct{}, 1)}
 	q.adoptFlow(fl)
-	// The age clock exists from the start; the first enqueue arms it.
+	// The clock exists from the start; the first enqueue arms it. It is
+	// built under mu: a callback that fires before Stop waits there until
+	// q.timer is set, instead of finding it nil.
+	q.mu.Lock()
 	q.timer = time.AfterFunc(pol.MaxDelay, func() { q.pollAge(time.Now()) })
 	q.timer.Stop()
+	q.mu.Unlock()
 	return q
 }
 
@@ -376,15 +381,12 @@ func (q *egressQueue) bindStops(a, b <-chan struct{}) {
 }
 
 // waitSlotLocked blocks (abortably) for a data-occupancy slot of a full
-// queue. A producer about to block is at an idle point: it can add nothing
-// until the queue drains, so what it queued leaves now — on a window below
-// MaxBatch the size flush can never fire, and the queue would otherwise
-// wait out MaxDelay every window. An aborted wait (stop channels, a dead
-// link's releaseWaiters) takes no slot: the packet overflows, transiently
+// queue; the queue's clock, armed when it went non-empty, is already
+// flushing what fills it. An aborted wait (stop channels, a dead link's
+// releaseWaiters) takes no slot: the packet overflows, transiently
 // exceeding the bound rather than deadlocking. Callers hold mu, which is
 // released while blocked and held again on return.
 func (q *egressQueue) waitSlotLocked() {
-	q.idleLocked()
 	for q.held >= q.window {
 		rel := q.released
 		q.slotWaiters++
@@ -495,12 +497,17 @@ func (q *egressQueue) sendNow(p *packet.Packet) error {
 // enqueueLocked appends p (ctrl marks a sendNow control packet), updates
 // the bookkeeping, unlocks mu, and triggers whatever flush is due.
 // Producers never wait on the wire: a triggered flush that finds another
-// flusher active is absorbed by that flusher's drain loop.
+// flusher active is absorbed by that flusher's drain loop. The enqueue
+// that makes the queue non-empty arms the clock at zero: the flush runs on
+// the timer's goroutine once the producer yields the CPU, so the batch is
+// what the producer added meanwhile, and a producer that stops — between
+// bursts, blocked on a full window, parked anywhere — leaves nothing
+// waiting for a timer.
 func (q *egressQueue) enqueueLocked(p *packet.Packet, prio int, ctrl bool) error {
 	wasEmpty := q.sched.count == 0
 	q.sched.add(p, prio, ctrl)
 	if wasEmpty {
-		q.armLocked(q.pol.MaxDelay)
+		q.armLocked(0, flushIdle)
 	}
 	q.m.PacketsQueued.Add(1)
 	// The high-water gauge tracks what the link window bounds: data
@@ -540,25 +547,15 @@ func (q *egressQueue) unlockWire() {
 	}
 }
 
-// idle is a shard lane's or the router's idle point: what it queued leaves
-// now instead of after MaxDelay. The flush runs on the queue's own clock,
-// armed at zero, never on the caller: a lane that serves several links must
-// not block on one slow one. A credit-stalled queue waits for its
-// unstalling grant.
+// idle re-arms the clock at zero for what is queued: the hand-off of an
+// idle flush that found the wire busy (unlockWire). A credit-stalled queue
+// waits for its unstalling grant.
 func (q *egressQueue) idle() {
-	if q == nil {
-		return
-	}
 	q.mu.Lock()
-	q.idleLocked()
-	q.mu.Unlock()
-}
-
-func (q *egressQueue) idleLocked() {
-	if q.sched.count > 0 && !q.stalled && !q.stopped {
-		q.armLocked(0)
-		q.armCause = flushIdle
+	if q.sched.count > 0 && !q.stalled {
+		q.armLocked(0, flushIdle)
 	}
+	q.mu.Unlock()
 }
 
 // idleNow is the idle point of a goroutine that may wait on the wire — a
@@ -680,8 +677,7 @@ func (q *egressQueue) unstall() {
 func (q *egressQueue) unstallLocked() {
 	if q.stalled {
 		q.stalled = false
-		q.armLocked(0)
-		q.armCause = flushGranted
+		q.armLocked(0, flushGranted)
 	}
 }
 
@@ -711,7 +707,7 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 		q.sched.restore(unsent)
 		// Restart the age clock so retries back off by MaxDelay instead of
 		// hot-looping on an already-expired deadline.
-		q.armLocked(q.pol.MaxDelay)
+		q.armLocked(q.pol.MaxDelay, flushAge)
 	} else {
 		q.m.EgressDrops.Add(int64(len(unsent)))
 		q.releaseSlotsLocked(unsentData)
@@ -751,16 +747,17 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 	return nil, frames + 1, nil
 }
 
-// armLocked sets the data deadline d from now, replacing any pending one.
-// It is called wherever the queue gains a deadline its timer does not know
-// yet: the empty -> non-empty enqueue, an idle point, a cleared credit
-// stall, a retained failed flush, a replacement link. Callers hold mu.
-func (q *egressQueue) armLocked(d time.Duration) {
+// armLocked sets the data deadline d from now, counted under cause,
+// replacing any pending one. It is called wherever the queue gains a
+// deadline its timer does not know yet: the empty -> non-empty enqueue, a
+// busy wire's hand-off, a cleared credit stall, a retained failed flush, a
+// replacement link. Callers hold mu.
+func (q *egressQueue) armLocked(d time.Duration, cause int) {
 	if q.stopped {
 		return
 	}
 	q.due = time.Now().Add(d)
-	q.armCause = flushAge
+	q.armCause = cause
 	q.retimeLocked()
 }
 
@@ -872,10 +869,10 @@ func (q *egressQueue) pollAge(now time.Time) {
 // flushDue is the flush body of a data deadline d that has come — the
 // clock's (pollAge) or a caller's idle point (idleNow): if the wire is
 // free, flush; then, if packets remain and nothing moved the deadline
-// meanwhile, re-arm. A busy wire backs off a full MaxDelay — its flusher
+// meanwhile, re-arm. An idle flush that finds the wire busy hands off to
+// the wire's owner; any other backs off a full MaxDelay — its flusher
 // drains what is queued, and an expired deadline must not be re-polled
-// without sleeping — unless the flush is an idle point's, which hands off
-// to the wire's owner instead. A flush that stopped at its round bound goes
+// without sleeping. A flush that stopped at its round bound goes
 // again at once, on the clock. A failed flush has re-armed itself
 // (failedFlush); a stalled queue waits for unstall.
 func (q *egressQueue) flushDue(d time.Time, cause int) {
@@ -897,13 +894,10 @@ func (q *egressQueue) flushDue(d time.Time, cause int) {
 	}
 	q.mu.Lock()
 	if q.sched.count > 0 && !q.stalled && q.due.Equal(d) {
-		wait := time.Duration(0)
 		if busy {
-			wait = q.pol.MaxDelay
-		}
-		q.armLocked(wait)
-		if !busy {
-			q.armCause = cause // a busy wire's back-off is the age backstop
+			q.armLocked(q.pol.MaxDelay, flushAge)
+		} else {
+			q.armLocked(0, cause)
 		}
 	} else {
 		q.retimeLocked()
@@ -912,7 +906,7 @@ func (q *egressQueue) flushDue(d time.Time, cause int) {
 }
 
 // drain blocks for the wire and flushes what the peer's credit window
-// admits (shutdown, Flush). It never bypasses the window: every
+// admits (shutdown). It never bypasses the window: every
 // credit-bypassing send would grow the replay ring past the bound W that
 // prices replay memory at links × W. Past-window packets stay queued; the
 // grant that retires in-flight data re-triggers the flush.
@@ -969,7 +963,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 	}
 	queued := q.sched.count
 	if queued > 0 {
-		q.armLocked(q.pol.MaxDelay)
+		q.armLocked(q.pol.MaxDelay, flushAge)
 	}
 	q.mu.Unlock()
 	if queued > 0 {

@@ -50,7 +50,8 @@ func TestControlKeepsFIFOAcrossFrameSplit(t *testing.T) {
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
 	q := newEgressQueue(transport.NewFlowLink(a, 64), pol, &m)
-	defer q.stop()
+	// No clock: the data must stay queued until the control flush.
+	q.stop()
 
 	payload := strings.Repeat("x", 512)
 	const data = 7 // ~3.6 KiB encoded: just under the shrunk frame bound
@@ -97,7 +98,9 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
 	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
-	defer q.stop()
+	// No clock: only the control packet's flush tries the dead link, and
+	// nothing is in flight when the queue is counted.
+	q.stop()
 	transport.DropLink(b)
 
 	payload := strings.Repeat("y", 512)

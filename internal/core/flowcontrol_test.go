@@ -859,8 +859,12 @@ func TestClosedStreamCreditsReturnToLeaf(t *testing.T) {
 								t.Error(err)
 							}
 						}
-						if err := be.Flush(); err != nil {
-							t.Error(err)
+						// Wait until the burst is on the wire.
+						for deadline := time.Now().Add(time.Second); be.eg.pending() > 0; time.Sleep(time.Millisecond) {
+							if time.Now().After(deadline) {
+								t.Errorf("%d packets still queued 1s after the burst", be.eg.pending())
+								break
+							}
 						}
 						// Count the credits the parent link can spend now,
 						// handing them straight back, until the window is

@@ -75,7 +75,6 @@ func TestReplayRingBoundedUnderSlowConsumerAndKills(t *testing.T) {
 							return nil
 						}
 					}
-					_ = be.Flush()
 					for {
 						if _, err := be.Recv(); err != nil {
 							return nil

@@ -76,11 +76,11 @@ func grantDeadline(q *egressQueue) time.Time {
 // TestOwedGrantsCannotDeadlockStalledPeers: two peers, each with its
 // queue credit-stalled and each owing the other the below-threshold grant
 // that would unstall it. No data frame can leave to carry either grant, so
-// the backstop on each queue's clock must write it on its own, whatever
-// the data side is doing — stalled here, then empty, then with the wire
-// held by another flusher — no later than the grant deadline. Folding the
-// grant deadline into the data deadline, which a stalled or empty queue
-// does not have, deadlocks the pair.
+// the backstop on a queue's clock must write it on its own, whatever the
+// data side is doing — stalled here, then empty, then with the wire held by
+// another flusher — no later than the grant deadline. Folding the grant
+// deadline into the data deadline, which a stalled or empty queue does not
+// have, deadlocks the pair.
 func TestOwedGrantsCannotDeadlockStalledPeers(t *testing.T) {
 	const window, batch = 8, 8
 	pol := BatchPolicy{MaxBatch: batch, MaxDelay: time.Hour}.normalized()
@@ -110,33 +110,53 @@ func TestOwedGrantsCannotDeadlockStalledPeers(t *testing.T) {
 	}
 	eventually(t, "each peer receives a window", func() bool { return atA.Load() == window && atB.Load() == window })
 
-	// owe retires one packet on fl and owes its credit from an idle point,
-	// then drives q's clock at the grant deadline, which must have paid it.
-	owe := func(what string, q *egressQueue, fl *transport.FlowLink) {
+	// oweOne retires one packet on fl and owes its credit from an idle
+	// point, returning the grant deadline it armed on q's clock.
+	oweOne := func(what string, q *egressQueue, fl *transport.FlowLink) time.Time {
 		t.Helper()
-		before, grants := time.Now(), m.CreditGrants.Load()
+		before := time.Now()
 		retireOne(t, &m, fl)
 		after := time.Now()
 		due := grantDeadline(q)
 		if due.IsZero() {
 			// Only the clock, firing already, may have cleared it.
-			due = after.Add(DefaultBatchDelay)
-		} else if due.Before(before.Add(DefaultBatchDelay)) || due.After(after.Add(DefaultBatchDelay)) {
+			return after.Add(DefaultBatchDelay)
+		}
+		if due.Before(before.Add(DefaultBatchDelay)) || due.After(after.Add(DefaultBatchDelay)) {
 			t.Errorf("%s: grant deadline %v after the owe, want %v under a one-hour MaxDelay", what, due.Sub(before), DefaultBatchDelay)
 		}
+		return due
+	}
+	// pay drives q's clock at the grant deadline, which must have paid it.
+	pay := func(what string, q *egressQueue, fl *transport.FlowLink, due time.Time) {
+		t.Helper()
 		q.pollAge(due)
 		if n := fl.Owed(); n != 0 {
 			t.Errorf("%s: %d credits still owed past the grant deadline", what, n)
 		}
+	}
+	owe := func(what string, q *egressQueue, fl *transport.FlowLink) {
+		t.Helper()
+		grants := m.CreditGrants.Load()
+		pay(what, q, fl, oweOne(what, q, fl))
 		if got := m.CreditGrants.Load() - grants; got != 1 {
 			t.Errorf("%s: credit_grants rose by %d, want 1", what, got)
 		}
 	}
-	owe("stalled a", qa, fa) // the grant for b's data, which unstalls qb
-	owe("stalled b", qb, fb)
+	// Both grants are owed before either is paid. a's clock pays the grant
+	// for b's data, which unstalls qb; b's resumed frame may then carry b's
+	// grant before b's clock comes to pay it, so only the pair is counted.
+	grants := m.CreditGrants.Load()
+	dueA, dueB := oweOne("stalled a", qa, fa), oweOne("stalled b", qb, fb)
+	pay("stalled a", qa, fa, dueA)
+	pay("stalled b", qb, fb, dueB)
+	if got := m.CreditGrants.Load() - grants; got != 2 {
+		t.Errorf("stalled pair: credit_grants rose by %d, want 2", got)
+	}
 	eventually(t, "both stalled queues resume", func() bool {
 		return atA.Load() == window+1 && atB.Load() == window+1 && qa.pending() == 0 && qb.pending() == 0
 	})
+	ridden := m.GrantsRidden.Load()
 
 	owe("empty", qa, fa)
 	qa.flushMu.Lock() // another flusher owns the wire
@@ -150,17 +170,17 @@ func TestOwedGrantsCannotDeadlockStalledPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventually(t, "qa has a credit", func() bool { return fa.Available() == 1 })
+	// The send arms the clock at zero; it finds the wire busy.
 	if err := qa.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(window+1))); err != nil {
 		t.Fatal(err)
 	}
 	retireOne(t, &m, fa)
-	qa.idle() // the clock, at zero, finds the wire busy
 	eventually(t, "the idle flush hands off to the busy wire", qa.handoff.Load)
 	eventually(t, "the clock pays the grant owed behind a hand-off", func() bool { return fa.Owed() == 0 })
 	qa.unlockWire()
 	eventually(t, "the handed-off packet leaves", func() bool { return atB.Load() == window+2 })
-	if got := m.GrantsRidden.Load(); got != 0 {
-		t.Errorf("grants_ridden = %d with no data frame to carry one", got)
+	if got := m.GrantsRidden.Load() - ridden; got != 0 {
+		t.Errorf("grants_ridden rose by %d with no data frame to carry one", got)
 	}
 }
 

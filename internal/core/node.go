@@ -513,8 +513,7 @@ func (n *node) sendDownstreamNow(ss *streamState, p *packet.Packet) {
 
 // floodNow sends a control packet to every child through its egress queue,
 // flushing at once, and returns how many of those flushes failed. Sessions
-// and shutdown are not routed by membership, so the flood is total. The
-// idle point covers a flush that found the wire busy.
+// and shutdown are not routed by membership, so the flood is total.
 func (n *node) floodNow(p *packet.Packet) (failed int) {
 	n.epMu.RLock()
 	defer n.epMu.RUnlock()
@@ -523,24 +522,16 @@ func (n *node) floodNow(p *packet.Packet) (failed int) {
 			failed++
 		}
 	}
-	n.idleChildren()
 	return failed
-}
-
-// idleChildren is a producer's idle point for every child queue: what it
-// queued leaves now, on each queue's own clock.
-func (n *node) idleChildren() {
-	for _, q := range n.childOut {
-		q.idle()
-	}
 }
 
 // rootSend is how the root's user goroutines send downstream: through the
 // child egress queues, like every router's shard workers, under epMu's read
 // lock so an install cannot move the slots mid-fan-out. A user goroutine
 // has no mailbox that drains, so each send is its own idle point: it
-// flushes the queues it filled itself before it returns, not after
-// MaxDelay — after releasing epMu, so an install never waits on the wire.
+// flushes the queues it filled itself before it returns, sparing their
+// clocks the wake-up — after releasing epMu, so an install never waits on
+// the wire.
 // Control (stream announce and close) flushes at once; data on a session
 // stream takes the tenant's budget per child first (rootSendBudgeted).
 func (n *node) rootSend(ss *streamState, p *packet.Packet) {

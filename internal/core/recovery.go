@@ -232,7 +232,6 @@ func (n *node) redispatchStash(slots []int) {
 			}
 		}
 	}
-	n.idleChildren()
 }
 
 // applyInstall runs the install command: fence the listed slots (a

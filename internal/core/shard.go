@@ -360,10 +360,8 @@ func (sh *shard) runUp() {
 			}
 			// Mailbox drained: nothing further will push the lane's
 			// retirement accumulations over the grant threshold, so return
-			// them to the peers now (budget-limited senders may be waiting),
-			// and let what the lane queued upstream leave now too.
+			// them to the peers now (budget-limited senders may be waiting).
 			sh.flushPend(sh.upPend)
-			sh.pool.n.parentOut.idle()
 			select {
 			case <-sh.pool.stop:
 				return
@@ -411,10 +409,8 @@ func (sh *shard) runDown() {
 			continue
 		}
 		// Mailbox drained: grant back the lane's below-threshold
-		// retirements and release its child queues before sleeping (see
-		// runUp). The childOut slice changes only with the shards parked.
+		// retirements before sleeping (see runUp).
 		sh.flushPend(sh.downPend)
-		sh.pool.n.idleChildren()
 		select {
 		case <-sh.down.notify:
 		case <-sh.pool.stop:

@@ -175,7 +175,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 						time.Sleep(500 * time.Microsecond)
 					}
 				}
-				_ = be.Flush()
 			}
 		},
 	})

@@ -66,13 +66,20 @@
 # FlowLink keeps the owed credits (Owe, OweIdle, PayOwed, the hooks) and
 # the TCP link writes an owed grant ahead of each data frame. The timer
 # sites stay at 6: the grant backstop is the existing clock.
+#
+# Lowered: internal/core 6082 -> 6053 and outside bench/ 20601 -> 20571 for
+# work-conserving senders: the enqueue that makes a queue non-empty arms
+# its clock at zero, so BackEnd.Flush, node.idleChildren,
+# egressQueue.idleLocked and the producers' idle() calls (the shard lanes,
+# floodNow, redispatchStash, a producer blocking on a full queue) were
+# deleted. The timer sites stay at 6.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=6082
+max_lines=6053
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=20601
+max_repo_lines=20571
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
