@@ -199,7 +199,7 @@ type egressQueue struct {
 	// ackSink receives the deferred inbound retirements attached to
 	// acknowledged packets (the per-node acker); nil at the back-end, where
 	// acknowledgements only free ring memory.
-	ackSink func([]*pendRetire)
+	ackSink func([]pendRetire)
 	// Three counters over the data packets of the current link's flush
 	// order, reset by setLink: ringSent is how many noteSent has recorded
 	// as sent, ackTarget the highest cumulative count the peer has
@@ -214,7 +214,7 @@ type egressQueue struct {
 	replaying map[*packet.Packet]struct{}
 	// meta carries each enqueued packet's deferred retirement until the
 	// flush that sends it moves it into the ring.
-	meta   map[*packet.Packet]*pendRetire
+	meta   map[*packet.Packet]pendRetire
 	ringHW int
 }
 
@@ -259,7 +259,7 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 // them, a flush the dead parent cannot take is retained, setLink re-flushes
 // both to the replacement parent, and sink (may be nil) receives the
 // deferred inbound retirements attached to acknowledged packets.
-func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, sink func([]*pendRetire)) *egressQueue {
+func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, sink func([]pendRetire)) *egressQueue {
 	q := newEgressQueue(l, pol, m)
 	q.ackSink = sink
 	q.ring = newReplayRing(q.flow.Window())
@@ -272,23 +272,23 @@ func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, sink func([
 // inbound run carries the run's deferred retirement — acknowledgements are
 // cumulative and flush order is FIFO, so covering the last packet covers
 // the run.
-func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack *pendRetire) error {
-	if ack == nil {
+func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack pendRetire) error {
+	if ack.src == nil {
 		return q.sendCtx(p, prio, block)
 	}
 	q.mu.Lock()
-	displaced := q.meta[p]
+	displaced, had := q.meta[p]
 	if q.meta == nil {
-		q.meta = map[*packet.Packet]*pendRetire{}
+		q.meta = map[*packet.Packet]pendRetire{}
 	}
 	q.meta[p] = ack
 	sink := q.ackSink
 	q.mu.Unlock()
-	if displaced != nil && displaced != ack && sink != nil {
+	if had && displaced != ack && sink != nil {
 		// The same packet pointer enqueued again before its first flush
 		// (an in-process transport can hand a forwarded pointer back):
 		// complete the displaced retirement rather than leak it.
-		sink([]*pendRetire{displaced})
+		sink([]pendRetire{displaced})
 	}
 	return q.sendCtx(p, prio, block)
 }
@@ -302,7 +302,7 @@ func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack *pendR
 // ackTarget and the entry is retired as soon as it is recorded, which is
 // what keeps the ring within the credit window.
 func (q *egressQueue) noteSent(sent []*packet.Packet) {
-	var acks []*pendRetire
+	var acks []pendRetire
 	q.mu.Lock()
 	for _, p := range sent {
 		if p.Tag == packet.TagControl {
@@ -339,13 +339,13 @@ func (q *egressQueue) noteSent(sent []*packet.Packet) {
 // ringSent are always in the ring — pushed
 // by noteSent, or kept across setLink for replay — so the pop cannot run
 // dry. Callers hold mu.
-func (q *egressQueue) retireLocked(acks []*pendRetire) []*pendRetire {
+func (q *egressQueue) retireLocked(acks []pendRetire) []pendRetire {
 	limit := q.ackTarget
 	if q.ringSent < limit {
 		limit = q.ringSent
 	}
 	for ; q.ringAcked < limit; q.ringAcked++ {
-		if e := q.ring.popFront(); e.ack != nil {
+		if e := q.ring.popFront(); e.ack.src != nil {
 			acks = append(acks, e.ack)
 		}
 	}

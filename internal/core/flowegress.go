@@ -35,8 +35,9 @@ type egressSched struct {
 	// ctrl is the order-free control lane.
 	ctrl []*packet.Packet
 	// epochs is the barrier-ordered sequence; the last may be open
-	// (barrier == nil) and accepts new data.
-	epochs []*schedEpoch
+	// (barrier == nil) and accepts new data. Drained, it is back on epochBuf.
+	epochs   []*schedEpoch
+	epochBuf [4]*schedEpoch
 	// count is the total queued packets (data + control + barriers).
 	count int
 	// data counts the queued data packets alone — the occupancy the link
@@ -318,9 +319,7 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 		s.epochs = s.epochs[1:]
 		s.recycle(e)
 	}
-	if len(s.epochs) == 0 {
-		s.epochs = nil
-	}
+	s.epochs = s.epochBuf[:0] // a burst's heap array goes; the next appends allocate nothing
 	if !bypass {
 		fl.Refund(credits - nData) // defensive: a data count out of sync
 	}

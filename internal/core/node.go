@@ -750,7 +750,7 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 // still counts them: the peer spent credits on the copies too), and the
 // run's deferred retirement rides the last forwarded output — consuming it
 // means the run is released only when the parent acknowledges those outputs.
-func (n *node) shardUp(ss *streamState, child int, run []*packet.Packet, ret *pendRetire) bool {
+func (n *node) shardUp(ss *streamState, child int, run []*packet.Packet, ret pendRetire) bool {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
 	run = ss.dropDups(run, &n.nw.metrics)
@@ -760,18 +760,18 @@ func (n *node) shardUp(ss *streamState, child int, run []*packet.Packet, ret *pe
 // shardUpRaw forwards a pass-through run (stream not carried here); the
 // deferred retirement rides the last packet. The root has nowhere to
 // forward it: the run is dropped, and the shard retires it.
-func (n *node) shardUpRaw(run []*packet.Packet, ret *pendRetire) bool {
+func (n *node) shardUpRaw(run []*packet.Packet, ret pendRetire) bool {
 	if n.rank == 0 {
 		return false
 	}
 	for i, q := range run {
-		if ret != nil && i == len(run)-1 {
+		if ret.src != nil && i == len(run)-1 {
 			_ = n.parentOut.sendAck(q, 0, true, ret)
 		} else {
 			_ = n.parentOut.send(q)
 		}
 	}
-	return ret != nil && len(run) > 0
+	return ret.src != nil && len(run) > 0
 }
 
 // shardDownRaw floods an unknown-stream downstream packet to every child
@@ -791,16 +791,16 @@ func (n *node) shardDownRaw(p *packet.Packet) {
 // the lock released — the fan-out may block on a child's flow-control
 // window, and a blocked fan-out must not pin the stream's upstream lane.
 func (n *node) shardDown(ss *streamState, p *packet.Packet) {
-	outs := []*packet.Packet{p}
-	if ss.downTform != nil {
-		ss.pipeMu.Lock()
-		transformed, err := ss.downTform.Transform(outs)
-		ss.pipeMu.Unlock()
-		if err != nil {
-			n.nw.metrics.FilterErrors.Add(1)
-			return
-		}
-		outs = transformed
+	if ss.downTform == nil {
+		n.sendDownstream(ss, p.WithStream(ss.id))
+		return
+	}
+	ss.pipeMu.Lock()
+	outs, err := ss.downTform.Transform([]*packet.Packet{p})
+	ss.pipeMu.Unlock()
+	if err != nil {
+		n.nw.metrics.FilterErrors.Add(1)
+		return
 	}
 	for _, q := range outs {
 		n.sendDownstream(ss, q.WithStream(ss.id))
@@ -812,7 +812,7 @@ func (n *node) shardDown(ss *streamState, p *packet.Packet) {
 func (n *node) shardCloseUp(ss *streamState) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	n.flushBatchesAck(ss, ss.drain(), true, nil)
+	n.flushBatchesAck(ss, ss.drain(), true, pendRetire{})
 }
 
 // flushBatchesAck transforms released batches and forwards the results
@@ -833,7 +833,7 @@ func (n *node) shardCloseUp(ss *streamState) {
 // child's replay ring. At the root the outputs go to the stream's receiver
 // instead: delivery there is the acknowledgement cascade's base case, so
 // nothing is attached and the shard retires the run at once.
-func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret *pendRetire) bool {
+func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret pendRetire) bool {
 	var outs []*packet.Packet
 	for _, batch := range batches {
 		if len(batch) == 0 {
@@ -858,13 +858,13 @@ func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, bloc
 		} else {
 			p = p.WithStreamSrc(ss.id, n.rank)
 		}
-		if ret != nil && i == len(outs)-1 {
+		if ret.src != nil && i == len(outs)-1 {
 			_ = n.parentOut.sendAck(p, ss.prio, block, ret)
 		} else {
 			_ = n.parentOut.sendCtx(p, ss.prio, block)
 		}
 	}
-	return ret != nil && len(outs) > 0
+	return ret.src != nil && len(outs) > 0
 }
 
 // shardCloseDown forwards the close downstream behind the stream's prior
@@ -877,7 +877,7 @@ func (n *node) shardCloseDown(ss *streamState, p *packet.Packet) {
 func (n *node) shardPoll(ss *streamState, now time.Time) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	n.flushBatchesAck(ss, ss.poll(now), true, nil)
+	n.flushBatchesAck(ss, ss.poll(now), true, pendRetire{})
 }
 
 // flushBatches transforms released batches and forwards the results
@@ -885,7 +885,7 @@ func (n *node) shardPoll(ss *streamState, now time.Time) {
 // transiently overflow the parent window rather than block the control
 // plane.
 func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
-	n.flushBatchesAck(ss, batches, false, nil)
+	n.flushBatchesAck(ss, batches, false, pendRetire{})
 }
 
 // finish retires the pipeline shards (completing every dispatched item),

@@ -146,7 +146,8 @@ func (t *inOrder) complete(start uint64, n int) int {
 // the level-by-level acknowledgement cascade. The front-end is the base
 // case (it retires at delivery), so by induction an acknowledged run's
 // information has reached the delivery point, and anything less survives
-// in some sender's replay ring.
+// in some sender's replay ring. Records travel by value, allocating nothing
+// per run; the zero record (src nil) retires nothing.
 type pendRetire struct {
 	src   *transport.FlowLink
 	tr    *inOrder // in-order tracker for src
@@ -159,7 +160,7 @@ type pendRetire struct {
 // when the peer's cumulative acknowledgement covers it.
 type ringEntry struct {
 	p   *packet.Packet
-	ack *pendRetire
+	ack pendRetire
 }
 
 // replayRing is the preallocated circular buffer behind an upstream
@@ -257,7 +258,7 @@ func newAcker(m *Metrics) *acker {
 
 // completed retires a batch of acknowledged runs. Safe from any
 // goroutine; never blocks and never touches the wire.
-func (a *acker) completed(rs []*pendRetire) {
+func (a *acker) completed(rs []pendRetire) {
 	send := false
 	for _, r := range rs {
 		n := r.tr.complete(r.start, r.n)

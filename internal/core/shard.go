@@ -82,13 +82,10 @@ type shardItem struct {
 	start uint64
 }
 
-// ret builds the run's deferred-retirement record for the pipeline ops,
-// or nil when there is nothing to retire against.
-func (it *shardItem) ret() *pendRetire {
-	if it.src == nil {
-		return nil
-	}
-	return &pendRetire{src: it.src, tr: it.tr, start: it.start, n: len(it.ps)}
+// ret builds the run's deferred-retirement record for the pipeline ops;
+// it retires nothing when the run has no source link.
+func (it *shardItem) ret() pendRetire {
+	return pendRetire{src: it.src, tr: it.tr, start: it.start, n: len(it.ps)}
 }
 
 // shardPause is the two-phase quiesce rendezvous: the worker signals
@@ -123,7 +120,8 @@ type shardPool struct {
 // impossible (push always leaves either a token or a visible item).
 type lane struct {
 	mu     sync.Mutex
-	q      []shardItem
+	q      []shardItem // back on buf whenever it drains (see pop)
+	buf    [8]shardItem
 	notify chan struct{}
 	// qHW is the lane's high-water mark, mirrored into the global gauge
 	// only on new records.
@@ -214,7 +212,7 @@ func (ln *lane) pop() (shardItem, bool) {
 	ln.q[0] = shardItem{}
 	ln.q = ln.q[1:]
 	if len(ln.q) == 0 {
-		ln.q = nil // release the drained backing array
+		ln.q = ln.buf[:0] // a burst's heap array goes; the next round's pushes allocate nothing
 	}
 	ln.mu.Unlock()
 	return it, true

@@ -85,8 +85,9 @@ func allocPacket(t testing.TB) *packet.Packet {
 // copy, the credit-grant protocol amortizes under 1 alloc per retired
 // data packet, on TCP a grant's whole trip — sent, received, absorbed —
 // allocates nothing, and neither does an owed grant riding a data write; a
-// flush onto a chan link allocates its batch once. A regression here is
-// per-packet garbage on a path that only moves a packet's bytes.
+// flush onto a chan link allocates its batch once, and a frame read off a
+// TCP link is one object when it carries one small packet. A regression
+// here is per-packet garbage on a path that only moves a packet's bytes.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by race instrumentation")
@@ -157,7 +158,7 @@ func TestHotPathAllocs(t *testing.T) {
 			packet.MustNew(tagQuery, 1, 8, "%d", 2000).WithSeq(packet.MakeSeq(8, 1)),
 		}}
 		op := func() {
-			n.flushBatchesAck(ss, batches, true, nil)
+			n.flushBatchesAck(ss, batches, true, pendRetire{})
 			fl.Refill(1)
 		}
 		for i := 0; i < 256; i++ {
@@ -173,9 +174,9 @@ func TestHotPathAllocs(t *testing.T) {
 
 	t.Run("chan-batch", func(t *testing.T) {
 		// A chan link keeps the slice it is sent, so every flush takes a
-		// fresh batch: one allocation at the queued count, never grown.
-		// The cycle's other allocation is the scheduler's epoch list,
-		// which every flush cycle pays (see forward).
+		// fresh batch: one allocation at the queued count, never grown, and
+		// the only one of the cycle — the scheduler's epoch list drains
+		// back onto its inline array.
 		const batch = 8
 		a, b := transport.NewPair(4)
 		fl := transport.NewFlowLink(a, 64)
@@ -196,8 +197,44 @@ func TestHotPathAllocs(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			op()
 		}
-		if n := testing.AllocsPerRun(300, op); n != 2 {
-			t.Errorf("a %d-packet flush onto a chan link allocates %.2f/op, want 2 (the batch and the epoch list)", batch, n)
+		if n := testing.AllocsPerRun(300, op); n != 1 {
+			t.Errorf("a %d-packet flush onto a chan link allocates %.2f/op, want 1 (the batch)", batch, n)
+		}
+	})
+
+	t.Run("tcp-recv-frame", func(t *testing.T) {
+		// A frame read off a TCP link is allocated whole: a one-packet
+		// frame of one scalar (a round's command, a leaf's reply) is one
+		// object — body, Packet and result slice — and a 32-packet frame
+		// at most three. The link's send side allocates nothing
+		// (tcp-grant-rides).
+		l := transport.NewTCPLink(&loopConn{buf: make([]byte, 0, 4096)})
+		p, err := packet.New(tagQuery, 1, 7, "%d", 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			n    int
+			want float64
+		}{{1, 1}, {32, 3}} {
+			batch := make([]*packet.Packet, c.n)
+			for i := range batch {
+				batch[i] = p
+			}
+			op := func() {
+				if err := transport.SendBatch(l, batch); err != nil {
+					t.Fatal(err)
+				}
+				if ps, err := transport.RecvBatch(l); err != nil || len(ps) != c.n {
+					t.Fatalf("RecvBatch = %d packets, %v; want the %d sent", len(ps), err, c.n)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				op()
+			}
+			if n := testing.AllocsPerRun(300, op); n > c.want {
+				t.Errorf("receiving a %d-packet frame allocates %.2f/op, want <= %.0f", c.n, n, c.want)
+			}
 		}
 	})
 
@@ -296,6 +333,47 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDrainedFIFOsReleaseBurstArrays holds the shard lane and the egress
+// schedule's epoch list to their memory bound: a burst may grow either past
+// its inline array, but once drained each is back on that array — the next
+// round queues without allocating, and an idle FIFO holds a constant, not
+// the largest burst it has seen.
+func TestDrainedFIFOsReleaseBurstArrays(t *testing.T) {
+	ln := lane{notify: make(chan struct{}, 1)}
+	for i := 0; i < 4*len(ln.buf); i++ {
+		ln.push(&Metrics{}, shardItem{kind: itemRegister})
+	}
+	if cap(ln.q) <= len(ln.buf) {
+		t.Fatalf("a %d-item burst left the lane at capacity %d: it never left the inline array", 4*len(ln.buf), cap(ln.q))
+	}
+	for {
+		if _, ok := ln.pop(); !ok {
+			break
+		}
+	}
+	if cap(ln.q) != len(ln.buf) || &ln.q[:1][0] != &ln.buf[0] {
+		t.Errorf("the drained lane holds a %d-item array, not its %d-item inline one", cap(ln.q), len(ln.buf))
+	}
+
+	// Each order-sensitive control packet seals an epoch: a burst of them
+	// is a burst of epochs.
+	var s egressSched
+	barrier := closeStreamPacket(1)
+	for i := 0; i < 4*len(s.epochBuf); i++ {
+		s.add(barrier, 0, true)
+	}
+	if cap(s.epochs) <= len(s.epochBuf) {
+		t.Fatalf("%d barriers left the epoch list at capacity %d: it never left the inline array", 4*len(s.epochBuf), cap(s.epochs))
+	}
+	ps, _, _, stalled := s.take(nil, true, nil)
+	if stalled || len(ps) != 4*len(s.epochBuf) || s.count != 0 {
+		t.Fatalf("take returned %d packets (stalled %v), %d left; want all %d", len(ps), stalled, s.count, 4*len(s.epochBuf))
+	}
+	if cap(s.epochs) != len(s.epochBuf) || &s.epochs[:1][0] != &s.epochBuf[0] {
+		t.Errorf("the drained epoch list holds a %d-epoch array, not its %d-epoch inline one", cap(s.epochs), len(s.epochBuf))
+	}
 }
 
 // runWaveSoak drives a fixed reduction workload and returns every

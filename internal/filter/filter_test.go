@@ -327,6 +327,57 @@ func TestWaitForAllDrain(t *testing.T) {
 	}
 }
 
+// TestWaitForAllQueueMemory holds the per-child queues to their memory
+// bound: a drained queue keeps a small array for the next round, a burst
+// that grew one past keptSlotCap is released once it drains, and a child
+// that stays a few rounds ahead reuses its array instead of growing it.
+func TestWaitForAllQueueMemory(t *testing.T) {
+	w := NewWaitForAll(2)
+	for i := 0; i < 4; i++ {
+		w.Add(0, ipkt(int64(i)))
+		if b := w.Add(1, ipkt(int64(i))); len(b) != 1 {
+			t.Fatalf("round %d: released %v", i, b)
+		}
+	}
+	if c := cap(w.queues[0].ps); c == 0 {
+		t.Error("a drained queue dropped its one-packet array: the next round allocates again")
+	}
+
+	burst := 4 * keptSlotCap
+	for i := 0; i < burst; i++ {
+		w.Add(0, ipkt(int64(i)))
+	}
+	if c := cap(w.queues[0].ps); c <= keptSlotCap {
+		t.Fatalf("a %d-packet burst left capacity %d", burst, c)
+	}
+	for i := 0; i < burst; i++ {
+		if b := w.Add(1, ipkt(int64(i))); len(b) != 1 {
+			t.Fatalf("burst round %d: released %v", i, b)
+		}
+	}
+	if c := cap(w.queues[0].ps); c > keptSlotCap {
+		t.Errorf("the drained queue still holds a %d-packet array, want <= %d", c, keptSlotCap)
+	}
+
+	const ahead = 3
+	for i := 0; i < ahead; i++ {
+		w.Add(0, ipkt(int64(i)))
+	}
+	for i := 0; i < 1000; i++ {
+		w.Add(0, ipkt(int64(ahead+i)))
+		b := w.Add(1, ipkt(0))
+		if len(b) != 1 {
+			t.Fatalf("round %d: released %v", i, b)
+		}
+		if v, _ := b[0][0].Int(0); v != int64(i) {
+			t.Fatalf("round %d released child 0's packet %d: FIFO broken", i, v)
+		}
+	}
+	if c := cap(w.queues[0].ps); c > keptSlotCap {
+		t.Errorf("a child %d rounds ahead grew its queue to %d", ahead, c)
+	}
+}
+
 func TestTimeOut(t *testing.T) {
 	now := time.Unix(1000, 0)
 	to := NewTimeOut(100 * time.Millisecond)

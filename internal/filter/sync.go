@@ -101,7 +101,52 @@ func (*NullSync) Deadline() time.Time { return time.Time{} }
 // in child-slot order.
 type WaitForAll struct {
 	n      int
-	queues [][]*packet.Packet
+	queues []slotQueue
+}
+
+// slotQueue is one child slot's FIFO. Popping advances head rather than
+// re-slicing, so a queue that drains keeps its array for the next round —
+// a request-reply round queues and releases one packet per child without
+// allocating — unless a burst grew it past keptSlotCap, which bounds what
+// an idle WaitForAll holds per child.
+type slotQueue struct {
+	ps   []*packet.Packet
+	head int
+}
+
+const keptSlotCap = 8
+
+func (q *slotQueue) len() int { return len(q.ps) - q.head }
+
+// push appends ps, first sliding the live packets down over the popped
+// ones if the array is full.
+func (q *slotQueue) push(ps ...*packet.Packet) {
+	if q.head > 0 && len(q.ps)+len(ps) > cap(q.ps) {
+		n := copy(q.ps, q.ps[q.head:])
+		clear(q.ps[n:])
+		q.ps, q.head = q.ps[:n], 0
+	}
+	q.ps = append(q.ps, ps...)
+}
+
+// pop removes the head packet; callers keep len() > 0.
+func (q *slotQueue) pop() *packet.Packet {
+	p := q.ps[q.head]
+	q.ps[q.head] = nil
+	q.head++
+	if q.head == len(q.ps) {
+		q.reset()
+	}
+	return p
+}
+
+// reset empties the queue, keeping its array only up to keptSlotCap.
+func (q *slotQueue) reset() {
+	clear(q.ps[q.head:])
+	if cap(q.ps) > keptSlotCap {
+		q.ps = nil
+	}
+	q.ps, q.head = q.ps[:0], 0
 }
 
 // NewWaitForAll returns the policy for n children. If n is zero the node
@@ -115,7 +160,7 @@ func NewWaitForAll(n int) *WaitForAll {
 // SetNumChildren sizes the per-child queues.
 func (w *WaitForAll) SetNumChildren(n int) {
 	w.n = n
-	w.queues = make([][]*packet.Packet, n)
+	w.queues = make([]slotQueue, n)
 }
 
 // Add queues the packet and releases as many complete batches as exist.
@@ -124,17 +169,8 @@ func (w *WaitForAll) Add(child int, p *packet.Packet) [][]*packet.Packet {
 		// Unknown slot: deliver immediately rather than lose data.
 		return [][]*packet.Packet{{p}}
 	}
-	w.queues[child] = append(w.queues[child], p)
-	var out [][]*packet.Packet
-	for w.complete() {
-		batch := make([]*packet.Packet, w.n)
-		for i := range w.queues {
-			batch[i] = w.queues[i][0]
-			w.queues[i] = w.queues[i][1:]
-		}
-		out = append(out, batch)
-	}
-	return out
+	w.queues[child].push(p)
+	return w.rounds()
 }
 
 // AddBatch queues the whole frame, then releases complete rounds once —
@@ -145,13 +181,17 @@ func (w *WaitForAll) AddBatch(child int, ps []*packet.Packet) [][]*packet.Packet
 		// Unknown slot: deliver immediately rather than lose data.
 		return singletons(ps)
 	}
-	w.queues[child] = append(w.queues[child], ps...)
+	w.queues[child].push(ps...)
+	return w.rounds()
+}
+
+// rounds releases every complete round, one packet per child each.
+func (w *WaitForAll) rounds() [][]*packet.Packet {
 	var out [][]*packet.Packet
 	for w.complete() {
 		batch := make([]*packet.Packet, w.n)
 		for i := range w.queues {
-			batch[i] = w.queues[i][0]
-			w.queues[i] = w.queues[i][1:]
+			batch[i] = w.queues[i].pop()
 		}
 		out = append(out, batch)
 	}
@@ -162,8 +202,8 @@ func (w *WaitForAll) complete() bool {
 	if w.n == 0 {
 		return false
 	}
-	for _, q := range w.queues {
-		if len(q) == 0 {
+	for i := range w.queues {
+		if w.queues[i].len() == 0 {
 			return false
 		}
 	}
@@ -176,7 +216,7 @@ func (w *WaitForAll) complete() bool {
 // were only waiting on a removed slot become complete under the new layout
 // and are released immediately.
 func (w *WaitForAll) RemapSlots(remap []int, n int) [][]*packet.Packet {
-	queues := make([][]*packet.Packet, n)
+	queues := make([]slotQueue, n)
 	for old, nu := range remap {
 		if nu >= 0 && nu < n && old < len(w.queues) {
 			queues[nu] = w.queues[old]
@@ -184,16 +224,7 @@ func (w *WaitForAll) RemapSlots(remap []int, n int) [][]*packet.Packet {
 	}
 	w.n = n
 	w.queues = queues
-	var out [][]*packet.Packet
-	for w.complete() {
-		batch := make([]*packet.Packet, w.n)
-		for i := range w.queues {
-			batch[i] = w.queues[i][0]
-			w.queues[i] = w.queues[i][1:]
-		}
-		out = append(out, batch)
-	}
-	return out
+	return w.rounds()
 }
 
 // Poll never releases on time alone.
@@ -202,8 +233,8 @@ func (*WaitForAll) Poll(time.Time) [][]*packet.Packet { return nil }
 // Pending counts all held packets.
 func (w *WaitForAll) Pending() int {
 	n := 0
-	for _, q := range w.queues {
-		n += len(q)
+	for i := range w.queues {
+		n += w.queues[i].len()
 	}
 	return n
 }
@@ -216,8 +247,9 @@ func (*WaitForAll) Deadline() time.Time { return time.Time{} }
 func (w *WaitForAll) Drain() [][]*packet.Packet {
 	var batch []*packet.Packet
 	for i := range w.queues {
-		batch = append(batch, w.queues[i]...)
-		w.queues[i] = nil
+		q := &w.queues[i]
+		batch = append(batch, q.ps[q.head:]...)
+		q.reset()
 	}
 	if len(batch) == 0 {
 		return nil

@@ -294,62 +294,79 @@ func decodeValues(dirs []Directive, payload []byte) ([]any, error) {
 }
 
 // decodeHeader parses the fixed header and the format string of a packet in
-// wire form, returning a packet with no payload yet and the bytes that
-// follow the format.
-func decodeHeader(b []byte) (*Packet, []byte, error) {
+// wire form into p, returning the bytes that follow the format.
+func decodeHeader(p *Packet, b []byte) ([]byte, error) {
 	if len(b) > MaxWireSize {
-		return nil, nil, fmt.Errorf("%w: %d bytes exceeds MaxWireSize", ErrWire, len(b))
+		return nil, fmt.Errorf("%w: %d bytes exceeds MaxWireSize", ErrWire, len(b))
 	}
 	d := decoder{b: b}
 	magic, err := d.u16()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if magic != wireMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic %#x", ErrWire, magic)
+		return nil, fmt.Errorf("%w: bad magic %#x", ErrWire, magic)
 	}
 	ver, err := d.u8()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if ver != wireVersion {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrWire, ver)
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrWire, ver)
 	}
 	tag, err := d.u32()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	streamID, err := d.u32()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	src, err := d.u32()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	seq, err := d.u64()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fmtLen, err := d.u16()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fmtBytes, err := d.bytes(int(fmtLen))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fd, err := lookupFormatBytes(fmtBytes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Packet{
-		Tag:      int32(tag),
-		StreamID: streamID,
-		SrcRank:  Rank(int32(src)),
-		Seq:      seq,
-		fd:       fd,
-	}, b[d.off:], nil
+	p.Tag, p.StreamID, p.SrcRank, p.Seq, p.fd = int32(tag), streamID, Rank(int32(src)), seq, fd
+	return b[d.off:], nil
+}
+
+// decodeInto is Decode into the zero Packet p, which a frame decode
+// allocates beside its siblings. On error p is partly filled and must be
+// discarded.
+func decodeInto(p *Packet, b []byte) error {
+	payload, err := decodeHeader(p, b)
+	if err != nil {
+		return err
+	}
+	d := decoder{b: payload}
+	for _, dir := range p.fd.dirs {
+		if err := d.skip(dir); err != nil {
+			return err
+		}
+	}
+	if d.off != len(payload) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrWire, len(payload)-d.off)
+	}
+	if len(p.fd.dirs) > 0 {
+		p.payload = payload
+	}
+	return nil
 }
 
 // Decode parses a packet from its binary wire form. It parses the header
@@ -364,21 +381,9 @@ func decodeHeader(b []byte) (*Packet, []byte, error) {
 // restamped from it, is reachable, and a retained packet keeps all of b
 // alive. A caller that needs the bytes back must copy them before Decode.
 func Decode(b []byte) (*Packet, error) {
-	p, payload, err := decodeHeader(b)
-	if err != nil {
+	p := new(Packet)
+	if err := decodeInto(p, b); err != nil {
 		return nil, err
-	}
-	d := decoder{b: payload}
-	for _, dir := range p.fd.dirs {
-		if err := d.skip(dir); err != nil {
-			return nil, err
-		}
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(payload)-d.off)
-	}
-	if len(p.fd.dirs) > 0 {
-		p.payload = payload
 	}
 	return p, nil
 }

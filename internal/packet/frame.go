@@ -72,6 +72,11 @@ func AppendFrame(dst []byte, ps []*Packet) []byte {
 // or trailing garbage fails the whole frame. The packets alias b under
 // Decode's contract: b must not be modified or reused while any of them is
 // reachable, and one retained packet keeps the whole frame body alive.
+//
+// The frame's Packet structs are allocated together (frameHeaders), so a
+// retained packet also keeps its siblings' headers alive, and with them
+// any values a sibling has materialized (Values): the garbage collector
+// sees the Packets as one object and scans them all while any is reachable.
 func DecodeFrame(b []byte) ([]*Packet, error) {
 	if len(b) > MaxFrameBody {
 		return nil, fmt.Errorf("%w: frame body %d bytes exceeds MaxFrameBody", ErrWire, len(b))
@@ -79,18 +84,61 @@ func DecodeFrame(b []byte) ([]*Packet, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: frame body truncated (%d bytes)", ErrWire, len(b))
 	}
-	count := binary.LittleEndian.Uint32(b)
+	count, err := frameCount(binary.LittleEndian.Uint32(b), len(b))
+	if err != nil {
+		return nil, err
+	}
+	return decodeFrame(b, frameHeaders(count))
+}
+
+// frameCount checks a frame's packet count against the body length n
+// before anything is allocated for it: each packet needs at least its
+// length prefix plus the minimal header, so a corrupt count cannot demand
+// more packets than the body can hold.
+func frameCount(count uint32, n int) (int, error) {
 	if count > MaxFramePackets {
-		return nil, fmt.Errorf("%w: frame count %d exceeds MaxFramePackets", ErrWire, count)
+		return 0, fmt.Errorf("%w: frame count %d exceeds MaxFramePackets", ErrWire, count)
 	}
+	if int(count) > (n-4)/(4+minEncodedPacket) {
+		return 0, fmt.Errorf("%w: frame count %d exceeds body capacity (%d bytes)", ErrWire, count, n-4)
+	}
+	return int(count), nil
+}
+
+// frameHeaders returns count pointers to zero Packets: one object holding
+// both for a frame of one or two packets, otherwise the Packets in one
+// array and the pointers in one slice.
+func frameHeaders(count int) []*Packet {
+	switch count {
+	case 1:
+		w := new(struct {
+			ps [1]*Packet
+			p  [1]Packet
+		})
+		return point(w.ps[:], w.p[:])
+	case 2:
+		w := new(struct {
+			ps [2]*Packet
+			p  [2]Packet
+		})
+		return point(w.ps[:], w.p[:])
+	}
+	return point(make([]*Packet, count), make([]Packet, count))
+}
+
+// point sets ptrs[i] to &pkts[i] and returns ptrs.
+func point(ptrs []*Packet, pkts []Packet) []*Packet {
+	for i := range ptrs {
+		ptrs[i] = &pkts[i]
+	}
+	return ptrs
+}
+
+// decodeFrame decodes the packets of frame body b into ps, whose length is
+// the count b starts with.
+func decodeFrame(b []byte, ps []*Packet) ([]*Packet, error) {
 	rest := b[4:]
-	// Each packet needs at least its length prefix plus the minimal header,
-	// so a corrupt count cannot demand more packets than the body can hold.
-	if int(count) > len(rest)/(4+minEncodedPacket) {
-		return nil, fmt.Errorf("%w: frame count %d exceeds body capacity (%d bytes)", ErrWire, count, len(rest))
-	}
-	ps := make([]*Packet, 0, count)
-	for i := uint32(0); i < count; i++ {
+	for i, p := range ps {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: frame truncated at packet %d", ErrWire, i)
 		}
@@ -102,11 +150,9 @@ func DecodeFrame(b []byte) ([]*Packet, error) {
 		if int(n) > len(rest) {
 			return nil, fmt.Errorf("%w: packet %d truncated (need %d of %d)", ErrWire, i, n, len(rest))
 		}
-		p, err := Decode(rest[:n])
-		if err != nil {
+		if err := decodeInto(p, rest[:n]); err != nil {
 			return nil, fmt.Errorf("frame packet %d: %w", i, err)
 		}
-		ps = append(ps, p)
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
@@ -115,24 +161,87 @@ func DecodeFrame(b []byte) ([]*Packet, error) {
 	return ps, nil
 }
 
+// frame48 is a one-packet frame received as a single allocation: the
+// result slice's backing array, the Packet and a body of up to 48 bytes
+// together, filling the 144-byte size class. It holds a one-scalar
+// packet's frame, the request-reply round's command and reply.
+type frame48 struct {
+	ps [1]*Packet
+	p  Packet
+	b  [48]byte
+}
+
+// allocFrame returns a body buffer of n bytes and count pointers to zero
+// Packets for a frame about to be read: one object for a one-packet frame
+// that fits frame48, otherwise the body on its own beside frameHeaders.
+func allocFrame(n, count int) ([]byte, []*Packet) {
+	if count == 1 && n <= len(frame48{}.b) {
+		w := new(frame48)
+		w.ps[0] = &w.p
+		return w.b[:n], w.ps[:]
+	}
+	return make([]byte, n), frameHeaders(count)
+}
+
 // ReadFrame reads one length-prefixed frame (uint32 body length, then the
 // body) from r. The body is read into a fresh buffer that the returned
 // packets alias and own between them — it is never pooled or reused, which
 // is what lets a received packet be retained, restamped and forwarded
 // without copying its payload out; the garbage collector reclaims the
-// buffer once the last packet of the frame is unreachable.
-func ReadFrame(r io.Reader) ([]*Packet, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frame once the last of its packets is unreachable. A retained packet
+// thus keeps the body and, as DecodeFrame's do, its siblings' headers and
+// any values they have materialized alive. Sized from the length and
+// count, which are read a byte at a time so no header buffer escapes, the
+// body, the Packets and the result slice are one allocation for a
+// one-packet frame of up to 48 body bytes (a one-scalar command or reply),
+// two for any other frame of one or two packets, and three otherwise.
+func ReadFrame(r FrameReader) ([]*Packet, error) {
+	n, err := readUint32(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > MaxFrameBody {
 		return nil, fmt.Errorf("%w: frame length %d exceeds MaxFrameBody", ErrWire, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if n < 4 {
+		return nil, fmt.Errorf("%w: frame body truncated (%d bytes)", ErrWire, n)
+	}
+	c, err := readUint32(r)
+	if err != nil {
 		return nil, fmt.Errorf("packet: short frame: %w", err)
 	}
-	return DecodeFrame(buf)
+	count, err := frameCount(c, int(n))
+	if err != nil {
+		return nil, err
+	}
+	body, ps := allocFrame(int(n), count)
+	binary.LittleEndian.PutUint32(body, c)
+	if _, err := io.ReadFull(r, body[4:]); err != nil {
+		return nil, fmt.Errorf("packet: short frame: %w", err)
+	}
+	return decodeFrame(body, ps)
+}
+
+// FrameReader is what ReadFrame reads from: a bufio.Reader on a link, or
+// a bytes.Reader or bytes.Buffer holding frames.
+type FrameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// readUint32 reads a little-endian uint32. A clean io.EOF means r ended
+// before the first byte; ending after it is io.ErrUnexpectedEOF.
+func readUint32(r io.ByteReader) (uint32, error) {
+	var v uint32
+	for i := 0; i < 4; i++ {
+		c, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		v |= uint32(c) << (8 * i)
+	}
+	return v, nil
 }

@@ -127,7 +127,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(trunc[:len(trunc)-10])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ref []any
-		hdr, payload, refErr := decodeHeader(data)
+		hdr := new(Packet)
+		payload, refErr := decodeHeader(hdr, data)
 		if refErr == nil {
 			ref, refErr = decodeValues(hdr.Directives(), payload)
 		}
@@ -174,6 +175,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ps, err := DecodeFrame(data)
 		checkGrantFrame(t, data, ps, err)
+		checkReadFrame(t, data, ps, err)
 		if err != nil {
 			return
 		}
@@ -190,7 +192,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		for i, p := range ps {
 			wire := p.Encode()
-			_, payload, err := decodeHeader(wire)
+			alone, err := Decode(wire)
+			if err != nil {
+				t.Fatalf("packet %d accepted in a frame, but Decode rejects its bytes: %v", i, err)
+			}
+			if !samePacket(p, alone) {
+				t.Fatalf("packet %d decoded in a frame as %v, alone as %v", i, p, alone)
+			}
+			payload, err := decodeHeader(new(Packet), wire)
 			if err != nil {
 				t.Fatalf("packet %d: header of an accepted packet does not parse: %v", i, err)
 			}
@@ -208,6 +217,33 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-decode count %d, want %d", len(qs), len(ps))
 		}
 	})
+}
+
+// samePacket reports whether a and b carry the same header and the same
+// payload bytes.
+func samePacket(a, b *Packet) bool {
+	return a.Tag == b.Tag && a.StreamID == b.StreamID && a.SrcRank == b.SrcRank &&
+		a.Seq == b.Seq && a.Format() == b.Format() && bytes.Equal(a.payload, b.payload)
+}
+
+// checkReadFrame holds ReadFrame, which sizes the frame's one allocation
+// from the length and count before it reads the body, to DecodeFrame's
+// verdict on the frame body data and to the packets it decoded.
+func checkReadFrame(t *testing.T, data []byte, ps []*Packet, err error) {
+	t.Helper()
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+	rs, rerr := ReadFrame(bytes.NewReader(append(frame, data...)))
+	if (rerr == nil) != (err == nil) {
+		t.Fatalf("ReadFrame error %v, DecodeFrame error %v", rerr, err)
+	}
+	if len(rs) != len(ps) {
+		t.Fatalf("ReadFrame read %d packets, DecodeFrame %d", len(rs), len(ps))
+	}
+	for i := range rs {
+		if !samePacket(rs[i], ps[i]) {
+			t.Fatalf("packet %d: ReadFrame read %v, DecodeFrame %v", i, rs[i], ps[i])
+		}
+	}
 }
 
 // checkGrantFrame holds ParseGrantFrame to DecodeFrame's verdict on the

@@ -314,8 +314,10 @@ func BenchmarkDecode(b *testing.B) {
 	enc := p.Encode()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+		p, err := Decode(enc)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchSink = p // kept, as a receiver keeps it: a discarded one may live on the stack
 	}
 }

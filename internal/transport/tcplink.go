@@ -23,9 +23,11 @@ import (
 // passing on is framed from its header fields and the payload bytes it
 // arrived as, so a forwarding hop serializes nothing.
 //
-// Inbound frames are read into a fresh buffer each (packet.ReadFrame) that
-// the decoded packets alias and keep alive; it is never reused, so a
-// received packet may be retained, restamped and re-sent freely.
+// Inbound frames are read into a fresh allocation each (packet.ReadFrame):
+// the body, the decoded Packets and the batch slice, one object for a small
+// one-packet frame. It is never reused, so a received packet may be
+// retained, restamped and re-sent freely; while it lives it keeps the frame
+// body, its siblings' headers and any values they have materialized alive.
 //
 // Credit grants, the hottest control traffic, take neither path: the
 // wrapping FlowLink sends one as a fixed-size frame written from its fields

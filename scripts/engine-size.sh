@@ -2,16 +2,16 @@
 # engine-size.sh — print the engine's size and fail above checked-in ceilings.
 #
 # Four numbers ROADMAP counts as debt: the non-test lines of internal/core
-# (item 2), the places there that construct a timer (item 7), the
+# (item 4's exit bar), the places there that construct a timer (item 7), the
 # //tbon:allow waivers in the repository's own code (item 4; the analyzers'
 # testdata fixtures are not waivers), and the non-test Go lines outside
 # the bench/ module (aim 2, reported every round). The ceilings are the
 # values at the last PR that moved them; a PR that lowers a number lowers
 # its ceiling, and one that raises it has to say why here.
 #
-# Raised: internal/core 6214 -> 6293 for the work-conserving egress
-# (ROADMAP item 2): each producer's idle point (egressQueue.idle and its
-# call sites in the shard lanes, BackEnd.Recv and a blocked acquireSlot),
+# Raised: internal/core 6214 -> 6293 for the work-conserving egress (the
+# retired ROADMAP item 2): each producer's idle point (egressQueue.idle and
+# its call sites in the shard lanes, BackEnd.Recv and a blocked acquireSlot),
 # the hand-off that keeps an idle flush from stranding behind a busy wire
 # (unlockWire) and the flush_idle counter. Outside bench/ the total still
 # fell, 21340 -> 21176: the elastic ablation runner went (it measured the
@@ -73,13 +73,28 @@
 # egressQueue.idleLocked and the producers' idle() calls (the shard lanes,
 # floodNow, redispatchStash, a producer blocking on a full queue) were
 # deleted. The timer sites stay at 6.
+#
+# Lowered: internal/core 6053 -> 6051; raised: outside bench/ 20571 ->
+# 20717 for allocating a received frame whole and keeping drained FIFOs'
+# arrays (command_rounds_tcp allocs_per_pkt 16.6 -> 5.7). In
+# internal/packet (+114) ReadFrame reads the length and count a byte at a
+# time (FrameReader, readUint32) and sizes one allocation from them: a
+# size-class wrapper puts a one-scalar one-packet frame's body, Packet and
+# result slice in one object (allocFrame), frameHeaders fuses any other
+# frame's Packets and pointers, and decodeInto decodes into a Packet it is
+# handed (frameCount is shared by DecodeFrame and ReadFrame). In
+# internal/filter (+32) WaitForAll's per-child queues became head-indexed
+# slotQueues that keep a small array when drained; the three copies of
+# its round-release loop folded into one. internal/core shrank: the lane's
+# and the epoch list's inline arrays cost two fields, and pendRetire by
+# value deleted the per-run record's nil case.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=6053
+max_lines=6051
 max_timer_sites=6
 max_waivers=2
-max_repo_lines=20571
+max_repo_lines=20717
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
