@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -93,38 +92,33 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // TestBusyWireDoesNotSpinAgeClock is the hot-loop regression: while one
-// pipeline worker's size flush holds the wire inside a slow SendBatch,
-// another stream's packet waits in the same queue with its deadline
-// expired. The deadline's owner used to re-poll it without sleeping (the
-// TryLock fails, the deadline stays expired), burning a core for as long as
-// the send took; the queue's own clock hands the packet off to the wire's
-// owner instead.
+// producer's flush holds the wire inside a slow SendBatch, another
+// stream's packet waits in the same queue with its deadline expired. The
+// deadline's owner used to re-poll it without sleeping (the TryLock fails,
+// the deadline stays expired), burning a core for as long as the send
+// took; the queue's own clock hands the packet off to the wire's owner
+// instead. The two producers are front-end user goroutines sending on two
+// streams through the root's queue toward one child.
 func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
-	tree := mustTree(t, "kary:2^2")
-	router := tree.InternalNodes()[0]
-	sender := tree.Children(router)[0]
+	tree := mustTree(t, "flat:2")
+	child := tree.Children(0)[0]
 	var gate *gateLink
-	var idA, idB uint32
-	sendA, sendB := make(chan struct{}), make(chan struct{})
+	got := make(chan int64, 4)
 	nw, err := NewNetwork(Config{
 		Topology: tree,
-		Shards:   2,
-		Batch:    BatchPolicy{MaxBatch: 2},
 		WrapFabric: func(eps []*transport.Endpoint) {
-			gate = newGateLink(eps[router].Parent)
-			eps[router].Parent = gate
+			gate = newGateLink(eps[0].Children[0])
+			eps[0].Children[0] = gate
 		},
 		OnBackEnd: func(be *BackEnd) error {
-			if be.Rank() == sender {
-				<-sendA
-				_ = be.Send(idA, tagQuery, "%d", int64(1))
-				_ = be.Send(idA, tagQuery, "%d", int64(2))
-				<-sendB
-				_ = be.Send(idB, tagQuery, "%d", int64(3))
-			}
 			for {
-				if _, err := be.Recv(); err != nil {
+				p, err := be.Recv()
+				if err != nil {
 					return nil
+				}
+				if be.Rank() == child {
+					v, _ := p.Int(0)
+					got <- v
 				}
 			}
 		},
@@ -142,15 +136,14 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idA, idB = stA.ID(), stB.ID() // sequential ids: different shards of two
 
-	close(sendA)
-	gate.awaitEntered(t) // stream A's worker holds the wire in its size flush
-	close(sendB)
-	// The worker parked on the gate started after run built the queue.
-	nw.mu.Lock()
-	out := nw.byRank[router].parentOut
-	nw.mu.Unlock()
+	sentA := make(chan error, 1)
+	go func() { sentA <- stA.Multicast(tagQuery, "%d", int64(1)) }()
+	gate.awaitEntered(t) // stream A's send holds the wire in its idle flush
+	if err := stB.Multicast(tagQuery, "%d", int64(2)); err != nil {
+		t.Fatal(err)
+	}
+	out := nw.root.childOut[0]
 	eventually(t, "stream B's packet is queued behind the busy wire", func() bool { return out.pending() == 1 })
 
 	before := cpuTime(t)
@@ -160,25 +153,26 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 	}
 
 	gate.open()
-	var got []int64
-	for _, st := range []*Stream{stA, stA, stB} {
-		p, err := st.RecvTimeout(5 * time.Second)
-		if err != nil {
-			t.Fatalf("after %v: %v", got, err)
-		}
-		v, _ := p.Int(0)
-		got = append(got, v)
+	if err := <-sentA; err != nil {
+		t.Fatal(err)
 	}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("delivered %v, want [1 2 3]", got)
+	var vs []int64
+	for len(vs) < 2 {
+		select {
+		case v := <-got:
+			vs = append(vs, v)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the gated child received %v, want [1 2]", vs)
+		}
+	}
+	if vs[0] != 1 || vs[1] != 2 {
+		t.Errorf("the gated child received %v, want [1 2]", vs)
 	}
 	if err := nw.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []*Stream{stA, stB} {
-		if p, err := st.Recv(); err != io.EOF {
-			t.Errorf("stream %d delivered an extra packet %v (err %v); want exactly once", st.ID(), p, err)
-		}
+	if len(got) != 0 {
+		t.Errorf("the gated child received %d extra packets; want each exactly once", len(got))
 	}
 }
 
@@ -186,7 +180,7 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 // flush onto a slow child socket used to run on the router goroutine, so
 // heartbeat relays, recovery commands and attachments waited for the send.
 // The goroutines that may wait on the wire are the queue's own clock, a
-// shard lane in a size flush, a back-end handler (Send, and the idle flush
+// pipeline lane in a size flush, a back-end handler (Send, and the idle flush
 // in Recv) and a front-end user goroutine (its sends' idle flush, outside
 // epMu) — never the router or a link reader.
 func TestAgeFlushOffTheRouter(t *testing.T) {

@@ -206,7 +206,7 @@ loop:
 					// Repoint the egress queue and re-flush anything
 					// retained across the dead parent: accepted packets
 					// survive the failure.
-					be.eg.setLink(l) //tbon:allow mutationquiesce back-ends have no shard pool to park; setLink excludes Send and the age clock on the queue's own locks
+					be.eg.setLink(l) //tbon:allow mutationquiesce back-ends have no pipeline to park; setLink excludes Send and the age clock on the queue's own locks
 					continue
 				case <-be.nw.dying:
 				case <-be.killCh:

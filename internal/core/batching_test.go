@@ -248,7 +248,7 @@ type soakResult struct {
 // runSoak streams rounds of data over several concurrent streams — sum
 // reductions plus an eqclass stream — across the given overlay shape and
 // returns everything the front-end observed. cfg supplies the engine
-// parameters of the run (shard count, transport); its Topology, Registry,
+// parameters of the run (transport, batching); its Topology, Registry,
 // and OnBackEnd are set here.
 func runSoak(t *testing.T, shape string, sumStreams, rounds int, cfg Config) soakResult {
 	t.Helper()

@@ -32,7 +32,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,11 +105,9 @@ type Config struct {
 	// StreamSpec.Priority > round-robin across streams. 0 selects
 	// DefaultLinkWindow; NewNetwork rejects negative values.
 	LinkWindow int
-	// Shards sets how many per-stream pipeline workers each routing
-	// process (the front-end and every internal node) runs: streams hash
-	// to shards, so distinct streams synchronize, transform, and egress
-	// concurrently while each stream stays strictly FIFO on its own shard.
-	// 0 selects GOMAXPROCS; 1 runs every stream on one worker pair.
+	// Shards is ignored: every routing process runs one pipeline, an up
+	// lane and a down lane; retained only until the benchmark stops
+	// assigning it (ROADMAP item 1, first bullet).
 	Shards int
 	// Recoverable is ignored: always on; retained only until the benchmark
 	// stops assigning it (ROADMAP item 1, first bullet).
@@ -134,9 +131,9 @@ type Metrics struct {
 	Batches      atomic.Int64 // synchronizer batches transformed
 	FilterErrors atomic.Int64 // transformation errors (packets dropped)
 
-	// Stream-sharded data plane observability.
-	ShardDispatches     atomic.Int64 // work items routed to pipeline shards
-	ShardQueueHighWater atomic.Int64 // deepest shard mailbox observed (items)
+	// Pipeline observability.
+	ShardDispatches     atomic.Int64 // work items routed to the routers' pipeline lanes
+	ShardQueueHighWater atomic.Int64 // deepest pipeline lane observed (items)
 
 	// Egress batching observability.
 	PacketsQueued   atomic.Int64 // packets accepted by egress queues
@@ -340,16 +337,6 @@ func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 		go nw.heartbeatLoop(r, link, stop)
 	}
 	return n
-}
-
-// shardCount resolves Config.Shards: 0 means one pipeline worker per
-// available core, so internal-node filter throughput scales with the
-// machine by default.
-func (nw *Network) shardCount() int {
-	if nw.cfg.Shards > 0 {
-		return nw.cfg.Shards
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Tree returns the overlay's shape as a topology in original numbering,

@@ -182,13 +182,13 @@ func TestZeroConfigIsShippingDataPlane(t *testing.T) {
 	}
 }
 
-// TestModeFieldsInert pins the transition: Config.Recoverable and
-// Config.ExactlyOnce are still declared (the benchmark assigns them) but
-// nothing reads them — either setting exposes the same counters and passes
-// the same kill/adopt check. Dies with the fields.
+// TestModeFieldsInert pins the transition: Config.Recoverable,
+// Config.ExactlyOnce and Config.Shards are still declared (the benchmark
+// assigns them) but nothing reads them — either setting exposes the same
+// counters and passes the same kill/adopt check. Dies with the fields.
 func TestModeFieldsInert(t *testing.T) {
-	off := killAdoptMidStream(t, Config{Recoverable: false, ExactlyOnce: false})
-	on := killAdoptMidStream(t, Config{Recoverable: true, ExactlyOnce: true})
+	off := killAdoptMidStream(t, Config{Recoverable: false, ExactlyOnce: false, Shards: 0})
+	on := killAdoptMidStream(t, Config{Recoverable: true, ExactlyOnce: true, Shards: 4})
 	if len(off) != len(on) {
 		t.Errorf("Snapshot exposes %d counters with the fields off, %d with them on", len(off), len(on))
 	}

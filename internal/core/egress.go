@@ -87,12 +87,12 @@ const (
 )
 
 // egressQueue batches outbound packets for one link. It is safe for
-// concurrent use: the stream-sharded data plane has several pipeline
-// workers plus the owning router feeding the same link, so every operation
+// concurrent use: a pipeline lane, the owning router, the queue's clock
+// and, at the root, user goroutines feed the same link, so every operation
 // serializes on the queue's own mutex. FIFO order within the queue is the
-// lock-acquisition order, which is what preserves per-stream FIFO (each
-// stream has exactly one worker) and keeps control packets behind data the
-// router already accepted.
+// lock-acquisition order, which is what preserves per-stream FIFO (a
+// router's stream has exactly one lane per direction) and keeps control
+// packets behind data the router already accepted.
 //
 // Locking is split in two so producers never wait on the wire:
 //
@@ -160,7 +160,7 @@ type egressQueue struct {
 	held, window, slotWaiters int
 	// timer is the queue's own clock: one AfterFunc timer, re-armed in
 	// place (retimeLocked) for the earlier of two deadlines, whose callback
-	// (pollAge) runs on the timer's goroutine, so neither a router, a shard
+	// (pollAge) runs on the timer's goroutine, so neither a router, a pipeline
 	// lane nor a link reader touches the wire for an idle, grant or age
 	// flush. due is the data deadline (see deadline); armCause is the flush
 	// cause it counts under. grantDue is the backstop of
@@ -196,10 +196,10 @@ type egressQueue struct {
 	// moves from the schedule into a ring slot, and the slot is reused once
 	// the cumulative ack retires it.
 	ring *replayRing
-	// ackSink receives the deferred inbound retirements attached to
-	// acknowledged packets (the per-node acker); nil at the back-end, where
-	// acknowledgements only free ring memory.
-	ackSink func([]pendRetire)
+	// acker completes the deferred inbound retirements attached to
+	// acknowledged packets; nil at the back-end, where acknowledgements
+	// only free ring memory.
+	acker *acker
 	// Three counters over the data packets of the current link's flush
 	// order, reset by setLink: ringSent is how many noteSent has recorded
 	// as sent, ackTarget the highest cumulative count the peer has
@@ -257,11 +257,11 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 // newUpstreamQueue wraps a parent link: flushed data packets are held in
 // the replay ring until the peer's cumulative grant acknowledgement covers
 // them, a flush the dead parent cannot take is retained, setLink re-flushes
-// both to the replacement parent, and sink (may be nil) receives the
+// both to the replacement parent, and a (nil at a back-end) completes the
 // deferred inbound retirements attached to acknowledged packets.
-func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, sink func([]pendRetire)) *egressQueue {
+func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, a *acker) *egressQueue {
 	q := newEgressQueue(l, pol, m)
-	q.ackSink = sink
+	q.acker = a
 	q.ring = newReplayRing(q.flow.Window())
 	q.flow.SetAckHook(q.onAck)
 	return q
@@ -282,13 +282,12 @@ func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack pendRe
 		q.meta = map[*packet.Packet]pendRetire{}
 	}
 	q.meta[p] = ack
-	sink := q.ackSink
 	q.mu.Unlock()
-	if had && displaced != ack && sink != nil {
+	if had && displaced != ack && q.acker != nil {
 		// The same packet pointer enqueued again before its first flush
 		// (an in-process transport can hand a forwarded pointer back):
 		// complete the displaced retirement rather than leak it.
-		sink([]pendRetire{displaced})
+		q.acker.completed([]pendRetire{displaced})
 	}
 	return q.sendCtx(p, prio, block)
 }
@@ -302,7 +301,8 @@ func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack pendRe
 // ackTarget and the entry is retired as soon as it is recorded, which is
 // what keeps the ring within the credit window.
 func (q *egressQueue) noteSent(sent []*packet.Packet) {
-	var acks []pendRetire
+	var buf [ackBuf]pendRetire
+	acks := buf[:0]
 	q.mu.Lock()
 	for _, p := range sent {
 		if p.Tag == packet.TagControl {
@@ -326,18 +326,16 @@ func (q *egressQueue) noteSent(sent []*packet.Packet) {
 		q.ringHW = n
 		raiseGauge(&q.m.ReplayRingHighWater, n)
 	}
-	sink := q.ackSink
 	q.mu.Unlock()
-	if len(acks) > 0 && sink != nil {
-		sink(acks)
-	}
+	q.complete(acks)
 }
 
 // retireLocked pops every ring entry that is both recorded as sent on the
 // current link and covered by the peer's cumulative acknowledgement,
-// appending its deferred retirement (if any) to acks. Entries below
-// ringSent are always in the ring — pushed
-// by noteSent, or kept across setLink for replay — so the pop cannot run
+// appending its deferred retirement (if any) to acks — a caller-owned
+// array of ackBuf entries, so a grant that pops a few runs allocates
+// nothing. Entries below ringSent are always in the ring — pushed by
+// noteSent, or kept across setLink for replay — so the pop cannot run
 // dry. Callers hold mu.
 func (q *egressQueue) retireLocked(acks []pendRetire) []pendRetire {
 	limit := q.ackTarget
@@ -367,11 +365,20 @@ func (q *egressQueue) onAck(n int, cum uint64) {
 	if cum > q.ackTarget {
 		q.ackTarget = cum
 	}
-	acks := q.retireLocked(nil)
-	sink := q.ackSink
+	var buf [ackBuf]pendRetire
+	acks := q.retireLocked(buf[:0])
 	q.mu.Unlock()
-	if len(acks) > 0 && sink != nil {
-		sink(acks)
+	q.complete(acks)
+}
+
+// ackBuf sizes the caller-owned array retireLocked collects into: a grant
+// covers a window's prefix, and all but a few of its packets carry no run.
+const ackBuf = 8
+
+// complete hands popped deferred retirements to the acker, if any.
+func (q *egressQueue) complete(acks []pendRetire) {
+	if len(acks) > 0 && q.acker != nil {
+		q.acker.completed(acks)
 	}
 }
 

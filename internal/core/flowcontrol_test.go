@@ -300,10 +300,7 @@ func runSlowConsumer(t *testing.T, kind TransportKind, window, streams, rounds i
 		// A small frame buffer keeps the in-process wire from absorbing the
 		// slow consumer's backlog: what cannot be sent must sit in egress
 		// queues, which is exactly the memory the window bounds.
-		ChanBuf: 8,
-		// Pin the shard count so the streams spread across workers on any
-		// machine: concurrent producers are what press on the bound.
-		Shards:     8,
+		ChanBuf:    8,
 		Batch:      BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond},
 		LinkWindow: window,
 		OnBackEnd: func(be *BackEnd) error {

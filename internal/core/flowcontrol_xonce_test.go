@@ -87,7 +87,7 @@ func TestReplayRingBoundedUnderSlowConsumerAndKills(t *testing.T) {
 			}
 			// A tiny delivery buffer plus a sleeping reader makes the
 			// front-end the ~100×-slow consumer: deliver() blocks when the
-			// buffer is full, backpressuring the shard workers and keeping
+			// buffer is full, backpressuring the pipeline workers and keeping
 			// the credit windows below pinned at their bound.
 			st, err := nw.NewStream(StreamSpec{Synchronization: "nullsync", RecvBuffer: 16})
 			if err != nil {

@@ -80,7 +80,7 @@ type schedStream struct {
 // sent directly on the link at once, never through an egress queue,
 // because grants are order-free and must not wait behind (possibly
 // stalled) data. It takes any credits the link owes with it. This is the
-// single implementation of the credit-return protocol, shared by shard
+// single implementation of the credit-return protocol, shared by pipeline
 // workers and BackEnd.Recv.
 func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	if fl == nil || n == 0 {
@@ -108,7 +108,7 @@ func (m *Metrics) grantRode() {
 }
 
 // flushGrant returns a below-threshold retirement accumulation to the
-// peer. Receivers call it at their idle points — shard mailbox drained,
+// peer. Receivers call it at their idle points — pipeline lane drained,
 // back-end inbox empty — where Retire's quarter-window batching stops
 // being a liveness mechanism: nothing further will cross the threshold,
 // and a sender throttled by a tenant sub-budget smaller than

@@ -17,15 +17,15 @@ type inMsg struct {
 }
 
 // node is a communication process. Its run loop is the control-plane
-// ROUTER of the stream-sharded data plane (see shard.go): it owns links,
-// reader goroutines, the streams table, control packets, and recovery
-// commands, and dispatches data-packet runs to per-stream pipeline shards.
+// ROUTER (see pipeline.go): it owns links, reader goroutines, the streams
+// table, control packets, and recovery commands, and dispatches data-packet
+// runs to the process's filter pipeline.
 //
 // The front-end's router is the node at rank 0, the root, and differs in
 // its upward sink only: it has no parent link or queue, a finished batch is
 // delivered to its Stream, and order-free control is consumed, not relayed.
 // Downstream it is a router like any other; its user goroutines enqueue
-// onto its child egress queues where a router's shard workers would.
+// onto its child egress queues where a router's pipeline workers would.
 type node struct {
 	nw   *Network
 	rank Rank
@@ -35,9 +35,9 @@ type node struct {
 	shuttingDown bool
 	liveChildren int
 
-	// shards runs this node's filter pipelines; owned by the router, which
-	// is the only dispatcher.
-	shards *shardPool
+	// pipe runs this node's filters; owned by the router, which is the only
+	// dispatcher.
+	pipe *pipeline
 	// readStop is closed when the router exits, releasing any readLink
 	// goroutine still blocked handing a frame to the abandoned inbox.
 	readStop chan struct{}
@@ -49,12 +49,12 @@ type node struct {
 	ctrlLane chan *packet.Packet
 
 	// Egress queues, one per link (the root has no parent queue), shared by
-	// the router, the shards and, at the root, user goroutines (each queue
+	// the router, the pipeline and, at the root, user goroutines (each queue
 	// serializes internally and keeps its own age clock, which the router
 	// stops on its way out). parentOut retains its buffer and replay ring
 	// across a dead parent link so the packets survive until reparenting.
 	// The childOut slice itself is mutated only by the install command,
-	// with the shards quiesced and epMu held for writing.
+	// with the pipeline quiesced and epMu held for writing.
 	parentOut *egressQueue
 	childOut  []*egressQueue
 
@@ -97,8 +97,7 @@ type node struct {
 
 // run executes the communication-process router loop: route downstream
 // multicasts toward member back-ends, relay control, and dispatch data to
-// the per-stream pipeline shards, which synchronize, transform, and egress
-// concurrently.
+// the filter pipeline, which synchronizes, transforms, and egresses it.
 func (n *node) run() {
 	n.streams = map[uint32]*streamState{}
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
@@ -108,7 +107,7 @@ func (n *node) run() {
 		// Whatever path the router exits by — graceful finish or crash —
 		// the readers, workers and age clocks must not outlive it.
 		close(n.readStop)
-		n.shards.abort()
+		n.pipe.abort()
 		n.stopEgress()
 	}()
 
@@ -117,8 +116,8 @@ func (n *node) run() {
 		defer n.ackr.halt()
 	}
 	// The workers start after the queues exist: an idle worker releases
-	// them (shard.go).
-	n.shards = newShardPool(n.nw.shardCount(), n)
+	// them (pipeline.go).
+	n.pipe = newPipeline(n)
 
 	// Reader goroutines: one per link, feeding the event loop.
 	go readLink(n.ep.Parent, -1, inbox, n.ctrlLane, n.readStop)
@@ -196,7 +195,7 @@ func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
 		// Parent acknowledgements pop the replay ring and release the
 		// inbound runs those packets carried — the cascade hop.
 		n.ackr = newAcker(&nw.metrics)
-		n.parentOut = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, n.ackr.completed)
+		n.parentOut = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, n.ackr)
 		n.parentOut.bindStops(n.killCh, nw.dying)
 	}
 	n.childOut = make([]*egressQueue, len(ep.Children))
@@ -250,8 +249,8 @@ func (n *node) childLinks() []transport.Link {
 // dead peer can never refill, and the tenant budget tokens stamped on it
 // return. The slot's egress queue follows the link: a replacement link
 // gets a fresh queue and a fenced-off slot (nil link) stashes whatever was
-// still queued to the dead child for re-routing. Callers hold the shards
-// quiesced, since the pipeline workers read childOut lock-free, and epMu
+// still queued to the dead child for re-routing. Callers hold the pipeline
+// quiesced, since its workers read childOut lock-free, and epMu
 // for writing. Both slices are swapped for fresh ones, so a reader that
 // takes them under the read lock keeps a consistent snapshot.
 func (n *node) installChild(slot int, l transport.Link) {
@@ -375,14 +374,14 @@ func readLink(l transport.Link, slot int, inbox chan<- inMsg, ctrl chan<- *packe
 // deliver the grants or EOFs that would free them — so every owned
 // queue's slot waiters are released first (each blocked worker overflows
 // its one in-hand packet, finishes its item, and parks), and the hard
-// bound is re-armed once the shards resume. The transient excursion is at
+// bound is re-armed once the workers resume. The transient excursion is at
 // most one packet per worker per quiesce.
 func (n *node) quiesceShards(fn func()) {
 	n.parentOut.releaseWaiters()
 	for _, q := range n.childOut {
 		q.releaseWaiters()
 	}
-	n.shards.quiesce(fn)
+	n.pipe.quiesce(fn)
 	n.parentOut.rearmWaiters()
 	for _, q := range n.childOut {
 		q.rearmWaiters()
@@ -392,7 +391,7 @@ func (n *node) quiesceShards(fn func()) {
 // handleOrderFree processes one order-free control packet (a heartbeat
 // beacon) on the router: it relays toward the front-end with flush-through
 // (its latency compounds per level, and it carries no ordering semantics,
-// so jumping ahead of shard-pending or credit-stalled data is safe). The
+// so jumping ahead of pipeline-pending or credit-stalled data is safe). The
 // root consumes it: beacons feed the failure detector.
 func (n *node) handleOrderFree(p *packet.Packet) {
 	if n.rank != 0 {
@@ -416,7 +415,7 @@ func (n *node) relay(p *packet.Packet) {
 // nextRun returns j such that ps[i:j] is a maximal run of data packets on
 // ps[i]'s stream: control packets and stream changes end a run, so
 // feeding runs to the synchronizer whole preserves exact per-link FIFO
-// semantics. A run is also the unit of shard dispatch.
+// semantics. A run is also the unit of pipeline dispatch.
 func nextRun(ps []*packet.Packet, i int) int {
 	j := i + 1
 	for j < len(ps) && ps[j].Tag != packet.TagControl && ps[j].StreamID == ps[i].StreamID {
@@ -458,20 +457,19 @@ func (n *node) handleFromParent(ps []*packet.Packet) bool {
 			}
 			continue
 		}
-		// Downstream data: hand it to the stream's pipeline shard, which
+		// Downstream data: hand it to the pipeline's down lane, which
 		// applies the stream's downstream filter (if any) at this level and
-		// multicasts toward member back-ends. Same stream -> same shard, so
-		// per-stream downstream order is preserved.
+		// multicasts toward member back-ends in arrival order.
 		n.nw.metrics.PacketsDown.Add(1)
 		if ss, ok := n.streams[p.StreamID]; ok {
-			n.shards.down(ss, p, src)
+			n.pipe.down(ss, p, src)
 			continue
 		}
 		// Unknown stream: flood (control may still be propagating on
 		// another path in reconfiguration scenarios; flooding is always
-		// safe). Routed through the id's shard so the router stays off the
+		// safe). Routed through the down lane so the router stays off the
 		// (window-bounded) egress path.
-		n.shards.downRaw(p.StreamID, p, src)
+		n.pipe.downRaw(p, src)
 	}
 	return false
 }
@@ -483,7 +481,7 @@ func flowOf(l transport.Link) *transport.FlowLink {
 }
 
 // sendDownstream fans a packet out to the stream's participating children
-// through their egress queues. Safe from shard workers: routing comes from
+// through their egress queues. Safe from pipeline workers: routing comes from
 // the stream's snapshot and the childOut slice only changes under quiesce.
 // Called only from pipeline workers, so blocking on a child's window is
 // the intended backpressure (it stalls retirement, which stalls the
@@ -526,7 +524,7 @@ func (n *node) floodNow(p *packet.Packet) (failed int) {
 }
 
 // rootSend is how the root's user goroutines send downstream: through the
-// child egress queues, like every router's shard workers, under epMu's read
+// child egress queues, like every router's pipeline workers, under epMu's read
 // lock so an install cannot move the slots mid-fan-out. A user goroutine
 // has no mailbox that drains, so each send is its own idle point: it
 // flushes the queues it filled itself before it returns, sparing their
@@ -621,7 +619,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			return false
 		}
 		n.streams[id] = ss
-		n.shards.register(ss)
+		n.pipe.register(ss)
 		n.sendDownstreamNow(ss, p)
 	case opCloseStream:
 		id, err := parseCloseStream(p)
@@ -629,14 +627,13 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			return false
 		}
 		if ss, ok := n.streams[id]; ok {
-			// The stream's shard drains the synchronizer and forwards the
-			// close downstream AFTER every packet dispatched before the
-			// close — the mailbox keeps the control's FIFO position. The
-			// router forgets the stream now, so later arrivals pass
-			// through unfiltered (routed through the same shard to keep
-			// them behind the drain).
+			// The pipeline drains the synchronizer and forwards the close
+			// downstream AFTER every packet dispatched before the close —
+			// the mailbox keeps the control's FIFO position. The router
+			// forgets the stream now, so later arrivals pass through
+			// unfiltered (on the same lane, behind the drain).
 			delete(n.streams, id)
-			n.shards.closeStream(ss, p)
+			n.pipe.closeStream(ss, p)
 		}
 	case opOpenSession:
 		// Sessions carry no per-node state today — stream announcements
@@ -649,15 +646,15 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			return false
 		}
 		// Tear down every stream of the namespace without quiescing: each
-		// victim's synchronizer drains on its own shard's up lane behind
-		// previously dispatched work, other tenants' pipelines never stop,
+		// victim's synchronizer drains on the up lane behind
+		// previously dispatched work, other tenants' streams never stop,
 		// and the single packet relays onward to every child in one hop.
 		for id, ss := range n.streams {
 			if NamespaceOf(id) != ns {
 				continue
 			}
 			delete(n.streams, id)
-			n.shards.closeStreamUp(ss)
+			n.pipe.closeStreamUp(ss)
 		}
 		n.floodNow(p)
 	case opShutdown:
@@ -690,10 +687,10 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		return false
 	}
 	// Walk the frame in arrival order, dispatching maximal same-stream runs
-	// of data packets to the stream's pipeline shard in one item. Control
-	// packets and stream changes break runs, and a stream's runs land in
-	// one shard's FIFO mailbox, so per-link, per-stream semantics are
-	// exactly those of packet-at-a-time processing.
+	// of data packets to the pipeline's up lane in one item. Control
+	// packets and stream changes break runs, and every run lands in the
+	// one FIFO mailbox, so per-link, per-stream semantics are exactly those
+	// of packet-at-a-time processing.
 	var src *transport.FlowLink
 	if child < len(n.ep.Children) {
 		src = flowOf(n.ep.Children[child])
@@ -719,12 +716,12 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		ss, ok := n.streams[p.StreamID]
 		if !ok {
 			// Stream unknown here (e.g. closed): pass through unfiltered —
-			// at the root, drop and retire — via the shard the id hashes to
-			// so late data stays behind a just-dispatched close drain.
-			n.shards.upRaw(p.StreamID, run, src, tr, start)
+			// at the root, drop and retire — on the up lane, so late data
+			// stays behind a just-dispatched close drain.
+			n.pipe.upRaw(run, src, tr, start)
 			continue
 		}
-		n.shards.up(ss, child, run, src, tr, start)
+		n.pipe.up(ss, child, run, src, tr, start)
 	}
 	return false
 }
@@ -744,23 +741,23 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 	return t, t.assign(nPkts)
 }
 
-// shardUp runs the upstream pipeline for one run: synchronize, transform,
+// pipeUp runs the upstream pipeline for one run: synchronize, transform,
 // egress. Called from the stream's up-lane worker; takes the stream's
 // pipeline lock itself. Replay duplicates are dropped first (retirement
 // still counts them: the peer spent credits on the copies too), and the
 // run's deferred retirement rides the last forwarded output — consuming it
 // means the run is released only when the parent acknowledges those outputs.
-func (n *node) shardUp(ss *streamState, child int, run []*packet.Packet, ret pendRetire) bool {
+func (n *node) pipeUp(ss *streamState, child int, run []*packet.Packet, ret pendRetire) bool {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
 	run = ss.dropDups(run, &n.nw.metrics)
 	return n.flushBatchesAck(ss, ss.addBatch(child, run), true, ret)
 }
 
-// shardUpRaw forwards a pass-through run (stream not carried here); the
+// pipeUpRaw forwards a pass-through run (stream not carried here); the
 // deferred retirement rides the last packet. The root has nowhere to
-// forward it: the run is dropped, and the shard retires it.
-func (n *node) shardUpRaw(run []*packet.Packet, ret pendRetire) bool {
+// forward it: the run is dropped, and the up lane retires it.
+func (n *node) pipeUpRaw(run []*packet.Packet, ret pendRetire) bool {
 	if n.rank == 0 {
 		return false
 	}
@@ -774,11 +771,11 @@ func (n *node) shardUpRaw(run []*packet.Packet, ret pendRetire) bool {
 	return ret.src != nil && len(run) > 0
 }
 
-// shardDownRaw floods an unknown-stream downstream packet to every child
-// (reconfiguration window; flooding is always safe). Runs on the shard
+// pipeDownRaw floods an unknown-stream downstream packet to every child
+// (reconfiguration window; flooding is always safe). Runs on the down-lane
 // worker so a window-bounded child queue blocks the pipeline, never the
 // router.
-func (n *node) shardDownRaw(p *packet.Packet) {
+func (n *node) pipeDownRaw(p *packet.Packet) {
 	for _, q := range n.childOut {
 		if q != nil {
 			_ = q.send(p)
@@ -786,11 +783,11 @@ func (n *node) shardDownRaw(p *packet.Packet) {
 	}
 }
 
-// shardDown runs the downstream pipeline for one packet: down-transform
+// pipeDown runs the downstream pipeline for one packet: down-transform
 // under the pipeline lock, then multicast to participating children with
 // the lock released — the fan-out may block on a child's flow-control
 // window, and a blocked fan-out must not pin the stream's upstream lane.
-func (n *node) shardDown(ss *streamState, p *packet.Packet) {
+func (n *node) pipeDown(ss *streamState, p *packet.Packet) {
 	if ss.downTform == nil {
 		n.sendDownstream(ss, p.WithStream(ss.id))
 		return
@@ -807,9 +804,9 @@ func (n *node) shardDown(ss *streamState, p *packet.Packet) {
 	}
 }
 
-// shardCloseUp is the up half of a stream teardown: release anything the
+// pipeCloseUp is the up half of a stream teardown: release anything the
 // synchronizer holds (so time-window policies do not lose data).
-func (n *node) shardCloseUp(ss *streamState) {
+func (n *node) pipeCloseUp(ss *streamState) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
 	n.flushBatchesAck(ss, ss.drain(), true, pendRetire{})
@@ -832,7 +829,7 @@ func (n *node) shardCloseUp(ss *streamState) {
 // its payload: a chan link hands up the child's own pointer, still in the
 // child's replay ring. At the root the outputs go to the stream's receiver
 // instead: delivery there is the acknowledgement cascade's base case, so
-// nothing is attached and the shard retires the run at once.
+// nothing is attached and the up lane retires the run at once.
 func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret pendRetire) bool {
 	var outs []*packet.Packet
 	for _, batch := range batches {
@@ -867,14 +864,8 @@ func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, bloc
 	return ret.src != nil && len(outs) > 0
 }
 
-// shardCloseDown forwards the close downstream behind the stream's prior
-// downstream data (its down-lane FIFO position).
-func (n *node) shardCloseDown(ss *streamState, p *packet.Packet) {
-	n.sendDownstreamNow(ss, p)
-}
-
-// shardPoll releases a stream's time-triggered batches.
-func (n *node) shardPoll(ss *streamState, now time.Time) {
+// pipePoll releases a stream's time-triggered batches.
+func (n *node) pipePoll(ss *streamState, now time.Time) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
 	n.flushBatchesAck(ss, ss.poll(now), true, pendRetire{})
@@ -888,13 +879,13 @@ func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
 	n.flushBatchesAck(ss, batches, false, pendRetire{})
 }
 
-// finish retires the pipeline shards (completing every dispatched item),
+// finish retires the pipeline (completing every dispatched item),
 // drains every stream upward, flushes every egress queue, and closes the
 // node's links. Called once all children have closed during shutdown, so
 // the released batches are the final data of the run; the egress drain
 // guarantees no packet is stranded in a queue when the links close.
 func (n *node) finish() {
-	n.shards.drainStop()
+	n.pipe.drainStop()
 	for _, ss := range n.streams {
 		n.flushBatches(ss, ss.drain())
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,11 +11,11 @@ import (
 	"repro/internal/packet"
 )
 
-// TestPerStreamFIFOUnder64ConcurrentStreams pins the sharded data plane's
-// core invariant: with many streams filtering concurrently across a small
-// shard pool, every stream individually still delivers in strict request
+// TestPerStreamFIFOUnder64ConcurrentStreams pins the data plane's core
+// invariant: with many streams filtering concurrently through the routers'
+// pipelines, every stream individually still delivers in strict request
 // order. kary:8^2 gives two routing levels (root + 8 internal processes),
-// so runs cross two shard dispatches plus batched frames on every path.
+// so runs cross two pipeline dispatches plus batched frames on every path.
 func TestPerStreamFIFOUnder64ConcurrentStreams(t *testing.T) {
 	const (
 		streams = 64
@@ -22,7 +23,6 @@ func TestPerStreamFIFOUnder64ConcurrentStreams(t *testing.T) {
 	)
 	nw, err := NewNetwork(Config{
 		Topology: mustTree(t, "kary:8^2"),
-		Shards:   4,
 		Batch:    BatchPolicy{MaxBatch: 16, MaxDelay: time.Millisecond},
 		OnBackEnd: func(be *BackEnd) error {
 			for {
@@ -81,47 +81,7 @@ func TestPerStreamFIFOUnder64ConcurrentStreams(t *testing.T) {
 		t.Error(err)
 	}
 	if nw.Metrics().ShardDispatches.Load() == 0 {
-		t.Error("ShardDispatches = 0; the routers never dispatched to the shard workers")
-	}
-}
-
-// TestSoakShardingEquivalence is the sharding acceptance soak: the same
-// multi-stream workload (concurrent sum reductions plus a suppressing
-// eqclass stream) run serially (Shards: 1, the pre-sharding pipeline
-// order) and sharded (Shards: 4) must produce eqclass-identical results —
-// identical per-round reduction sequences and identical equivalence-class
-// sets — on both link fabrics.
-func TestSoakShardingEquivalence(t *testing.T) {
-	batch := BatchPolicy{MaxBatch: 32, MaxDelay: 2 * time.Millisecond}
-	fabrics := []struct {
-		name  string
-		kind  TransportKind
-		shape string
-	}{
-		{"chan", ChanTransport, "kary:8^2"},
-		{"tcp", TCPTransport, "kary:4^2"},
-	}
-	for _, f := range fabrics {
-		t.Run(f.name, func(t *testing.T) {
-			leaves := len(mustTree(t, f.shape).Leaves())
-			const sumStreams = 4
-			pkts := 5000
-			if testing.Short() {
-				pkts = 1500
-			}
-			rounds := (pkts + sumStreams*leaves - 1) / (sumStreams * leaves)
-			if rounds < 2 {
-				rounds = 2
-			}
-			serial := runSoak(t, f.shape, sumStreams, rounds,
-				Config{Transport: f.kind, Batch: batch, Shards: 1})
-			sharded := runSoak(t, f.shape, sumStreams, rounds,
-				Config{Transport: f.kind, Batch: batch, Shards: 4})
-			if t.Failed() {
-				return
-			}
-			compareSoaks(t, serial, sharded, sumStreams)
-		})
+		t.Error("ShardDispatches = 0; the routers never dispatched to their pipelines")
 	}
 }
 
@@ -186,7 +146,7 @@ func TestMulticastEncodesOnceTCP(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterShutdown verifies every goroutine the engine
-// spawns — link readers, shard workers, heartbeat loops, back-end handlers
+// spawns — link readers, pipeline workers, heartbeat loops, back-end handlers
 // — terminates on all router exit paths: graceful shutdown, a killed
 // process (no drain), recovery rewiring, and an orphaned subtree nobody
 // adopts (released by the teardown), on both fabrics.
@@ -205,7 +165,6 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 				Topology:        mustTree(t, "kary:3^2"),
 				Transport:       f.kind,
 				HeartbeatPeriod: 5 * time.Millisecond,
-				Shards:          4, // multi-worker data plane regardless of core count
 				Batch:           BatchPolicy{MaxBatch: 16, MaxDelay: time.Millisecond},
 				OnBackEnd: func(be *BackEnd) error {
 					for {
@@ -234,7 +193,7 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 				}
 			}
 			round()
-			// Kill an internal node mid-run (readers + shard workers of the
+			// Kill an internal node mid-run (readers + pipeline workers of the
 			// victim must die without a drain), recover, keep flowing.
 			victim := nw.Tree().InternalNodes()[0]
 			if err := nw.Kill(victim); err != nil {
@@ -259,6 +218,73 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRouterGoroutinesIndependentOfCores pins one pipeline per router: on
+// kary:4^2 with heartbeats off, every router runs its loop, an acker
+// (non-root), one up and one down lane, and one reader per link, whatever
+// GOMAXPROCS is. The goroutines are counted by their function in a dump of
+// every stack, so those of other tests do not disturb the count.
+func TestRouterGoroutinesIndependentOfCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tree := mustTree(t, "kary:4^2")
+	want := map[string]int{}
+	for _, r := range append([]Rank{0}, tree.InternalNodes()...) {
+		links := len(tree.Children(r))
+		want["(*node).run("]++
+		if r != 0 {
+			want["(*acker).run("]++
+			links++ // the parent link
+		}
+		want[").runUp("]++
+		want[").runDown("]++
+		want["readLink("] += links
+	}
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		nw, err := NewNetwork(Config{Topology: tree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]int
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			got = countGoroutines(want)
+			if fmt.Sprint(got) == fmt.Sprint(want) || time.Now().After(deadline) {
+				break
+			}
+		}
+		if err := nw.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		for fn, n := range want {
+			if got[fn] != n {
+				t.Errorf("GOMAXPROCS %d: %d goroutines in %s, want %d", procs, got[fn], fn, n)
+			}
+		}
+	}
+}
+
+// countGoroutines counts, for each function name in fns, the goroutines
+// whose stack holds a call to it.
+func countGoroutines(fns map[string]int) map[string]int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	got := map[string]int{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for fn := range fns {
+			if strings.Contains(g, fn) {
+				got[fn]++
+			}
+		}
+	}
+	return got
 }
 
 // settledGoroutines polls until the goroutine count stops above target or

@@ -117,7 +117,7 @@ func (*cmdReparent) isNodeCmd() {}
 func (*cmdStream) isNodeCmd()   {}
 
 // handleCmd executes a recovery command inside the node's event loop.
-// Commands that read or rebuild filter state park the pipeline shards
+// Commands that read or rebuild filter state park the pipeline
 // first (quiesce): the snapshot must be a consistent cut, and the adoption
 // rebuilds synchronizers the workers otherwise own single-writer.
 func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
@@ -160,7 +160,7 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		// have been processed yet: release any worker waiting on its
 		// window before quiescing, or the barrier never forms.
 		n.parentOut.releaseWaiters()
-		// Park the shards for the link swap: workers send on parentOut
+		// Park the pipeline for the link swap: workers send on parentOut
 		// concurrently, so every link mutation happens with the data plane
 		// stopped.
 		n.quiesceShards(func() {
@@ -184,16 +184,16 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		// upRaw, which drops them at the root and returns their credits.
 		if cmd.drop {
 			delete(n.streams, cmd.ss.id)
-			n.shards.closeStreamUp(cmd.ss)
+			n.pipe.closeStreamUp(cmd.ss)
 		} else {
 			n.streams[cmd.ss.id] = cmd.ss
-			n.shards.register(cmd.ss)
+			n.pipe.register(cmd.ss)
 		}
 	}
 }
 
 // snapshotFilterState returns every stream's composable filter state, cut
-// consistently with the shards quiesced.
+// consistently with the pipeline quiesced.
 func (n *node) snapshotFilterState() map[uint32][]byte {
 	blobs := map[uint32][]byte{}
 	n.quiesceShards(func() {
@@ -240,8 +240,8 @@ func (n *node) redispatchStash(slots []int) {
 // links, start their readers, and repair every stream. The readers start
 // before stream repair so both link directions drain while announcements
 // are sent — their packets are only processed after the command completes,
-// once routing is rebuilt. Callers run this with the pipeline shards
-// quiesced (it mutates child slots and synchronizer state the shards
+// once routing is rebuilt. Callers run this with the pipeline
+// quiesced (it mutates child slots and synchronizer state the workers
 // otherwise own) and keep the live-child count and the shutdown rule
 // around it.
 func (n *node) applyInstall(c *cmdInstall, inbox chan inMsg) {

@@ -68,9 +68,9 @@ func (w *seqWin) seen(c uint64) bool {
 }
 
 // inOrder makes credit retirement on one inbound link direction follow
-// arrival order, whatever order the per-stream pipeline shards actually
+// arrival order, whatever order the pipeline and the acker actually
 // finish in. The router assigns each arriving run a contiguous index range;
-// completions (shard finishes, or downstream acknowledgements via the
+// completions (a lane's finished run, or downstream acknowledgements via the
 // acker) mark their range done, and only the newly contiguous prefix is
 // retired toward the peer. That is what makes the cumulative count carried
 // by grants a true prefix acknowledgement of the sender's replay ring: the

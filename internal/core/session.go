@@ -14,8 +14,8 @@ import (
 // opOpenSession flood. Teardown is the interesting half: CloseSession
 // closes every stream of the namespace at every node with a single flooded
 // opCloseSession packet — no per-stream control traffic and, critically, no
-// shard quiesce — so tearing one tenant down never parks another tenant's
-// pipelines. Admission policy (how many sessions, which weights) lives in
+// pipeline quiesce — so tearing one tenant down never parks another tenant's
+// streams. Admission policy (how many sessions, which weights) lives in
 // internal/session; this file is the mechanism.
 
 // SessionInfo describes one tenant session.

@@ -106,11 +106,11 @@ type streamState struct {
 	seqCtr uint64
 
 	// routes is the current immutable routing snapshot, read lock-free by
-	// user-goroutine multicasts and pipeline shards; writers (stream
+	// user-goroutine multicasts and pipeline workers; writers (stream
 	// creation, the install command under quiesce) swap in a fresh
 	// snapshot. The filters themselves (sync, tform, downTform) take no
-	// lock: they are driven only by the stream's shard workers under
-	// pipeMu, or by the router alone while the shards are quiesced.
+	// lock: they are driven only by the router's pipeline workers under
+	// pipeMu, or by the router alone while the pipeline is quiesced.
 	routes atomic.Pointer[streamRoutes]
 }
 

@@ -79,9 +79,9 @@ func allocPacket(t testing.TB) *packet.Packet {
 }
 
 // TestHotPathAllocs pins the data plane's steady-state allocation behavior
-// with testing.AllocsPerRun: the flow-controlled forward path stays at or
-// under 2 allocs per packet, a k-way multicast at or under 2 per child
-// queue, a filter's reduce output reaches the parent queue with no header
+// with testing.AllocsPerRun: the flow-controlled forward path allocates
+// nothing, nor does a grant whose acknowledgement pops a deferred inbound
+// retirement, a k-way multicast stays at or under 2 per child queue, a filter's reduce output reaches the parent queue with no header
 // copy, the credit-grant protocol amortizes under 1 alloc per retired
 // data packet, on TCP a grant's whole trip — sent, received, absorbed —
 // allocates nothing, and neither does an owed grant riding a data write; a
@@ -105,8 +105,40 @@ func TestHotPathAllocs(t *testing.T) {
 		for i := 0; i < 256; i++ {
 			op() // warm freelists and frame scratch
 		}
-		if n := testing.AllocsPerRun(500, op); n > 2 {
-			t.Errorf("forward path allocates %.2f/op, want <= 2", n)
+		if n := testing.AllocsPerRun(500, op); n != 0 {
+			t.Errorf("forward path allocates %.2f/op, want 0", n)
+		}
+	})
+
+	t.Run("grant-retires", func(t *testing.T) {
+		// A forwarded packet carrying an inbound run's deferred retirement:
+		// the parent's grant pops it off the ring and the acker completes
+		// it, owing the child its credit on a TCP link that can owe it.
+		fl := newDiscardLink(64)
+		a := newAcker(&Metrics{})
+		t.Cleanup(a.halt)
+		q := newUpstreamQueue(fl, BatchPolicy{MaxBatch: 1}.normalized(), &Metrics{}, a)
+		t.Cleanup(q.stop)
+		child := newDiscardLink(64)
+		child.SetGrantHooks(func() {}, nil)
+		tr := &inOrder{}
+		p := allocPacket(t)
+		op := func() {
+			ret := pendRetire{src: child, tr: tr, start: tr.assign(1), n: 1}
+			if err := q.sendAck(p, 0, true, ret); err != nil {
+				t.Fatal(err)
+			}
+			fl.Refill(1)
+		}
+		for i := 0; i < 256; i++ {
+			op()
+		}
+		owed := child.Owed()
+		if n := testing.AllocsPerRun(500, op); n != 0 {
+			t.Errorf("a grant that pops a deferred retirement allocates %.2f/op, want 0", n)
+		}
+		if got := child.Owed() - owed; got != 501 {
+			t.Errorf("the child is owed %d more credits after 501 grants, want 501: the retirements were not completed", got)
 		}
 	})
 
@@ -335,7 +367,7 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 }
 
-// TestDrainedFIFOsReleaseBurstArrays holds the shard lane and the egress
+// TestDrainedFIFOsReleaseBurstArrays holds the pipeline lane and the egress
 // schedule's epoch list to their memory bound: a burst may grow either past
 // its inline array, but once drained each is back on that array — the next
 // round queues without allocating, and an idle FIFO holds a constant, not
@@ -343,7 +375,7 @@ func TestHotPathAllocs(t *testing.T) {
 func TestDrainedFIFOsReleaseBurstArrays(t *testing.T) {
 	ln := lane{notify: make(chan struct{}, 1)}
 	for i := 0; i < 4*len(ln.buf); i++ {
-		ln.push(&Metrics{}, shardItem{kind: itemRegister})
+		ln.push(&Metrics{}, pipeItem{kind: itemRegister})
 	}
 	if cap(ln.q) <= len(ln.buf) {
 		t.Fatalf("a %d-item burst left the lane at capacity %d: it never left the inline array", 4*len(ln.buf), cap(ln.q))

@@ -33,13 +33,13 @@ import (
 // may keep state across calls; each node instantiates its own filter per
 // stream, so implementations need NOT be safe for concurrent use.
 //
-// Concurrency contract (the stream-sharded data plane): every filter
-// instance is single-writer. The engine drives a given stream's filters
-// from exactly one pipeline-shard goroutine at a time, and quiesces that
-// shard before the control plane touches the same instance (recovery
-// snapshots, synchronizer rebuilds, shutdown drains). Implementations may
-// therefore use plain fields freely — but must not share mutable state
-// ACROSS instances, since different streams' filters do run in parallel.
+// Concurrency contract: every filter instance is single-writer. The
+// engine drives a given stream's filters from one pipeline goroutine at a
+// time, and quiesces that pipeline before the control plane touches the
+// same instance (recovery snapshots, synchronizer rebuilds, shutdown
+// drains). Implementations may therefore use plain fields freely — but
+// must not share mutable state ACROSS instances, since different
+// instances do run in parallel (on other routers, or on the other lane).
 type Transformation interface {
 	// Transform consumes a batch of packets travelling in the same
 	// direction on one stream and returns the packets to forward. A nil or
@@ -75,7 +75,7 @@ type StatefulTransformation interface {
 
 // Synchronizer groups arriving packets into batches for transformation.
 // Implementations are per-node, per-stream and are driven by the stream's
-// pipeline shard: Add is called for every arriving upstream packet, and
+// pipeline: Add is called for every arriving upstream packet, and
 // Poll drains whatever the policy is willing to release on a timer. The
 // single-writer contract on Transformation applies identically here —
 // one goroutine at a time, no locking required inside the filter.
@@ -98,7 +98,7 @@ type Synchronizer interface {
 var ErrUnknownFilter = errors.New("filter: unknown filter")
 
 // Registry maps filter names to constructors. It is safe for concurrent
-// use — lookups take a read lock, so the many routers and shards of a
+// use — lookups take a read lock, so the many routers of a
 // large overlay instantiate filters in parallel without contention while
 // RegisterTransformation/RegisterSynchronizer may run at any time.
 // Overlay nodes consult it when a stream announces its filters, which is

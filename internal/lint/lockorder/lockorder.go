@@ -4,7 +4,7 @@
 //  1. Order inversions. Every observed acquisition "B locked while A held"
 //     adds the edge A→B; any cycle in the resulting graph is a potential
 //     deadlock. The repo's sanctioned orders are flushMu→mu on egressQueue
-//     and pipeMu→(egress locks) on the shard pipeline; this analyzer derives
+//     and pipeMu→(egress locks) on the filter pipeline; this analyzer derives
 //     them from the code rather than hard-coding them, so a new inversion is
 //     caught no matter which half of it is new.
 //

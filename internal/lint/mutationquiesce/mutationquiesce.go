@@ -1,10 +1,10 @@
 // Package mutationquiesce enforces the topology-mutation barrier: the
 // primitives that rewire a live routing process — installChild, setLink,
 // applyInstall, repairStreams, rebuildSlots, redispatchStash — mutate
-// state the shard pipelines read without locks, so every call must happen
+// state the pipeline workers read without locks, so every call must happen
 // with the data plane parked. A call site is compliant when it sits
 // inside the func-literal argument of quiesce/quiesceShards (the barrier
-// runs it with every shard drained and stopped), or when an unconditional
+// runs it with every pipeline lane drained and stopped), or when an unconditional
 // quiesce call precedes it on every control-flow path from the function's
 // entry (the adopt/reparent orchestration shape). Anything else is a
 // data race with the routers by construction (DESIGN.md §9, §13).
@@ -28,7 +28,7 @@ var Analyzer = &lint.Analyzer{
 	Run:  run,
 }
 
-// primitives mutate routing state the shard pipelines read lock-free.
+// primitives mutate routing state the pipeline workers read lock-free.
 var primitives = map[string]bool{
 	"installChild":    true,
 	"setLink":         true,
@@ -39,7 +39,7 @@ var primitives = map[string]bool{
 }
 
 // quiesces park the data plane and run their func-literal argument with
-// every shard drained.
+// every pipeline lane drained.
 var quiesces = map[string]bool{
 	"quiesce":       true,
 	"quiesceShards": true,
