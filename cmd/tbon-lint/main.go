@@ -1,6 +1,6 @@
 // Command tbon-lint is the repo's invariant checker: a multichecker over
 // the internal/lint suite (batchalias, creditpair, lockorder, seqstamp,
-// ctrlfifo, mutationquiesce), each of which mechanically enforces one of
+// mutationquiesce), each of which mechanically enforces one of
 // the concurrency contracts written down in DESIGN.md §11.
 //
 // Usage:

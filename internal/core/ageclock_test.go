@@ -178,7 +178,7 @@ func TestBusyWireDoesNotSpinAgeClock(t *testing.T) {
 
 // TestAgeFlushOffTheRouter is the router-on-the-wire regression: an age
 // flush onto a slow child socket used to run on the router goroutine, so
-// heartbeat relays, recovery commands and attachments waited for the send.
+// recovery commands and attachments waited for the send.
 // The goroutines that may wait on the wire are the queue's own clock, a
 // pipeline lane in a size flush, a back-end handler (Send, and the idle flush
 // in Recv) and a front-end user goroutine (its sends' idle flush, outside
@@ -190,8 +190,7 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 	var gate *gateLink
 	var delivered atomic.Int64
 	nw, err := NewNetwork(Config{
-		Topology:        tree,
-		HeartbeatPeriod: 5 * time.Millisecond,
+		Topology: tree,
 		WrapFabric: func(eps []*transport.Endpoint) {
 			gate = newGateLink(eps[router].Children[0])
 			eps[router].Children[0] = gate
@@ -223,7 +222,6 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 	}
 	gate.awaitEntered(t)
 
-	blocked := time.Now()
 	refreshed := make(chan struct{})
 	go func() {
 		_, _ = refreshRouting(nw, router) // a command into this router's loop
@@ -233,12 +231,6 @@ func TestAgeFlushOffTheRouter(t *testing.T) {
 	case <-refreshed:
 	case <-time.After(time.Second):
 		t.Error("the router took no command within 1s of an age flush blocking on a slow child link")
-	}
-	for deadline := blocked.Add(time.Second); !nw.Heartbeats()[slow].After(blocked); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Error("no heartbeat relayed through the router within 1s of an age flush blocking on a slow child link")
-			break
-		}
 	}
 	if n := delivered.Load(); n != 0 {
 		t.Fatalf("%d packets passed the closed gate", n)

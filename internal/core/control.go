@@ -12,7 +12,7 @@ const (
 	opNewStream    int64 = 1 // establish stream state at every node on the path
 	opCloseStream  int64 = 2 // tear down stream state, draining synchronizers
 	opShutdown     int64 = 3 // stop the subtree
-	opHeartbeat    int64 = 4 // liveness beacon, flowing upstream to the front-end
+	opHeartbeat    int64 = 4 // liveness beacon, one hop up: the parent notes it and drops it
 	opOpenSession  int64 = 5 // announce a tenant session's stream-id namespace
 	opCloseSession int64 = 6 // tear down every stream of a namespace, non-quiescing
 )
@@ -58,13 +58,14 @@ func heartbeatPacket(origin Rank) *packet.Packet {
 		opHeartbeat, int64(origin))
 }
 
-// parseHeartbeat decodes an opHeartbeat control message.
-func parseHeartbeat(p *packet.Packet) (Rank, error) {
-	origin, err := p.Int(1)
-	if err != nil {
-		return 0, err
+// parseHeartbeat decodes an opHeartbeat control message, reporting false
+// for any other packet.
+func parseHeartbeat(p *packet.Packet) (Rank, bool) {
+	if op, err := ctrlOp(p); err != nil || op != opHeartbeat {
+		return 0, false
 	}
-	return Rank(origin), nil
+	origin, err := p.Int(1)
+	return Rank(origin), err == nil
 }
 
 // ctrlOp extracts the operation code from a control packet.

@@ -113,8 +113,8 @@ type Config struct {
 	// stops assigning it (ROADMAP item 1, first bullet).
 	Recoverable bool
 	// HeartbeatPeriod, when positive, makes every non-root process emit
-	// periodic liveness beacons that relay to the front-end, feeding the
-	// failure detector in internal/recovery.
+	// periodic liveness beacons to its parent, whose record feeds the
+	// failure detector in internal/recovery (Network.Heartbeats).
 	HeartbeatPeriod time.Duration
 	// ExactlyOnce is ignored: always on; retained only until the benchmark
 	// stops assigning it (ROADMAP item 1, first bullet).
@@ -159,7 +159,7 @@ type Metrics struct {
 
 	// Failure detection and recovery observability.
 	HeartbeatsSent       atomic.Int64 // liveness beacons emitted
-	HeartbeatsSeen       atomic.Int64 // beacons observed at the front-end
+	HeartbeatsSeen       atomic.Int64 // beacons heard by parents
 	NodesFailed          atomic.Int64 // processes crashed (Kill injections)
 	RecoveriesCompleted  atomic.Int64 // successful live adoptions
 	OrphansAdopted       atomic.Int64 // subtrees re-parented by recovery
@@ -212,9 +212,6 @@ type Network struct {
 	tenantStats map[string]*TenantCounters
 	shutdown    bool
 	beErrs      []error
-
-	hbMu   sync.Mutex
-	lastHB map[Rank]time.Time
 }
 
 // ErrShutdown is returned by front-end operations on a stopped network.
@@ -277,7 +274,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		view:     newLiveView(cfg.Topology),
 		byRank:   map[Rank]*node{},
 		bes:      map[Rank]*BackEnd{},
-		lastHB:   map[Rank]time.Time{},
 	}
 	// Start the front-end's router, then every communication process and
 	// back-end.

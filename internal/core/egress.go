@@ -111,9 +111,9 @@ const (
 // abortable by the owner's stop channels), a flush acquires one wire
 // credit per data packet, all in one step, and stops — stalled — when the
 // peer's window is exhausted, and the scheduler (flowegress.go) orders
-// what a flush sends: order-free control first, then streams by priority,
-// round-robin within a priority, with order-sensitive control packets
-// acting as barriers that nothing enqueued after them may overtake.
+// what a flush sends: streams by priority, round-robin within a priority,
+// with control packets acting as barriers that nothing enqueued after them
+// may overtake.
 type egressQueue struct {
 	pol BatchPolicy
 	m   *Metrics
@@ -491,11 +491,9 @@ func (q *egressQueue) sendCtx(p *packet.Packet, prio int, block bool) error {
 }
 
 // sendNow enqueues p and flushes immediately. Control packets use it:
-// order-sensitive control (stream setup/teardown, shutdown) keeps its FIFO
+// control (stream setup/teardown, sessions, shutdown) keeps its FIFO
 // position behind already queued data but never waits out a batching
-// window; order-free control (heartbeats) additionally jumps to the
-// scheduler's control lane, so it can never be delayed behind
-// credit-stalled data.
+// window.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
 	q.mu.Lock()
 	return q.enqueueLocked(p, 0, true)

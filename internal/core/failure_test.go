@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/filter"
 	"repro/internal/packet"
+	"repro/internal/transport"
 )
 
 // TestFilterErrorsAreContained injects a transformation that fails on
@@ -428,9 +430,10 @@ func TestKillAndAdoptValidation(t *testing.T) {
 	}
 }
 
-// TestHeartbeatsReachFrontEnd: every non-root process's beacon relays to
-// the front-end within a few periods.
-func TestHeartbeatsReachFrontEnd(t *testing.T) {
+// TestHeartbeatsReachTheirParent: every non-root process's beacon reaches
+// its parent within a few periods, and Heartbeats merges the parents'
+// records into one view of every rank.
+func TestHeartbeatsReachTheirParent(t *testing.T) {
 	nw := recoverableEcho(t, "kary:2^2", 5*time.Millisecond)
 	defer nw.Shutdown()
 	deadline := time.Now().Add(5 * time.Second)
@@ -446,6 +449,98 @@ func TestHeartbeatsReachFrontEnd(t *testing.T) {
 	}
 	if nw.Metrics().HeartbeatsSent.Load() == 0 || nw.Metrics().HeartbeatsSeen.Load() == 0 {
 		t.Error("heartbeat metrics not counted")
+	}
+}
+
+// beaconTap records the origin of every beacon that arrives on the link it
+// wraps.
+type beaconTap struct {
+	transport.Link
+	mu      *sync.Mutex
+	origins map[Rank]bool
+}
+
+func (b beaconTap) RecvBatch() ([]*packet.Packet, error) {
+	ps, err := transport.RecvBatch(b.Link)
+	for _, p := range ps {
+		if p.Tag != packet.TagControl {
+			continue
+		}
+		if op, err := ctrlOp(p); err == nil && op == opHeartbeat {
+			origin, _ := p.Int(1)
+			b.mu.Lock()
+			b.origins[Rank(origin)] = true
+			b.mu.Unlock()
+		}
+	}
+	return ps, err
+}
+
+func (b beaconTap) SendBatch(ps []*packet.Packet) error { return transport.SendBatch(b.Link, ps) }
+
+func (b beaconTap) BatchCopies() bool { return transport.BatchCopies(b.Link) }
+
+// TestRootHearsOnlyItsChildren: a beacon goes one hop, to its sender's
+// parent. Over several periods the beacons arriving on the root's links
+// come from exactly the root's live children — not from every rank, which
+// would make the front-end's load grow with N — while Heartbeats still
+// covers every non-root rank through the parents' records.
+func TestRootHearsOnlyItsChildren(t *testing.T) {
+	const hb = 5 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		kind TransportKind
+	}{
+		{"chan", ChanTransport},
+		{"tcp", TCPTransport},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := mustTree(t, "kary:2^3")
+			var mu sync.Mutex
+			origins := map[Rank]bool{}
+			nw, err := NewNetwork(Config{
+				Topology:        tree,
+				Transport:       tc.kind,
+				HeartbeatPeriod: hb,
+				WrapFabric: func(eps []*transport.Endpoint) {
+					for i, c := range eps[0].Children {
+						eps[0].Children[i] = beaconTap{Link: c, mu: &mu, origins: origins}
+					}
+				},
+				OnBackEnd: func(be *BackEnd) error {
+					for {
+						if _, err := be.Recv(); err != nil {
+							return nil
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nw.Shutdown()
+			eventually(t, "every non-root rank is in Heartbeats", func() bool {
+				return len(nw.Heartbeats()) == tree.Len()-1
+			})
+			time.Sleep(10 * hb)
+
+			want := map[Rank]bool{}
+			for _, c := range nw.LiveChildren(0) {
+				want[c] = true
+			}
+			mu.Lock()
+			got := maps.Clone(origins)
+			mu.Unlock()
+			if !maps.Equal(got, want) {
+				t.Errorf("the root heard beacons from %v, want exactly its children %v", got, want)
+			}
+			hbs := nw.Heartbeats()
+			for r := 1; r < tree.Len(); r++ {
+				if _, ok := hbs[Rank(r)]; !ok {
+					t.Errorf("rank %d missing from Heartbeats", r)
+				}
+			}
+		})
 	}
 }
 

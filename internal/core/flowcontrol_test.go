@@ -15,9 +15,9 @@ import (
 // Scheduler-level unit tests (white box: drive one egress queue directly;
 // drainLink comes from egress_test.go).
 
-// TestEgressPriorityScheduling: with a flow-controlled queue, order-free
-// control flushes first, higher-priority streams beat lower, equal
-// priorities round-robin, and per-stream FIFO always holds.
+// TestEgressPriorityScheduling: with a flow-controlled queue,
+// higher-priority streams beat lower, equal priorities round-robin, and
+// per-stream FIFO always holds.
 func TestEgressPriorityScheduling(t *testing.T) {
 	a, b := transport.NewPair(64)
 	fa := transport.NewFlowLink(a, 64)
@@ -31,27 +31,20 @@ func TestEgressPriorityScheduling(t *testing.T) {
 		return packet.MustNew(tagQuery, stream, 1, "%d", v)
 	}
 	// Interleave enqueues: low-prio stream 1, equal-prio streams 2 and 3,
-	// high-prio stream 4, and one heartbeat (order-free control).
+	// high-prio stream 4.
 	for i := 0; i < 3; i++ {
 		_ = q.sendCtx(mk(1, int64(10+i)), -1, true)
 		_ = q.sendCtx(mk(2, int64(20+i)), 0, true)
 		_ = q.sendCtx(mk(3, int64(30+i)), 0, true)
 		_ = q.sendCtx(mk(4, int64(40+i)), 5, true)
 	}
-	hb := heartbeatPacket(7)
-	_ = q.sendNow(hb)
 	q.flushMu.Unlock()
 	if err := q.drain(); err != nil {
 		t.Fatal(err)
 	}
 
-	got := drainLink(t, b, 13)
-	// Heartbeat first: the control lane outranks all data.
-	if got[0].Tag != packet.TagControl {
-		t.Fatalf("first flushed packet is stream %d, want the heartbeat", got[0].StreamID)
-	}
-	rest := got[1:]
-	// High priority next, in FIFO order.
+	rest := drainLink(t, b, 12)
+	// High priority first, in FIFO order.
 	for i := 0; i < 3; i++ {
 		if rest[i].StreamID != 4 {
 			t.Fatalf("position %d is stream %d, want high-priority stream 4", i, rest[i].StreamID)
@@ -445,7 +438,7 @@ func TestSlowConsumerBoundedMemory(t *testing.T) {
 // TestControlFlowsThroughSaturatedDataPlane is the regression test for the
 // head-of-line bug: with one subtree's consumers fully stalled (windows
 // exhausted, every queue toward them credit-stalled, producers blocked),
-// heartbeats from EVERY process must keep reaching the front-end, and a
+// heartbeats from EVERY process must keep reaching their parents, and a
 // recovery command (kill + adopt in a different subtree) must complete.
 // Runs on both fabrics.
 func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {

@@ -7,19 +7,15 @@ import (
 
 // egressSched is the priority-aware schedule behind every egressQueue. It
 // preserves exactly the invariants the overlay needs — per-stream FIFO,
-// and order-sensitive control as barriers — and frees everything else for
-// scheduling:
+// and control as barriers — and frees everything else for scheduling:
 //
-//	control lane  order-free control (heartbeat relays) flushes ahead of
-//	              everything, so liveness traffic is never pinned behind
-//	              credit-stalled data;
 //	priority      among data streams sharing the link, higher
 //	              StreamSpec.Priority flushes first;
 //	round-robin   streams of equal priority alternate packet-for-packet,
 //	              so one hot stream cannot starve its siblings.
 //
-// Order-sensitive control (stream setup/teardown, shutdown) seals the
-// current EPOCH: everything enqueued before it flushes first, the barrier
+// Control (stream setup/teardown, sessions, shutdown) seals the current
+// EPOCH: everything enqueued before it flushes first, the barrier
 // itself next, then the following epoch — its FIFO position, with
 // scheduling scoped to within an epoch. A stream's packets split across
 // epochs still drain in epoch order, so per-stream FIFO holds
@@ -32,13 +28,11 @@ type egressSched struct {
 	// final wire order; it re-flushes ahead of everything scheduled after
 	// it (the packets were logically on the wire when the link died).
 	retained []*packet.Packet
-	// ctrl is the order-free control lane.
-	ctrl []*packet.Packet
 	// epochs is the barrier-ordered sequence; the last may be open
 	// (barrier == nil) and accepts new data. Drained, it is back on epochBuf.
 	epochs   []*schedEpoch
 	epochBuf [4]*schedEpoch
-	// count is the total queued packets (data + control + barriers).
+	// count is the total queued packets (data + barriers).
 	count int
 	// data counts the queued data packets alone — the occupancy the link
 	// window bounds (control consumes no slots), and what the high-water
@@ -125,24 +119,17 @@ func flushGrant(m *Metrics, fl *transport.FlowLink) {
 	}
 }
 
-// add enqueues p. ctrl marks a sendNow control packet: order-free ops go
-// to the control lane, order-sensitive ops seal the open epoch as a
-// barrier. Data lands in the open epoch's per-stream FIFO at prio.
+// add enqueues p. ctrl marks a sendNow control packet, which seals the
+// open epoch as a barrier (creating an empty one if nothing is queued — the
+// barrier still orders against whatever comes after). Data lands in the
+// open epoch's per-stream FIFO at prio.
 func (s *egressSched) add(p *packet.Packet, prio int, ctrl bool) {
 	s.count++
 	if !ctrl {
 		s.data++
 	}
 	if ctrl && p.Tag == packet.TagControl {
-		if op, err := ctrlOp(p); err == nil && op == opHeartbeat {
-			s.ctrl = append(s.ctrl, p)
-			return
-		}
-		// Order-sensitive control: seal the open epoch (creating an empty
-		// one if nothing is queued — the barrier still orders against
-		// whatever comes after).
-		e := s.open()
-		e.barrier = p
+		s.open().barrier = p
 		return
 	}
 	e := s.open()
@@ -239,18 +226,18 @@ func (e *schedEpoch) pick() *schedStream {
 	return e.order[best]
 }
 
-// take selects the next wire batch: retained remainder first, then the
-// control lane, then epoch by epoch — streams by priority, round-robin
-// within a priority, the epoch's barrier last. Unless bypass is set, the
-// send credits for every queued data packet are requested from fl in one
-// step; take is stalled exactly when it got fewer than it has queued data,
-// and selection stops at the first data packet it holds no credit for
-// (everything not selected stays queued exactly where it was). A credit
-// left unspent is refunded. The batch is appended to dst (pass the
-// flusher's reusable take buffer, or nil); drained epochs and streams
-// return to the scheduler's freelists. Returns the batch, its encoded byte
-// total, and how many data packets it carries (their occupancy slots are
-// released by the flusher once the wire accepts them).
+// take selects the next wire batch: retained remainder first, then epoch
+// by epoch — streams by priority, round-robin within a priority, the
+// epoch's barrier last. Unless bypass is set, the send credits for every
+// queued data packet are requested from fl in one step; take is stalled
+// exactly when it got fewer than it has queued data, and selection stops
+// at the first data packet it holds no credit for (everything not
+// selected stays queued exactly where it was). A credit left unspent is
+// refunded. The batch is appended to dst (pass the flusher's reusable take
+// buffer, or nil); drained epochs and streams return to the scheduler's
+// freelists. Returns the batch, its encoded byte total, and how many data
+// packets it carries (their occupancy slots are released by the flusher
+// once the wire accepts them).
 //
 //tbon:allow creditpair credits acquired here transfer to the returned batch: the flusher either sends it or restores it and refunds unsent data credits (failedFlush)
 func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Packet) (ps []*packet.Packet, total, nData int, stalled bool) {
@@ -259,15 +246,6 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 		credits = fl.TryAcquireN(s.data)
 	}
 	ps = dst
-	// Order-free control first — even ahead of the retained remainder: a
-	// credit-stalled retained head must never pin a heartbeat relay.
-	for i, p := range s.ctrl {
-		ps = append(ps, p)
-		total += p.EncodedSize() + 4
-		s.count--
-		s.ctrl[i] = nil
-	}
-	s.ctrl = s.ctrl[:0]
 	for len(s.retained) > 0 {
 		p := s.retained[0]
 		if p.Tag != packet.TagControl {

@@ -22,8 +22,8 @@ type inMsg struct {
 // runs to the process's filter pipeline.
 //
 // The front-end's router is the node at rank 0, the root, and differs in
-// its upward sink only: it has no parent link or queue, a finished batch is
-// delivered to its Stream, and order-free control is consumed, not relayed.
+// its upward sink only: it has no parent link or queue, and a finished
+// batch is delivered to its Stream.
 // Downstream it is a router like any other; its user goroutines enqueue
 // onto its child egress queues where a router's pipeline workers would.
 type node struct {
@@ -41,12 +41,12 @@ type node struct {
 	// readStop is closed when the router exits, releasing any readLink
 	// goroutine still blocked handing a frame to the abandoned inbox.
 	readStop chan struct{}
-	// ctrlLane is the second ingress lane: readers divert order-free
-	// control (heartbeat relays) here, so liveness traffic flows even while
-	// the data inbox is saturated — it can never be head-of-line blocked
-	// behind data frames. Credit grants never reach either lane: the
-	// transport absorbs them at the receive edge.
-	ctrlLane chan *packet.Packet
+	// heard is the liveness record of this router's children: the link
+	// readers note each beacon there and drop it, so a beacon never reaches
+	// the inbox (Network.Heartbeats merges every router's record). Credit
+	// grants never reach the inbox either: the transport absorbs them at
+	// the receive edge.
+	heard beacons
 
 	// Egress queues, one per link (the root has no parent queue), shared by
 	// the router, the pipeline and, at the root, user goroutines (each queue
@@ -96,12 +96,11 @@ type node struct {
 }
 
 // run executes the communication-process router loop: route downstream
-// multicasts toward member back-ends, relay control, and dispatch data to
+// multicasts toward member back-ends, forward control, and dispatch data to
 // the filter pipeline, which synchronizes, transforms, and egresses it.
 func (n *node) run() {
 	n.streams = map[uint32]*streamState{}
 	inbox := make(chan inMsg, 4*(len(n.ep.Children)+1))
-	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	n.readStop = make(chan struct{})
 	defer func() {
 		// Whatever path the router exits by — graceful finish or crash —
@@ -120,9 +119,9 @@ func (n *node) run() {
 	n.pipe = newPipeline(n)
 
 	// Reader goroutines: one per link, feeding the event loop.
-	go readLink(n.ep.Parent, -1, inbox, n.ctrlLane, n.readStop)
+	go n.readLink(n.ep.Parent, -1, inbox)
 	for i, c := range n.ep.Children {
-		go readLink(c, i, inbox, n.ctrlLane, n.readStop)
+		go n.readLink(c, i, inbox)
 	}
 	n.liveChildren = len(n.ep.Children)
 
@@ -131,14 +130,6 @@ func (n *node) run() {
 	// command.
 	fast := 0
 	for {
-		// Control lane first: order-free control must flow however deep the
-		// data backlog is.
-		select {
-		case p := <-n.ctrlLane:
-			n.handleOrderFree(p)
-			continue
-		default:
-		}
 		// Fast path: while messages are ready, handle them without the full
 		// select.
 		if fast < 1024 {
@@ -167,8 +158,6 @@ func (n *node) run() {
 			if done := n.handle(m); done {
 				return
 			}
-		case p := <-n.ctrlLane:
-			n.handleOrderFree(p)
 		case c := <-n.cmdCh:
 			n.handleCmd(c, inbox)
 		case <-n.killCh:
@@ -276,66 +265,16 @@ func (n *node) installChild(slot int, l transport.Link) {
 	n.ep.Children, n.childOut = links, outs
 }
 
-// ctrlLaneDepth buffers the order-free control lane. It only fills when
-// the router itself is wedged for a long stretch; beacons are periodic, so
-// dropping the overflow is strictly better than blocking the reader.
-const ctrlLaneDepth = 256
-
-// orderFreeControl reports whether p is control traffic with no data-plane
-// ordering semantics (a heartbeat beacon). Such packets ride the ingress
-// control lane, bypassing the data inbox entirely.
-func orderFreeControl(p *packet.Packet) bool {
-	if p.Tag != packet.TagControl {
-		return false
-	}
-	op, err := ctrlOp(p)
-	return err == nil && op == opHeartbeat
-}
-
-// splitOrderFree diverts order-free control packets in ps to the control
-// lane (dropping them if it is full — they are periodic and lossy-safe)
-// and returns the remaining packets in order. The common all-data frame
-// costs one scan and no allocation. When a split is needed the kept
-// packets go into a FRESH slice: ps came off the wire via RecvBatch, and
-// on the in-process fabric its backing array is still the sender's
-// SendBatch slice, which the sender re-reads after the send to
-// build its replay ring — compacting in place (ps[:0]) would corrupt the
-// ring under the sender's feet (the PR 7 absorb/dropDups race class).
-func splitOrderFree(ps []*packet.Packet, ctrl chan<- *packet.Packet) []*packet.Packet {
-	split := false
-	for _, p := range ps {
-		if p.Tag == packet.TagControl && orderFreeControl(p) {
-			split = true
-			break
-		}
-	}
-	if !split {
-		return ps
-	}
-	kept := make([]*packet.Packet, 0, len(ps)-1)
-	for _, p := range ps {
-		if orderFreeControl(p) {
-			select {
-			case ctrl <- p:
-			default:
-			}
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return kept
-}
-
 // readLink pumps frames from a link into the inbox, sending a nil-slice
 // sentinel at EOF. A nil link (the root's parent) sends nothing. Reading
 // whole frames means one inbox message — and one event-loop wakeup — per
-// link flush instead of per packet. Order-free control is diverted to the
-// ctrl lane before the (possibly blocking) inbox delivery, which is the
-// receive half of the two-lane ingress: a saturated data path cannot
-// head-of-line-block liveness traffic. stop covers the owner exiting
-// without draining the inbox (kill): a reader must never stay blocked on a
-// channel nobody reads.
-func readLink(l transport.Link, slot int, inbox chan<- inMsg, ctrl chan<- *packet.Packet, stop <-chan struct{}) {
+// link flush instead of per packet. A child's beacon is noted in the
+// router's liveness record and goes no further: heartbeatLoop sends it with
+// Link.Send, so it is always a one-packet frame of its own, and a saturated
+// inbox delays it no more than the frames ahead of it on the link.
+// readStop covers the owner exiting without draining the inbox (kill): a
+// reader must never stay blocked on a channel nobody reads.
+func (n *node) readLink(l transport.Link, slot int, inbox chan<- inMsg) {
 	if l == nil {
 		return
 	}
@@ -344,12 +283,16 @@ func readLink(l transport.Link, slot int, inbox chan<- inMsg, ctrl chan<- *packe
 		if err != nil {
 			select {
 			case inbox <- inMsg{child: slot, ps: nil}:
-			case <-stop:
+			case <-n.readStop:
 			}
 			return
 		}
-		if ps = splitOrderFree(ps, ctrl); len(ps) == 0 {
-			continue
+		if len(ps) == 1 && ps[0].Tag == packet.TagControl {
+			if origin, ok := parseHeartbeat(ps[0]); ok {
+				n.heard.note(origin)
+				n.nw.metrics.HeartbeatsSeen.Add(1)
+				continue
+			}
 		}
 		// Fast path: a buffered non-blocking send costs one channel
 		// operation; the two-way select only runs when the inbox is full
@@ -362,7 +305,7 @@ func readLink(l transport.Link, slot int, inbox chan<- inMsg, ctrl chan<- *packe
 		}
 		select {
 		case inbox <- inMsg{child: slot, ps: ps}:
-		case <-stop:
+		case <-n.readStop:
 			return
 		}
 	}
@@ -385,30 +328,6 @@ func (n *node) quiesceShards(fn func()) {
 	n.parentOut.rearmWaiters()
 	for _, q := range n.childOut {
 		q.rearmWaiters()
-	}
-}
-
-// handleOrderFree processes one order-free control packet (a heartbeat
-// beacon) on the router: it relays toward the front-end with flush-through
-// (its latency compounds per level, and it carries no ordering semantics,
-// so jumping ahead of pipeline-pending or credit-stalled data is safe). The
-// root consumes it: beacons feed the failure detector.
-func (n *node) handleOrderFree(p *packet.Packet) {
-	if n.rank != 0 {
-		n.relay(p)
-		return
-	}
-	if origin, err := parseHeartbeat(p); err == nil {
-		n.nw.noteHeartbeat(origin)
-	}
-}
-
-// relay sends a control packet one level up with flush-through. The root
-// has no parent and an orphan's is dead, so both drop it — stale relays
-// must not displace an orphan's retained data from its egress buffer.
-func (n *node) relay(p *packet.Packet) {
-	if n.rank != 0 && !n.orphaned {
-		_ = n.parentOut.sendNow(p)
 	}
 }
 
@@ -698,13 +617,8 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 	for i := 0; i < len(ps); {
 		p := ps[i]
 		if p.Tag == packet.TagControl {
-			// Upstream order-free control is normally diverted by the
-			// reader; anything that still lands here is handled the same.
-			if orderFreeControl(p) {
-				n.handleOrderFree(p)
-			} else {
-				n.relay(p)
-			}
+			// Upstream carries data only: a beacon stopped at the reader,
+			// and no other control flows toward the root.
 			i++
 			continue
 		}

@@ -25,8 +25,8 @@ import (
 //
 // The mailbox being unbounded is what keeps the router a pure control
 // plane: dispatch never blocks, so control traffic (recovery commands,
-// attach, heartbeat relays, credit grants) can never be head-of-line
-// blocked behind a slow pipeline. Mailbox occupancy is still bounded —
+// attach, credit grants) can never be head-of-line blocked behind a slow
+// pipeline. Mailbox occupancy is still bounded —
 // by the flow-control protocol rather than a channel capacity: each
 // inbound link can have at most one window (Config.LinkWindow) of
 // un-retired packets in the mailboxes, because the pipeline grants

@@ -19,7 +19,8 @@ import (
 //     links abruptly so neighbors observe the failure exactly as they
 //     would a real crash;
 //   - failure detection feed: every non-root process emits periodic
-//     heartbeat control packets that relay to the front-end, where
+//     heartbeat control packets to its parent, whose link readers record
+//     them (Network.Heartbeats merges the records), and
 //     internal/recovery's detector watches for silence;
 //   - live reconfiguration: Adopt applies the grandparent-adoption rule in
 //     place — orphans are re-linked under the failed node's parent, stream
@@ -176,7 +177,7 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 			// data survives the failure instead of being lost with the link.
 			n.parentOut.setLink(link)
 		})
-		go readLink(link, -1, inbox, n.ctrlLane, n.readStop)
+		go n.readLink(link, -1, inbox)
 		cmd.reply <- nil
 	case *cmdStream:
 		// A dropped stream's synchronizer drains behind the runs already
@@ -255,7 +256,7 @@ func (n *node) applyInstall(c *cmdInstall, inbox chan inMsg) {
 		n.installChild(c.slots[i], l)
 	}
 	for i, l := range c.links {
-		go readLink(l, c.slots[i], inbox, n.ctrlLane, n.readStop)
+		go n.readLink(l, c.slots[i], inbox)
 	}
 	n.repairStreams(c)
 }
@@ -395,30 +396,56 @@ func (nw *Network) HeartbeatPeriod() time.Duration { return nw.cfg.HeartbeatPeri
 // Registry returns the filter registry the overlay instantiates from.
 func (nw *Network) Registry() *filter.Registry { return nw.registry }
 
-// noteHeartbeat records a liveness beacon observed at the front-end.
-func (nw *Network) noteHeartbeat(origin Rank) {
-	nw.metrics.HeartbeatsSeen.Add(1)
-	nw.hbMu.Lock()
-	nw.lastHB[origin] = time.Now()
-	nw.hbMu.Unlock()
+// beacons is one router's liveness record: when each child's beacon last
+// arrived, keyed by the child's rank. The router's link readers write it.
+type beacons struct {
+	mu   sync.Mutex
+	last map[Rank]time.Time
 }
 
-// Heartbeats snapshots the last time each rank's beacon reached the
-// front-end. Ranks that have never been heard from are absent.
+// note records a beacon from origin arriving now.
+func (b *beacons) note(origin Rank) {
+	b.mu.Lock()
+	if b.last == nil {
+		b.last = map[Rank]time.Time{}
+	}
+	b.last[origin] = time.Now()
+	b.mu.Unlock()
+}
+
+// mergeInto adds the record to out, keeping the later time for a rank that
+// beaconed to more than one parent (it was adopted or moved).
+func (b *beacons) mergeInto(out map[Rank]time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for r, t := range b.last {
+		if t.After(out[r]) {
+			out[r] = t
+		}
+	}
+}
+
+// Heartbeats snapshots the last time each rank's beacon reached its
+// parent, merged over every router's record. A crashed router's record
+// stays in the merge, frozen at the crash: its children fall silent then,
+// as their beacons can no longer reach a parent, until an adoption gives
+// them a live one. Ranks that have never been heard from are absent.
 func (nw *Network) Heartbeats() map[Rank]time.Time {
-	nw.hbMu.Lock()
-	defer nw.hbMu.Unlock()
-	out := make(map[Rank]time.Time, len(nw.lastHB))
-	for r, t := range nw.lastHB {
-		out[r] = t
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	out := map[Rank]time.Time{}
+	for _, n := range nw.byRank {
+		n.heard.mergeInto(out)
 	}
 	return out
 }
 
 // heartbeatLoop periodically emits this rank's liveness beacon on its
-// current parent link, until network teardown or the rank is killed.
-// Beacons are lossy-safe and order-free, so one that fails (a dead parent,
-// pre-adoption) is simply retried on the next tick.
+// current parent link, until network teardown or the rank is killed. It
+// sends with Link.Send, never through an egress queue, so each beacon is a
+// one-packet frame the parent's reader can note and drop (readLink).
+// Beacons are lossy-safe, so one that fails (a dead parent, pre-adoption)
+// is simply retried on the next tick.
 func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
 	t := time.NewTicker(nw.cfg.HeartbeatPeriod)
 	defer t.Stop()

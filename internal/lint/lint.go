@@ -3,13 +3,13 @@
 // named Run function over the parsed files of one package, reporting
 // Diagnostics at token positions. The module deliberately has no external
 // dependencies, so the suite of repo-specific invariant checkers under
-// internal/lint/* (batchalias, creditpair, lockorder, seqstamp, ctrlfifo)
-// is written against this API instead; an analyzer written here ports to
-// x/tools/go/analysis by renaming the imports.
+// internal/lint/* (batchalias, creditpair, lockorder, seqstamp,
+// mutationquiesce) is written against this API instead; an analyzer
+// written here ports to x/tools/go/analysis by renaming the imports.
 //
 // The framework is purely syntactic (go/ast, no go/types): every analyzer
 // encodes a repo contract in terms of the repo's own naming conventions
-// (mutex field names, Recv/RecvBatch, MakeSeq, opHeartbeat, ...), which is
+// (mutex field names, Recv/RecvBatch, MakeSeq, quiesce, ...), which is
 // exactly the level the DESIGN.md invariants are stated at.
 //
 // Suppression: a comment of the form

@@ -8,7 +8,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/lint/batchalias"
 	"repro/internal/lint/creditpair"
-	"repro/internal/lint/ctrlfifo"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/mutationquiesce"
 	"repro/internal/lint/seqstamp"
@@ -21,7 +20,6 @@ func All() []*lint.Analyzer {
 		creditpair.Analyzer,
 		lockorder.Analyzer,
 		seqstamp.Analyzer,
-		ctrlfifo.Analyzer,
 		mutationquiesce.Analyzer,
 	}
 }

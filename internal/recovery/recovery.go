@@ -2,8 +2,11 @@
 // model (Arnold & Miller, cited by internal/reliability) for a running
 // core.Network.
 //
-// The Manager watches the heartbeat beacons every non-root process relays
-// to the front-end (core.Config.HeartbeatPeriod). Each poll walks the
+// The Manager watches the heartbeat beacons every non-root process sends
+// to its parent (core.Config.HeartbeatPeriod). Nothing relays them: each
+// parent's link readers record its children's beacons and drop them, so
+// the front-end hears only its own children at any tree size, and
+// core.Network.Heartbeats merges the parents' records. Each poll walks the
 // engine's live view from the front-end (core.Network.LiveChildren), so
 // every rank is watched at its current depth — split siblings, attached
 // back-ends and moved routers included — and the tree has one record, the
@@ -19,11 +22,14 @@
 // stateless filter such as sum has neither source and is lost with the
 // node (ROADMAP item 3).
 //
-// When an ancestor fails, every descendant's beacon goes quiet at once
-// (their only path to the front-end ran through the dead process). The
-// detector therefore always recovers the shallowest silent process first
-// and then grants the whole overlay a fresh grace period, letting the
-// re-attached subtree's beacons resume before any further verdicts.
+// When a process fails, its children fall silent with it: their beacons
+// can no longer reach a parent, and the dead parent's record stays frozen
+// at the crash, so they go quiet within a beacon period of it. Deeper
+// descendants keep beaconing to their own live parents. The detector
+// therefore always recovers the shallowest silent process first — the
+// dead one, not the children whose silence it caused — and then grants
+// the whole overlay a fresh grace period, letting the adopted children's
+// beacons resume at their new parent before any further verdicts.
 //
 // Recovery is fabric-agnostic: replacement links are minted through the
 // network's transport.Rewirer (the adopter listens, each orphan redials),
