@@ -504,7 +504,7 @@ func TestStopRacesEnqueue(t *testing.T) {
 	var m Metrics
 	for i := 0; i < 300; i++ {
 		a, _ := transport.NewPair(4)
-		q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
+		q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)

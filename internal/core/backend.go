@@ -41,8 +41,9 @@ type BackEnd struct {
 	killOnce sync.Once
 
 	// eg is the upstream egress queue, shared between the handler goroutine
-	// (Send), the queue's own age clock and the link loop (reparent, drain);
-	// the queue serializes internally.
+	// (Send), the queue's own clock (which also sends the back-end's
+	// beacons) and the link loop (reparent, drain); the queue serializes
+	// internally.
 	eg *egressQueue
 
 	// seqCtr stamps this back-end's outbound packets with an origin
@@ -64,9 +65,8 @@ func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
 	}
 	// Leaves originate the upstream flow: their rings replay at reparent
 	// like every sender's, but acknowledgements carry no deferred
-	// retirements (nil sink) — popping just frees memory.
-	be.eg = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, nil)
-	be.eg.bindStops(be.killCh, nw.dying)
+	// retirements — popping just frees memory.
+	be.eg = nw.upstreamQueue(rank, ep.Parent, be.killCh)
 	return be
 }
 

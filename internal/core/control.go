@@ -13,7 +13,6 @@ const (
 	opCloseStream  int64 = 2 // tear down stream state, draining synchronizers
 	opShutdown     int64 = 3 // stop the subtree
 	opHeartbeat    int64 = 4 // liveness beacon, one hop up: the parent notes it and drops it
-	opOpenSession  int64 = 5 // announce a tenant session's stream-id namespace
 	opCloseSession int64 = 6 // tear down every stream of a namespace, non-quiescing
 )
 
@@ -28,8 +27,6 @@ const (
 	ctrlShutdownFormat = "%d"
 	// op, origin rank
 	ctrlHeartbeatFormat = "%d %d"
-	// op, namespace, tenant name, egress priority, credit budget
-	ctrlOpenSessionFormat = "%d %d %s %d %d"
 	// op, namespace
 	ctrlCloseSessionFormat = "%d %d"
 )
@@ -116,40 +113,6 @@ func parseCloseStream(p *packet.Packet) (uint32, error) {
 		return 0, err
 	}
 	return uint32(rawID), nil
-}
-
-// openSessionPacket encodes an opOpenSession control message: a tenant
-// session claims a stream-id namespace, with its fair-share priority and
-// credit budget carried for observability at every level.
-func openSessionPacket(info SessionInfo) *packet.Packet {
-	return packet.MustNew(packet.TagControl, 0, 0, ctrlOpenSessionFormat,
-		opOpenSession, int64(info.NS), info.Tenant, int64(info.Priority), int64(info.Budget))
-}
-
-// parseOpenSession decodes an opOpenSession control message.
-func parseOpenSession(p *packet.Packet) (SessionInfo, error) {
-	rawNS, err := p.Int(1)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	tenant, err := p.Str(2)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	rawPrio, err := p.Int(3)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	rawBudget, err := p.Int(4)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	return SessionInfo{
-		NS:       uint32(rawNS),
-		Tenant:   tenant,
-		Priority: int(rawPrio),
-		Budget:   int(rawBudget),
-	}, nil
 }
 
 // closeSessionPacket encodes an opCloseSession control message.

@@ -81,11 +81,6 @@ type Config struct {
 	// WrapFabric, if non-nil, is applied to the fabric before nodes start;
 	// used to interpose the simnet cost model on every link.
 	WrapFabric func([]*transport.Endpoint)
-	// Rewirer mints replacement links for live topology mutation (recovery
-	// reparenting, AttachBackEnd). Nil selects the fabric's native
-	// implementation: in-process pairs on ChanTransport, loopback
-	// listen+redial on TCPTransport.
-	Rewirer transport.Rewirer
 	// OnBackEnd runs application code at each back-end in its own
 	// goroutine. May be nil for networks driven purely by multicast tests.
 	OnBackEnd func(be *BackEnd) error
@@ -113,8 +108,9 @@ type Config struct {
 	// stops assigning it (ROADMAP item 1, first bullet).
 	Recoverable bool
 	// HeartbeatPeriod, when positive, makes every non-root process emit
-	// periodic liveness beacons to its parent, whose record feeds the
-	// failure detector in internal/recovery (Network.Heartbeats).
+	// periodic liveness beacons to its parent, from its upstream queue's
+	// clock; the parent's record feeds the failure detector in
+	// internal/recovery (Network.Heartbeats).
 	HeartbeatPeriod time.Duration
 	// ExactlyOnce is ignored: always on; retained only until the benchmark
 	// stops assigning it (ROADMAP item 1, first bullet).
@@ -184,14 +180,17 @@ type Network struct {
 	cfg      Config
 	registry *filter.Registry
 	metrics  Metrics
-	rewirer  transport.Rewirer
+	// rewirer mints replacement links for live topology mutation (recovery
+	// reparenting, AttachBackEnd): in-process pairs on ChanTransport,
+	// loopback listen+redial on TCPTransport.
+	rewirer transport.Rewirer
 
 	// root is the front-end's router, the node at rank 0 (also byRank[0]).
 	root *node
 	wg   sync.WaitGroup
 
-	// dying closes when Shutdown begins; orphaned processes and heartbeat
-	// loops, which no shutdown announcement can reach, watch it.
+	// dying closes when Shutdown begins; orphaned processes, which no
+	// shutdown announcement can reach, watch it.
 	dying chan struct{}
 	// recMu serializes live tree mutations (Adopt, SplitNode,
 	// AttachBackEnd), so the slot snapshots one of them installs are never
@@ -254,14 +253,12 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg.WrapFabric(eps)
 	}
 
-	rewirer := cfg.Rewirer
-	if rewirer == nil {
-		switch cfg.Transport {
-		case ChanTransport:
-			rewirer = transport.NewChanRewirer(cfg.ChanBuf)
-		case TCPTransport:
-			rewirer = &transport.TCPRewirer{}
-		}
+	var rewirer transport.Rewirer
+	switch cfg.Transport {
+	case ChanTransport:
+		rewirer = transport.NewChanRewirer(cfg.ChanBuf)
+	case TCPTransport:
+		rewirer = &transport.TCPRewirer{}
 	}
 
 	nw := &Network{
@@ -298,27 +295,24 @@ func wrapEnds(ep *transport.Endpoint, window int) {
 }
 
 // spawn starts the process at rank r on its endpoint — a back-end when
-// backend is set, else a router — together with its heartbeat loop; the
-// root, rank 0, beacons to nobody.
-// Every process wraps its own link ends with credit accounting before it
-// starts (wrapEnds, newBackEnd), so both directions of every edge are
-// governed independently. NewNetwork starts every process through it, and
-// so does the attach path. It returns the router, nil for a back-end.
+// backend is set, else a router. Every process wraps its own link ends
+// with credit accounting before it starts (wrapEnds, newBackEnd), so both
+// directions of every edge are governed independently. NewNetwork starts
+// every process through it, and so does the attach path. It returns the
+// router, nil for a back-end.
 func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 	var run func()
-	var link func() transport.Link
-	var stop chan struct{}
 	var n *node
 	nw.mu.Lock()
 	if backend {
 		be := newBackEnd(nw, r, ep)
 		nw.bes[r] = be
-		run, link, stop = be.run, be.parentLink, be.killCh
+		run = be.run
 	} else {
 		wrapEnds(ep, nw.cfg.LinkWindow)
 		n = newNode(nw, r, ep)
 		nw.byRank[r] = n
-		run, link, stop = n.run, n.parentLink, n.killCh
+		run = n.run
 	}
 	nw.mu.Unlock()
 	nw.wg.Add(1)
@@ -326,13 +320,20 @@ func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 		defer nw.wg.Done()
 		run()
 	}()
-	if r == 0 {
-		return n
-	}
-	if nw.cfg.HeartbeatPeriod > 0 {
-		go nw.heartbeatLoop(r, link, stop)
-	}
 	return n
+}
+
+// upstreamQueue builds rank r's queue on its parent link l, its blocked
+// senders released by kill or the network's teardown. With heartbeats on,
+// its clock also sends the rank's beacon every period; the root has no
+// parent and beacons to nobody.
+func (nw *Network) upstreamQueue(r Rank, l transport.Link, kill <-chan struct{}) *egressQueue {
+	q := newUpstreamQueue(l, nw.cfg.Batch, &nw.metrics)
+	q.bindStops(kill, nw.dying)
+	if nw.cfg.HeartbeatPeriod > 0 {
+		q.beacon(r, nw.cfg.HeartbeatPeriod)
+	}
+	return q
 }
 
 // Tree returns the overlay's shape as a topology in original numbering,
@@ -411,8 +412,8 @@ func (nw *Network) Shutdown() error {
 	}
 	nw.shutdown = true
 	nw.mu.Unlock()
-	// Wake orphaned processes and heartbeat loops, which no downstream
-	// announcement can reach.
+	// Wake orphaned processes, which no downstream announcement can
+	// reach.
 	close(nw.dying)
 
 	// Announce shutdown to every child subtree. A dead child is already

@@ -158,22 +158,33 @@ type egressQueue struct {
 	// during recovery replay — see sendCtx). Overflowing sends take no
 	// slot.
 	held, window, slotWaiters int
-	// timer is the queue's own clock: one AfterFunc timer, re-armed in
-	// place (retimeLocked) for the earlier of two deadlines, whose callback
-	// (pollAge) runs on the timer's goroutine, so neither a router, a pipeline
-	// lane nor a link reader touches the wire for an idle, grant or age
-	// flush. due is the data deadline (see deadline); armCause is the flush
-	// cause it counts under. grantDue is the backstop of
-	// the grant owed on the link (owe), zero when none is: it is kept
-	// apart from due because it holds whatever the data side is doing —
-	// a stalled, empty or busy queue still pays it. stopped forbids
-	// re-arming once the owner is gone (stop).
-	timer    *time.Timer
-	due      time.Time
-	grantDue time.Time
-	armCause int
-	stalled  bool
-	stopped  bool
+	// timer is the queue's own clock and the one place its rank does timed
+	// or reader-initiated wire work: one AfterFunc timer, re-armed in place
+	// (retimeLocked) for the earliest of three deadlines, whose callback
+	// (pollAge) runs on the timer's goroutine, so neither a router, a
+	// pipeline lane nor a link reader touches the wire for an idle, grant
+	// or age flush, an owed grant or a beacon. due is the data deadline
+	// (see deadline); armCause is the flush cause it counts under. grantDue
+	// is the deadline of the grant owed on the link (owe), zero when none
+	// is; beatDue that of the rank's next liveness beacon (beacon), zero
+	// when beacons are off. Both are kept apart from due because they hold
+	// whatever the data side is doing — a stalled, empty or busy queue
+	// still pays its grant and sends its beacon. armedAt is when the
+	// timer is set to fire, zero once it has fired or stopped; pollNow runs
+	// what came due while it is set for later (retimeLocked), built once so
+	// that starting it allocates nothing. stopped forbids re-arming once
+	// the owner is gone (stop).
+	timer     *time.Timer
+	due       time.Time
+	grantDue  time.Time
+	beatDue   time.Time
+	beatEvery time.Duration
+	beatFrom  Rank
+	armedAt   time.Time
+	pollNow   func()
+	armCause  int
+	stalled   bool
+	stopped   bool
 	// handoff is set by an idle flush that found the wire busy; the owner
 	// re-arms the clock when it lets go (unlockWire), so the packets are
 	// not stranded behind a flush that already took its last batch.
@@ -196,10 +207,6 @@ type egressQueue struct {
 	// moves from the schedule into a ring slot, and the slot is reused once
 	// the cumulative ack retires it.
 	ring *replayRing
-	// acker completes the deferred inbound retirements attached to
-	// acknowledged packets; nil at the back-end, where acknowledgements
-	// only free ring memory.
-	acker *acker
 	// Three counters over the data packets of the current link's flush
 	// order, reset by setLink: ringSent is how many noteSent has recorded
 	// as sent, ackTarget the highest cumulative count the peer has
@@ -230,7 +237,8 @@ func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue 
 	// built under mu: a callback that fires before Stop waits there until
 	// q.timer is set, instead of finding it nil.
 	q.mu.Lock()
-	q.timer = time.AfterFunc(pol.MaxDelay, func() { q.pollAge(time.Now()) })
+	q.timer = time.AfterFunc(pol.MaxDelay, q.fire)
+	q.pollNow = func() { q.pollAge(time.Now()) }
 	q.timer.Stop()
 	q.mu.Unlock()
 	return q
@@ -257,11 +265,11 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 // newUpstreamQueue wraps a parent link: flushed data packets are held in
 // the replay ring until the peer's cumulative grant acknowledgement covers
 // them, a flush the dead parent cannot take is retained, setLink re-flushes
-// both to the replacement parent, and a (nil at a back-end) completes the
-// deferred inbound retirements attached to acknowledged packets.
-func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics, a *acker) *egressQueue {
+// both to the replacement parent, and acknowledged packets complete the
+// deferred inbound retirements attached to them (completeRuns; a
+// back-end's carry none).
+func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue {
 	q := newEgressQueue(l, pol, m)
-	q.acker = a
 	q.ring = newReplayRing(q.flow.Window())
 	q.flow.SetAckHook(q.onAck)
 	return q
@@ -283,11 +291,11 @@ func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack pendRe
 	}
 	q.meta[p] = ack
 	q.mu.Unlock()
-	if had && displaced != ack && q.acker != nil {
+	if had && displaced != ack {
 		// The same packet pointer enqueued again before its first flush
 		// (an in-process transport can hand a forwarded pointer back):
 		// complete the displaced retirement rather than leak it.
-		q.acker.completed([]pendRetire{displaced})
+		completeRuns([]pendRetire{displaced})
 	}
 	return q.sendCtx(p, prio, block)
 }
@@ -327,7 +335,7 @@ func (q *egressQueue) noteSent(sent []*packet.Packet) {
 		raiseGauge(&q.m.ReplayRingHighWater, n)
 	}
 	q.mu.Unlock()
-	q.complete(acks)
+	completeRuns(acks)
 }
 
 // retireLocked pops every ring entry that is both recorded as sent on the
@@ -353,10 +361,10 @@ func (q *egressQueue) retireLocked(acks []pendRetire) []pendRetire {
 // onAck runs on the link's reader goroutine when a grant arrives, before
 // the grant's credits return to the send window: the peer's cumulative
 // retirement count acknowledges a prefix of this queue's flush order. Pop
-// the covered ring entries and hand their deferred retirements to the
-// acker — never the wire from here (a reader blocked in a send stops
-// draining its own link). A grant without a cumulative count (cum == 0)
-// acknowledges n more packets than the last one did.
+// the covered ring entries and complete their deferred retirements
+// (completeRuns) — never the wire from here (a reader blocked in a send
+// stops draining its own link). A grant without a cumulative count
+// (cum == 0) acknowledges n more packets than the last one did.
 func (q *egressQueue) onAck(n int, cum uint64) {
 	q.mu.Lock()
 	if cum == 0 {
@@ -368,19 +376,12 @@ func (q *egressQueue) onAck(n int, cum uint64) {
 	var buf [ackBuf]pendRetire
 	acks := q.retireLocked(buf[:0])
 	q.mu.Unlock()
-	q.complete(acks)
+	completeRuns(acks)
 }
 
 // ackBuf sizes the caller-owned array retireLocked collects into: a grant
 // covers a window's prefix, and all but a few of its packets carry no run.
 const ackBuf = 8
-
-// complete hands popped deferred retirements to the acker, if any.
-func (q *egressQueue) complete(acks []pendRetire) {
-	if len(acks) > 0 && q.acker != nil {
-		q.acker.completed(acks)
-	}
-}
 
 // bindStops sets the channels that abort a blocked slot acquisition.
 func (q *egressQueue) bindStops(a, b <-chan struct{}) {
@@ -766,11 +767,16 @@ func (q *egressQueue) armLocked(d time.Duration, cause int) {
 	q.retimeLocked()
 }
 
-// retimeLocked points the clock at the earlier of the data deadline and the
-// grant deadline, and stops it when neither is pending. While an idle flush
+// retimeLocked points the clock at the earliest of the data, grant and
+// beacon deadlines, and stops it when none is pending. While an idle flush
 // has handed off to a busy wire, the data deadline is the wire owner's,
 // which re-arms it when it lets go (unlockWire), so the clock keeps only the
-// grant's. Callers hold mu.
+// other two. A deadline that is already due while the timer is set for a
+// later one does not pull the timer forward: moving a set timer earlier
+// makes the runtime rescan every timer of its P, and with a beacon
+// deadline on every rank's queue that cost a third of a kary:16^3 round
+// at 50 ms beacons. The due work runs on a goroutine of its own instead,
+// as the timer's callback would have run it. Callers hold mu.
 func (q *egressQueue) retimeLocked() {
 	if q.stopped {
 		return
@@ -779,34 +785,51 @@ func (q *egressQueue) retimeLocked() {
 	if !q.handoff.Load() {
 		next = q.deadlineLocked()
 	}
-	if !q.grantDue.IsZero() && (next.IsZero() || q.grantDue.Before(next)) {
-		next = q.grantDue
+	for _, d := range [...]time.Time{q.grantDue, q.beatDue} {
+		if !d.IsZero() && (next.IsZero() || d.Before(next)) {
+			next = d
+		}
 	}
 	if next.IsZero() {
 		q.timer.Stop()
+		q.armedAt = time.Time{}
 		return
 	}
+	if next.Equal(q.armedAt) {
+		return
+	}
+	if !q.armedAt.IsZero() && next.Before(q.armedAt) && !next.After(time.Now()) {
+		go q.pollNow()
+		return
+	}
+	q.armedAt = next
 	q.timer.Reset(time.Until(next))
 }
 
 // owe is the link's owe hook: a grant to the peer became owed. The next
 // frame this queue writes carries it; unless one does first, the clock
-// pays it at the grant deadline — MaxDelay, capped at DefaultBatchDelay so
-// that a policy forbidding age flushes does not also hold a peer's credits.
-func (q *egressQueue) owe() {
+// pays it at the grant deadline — now for a grant owed at once
+// (FlowLink.OweNow), else MaxDelay, capped at DefaultBatchDelay so that a
+// policy forbidding age flushes does not also hold a peer's credits. The
+// deadline only ever moves earlier.
+func (q *egressQueue) owe(now bool) {
+	due := time.Now()
+	if !now {
+		due = due.Add(min(q.pol.MaxDelay, DefaultBatchDelay))
+	}
 	q.mu.Lock()
-	if q.grantDue.IsZero() && !q.stopped {
-		q.grantDue = time.Now().Add(min(q.pol.MaxDelay, DefaultBatchDelay))
+	if !q.stopped && (q.grantDue.IsZero() || due.Before(q.grantDue)) {
+		q.grantDue = due
 		q.retimeLocked()
 	}
 	q.mu.Unlock()
 }
 
-// payOwed is the grant backstop: once the grant deadline has passed, the
-// owed grant is written on its own. It runs whatever the data side is
-// doing — stalled, empty, or with another flusher on the wire — and goes
-// through the link's send lock, not flushMu: two peers each stalled on the
-// grant the other owes must not wait for a data flush that cannot come.
+// payOwed pays the owed grant once the grant deadline has passed, writing
+// it on its own. It runs whatever the data side is doing — stalled,
+// empty, or with another flusher on the wire — and goes through the link's
+// send lock, not flushMu: two peers each stalled on the grant the other
+// owes must not wait for a data flush that cannot come.
 func (q *egressQueue) payOwed(now time.Time) {
 	q.mu.Lock()
 	g, fl := q.grantDue, q.flow
@@ -824,9 +847,38 @@ func (q *egressQueue) payOwed(now time.Time) {
 	}
 }
 
-// stop ends the age clock for good. Every owner exit calls it — the router
-// or back-end finishing or being killed, a child slot displaced or fenced —
-// so nothing keeps retrying a link whose process is gone.
+// beacon puts origin's liveness beacon on the queue's clock: the first is
+// due one period from now, and each one sent (beat) sets the next.
+func (q *egressQueue) beacon(origin Rank, period time.Duration) {
+	q.mu.Lock()
+	q.beatFrom, q.beatEvery = origin, period
+	q.beatDue = time.Now().Add(period)
+	q.retimeLocked()
+	q.mu.Unlock()
+}
+
+// beat sends the rank's beacon once the beacon deadline has passed, with
+// the link's own Send: a one-packet frame that the parent's reader notes
+// and drops (readLink). Like payOwed it runs whatever the data side is
+// doing and never waits for flushMu. Beacons are lossy-safe, so one that
+// fails (a dead parent, before adoption) is simply followed by the next.
+func (q *egressQueue) beat(now time.Time) {
+	q.mu.Lock()
+	due := !q.beatDue.IsZero() && !now.Before(q.beatDue) && !q.stopped
+	if due {
+		q.beatDue = now.Add(q.beatEvery)
+	}
+	fl, origin := q.flow, q.beatFrom
+	q.mu.Unlock()
+	if due && fl.Send(heartbeatPacket(origin)) == nil {
+		q.m.HeartbeatsSent.Add(1)
+	}
+}
+
+// stop ends the queue's clock for good, with its owed-grant and beacon
+// deadlines. Every owner exit calls it — the router or back-end finishing
+// or being killed, a child slot displaced or fenced — so nothing keeps
+// retrying or beaconing on a link whose process is gone.
 func (q *egressQueue) stop() {
 	if q == nil {
 		return
@@ -854,12 +906,23 @@ func (q *egressQueue) deadlineLocked() time.Time {
 	return q.due
 }
 
-// pollAge is the clock's callback (unit tests also drive it with a chosen
-// now): it pays an owed grant whose deadline has passed (payOwed), then
-// flushes if the data deadline has passed (flushDue). A clock that woke for
-// one deadline while the other is still pending is pointed at that one.
+// fire is the clock's callback: the timer is no longer set, and pollAge
+// does whatever came due.
+func (q *egressQueue) fire() {
+	q.mu.Lock()
+	q.armedAt = time.Time{}
+	q.mu.Unlock()
+	q.pollAge(time.Now())
+}
+
+// pollAge is the body of the clock's callback (unit tests also drive it
+// with a chosen now): it pays an owed grant whose deadline has passed
+// (payOwed), sends a beacon that is due (beat), then flushes if the data
+// deadline has passed (flushDue). A clock that woke for one deadline while
+// another is still pending is pointed at that one.
 func (q *egressQueue) pollAge(now time.Time) {
 	q.payOwed(now)
+	q.beat(now)
 	q.mu.Lock()
 	d, cause := q.deadlineLocked(), q.armCause
 	if d.IsZero() || now.Before(d) {

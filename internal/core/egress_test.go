@@ -97,7 +97,7 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 	a, b := transport.NewPair(64)
 	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
 	var m Metrics
-	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m, nil)
+	q := newUpstreamQueue(transport.NewFlowLink(a, 64), pol, &m)
 	// No clock: only the control packet's flush tries the dead link, and
 	// nothing is in flight when the queue is counted.
 	q.stop()

@@ -254,3 +254,79 @@ func TestBackEndReplyCarriesCommandGrant(t *testing.T) {
 		eventually(t, "leaf windows are whole", func() bool { return whole(up) && whole(down) })
 	}
 }
+
+// TestClockPaysAtOnceGrantsAndBeaconsWhileStalled: a queue's clock is
+// where its rank pays the grants a link reader owes at once and sends its
+// liveness beacons, so both leave whatever the data side is doing — here
+// the queue is credit-stalled, so no data frame can leave to carry the
+// grant, and then another flusher holds the wire — on both fabrics.
+func TestClockPaysAtOnceGrantsAndBeaconsWhileStalled(t *testing.T) {
+	const window = 8
+	pairs := map[string]func() (transport.Link, transport.Link){
+		"chan": func() (transport.Link, transport.Link) { return transport.NewPair(64) },
+		"tcp":  func() (transport.Link, transport.Link) { return tcpLinkPair(t) },
+	}
+	for name, pair := range pairs {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair()
+			fa, fb := transport.NewFlowLink(a, window), transport.NewFlowLink(b, window)
+			var m Metrics
+			q := newEgressQueue(fa, BatchPolicy{MaxBatch: window, MaxDelay: time.Hour}.normalized(), &m)
+			defer q.stop()
+			defer fb.Close()
+			var beacons atomic.Int64
+			go func() { // b's reader: absorbs a's grants and counts beacons
+				for {
+					ps, err := fb.RecvBatch()
+					if err != nil {
+						return
+					}
+					for _, p := range ps {
+						if _, ok := parseHeartbeat(p); ok {
+							beacons.Add(1)
+						}
+					}
+				}
+			}()
+			for i := 0; i <= window; i++ { // a size flush spends the window; one more waits
+				if err := q.send(packet.MustNew(tagQuery, 1, 1, "%d", int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eventually(t, "the queue stalls", func() bool {
+				q.mu.Lock()
+				defer q.mu.Unlock()
+				return q.stalled && q.sched.count == 1
+			})
+			fb.TryAcquireN(window) // b's data is in flight: a owes it grants
+			q.beacon(7, 5*time.Millisecond)
+
+			fa.OweNow(3)
+			if due := grantDeadline(q); due.After(time.Now()) {
+				t.Errorf("an at-once grant is due in %v, want now", time.Until(due))
+			}
+			eventually(t, "the stalled queue's clock pays the at-once grant", func() bool { return fb.Available() == 3 })
+			eventually(t, "the stalled queue beacons", func() bool { return beacons.Load() >= 2 })
+
+			q.flushMu.Lock() // another flusher owns the wire
+			fa.OweNow(2)
+			eventually(t, "the clock pays the at-once grant past a busy wire", func() bool { return fb.Available() == 5 })
+			from := beacons.Load()
+			eventually(t, "the clock beacons past a busy wire", func() bool { return beacons.Load() >= from+2 })
+			q.flushMu.Unlock()
+
+			if got := m.HeartbeatsSent.Load(); got < beacons.Load() {
+				t.Errorf("heartbeats_sent = %d, below the %d beacons heard", got, beacons.Load())
+			}
+			if q.pending() != 1 {
+				t.Errorf("%d packets queued, want the one stalled packet", q.pending())
+			}
+			q.stop()
+			stopped := m.HeartbeatsSent.Load()
+			time.Sleep(20 * time.Millisecond)
+			if got := m.HeartbeatsSent.Load(); got > stopped+1 {
+				t.Errorf("%d beacons sent after stop, want at most one already firing", got-stopped)
+			}
+		})
+	}
+}

@@ -76,22 +76,20 @@ type node struct {
 	killCh   chan struct{}
 	killOnce sync.Once
 
-	// parentMu guards ep.Parent for readers outside the event loop (the
-	// heartbeat goroutine). epMu guards the child slots — ep.Children, a
-	// copy-on-write slice Kill reads, and childOut — together with every
-	// stream's routing: an install holds it for writing, and the root's
-	// user goroutines hold it for reading while they enqueue, so a send
-	// sees slots and routing as one consistent pair.
+	// parentMu guards ep.Parent for readers outside the event loop (kill).
+	// epMu guards the child slots — ep.Children, a copy-on-write slice Kill
+	// reads, and childOut — together with every stream's routing: an
+	// install holds it for writing, and the root's user goroutines hold it
+	// for reading while they enqueue, so a send sees slots and routing as
+	// one consistent pair.
 	parentMu sync.RWMutex
 	epMu     sync.RWMutex
 
 	// Exactly-once state. ackTrack maps each inbound child link to its
-	// in-order retirement tracker (router-owned; see inOrder). ackr turns
-	// parent acknowledgements into child credit grants off the reader
-	// goroutines. reroute stashes a fenced dead child's never-sent queued packets for
+	// in-order retirement tracker (router-owned; see inOrder). reroute
+	// stashes a fenced dead child's never-sent queued packets for
 	// re-routing after the adoption repairs the stream table.
 	ackTrack map[*transport.FlowLink]*inOrder
-	ackr     *acker
 	reroute  []*packet.Packet
 }
 
@@ -111,9 +109,6 @@ func (n *node) run() {
 	}()
 
 	n.ackTrack = map[*transport.FlowLink]*inOrder{}
-	if n.ackr != nil {
-		defer n.ackr.halt()
-	}
 	// The workers start after the queues exist: an idle worker releases
 	// them (pipeline.go).
 	n.pipe = newPipeline(n)
@@ -183,9 +178,7 @@ func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
 	if ep.Parent != nil {
 		// Parent acknowledgements pop the replay ring and release the
 		// inbound runs those packets carried — the cascade hop.
-		n.ackr = newAcker(&nw.metrics)
-		n.parentOut = newUpstreamQueue(ep.Parent, nw.cfg.Batch, &nw.metrics, n.ackr)
-		n.parentOut.bindStops(n.killCh, nw.dying)
+		n.parentOut = nw.upstreamQueue(r, ep.Parent, n.killCh)
 	}
 	n.childOut = make([]*egressQueue, len(ep.Children))
 	for i, c := range ep.Children {
@@ -215,13 +208,6 @@ func (n *node) kill() {
 		transport.DropLink(c)
 	}
 	n.killOnce.Do(func() { close(n.killCh) })
-}
-
-// parentLink returns the current parent link; safe outside the event loop.
-func (n *node) parentLink() transport.Link {
-	n.parentMu.RLock()
-	defer n.parentMu.RUnlock()
-	return n.ep.Parent
 }
 
 // childLinks returns the child link slots, a slice installChild swaps,
@@ -269,9 +255,10 @@ func (n *node) installChild(slot int, l transport.Link) {
 // sentinel at EOF. A nil link (the root's parent) sends nothing. Reading
 // whole frames means one inbox message — and one event-loop wakeup — per
 // link flush instead of per packet. A child's beacon is noted in the
-// router's liveness record and goes no further: heartbeatLoop sends it with
-// Link.Send, so it is always a one-packet frame of its own, and a saturated
-// inbox delays it no more than the frames ahead of it on the link.
+// router's liveness record and goes no further: the child's upstream queue
+// sends it with Link.Send (egressQueue.beat), so it is always a one-packet
+// frame of its own, and a saturated inbox delays it no more than the
+// frames ahead of it on the link.
 // readStop covers the owner exiting without draining the inbox (kill): a
 // reader must never stay blocked on a channel nobody reads.
 func (n *node) readLink(l transport.Link, slot int, inbox chan<- inMsg) {
@@ -429,8 +416,9 @@ func (n *node) sendDownstreamNow(ss *streamState, p *packet.Packet) {
 }
 
 // floodNow sends a control packet to every child through its egress queue,
-// flushing at once, and returns how many of those flushes failed. Sessions
-// and shutdown are not routed by membership, so the flood is total.
+// flushing at once, and returns how many of those flushes failed. Session
+// teardown and shutdown are not routed by membership, so the flood is
+// total.
 func (n *node) floodNow(p *packet.Packet) (failed int) {
 	n.epMu.RLock()
 	defer n.epMu.RUnlock()
@@ -554,11 +542,6 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			delete(n.streams, id)
 			n.pipe.closeStream(ss, p)
 		}
-	case opOpenSession:
-		// Sessions carry no per-node state today — stream announcements
-		// establish everything a node needs — so the open is a pure
-		// namespace reservation relayed to every child subtree.
-		n.floodNow(p)
 	case opCloseSession:
 		ns, err := parseCloseSession(p)
 		if err != nil {

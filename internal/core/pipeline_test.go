@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -220,53 +221,88 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestRouterGoroutinesIndependentOfCores pins one pipeline per router: on
-// kary:4^2 with heartbeats off, every router runs its loop, an acker
-// (non-root), one up and one down lane, and one reader per link, whatever
-// GOMAXPROCS is. The goroutines are counted by their function in a dump of
-// every stack, so those of other tests do not disturb the count.
+// TestRouterGoroutinesIndependentOfCores pins the goroutines a rank runs:
+// on kary:4^2, every router runs its loop, one up and one down lane and
+// one reader per link, and every back-end its link loop and its handler —
+// whatever GOMAXPROCS is, and the same with beacons on as off. A rank's
+// beacons, and the grants a router's acknowledgements owe its children,
+// leave on its egress queues' clocks, which hold no goroutine between
+// firings.
 func TestRouterGoroutinesIndependentOfCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	tree := mustTree(t, "kary:4^2")
 	want := map[string]int{}
 	for _, r := range append([]Rank{0}, tree.InternalNodes()...) {
 		links := len(tree.Children(r))
-		want["(*node).run("]++
 		if r != 0 {
-			want["(*acker).run("]++
 			links++ // the parent link
 		}
+		want["(*node).run("]++
 		want[").runUp("]++
 		want[").runDown("]++
 		want["readLink("] += links
 	}
-	for _, procs := range []int{1, 8} {
-		runtime.GOMAXPROCS(procs)
-		nw, err := NewNetwork(Config{Topology: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got map[string]int
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			got = countGoroutines(want)
-			if fmt.Sprint(got) == fmt.Sprint(want) || time.Now().After(deadline) {
-				break
+	want["(*BackEnd).run("] = len(tree.Leaves())       // the link loop
+	want["(*BackEnd).run.func1("] = len(tree.Leaves()) // the handler
+	fns := make([]string, 0, len(want))
+	for fn := range want {
+		fns = append(fns, fn)
+	}
+	beaconing := int64(tree.Len() - 1)
+	for _, hb := range []time.Duration{0, 5 * time.Millisecond} {
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			nw, err := NewNetwork(Config{
+				Topology:        tree,
+				HeartbeatPeriod: hb,
+				OnBackEnd: func(be *BackEnd) error {
+					for {
+						if _, err := be.Recv(); err != nil {
+							return nil
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := nw.Shutdown(); err != nil {
-			t.Fatal(err)
-		}
-		for fn, n := range want {
-			if got[fn] != n {
-				t.Errorf("GOMAXPROCS %d: %d goroutines in %s, want %d", procs, got[fn], fn, n)
+			// With beacons on, count once every rank has beaconed twice.
+			var got map[string]int
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				got = countGoroutines(fns)
+				beaconed := hb == 0 || nw.Metrics().HeartbeatsSeen.Load() >= 2*beaconing
+				if beaconed && fmt.Sprint(got) == fmt.Sprint(want) || time.Now().After(deadline) {
+					break
+				}
+			}
+			seen := nw.Metrics().HeartbeatsSeen.Load()
+			if err := nw.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if hb > 0 && seen < 2*beaconing {
+				t.Errorf("heartbeats %v: %d beacons heard, want at least %d", hb, seen, 2*beaconing)
+			}
+			for fn, n := range got {
+				if want[fn] != n {
+					t.Errorf("heartbeats %v, GOMAXPROCS %d: %d goroutines in %s, want %d", hb, procs, n, fn, want[fn])
+				}
+			}
+			for fn, n := range want {
+				if got[fn] == 0 {
+					t.Errorf("heartbeats %v, GOMAXPROCS %d: no goroutine in %s, want %d", hb, procs, fn, n)
+				}
 			}
 		}
 	}
 }
 
-// countGoroutines counts, for each function name in fns, the goroutines
-// whose stack holds a call to it.
-func countGoroutines(fns map[string]int) map[string]int {
+// countGoroutines counts the goroutines the engine started (created by a
+// non-test function of this package) in a dump of every stack, by the
+// first function of fns their stack holds or else by the function they
+// started in: one nobody expected shows by name, and goroutines of the
+// runtime (a timer's callback), the testing package or a test do not
+// count.
+func countGoroutines(fns []string) map[string]int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -276,13 +312,27 @@ func countGoroutines(fns map[string]int) map[string]int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+	const pkg = "repro/internal/core."
 	got := map[string]int{}
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		for fn := range fns {
-			if strings.Contains(g, fn) {
-				got[fn]++
+		lines := strings.Split(g, "\n")
+		c := slices.IndexFunc(lines, func(l string) bool {
+			return strings.HasPrefix(l, "created by "+pkg) && !strings.HasPrefix(l, "created by "+pkg+"Test")
+		})
+		if c < 2 {
+			continue
+		}
+		fn := strings.TrimPrefix(lines[c-2], pkg) // the function it started in
+		if i := strings.LastIndex(fn, "("); i > 0 {
+			fn = fn[:i+1]
+		}
+		for _, f := range fns {
+			if strings.Contains(g, f) {
+				fn = f
+				break
 			}
 		}
+		got[fn]++
 	}
 	return got
 }

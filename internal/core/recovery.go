@@ -18,10 +18,10 @@ import (
 //   - fault injection: Kill crashes any non-root process, severing its
 //     links abruptly so neighbors observe the failure exactly as they
 //     would a real crash;
-//   - failure detection feed: every non-root process emits periodic
-//     heartbeat control packets to its parent, whose link readers record
-//     them (Network.Heartbeats merges the records), and
-//     internal/recovery's detector watches for silence;
+//   - failure detection feed: every non-root process's upstream queue
+//     clock emits periodic heartbeat control packets to its parent, whose
+//     link readers record them (Network.Heartbeats merges the records),
+//     and internal/recovery's detector watches for silence;
 //   - live reconfiguration: Adopt applies the grandparent-adoption rule in
 //     place — orphans are re-linked under the failed node's parent, stream
 //     routing and synchronizer child counts are rebuilt, and streams are
@@ -438,31 +438,6 @@ func (nw *Network) Heartbeats() map[Rank]time.Time {
 		n.heard.mergeInto(out)
 	}
 	return out
-}
-
-// heartbeatLoop periodically emits this rank's liveness beacon on its
-// current parent link, until network teardown or the rank is killed. It
-// sends with Link.Send, never through an egress queue, so each beacon is a
-// one-packet frame the parent's reader can note and drop (readLink).
-// Beacons are lossy-safe, so one that fails (a dead parent, pre-adoption)
-// is simply retried on the next tick.
-func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
-	t := time.NewTicker(nw.cfg.HeartbeatPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-nw.dying:
-			return
-		case <-stop:
-			return
-		case <-t.C:
-			if l := link(); l != nil {
-				if err := l.Send(heartbeatPacket(origin)); err == nil {
-					nw.metrics.HeartbeatsSent.Add(1)
-				}
-			}
-		}
-	}
 }
 
 // Kill injects a crash fault: the process at rank is terminated without

@@ -11,9 +11,9 @@ import (
 // (DESIGN.md §10): the receiver-side duplicate window,
 // the in-order retirement tracker that makes cumulative grant
 // acknowledgements meaningful, the deferred-retirement records that chain
-// acknowledgements level by level toward the front-end, and the per-node
-// acker goroutine that turns downstream acknowledgements into upstream
-// credit grants off the link reader goroutines.
+// acknowledgements level by level toward the front-end, and the completion
+// that turns downstream acknowledgements into upstream credit grants owed
+// to the links' egress queues, whose clocks pay them.
 
 // seqWinSpan is the width of the duplicate-detection window, in sequence
 // counters per (stream, origin) pair. Replay duplicates trail their
@@ -68,14 +68,15 @@ func (w *seqWin) seen(c uint64) bool {
 }
 
 // inOrder makes credit retirement on one inbound link direction follow
-// arrival order, whatever order the pipeline and the acker actually
-// finish in. The router assigns each arriving run a contiguous index range;
-// completions (a lane's finished run, or downstream acknowledgements via the
-// acker) mark their range done, and only the newly contiguous prefix is
-// retired toward the peer. That is what makes the cumulative count carried
-// by grants a true prefix acknowledgement of the sender's replay ring: the
-// peer's un-popped suffix is exactly the packets not yet fully processed
-// here, so a crash replays everything still at risk and nothing more.
+// arrival order, whatever order the pipeline and the acknowledgements
+// actually finish in. The router assigns each arriving run a contiguous
+// index range; completions (a lane's finished run, or downstream
+// acknowledgements via completeRuns) mark their range done, and only the
+// newly contiguous prefix is retired toward the peer. That is what makes
+// the cumulative count carried by grants a true prefix acknowledgement of
+// the sender's replay ring: the peer's un-popped suffix is exactly the
+// packets not yet fully processed here, so a crash replays everything
+// still at risk and nothing more.
 type inOrder struct {
 	mu   sync.Mutex
 	next uint64 // next arrival index to assign
@@ -220,46 +221,24 @@ func (r *replayRing) grow() {
 	r.buf, r.head = nb, 0
 }
 
-// acker turns downstream acknowledgements into upstream credit grants.
-// Completions arrive from link reader goroutines (the egress ring's ack
-// hook), which must never touch the wire themselves — a reader blocked in
-// a send stops draining its own link, and two peers doing that
-// symmetrically deadlock. So completed does only what needs no wire: it
-// completes each run against its in-order tracker, retires whatever
-// became contiguous, and returns the credits in full (full flush rather
-// than threshold batching: a cascade hop's worth of latency already
-// separates these grants from the work they acknowledge, and the sender
-// may be blocked on exactly them). A remainder below the threshold is
-// owed where the link can owe it (FlowLink.OweIdle) — on TCP, before the
-// reader even delivers the frame that carried the acknowledgement, so the
-// command that frame usually holds carries the grant on down. A grant that
-// crossed the threshold, or that the link cannot owe, is a send: the
-// acker's own goroutine does that wire work, one combined grant per link.
-type acker struct {
-	m      *Metrics
-	mu     sync.Mutex
-	q      map[*transport.FlowLink]int // grants to send, by link
-	notify chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
-	once   sync.Once
-}
-
-func newAcker(m *Metrics) *acker {
-	a := &acker{
-		m:      m,
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go a.run()
-	return a
-}
-
-// completed retires a batch of acknowledged runs. Safe from any
-// goroutine; never blocks and never touches the wire.
-func (a *acker) completed(rs []pendRetire) {
-	send := false
+// completeRuns turns downstream acknowledgements into upstream credit
+// grants, on the goroutine that completed the runs: a link reader (the
+// replay ring's ack hook) or a flusher recording its frame (noteSent).
+// Neither may touch the wire — a reader blocked in a send stops draining
+// its own link, and two peers doing that symmetrically deadlock. So it
+// does only what needs no wire: it completes each run against its in-order
+// tracker, retires whatever became contiguous, and owes the credits in
+// full (full flush rather than threshold batching: a cascade hop's worth
+// of latency already separates these grants from the work they
+// acknowledge, and the sender may be blocked on exactly them). A remainder
+// below the threshold is owed where the link can owe it idly
+// (FlowLink.OweIdle) — on TCP, before the reader even delivers the frame
+// that carried the acknowledgement, so the command that frame usually
+// holds carries the grant on down. A grant that crossed the threshold, or
+// that the link cannot owe idly (chan), is owed at once (FlowLink.OweNow):
+// the source link's egress queue pays it from its clock, one combined
+// grant per link, unless a frame leaving first carries it.
+func completeRuns(rs []pendRetire) {
 	for _, r := range rs {
 		n := r.tr.complete(r.start, r.n)
 		if n == 0 {
@@ -267,54 +246,10 @@ func (a *acker) completed(rs []pendRetire) {
 		}
 		g := r.src.Retire(n)
 		if g == 0 {
-			g = r.src.FlushRetired()
-			if g == 0 || r.src.OweIdle(g) {
+			if g = r.src.FlushRetired(); g == 0 || r.src.OweIdle(g) {
 				continue
 			}
 		}
-		a.mu.Lock()
-		if a.q == nil {
-			a.q = map[*transport.FlowLink]int{}
-		}
-		a.q[r.src] += g
-		a.mu.Unlock()
-		send = true
-	}
-	if send {
-		select {
-		case a.notify <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// halt stops the acker and waits for its goroutine to exit. Completions
-// arriving afterwards are absorbed silently (their credits die with the
-// node, like every other resource of a finished process).
-func (a *acker) halt() {
-	a.once.Do(func() { close(a.stop) })
-	<-a.done
-}
-
-func (a *acker) run() {
-	defer close(a.done)
-	for {
-		select {
-		case <-a.notify:
-		case <-a.stop:
-			return
-		}
-		for {
-			a.mu.Lock()
-			q := a.q
-			a.q = nil
-			a.mu.Unlock()
-			if len(q) == 0 {
-				break
-			}
-			for fl, g := range q {
-				sendGrant(a.m, fl, g+fl.FlushRetired())
-			}
-		}
+		r.src.OweNow(g)
 	}
 }

@@ -10,13 +10,14 @@ import (
 // Tenant sessions multiplex many independent tools over one live overlay —
 // the paper's core amortization claim. A session claims a stream-id
 // namespace (see NamespaceOf), a fair-share egress priority, and a credit
-// sub-budget of Config.LinkWindow, and is announced downstream with one
-// opOpenSession flood. Teardown is the interesting half: CloseSession
-// closes every stream of the namespace at every node with a single flooded
-// opCloseSession packet — no per-stream control traffic and, critically, no
-// pipeline quiesce — so tearing one tenant down never parks another tenant's
-// streams. Admission policy (how many sessions, which weights) lives in
-// internal/session; this file is the mechanism.
+// sub-budget of Config.LinkWindow. Opening one is the front-end's
+// bookkeeping alone: no node below keeps session state, and the streams
+// opened in it announce themselves. Teardown is the interesting half:
+// CloseSession closes every stream of the namespace at every node with a
+// single flooded opCloseSession packet — no per-stream control traffic
+// and, critically, no pipeline quiesce — so tearing one tenant down never
+// parks another tenant's streams. Admission policy (how many sessions,
+// which weights) lives in internal/session; this file is the mechanism.
 
 // SessionInfo describes one tenant session.
 type SessionInfo struct {
@@ -63,9 +64,9 @@ func (tc *TenantCounters) Snapshot() map[string]int64 {
 	}
 }
 
-// OpenSession admits a tenant session: it registers the namespace, sizes
-// the tenant's credit budget, and floods the announcement downstream so
-// every node knows the namespace is live. The namespace must be unused.
+// OpenSession admits a tenant session: it registers the namespace and
+// sizes the tenant's credit budget at the front-end. The namespace must be
+// unused.
 func (nw *Network) OpenSession(info SessionInfo) error {
 	if info.NS == 0 || info.NS > MaxNamespace {
 		return fmt.Errorf("core: session namespace %d out of range [1, %d]", info.NS, MaxNamespace)
@@ -100,11 +101,6 @@ func (nw *Network) OpenSession(info SessionInfo) error {
 	nw.sessions[info.NS] = &sessionState{info: info, budget: bud, counters: tc}
 	nw.mu.Unlock()
 	nw.metrics.SessionsOpened.Add(1)
-
-	// Announce to every child subtree, like Shutdown. A dead child is
-	// already gone; recovery re-plays stream announcements, and the session
-	// op carries no state a node cannot live without.
-	nw.root.floodNow(openSessionPacket(info))
 	return nil
 }
 

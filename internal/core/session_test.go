@@ -274,27 +274,11 @@ func TestSessionBudgetClampAndLiveness(t *testing.T) {
 	}
 }
 
-// TestSessionControlWireRoundTrip drives the session control ops through
-// the real wire codec: encode → Decode → parse must reproduce the session
-// announcement exactly, and truncated or type-mangled payloads must be
-// rejected by the parsers rather than misread.
+// TestSessionControlWireRoundTrip drives the session teardown op through
+// the real wire codec: encode → Decode → parse must reproduce the
+// namespace exactly, and a type-mangled payload must be rejected by the
+// parser rather than misread.
 func TestSessionControlWireRoundTrip(t *testing.T) {
-	info := SessionInfo{NS: 4095, Tenant: "tenant a/π", Priority: 3, Budget: 17}
-	p, err := packet.Decode(openSessionPacket(info).Encode())
-	if err != nil {
-		t.Fatalf("decoding opOpenSession wire bytes: %v", err)
-	}
-	if op, err := ctrlOp(p); err != nil || op != opOpenSession {
-		t.Fatalf("ctrlOp = %d, %v; want opOpenSession", op, err)
-	}
-	got, err := parseOpenSession(p)
-	if err != nil {
-		t.Fatalf("parseOpenSession: %v", err)
-	}
-	if got != info {
-		t.Errorf("opOpenSession round trip: got %+v, want %+v", got, info)
-	}
-
 	cp, err := packet.Decode(closeSessionPacket(9).Encode())
 	if err != nil {
 		t.Fatalf("decoding opCloseSession wire bytes: %v", err)
@@ -306,13 +290,7 @@ func TestSessionControlWireRoundTrip(t *testing.T) {
 		t.Errorf("parseCloseSession = %d, %v; want 9", ns, err)
 	}
 
-	// Truncated open (missing budget) and a string where the namespace
-	// belongs: both must fail cleanly.
-	short := packet.MustNew(packet.TagControl, 0, 0, "%d %d %s %d",
-		opOpenSession, int64(1), "t", int64(0))
-	if _, err := parseOpenSession(short); err == nil {
-		t.Error("parseOpenSession accepted a truncated payload")
-	}
+	// A string where the namespace belongs must fail cleanly.
 	mangled := packet.MustNew(packet.TagControl, 0, 0, "%d %s",
 		opCloseSession, "not-a-namespace")
 	if _, err := parseCloseSession(mangled); err == nil {

@@ -61,7 +61,7 @@ func newAllocQueue(tb testing.TB, window int, pol BatchPolicy, upstream bool) (*
 	fl := newDiscardLink(window)
 	var q *egressQueue
 	if upstream {
-		q = newUpstreamQueue(fl, pol.normalized(), &Metrics{}, nil)
+		q = newUpstreamQueue(fl, pol.normalized(), &Metrics{})
 	} else {
 		q = newEgressQueue(fl, pol.normalized(), &Metrics{})
 	}
@@ -112,15 +112,14 @@ func TestHotPathAllocs(t *testing.T) {
 
 	t.Run("grant-retires", func(t *testing.T) {
 		// A forwarded packet carrying an inbound run's deferred retirement:
-		// the parent's grant pops it off the ring and the acker completes
-		// it, owing the child its credit on a TCP link that can owe it.
+		// the parent's grant pops it off the ring and completeRuns
+		// completes it on the granting goroutine, owing the child its
+		// credit on a TCP link that can owe it.
 		fl := newDiscardLink(64)
-		a := newAcker(&Metrics{})
-		t.Cleanup(a.halt)
-		q := newUpstreamQueue(fl, BatchPolicy{MaxBatch: 1}.normalized(), &Metrics{}, a)
+		q := newUpstreamQueue(fl, BatchPolicy{MaxBatch: 1}.normalized(), &Metrics{})
 		t.Cleanup(q.stop)
 		child := newDiscardLink(64)
-		child.SetGrantHooks(func() {}, nil)
+		child.SetGrantHooks(func(bool) {}, nil)
 		tr := &inOrder{}
 		p := allocPacket(t)
 		op := func() {

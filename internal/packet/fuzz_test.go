@@ -98,10 +98,10 @@ func FuzzDecode(f *testing.F) {
 		// data packet, so mutations hit both uses of the field.
 		NewCreditGrant(4, 1<<40|12345),
 		MustNew(103, 9, 2, "%s", "id-7").WithSeq(MakeSeq(2, 7)),
-		// Session control ops, mirroring core's opOpenSession (op,
-		// namespace, tenant, priority, budget) and opCloseSession (op,
-		// namespace) wire shapes — the decoder must survive mutations of
-		// the tenant announcement flood.
+		// Control payloads carrying a string (op, namespace, tenant,
+		// priority, budget; op 5 is unassigned in core) and core's
+		// opCloseSession (op, namespace) wire shape — the decoder must
+		// survive mutations of both.
 		MustNew(TagControl, 0, 0, "%d %d %s %d %d",
 			int64(5), int64(9), "tenant-a", int64(2), int64(8)),
 		MustNew(TagControl, 0, 0, "%d %d %s %d %d",

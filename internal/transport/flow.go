@@ -37,7 +37,9 @@ import (
 //     only if no frame leaves first does the queue's clock pay it on its
 //     own (PayOwed). Any grant written at once takes the owed credits with
 //     it. Elsewhere (the chan fabric, a link no queue attached to) the idle
-//     grant is sent at once.
+//     grant is sent at once. A receiver that must not touch the wire (a
+//     link reader) owes a grant with OweNow instead, on any fabric: the
+//     queue's clock pays it at once.
 //
 //   - Inbound grants are absorbed inside Recv/RecvBatch (on TCP, a
 //     grant-only frame already at the link's read edge) and refill the
@@ -73,10 +75,11 @@ type FlowLink struct {
 	// owed counts the credits returned to the peer but not yet written:
 	// the next frame written carries them (carryOwed), or PayOwed does.
 	owed atomic.Int64
-	// oweHook, when set, runs when a grant becomes owed (0 -> n) — the
-	// egress queue arming its backstop; rideHook runs when an owed grant
-	// leaves inside a data frame. See SetGrantHooks.
-	oweHook  atomic.Pointer[func()]
+	// oweHook, when set, runs when a grant becomes owed (0 -> n) and on
+	// every at-once owe (OweNow) — the egress queue arming its backstop;
+	// rideHook runs when an owed grant leaves inside a data frame. See
+	// SetGrantHooks.
+	oweHook  atomic.Pointer[func(now bool)]
 	rideHook atomic.Pointer[func()]
 	// budMu guards budQ, the FIFO of per-tenant Budget tokens stamped on
 	// this link (StampBudget) by senders that queued a packet for it.
@@ -297,8 +300,24 @@ func (f *FlowLink) OweIdle(n int) bool {
 func (f *FlowLink) Owe(n int) {
 	if n > 0 && f.owed.Add(int64(n)) == int64(n) {
 		if hook := f.oweHook.Load(); hook != nil {
-			(*hook)()
+			(*hook)(false)
 		}
+	}
+}
+
+// OweNow adds n credits to the grant owed to the peer and has the link's
+// queue pay it at once: the owe hook moves the queue's grant deadline to
+// now, so its clock writes the grant (PayOwed) unless a frame leaving
+// first carries it. Unlike OweIdle it owes on any fabric, the chan one
+// included, so the link's queue must be attached (SetGrantHooks). It never
+// touches the wire, so a link's reader may call it.
+func (f *FlowLink) OweNow(n int) {
+	if n <= 0 {
+		return
+	}
+	f.owed.Add(int64(n))
+	if hook := f.oweHook.Load(); hook != nil {
+		(*hook)(true)
 	}
 }
 
@@ -336,11 +355,16 @@ func (f *FlowLink) carryOwed() (n uint32, acked uint64) {
 
 // SetGrantHooks attaches the egress queue that writes on this link: owe runs
 // when a grant becomes owed (the queue arms its backstop, which lets OweIdle
-// owe at all), and ride runs when an owed grant leaves inside a data frame,
-// under the link's send lock. Either may be nil; both must be quick and
-// must never touch the wire.
-func (f *FlowLink) SetGrantHooks(owe, ride func()) {
-	storeHook(&f.oweHook, owe)
+// owe at all), with now set when it is owed at once (OweNow), and ride runs
+// when an owed grant leaves inside a data frame, under the link's send
+// lock. Either may be nil; both must be quick and must never touch the
+// wire.
+func (f *FlowLink) SetGrantHooks(owe func(now bool), ride func()) {
+	if owe == nil {
+		f.oweHook.Store(nil)
+	} else {
+		f.oweHook.Store(&owe)
+	}
 	storeHook(&f.rideHook, ride)
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,7 +314,11 @@ func TestFlowLinkIdleGrantsOweOnlyWhereFramesCarryThem(t *testing.T) {
 				t.Fatal("OweIdle owed a grant with no backstop attached")
 			}
 			owes := 0
-			fb.SetGrantHooks(func() { owes++ }, nil)
+			fb.SetGrantHooks(func(now bool) {
+				if !now {
+					owes++
+				}
+			}, nil)
 			if fac.name == "chan" {
 				if fb.OweIdle(2) || fb.Owed() != 0 {
 					t.Fatalf("chan: OweIdle owed %d credits; a chan link sends its grants at once", fb.Owed())
@@ -339,6 +344,51 @@ func TestFlowLinkIdleGrantsOweOnlyWhereFramesCarryThem(t *testing.T) {
 				t.Error("PayOwed paid with nothing owed")
 			}
 			free(6)
+		})
+	}
+}
+
+// TestFlowLinkOweNowOwesOnEveryFabric: a grant owed at once is owed on
+// either fabric, the chan one included, and every such owe asks the
+// link's queue to pay now (the hook's now flag), even when a grant is
+// already owed — the pay-now request must reach a queue whose owed grant
+// was waiting out the idle backstop. The owed credits reach the peer
+// through PayOwed.
+func TestFlowLinkOweNowOwesOnEveryFabric(t *testing.T) {
+	for _, fac := range factories() {
+		t.Run(fac.name, func(t *testing.T) {
+			a, b := fac.make(t)
+			defer a.Close()
+			defer b.Close()
+			fa, fb := NewFlowLink(a, 8), NewFlowLink(b, 8)
+			fa.TryAcquireN(8)
+			go func() { // absorbs the peer's grants until the link closes
+				for {
+					if _, err := fa.RecvBatch(); err != nil {
+						return
+					}
+				}
+			}()
+			var nows atomic.Int32
+			fb.SetGrantHooks(func(now bool) {
+				if now {
+					nows.Add(1)
+				}
+			}, nil)
+			fb.Owe(1)
+			fb.OweNow(2)
+			fb.OweNow(0) // nothing to owe: no hook
+			if fb.Owed() != 3 || nows.Load() != 1 {
+				t.Fatalf("%d credits owed, %d pay-now requests; want 3 and 1", fb.Owed(), nows.Load())
+			}
+			if paid, err := fb.PayOwed(); !paid || err != nil || fb.Owed() != 0 {
+				t.Fatalf("PayOwed = %v, %v with %d still owed; want the grant paid", paid, err, fb.Owed())
+			}
+			for deadline := time.Now().Add(5 * time.Second); fa.Available() != 3; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d credits free at the peer, want 3", fa.Available())
+				}
+			}
 		})
 	}
 }
