@@ -493,12 +493,12 @@ func TestCustomFilterViaRegistry(t *testing.T) {
 	// path the paper describes via dlopen.
 	reg := filter.NewRegistry()
 	reg.RegisterTransformation("vote", func() filter.Transformation {
-		return filter.TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) {
+		return filter.TransformFunc(func(in []*packet.Packet, emit filter.Emitter) error {
 			counts := map[int64]int{}
 			for _, p := range in {
 				v, err := p.Int(0)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				counts[v]++
 			}
@@ -511,9 +511,10 @@ func TestCustomFilterViaRegistry(t *testing.T) {
 			}
 			out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d", best)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return []*packet.Packet{out}, nil
+			emit.Emit(out)
+			return nil
 		})
 	})
 	tree := mustTree(t, "kary:3^2")

@@ -18,20 +18,19 @@ import (
 func TestDownstreamFilter(t *testing.T) {
 	reg := filter.NewRegistry()
 	reg.RegisterTransformation("hops", func() filter.Transformation {
-		return filter.TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) {
-			out := make([]*packet.Packet, len(in))
-			for i, p := range in {
+		return filter.TransformFunc(func(in []*packet.Packet, out filter.Emitter) error {
+			for _, p := range in {
 				h, err := p.Int(0)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				q, err := packet.New(p.Tag, p.StreamID, p.SrcRank, "%d", h+1)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				out[i] = q
+				out.Emit(q)
 			}
-			return out, nil
+			return nil
 		})
 	})
 	tree := mustTree(t, "kary:2^2") // back-ends at depth 2, one comm level
@@ -126,8 +125,8 @@ func TestDownstreamFilter(t *testing.T) {
 func TestDownstreamFilterSuppression(t *testing.T) {
 	reg := filter.NewRegistry()
 	reg.RegisterTransformation("drop-all", func() filter.Transformation {
-		return filter.TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) {
-			return nil, nil
+		return filter.TransformFunc(func([]*packet.Packet, filter.Emitter) error {
+			return nil
 		})
 	})
 	tree := mustTree(t, "kary:2^2")

@@ -19,8 +19,8 @@ import (
 func TestFilterErrorsAreContained(t *testing.T) {
 	reg := filter.NewRegistry()
 	reg.RegisterTransformation("explode", func() filter.Transformation {
-		return filter.TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) {
-			return nil, errors.New("kaboom")
+		return filter.TransformFunc(func([]*packet.Packet, filter.Emitter) error {
+			return errors.New("kaboom")
 		})
 	})
 	tree := mustTree(t, "kary:2^2")

@@ -518,7 +518,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			// that already carries the stream must keep its filter state.
 			return false
 		}
-		ss, err := newStreamState(n.nw, n.rank, n.nw.registry, id, tform, sync, downTform, prio, members)
+		ss, err := newStreamState(n, id, tform, sync, downTform, prio, members)
 		if err != nil {
 			// Unknown filter at this node: degrade to pass-through so data
 			// still flows; the front-end surfaced the same error to the
@@ -647,8 +647,8 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 func (n *node) pipeUp(ss *streamState, child int, run []*packet.Packet, ret pendRetire) bool {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	run = ss.dropDups(run, &n.nw.metrics)
-	return n.flushBatchesAck(ss, ss.addBatch(child, run), true, ret)
+	ss.sync.Offer(ss.syncSlot(child), ss.dropDups(run, &n.nw.metrics), ss.begin(true, ret))
+	return ss.end()
 }
 
 // pipeUpRaw forwards a pass-through run (stream not carried here); the
@@ -681,24 +681,25 @@ func (n *node) pipeDownRaw(p *packet.Packet) {
 }
 
 // pipeDown runs the downstream pipeline for one packet: down-transform
-// under the pipeline lock, then multicast to participating children with
-// the lock released — the fan-out may block on a child's flow-control
-// window, and a blocked fan-out must not pin the stream's upstream lane.
+// under the pipeline lock, then multicast the outputs with the lock released
+// — the fan-out may block on a child's flow-control window, and a blocked
+// fan-out must not pin the stream's upstream lane.
 func (n *node) pipeDown(ss *streamState, p *packet.Packet) {
 	if ss.downTform == nil {
 		n.sendDownstream(ss, p.WithStream(ss.id))
 		return
 	}
 	ss.pipeMu.Lock()
-	outs, err := ss.downTform.Transform([]*packet.Packet{p})
-	ss.pipeMu.Unlock()
-	if err != nil {
+	ss.downIn[0] = p
+	if err := ss.downTform.Apply(ss.downIn[:], &ss.downOut); err != nil {
 		n.nw.metrics.FilterErrors.Add(1)
-		return
 	}
-	for _, q := range outs {
+	ss.downIn[0] = nil
+	ss.pipeMu.Unlock()
+	for _, q := range ss.downOut {
 		n.sendDownstream(ss, q.WithStream(ss.id))
 	}
+	ss.downOut.Reset()
 }
 
 // pipeCloseUp is the up half of a stream teardown: release anything the
@@ -706,74 +707,15 @@ func (n *node) pipeDown(ss *streamState, p *packet.Packet) {
 func (n *node) pipeCloseUp(ss *streamState) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	n.flushBatchesAck(ss, ss.drain(), true, pendRetire{})
+	ss.drain(true)
 }
 
-// flushBatchesAck transforms released batches and forwards the results
-// upstream; block selects between the pipeline workers' hard window bound
-// and the router's overflow mode. The run's deferred retirement ret (nil
-// for releases no inbound run caused: polls, drains, recovery replay) is
-// attached to the last forwarded output, and the result reports whether it
-// was attached (false when the batches produced no output — synchronizer
-// holding, every packet a duplicate — in which case the caller retires
-// immediately). A held run is thus acknowledged before its round completes:
-// if this node dies it is in no sender's ring, and only state composition
-// of a composable filter restores it (DESIGN.md §10). An output with
-// Seq == 0 was built by this node's filter and nobody else holds it, so it
-// is stamped in place with the stream, this node's rank and its next
-// origin sequence. A forwarded packet keeps its origin stamp — how the
-// front-end recognizes a replayed copy — and gets a header copy sharing
-// its payload: a chan link hands up the child's own pointer, still in the
-// child's replay ring. At the root the outputs go to the stream's receiver
-// instead: delivery there is the acknowledgement cascade's base case, so
-// nothing is attached and the up lane retires the run at once.
-func (n *node) flushBatchesAck(ss *streamState, batches [][]*packet.Packet, block bool, ret pendRetire) bool {
-	var outs []*packet.Packet
-	for _, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		n.nw.metrics.Batches.Add(1)
-		out, err := ss.tform.Transform(batch)
-		if err != nil {
-			n.nw.metrics.FilterErrors.Add(1)
-			continue
-		}
-		if n.rank == 0 {
-			ss.st.deliverUp(out)
-			continue
-		}
-		outs = append(outs, out...)
-	}
-	for i, p := range outs {
-		if p.Seq == 0 {
-			ss.seqCtr++
-			p.StreamID, p.SrcRank, p.Seq = ss.id, n.rank, packet.MakeSeq(n.rank, ss.seqCtr)
-		} else {
-			p = p.WithStreamSrc(ss.id, n.rank)
-		}
-		if ret.src != nil && i == len(outs)-1 {
-			_ = n.parentOut.sendAck(p, ss.prio, block, ret)
-		} else {
-			_ = n.parentOut.sendCtx(p, ss.prio, block)
-		}
-	}
-	return ret.src != nil && len(outs) > 0
-}
-
-// pipePoll releases a stream's time-triggered batches.
+// pipePoll releases a stream's time-triggered rounds.
 func (n *node) pipePoll(ss *streamState, now time.Time) {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	n.flushBatchesAck(ss, ss.poll(now), true, pendRetire{})
-}
-
-// flushBatches transforms released batches and forwards the results
-// upstream from ROUTER context (recovery replay, final drains): it may
-// transiently overflow the parent window rather than block the control
-// plane.
-func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
-	n.flushBatchesAck(ss, batches, false, pendRetire{})
+	ss.sync.Poll(now, ss.begin(true, pendRetire{}))
+	ss.end()
 }
 
 // finish retires the pipeline (completing every dispatched item),
@@ -784,7 +726,7 @@ func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
 func (n *node) finish() {
 	n.pipe.drainStop()
 	for _, ss := range n.streams {
-		n.flushBatches(ss, ss.drain())
+		ss.drain(false) // router context: may overflow, never blocks
 	}
 	_ = n.parentOut.drain()
 	for _, q := range n.childOut {

@@ -483,7 +483,7 @@ func (pl *pipeline) earliestDeadline() time.Time {
 	var d time.Time
 	for _, ss := range pl.streams {
 		ss.pipeMu.Lock()
-		dd := ss.deadline()
+		dd := ss.sync.Deadline()
 		ss.pipeMu.Unlock()
 		if !dd.IsZero() && (d.IsZero() || dd.Before(d)) {
 			d = dd

@@ -284,14 +284,14 @@ func (nw *Network) passShutdown(links []transport.Link, seen bool, from Rank) {
 // state absorb.
 func (n *node) repairStreams(c *cmdInstall) {
 	for _, ss := range n.streams {
-		// Rounds that were only gated on the dead slot complete now —
-		// flush them first, they are the oldest data.
-		if released := ss.rebuildSlots(c.slotInfo); len(released) > 0 {
-			n.flushBatches(ss, released)
-		}
+		// Rounds that were only gated on the dead slot complete now and
+		// go up first: they are the oldest data.
+		ss.rebuildSlots(c.slotInfo)
 		announceStream(ss, c.slots, c.links)
 		if batch := replayComposed(ss, c.composed); batch != nil {
-			n.flushBatches(ss, [][]*packet.Packet{batch})
+			ss.begin(false, pendRetire{})
+			ss.round(batch)
+			ss.end()
 		} else {
 			absorbComposed(n.nw.registry, ss, c.composed)
 		}

@@ -18,7 +18,7 @@ import (
 // throughput the tree relieves by spreading it over more processes.
 type quantileReduce struct{}
 
-func (quantileReduce) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+func (quantileReduce) Apply(in []*packet.Packet, emit filter.Emitter) error {
 	var xs []float64
 	for _, p := range in {
 		for i := 0; i < p.NumValues(); i++ {
@@ -28,15 +28,16 @@ func (quantileReduce) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 		}
 	}
 	if len(xs) == 0 {
-		return nil, nil
+		return nil
 	}
 	sort.Float64s(xs)
 	summary := []float64{xs[0], xs[len(xs)/4], xs[len(xs)/2], xs[3*len(xs)/4], xs[len(xs)-1]}
 	out, err := packet.New(in[0].Tag, in[0].StreamID, in[0].SrcRank, "%af", summary)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	emit.Emit(out)
+	return nil
 }
 
 // runShardedFilterWorkload drives the multi-stream filter workload of

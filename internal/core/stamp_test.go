@@ -27,14 +27,14 @@ type inputLog struct {
 	seen []header
 }
 
-func (l *inputLog) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+func (l *inputLog) Apply(in []*packet.Packet, out filter.Emitter) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, p := range in {
 		l.pkts = append(l.pkts, p)
 		l.seen = append(l.seen, headerOf(p))
 	}
-	return in, nil
+	return filter.Identity{}.Apply(in, out)
 }
 
 // unchanged reports every logged packet whose header moved after a filter
@@ -130,7 +130,7 @@ func TestReduceOutputsStampedInPlace(t *testing.T) {
 	log := &inputLog{}
 	reg := filter.NewRegistry()
 	reg.RegisterTransformation("logsum", func() filter.Transformation {
-		return filter.Chain{log, filter.NewNumericReduce(filter.OpSum)}
+		return filter.NewChain(log, filter.NewNumericReduce(filter.OpSum))
 	})
 	tree := mustTree(t, "kary:2^2")
 	nw, err := NewNetwork(Config{
@@ -199,4 +199,83 @@ func TestReduceOutputsStampedInPlace(t *testing.T) {
 		}
 	}
 	log.unchanged(t)
+}
+
+// TestForwardKeepsCreatorSrcRank: an interior node forwards a back-end's
+// packet as it is, so the root's filter sees it with the SrcRank of the
+// back-end that built it — the rank its origin Seq names — not the
+// interior's.
+func TestForwardKeepsCreatorSrcRank(t *testing.T) {
+	const perLeaf = 20
+	var mu sync.Mutex
+	var logs []*inputLog
+	reg := filter.NewRegistry()
+	reg.RegisterTransformation("log", func() filter.Transformation {
+		mu.Lock()
+		defer mu.Unlock()
+		l := &inputLog{}
+		logs = append(logs, l)
+		return l
+	})
+	tree := mustTree(t, "kary:2^2")
+	nw, err := NewNetwork(Config{
+		Topology: tree,
+		Registry: reg,
+		OnBackEnd: func(be *BackEnd) error {
+			start, err := be.Recv()
+			if err != nil {
+				return nil
+			}
+			for i := 1; i <= perLeaf; i++ {
+				if err := be.Send(start.StreamID, start.Tag, "%d", i); err != nil {
+					return nil
+				}
+			}
+			_, _ = be.Recv()
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Transformation: "log", Synchronization: "nullsync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Multicast(tagQuery, ""); err != nil {
+		t.Fatal(err)
+	}
+	leaves := tree.Leaves()
+	for i := 0; i < perLeaf*len(leaves); i++ {
+		if _, err := st.RecvTimeout(10 * time.Second); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+	}
+	// Each interior instance sees its own subtree's packets; the root's
+	// sees every back-end's.
+	isLeaf := map[Rank]bool{}
+	for _, r := range leaves {
+		isLeaf[r] = true
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var root *inputLog
+	for _, l := range logs {
+		l.mu.Lock()
+		if len(l.seen) == perLeaf*len(leaves) {
+			root = l
+		}
+		l.mu.Unlock()
+	}
+	if root == nil {
+		t.Fatalf("no filter instance saw all %d packets", perLeaf*len(leaves))
+	}
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	for _, h := range root.seen {
+		if !isLeaf[h.src] || packet.SeqOrigin(h.seq) != h.src {
+			t.Fatalf("the root's filter saw header %+v: want the SrcRank of the back-end its origin Seq names", h)
+		}
+	}
 }

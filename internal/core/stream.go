@@ -143,7 +143,7 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	// pre-adoption slot layout yet register after the adoption repaired
 	// every known stream, leaving it permanently mis-routed.
 	nw.recMu.Lock()
-	ss, err := newStreamState(nw, 0, nw.registry, id,
+	ss, err := newStreamState(nw.root, id,
 		spec.Transformation, spec.Synchronization, spec.DownTransformation, spec.Priority, members)
 	if err != nil {
 		nw.recMu.Unlock()
@@ -247,43 +247,35 @@ func (s *Stream) MulticastPacket(p *packet.Packet) error {
 	return nil
 }
 
-// deliverUp is the root's upward sink: a batch's reduced results are
-// restamped with the stream and the root as their source — in place when
-// the root's filter built them (Seq == 0, see flushBatchesAck), as a header
-// copy when forwarded — and handed to the receiver. A closed stream's
-// results are dropped.
-func (s *Stream) deliverUp(out []*packet.Packet) {
+// deliverUp is where the root's upward sink puts one reduced result. It is
+// restamped with the stream and the root as its source — in place when the
+// root's filter built it (Seq == 0, see streamState.Emit), as a header copy
+// when forwarded, so the user reads a private copy — and handed to the
+// receiver, waiting for room in the receive buffer. A closed stream's
+// results are dropped, and so is one that does not fit while the stream
+// closes or the network shuts down: Shutdown waits for the front-end, so
+// the front-end must not wait for a reader that may never come.
+func (s *Stream) deliverUp(q *packet.Packet) {
 	select {
 	case <-s.closed:
 		return
 	default:
 	}
 	if tc := s.ss.tc; tc != nil {
-		tc.PacketsUp.Add(int64(len(out)))
+		tc.PacketsUp.Add(1)
 	}
-	for _, q := range out {
-		if q.Seq != 0 {
-			q = q.WithStreamSrc(s.id, 0)
-		} else {
-			q.StreamID, q.SrcRank = s.id, 0
-		}
-		s.deliver(q)
+	if q.Seq != 0 {
+		q = q.WithStreamSrc(s.id, 0)
+	} else {
+		q.StreamID, q.SrcRank = s.id, 0
 	}
-}
-
-// deliver hands a fully reduced packet to the stream's receiver, waiting
-// for room in the receive buffer — unless the stream has been closed or the
-// network is shutting down, when a packet that does not fit is dropped:
-// Shutdown waits for the front-end, so the front-end must not wait for a
-// reader that may never come.
-func (s *Stream) deliver(p *packet.Packet) {
 	select {
-	case s.recvCh <- p:
+	case s.recvCh <- q:
 		return
 	default:
 	}
 	select {
-	case s.recvCh <- p:
+	case s.recvCh <- q:
 	case <-s.closed:
 	case <-s.nw.dying:
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/filter"
 	"repro/internal/packet"
@@ -105,6 +104,19 @@ type streamState struct {
 	dedup  map[Rank]*seqWin
 	seqCtr uint64
 
+	// The stream is its own upward sink at node n (see begin and Emit),
+	// bound once: rounds is round's method value. held is the release's
+	// latest output, sent when the next comes or the release ends.
+	n      *node
+	rounds filter.RoundFunc
+	block  bool
+	ret    pendRetire
+	held   *packet.Packet
+
+	// The down lane's reused down-transform input and outputs.
+	downIn  [1]*packet.Packet
+	downOut filter.Outputs
+
 	// routes is the current immutable routing snapshot, read lock-free by
 	// user-goroutine multicasts and pipeline workers; writers (stream
 	// creation, the install command under quiesce) swap in a fresh
@@ -114,11 +126,12 @@ type streamState struct {
 	routes atomic.Pointer[streamRoutes]
 }
 
-// newStreamState instantiates filters and routing for a stream at the node
-// with the given rank. members must be back-end ranks.
-func newStreamState(nw *Network, rank Rank, reg *filter.Registry,
-	id uint32, tformName, syncName, downTformName string, prio int, members []Rank) (*streamState, error) {
+// newStreamState instantiates filters, routing and the upward sink for a
+// stream at node n. members must be back-end ranks.
+func newStreamState(n *node, id uint32, tformName, syncName, downTformName string,
+	prio int, members []Rank) (*streamState, error) {
 
+	reg := n.nw.registry
 	tf, err := reg.NewTransformation(tformName)
 	if err != nil {
 		return nil, err
@@ -150,7 +163,8 @@ func newStreamState(nw *Network, rank Rank, reg *filter.Registry,
 		members:    memberSet,
 		prio:       prio,
 	}
-	r := routesFor(nw.slotInfoAt(rank), memberSet)
+	ss.n, ss.rounds = n, ss.round
+	r := routesFor(n.nw.slotInfoAt(n.rank), memberSet)
 	ss.routes.Store(r)
 	setNumChildren(sy, r.numUp)
 	setNumChildren(tf, r.numUp)
@@ -192,14 +206,13 @@ func setNumChildren(f any, n int) {
 // rebuildSlots swaps in the routing of a fresh slot snapshot and rewires
 // the synchronizer accordingly, for every install command that changes the
 // node's child set: packets already queued per surviving slot are
-// preserved when the synchronizer supports remapping, and batches
-// completed by the removal of a dead slot are returned for the caller to
-// flush.
-func (ss *streamState) rebuildSlots(slots []slotInfo) [][]*packet.Packet {
+// preserved when the synchronizer supports remapping, and rounds
+// completed by the removal of a dead slot go up at once, from router
+// context.
+func (ss *streamState) rebuildSlots(slots []slotInfo) {
 	old := ss.routes.Load()
 	r := routesFor(slots, ss.members)
 	ss.routes.Store(r)
-	var released [][]*packet.Packet
 	if rm, ok := ss.sync.(filter.SlotRemapper); ok {
 		// remap[old dense index] = new dense index, or -1 for a slot that
 		// no longer participates.
@@ -212,12 +225,12 @@ func (ss *streamState) rebuildSlots(slots []slotInfo) [][]*packet.Packet {
 				remap[u] = r.up[i]
 			}
 		}
-		released = rm.RemapSlots(remap, r.numUp)
+		rm.RemapSlots(remap, r.numUp, ss.begin(false, pendRetire{}))
+		ss.end()
 	} else {
 		setNumChildren(ss.sync, r.numUp)
 	}
 	setNumChildren(ss.tform, r.numUp)
-	return released
 }
 
 // announcePacket rebuilds the opNewStream control message for this stream,
@@ -236,27 +249,75 @@ func (ss *streamState) syncSlot(childIdx int) int {
 	return -1
 }
 
-// addBatch feeds a same-stream run of packets from child link slot
-// childIdx through the synchronizer in one call.
-func (ss *streamState) addBatch(childIdx int, ps []*packet.Packet) [][]*packet.Packet {
-	return filter.AddBatch(ss.sync, ss.syncSlot(childIdx), ps)
-}
-
-// poll releases time-triggered batches.
-func (ss *streamState) poll(now time.Time) [][]*packet.Packet {
-	return ss.sync.Poll(now)
-}
-
 // drain force-releases everything the synchronizer holds.
-func (ss *streamState) drain() [][]*packet.Packet {
+func (ss *streamState) drain(block bool) {
 	if d, ok := ss.sync.(filter.Drainer); ok {
-		return d.Drain()
+		d.Drain(ss.begin(block, pendRetire{}))
+		ss.end()
 	}
-	return nil
 }
 
-// deadline reports the synchronizer's next timer need.
-func (ss *streamState) deadline() time.Time { return ss.sync.Deadline() }
+// begin starts a release, under pipeMu or with the pipeline quiesced, and
+// returns the round receiver. block selects between the pipeline workers'
+// hard window bound and the router's overflow mode; ret is the deferred
+// retirement of the run that caused the release, if any.
+func (ss *streamState) begin(block bool, ret pendRetire) filter.RoundFunc {
+	ss.block, ss.ret = block, ret
+	return ss.rounds
+}
+
+// round runs the transformation over one released round into the stream.
+func (ss *streamState) round(batch []*packet.Packet) {
+	if len(batch) == 0 {
+		return
+	}
+	ss.n.nw.metrics.Batches.Add(1)
+	if err := ss.tform.Apply(batch, ss); err != nil {
+		ss.n.nw.metrics.FilterErrors.Add(1)
+	}
+}
+
+// Emit takes one output. The root delivers it. Elsewhere an output the
+// filter built (Seq == 0), which nobody else holds, is stamped in place
+// with the stream, this node's rank and its next origin sequence; a
+// forwarded one goes on as it is: its stream is already ss.id, and its
+// SrcRank and origin Seq name its creator — how the front-end recognizes
+// a replayed copy.
+func (ss *streamState) Emit(p *packet.Packet) {
+	n := ss.n
+	if n.rank == 0 {
+		ss.st.deliverUp(p)
+		return
+	}
+	if p.Seq == 0 {
+		ss.seqCtr++
+		p.StreamID, p.SrcRank, p.Seq = ss.id, n.rank, packet.MakeSeq(n.rank, ss.seqCtr)
+	}
+	if ss.held != nil {
+		_ = n.parentOut.sendCtx(ss.held, ss.prio, ss.block)
+	}
+	ss.held = p
+}
+
+// end sends the held output with the retirement attached, and reports
+// whether it attached it: false when the release produced no output (the
+// synchronizer holding, every packet a duplicate), and the caller retires
+// at once. A held run is thus acknowledged before its round completes: if
+// this node dies it is in no sender's ring, and only state composition of
+// a composable filter restores it (DESIGN.md §10).
+func (ss *streamState) end() bool {
+	p, ret := ss.held, ss.ret
+	ss.held, ss.ret = nil, pendRetire{}
+	if p == nil {
+		return false
+	}
+	if ret.src == nil {
+		_ = ss.n.parentOut.sendCtx(p, ss.prio, ss.block)
+		return false
+	}
+	_ = ss.n.parentOut.sendAck(p, ss.prio, ss.block, ret)
+	return true
+}
 
 // dropDups filters replay duplicates out of an inbound run by origin
 // sequence (callers hold pipeMu). The filtered slice is

@@ -69,6 +69,44 @@ func newAllocQueue(tb testing.TB, window int, pol BatchPolicy, upstream bool) (*
 	return q, fl
 }
 
+// newSinkStream binds a stream with the given filters to a node at rank 3
+// whose parent queue is q, routing child slot i to synchronizer slot i.
+func newSinkStream(q *egressQueue, tf filter.Transformation, sy filter.Synchronizer, children int) (*node, *streamState) {
+	n := &node{nw: &Network{}, rank: 3, parentOut: q}
+	ss := &streamState{id: 1, tform: tf, sync: sy, n: n}
+	ss.rounds = ss.round
+	r := &streamRoutes{down: make([]bool, children), up: make([]int, children), numUp: children}
+	for i := range r.up {
+		r.down[i], r.up[i] = true, i
+	}
+	ss.routes.Store(r)
+	return n, ss
+}
+
+// offer releases what a run from child slot c completes, as pipeUp does
+// past its dedup.
+func offer(ss *streamState, c int, run []*packet.Packet) {
+	ss.sync.Offer(ss.syncSlot(c), run, ss.begin(true, pendRetire{}))
+	ss.end()
+}
+
+// reduceRound returns one round of ss's synchronizer: a packet from each
+// child slot, the last completing it, and a grant for the one output.
+func reduceRound(ss *streamState, fl *transport.FlowLink) func() {
+	n := ss.routes.Load().numUp
+	runs := make([][]*packet.Packet, n)
+	for c := range runs {
+		runs[c] = []*packet.Packet{packet.MustNew(tagQuery, 1, Rank(10+c), "%d", int64(100*(c+1))).
+			WithSeq(packet.MakeSeq(Rank(10+c), 1))}
+	}
+	return func() {
+		for c := range runs {
+			offer(ss, c, runs[c])
+		}
+		fl.Refill(1)
+	}
+}
+
 func allocPacket(t testing.TB) *packet.Packet {
 	t.Helper()
 	p, err := packet.New(tagQuery, 1, 7, "%d %f", 42, 3.5)
@@ -81,8 +119,10 @@ func allocPacket(t testing.TB) *packet.Packet {
 // TestHotPathAllocs pins the data plane's steady-state allocation behavior
 // with testing.AllocsPerRun: the flow-controlled forward path allocates
 // nothing, nor does a grant whose acknowledgement pops a deferred inbound
-// retirement, a k-way multicast stays at or under 2 per child queue, a filter's reduce output reaches the parent queue with no header
-// copy, the credit-grant protocol amortizes under 1 alloc per retired
+// retirement, a k-way multicast stays at or under 2 per child queue, a
+// filter's reduce output reaches the parent queue as its one packet — a
+// waitforall round released into it included — and a nullsync run is
+// forwarded without a copy, the credit-grant protocol amortizes under 1 alloc per retired
 // data packet, on TCP a grant's whole trip — sent, received, absorbed —
 // allocates nothing, and neither does an owed grant riding a data write; a
 // flush onto a chan link allocates its batch once, and a frame read off a
@@ -176,20 +216,22 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 
 	t.Run("reduce-output", func(t *testing.T) {
-		// An interior node's released batch: the sum filter builds one
-		// packet and its result slice, flushBatchesAck collects the outputs
-		// and stamps that packet in place, and the parent queue forwards it
-		// at the forward path's cost. A restamp copy per header field would
-		// add one allocation each.
+		// An interior node's released round: the sum filter builds one
+		// packet and emits it into the stream's sink, which stamps it in
+		// place and hands it to the parent queue, forwarded there at the
+		// forward path's cost. The packet is the one allocation a reduce
+		// needs; a result slice, or a restamp copy per header field, would
+		// add one each.
 		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
-		n := &node{nw: &Network{}, rank: 3, parentOut: q}
-		ss := &streamState{id: 1, tform: filter.NewNumericReduce(filter.OpSum)}
-		batches := [][]*packet.Packet{{
+		n, ss := newSinkStream(q, filter.NewNumericReduce(filter.OpSum), filter.NewNullSync(), 0)
+		round := []*packet.Packet{
 			packet.MustNew(tagQuery, 1, 7, "%d", 1000).WithSeq(packet.MakeSeq(7, 1)),
 			packet.MustNew(tagQuery, 1, 8, "%d", 2000).WithSeq(packet.MakeSeq(8, 1)),
-		}}
+		}
 		op := func() {
-			n.flushBatchesAck(ss, batches, true, pendRetire{})
+			ss.begin(true, pendRetire{})
+			ss.round(round)
+			ss.end()
 			fl.Refill(1)
 		}
 		for i := 0; i < 256; i++ {
@@ -198,8 +240,52 @@ func TestHotPathAllocs(t *testing.T) {
 		if got := n.nw.metrics.FilterErrors.Load(); got != 0 {
 			t.Fatalf("the sum filter failed %d times", got)
 		}
-		if n := testing.AllocsPerRun(500, op); n > 4 {
-			t.Errorf("a reduce output allocates %.2f/op from Transform to the parent queue, want <= 4", n)
+		if n := testing.AllocsPerRun(500, op); n > 1 {
+			t.Errorf("a reduce output allocates %.2f/op from the filter to the parent queue, want <= 1 (the packet)", n)
+		}
+	})
+
+	t.Run("waitforall-round", func(t *testing.T) {
+		// A warm 8-child WaitForAll releases each round in its one round
+		// array, straight into the sum filter through the sink: nothing
+		// allocates but the output packet.
+		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
+		_, ss := newSinkStream(q, filter.NewNumericReduce(filter.OpSum), filter.NewWaitForAll(8), 8)
+		op := reduceRound(ss, fl)
+		for i := 0; i < 256; i++ {
+			op()
+		}
+		built := testing.AllocsPerRun(500, func() {
+			_ = packet.MustNew(tagQuery, 1, packet.UnknownRank, "%d", int64(3600))
+		})
+		if n := testing.AllocsPerRun(500, op); n > built {
+			t.Errorf("an 8-way waitforall/sum round allocates %.2f/op, want <= %.2f (its output packet)", n, built)
+		}
+	})
+
+	t.Run("nullsync-run", func(t *testing.T) {
+		// A 64-packet run through NullSync and Identity: each packet is
+		// its own round, emitted as it is and forwarded to the parent
+		// queue without a header copy.
+		const k = 64
+		q, fl := newAllocQueue(t, k, BatchPolicy{MaxBatch: k}, true)
+		_, ss := newSinkStream(q, filter.Identity{}, filter.NewNullSync(), 1)
+		run := make([]*packet.Packet, k)
+		for i := range run {
+			run[i] = packet.MustNew(tagQuery, 1, 7, "%d", int64(i)).WithSeq(packet.MakeSeq(7, uint64(i+1)))
+		}
+		op := func() {
+			offer(ss, 0, run)
+			if err := q.drain(); err != nil {
+				t.Fatal(err)
+			}
+			fl.Refill(k)
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		if n := testing.AllocsPerRun(300, op); n != 0 {
+			t.Errorf("a %d-packet nullsync/identity run allocates %.2f/op, want 0", k, n)
 		}
 	})
 
@@ -497,5 +583,22 @@ func BenchmarkHotPathForward(b *testing.B) {
 			b.Fatal(err)
 		}
 		fl.Refill(1)
+	}
+}
+
+// BenchmarkReduceRound is one 8-way waitforall/sum round from the child
+// runs through the stream's sink to the parent queue; its one allocation
+// is the sum's output packet.
+func BenchmarkReduceRound(b *testing.B) {
+	q, fl := newAllocQueue(b, 64, BatchPolicy{MaxBatch: 1}, true)
+	_, ss := newSinkStream(q, filter.NewNumericReduce(filter.OpSum), filter.NewWaitForAll(8), 8)
+	op := reduceRound(ss, fl)
+	for i := 0; i < 256; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

@@ -136,29 +136,30 @@ type Filter struct {
 // NewFilter returns a filter with empty state.
 func NewFilter() *Filter { return &Filter{seen: NewSet()} }
 
-// Transform merges the batch into the node's persistent state and forwards
-// the delta; a batch carrying nothing new is suppressed entirely.
-func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges the round into the node's persistent state and forwards
+// the delta; a round carrying nothing new is suppressed entirely.
+func (f *Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	delta := NewSet()
 	for _, p := range in {
 		s, err := FromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d := f.seen.Merge(s)
 		delta.Merge(d)
 	}
 	if delta.Len() == 0 {
-		return nil, nil
+		return nil
 	}
-	out, err := delta.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
+	p, err := delta.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // State serializes the filter's seen-set for state composition (reliability).

@@ -76,17 +76,17 @@ func TestFilterSuppressesRedundancy(t *testing.T) {
 		return p
 	}
 	// First report: forwarded.
-	out, err := f.Transform([]*packet.Packet{mk("linux", 1)})
+	out, err := filter.Collect(f, []*packet.Packet{mk("linux", 1)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("first report: %v %v", out, err)
 	}
 	// Identical report from another execution: suppressed entirely.
-	out, err = f.Transform([]*packet.Packet{mk("linux", 1)})
+	out, err = filter.Collect(f, []*packet.Packet{mk("linux", 1)})
 	if err != nil || out != nil {
 		t.Fatalf("duplicate report not suppressed: %v %v", out, err)
 	}
 	// New member of a known class: only the delta flows.
-	out, err = f.Transform([]*packet.Packet{mk("linux", 1), mk("linux", 2)})
+	out, err = filter.Collect(f, []*packet.Packet{mk("linux", 1), mk("linux", 2)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("delta report: %v %v", out, err)
 	}
@@ -105,7 +105,7 @@ func TestFilterStateRoundTrip(t *testing.T) {
 	s.Add("x", 1)
 	s.Add("y", 2)
 	p, _ := s.ToPacket(100, 1, 0)
-	if _, err := f.Transform([]*packet.Packet{p}); err != nil {
+	if _, err := filter.Collect(f, []*packet.Packet{p}); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := f.State()
@@ -117,7 +117,7 @@ func TestFilterStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restored filter suppresses what the original saw.
-	out, err := g.Transform([]*packet.Packet{p})
+	out, err := filter.Collect(g, []*packet.Packet{p})
 	if err != nil || out != nil {
 		t.Errorf("restored filter forwarded known data: %v %v", out, err)
 	}
@@ -229,7 +229,7 @@ func BenchmarkFilter512Daemons(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := NewFilter()
-		if _, err := f.Transform(pkts); err != nil {
+		if _, err := filter.Collect(f, pkts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/meanshift"
 	"repro/internal/packet"
 	"repro/internal/simnet"
@@ -233,7 +234,7 @@ func distributedMakespan(tree *topology.Tree, leafData [][]meanshift.Point, cfg 
 				xferTotal += cfg.Net.TransferTime(cr.pkt.EncodedSize())
 			}
 			t0 := time.Now()
-			out, err := f.Transform(in)
+			out, err := filter.Collect(f, in)
 			compute := time.Since(t0)
 			if err != nil {
 				return 0, 0, err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/clockskew"
 	"repro/internal/eqclass"
+	"repro/internal/filter"
 	"repro/internal/packet"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -191,7 +192,7 @@ func reportPhase(tree *topology.Tree, cfg StartupConfig) (int, time.Duration) {
 				}
 			}
 			cost := time.Duration(len(in)) * cfg.ReportCost
-			o, err := f.Transform(in)
+			o, err := filter.Collect(f, in)
 			if err != nil {
 				o = in // degrade: forward unfiltered
 			}

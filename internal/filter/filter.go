@@ -12,6 +12,14 @@
 //     the transformation filter: when every child has reported
 //     (WaitForAll), after a timeout window (TimeOut), or immediately (Null).
 //
+// Neither family returns its results. A synchronizer calls the RoundFunc
+// it is handed once per round it releases, and the round slice stays the
+// synchronizer's: it may reuse it as soon as the call returns. A
+// transformation calls Emit on the Emitter it is handed once per output,
+// and an emitted packet is the receiver's. In the overlay both receivers
+// are the node's sink, built once per stream, so a released round reaches
+// the parent's queue without a result slice in between.
+//
 // Filters are instantiated per stream per node from a Registry, the Go
 // equivalent of MRNet's dlopen-based on-demand filter loading: applications
 // register constructors under a name, and any node can instantiate the
@@ -28,7 +36,18 @@ import (
 	"repro/internal/packet"
 )
 
-// Transformation reduces a batch of packets (one batch as released by the
+// Emitter receives a transformation's outputs, one Emit call per packet.
+//
+// Emitting hands the packet over. An output with Seq == 0 is one the filter
+// built; the overlay's sink stamps its stream, source and sequence in
+// place, so a filter must not keep it or emit it again, in this call or a
+// later one. An output with Seq != 0 is an input passed through, and the
+// sink forwards it unchanged.
+type Emitter interface {
+	Emit(p *packet.Packet)
+}
+
+// Transformation reduces a round of packets (one round as released by the
 // node's synchronization policy) into zero or more output packets. Filters
 // may keep state across calls; each node instantiates its own filter per
 // stream, so implementations need NOT be safe for concurrent use.
@@ -41,24 +60,43 @@ import (
 // must not share mutable state ACROSS instances, since different
 // instances do run in parallel (on other routers, or on the other lane).
 type Transformation interface {
-	// Transform consumes a batch of packets travelling in the same
-	// direction on one stream and returns the packets to forward. A nil or
-	// empty result suppresses forwarding entirely (used e.g. by
-	// equivalence-class filters that only forward novel information).
-	//
-	// Ownership: an output with Seq == 0 is one the filter built, and
-	// returning it hands it to the node, which stamps its stream, source
-	// and sequence in place — so a filter must not keep such a packet or
-	// return it again, in this call or a later one. An output with
-	// Seq != 0 is forwarded (an input passed through) and is never written.
-	Transform(in []*packet.Packet) ([]*packet.Packet, error)
+	// Apply consumes a round of packets travelling in the same direction
+	// on one stream and emits each packet to forward to out. Emitting
+	// nothing suppresses forwarding entirely (used e.g. by
+	// equivalence-class filters that only forward novel information). The
+	// in slice belongs to the caller and is valid only during the call.
+	// Outputs emitted before an error still go on.
+	Apply(in []*packet.Packet, out Emitter) error
 }
 
 // TransformFunc adapts a function to the Transformation interface.
-type TransformFunc func(in []*packet.Packet) ([]*packet.Packet, error)
+type TransformFunc func(in []*packet.Packet, out Emitter) error
 
-// Transform calls f.
-func (f TransformFunc) Transform(in []*packet.Packet) ([]*packet.Packet, error) { return f(in) }
+// Apply calls f.
+func (f TransformFunc) Apply(in []*packet.Packet, out Emitter) error { return f(in, out) }
+
+// Outputs is an Emitter that appends every output to itself: Chain's
+// stage buffers, and a caller that wants a transformation's results as a
+// slice.
+type Outputs []*packet.Packet
+
+// Emit appends p.
+func (o *Outputs) Emit(p *packet.Packet) { *o = append(*o, p) }
+
+// Reset empties o, keeping its array for the next round.
+func (o *Outputs) Reset() {
+	clear(*o)
+	*o = (*o)[:0]
+}
+
+// Collect runs t over in and returns its outputs in a fresh slice, nil
+// when it emitted none. It is for callers outside the overlay (tests,
+// offline models); a node emits into its own sink.
+func Collect(t Transformation, in []*packet.Packet) ([]*packet.Packet, error) {
+	var out Outputs
+	err := t.Apply(in, &out)
+	return out, err
+}
 
 // StatefulTransformation is implemented by transformations whose persistent
 // filter state can be externalized. Adoption snapshots the orphans' states
@@ -73,23 +111,29 @@ type StatefulTransformation interface {
 	SetState([]byte) error
 }
 
-// Synchronizer groups arriving packets into batches for transformation.
+// RoundFunc receives one round a synchronizer releases. The round slice is
+// the synchronizer's and may be reused once the call returns: a receiver
+// that keeps the packets copies them out.
+type RoundFunc func(round []*packet.Packet)
+
+// Synchronizer groups arriving packets into rounds for transformation.
 // Implementations are per-node, per-stream and are driven by the stream's
-// pipeline: Add is called for every arriving upstream packet, and
-// Poll drains whatever the policy is willing to release on a timer. The
-// single-writer contract on Transformation applies identically here —
+// pipeline: Offer is called for every run of packets arriving from a child,
+// and Poll releases whatever the policy is willing to release on a timer.
+// The single-writer contract on Transformation applies identically here —
 // one goroutine at a time, no locking required inside the filter.
 type Synchronizer interface {
-	// Add offers an arriving packet (with the child slot index it arrived
-	// on) to the synchronizer and returns any batch that the policy
-	// releases as a result.
-	Add(child int, p *packet.Packet) [][]*packet.Packet
-	// Poll returns batches released by the passage of time (only the
-	// TimeOut policy ever releases here). now is the current time.
-	Poll(now time.Time) [][]*packet.Packet
+	// Offer hands the synchronizer a run of packets that arrived, in
+	// order, on one child slot, and calls emit for each round the policy
+	// releases as a result, oldest first.
+	Offer(child int, run []*packet.Packet, emit RoundFunc)
+	// Poll calls emit for each round released by the passage of time
+	// (only the TimeOut policy ever releases here). now is the current
+	// time.
+	Poll(now time.Time, emit RoundFunc)
 	// Pending reports how many packets are currently held back.
 	Pending() int
-	// Deadline returns the next time Poll could release a batch, or the
+	// Deadline returns the next time Poll could release a round, or the
 	// zero time when no timer is needed.
 	Deadline() time.Time
 }
@@ -197,5 +241,10 @@ func (r *Registry) Synchronizers() []string {
 // Identity forwards packets unchanged; it is the default transformation.
 type Identity struct{}
 
-// Transform returns its input unchanged.
-func (Identity) Transform(in []*packet.Packet) ([]*packet.Packet, error) { return in, nil }
+// Apply emits every input as it is.
+func (Identity) Apply(in []*packet.Packet, out Emitter) error {
+	for _, p := range in {
+		out.Emit(p)
+	}
+	return nil
+}

@@ -18,14 +18,29 @@ func fapkt(v []float64) *packet.Packet {
 
 func one(t *testing.T, tf Transformation, in ...*packet.Packet) *packet.Packet {
 	t.Helper()
-	out, err := tf.Transform(in)
+	out, err := Collect(tf, in)
 	if err != nil {
-		t.Fatalf("Transform: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	if len(out) != 1 {
-		t.Fatalf("Transform returned %d packets, want 1", len(out))
+		t.Fatalf("Apply emitted %d packets, want 1", len(out))
 	}
 	return out[0]
+}
+
+// add offers one packet and returns copies of the rounds it releases.
+func add(s Synchronizer, child int, p *packet.Packet) [][]*packet.Packet {
+	return collectRounds(func(emit RoundFunc) { s.Offer(child, []*packet.Packet{p}, emit) })
+}
+
+// poll returns copies of the rounds s releases at now.
+func poll(s Synchronizer, now time.Time) [][]*packet.Packet {
+	return collectRounds(func(emit RoundFunc) { s.Poll(now, emit) })
+}
+
+// drain returns copies of the rounds d releases on Drain.
+func drain(d Drainer) [][]*packet.Packet {
+	return collectRounds(d.Drain)
 }
 
 func TestSumMinMaxScalars(t *testing.T) {
@@ -66,7 +81,7 @@ func TestElementwiseArrays(t *testing.T) {
 		t.Error("reduce mutated its input packet")
 	}
 	// Length mismatch errors.
-	_, err := NewNumericReduce(OpSum).Transform(
+	_, err := Collect(NewNumericReduce(OpSum),
 		[]*packet.Packet{fapkt([]float64{1}), fapkt([]float64{1, 2})})
 	if err == nil {
 		t.Error("length mismatch: want error")
@@ -80,11 +95,11 @@ func TestElementwiseArrays(t *testing.T) {
 }
 
 func TestMixedFormatsRejected(t *testing.T) {
-	_, err := NewNumericReduce(OpSum).Transform([]*packet.Packet{fpkt(1), ipkt(1)})
+	_, err := Collect(NewNumericReduce(OpSum), []*packet.Packet{fpkt(1), ipkt(1)})
 	if !errors.Is(err, ErrMixedFormats) {
 		t.Errorf("mixed formats: got %v", err)
 	}
-	_, err = NewNumericReduce(OpSum).Transform(
+	_, err = Collect(NewNumericReduce(OpSum),
 		[]*packet.Packet{packet.MustNew(100, 1, 0, "%s", "x")})
 	if err == nil {
 		t.Error("sum over strings: want error")
@@ -93,7 +108,7 @@ func TestMixedFormatsRejected(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	for _, op := range []Op{OpSum, OpMin, OpMax, OpAvg, OpCount} {
-		out, err := NewNumericReduce(op).Transform(nil)
+		out, err := Collect(NewNumericReduce(op), nil)
 		if err != nil || out != nil {
 			t.Errorf("%v on empty batch: %v %v", op, out, err)
 		}
@@ -148,23 +163,31 @@ func TestConcat(t *testing.T) {
 
 func TestChain(t *testing.T) {
 	// concat then count: the count sees one packet.
-	c := Chain{Concat{}, NewNumericReduce(OpCount)}
+	c := NewChain(Concat{}, NewNumericReduce(OpCount))
 	out := one(t, c, fpkt(1), fpkt(2))
 	if v, _ := out.Int(0); v != 1 {
 		t.Errorf("chain count = %d, want 1", v)
 	}
+	// Three stages alternate between the chain's two buffers, and a
+	// second round through the same chain reads none of the first's.
+	c4 := NewChain(Identity{}, Identity{}, NewNumericReduce(OpCount))
+	for round := 0; round < 2; round++ {
+		if v, _ := one(t, c4, fpkt(1), fpkt(2), fpkt(3)).Int(0); v != 3 {
+			t.Errorf("round %d: three-stage chain count = %d, want 3", round, v)
+		}
+	}
 	// A stage that suppresses ends the chain.
-	suppress := TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) { return nil, nil })
-	c2 := Chain{suppress, NewNumericReduce(OpSum)}
-	out2, err := c2.Transform([]*packet.Packet{fpkt(1)})
+	suppress := TransformFunc(func([]*packet.Packet, Emitter) error { return nil })
+	c2 := NewChain(suppress, NewNumericReduce(OpSum))
+	out2, err := Collect(c2, []*packet.Packet{fpkt(1)})
 	if err != nil || out2 != nil {
 		t.Errorf("suppressing chain: %v %v", out2, err)
 	}
 	// Errors carry the stage index.
-	c3 := Chain{TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) {
-		return nil, errors.New("boom")
-	})}
-	if _, err := c3.Transform([]*packet.Packet{fpkt(1)}); err == nil {
+	c3 := NewChain(TransformFunc(func([]*packet.Packet, Emitter) error {
+		return errors.New("boom")
+	}))
+	if _, err := Collect(c3, []*packet.Packet{fpkt(1)}); err == nil {
 		t.Error("chain error not propagated")
 	}
 }
@@ -198,23 +221,24 @@ func TestRegistryBuiltins(t *testing.T) {
 func TestRegistryCustomFilter(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterTransformation("double", func() Transformation {
-		return TransformFunc(func(in []*packet.Packet) ([]*packet.Packet, error) {
+		return TransformFunc(func(in []*packet.Packet, out Emitter) error {
 			v, err := in[0].Float(0)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%f", 2*v)
+			p, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%f", 2*v)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return []*packet.Packet{out}, nil
+			out.Emit(p)
+			return nil
 		})
 	})
 	tf, err := r.NewTransformation("double")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tf.Transform([]*packet.Packet{fpkt(21)})
+	out, err := Collect(tf, []*packet.Packet{fpkt(21)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,27 +255,27 @@ func TestRegistryCustomFilter(t *testing.T) {
 
 func TestNullSync(t *testing.T) {
 	s := NewNullSync()
-	batches := s.Add(0, fpkt(1))
+	batches := add(s, 0, fpkt(1))
 	if len(batches) != 1 || len(batches[0]) != 1 {
-		t.Fatalf("NullSync.Add = %v", batches)
+		t.Fatalf("NullSync.Offer = %v", batches)
 	}
-	if s.Pending() != 0 || s.Poll(time.Now()) != nil || !s.Deadline().IsZero() {
+	if s.Pending() != 0 || poll(s, time.Now()) != nil || !s.Deadline().IsZero() {
 		t.Error("NullSync holds state")
 	}
 }
 
 func TestWaitForAll(t *testing.T) {
 	w := NewWaitForAll(3)
-	if got := w.Add(0, ipkt(1)); got != nil {
+	if got := add(w, 0, ipkt(1)); got != nil {
 		t.Fatalf("premature release: %v", got)
 	}
-	if got := w.Add(1, ipkt(2)); got != nil {
+	if got := add(w, 1, ipkt(2)); got != nil {
 		t.Fatalf("premature release: %v", got)
 	}
 	if w.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2", w.Pending())
 	}
-	batches := w.Add(2, ipkt(3))
+	batches := add(w, 2, ipkt(3))
 	if len(batches) != 1 || len(batches[0]) != 3 {
 		t.Fatalf("release = %v", batches)
 	}
@@ -269,10 +293,10 @@ func TestWaitForAll(t *testing.T) {
 func TestWaitForAllFastChildRunsAhead(t *testing.T) {
 	w := NewWaitForAll(2)
 	// Child 0 sends three rounds before child 1 sends any.
-	w.Add(0, ipkt(10))
-	w.Add(0, ipkt(20))
-	w.Add(0, ipkt(30))
-	b1 := w.Add(1, ipkt(11))
+	add(w, 0, ipkt(10))
+	add(w, 0, ipkt(20))
+	add(w, 0, ipkt(30))
+	b1 := add(w, 1, ipkt(11))
 	if len(b1) != 1 {
 		t.Fatalf("first release: %v", b1)
 	}
@@ -280,7 +304,7 @@ func TestWaitForAllFastChildRunsAhead(t *testing.T) {
 		t.Errorf("FIFO violated: %d", v)
 	}
 	// One more from child 1 releases the next round.
-	b2 := w.Add(1, ipkt(21))
+	b2 := add(w, 1, ipkt(21))
 	if len(b2) != 1 {
 		t.Fatalf("second release: %v", b2)
 	}
@@ -294,13 +318,13 @@ func TestWaitForAllFastChildRunsAhead(t *testing.T) {
 
 func TestWaitForAllMultipleCompleteBatches(t *testing.T) {
 	w := NewWaitForAll(2)
-	w.Add(0, ipkt(1))
-	w.Add(0, ipkt(2))
-	w.Add(1, ipkt(1))
+	add(w, 0, ipkt(1))
+	add(w, 0, ipkt(2))
+	add(w, 1, ipkt(1))
 	// Child 1's second arrival completes two batches? No — only one was
 	// missing; Add(1,..) completes batch 1, then the second Add completes
 	// batch 2.
-	b := w.Add(1, ipkt(2))
+	b := add(w, 1, ipkt(2))
 	if len(b) != 1 {
 		t.Fatalf("got %d batches", len(b))
 	}
@@ -308,7 +332,7 @@ func TestWaitForAllMultipleCompleteBatches(t *testing.T) {
 
 func TestWaitForAllUnknownSlot(t *testing.T) {
 	w := NewWaitForAll(2)
-	b := w.Add(7, ipkt(1)) // out-of-range slot delivers immediately
+	b := add(w, 7, ipkt(1)) // out-of-range slot delivers immediately
 	if len(b) != 1 {
 		t.Errorf("unknown slot: %v", b)
 	}
@@ -316,13 +340,13 @@ func TestWaitForAllUnknownSlot(t *testing.T) {
 
 func TestWaitForAllDrain(t *testing.T) {
 	w := NewWaitForAll(3)
-	w.Add(0, ipkt(1))
-	w.Add(2, ipkt(3))
-	b := w.Drain()
+	add(w, 0, ipkt(1))
+	add(w, 2, ipkt(3))
+	b := drain(w)
 	if len(b) != 1 || len(b[0]) != 2 {
 		t.Fatalf("Drain = %v", b)
 	}
-	if w.Drain() != nil {
+	if drain(w) != nil {
 		t.Error("second Drain not empty")
 	}
 }
@@ -334,8 +358,8 @@ func TestWaitForAllDrain(t *testing.T) {
 func TestWaitForAllQueueMemory(t *testing.T) {
 	w := NewWaitForAll(2)
 	for i := 0; i < 4; i++ {
-		w.Add(0, ipkt(int64(i)))
-		if b := w.Add(1, ipkt(int64(i))); len(b) != 1 {
+		add(w, 0, ipkt(int64(i)))
+		if b := add(w, 1, ipkt(int64(i))); len(b) != 1 {
 			t.Fatalf("round %d: released %v", i, b)
 		}
 	}
@@ -345,13 +369,13 @@ func TestWaitForAllQueueMemory(t *testing.T) {
 
 	burst := 4 * keptSlotCap
 	for i := 0; i < burst; i++ {
-		w.Add(0, ipkt(int64(i)))
+		add(w, 0, ipkt(int64(i)))
 	}
 	if c := cap(w.queues[0].ps); c <= keptSlotCap {
 		t.Fatalf("a %d-packet burst left capacity %d", burst, c)
 	}
 	for i := 0; i < burst; i++ {
-		if b := w.Add(1, ipkt(int64(i))); len(b) != 1 {
+		if b := add(w, 1, ipkt(int64(i))); len(b) != 1 {
 			t.Fatalf("burst round %d: released %v", i, b)
 		}
 	}
@@ -361,11 +385,11 @@ func TestWaitForAllQueueMemory(t *testing.T) {
 
 	const ahead = 3
 	for i := 0; i < ahead; i++ {
-		w.Add(0, ipkt(int64(i)))
+		add(w, 0, ipkt(int64(i)))
 	}
 	for i := 0; i < 1000; i++ {
-		w.Add(0, ipkt(int64(ahead+i)))
-		b := w.Add(1, ipkt(0))
+		add(w, 0, ipkt(int64(ahead+i)))
+		b := add(w, 1, ipkt(0))
 		if len(b) != 1 {
 			t.Fatalf("round %d: released %v", i, b)
 		}
@@ -382,18 +406,18 @@ func TestTimeOut(t *testing.T) {
 	now := time.Unix(1000, 0)
 	to := NewTimeOut(100 * time.Millisecond)
 	to.now = func() time.Time { return now }
-	if b := to.Add(0, ipkt(1)); b != nil {
+	if b := add(to, 0, ipkt(1)); b != nil {
 		t.Fatalf("TimeOut released early: %v", b)
 	}
-	to.Add(1, ipkt(2))
+	add(to, 1, ipkt(2))
 	if got := to.Deadline(); !got.Equal(now.Add(100 * time.Millisecond)) {
 		t.Errorf("Deadline = %v", got)
 	}
 	// Before the window closes nothing is released.
-	if b := to.Poll(now.Add(50 * time.Millisecond)); b != nil {
+	if b := poll(to, now.Add(50*time.Millisecond)); b != nil {
 		t.Fatalf("Poll before deadline: %v", b)
 	}
-	b := to.Poll(now.Add(100 * time.Millisecond))
+	b := poll(to, now.Add(100*time.Millisecond))
 	if len(b) != 1 || len(b[0]) != 2 {
 		t.Fatalf("Poll at deadline = %v", b)
 	}
@@ -402,7 +426,7 @@ func TestTimeOut(t *testing.T) {
 	}
 	// A later packet opens a fresh window.
 	now = now.Add(time.Hour)
-	to.Add(0, ipkt(3))
+	add(to, 0, ipkt(3))
 	if got := to.Deadline(); !got.Equal(now.Add(100 * time.Millisecond)) {
 		t.Errorf("second window deadline = %v", got)
 	}
@@ -410,18 +434,18 @@ func TestTimeOut(t *testing.T) {
 
 func TestTimeOutZeroWindowIsNull(t *testing.T) {
 	to := NewTimeOut(0)
-	if b := to.Add(0, ipkt(1)); len(b) != 1 {
+	if b := add(to, 0, ipkt(1)); len(b) != 1 {
 		t.Errorf("zero window should behave like NullSync: %v", b)
 	}
 }
 
 func TestTimeOutDrain(t *testing.T) {
 	to := NewTimeOut(time.Hour)
-	to.Add(0, ipkt(1))
-	if b := to.Drain(); len(b) != 1 || len(b[0]) != 1 {
+	add(to, 0, ipkt(1))
+	if b := drain(to); len(b) != 1 || len(b[0]) != 1 {
 		t.Errorf("Drain = %v", b)
 	}
-	if to.Drain() != nil {
+	if drain(to) != nil {
 		t.Error("second Drain not empty")
 	}
 }
@@ -438,7 +462,7 @@ func TestQuickSum(t *testing.T) {
 			in[i] = fpkt(x)
 			want += x
 		}
-		out, err := NewNumericReduce(OpSum).Transform(in)
+		out, err := Collect(NewNumericReduce(OpSum), in)
 		if err != nil {
 			return false
 		}
@@ -469,19 +493,19 @@ func TestQuickAvgTreeInvariance(t *testing.T) {
 			}
 			return ps
 		}
-		flat, err := NewNumericReduce(OpAvg).Transform(mk(xs))
+		flat, err := Collect(NewNumericReduce(OpAvg), mk(xs))
 		if err != nil {
 			return false
 		}
-		l, err := NewNumericReduce(OpAvg).Transform(mk(xs[:split]))
+		l, err := Collect(NewNumericReduce(OpAvg), mk(xs[:split]))
 		if err != nil {
 			return false
 		}
-		r, err := NewNumericReduce(OpAvg).Transform(mk(xs[split:]))
+		r, err := Collect(NewNumericReduce(OpAvg), mk(xs[split:]))
 		if err != nil {
 			return false
 		}
-		tree, err := NewNumericReduce(OpAvg).Transform([]*packet.Packet{l[0], r[0]})
+		tree, err := Collect(NewNumericReduce(OpAvg), []*packet.Packet{l[0], r[0]})
 		if err != nil {
 			return false
 		}
@@ -504,7 +528,7 @@ func TestQuickWaitForAllConservation(t *testing.T) {
 		for _, e := range events {
 			child := int(e) % n
 			in++
-			for _, b := range w.Add(child, ipkt(int64(e))) {
+			for _, b := range add(w, child, ipkt(int64(e))) {
 				if len(b) != n {
 					return false
 				}
@@ -524,21 +548,28 @@ func BenchmarkSumReduce16(b *testing.B) {
 		in[i] = fpkt(float64(i))
 	}
 	r := NewNumericReduce(OpSum)
+	var out Outputs
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Transform(in); err != nil {
+		if err := r.Apply(in, &out); err != nil {
 			b.Fatal(err)
 		}
+		out.Reset()
 	}
 }
 
 func BenchmarkWaitForAllRound16(b *testing.B) {
 	w := NewWaitForAll(16)
-	p := ipkt(1)
+	run := []*packet.Packet{ipkt(1)}
+	released := 0
+	emit := func([]*packet.Packet) { released++ }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for c := 0; c < 16; c++ {
-			w.Add(c, p)
+			w.Offer(c, run, emit)
 		}
+	}
+	if released != b.N {
+		b.Fatalf("released %d rounds, want %d", released, b.N)
 	}
 }

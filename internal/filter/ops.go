@@ -60,22 +60,37 @@ type NumericReduce struct {
 // NewNumericReduce returns a reduction filter for the given operator.
 func NewNumericReduce(op Op) *NumericReduce { return &NumericReduce{op: op} }
 
-// Transform reduces the batch to a single packet.
-func (nr *NumericReduce) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply reduces the round to a single packet.
+func (nr *NumericReduce) Apply(in []*packet.Packet, out Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
+	var p *packet.Packet
+	var err error
 	switch nr.op {
 	case OpCount:
-		return nr.count(in)
+		p, err = nr.count(in)
 	case OpAvg:
-		return nr.avg(in)
+		p, err = nr.avg(in)
 	default:
-		return nr.reduce(in)
+		p, err = nr.reduce(in)
 	}
+	if err != nil {
+		return err
+	}
+	out.Emit(p)
+	return nil
 }
 
-func (nr *NumericReduce) count(in []*packet.Packet) ([]*packet.Packet, error) {
+// Transform returns Apply's outputs as a slice. It only adapts
+// bench/ladder.go's filter.sum_ns and filter.sum_allocs rungs: the
+// benchmark's next upkeep (ROADMAP item 1) moves them onto Apply and
+// deletes it.
+func (nr *NumericReduce) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+	return Collect(nr, in)
+}
+
+func (nr *NumericReduce) count(in []*packet.Packet) (*packet.Packet, error) {
 	var total int64
 	for _, p := range in {
 		if p.Format() == "%d" {
@@ -88,14 +103,10 @@ func (nr *NumericReduce) count(in []*packet.Packet) ([]*packet.Packet, error) {
 			total++
 		}
 	}
-	out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d", total)
-	if err != nil {
-		return nil, err
-	}
-	return []*packet.Packet{out}, nil
+	return packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d", total)
 }
 
-func (nr *NumericReduce) avg(in []*packet.Packet) ([]*packet.Packet, error) {
+func (nr *NumericReduce) avg(in []*packet.Packet) (*packet.Packet, error) {
 	var weight int64
 	var sum float64
 	for _, p := range in {
@@ -133,14 +144,10 @@ func (nr *NumericReduce) avg(in []*packet.Packet) ([]*packet.Packet, error) {
 	if weight > 0 {
 		mean = sum / float64(weight)
 	}
-	out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d %f", weight, mean)
-	if err != nil {
-		return nil, err
-	}
-	return []*packet.Packet{out}, nil
+	return packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d %f", weight, mean)
 }
 
-func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
+func (nr *NumericReduce) reduce(in []*packet.Packet) (*packet.Packet, error) {
 	format := in[0].Format()
 	for _, p := range in[1:] {
 		if p.Format() != format {
@@ -157,11 +164,7 @@ func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
 			v, _ := p.Int(0)
 			acc = nr.foldInt(acc, v)
 		}
-		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d", acc)
-		if err != nil {
-			return nil, err
-		}
-		return []*packet.Packet{out}, nil
+		return packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%d", acc)
 	case "%f":
 		acc, err := in[0].Float(0)
 		if err != nil {
@@ -171,11 +174,7 @@ func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
 			v, _ := p.Float(0)
 			acc = nr.foldFloat(acc, v)
 		}
-		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%f", acc)
-		if err != nil {
-			return nil, err
-		}
-		return []*packet.Packet{out}, nil
+		return packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%f", acc)
 	case "%ad":
 		acc, err := in[0].IntArray(0)
 		if err != nil {
@@ -190,11 +189,7 @@ func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
 				acc[i] = nr.foldInt(acc[i], v)
 			}
 		}
-		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%ad", acc)
-		if err != nil {
-			return nil, err
-		}
-		return []*packet.Packet{out}, nil
+		return packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%ad", acc)
 	case "%af":
 		acc, err := in[0].FloatArray(0)
 		if err != nil {
@@ -209,11 +204,7 @@ func (nr *NumericReduce) reduce(in []*packet.Packet) ([]*packet.Packet, error) {
 				acc[i] = nr.foldFloat(acc[i], v)
 			}
 		}
-		out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%af", acc)
-		if err != nil {
-			return nil, err
-		}
-		return []*packet.Packet{out}, nil
+		return packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank, "%af", acc)
 	default:
 		return nil, fmt.Errorf("filter: %s cannot consume format %q", nr.op, format)
 	}
@@ -253,15 +244,15 @@ func (nr *NumericReduce) foldFloat(a, b float64) float64 {
 	}
 }
 
-// Concat merges a batch into one packet whose format is the concatenation
+// Concat merges a round into one packet whose format is the concatenation
 // of the input formats and whose payload is the inputs' payloads appended
 // in order — MRNet's built-in concatenation filter.
 type Concat struct{}
 
-// Transform concatenates the batch.
-func (Concat) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply concatenates the round.
+func (Concat) Apply(in []*packet.Packet, out Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	var fmtParts []string
 	var values []any
@@ -271,32 +262,52 @@ func (Concat) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 		}
 		values = append(values, p.Values()...)
 	}
-	out, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank,
+	p, err := packet.New(in[0].Tag, in[0].StreamID, packet.UnknownRank,
 		strings.Join(fmtParts, " "), values...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Chain composes transformations in sequence, feeding each filter's output
 // to the next. The paper notes MRNet lacks filter chaining but that a
 // single "super filter" propagating flow through a sequence of filters can
-// seamlessly mimic it — Chain is that super filter.
-type Chain []Transformation
+// seamlessly mimic it — Chain is that super filter. Each stage but the last
+// emits into one of two buffers the chain owns and reuses, and the last
+// emits to the chain's own receiver. A chain of no stages is the identity.
+type Chain struct {
+	stages []Transformation
+	bufs   [2]Outputs
+}
 
-// Transform applies every stage in order.
-func (c Chain) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
-	cur := in
-	for i, stage := range c {
-		next, err := stage.Transform(cur)
-		if err != nil {
-			return nil, fmt.Errorf("filter: chain stage %d: %w", i, err)
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil, nil
-		}
+// NewChain returns the chain of the given stages, applied in order.
+func NewChain(stages ...Transformation) *Chain { return &Chain{stages: stages} }
+
+// Apply runs every stage in order. A stage that emits nothing ends the
+// chain.
+func (c *Chain) Apply(in []*packet.Packet, out Emitter) error {
+	if len(c.stages) == 0 {
+		return Identity{}.Apply(in, out)
 	}
-	return cur, nil
+	cur := in
+	for i, stage := range c.stages {
+		var dst Emitter = out
+		next := &c.bufs[i%2] // stays empty for the last stage
+		if i < len(c.stages)-1 {
+			dst = next
+		}
+		err := stage.Apply(cur, dst)
+		c.bufs[(i+1)%2].Reset() // cur, now consumed
+		if err != nil {
+			next.Reset()
+			return fmt.Errorf("filter: chain stage %d: %w", i, err)
+		}
+		if len(*next) == 0 {
+			return nil
+		}
+		cur = *next
+	}
+	return nil
 }

@@ -13,58 +13,40 @@ type ChildAware interface {
 	SetNumChildren(n int)
 }
 
-// BatchAdder is implemented by synchronizers with a native multi-packet
-// ingest path: AddBatch offers a whole link frame's worth of packets (all
-// from the same child slot, in arrival order) in one call, equivalent to —
-// but cheaper than — calling Add per packet. All built-in synchronizers
-// implement it; the AddBatch helper falls back to per-packet Add for
-// custom synchronizers that do not.
-type BatchAdder interface {
-	AddBatch(child int, ps []*packet.Packet) [][]*packet.Packet
-}
-
-// AddBatch feeds a batch of packets from one child slot through s,
-// preserving Add-at-a-time semantics for synchronizers without a native
-// batch path.
-func AddBatch(s Synchronizer, child int, ps []*packet.Packet) [][]*packet.Packet {
-	if len(ps) == 1 {
-		return s.Add(child, ps[0])
-	}
-	if ba, ok := s.(BatchAdder); ok {
-		return ba.AddBatch(child, ps)
-	}
-	var out [][]*packet.Packet
-	for _, p := range ps {
-		out = append(out, s.Add(child, p)...)
-	}
-	return out
-}
-
-// singletons releases each packet as its own one-packet batch, the shape
-// per-packet Add would have produced.
-func singletons(ps []*packet.Packet) [][]*packet.Packet {
-	out := make([][]*packet.Packet, len(ps))
-	for i := range ps {
-		out[i] = ps[i : i+1 : i+1]
-	}
-	return out
-}
-
 // Drainer is implemented by synchronizers that can be force-flushed at
-// stream shutdown, releasing everything still held back.
+// stream shutdown, releasing everything still held back to emit.
 type Drainer interface {
-	Drain() [][]*packet.Packet
+	Drain(emit RoundFunc)
 }
 
 // SlotRemapper is implemented by synchronizers with per-child state that can
 // survive a change in the child set, as happens when failure recovery makes
 // a node adopt its grandchildren. remap[old] gives the new dense slot for
 // each existing slot, or -1 to discard that slot's held packets (the slot
-// belonged to the failed child); n is the new slot count. Batches that
+// belonged to the failed child); n is the new slot count. Rounds that
 // become releasable under the new layout (e.g. a round that was only
-// waiting on the removed slot) are returned so the caller can flush them.
+// waiting on the removed slot) go to emit.
 type SlotRemapper interface {
-	RemapSlots(remap []int, n int) [][]*packet.Packet
+	RemapSlots(remap []int, n int, emit RoundFunc)
+}
+
+// emitEach releases each packet of run as its own one-packet round. The
+// rounds are sub-slices of run capped at one element, so nothing the
+// receiver appends can write into run.
+func emitEach(run []*packet.Packet, emit RoundFunc) {
+	for i := range run {
+		emit(run[i : i+1 : i+1])
+	}
+}
+
+// collectRounds returns copies of the rounds offer releases. It backs the
+// AddBatch adapters.
+func collectRounds(offer func(RoundFunc)) [][]*packet.Packet {
+	var out [][]*packet.Packet
+	offer(func(round []*packet.Packet) {
+		out = append(out, append([]*packet.Packet(nil), round...))
+	})
+	return out
 }
 
 // NullSync delivers every packet immediately upon receipt — MRNet's "null"
@@ -74,19 +56,21 @@ type NullSync struct{}
 // NewNullSync returns a pass-through synchronizer.
 func NewNullSync() *NullSync { return &NullSync{} }
 
-// Add releases the packet immediately as a singleton batch.
-func (*NullSync) Add(child int, p *packet.Packet) [][]*packet.Packet {
-	return [][]*packet.Packet{{p}}
+// Offer releases each packet as its own one-packet round, in arrival
+// order.
+func (*NullSync) Offer(child int, run []*packet.Packet, emit RoundFunc) {
+	emitEach(run, emit)
 }
 
-// AddBatch releases each packet as its own singleton batch — identical
-// delivery semantics to per-packet Add, with one call per link frame.
-func (*NullSync) AddBatch(child int, ps []*packet.Packet) [][]*packet.Packet {
-	return singletons(ps)
+// AddBatch returns copies of the rounds Offer releases for ps. It only
+// adapts bench/ladder.go's filter.nullsync_ns rung: the benchmark's next
+// upkeep (ROADMAP item 1) moves that rung onto Offer and deletes it.
+func (s *NullSync) AddBatch(child int, ps []*packet.Packet) [][]*packet.Packet {
+	return collectRounds(func(emit RoundFunc) { s.Offer(child, ps, emit) })
 }
 
 // Poll never releases anything.
-func (*NullSync) Poll(time.Time) [][]*packet.Packet { return nil }
+func (*NullSync) Poll(time.Time, RoundFunc) {}
 
 // Pending is always zero.
 func (*NullSync) Pending() int { return 0 }
@@ -95,13 +79,15 @@ func (*NullSync) Pending() int { return 0 }
 func (*NullSync) Deadline() time.Time { return time.Time{} }
 
 // WaitForAll holds packets until one has arrived from every child slot,
-// then releases one packet per child as a single batch — MRNet's
+// then releases one packet per child as a single round — MRNet's
 // "wait_for_all" policy. Packets queue per child in FIFO order, so a fast
-// child may run ahead; batches always contain exactly one packet per child
-// in child-slot order.
+// child may run ahead; rounds always contain exactly one packet per child
+// in child-slot order. Every round is released in the one n-slot array
+// the policy keeps, so releasing allocates nothing.
 type WaitForAll struct {
 	n      int
 	queues []slotQueue
+	round  []*packet.Packet
 }
 
 // slotQueue is one child slot's FIFO. Popping advances head rather than
@@ -157,45 +143,43 @@ func NewWaitForAll(n int) *WaitForAll {
 	return w
 }
 
-// SetNumChildren sizes the per-child queues.
+// SetNumChildren sizes the per-child queues and the round array.
 func (w *WaitForAll) SetNumChildren(n int) {
 	w.n = n
 	w.queues = make([]slotQueue, n)
+	w.round = make([]*packet.Packet, n)
 }
 
-// Add queues the packet and releases as many complete batches as exist.
-func (w *WaitForAll) Add(child int, p *packet.Packet) [][]*packet.Packet {
+// Offer queues the whole run, then releases every complete round — the
+// same rounds packet-at-a-time queuing would release, at one queue scan
+// per run instead of one per packet.
+func (w *WaitForAll) Offer(child int, run []*packet.Packet, emit RoundFunc) {
 	if child < 0 || child >= w.n {
 		// Unknown slot: deliver immediately rather than lose data.
-		return [][]*packet.Packet{{p}}
+		emitEach(run, emit)
+		return
 	}
-	w.queues[child].push(p)
-	return w.rounds()
+	w.queues[child].push(run...)
+	w.rounds(emit)
 }
 
-// AddBatch queues the whole frame, then releases complete rounds once —
-// the same rounds per-packet Add would release, at one queue scan per
-// frame instead of one per packet.
+// AddBatch returns copies of the rounds Offer releases for ps. It only
+// adapts bench/ladder.go's filter.waitforall_ns rung: the benchmark's next
+// upkeep (ROADMAP item 1) moves that rung onto Offer and deletes it.
 func (w *WaitForAll) AddBatch(child int, ps []*packet.Packet) [][]*packet.Packet {
-	if child < 0 || child >= w.n {
-		// Unknown slot: deliver immediately rather than lose data.
-		return singletons(ps)
-	}
-	w.queues[child].push(ps...)
-	return w.rounds()
+	return collectRounds(func(emit RoundFunc) { w.Offer(child, ps, emit) })
 }
 
-// rounds releases every complete round, one packet per child each.
-func (w *WaitForAll) rounds() [][]*packet.Packet {
-	var out [][]*packet.Packet
+// rounds releases every complete round, one packet per child each, in the
+// round array; it drops the array's references once done.
+func (w *WaitForAll) rounds(emit RoundFunc) {
 	for w.complete() {
-		batch := make([]*packet.Packet, w.n)
 		for i := range w.queues {
-			batch[i] = w.queues[i].pop()
+			w.round[i] = w.queues[i].pop()
 		}
-		out = append(out, batch)
+		emit(w.round)
 	}
-	return out
+	clear(w.round)
 }
 
 func (w *WaitForAll) complete() bool {
@@ -214,8 +198,8 @@ func (w *WaitForAll) complete() bool {
 // packets already queued from surviving children and discarding those of
 // dropped (failed) slots. New slots start with empty queues. Rounds that
 // were only waiting on a removed slot become complete under the new layout
-// and are released immediately.
-func (w *WaitForAll) RemapSlots(remap []int, n int) [][]*packet.Packet {
+// and are released to emit at once.
+func (w *WaitForAll) RemapSlots(remap []int, n int, emit RoundFunc) {
 	queues := make([]slotQueue, n)
 	for old, nu := range remap {
 		if nu >= 0 && nu < n && old < len(w.queues) {
@@ -224,11 +208,12 @@ func (w *WaitForAll) RemapSlots(remap []int, n int) [][]*packet.Packet {
 	}
 	w.n = n
 	w.queues = queues
-	return w.rounds()
+	w.round = make([]*packet.Packet, n)
+	w.rounds(emit)
 }
 
 // Poll never releases on time alone.
-func (*WaitForAll) Poll(time.Time) [][]*packet.Packet { return nil }
+func (*WaitForAll) Poll(time.Time, RoundFunc) {}
 
 // Pending counts all held packets.
 func (w *WaitForAll) Pending() int {
@@ -242,25 +227,25 @@ func (w *WaitForAll) Pending() int {
 // Deadline is always zero: WaitForAll needs no timer.
 func (*WaitForAll) Deadline() time.Time { return time.Time{} }
 
-// Drain releases all held packets as one final partial batch, in child-slot
-// order. Used when a stream shuts down or a child fails permanently.
-func (w *WaitForAll) Drain() [][]*packet.Packet {
+// Drain releases all held packets as one final partial round, in
+// child-slot order. Used when a stream shuts down or a child fails
+// permanently.
+func (w *WaitForAll) Drain(emit RoundFunc) {
 	var batch []*packet.Packet
 	for i := range w.queues {
 		q := &w.queues[i]
 		batch = append(batch, q.ps[q.head:]...)
 		q.reset()
 	}
-	if len(batch) == 0 {
-		return nil
+	if len(batch) > 0 {
+		emit(batch)
 	}
-	return [][]*packet.Packet{batch}
 }
 
 // TimeOut delivers the packets received within a specified window —
 // MRNet's "time_out" policy. The window opens when a packet arrives while
 // no window is open; when it expires (observed via Poll) everything
-// received so far is released as one batch.
+// received so far is released as one round.
 type TimeOut struct {
 	window   time.Duration
 	pending  []*packet.Packet
@@ -274,39 +259,24 @@ func NewTimeOut(window time.Duration) *TimeOut {
 	return &TimeOut{window: window, now: time.Now}
 }
 
-// Add queues the packet, opening the window if needed. With a non-positive
-// window the packet is released immediately.
-func (t *TimeOut) Add(child int, p *packet.Packet) [][]*packet.Packet {
+// Offer queues the run, opening the window if needed. With a non-positive
+// window each packet is released at once as its own round.
+func (t *TimeOut) Offer(child int, run []*packet.Packet, emit RoundFunc) {
 	if t.window <= 0 {
-		return [][]*packet.Packet{{p}}
+		emitEach(run, emit)
+		return
 	}
-	if len(t.pending) == 0 {
+	if len(t.pending) == 0 && len(run) > 0 {
 		t.deadline = t.now().Add(t.window)
 	}
-	t.pending = append(t.pending, p)
-	return nil
+	t.pending = append(t.pending, run...)
 }
 
-// AddBatch queues the whole frame, opening the window if needed.
-func (t *TimeOut) AddBatch(child int, ps []*packet.Packet) [][]*packet.Packet {
-	if t.window <= 0 {
-		return singletons(ps)
+// Poll releases the held round once the window has expired.
+func (t *TimeOut) Poll(now time.Time, emit RoundFunc) {
+	if len(t.pending) > 0 && !now.Before(t.deadline) {
+		t.Drain(emit)
 	}
-	if len(t.pending) == 0 && len(ps) > 0 {
-		t.deadline = t.now().Add(t.window)
-	}
-	t.pending = append(t.pending, ps...)
-	return nil
-}
-
-// Poll releases the held batch once the window has expired.
-func (t *TimeOut) Poll(now time.Time) [][]*packet.Packet {
-	if len(t.pending) == 0 || now.Before(t.deadline) {
-		return nil
-	}
-	batch := t.pending
-	t.pending = nil
-	return [][]*packet.Packet{batch}
 }
 
 // Pending counts held packets.
@@ -321,11 +291,9 @@ func (t *TimeOut) Deadline() time.Time {
 }
 
 // Drain releases everything held, regardless of the window.
-func (t *TimeOut) Drain() [][]*packet.Packet {
-	if len(t.pending) == 0 {
-		return nil
+func (t *TimeOut) Drain(emit RoundFunc) {
+	if batch := t.pending; len(batch) > 0 {
+		t.pending = nil
+		emit(batch)
 	}
-	batch := t.pending
-	t.pending = nil
-	return [][]*packet.Packet{batch}
 }

@@ -136,29 +136,30 @@ func FromPacket(p *packet.Packet) (*Histogram, error) {
 // Filter merges child histograms bin-wise.
 type Filter struct{}
 
-// Transform merges the batch into a single histogram packet.
-func (Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges the round into a single histogram packet.
+func (Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	acc, err := FromPacket(in[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, p := range in[1:] {
 		h, err := FromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := acc.Merge(h); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	out, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
+	p, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Register installs the histogram filter under FilterName.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filter"
 	"repro/internal/packet"
 )
 
@@ -137,7 +138,7 @@ func TestFilterMerges(t *testing.T) {
 		p, _ := h.ToPacket(100, 1, 0)
 		return p
 	}
-	out, err := Filter{}.Transform([]*packet.Packet{mk(1, 2), mk(8), mk(9, 9, 9)})
+	out, err := filter.Collect(Filter{}, []*packet.Packet{mk(1, 2), mk(8), mk(9, 9, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +152,13 @@ func TestFilterMerges(t *testing.T) {
 	if g.Count() != 6 {
 		t.Errorf("merged count = %d, want 6", g.Count())
 	}
-	if o, err := (Filter{}).Transform(nil); err != nil || o != nil {
+	if o, err := filter.Collect((Filter{}), nil); err != nil || o != nil {
 		t.Errorf("empty batch: %v %v", o, err)
 	}
 	// Mismatched configurations propagate the error.
 	other, _ := New(0, 20, 5)
 	po, _ := other.ToPacket(100, 1, 0)
-	if _, err := (Filter{}).Transform([]*packet.Packet{mk(1), po}); err == nil {
+	if _, err := filter.Collect((Filter{}), []*packet.Packet{mk(1), po}); err == nil {
 		t.Error("mismatched merge: want error")
 	}
 }
@@ -206,7 +207,7 @@ func BenchmarkMerge64Histograms(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Filter{}).Transform(pkts); err != nil {
+		if _, err := filter.Collect((Filter{}), pkts); err != nil {
 			b.Fatal(err)
 		}
 	}

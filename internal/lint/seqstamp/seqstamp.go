@@ -3,8 +3,8 @@
 // flows toward the front-end must carry an origin sequence stamp before it
 // reaches egress enqueue. Concretely:
 //
-//   - an intermediary that runs a Transform and forwards the outputs upward
-//     (node.flushBatchesAck) must stamp fresh outputs with
+//   - a sink that receives a transformation's outputs and forwards them
+//     upward (the node's upSink.Emit) must stamp fresh outputs with
 //     packet.MakeSeq(rank, ctr) — forwarded packets keep their origin Seq;
 //   - every BackEnd method that emits upward must stamp via MakeSeq/WithSeq
 //     itself or delegate to SendPacket, the single stamping chokepoint.
@@ -15,9 +15,10 @@
 // catches the omission at compile time instead of at soak time.
 //
 // The check is per-function and syntactic: a function that both constructs
-// (calls Transform) and emits upward (sendAck, or send/sendCtx/sendNow
-// through parentOut, or send through eg, or Send through parentLink) must
-// mention MakeSeq or WithSeq. Downstream fan-out (sendDownstream, childOut)
+// (runs a transformation's Apply, or is an Emit method — the receiving end
+// of one) and emits upward (sendAck, or send/sendCtx/sendNow through
+// parentOut, or send through eg, or Send through parentLink) must mention
+// MakeSeq or WithSeq. Downstream fan-out (sendDownstream, childOut)
 // and front-end local delivery (st.deliver — the ack base case) are not
 // sinks: downstream traffic carries no replay ring.
 package seqstamp
@@ -35,9 +36,12 @@ var Analyzer = &lint.Analyzer{
 	Run:  run,
 }
 
-// constructors mark a function as producing fresh packets.
+// constructors mark a function as producing fresh packets: it calls one of
+// these, or it is a method of this name, the Emitter side of the filter
+// contract, which is handed the packets a transformation built.
 var constructors = map[string]bool{
-	"Transform": true,
+	"Apply": true,
+	"Emit":  true,
 }
 
 // stampNames are the identifiers whose presence satisfies the contract.
@@ -95,7 +99,7 @@ func mentionsStamp(body *ast.BlockStmt) bool {
 func run(pass *lint.Pass) error {
 	lint.FuncsOf(pass.Files, func(fd *ast.FuncDecl) {
 		var sinks []*ast.CallExpr
-		constructs := false
+		constructs := fd.Recv != nil && constructors[fd.Name.Name]
 		delegates := false
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

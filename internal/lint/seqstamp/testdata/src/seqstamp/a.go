@@ -8,9 +8,21 @@ func (p *Packet) WithSeq(s uint64) *Packet { return p }
 
 func MakeSeq(rank int, ctr uint64) uint64 { return 0 }
 
+type Emitter interface{ Emit(p *Packet) }
+
 type filter struct{}
 
-func (f *filter) Transform(in []*Packet) ([]*Packet, error) { return in, nil }
+func (f *filter) Apply(in []*Packet, out Emitter) error {
+	for _, p := range in {
+		out.Emit(p)
+	}
+	return nil
+}
+
+// outputs collects a filter's outputs.
+type outputs []*Packet
+
+func (o *outputs) Emit(p *Packet) { *o = append(*o, p) }
 
 type egress struct{}
 
@@ -34,7 +46,8 @@ type node struct {
 // recovery the replayed copies are indistinguishable from fresh packets
 // and get delivered twice.
 func (n *node) flushBad(batch []*Packet) {
-	out, _ := n.tf.Transform(batch)
+	var out outputs
+	_ = n.tf.Apply(batch, &out)
 	for _, p := range out {
 		_ = n.parentOut.sendCtx(p, 0, true) // want `transforms packets and emits them upward without a Seq stamp`
 	}
@@ -42,7 +55,8 @@ func (n *node) flushBad(batch []*Packet) {
 
 // flushGood stamps fresh outputs and preserves non-zero origin stamps.
 func (n *node) flushGood(batch []*Packet) {
-	out, _ := n.tf.Transform(batch)
+	var out outputs
+	_ = n.tf.Apply(batch, &out)
 	for _, p := range out {
 		if p.Seq == 0 {
 			n.ctr++
@@ -52,7 +66,26 @@ func (n *node) flushGood(batch []*Packet) {
 	}
 }
 
-// forward is an identity relay: no Transform, the origin Seq rides along.
+// badSink is a node's sink that sends what a filter emits straight up,
+// unstamped.
+type badSink struct{ n *node }
+
+func (s *badSink) Emit(p *Packet) {
+	_ = s.n.parentOut.sendAck(p) // want `transforms packets and emits them upward without a Seq stamp`
+}
+
+// goodSink stamps each fresh output in place before sending it up.
+type goodSink struct{ n *node }
+
+func (s *goodSink) Emit(p *Packet) {
+	if p.Seq == 0 {
+		s.n.ctr++
+		p.Seq = MakeSeq(s.n.rank, s.n.ctr)
+	}
+	_ = s.n.parentOut.sendCtx(p, 0, true)
+}
+
+// forward is an identity relay: no Apply, the origin Seq rides along.
 func (n *node) forward(p *Packet) {
 	_ = n.parentOut.sendCtx(p, 0, true)
 }
@@ -60,7 +93,8 @@ func (n *node) forward(p *Packet) {
 // fanDown transforms for the downstream direction: downstream traffic has
 // no replay ring, so no stamp is required.
 func (n *node) fanDown(batch []*Packet) {
-	out, _ := n.tf.Transform(batch)
+	var out outputs
+	_ = n.tf.Apply(batch, &out)
 	for _, p := range out {
 		for _, q := range n.childOut {
 			_ = q.send(p)

@@ -85,17 +85,17 @@ type Filter struct {
 	OnCompute func(points int)
 }
 
-// Transform merges child results and re-runs mean-shift.
-func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges child results and re-runs mean-shift.
+func (f *Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	var data, seeds []Point
 	var weights []float64
 	for _, p := range in {
 		d, w, pk, err := ParsePacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		data = append(data, d...)
 		weights = append(weights, w...)
@@ -106,11 +106,12 @@ func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 	}
 	peaks := FindPeaksSeeded(data, weights, seeds, f.Params)
 	pts, ws := Condense(data, weights, peaks, f.Params)
-	out, err := MakePacket(in[0].Tag, in[0].StreamID, packet.UnknownRank, pts, ws, peaks)
+	p, err := MakePacket(in[0].Tag, in[0].StreamID, packet.UnknownRank, pts, ws, peaks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Register installs the mean-shift filter under FilterName, capturing the

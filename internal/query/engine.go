@@ -103,24 +103,25 @@ func (pt Partial) Merge(o Partial) {
 // execution of the query's aggregation.
 type MergeFilter struct{}
 
-// Transform merges the batch into one partial packet.
-func (MergeFilter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges the round into one partial packet.
+func (MergeFilter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	acc := Partial{}
 	for _, p := range in {
 		pt, err := PartialFromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		acc.Merge(pt)
 	}
-	out, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
+	p, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Register installs the merge filter in a registry.

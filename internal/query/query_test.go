@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -162,7 +163,7 @@ func TestMergeFilterAssociative(t *testing.T) {
 		p, _ := pt.ToPacket(100, 1, 0)
 		return p
 	}
-	out, err := (MergeFilter{}).Transform([]*packet.Packet{
+	out, err := filter.Collect((MergeFilter{}), []*packet.Packet{
 		mk("a", 1, 2), mk("b", 10), mk("a", 3),
 	})
 	if err != nil || len(out) != 1 {
@@ -178,7 +179,7 @@ func TestMergeFilterAssociative(t *testing.T) {
 	if m := g["b\x00x"]; m == nil || m.N != 1 {
 		t.Errorf("group b = %+v", m)
 	}
-	if o, err := (MergeFilter{}).Transform(nil); err != nil || o != nil {
+	if o, err := filter.Collect((MergeFilter{}), nil); err != nil || o != nil {
 		t.Errorf("empty batch: %v %v", o, err)
 	}
 }

@@ -151,13 +151,13 @@ func TestComposeStatesEqClass(t *testing.T) {
 	feed := func(f *eqclass.Filter, pkts ...*eqclassPacket) {
 		t.Helper()
 		for _, ep := range pkts {
-			out, err := f.Transform([]*packetAlias{ep.p})
+			out, err := filter.Collect(f, []*packetAlias{ep.p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// What the child forwards, the parent consumes.
 			if out != nil {
-				if _, err := parent.Transform(out); err != nil {
+				if _, err := filter.Collect(parent, out); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -188,8 +188,8 @@ func TestComposeStatesEqClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, probe := range []*eqclassPacket{mkPkt("linux", 1), mkPkt("linux", 2), mkPkt("aix", 3)} {
-		w, err1 := wantF.Transform([]*packetAlias{probe.p})
-		g, err2 := gotF.Transform([]*packetAlias{probe.p})
+		w, err1 := filter.Collect(wantF, []*packetAlias{probe.p})
+		g, err2 := filter.Collect(gotF, []*packetAlias{probe.p})
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -199,10 +199,10 @@ func TestComposeStatesEqClass(t *testing.T) {
 	}
 	// A genuinely new pair passes both.
 	novel := mkPkt("hpux", 9)
-	if w, _ := wantF.Transform([]*packetAlias{novel.p}); w == nil {
+	if w, _ := filter.Collect(wantF, []*packetAlias{novel.p}); w == nil {
 		t.Error("lost state suppressed novel pair")
 	}
-	if g, _ := gotF.Transform([]*packetAlias{novel.p}); g == nil {
+	if g, _ := filter.Collect(gotF, []*packetAlias{novel.p}); g == nil {
 		t.Error("recovered state suppressed novel pair")
 	}
 }

@@ -203,24 +203,25 @@ func FromPacket(p *packet.Packet) (*Composite, error) {
 // Filter folds child composites into one composite per batch.
 type Filter struct{}
 
-// Transform merges the batch.
-func (Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges the round.
+func (Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	acc := NewComposite()
 	for _, p := range in {
 		c, err := FromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		acc.Merge(c)
 	}
-	out, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
+	p, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Register installs the folding filter under FilterName.

@@ -256,20 +256,21 @@ func Register(reg *filter.Registry) {
 	})
 }
 
-// mergeFilter reduces a batch of same-kind sketch packets to one.
+// mergeFilter reduces a round of same-kind sketch packets to one.
 type mergeFilter struct {
 	decodeMerge func(in []*packet.Packet) (*packet.Packet, error)
 }
 
-func (f mergeFilter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+func (f mergeFilter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
-	out, err := f.decodeMerge(in)
+	p, err := f.decodeMerge(in)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 func mergeCountMin(in []*packet.Packet) (*packet.Packet, error) {

@@ -140,24 +140,25 @@ func FromPacket(p *packet.Packet) (*Moments, error) {
 // Filter merges child summaries.
 type Filter struct{}
 
-// Transform merges the batch into a single summary packet.
-func (Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges the round into a single summary packet.
+func (Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	acc := New()
 	for _, p := range in {
 		m, err := FromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		acc.Merge(m)
 	}
-	out, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
+	p, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Register installs the moments filter under FilterName.

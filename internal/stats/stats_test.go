@@ -86,7 +86,7 @@ func TestFilterMerges(t *testing.T) {
 		p, _ := m.ToPacket(100, 1, 0)
 		return p
 	}
-	out, err := (Filter{}).Transform([]*packet.Packet{mk(1, 2, 3), mk(10), mk(-5, 5)})
+	out, err := filter.Collect((Filter{}), []*packet.Packet{mk(1, 2, 3), mk(10), mk(-5, 5)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("transform: %v %v", out, err)
 	}
@@ -97,7 +97,7 @@ func TestFilterMerges(t *testing.T) {
 	if g.N != 6 || g.Min() != -5 || g.Max() != 10 {
 		t.Errorf("merged: %+v", g)
 	}
-	if o, err := (Filter{}).Transform(nil); err != nil || o != nil {
+	if o, err := filter.Collect((Filter{}), nil); err != nil || o != nil {
 		t.Errorf("empty batch: %v %v", o, err)
 	}
 }

@@ -97,18 +97,18 @@ func NewFilter() *Filter {
 // implements filter.ChildAware.
 func (f *Filter) SetNumChildren(n int) { f.expected = n }
 
-// Transform folds the batch into the accumulator and emits every bin that
+// Apply folds the round into the accumulator and emits every bin that
 // is now complete (at or below the minimum watermark across children seen
 // so far). Output packets carry this node's own watermark so parents can
 // align in turn.
-func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+func (f *Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	for _, p := range in {
 		s, err := FromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i, b := range s.Bins {
 			f.acc[b] += s.Values[i]
@@ -121,7 +121,7 @@ func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 	}
 	low := f.minWatermark()
 	if low <= f.emitted {
-		return nil, nil // nothing newly complete
+		return nil // nothing newly complete
 	}
 	var bins []int64
 	for b := range f.acc {
@@ -136,12 +136,13 @@ func (f *Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
 		delete(f.acc, b)
 	}
 	f.emitted = low
-	out, err := Series{Bins: bins, Values: values, Watermark: low}.
+	p, err := Series{Bins: bins, Values: values, Watermark: low}.
 		ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 func (f *Filter) minWatermark() int64 {

@@ -57,7 +57,7 @@ func TestWatermarkHoldsBackIncompleteBins(t *testing.T) {
 	f.SetNumChildren(2)
 	// Child 1 reports bins 0-2 (watermark 2); child 2 has only reached
 	// bin 0. Bins 1-2 must wait.
-	out, err := f.Transform([]*packet.Packet{
+	out, err := filter.Collect(f, []*packet.Packet{
 		mkSeries(t, 1, 2, 0, 10, 1, 11, 2, 12),
 		mkSeries(t, 2, 0, 0, 20),
 	})
@@ -78,7 +78,7 @@ func TestWatermarkHoldsBackIncompleteBins(t *testing.T) {
 		t.Errorf("watermark = %d, want 0", s.Watermark)
 	}
 	// Child 2 catches up through bin 2: bins 1 and 2 release, aligned.
-	out, err = f.Transform([]*packet.Packet{
+	out, err = filter.Collect(f, []*packet.Packet{
 		mkSeries(t, 2, 2, 1, 21, 2, 22),
 	})
 	if err != nil {
@@ -99,12 +99,12 @@ func TestWatermarkHoldsBackIncompleteBins(t *testing.T) {
 func TestNoDoubleEmission(t *testing.T) {
 	f := NewFilter()
 	f.SetNumChildren(1)
-	out, err := f.Transform([]*packet.Packet{mkSeries(t, 1, 1, 0, 5, 1, 6)})
+	out, err := filter.Collect(f, []*packet.Packet{mkSeries(t, 1, 1, 0, 5, 1, 6)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("first: %v %v", out, err)
 	}
 	// The same watermark again releases nothing new.
-	out, err = f.Transform([]*packet.Packet{mkSeries(t, 1, 1)})
+	out, err = filter.Collect(f, []*packet.Packet{mkSeries(t, 1, 1)})
 	if err != nil || out != nil {
 		t.Fatalf("re-report: %v %v", out, err)
 	}
@@ -112,7 +112,7 @@ func TestNoDoubleEmission(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	f := NewFilter()
-	if out, err := f.Transform(nil); err != nil || out != nil {
+	if out, err := filter.Collect(f, nil); err != nil || out != nil {
 		t.Errorf("empty batch: %v %v", out, err)
 	}
 }
@@ -248,7 +248,7 @@ func TestQuickAlignmentConservation(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			out, err := fl.Transform([]*packet.Packet{p})
+			out, err := filter.Collect(fl, []*packet.Packet{p})
 			if err != nil {
 				return false
 			}

@@ -119,30 +119,31 @@ func FromPacket(p *packet.Packet) (*List, error) {
 // Filter merges child top-k lists; all inputs must agree on k.
 type Filter struct{}
 
-// Transform merges the batch into one top-k packet.
-func (Filter) Transform(in []*packet.Packet) ([]*packet.Packet, error) {
+// Apply merges the round into one top-k packet.
+func (Filter) Apply(in []*packet.Packet, out filter.Emitter) error {
 	if len(in) == 0 {
-		return nil, nil
+		return nil
 	}
 	acc, err := FromPacket(in[0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, p := range in[1:] {
 		l, err := FromPacket(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if l.k != acc.k {
-			return nil, fmt.Errorf("topk: mismatched k (%d vs %d)", l.k, acc.k)
+			return fmt.Errorf("topk: mismatched k (%d vs %d)", l.k, acc.k)
 		}
 		acc.Merge(l)
 	}
-	out, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
+	p, err := acc.ToPacket(in[0].Tag, in[0].StreamID, packet.UnknownRank)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []*packet.Packet{out}, nil
+	out.Emit(p)
+	return nil
 }
 
 // Register installs the filter under FilterName.

@@ -75,10 +75,10 @@ func TestFilterMismatchedK(t *testing.T) {
 	b, _ := NewList(3)
 	pa, _ := a.ToPacket(100, 1, 0)
 	pb, _ := b.ToPacket(100, 1, 0)
-	if _, err := (Filter{}).Transform([]*packet.Packet{pa, pb}); err == nil {
+	if _, err := filter.Collect((Filter{}), []*packet.Packet{pa, pb}); err == nil {
 		t.Error("mismatched k: want error")
 	}
-	if o, err := (Filter{}).Transform(nil); err != nil || o != nil {
+	if o, err := filter.Collect((Filter{}), nil); err != nil || o != nil {
 		t.Errorf("empty batch: %v %v", o, err)
 	}
 }
@@ -240,7 +240,7 @@ func BenchmarkMerge64Lists(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := (Filter{}).Transform(lists); err != nil {
+		if _, err := filter.Collect((Filter{}), lists); err != nil {
 			b.Fatal(err)
 		}
 	}

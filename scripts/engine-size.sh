@@ -118,13 +118,26 @@
 # beacon deadline (beacon, beat), the at-once owe, the clock's armedAt
 # record that keeps a due deadline from pulling a set timer forward, and
 # Network.upstreamQueue.
+#
+# Lowered: internal/core 5835 -> 5830; raised: outside bench/ 20271 ->
+# 20343 for the emit filter contract (filters emit, the node owns). In
+# internal/core flushBatchesAck, flushBatches, the stream's
+# addBatch/poll/deadline wrappers and Stream.deliver went: each stream is
+# its own sink (begin, round, Emit, end), and deliverUp takes one packet.
+# internal/filter grew 28 lines net of BatchAdder, the AddBatch helper and
+# singletons: the contract's types (Emitter, RoundFunc, Outputs, Collect),
+# Chain as a struct that owns its stage buffers, and the three adapters
+# bench/ladder.go still calls (WaitForAll and NullSync AddBatch,
+# NumericReduce.Transform), which stay until the benchmark's next upkeep.
+# Each of the nine other filter packages emits its one output (+1 line
+# each), and seqstamp learned the sink (+4).
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5835
+max_lines=5830
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=20271
+max_repo_lines=20343
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
