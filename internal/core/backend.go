@@ -28,6 +28,8 @@ type BackEnd struct {
 	rank  Rank
 	ep    *transport.Endpoint
 	inbox chan beDelivery
+	// m is this rank's own counter set (Network.shard).
+	m *Metrics
 
 	// parentMu guards ep.Parent, which recovery replaces when the
 	// back-end's parent process fails and a grandparent adopts it.
@@ -60,13 +62,14 @@ func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
 		rank:       rank,
 		ep:         ep,
 		inbox:      make(chan beDelivery, 64),
+		m:          nw.shard(rank),
 		reparentCh: make(chan reparentReq, 1),
 		killCh:     make(chan struct{}),
 	}
 	// Leaves originate the upstream flow: their rings replay at reparent
 	// like every sender's, but acknowledgements carry no deferred
 	// retirements — popping just frees memory.
-	be.eg = nw.upstreamQueue(rank, ep.Parent, be.killCh)
+	be.eg = nw.upstreamQueue(rank, ep.Parent, be.m, be.killCh)
 	return be
 }
 
@@ -118,13 +121,13 @@ func (be *BackEnd) Recv() (*packet.Packet, error) {
 	if !ok {
 		return nil, io.EOF
 	}
-	retireAndGrant(&be.nw.metrics, d.src, 1)
+	retireAndGrant(be.m, d.src, 1)
 	if len(be.inbox) == 0 {
 		// The handler has consumed everything delivered so far: grant the
 		// below-threshold remainder back rather than sitting on it (see
 		// flushGrant — a budget-limited producer may need these credits).
 		// On TCP it rides the handler's reply.
-		flushGrant(&be.nw.metrics, d.src)
+		flushGrant(be.m, d.src)
 	}
 	return d.p, nil
 }
@@ -226,7 +229,7 @@ loop:
 			// back-end only needs the data packets themselves.
 			continue
 		}
-		be.nw.metrics.PacketsDown.Add(1)
+		be.m.PacketsDown.Add(1)
 		select {
 		case be.inbox <- beDelivery{p: p, src: flowOf(be.parentLink())}:
 		case <-be.killCh:

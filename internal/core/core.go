@@ -32,6 +32,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,58 +122,62 @@ type Config struct {
 // DefaultLinkWindow is the credit window of a zero Config.LinkWindow.
 const DefaultLinkWindow = 64
 
-// Metrics exposes cheap global counters for tests and benchmarks.
+// Metrics is one set of the engine's counters. Each rank's queues,
+// pipeline and link readers count into the rank's own set, so no two ranks
+// write one cache line; recovery, sessions, mutations and shutdown count
+// into the network's. A field's snap tag is its Snapshot name; ",max"
+// marks a high-water gauge, which sets combine by maximum, not by sum.
 type Metrics struct {
-	PacketsUp    atomic.Int64 // upstream data packets entering nodes
-	PacketsDown  atomic.Int64 // downstream data packets entering nodes
-	Batches      atomic.Int64 // synchronizer batches transformed
-	FilterErrors atomic.Int64 // transformation errors (packets dropped)
+	PacketsUp    atomic.Int64 `snap:"packets_up"`    // upstream data packets entering nodes
+	PacketsDown  atomic.Int64 `snap:"packets_down"`  // downstream data packets entering nodes
+	Batches      atomic.Int64 `snap:"batches"`       // synchronizer batches transformed
+	FilterErrors atomic.Int64 `snap:"filter_errors"` // transformation errors (packets dropped)
 
 	// Pipeline observability.
-	ShardDispatches     atomic.Int64 // work items routed to the routers' pipeline lanes
-	ShardQueueHighWater atomic.Int64 // deepest pipeline lane observed (items)
+	ShardDispatches     atomic.Int64 `snap:"shard_dispatches"`           // work items routed to the routers' pipeline lanes
+	ShardQueueHighWater atomic.Int64 `snap:"shard_queue_high_water,max"` // deepest pipeline lane observed (items)
 
 	// Egress batching observability.
-	PacketsQueued   atomic.Int64 // packets accepted by egress queues
-	FramesSent      atomic.Int64 // frames flushed to links by egress queues
-	FlushSize       atomic.Int64 // flushes triggered by a full window
-	FlushAge        atomic.Int64 // retries after the MaxDelay back-off (failed flush, replacement link)
-	FlushIdle       atomic.Int64 // flushes once the producer yields: the queue's clock or an on-caller idle point
-	FlushGrant      atomic.Int64 // flushes resumed by a credit grant after a stall
-	FlushControl    atomic.Int64 // flushes forced by control packets
-	FlushDrain      atomic.Int64 // flushes at shutdown/reparent drains
-	EgressHighWater atomic.Int64 // deepest egress queue observed (packets)
-	EgressDrops     atomic.Int64 // packets dropped at a dead or fenced link
+	PacketsQueued   atomic.Int64 `snap:"packets_queued"`        // packets accepted by egress queues
+	FramesSent      atomic.Int64 `snap:"frames_sent"`           // frames flushed to links by egress queues
+	FlushSize       atomic.Int64 `snap:"flush_size"`            // flushes triggered by a full window
+	FlushAge        atomic.Int64 `snap:"flush_age"`             // retries after the MaxDelay back-off (failed flush, replacement link)
+	FlushIdle       atomic.Int64 `snap:"flush_idle"`            // flushes once the producer yields: the queue's clock or an on-caller idle point
+	FlushGrant      atomic.Int64 `snap:"flush_grant"`           // flushes resumed by a credit grant after a stall
+	FlushControl    atomic.Int64 `snap:"flush_control"`         // flushes forced by control packets
+	FlushDrain      atomic.Int64 `snap:"flush_drain"`           // flushes at shutdown/reparent drains
+	EgressHighWater atomic.Int64 `snap:"egress_high_water,max"` // deepest egress queue observed (packets)
+	EgressDrops     atomic.Int64 `snap:"egress_drops"`          // packets dropped at a dead or fenced link
 
 	// Credit-based flow control observability.
-	CreditStalls atomic.Int64 // flushes cut short by an exhausted peer window
-	CreditGrants atomic.Int64 // credit grants returned to peers, alone or inside a data write
-	GrantsRidden atomic.Int64 // credit grants that left inside a data write
+	CreditStalls atomic.Int64 `snap:"credit_stalls"` // flushes cut short by an exhausted peer window
+	CreditGrants atomic.Int64 `snap:"credit_grants"` // credit grants returned to peers, alone or inside a data write
+	GrantsRidden atomic.Int64 `snap:"grants_ridden"` // credit grants that left inside a data write
 
 	// Multi-tenant session fabric observability.
-	SessionsOpened   atomic.Int64 // tenant sessions admitted (OpenSession)
-	SessionsClosed   atomic.Int64 // tenant sessions torn down (CloseSession)
-	SessionsRejected atomic.Int64 // sessions refused by admission control
+	SessionsOpened   atomic.Int64 `snap:"sessions_opened"`   // tenant sessions admitted (OpenSession)
+	SessionsClosed   atomic.Int64 `snap:"sessions_closed"`   // tenant sessions torn down (CloseSession)
+	SessionsRejected atomic.Int64 `snap:"sessions_rejected"` // sessions refused by admission control
 
 	// Failure detection and recovery observability.
-	HeartbeatsSent       atomic.Int64 // liveness beacons emitted
-	HeartbeatsSeen       atomic.Int64 // beacons heard by parents
-	NodesFailed          atomic.Int64 // processes crashed (Kill injections)
-	RecoveriesCompleted  atomic.Int64 // successful live adoptions
-	OrphansAdopted       atomic.Int64 // subtrees re-parented by recovery
-	RewiredLinks         atomic.Int64 // replacement links minted (adopt/attach)
-	RecoveryNanos        atomic.Int64 // total time spent rewiring (ns)
-	ShutdownSendFailures atomic.Int64 // shutdown announcements to dead links
+	HeartbeatsSent       atomic.Int64 `snap:"heartbeats_sent"`        // liveness beacons emitted
+	HeartbeatsSeen       atomic.Int64 `snap:"heartbeats_seen"`        // beacons heard by parents
+	NodesFailed          atomic.Int64 `snap:"nodes_failed"`           // processes crashed (Kill injections)
+	RecoveriesCompleted  atomic.Int64 `snap:"recoveries_completed"`   // successful live adoptions
+	OrphansAdopted       atomic.Int64 `snap:"orphans_adopted"`        // subtrees re-parented by recovery
+	RewiredLinks         atomic.Int64 `snap:"rewired_links"`          // replacement links minted (adopt/attach)
+	RecoveryNanos        atomic.Int64 `snap:"recovery_nanos"`         // total time spent rewiring (ns)
+	ShutdownSendFailures atomic.Int64 `snap:"shutdown_send_failures"` // shutdown announcements to dead links
 
 	// Exactly-once recovery observability.
-	ReplayRingHighWater atomic.Int64 // deepest sender replay ring observed (packets)
-	PacketsReplayed     atomic.Int64 // ring packets re-flushed after a reparent
-	DupsDropped         atomic.Int64 // replay duplicates dropped by receivers
+	ReplayRingHighWater atomic.Int64 `snap:"replay_ring_high_water,max"` // deepest sender replay ring observed (packets)
+	PacketsReplayed     atomic.Int64 `snap:"packets_replayed"`           // ring packets re-flushed after a reparent
+	DupsDropped         atomic.Int64 `snap:"dups_dropped"`               // replay duplicates dropped by receivers
 
 	// Live tree-mutation observability.
-	TopologyMutations atomic.Int64 // live tree mutations applied (splits + merges)
-	NodesSplit        atomic.Int64 // nodes split into a sibling pair (SplitNode)
-	NodesMerged       atomic.Int64 // nodes merged away into their parent (MergeNode)
+	TopologyMutations atomic.Int64 `snap:"topology_mutations"` // live tree mutations applied (splits + merges)
+	NodesSplit        atomic.Int64 `snap:"nodes_split"`        // nodes split into a sibling pair (SplitNode)
+	NodesMerged       atomic.Int64 `snap:"nodes_merged"`       // nodes merged away into their parent (MergeNode)
 }
 
 // Network is a running TBON instance. The front-end API (NewStream,
@@ -179,7 +185,10 @@ type Metrics struct {
 type Network struct {
 	cfg      Config
 	registry *filter.Registry
-	metrics  Metrics
+	// metrics is the network-level set; shards holds every rank's own set
+	// (guarded by mu), dead ranks' included, so totals never go back.
+	metrics Metrics
+	shards  map[Rank]*Metrics
 	// rewirer mints replacement links for live topology mutation (recovery
 	// reparenting, AttachBackEnd): in-process pairs on ChanTransport,
 	// loopback listen+redial on TCPTransport.
@@ -271,6 +280,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		view:     newLiveView(cfg.Topology),
 		byRank:   map[Rank]*node{},
 		bes:      map[Rank]*BackEnd{},
+		shards:   map[Rank]*Metrics{},
 	}
 	// Start the front-end's router, then every communication process and
 	// back-end.
@@ -323,12 +333,23 @@ func (nw *Network) spawn(r Rank, ep *transport.Endpoint, backend bool) *node {
 	return n
 }
 
-// upstreamQueue builds rank r's queue on its parent link l, its blocked
-// senders released by kill or the network's teardown. With heartbeats on,
-// its clock also sends the rank's beacon every period; the root has no
-// parent and beacons to nobody.
-func (nw *Network) upstreamQueue(r Rank, l transport.Link, kill <-chan struct{}) *egressQueue {
-	q := newUpstreamQueue(l, nw.cfg.Batch, &nw.metrics)
+// shard allocates rank r's own counter set (callers hold mu), behind a
+// cache line of padding so that no two ranks' sets share a line.
+func (nw *Network) shard(r Rank) *Metrics {
+	s := &struct {
+		_ [64]byte
+		m Metrics
+	}{}
+	nw.shards[r] = &s.m
+	return &s.m
+}
+
+// upstreamQueue builds rank r's queue on its parent link l, counting into
+// r's set m, its blocked senders released by kill or the network's
+// teardown. With heartbeats on, its clock also sends the rank's beacon
+// every period; the root has no parent and beacons to nobody.
+func (nw *Network) upstreamQueue(r Rank, l transport.Link, m *Metrics, kill <-chan struct{}) *egressQueue {
+	q := newUpstreamQueue(l, nw.cfg.Batch, m)
 	q.bindStops(kill, nw.dying)
 	if nw.cfg.HeartbeatPeriod > 0 {
 		q.beacon(r, nw.cfg.HeartbeatPeriod)
@@ -353,52 +374,70 @@ func (nw *Network) Tree() *topology.Tree {
 	return t
 }
 
-// Metrics returns the network's counters.
-func (nw *Network) Metrics() *Metrics { return &nw.metrics }
+// Metrics returns a snapshot of the network's counters: the network-level
+// set plus every rank's set ever spawned, dead ranks included, read now.
+func (nw *Network) Metrics() *Metrics {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	sum := &Metrics{}
+	sum.add(&nw.metrics)
+	for _, m := range nw.shards {
+		sum.add(m)
+	}
+	return sum
+}
+
+// RankMetrics returns a snapshot of rank r's own counters, alive or dead:
+// what its queues, pipeline and link readers counted. It returns a zero
+// set and false for a rank the network never spawned.
+func (nw *Network) RankMetrics(r Rank) (*Metrics, bool) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	snap, m := &Metrics{}, nw.shards[r]
+	if m != nil {
+		snap.add(m)
+	}
+	return snap, m != nil
+}
+
+// snapTags holds every Metrics field's snap tag, in field order.
+var snapTags = func() []string {
+	t := reflect.TypeOf((*Metrics)(nil)).Elem()
+	tags := make([]string, t.NumField())
+	for i := range tags {
+		tags[i] = t.Field(i).Tag.Get("snap")
+	}
+	return tags
+}()
+
+// field returns m's i-th counter.
+func (m *Metrics) field(i int) *atomic.Int64 {
+	return reflect.ValueOf(m).Elem().Field(i).Addr().Interface().(*atomic.Int64)
+}
+
+// add folds o into m: counters sum, and high-water gauges take the larger.
+func (m *Metrics) add(o *Metrics) {
+	for i, tag := range snapTags {
+		dst, v := m.field(i), o.field(i).Load()
+		if !strings.HasSuffix(tag, ",max") {
+			dst.Add(v)
+		} else if v > dst.Load() {
+			dst.Store(v)
+		}
+	}
+}
 
 // Snapshot renders every counter as a name -> value map: the stable,
 // tooling-friendly view used by tbon-query -stats and the experiment
 // harness. Values are read individually (not atomically as a set), which
 // is fine for observability.
 func (m *Metrics) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"packets_up":             m.PacketsUp.Load(),
-		"packets_down":           m.PacketsDown.Load(),
-		"batches":                m.Batches.Load(),
-		"filter_errors":          m.FilterErrors.Load(),
-		"shard_dispatches":       m.ShardDispatches.Load(),
-		"shard_queue_high_water": m.ShardQueueHighWater.Load(),
-		"packets_queued":         m.PacketsQueued.Load(),
-		"frames_sent":            m.FramesSent.Load(),
-		"flush_size":             m.FlushSize.Load(),
-		"flush_age":              m.FlushAge.Load(),
-		"flush_idle":             m.FlushIdle.Load(),
-		"flush_grant":            m.FlushGrant.Load(),
-		"flush_control":          m.FlushControl.Load(),
-		"flush_drain":            m.FlushDrain.Load(),
-		"egress_high_water":      m.EgressHighWater.Load(),
-		"egress_drops":           m.EgressDrops.Load(),
-		"credit_stalls":          m.CreditStalls.Load(),
-		"credit_grants":          m.CreditGrants.Load(),
-		"grants_ridden":          m.GrantsRidden.Load(),
-		"sessions_opened":        m.SessionsOpened.Load(),
-		"sessions_closed":        m.SessionsClosed.Load(),
-		"sessions_rejected":      m.SessionsRejected.Load(),
-		"heartbeats_sent":        m.HeartbeatsSent.Load(),
-		"heartbeats_seen":        m.HeartbeatsSeen.Load(),
-		"nodes_failed":           m.NodesFailed.Load(),
-		"recoveries_completed":   m.RecoveriesCompleted.Load(),
-		"orphans_adopted":        m.OrphansAdopted.Load(),
-		"rewired_links":          m.RewiredLinks.Load(),
-		"recovery_nanos":         m.RecoveryNanos.Load(),
-		"shutdown_send_failures": m.ShutdownSendFailures.Load(),
-		"replay_ring_high_water": m.ReplayRingHighWater.Load(),
-		"packets_replayed":       m.PacketsReplayed.Load(),
-		"dups_dropped":           m.DupsDropped.Load(),
-		"topology_mutations":     m.TopologyMutations.Load(),
-		"nodes_split":            m.NodesSplit.Load(),
-		"nodes_merged":           m.NodesMerged.Load(),
+	out := make(map[string]int64, len(snapTags))
+	for i, tag := range snapTags {
+		name, _, _ := strings.Cut(tag, ",")
+		out[name] = m.field(i).Load()
 	}
+	return out
 }
 
 // Shutdown gracefully stops the overlay: it announces shutdown downstream,

@@ -30,6 +30,8 @@ type node struct {
 	nw   *Network
 	rank Rank
 	ep   *transport.Endpoint
+	// m is this rank's own counter set (Network.shard).
+	m *Metrics
 
 	streams      map[uint32]*streamState
 	shuttingDown bool
@@ -174,11 +176,11 @@ func (n *node) run() {
 // with an egress queue on every link, before its event loop starts: the
 // root's user goroutines may send as soon as NewNetwork returns.
 func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
-	n := &node{nw: nw, rank: r, ep: ep, cmdCh: make(chan nodeCmd), killCh: make(chan struct{})}
+	n := &node{nw: nw, rank: r, ep: ep, m: nw.shard(r), cmdCh: make(chan nodeCmd), killCh: make(chan struct{})}
 	if ep.Parent != nil {
 		// Parent acknowledgements pop the replay ring and release the
 		// inbound runs those packets carried — the cascade hop.
-		n.parentOut = nw.upstreamQueue(r, ep.Parent, n.killCh)
+		n.parentOut = nw.upstreamQueue(r, ep.Parent, n.m, n.killCh)
 	}
 	n.childOut = make([]*egressQueue, len(ep.Children))
 	for i, c := range ep.Children {
@@ -189,7 +191,7 @@ func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
 
 // newChildQueue wraps a child link in a downstream egress queue.
 func (n *node) newChildQueue(l transport.Link) *egressQueue {
-	q := newEgressQueue(l, n.nw.cfg.Batch, &n.nw.metrics)
+	q := newEgressQueue(l, n.nw.cfg.Batch, n.m)
 	q.bindStops(n.killCh, n.nw.dying)
 	return q
 }
@@ -277,7 +279,7 @@ func (n *node) readLink(l transport.Link, slot int, inbox chan<- inMsg) {
 		if len(ps) == 1 && ps[0].Tag == packet.TagControl {
 			if origin, ok := parseHeartbeat(ps[0]); ok {
 				n.heard.note(origin)
-				n.nw.metrics.HeartbeatsSeen.Add(1)
+				n.m.HeartbeatsSeen.Add(1)
 				continue
 			}
 		}
@@ -366,7 +368,7 @@ func (n *node) handleFromParent(ps []*packet.Packet) bool {
 		// Downstream data: hand it to the pipeline's down lane, which
 		// applies the stream's downstream filter (if any) at this level and
 		// multicasts toward member back-ends in arrival order.
-		n.nw.metrics.PacketsDown.Add(1)
+		n.m.PacketsDown.Add(1)
 		if ss, ok := n.streams[p.StreamID]; ok {
 			n.pipe.down(ss, p, src)
 			continue
@@ -608,7 +610,7 @@ func (n *node) handleFromChild(child int, ps []*packet.Packet) bool {
 		j := nextRun(ps, i)
 		run := ps[i:j]
 		i = j
-		n.nw.metrics.PacketsUp.Add(int64(len(run)))
+		n.m.PacketsUp.Add(int64(len(run)))
 		tr, start := n.assignArrival(src, len(run))
 		ss, ok := n.streams[p.StreamID]
 		if !ok {
@@ -647,7 +649,7 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 func (n *node) pipeUp(ss *streamState, child int, run []*packet.Packet, ret pendRetire) bool {
 	ss.pipeMu.Lock()
 	defer ss.pipeMu.Unlock()
-	ss.sync.Offer(ss.syncSlot(child), ss.dropDups(run, &n.nw.metrics), ss.begin(true, ret))
+	ss.sync.Offer(ss.syncSlot(child), ss.dropDups(run, n.m), ss.begin(true, ret))
 	return ss.end()
 }
 
@@ -692,7 +694,7 @@ func (n *node) pipeDown(ss *streamState, p *packet.Packet) {
 	ss.pipeMu.Lock()
 	ss.downIn[0] = p
 	if err := ss.downTform.Apply(ss.downIn[:], &ss.downOut); err != nil {
-		n.nw.metrics.FilterErrors.Add(1)
+		n.m.FilterErrors.Add(1)
 	}
 	ss.downIn[0] = nil
 	ss.pipeMu.Unlock()

@@ -104,7 +104,6 @@ type pipePause struct {
 // is retired by the lane immediately after the call.
 type pipeline struct {
 	n *node
-	m *Metrics
 	// upLane carries upstream pipeline work (plus stream bookkeeping);
 	// downLane carries downstream fan-out work. Independent workers drain
 	// them, so a down fan-out blocked on a slow consumer's window cannot pin
@@ -145,7 +144,6 @@ type lane struct {
 func newPipeline(n *node) *pipeline {
 	pl := &pipeline{
 		n:        n,
-		m:        &n.nw.metrics,
 		streams:  map[uint32]*streamState{},
 		upPend:   map[*transport.FlowLink]struct{}{},
 		downPend: map[*transport.FlowLink]struct{}{},
@@ -202,13 +200,13 @@ func (ln *lane) pop() (pipeItem, bool) {
 // pushed onto the lanes directly).
 func (pl *pipeline) dispatch(it pipeItem) {
 	if it.kind != itemRegister {
-		pl.m.ShardDispatches.Add(1)
+		pl.n.m.ShardDispatches.Add(1)
 	}
 	switch it.kind {
 	case itemDown, itemDownRaw, itemCloseDown:
-		pl.downLane.push(pl.m, it)
+		pl.downLane.push(pl.n.m, it)
 	default:
-		pl.upLane.push(pl.m, it)
+		pl.upLane.push(pl.n.m, it)
 	}
 }
 
@@ -280,8 +278,8 @@ func (pl *pipeline) quiesce(fn func()) {
 	release := make(chan struct{})
 	pause := &pipePause{arrived: &arrived, release: release}
 	arrived.Add(2)
-	pl.upLane.push(pl.m, pipeItem{kind: itemPause, pause: pause})
-	pl.downLane.push(pl.m, pipeItem{kind: itemPause, pause: pause})
+	pl.upLane.push(pl.n.m, pipeItem{kind: itemPause, pause: pause})
+	pl.downLane.push(pl.n.m, pipeItem{kind: itemPause, pause: pause})
 	arrived.Wait()
 	fn()
 	close(release)
@@ -292,8 +290,8 @@ func (pl *pipeline) quiesce(fn func()) {
 // (it must be the sole remaining dispatcher). The pipeline is marked
 // stopped afterwards, which makes a later quiesce or abort a no-op.
 func (pl *pipeline) drainStop() {
-	pl.upLane.push(pl.m, pipeItem{kind: itemStop})
-	pl.downLane.push(pl.m, pipeItem{kind: itemStop})
+	pl.upLane.push(pl.n.m, pipeItem{kind: itemStop})
+	pl.downLane.push(pl.n.m, pipeItem{kind: itemStop})
 	pl.wg.Wait()
 	pl.stopOnce.Do(func() { close(pl.stop) })
 }
@@ -392,7 +390,7 @@ func (pl *pipeline) retire(pend map[*transport.FlowLink]struct{}, fl *transport.
 	if fl == nil || n == 0 {
 		return
 	}
-	retireAndGrant(pl.m, fl, n)
+	retireAndGrant(pl.n.m, fl, n)
 	pend[fl] = struct{}{}
 }
 
@@ -410,7 +408,7 @@ func (pl *pipeline) retireOrdered(pend map[*transport.FlowLink]struct{}, it pipe
 // every link the lane touched since its last idle point.
 func (pl *pipeline) flushPend(pend map[*transport.FlowLink]struct{}) {
 	for fl := range pend {
-		flushGrant(pl.m, fl)
+		flushGrant(pl.n.m, fl)
 		delete(pend, fl)
 	}
 }

@@ -104,6 +104,10 @@ func (nw *Network) OpenSession(info SessionInfo) error {
 	return nil
 }
 
+// RejectSession counts a session its admission control refused before
+// OpenSession (Metrics.SessionsRejected).
+func (nw *Network) RejectSession() { nw.metrics.SessionsRejected.Add(1) }
+
 // CloseSession tears down a tenant session and every stream opened in its
 // namespace, without quiescing any other tenant's pipelines: the front-end
 // drops its stream state locally, aborts the tenant's credit budget (waking

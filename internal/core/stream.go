@@ -239,7 +239,7 @@ func (s *Stream) MulticastPacket(p *packet.Packet) error {
 	default:
 	}
 	p = p.WithStream(s.id)
-	s.nw.metrics.PacketsDown.Add(1)
+	s.nw.root.m.PacketsDown.Add(1)
 	if tc := s.ss.tc; tc != nil {
 		tc.PacketsDown.Add(1)
 	}

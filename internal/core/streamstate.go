@@ -271,9 +271,9 @@ func (ss *streamState) round(batch []*packet.Packet) {
 	if len(batch) == 0 {
 		return
 	}
-	ss.n.nw.metrics.Batches.Add(1)
+	ss.n.m.Batches.Add(1)
 	if err := ss.tform.Apply(batch, ss); err != nil {
-		ss.n.nw.metrics.FilterErrors.Add(1)
+		ss.n.m.FilterErrors.Add(1)
 	}
 }
 

@@ -72,7 +72,7 @@ func newAllocQueue(tb testing.TB, window int, pol BatchPolicy, upstream bool) (*
 // newSinkStream binds a stream with the given filters to a node at rank 3
 // whose parent queue is q, routing child slot i to synchronizer slot i.
 func newSinkStream(q *egressQueue, tf filter.Transformation, sy filter.Synchronizer, children int) (*node, *streamState) {
-	n := &node{nw: &Network{}, rank: 3, parentOut: q}
+	n := &node{nw: &Network{}, rank: 3, m: &Metrics{}, parentOut: q}
 	ss := &streamState{id: 1, tform: tf, sync: sy, n: n}
 	ss.rounds = ss.round
 	r := &streamRoutes{down: make([]bool, children), up: make([]int, children), numUp: children}
@@ -293,7 +293,11 @@ func TestHotPathAllocs(t *testing.T) {
 		// A chan link keeps the slice it is sent, so every flush takes a
 		// fresh batch: one allocation at the queued count, never grown, and
 		// the only one of the cycle — the scheduler's epoch list drains
-		// back onto its inline array.
+		// back onto its inline array. The test holds the wire while the
+		// batch queues: the first enqueue arms the clock's idle flush,
+		// which would otherwise take whatever had queued when it fired.
+		// Releasing the wire (unlockWire, which re-arms an idle flush that
+		// found it busy) hands the whole batch to one flush.
 		const batch = 8
 		a, b := transport.NewPair(4)
 		fl := transport.NewFlowLink(a, 64)
@@ -301,11 +305,13 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Cleanup(q.stop)
 		p := allocPacket(t)
 		op := func() {
-			for i := 0; i < batch; i++ { // the last send is the size flush
+			q.flushMu.Lock()
+			for i := 0; i < batch; i++ {
 				if err := q.sendCtx(p, 0, true); err != nil {
 					t.Fatal(err)
 				}
 			}
+			q.unlockWire()
 			if ps, err := transport.RecvBatch(b); err != nil || len(ps) != batch {
 				t.Fatalf("peer received %d packets (%v), want one frame of %d", len(ps), err, batch)
 			}

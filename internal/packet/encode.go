@@ -39,17 +39,29 @@ const MaxWireSize = 1 << 28 // 256 MiB
 // ErrWire reports a malformed wire-format packet.
 var ErrWire = errors.New("packet: malformed wire data")
 
-// wireEncodes counts serialization passes — a packet's values walked and
-// written out as wire bytes. New performs the only one a packet ever gets:
+// wire counts serialization passes — a packet's values walked and written
+// out as wire bytes. New performs the only one a packet ever gets:
 // framing, forwarding and multicast copy the payload bytes, and header-only
-// packets have nothing to serialize. Tests and benchmarks read it through
-// WireEncodes.
-var wireEncodes atomic.Int64
+// packets have nothing to serialize. Counting starts at the first
+// WireEncodes call: until something reads the count, New only loads the
+// read flag, so concurrent senders write no shared cache line. The padding
+// keeps the pair off the lines of every other package variable.
+var wire struct {
+	_       [64]byte
+	read    atomic.Bool
+	encodes atomic.Int64
+	_       [64]byte
+}
 
-// WireEncodes returns the number of payload serialization passes performed
-// by this process so far. The counter is global and monotonic; callers
-// interested in one workload take a delta.
-func WireEncodes() int64 { return wireEncodes.Load() }
+// WireEncodes returns the number of payload serialization passes this
+// process has performed since WireEncodes was first called. The counter is
+// global and monotonic; callers interested in one workload take a delta.
+func WireEncodes() int64 {
+	if !wire.read.Load() {
+		wire.read.Store(true)
+	}
+	return wire.encodes.Load()
+}
 
 // EncodedSize returns the exact number of bytes Encode will produce.
 func (p *Packet) EncodedSize() int {

@@ -253,10 +253,11 @@ type Packet struct {
 
 	// Seq is the packet's origin-stamped delivery sequence number, zero
 	// when unstamped. Exactly-once delivery packs the originating rank and
-	// a per-(origin,stream) counter into it (see MakeSeq); unlike SrcRank,
-	// which every hop re-stamps, Seq survives forwarding so receivers can
-	// de-duplicate replayed packets. Credit grants reuse the field to carry
-	// the cumulative acknowledgement count (see credit.go).
+	// a per-(origin,stream) counter into it (see MakeSeq). Forwarding keeps
+	// it, as it keeps SrcRank (only the root re-stamps that, on delivery),
+	// so receivers can de-duplicate replayed packets. Credit grants reuse
+	// the field to carry the cumulative acknowledgement count (see
+	// credit.go).
 	Seq uint64
 
 	// fd is the interned format descriptor; nil means the empty format.
@@ -329,7 +330,9 @@ func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*P
 			}
 		}
 		p.payload = payload
-		wireEncodes.Add(1)
+		if wire.read.Load() {
+			wire.encodes.Add(1)
+		}
 	}
 	p.Tag, p.StreamID, p.SrcRank, p.fd = tag, streamID, src, fd
 	return p, nil
@@ -708,7 +711,7 @@ func (p *Packet) WithSeq(seq uint64) *Packet {
 func (p *Packet) WithStream(id uint32) *Packet { return p.WithStreamSrc(id, p.SrcRank) }
 
 // WithStreamSrc re-addresses the packet to a stream and source in one
-// copy; the hot upstream forwarding path re-stamps both per hop.
+// copy; the root re-stamps a forwarded result this way as it delivers it.
 func (p *Packet) WithStreamSrc(id uint32, r Rank) *Packet {
 	if p.StreamID == id && p.SrcRank == r {
 		return p

@@ -93,7 +93,7 @@ func (m *Manager) Open(tenant string, opts ...Option) (*Session, error) {
 	if m.max >= 0 && len(m.open) >= m.max {
 		n := len(m.open)
 		m.mu.Unlock()
-		m.nw.Metrics().SessionsRejected.Add(1)
+		m.nw.RejectSession()
 		return nil, fmt.Errorf("session: %d sessions already open (cap %d): %w",
 			n, m.max, ErrSessionLimit)
 	}

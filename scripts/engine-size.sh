@@ -131,13 +131,24 @@
 # NumericReduce.Transform), which stay until the benchmark's next upkeep.
 # Each of the nine other filter packages emits its one output (+1 line
 # each), and seqstamp learned the sink (+4).
+#
+# Raised: internal/core 5830 -> 5876 and outside bench/ 20343 -> 20404 for
+# per-rank counters, which take the data path off process-wide cache
+# lines. In internal/core each router and back-end owns a padded Metrics
+# set (Network.shard, the m fields) that its queues, pipeline and readers
+# count into; Network.Metrics sums the sets on read and RankMetrics reads
+# one; RejectSession counts an admission refusal now that Metrics returns
+# a snapshot. Snapshot and the sum are one loop over the fields' snap tags
+# (Snapshot went 42 -> 12 lines), so the rise is the new read surface and
+# the shard bookkeeping. In internal/packet (+15) the encode counter sits
+# on padded lines of its own and counts only once something has read it.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5830
+max_lines=5876
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=20343
+max_repo_lines=20404
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
