@@ -237,7 +237,7 @@ func TestHotPathAllocs(t *testing.T) {
 		for i := 0; i < 256; i++ {
 			op()
 		}
-		if got := n.nw.metrics.FilterErrors.Load(); got != 0 {
+		if got := n.m.FilterErrors.Load(); got != 0 {
 			t.Fatalf("the sum filter failed %d times", got)
 		}
 		if n := testing.AllocsPerRun(500, op); n > 1 {

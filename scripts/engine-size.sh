@@ -142,6 +142,9 @@
 # (Snapshot went 42 -> 12 lines), so the rise is the new read surface and
 # the shard bookkeeping. In internal/packet (+15) the encode counter sits
 # on padded lines of its own and counts only once something has read it.
+# The rise does not rest on a throughput gain: reduce_sat_chan pkts_per_s
+# led in 16 of 20 interleaved pairs, too few to claim one. It buys the
+# per-rank ownership TestDataPathCountsPerRank pins and RankMetrics.
 set -eu
 cd "$(dirname "$0")/.."
 
