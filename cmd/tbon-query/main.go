@@ -13,8 +13,8 @@
 // With -tenants N > 1 the query runs concurrently in N tenant sessions
 // multiplexed over the one overlay — each tenant gets its own stream-id
 // namespace, fair-share egress class (weight = tenant index + 1), and
-// credit sub-budget — and -stats then also prints the per-tenant traffic
-// counters.
+// one-window credit budget — and -stats then also prints the per-tenant
+// traffic counters.
 package main
 
 import (

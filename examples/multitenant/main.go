@@ -1,9 +1,10 @@
 // Multi-tenant session fabric: three tools share ONE overlay over 64
 // simulated hosts. An interactive dashboard (weight 3), a capacity
 // planner (weight 1) and a distinct-count auditor (weight 1) each open a
-// tenant session — their streams live in separate id namespaces, draw
-// from separate credit sub-budgets, and their egress traffic is scheduled
-// by fair-share class — then run concurrently: declarative aggregation
+// tenant session — their streams live in separate id namespaces, each
+// tenant has at most one credit window of data in flight below the
+// front-end, and their egress traffic is scheduled by fair-share class —
+// then run concurrently: declarative aggregation
 // queries for the first two, a HyperLogLog sketch reduction for the
 // third. Tearing one tenant down mid-run leaves the others untouched;
 // per-tenant counters show who used what.
@@ -29,8 +30,8 @@ func main() {
 		log.Fatal(err)
 	}
 	// One shared overlay: query evaluation + sketch workloads at the
-	// back-ends, both filter families at every internal level, credit
-	// flow control so tenants can be sub-budgeted.
+	// back-ends, both filter families at every internal level, and a
+	// 32-credit link window: each tenant's budget.
 	nw, err := query.NewNetwork(tree, func(rank core.Rank) query.AttrSource {
 		return func() map[string]float64 {
 			return map[string]float64{
@@ -54,7 +55,7 @@ func main() {
 		return query.NewSessionEngine(nw, sess)
 	}
 	dashboard := open("dashboard", session.WithWeight(3)) // preferred class
-	planner := open("planner", session.WithBudget(8))     // throttled batch job
+	planner := open("planner")                            // batch job
 	auditor := open("auditor")
 
 	var wg sync.WaitGroup

@@ -41,33 +41,32 @@ func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 	if err != nil {
 		return topology.NoRank, err
 	}
-	return nw.attach(parent, true)
+	return nw.attach(parent)
 }
 
-// attach is the one path that adds a process to the running tree — a
-// back-end, or (for a split) an internal router that starts with no
-// children. It registers the rank as parent's next child in the view,
+// attach is the one path that adds a process to the running tree: a
+// back-end. It registers the rank as parent's next child in the view,
 // mints both halves of the edge through the fabric's rewiring protocol
 // (the network process owns the parent's rendezvous and the newcomer's
-// redial alike, but the split keeps the code path the one a distributed
-// joiner would use), spawns the process, and installs the parent's end
-// through the install command, which completes only once the parent
-// routes with it: a stream created afterwards sees the new shape end to
-// end. On failure — the parent crashed (killed but not yet recovered), or
-// teardown — the rank is stillborn. Callers hold recMu.
-func (nw *Network) attach(parent Rank, backend bool) (Rank, error) {
+// redial alike, but the code path is the one a distributed joiner would
+// use), spawns the process, and installs the parent's end through the
+// install command, which completes only once the parent routes with it: a
+// stream created afterwards sees the new shape end to end. On failure —
+// the parent crashed (killed but not yet recovered), or teardown — the
+// rank is stillborn. Callers hold recMu.
+func (nw *Network) attach(parent Rank) (Rank, error) {
 	nw.mu.Lock()
-	r, slot := nw.view.add(parent, backend)
+	r, slot := nw.view.add(parent)
 	pn := nw.byRank[parent]
-	var streams []*streamState
-	if !backend {
-		for _, st := range nw.streams {
-			streams = append(streams, st.ss)
-		}
-	}
 	nw.mu.Unlock()
+	// A failed attach leaves r stillborn: dead in the view, so it never
+	// joins a stream (its slot at the parent stays, routing nothing), and
+	// its process, if one was spawned, crashes.
 	fail := func(err error) (Rank, error) {
-		nw.stillborn(r)
+		nw.mu.Lock()
+		nw.view.dead[r] = true
+		nw.mu.Unlock()
+		nw.crash(r)
 		return topology.NoRank, fmt.Errorf("core: attaching under %d: %w", parent, err)
 	}
 
@@ -90,31 +89,11 @@ func (nw *Network) attach(parent Rank, backend bool) (Rank, error) {
 	parentEnd = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
 	nw.metrics.RewiredLinks.Add(1)
 
-	// Spawn reader-first, so the pre-announcements below cannot wedge on a
-	// full link buffer.
-	nw.spawn(r, &transport.Endpoint{Rank: r, Parent: childEnd}, backend)
-	// Pre-announce every live stream to a new router before the parent
-	// learns of it: the announcements are the first packets it receives,
-	// so its stream table exists before any data can arrive. (Data racing
-	// ahead would still be safe — unknown streams pass through or flood —
-	// this just shortens the pass-through window.)
-	for _, ss := range streams {
-		_ = parentEnd.Send(ss.announcePacket())
-	}
+	nw.spawn(r, &transport.Endpoint{Rank: r, Parent: childEnd}, true)
 	c := &cmdInstall{slots: []int{slot}, links: []transport.Link{parentEnd}, slotInfo: nw.slotInfoAt(parent)}
 	if err := nw.install(pn, c); err != nil {
 		transport.DropLink(parentEnd)
 		return fail(err)
 	}
 	return r, nil
-}
-
-// stillborn retires rank r, whose attach or split could not complete: the
-// view marks it dead, so it never joins a stream (its slot at the parent
-// stays, routing nothing), and its process, if one was spawned, crashes.
-func (nw *Network) stillborn(r Rank) {
-	nw.mu.Lock()
-	nw.view.dead[r] = true
-	nw.mu.Unlock()
-	nw.crash(r)
 }

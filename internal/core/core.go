@@ -124,7 +124,7 @@ const DefaultLinkWindow = 64
 
 // Metrics is one set of the engine's counters. Each rank's queues,
 // pipeline and link readers count into the rank's own set, so no two ranks
-// write one cache line; recovery, sessions, mutations and shutdown count
+// write one cache line; recovery, attaches, sessions and shutdown count
 // into the network's. A field's snap tag is its Snapshot name; ",max"
 // marks a high-water gauge, which sets combine by maximum, not by sum.
 type Metrics struct {
@@ -173,11 +173,6 @@ type Metrics struct {
 	ReplayRingHighWater atomic.Int64 `snap:"replay_ring_high_water,max"` // deepest sender replay ring observed (packets)
 	PacketsReplayed     atomic.Int64 `snap:"packets_replayed"`           // ring packets re-flushed after a reparent
 	DupsDropped         atomic.Int64 `snap:"dups_dropped"`               // replay duplicates dropped by receivers
-
-	// Live tree-mutation observability.
-	TopologyMutations atomic.Int64 `snap:"topology_mutations"` // live tree mutations applied (splits + merges)
-	NodesSplit        atomic.Int64 `snap:"nodes_split"`        // nodes split into a sibling pair (SplitNode)
-	NodesMerged       atomic.Int64 `snap:"nodes_merged"`       // nodes merged away into their parent (MergeNode)
 }
 
 // Network is a running TBON instance. The front-end API (NewStream,
@@ -201,9 +196,9 @@ type Network struct {
 	// dying closes when Shutdown begins; orphaned processes, which no
 	// shutdown announcement can reach, watch it.
 	dying chan struct{}
-	// recMu serializes live tree mutations (Adopt, SplitNode,
-	// AttachBackEnd), so the slot snapshots one of them installs are never
-	// interleaved with another's.
+	// recMu serializes live tree mutations (Adopt, AttachBackEnd), so the
+	// slot snapshots one of them installs are never interleaved with
+	// another's.
 	recMu sync.Mutex
 
 	mu      sync.Mutex
@@ -359,10 +354,10 @@ func (nw *Network) upstreamQueue(r Rank, l transport.Link, m *Metrics, kill <-ch
 
 // Tree returns the overlay's shape as a topology in original numbering,
 // built from the live view on each call: every rank ever assigned is in it,
-// attached back-ends and split siblings included. A dead rank keeps its
-// last parent, so a failed router whose orphans were adopted, or a
-// stillborn attach or split sibling, appears as a childless node that
-// Leaves lists. LiveParent and LiveChildren give the live shape.
+// attached back-ends included. A dead rank keeps its last parent, so a
+// failed router whose orphans were adopted appears as a childless node
+// that Leaves lists, and a stillborn attach as a leaf. LiveParent and
+// LiveChildren give the live shape.
 func (nw *Network) Tree() *topology.Tree {
 	nw.mu.Lock()
 	parents := append([]Rank(nil), nw.view.parent...)

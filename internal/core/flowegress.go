@@ -105,8 +105,9 @@ func (m *Metrics) grantRode() {
 // peer. Receivers call it at their idle points — pipeline lane drained,
 // back-end inbox empty — where Retire's quarter-window batching stops
 // being a liveness mechanism: nothing further will cross the threshold,
-// and a sender throttled by a tenant sub-budget smaller than
-// threshold × fan-out is waiting for credits its packets already earned.
+// and a sender throttled by its tenant's budget — one window, smaller than
+// threshold × fan-out past a fan-out of 4 — is waiting for credits its
+// packets already earned.
 // On TCP the grant is owed (FlowLink.OweIdle), so a receiver that answers
 // — a back-end's reply, a router's reduced output — returns it in the same
 // write, and the link queue's backstop pays it if no frame leaves first

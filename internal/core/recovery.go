@@ -76,10 +76,9 @@ type cmdSnapshot struct {
 // links and start their readers, rebuild every stream's routing from a
 // fresh slot snapshot, re-announce streams into the new subtrees, and
 // restore composed filter state. An attach is this command with one link;
-// refreshing a router's routing is this command with none.
+// an adoption fences the dead child's slot and installs its orphans' links.
 type cmdInstall struct {
-	// fence lists child slots to cut off: a dead child's, or slots a
-	// migration vacated (those children are alive, just elsewhere).
+	// fence lists child slots to cut off: a dead child's.
 	fence    []int
 	slots    []int            // child slot index per new link
 	links    []transport.Link // router-side ends, index-aligned with slots
@@ -237,11 +236,11 @@ func (n *node) redispatchStash(slots []int) {
 
 // applyInstall runs the install command: fence the listed slots (a
 // declared-dead child — even a false positive, alive but silent, must not
-// keep feeding this router — or a migrated one), install the new child
-// links, start their readers, and repair every stream. The readers start
-// before stream repair so both link directions drain while announcements
-// are sent — their packets are only processed after the command completes,
-// once routing is rebuilt. Callers run this with the pipeline
+// keep feeding this router), install the new child links, start their
+// readers, and repair every stream. The readers start before stream
+// repair so both link directions drain while announcements are sent —
+// their packets are only processed after the command completes, once
+// routing is rebuilt. Callers run this with the pipeline
 // quiesced (it mutates child slots and synchronizer state the workers
 // otherwise own) and keep the live-child count and the shutdown rule
 // around it.
@@ -510,7 +509,7 @@ func (nw *Network) install(n *node, c *cmdInstall) error {
 // child took it. A node redials from inside its own event loop before it
 // replies. A back-end's old link is severed so that its Recv EOFs and it
 // picks up the buffered rendezvous: a no-op after a real crash, the nudge
-// a false-positive detection or an elective migration (SplitNode) needs.
+// a false-positive detection needs.
 func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
 	if n != nil {
 		c := &cmdReparent{rw: nw.rewirer, addr: addr, reply: make(chan error, 1)}
@@ -532,7 +531,7 @@ func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
 
 // replacementAcceptTimeout bounds how long a reparent waits for a child's
 // redial to land on its offer. A child that dies between the hand-off and
-// its redial (an overlapping failure) must not wedge the mutation: its
+// its redial (an overlapping failure) must not wedge the adoption: its
 // offer is abandoned and it does not move.
 const replacementAcceptTimeout = 2 * time.Second
 
@@ -564,22 +563,18 @@ func acceptReplacement(o transport.Offer) (transport.Link, error) {
 }
 
 // reparent is the one path that moves existing children between routers —
-// the reconfiguration step of the zero-cost recovery model. The view moves
-// kids from `from` to `to`; each child is handed the rendezvous of a fresh
-// link to `to` and redials it from inside its own loop; `to` installs the
-// links it accepted, carrying composed (the lost level's filter state).
-// The old slots are fenced at `to` when `from` is dead (an adoption) or at
-// `from` itself when it lives on (a split's donor), and when the two are
-// siblings their parent's routing is refreshed so both slots carry the
-// leaves they now hold. A child that does not move goes back to a live
-// `from`; under a dead one it keeps its slot at `to` with no link, awaiting
-// its own recovery like any dead child (a reader-less link would wedge
-// `to`). If `to` cannot take the install, everything is rolled back. It
-// returns how many children moved. Callers hold recMu.
-func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]byte) (int, error) {
+// the reconfiguration step of the zero-cost recovery model: the view moves
+// a dead router's kids from `from` to its parent `to`; each child is handed
+// the rendezvous of a fresh link to `to` and redials it from inside its own
+// loop; `to` fences the dead router's slot and installs the links it
+// accepted, carrying composed (the lost level's filter state). A child
+// that does not move keeps its slot at `to` with no link, awaiting its own
+// recovery like any dead child (a reader-less link would wedge `to`). If
+// `to` cannot take the install, everything is rolled back. Callers hold
+// recMu.
+func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]byte) error {
 	nw.mu.Lock()
 	fromSlots, toSlots := nw.view.move(kids, from, to)
-	fromDead := nw.view.dead[from]
 	kidNodes := make([]*node, len(kids))
 	kidBEs := make([]*BackEnd, len(kids))
 	for i, c := range kids {
@@ -607,8 +602,8 @@ func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]by
 	}
 	// Accept concurrently so the bounded waits overlap: a child that died
 	// after the hand-off (an overlapping failure) never redials, and must
-	// not wedge the mutation — after replacementAcceptTimeout (once, not per
-	// child) its offer is abandoned and it counts as not moved.
+	// not wedge the adoption — after replacementAcceptTimeout (once, not
+	// per child) its offer is abandoned and it counts as not moved.
 	links := make([]transport.Link, len(kids))
 	var wg sync.WaitGroup
 	for i, o := range offers {
@@ -628,56 +623,33 @@ func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]by
 	}
 	wg.Wait()
 
-	var slots, vacated []int
-	var moved []transport.Link
+	c := &cmdInstall{composed: composed}
 	nw.mu.Lock()
 	for i, l := range links {
-		switch {
-		case l != nil:
-			slots, vacated, moved = append(slots, toSlots[i]), append(vacated, fromSlots[i]), append(moved, l)
-		case !fromDead:
-			nw.view.unmove(kids[i], from, fromSlots[i], to, toSlots[i])
+		if l != nil {
+			c.slots, c.links = append(c.slots, toSlots[i]), append(c.links, l)
 		}
 	}
-	toCmd := &cmdInstall{slots: slots, links: moved, slotInfo: nw.view.slotInfoLocked(to), composed: composed}
-	var fromCmd, gCmd *cmdInstall
-	g := nw.view.parent[from]
-	if fromDead {
-		toCmd.fence = []int{nw.view.slotOf(to, from)}
-	} else {
-		fromCmd = &cmdInstall{fence: vacated, slotInfo: nw.view.slotInfoLocked(from)}
-		if g == nw.view.parent[to] {
-			gCmd = &cmdInstall{slotInfo: nw.view.slotInfoLocked(g)}
-		}
-	}
-	toNode, fromNode, gNode := nw.byRank[to], nw.byRank[from], nw.byRank[g]
+	c.fence = []int{nw.view.slotOf(to, from)}
+	c.slotInfo = nw.view.slotInfoLocked(to)
+	toNode := nw.byRank[to]
 	nw.mu.Unlock()
 
-	if err := nw.install(toNode, toCmd); err != nil {
+	if err := nw.install(toNode, c); err != nil {
 		// `to` died or the network is tearing down: sever the new links so
 		// the moved children fall back to waiting, and restore the view so
 		// a later retry starts from a consistent state.
-		for _, l := range moved {
+		for _, l := range c.links {
 			transport.DropLink(l)
 		}
 		nw.mu.Lock()
-		for i, c := range kids {
-			if links[i] != nil || fromDead {
-				nw.view.unmove(c, from, fromSlots[i], to, toSlots[i])
-			}
+		for i, k := range kids {
+			nw.view.unmove(k, from, fromSlots[i], to, toSlots[i])
 		}
 		nw.mu.Unlock()
-		return 0, err
+		return err
 	}
-	// Best-effort: a router that died meanwhile is rebuilt by its own
-	// recovery, and the front-end fails only at teardown.
-	if fromCmd != nil {
-		_ = nw.install(fromNode, fromCmd)
-	}
-	if gCmd != nil {
-		_ = nw.install(gNode, gCmd)
-	}
-	return len(moved), nil
+	return nil
 }
 
 // Adopt applies the zero-cost recovery rule to the running overlay after
@@ -755,7 +727,7 @@ func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) 
 	// slot and absorbs the composed state. An adopter that cannot take them
 	// (it was killed while this recovery ran) leaves failed alive in the
 	// view, so shallowest-first recovery redoes this adoption later.
-	if _, err := nw.reparent(orphans, failed, parent, composed); err != nil {
+	if err := nw.reparent(orphans, failed, parent, composed); err != nil {
 		nw.mu.Lock()
 		nw.view.dead[failed] = false
 		nw.mu.Unlock()

@@ -53,23 +53,15 @@ func TestRootAdoptRacesShutdown(t *testing.T) {
 	}
 }
 
-// TestAbortedSplitKeepsRanksConsistent: Tree() and the live view are one
-// record of the shape. A split that migrates nothing leaves a stillborn
-// sibling behind, and every rank handed out afterwards — by AttachBackEnd
-// or a later SplitNode — must be in Tree() under the parent the view
-// gives it, with Tree() covering exactly the ranks the view has assigned.
-func TestAbortedSplitKeepsRanksConsistent(t *testing.T) {
+// TestAbortedAttachKeepsRanksConsistent: Tree() and the live view are one
+// record of the shape. An attach under a crashed, not yet adopted router
+// leaves a stillborn rank behind, and every rank handed out — stillborn
+// or live, before or after the adoption — must be in Tree() under the
+// parent the view gives it, with Tree() covering exactly the ranks the
+// view has assigned.
+func TestAbortedAttachKeepsRanksConsistent(t *testing.T) {
 	nw := recoverableEcho(t, "kary:4^2", 0) // internals 1..4; leaves 5..20
 	defer nw.Shutdown()
-	// Rank 1's back-ends die unrecovered: its split finds no child to move.
-	for r := Rank(5); r <= 8; r++ {
-		if err := nw.Kill(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := nw.SplitNode(1); err == nil {
-		t.Fatal("split of a node whose children are all dead: want error")
-	}
 
 	// Tree() must agree with the view right after every rank handed out.
 	consistent := func(r Rank) {
@@ -87,25 +79,61 @@ func TestAbortedSplitKeepsRanksConsistent(t *testing.T) {
 			t.Errorf("Tree() puts %d under %d, the view under %d", r, n.Parent, parent)
 		}
 	}
+	// Rank 1 is killed but not yet adopted: the attach under it is aborted.
+	if err := nw.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.AttachBackEnd(1); err == nil {
+		t.Fatal("attach under a crashed router: want error")
+	}
+	consistent(21)
 	r, err := nw.AttachBackEnd(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	consistent(r)
-	q, err := nw.SplitNode(3)
-	if err != nil {
+	if _, err := nw.Adopt(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	consistent(q)
-	if r, err = nw.AttachBackEnd(q); err != nil {
+	if r, err = nw.AttachBackEnd(3); err != nil {
 		t.Fatal(err)
 	}
 	consistent(r)
 
-	// The attached back-end under the fresh sibling answers a new stream.
+	// The back-end attached after the adoption answers a new stream.
 	st, err := nw.NewStream(StreamSpec{Endpoints: []Rank{r}, Transformation: "sum", Synchronization: "waitforall"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sumRound(t, st, float64(r))
+}
+
+// TestBareConfigRecoversAndMutates: recovery is the engine, not a mode —
+// Adopt and AttachBackEnd both work on a bare Config{Topology, OnBackEnd},
+// and the same stream keeps answering in full across them.
+func TestBareConfigRecoversAndMutates(t *testing.T) {
+	nw := echoValue(t, mustTree(t, "kary:2^2"), ChanTransport) // 0; 1,2; leaves 3..6
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumRound(t, st, 18)
+	r, err := nw.AttachBackEnd(1)
+	if err != nil {
+		t.Fatalf("AttachBackEnd on a bare config: %v", err)
+	}
+	sumRound(t, st, 18) // membership was fixed when the stream opened
+	if err := nw.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Adopt(2, nil); err != nil {
+		t.Fatalf("Adopt on a bare config: %v", err)
+	}
+	sumRound(t, st, 18)
+	all, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumRound(t, all, 18+float64(r))
 }

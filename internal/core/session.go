@@ -10,14 +10,18 @@ import (
 // Tenant sessions multiplex many independent tools over one live overlay —
 // the paper's core amortization claim. A session claims a stream-id
 // namespace (see NamespaceOf), a fair-share egress priority, and a credit
-// sub-budget of Config.LinkWindow. Opening one is the front-end's
-// bookkeeping alone: no node below keeps session state, and the streams
-// opened in it announce themselves. Teardown is the interesting half:
-// CloseSession closes every stream of the namespace at every node with a
-// single flooded opCloseSession packet — no per-stream control traffic
-// and, critically, no pipeline quiesce — so tearing one tenant down never
-// parks another tenant's streams. Admission policy (how many sessions,
-// which weights) lives in internal/session; this file is the mechanism.
+// budget of one Config.LinkWindow: however many links the front-end fans
+// out to, the tenant has at most one window of downstream data in flight
+// across all of them, so a tenant whose subtree stopped consuming leaves
+// the rest of each shared link's window to the others. Opening one is the
+// front-end's bookkeeping alone: no node below keeps session state, and
+// the streams opened in it announce themselves. Teardown is the
+// interesting half: CloseSession closes every stream of the namespace at
+// every node with a single flooded opCloseSession packet — no per-stream
+// control traffic and, critically, no pipeline quiesce — so tearing one
+// tenant down never parks another tenant's streams. Admission policy (how
+// many sessions, which weights) lives in internal/session; this file is
+// the mechanism.
 
 // SessionInfo describes one tenant session.
 type SessionInfo struct {
@@ -31,10 +35,6 @@ type SessionInfo struct {
 	// this session inherits by default (sessions may still set per-stream
 	// priorities explicitly; this is the fair-share class).
 	Priority int
-	// Budget caps how many link send credits the tenant may hold at once
-	// across the front-end's links (a sub-window of Config.LinkWindow).
-	// 0 or out-of-range values clamp to the full link window.
-	Budget int
 }
 
 // sessionState is the front-end's record of an open session.
@@ -65,8 +65,8 @@ func (tc *TenantCounters) Snapshot() map[string]int64 {
 }
 
 // OpenSession admits a tenant session: it registers the namespace and
-// sizes the tenant's credit budget at the front-end. The namespace must be
-// unused.
+// gives the tenant its one-window credit budget at the front-end. The
+// namespace must be unused.
 func (nw *Network) OpenSession(info SessionInfo) error {
 	if info.NS == 0 || info.NS > MaxNamespace {
 		return fmt.Errorf("core: session namespace %d out of range [1, %d]", info.NS, MaxNamespace)
@@ -74,10 +74,7 @@ func (nw *Network) OpenSession(info SessionInfo) error {
 	if info.Tenant == "" {
 		info.Tenant = fmt.Sprintf("ns%d", info.NS)
 	}
-	if info.Budget <= 0 || info.Budget > nw.cfg.LinkWindow {
-		info.Budget = nw.cfg.LinkWindow
-	}
-	bud := transport.NewBudget(info.Budget)
+	bud := transport.NewBudget(nw.cfg.LinkWindow)
 	nw.mu.Lock()
 	if nw.shutdown {
 		nw.mu.Unlock()
@@ -134,7 +131,7 @@ func (nw *Network) CloseSession(ns uint32) error {
 	nw.mu.Unlock()
 
 	// Unblock budget-bound senders first: a Multicast parked on the
-	// tenant's own sub-window must never outlive the session.
+	// tenant's own budget must never outlive the session.
 	sess.budget.Abort()
 	for _, st := range victims {
 		st.bulkClose()

@@ -3,11 +3,12 @@ package core
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/packet"
-	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 func TestNamespaceOf(t *testing.T) {
@@ -206,20 +207,18 @@ func TestSessionStreamsSurviveOtherTeardown(t *testing.T) {
 	}
 }
 
-// TestSessionBudgetClampAndLiveness checks the credit sub-budget: it clamps
-// to the link window, throttles a tenant whose subtree stopped consuming,
-// and aborting it at CloseSession releases a blocked sender immediately.
-func TestSessionBudgetClampAndLiveness(t *testing.T) {
-	tree, err := topology.ParseSpec("kary:4^1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
+// parkedNetwork builds a kary:4^1 overlay with a link window of 8 whose
+// back-ends park until release closes: nothing retires, so every credit a
+// multicast takes stays out.
+func parkedNetwork(t *testing.T, kind TransportKind) (nw *Network, release chan struct{}) {
+	t.Helper()
+	release = make(chan struct{})
 	nw, err := NewNetwork(Config{
-		Topology:   tree,
+		Topology:   mustTree(t, "kary:4^1"),
+		Transport:  kind,
 		LinkWindow: 8,
 		OnBackEnd: func(be *BackEnd) error {
-			<-release // park: nothing retires, credits stay out
+			<-release
 			for {
 				if _, err := be.Recv(); err != nil {
 					return nil
@@ -230,47 +229,135 @@ func TestSessionBudgetClampAndLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return nw, release
+}
+
+// sessionBudget returns the credit budget of the open session ns.
+func sessionBudget(nw *Network, ns uint32) *transport.Budget {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return nw.sessions[ns].budget
+}
+
+// TestSessionBudgetClampAndLiveness checks the credit budget every session
+// gets: it is clamped to one link window, a sender whose subtree stopped
+// consuming parks on it once it is spent, and aborting it at CloseSession
+// releases that sender at once.
+func TestSessionBudgetClampAndLiveness(t *testing.T) {
+	nw, release := parkedNetwork(t, ChanTransport)
 	defer nw.Shutdown()
 	defer close(release)
 
-	if err := nw.OpenSession(SessionInfo{NS: 1, Tenant: "t", Budget: 99}); err != nil {
+	if err := nw.OpenSession(SessionInfo{NS: 1, Tenant: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.Sessions()[0].Budget; got != 8 {
-		t.Fatalf("budget clamped to %d, want the link window 8", got)
+	if got := sessionBudget(nw, 1).Cap(); got != 8 {
+		t.Fatalf("budget = %d credits, want the link window 8", got)
 	}
-	if err := nw.CloseSession(1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Budget 1 with fan-out 4: a multicast needs one credit per child link,
-	// so with no retirements the sender parks on its own sub-budget after
-	// the first link — the shared window (8) stays almost untouched.
-	if err := nw.OpenSession(SessionInfo{NS: 2, Tenant: "t2", Budget: 1}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := nw.NewStreamNS(2, StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
+	st, err := nw.NewStreamNS(1, StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Fan-out 4 and a budget of 8: two multicasts spend it, and with no
+	// retirements the third parks on the tenant's own budget.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = st.Multicast(tagQuery, "")
+		for i := 0; i < 3; i++ {
+			_ = st.Multicast(tagQuery, "")
+		}
 	}()
 	select {
 	case <-done:
-		t.Fatal("multicast should block on the exhausted tenant budget")
+		t.Fatal("the third multicast should block on the spent tenant budget")
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Closing the session aborts the budget: the parked sender proceeds.
-	if err := nw.CloseSession(2); err != nil {
+	if err := nw.CloseSession(1); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("CloseSession left the sender parked on a dead budget")
+	}
+}
+
+// TestSessionBudgetIsolatesTenants: the budget is what keeps a tenant
+// whose subtree stopped consuming from taking another tenant's share of
+// the root's links. Tenant A multicasts as fast as it is admitted into
+// parked back-ends; its budget (one window of 8 across four child links)
+// fills after exactly 8/4 = 2 multicasts, each link still has 6 credits
+// free, and tenant B's multicast still goes through. Without the budget A
+// would fill every link's window and its egress queue, and B would block.
+func TestSessionBudgetIsolatesTenants(t *testing.T) {
+	for name, kind := range map[string]TransportKind{"chan": ChanTransport, "tcp": TCPTransport} {
+		t.Run(name, func(t *testing.T) {
+			nw, release := parkedNetwork(t, kind)
+			defer nw.Shutdown()
+			for ns := uint32(1); ns <= 2; ns++ {
+				if err := nw.OpenSession(SessionInfo{NS: ns}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			spec := StreamSpec{Transformation: "sum", Synchronization: "waitforall"}
+			stA, err := nw.NewStreamNS(1, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stB, err := nw.NewStreamNS(2, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var accepted atomic.Int64
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if stA.Multicast(tagQuery, "") != nil {
+						return
+					}
+					accepted.Add(1)
+				}
+			}()
+			defer func() {
+				close(stop)
+				close(release) // retirements resume, so a parked A returns
+				wg.Wait()
+			}()
+
+			budA := sessionBudget(nw, 1)
+			deadline := time.Now().Add(10 * time.Second)
+			for budA.InUse() < budA.Cap() || accepted.Load() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("tenant A's budget holds %d of %d credits after %d multicasts: it never filled",
+						budA.InUse(), budA.Cap(), accepted.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			sent := make(chan error, 1)
+			go func() { sent <- stB.Multicast(tagQuery, "") }()
+			select {
+			case err := <-sent:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("tenant B's multicast blocked behind tenant A's stalled traffic")
+			}
+			if got := accepted.Load(); got != 2 {
+				t.Errorf("tenant A had %d multicasts accepted with its budget full, want 8/4 = 2", got)
+			}
+		})
 	}
 }
 

@@ -85,9 +85,10 @@ type streamState struct {
 	// st is the stream's receiver at the root (rank 0), where the stream
 	// was opened, and nil at every other rank. budget and tc are set only
 	// at the root for streams opened inside a tenant session: budget is the
-	// tenant's credit sub-window (front-end sends acquire through it) and
-	// tc the tenant's traffic counters. All immutable for the stream's
-	// lifetime; budget and tc are nil for legacy namespace-0 streams.
+	// tenant's one-window credit budget (front-end sends acquire through
+	// it) and tc the tenant's traffic counters. All immutable for the
+	// stream's lifetime; budget and tc are nil for legacy namespace-0
+	// streams.
 	st     *Stream
 	budget *transport.Budget
 	tc     *TenantCounters

@@ -41,18 +41,47 @@ func newLiveView(t *topology.Tree) *liveView {
 	return v
 }
 
+// LiveParent returns r's current parent in the live shape (original
+// numbering, reflecting adoptions), or topology.NoRank when r is the
+// root, unknown, or dead.
+func (nw *Network) LiveParent(r Rank) Rank {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if r == 0 || !nw.view.valid(r) || nw.view.dead[r] {
+		return topology.NoRank
+	}
+	return nw.view.parent[r]
+}
+
+// LiveChildren returns r's live children in slot order.
+func (nw *Network) LiveChildren(r Rank) []Rank {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if !nw.view.valid(r) || nw.view.dead[r] {
+		return nil
+	}
+	return nw.view.liveKids(r)
+}
+
+// LiveInternal returns the live internal (non-root, non-back-end) ranks in
+// ascending order.
+func (nw *Network) LiveInternal() []Rank {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return nw.view.internal()
+}
+
 // valid reports whether r names a node the view knows about.
 func (v *liveView) valid(r Rank) bool { return r >= 0 && int(r) < len(v.parent) }
 
-// add registers a newly spawned process under parent — a back-end when
-// backend is set, else a communication process (a split sibling) — and
-// returns its rank and the child-slot index it occupies at the parent.
-func (v *liveView) add(parent Rank, backend bool) (Rank, int) {
+// add registers a newly attached back-end under parent and returns its
+// rank and the child-slot index it occupies at the parent.
+func (v *liveView) add(parent Rank) (Rank, int) {
 	r := Rank(len(v.parent))
 	v.parent = append(v.parent, parent)
 	v.children = append(v.children, nil)
 	v.dead = append(v.dead, false)
-	v.backend = append(v.backend, backend)
+	v.backend = append(v.backend, true)
 	slot := len(v.children[parent])
 	v.children[parent] = append(v.children[parent], r)
 	return r, slot
@@ -70,7 +99,7 @@ func (v *liveView) liveKids(r Rank) []Rank {
 }
 
 // internal returns the live communication processes — neither the
-// front-end nor back-ends — in rank order, split siblings included.
+// front-end nor back-ends — in rank order.
 func (v *liveView) internal() []Rank {
 	var out []Rank
 	for r := 1; r < len(v.parent); r++ {

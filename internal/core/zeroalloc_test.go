@@ -169,14 +169,24 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			fl.Refill(1)
 		}
+		// An op's flush may run on the queue's clock goroutine, and then
+		// its retirement completes there, after op returns: read the owed
+		// count only once the queue is quiescent, every packet queued so
+		// far sent and recorded (drain waits for a flush in progress).
+		quiescentOwed := func() int {
+			if err := q.drain(); err != nil {
+				t.Fatal(err)
+			}
+			return child.Owed()
+		}
 		for i := 0; i < 256; i++ {
 			op()
 		}
-		owed := child.Owed()
+		owed := quiescentOwed()
 		if n := testing.AllocsPerRun(500, op); n != 0 {
 			t.Errorf("a grant that pops a deferred retirement allocates %.2f/op, want 0", n)
 		}
-		if got := child.Owed() - owed; got != 501 {
+		if got := quiescentOwed() - owed; got != 501 {
 			t.Errorf("the child is owed %d more credits after 501 grants, want 501: the retirements were not completed", got)
 		}
 	})

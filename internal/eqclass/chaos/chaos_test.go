@@ -113,11 +113,10 @@ func TestChaosSeededSchedules(t *testing.T) {
 	}
 }
 
-// TestMutationChaos is the live-mutation extension of the sweep:
-// seeded schedules interleaving crash-failures with topology mutations —
-// splits that reshape a subtree while packets are in flight, merges that
-// fold a router through the recovery path — must still hold the PR 7
-// delivery invariant (zero lost, zero duplicated) on both fabrics.
+// TestMutationChaos is the live-mutation extension of the sweep: seeded
+// schedules interleaving crash-failures with a back-end attaching
+// mid-stream, possibly under a router the schedule kills, must still hold
+// the delivery invariant (zero lost, zero duplicated) on both fabrics.
 func TestMutationChaos(t *testing.T) {
 	tree, err := topology.ParseSpec("kary:2^3")
 	if err != nil {

@@ -6,7 +6,6 @@ package chaos
 // event deletion.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -24,37 +23,32 @@ type KillEvent struct {
 	After  time.Duration
 }
 
-// MutationEvent reshapes the live topology at an offset: "split" grows a
-// sibling for Victim and migrates half its children, "merge" folds Victim
-// into its parent (core.Network.MergeNode),
-// "attach" joins a new back-end under Victim. Mutation failures are
-// tolerated — the schedule may have already crashed the victim, and a split
-// racing a kill is exactly the interleaving under test — but a merge's kill
-// is always driven to recovery so no subtree is left dark. An attached
-// back-end is not a member of the running stream, so the ledger expects
-// nothing of it.
-type MutationEvent struct {
-	Kind   string // "split" | "merge" | "attach"
-	Victim core.Rank
+// AttachEvent joins a new back-end under Parent at an offset from the
+// schedule's start. An attach may fail — the schedule may have already
+// crashed the parent — and that race is part of the interleaving under
+// test. An attached back-end is not a member of the running stream, so
+// the ledger expects nothing of it.
+type AttachEvent struct {
+	Parent core.Rank
 	After  time.Duration
 }
 
-// Schedule is an ordered kill-and-mutation plan. Events with close
-// offsets produce overlapping failures (a second death while the first
-// adoption is in flight, a split racing the donor's crash).
+// Schedule is an ordered kill-and-attach plan. Events with close offsets
+// produce overlapping failures (a second death while the first adoption is
+// in flight, an attach racing its parent's crash).
 type Schedule struct {
-	Seed      int64
-	Kills     []KillEvent
-	Mutations []MutationEvent
+	Seed     int64
+	Kills    []KillEvent
+	Attaches []AttachEvent
 }
 
 func (s Schedule) String() string {
-	parts := make([]string, 0, len(s.Kills)+len(s.Mutations))
+	parts := make([]string, 0, len(s.Kills)+len(s.Attaches))
 	for _, k := range s.Kills {
 		parts = append(parts, fmt.Sprintf("kill %d@%v", k.Victim, k.After))
 	}
-	for _, m := range s.Mutations {
-		parts = append(parts, fmt.Sprintf("%s %d@%v", m.Kind, m.Victim, m.After))
+	for _, a := range s.Attaches {
+		parts = append(parts, fmt.Sprintf("attach %d@%v", a.Parent, a.After))
 	}
 	return fmt.Sprintf("seed %d: [%s]", s.Seed, strings.Join(parts, ", "))
 }
@@ -100,14 +94,13 @@ func GenSchedule(tree *topology.Tree, seed int64) Schedule {
 	return Schedule{Seed: seed, Kills: kills}
 }
 
-// GenMutationSchedule derives a combined kill-and-mutation plan from
-// seed: the kills of GenSchedule plus one or two topology mutations on
-// internal processes the kill plan leaves alone — a kill and a merge of
-// the same rank would just be the kill twice, while disjoint victims
-// force the split/merge machinery to run concurrently with genuine
-// failures — plus one mid-stream attach under such a process. The attach
-// draws from its own random stream, so every seed's kills, splits and
-// merges are the ones it generated before attaches existed.
+// GenMutationSchedule derives a kill-and-attach plan from seed: the kills
+// of GenSchedule, plus kills of internal processes that plan leaves alone,
+// plus one mid-stream attach under such a process. One or two of those
+// processes each draw a coin and an offset, and the ones whose coin comes
+// up are killed at their offset; the draws are fixed per seed, so a
+// seed's schedule never changes. The attach draws from its own random
+// stream.
 func GenMutationSchedule(tree *topology.Tree, seed int64) Schedule {
 	s := GenSchedule(tree, seed)
 	rng := rand.New(rand.NewSource(seed ^ 0x6d757461))
@@ -122,91 +115,61 @@ func GenMutationSchedule(tree *topology.Tree, seed int64) Schedule {
 		}
 	}
 	n := 1 + rng.Intn(2)
-	for _, i := range rng.Perm(len(free)) {
-		if len(s.Mutations) >= n {
+	for drawn, i := range rng.Perm(len(free)) {
+		if drawn >= n {
 			break
 		}
-		kind := "split"
-		if rng.Intn(2) == 1 {
-			kind = "merge"
+		kill := rng.Intn(2) == 1
+		after := time.Duration(rng.Intn(80)) * time.Millisecond
+		if kill {
+			s.Kills = append(s.Kills, KillEvent{Victim: free[i], After: after})
 		}
-		s.Mutations = append(s.Mutations, MutationEvent{
-			Kind:   kind,
-			Victim: free[i],
-			After:  time.Duration(rng.Intn(80)) * time.Millisecond,
-		})
 	}
-	sort.Slice(s.Mutations, func(i, j int) bool { return s.Mutations[i].After < s.Mutations[j].After })
+	sort.SliceStable(s.Kills, func(i, j int) bool { return s.Kills[i].After < s.Kills[j].After })
 	if len(free) > 0 {
 		arng := rand.New(rand.NewSource(seed ^ 0x61747461))
-		s.Mutations = append(s.Mutations, MutationEvent{
-			Kind:   "attach",
-			Victim: free[arng.Intn(len(free))],
+		s.Attaches = []AttachEvent{{
+			Parent: free[arng.Intn(len(free))],
 			After:  time.Duration(arng.Intn(80)) * time.Millisecond,
-		})
-		sort.SliceStable(s.Mutations, func(i, j int) bool { return s.Mutations[i].After < s.Mutations[j].After })
+		}}
 	}
 	return s
 }
 
-// execute runs the schedule as one timeline: kills and mutations fire in
-// offset order against the streaming overlay, then every rank left dead —
-// kill victims plus merges whose fold could not complete — is recovered
-// shallowest-first by live depth (an orphaned subtree's own failure is only
-// recoverable after its parent's), retrying while adoptions race.
-//
-// Splits are best-effort: the donor may already be dead or mid-recovery,
-// and that race is exactly the interleaving under test. A merge refused
-// before its kill (core.ErrNotMutable) is skipped the same way; one whose
-// fold loses a race after the kill (the victim's parent is itself dead
-// until the final pass) joins the final pass instead of leaving a dark
-// subtree.
+// execute runs the schedule as one timeline: kills and attaches fire in
+// offset order against the streaming overlay, then every kill victim is
+// recovered shallowest-first by live depth (an orphaned subtree's own
+// failure is only recoverable after its parent's), retrying while
+// adoptions race.
 func (s Schedule) execute(nw *core.Network, mgr *recovery.Manager) error {
 	type event struct {
-		after time.Duration
-		kill  *KillEvent
-		mut   *MutationEvent
+		after  time.Duration
+		kill   *KillEvent
+		attach *AttachEvent
 	}
-	evs := make([]event, 0, len(s.Kills)+len(s.Mutations))
+	evs := make([]event, 0, len(s.Kills)+len(s.Attaches))
 	for i := range s.Kills {
 		evs = append(evs, event{after: s.Kills[i].After, kill: &s.Kills[i]})
 	}
-	for i := range s.Mutations {
-		evs = append(evs, event{after: s.Mutations[i].After, mut: &s.Mutations[i]})
+	for i := range s.Attaches {
+		evs = append(evs, event{after: s.Attaches[i].After, attach: &s.Attaches[i]})
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].after < evs[j].after })
 
 	start := time.Now()
 	var victims []core.Rank
-	seen := map[core.Rank]bool{}
-	addVictim := func(r core.Rank) {
-		if !seen[r] {
-			seen[r] = true
-			victims = append(victims, r)
-		}
-	}
 	for _, e := range evs {
 		if wait := e.after - time.Since(start); wait > 0 {
 			time.Sleep(wait)
 		}
-		switch {
-		case e.kill != nil:
-			if err := nw.Kill(e.kill.Victim); err != nil {
-				return fmt.Errorf("chaos: kill %d: %w", e.kill.Victim, err)
-			}
-			addVictim(e.kill.Victim)
-		case e.mut.Kind == "split":
-			_, _ = nw.SplitNode(e.mut.Victim)
-		case e.mut.Kind == "attach":
-			_, _ = nw.AttachBackEnd(e.mut.Victim)
-		case e.mut.Kind == "merge":
-			if seen[e.mut.Victim] {
-				continue // already crashed by an earlier kill event
-			}
-			if _, err := nw.MergeNode(e.mut.Victim, nil); err != nil && !errors.Is(err, core.ErrNotMutable) {
-				addVictim(e.mut.Victim)
-			}
+		if e.attach != nil {
+			_, _ = nw.AttachBackEnd(e.attach.Parent)
+			continue
 		}
+		if err := nw.Kill(e.kill.Victim); err != nil {
+			return fmt.Errorf("chaos: kill %d: %w", e.kill.Victim, err)
+		}
+		victims = append(victims, e.kill.Victim)
 	}
 	depth := map[core.Rank]int{}
 	for _, v := range victims {
@@ -231,43 +194,22 @@ func (s Schedule) execute(nw *core.Network, mgr *recovery.Manager) error {
 }
 
 // Shrink minimizes a failing schedule by greedy deletion: drop one event
-// — kill or mutation — at a time, re-run, and keep the deletion whenever
-// the invariant still breaks. fails must re-execute the harness with the
+// — kill or attach — at a time, re-run, and keep the deletion whenever the
+// invariant still breaks. fails must re-execute the harness with the
 // given schedule and report whether it still violates the invariant.
 func Shrink(s Schedule, fails func(Schedule) bool) Schedule {
 	for changed := true; changed; {
 		changed = false
-		for i := 0; i < len(s.Kills); i++ {
-			cand := Schedule{
-				Seed:      s.Seed,
-				Kills:     append(append([]KillEvent{}, s.Kills[:i]...), s.Kills[i+1:]...),
-				Mutations: s.Mutations,
+		for i := 0; i < len(s.Kills)+len(s.Attaches) && !changed; i++ {
+			cand := Schedule{Seed: s.Seed, Kills: s.Kills, Attaches: s.Attaches}
+			if i < len(s.Kills) {
+				cand.Kills = append(append([]KillEvent{}, s.Kills[:i]...), s.Kills[i+1:]...)
+			} else {
+				j := i - len(s.Kills)
+				cand.Attaches = append(append([]AttachEvent{}, s.Attaches[:j]...), s.Attaches[j+1:]...)
 			}
-			if len(cand.Kills)+len(cand.Mutations) == 0 {
-				continue
-			}
-			if fails(cand) {
-				s = cand
-				changed = true
-				break
-			}
-		}
-		if changed {
-			continue
-		}
-		for i := 0; i < len(s.Mutations); i++ {
-			cand := Schedule{
-				Seed:      s.Seed,
-				Kills:     s.Kills,
-				Mutations: append(append([]MutationEvent{}, s.Mutations[:i]...), s.Mutations[i+1:]...),
-			}
-			if len(cand.Kills)+len(cand.Mutations) == 0 {
-				continue
-			}
-			if fails(cand) {
-				s = cand
-				changed = true
-				break
+			if len(cand.Kills)+len(cand.Attaches) > 0 && fails(cand) {
+				s, changed = cand, true
 			}
 		}
 	}

@@ -8,9 +8,8 @@
 // the front-end hears only its own children at any tree size, and
 // core.Network.Heartbeats merges the parents' records. Each poll walks the
 // engine's live view from the front-end (core.Network.LiveChildren), so
-// every rank is watched at its current depth — split siblings, attached
-// back-ends and moved routers included — and the tree has one record, the
-// engine's. A process silent past the timeout is declared failed, and
+// every rank is watched at its current depth — attached back-ends and
+// adopted routers included — and the tree has one record, the engine's. A process silent past the timeout is declared failed, and
 // core.Network.Adopt applies the topology rule live (grandparent adoption,
 // stream re-announcement, synchronizer rebuild) with the state rule,
 // reliability.ComposeStates, rebuilding the lost node's filter state from

@@ -787,27 +787,19 @@ func recoverAfterMutation(t *testing.T, kind core.TransportKind, mutate func(*co
 	}
 }
 
-// TestManagerRecoversDeeperKillAfterMerge: a rank merged away is gone from
-// the live tree, so the detector never judges it again and a deeper
-// failure after the merge is still reached.
+// TestManagerRecoversDeeperKillAfterMerge: a router merged away — killed
+// and adopted at once, before the detector sees it — is gone from the
+// live tree, so the detector never judges it again and a deeper failure
+// after the merge is still reached.
 func TestManagerRecoversDeeperKillAfterMerge(t *testing.T) {
 	for name, kind := range fabrics {
 		t.Run(name, func(t *testing.T) {
 			recoverAfterMutation(t, kind, func(nw *core.Network) (core.Rank, error) {
-				_, err := nw.MergeNode(1, nil)
+				if err := nw.Kill(1); err != nil {
+					return 0, err
+				}
+				_, err := nw.Adopt(1, nil)
 				return 5, err
-			})
-		})
-	}
-}
-
-// TestManagerRecoversKilledSplitSibling: a sibling spawned by a split is
-// watched like every other router.
-func TestManagerRecoversKilledSplitSibling(t *testing.T) {
-	for name, kind := range fabrics {
-		t.Run(name, func(t *testing.T) {
-			recoverAfterMutation(t, kind, func(nw *core.Network) (core.Rank, error) {
-				return nw.SplitNode(1)
 			})
 		})
 	}

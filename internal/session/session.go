@@ -1,7 +1,7 @@
 // Package session is the multi-tenant admission and fair-share policy
 // layer over core's session mechanism. core knows how to run many tenant
-// namespaces over one overlay (stream-id namespaces, credit sub-budgets,
-// single-flood teardown); this package decides who gets in and on what
+// namespaces over one overlay (stream-id namespaces, a one-window credit
+// budget per tenant, single-flood teardown); this package decides who gets in and on what
 // terms: a Manager caps how many tenants share the overlay at once,
 // allocates namespaces, and maps a tenant's declared weight onto the
 // egress scheduler's priority classes.
@@ -61,7 +61,6 @@ type Option func(*settings)
 
 type settings struct {
 	weight int
-	budget int
 }
 
 // WithWeight sets the tenant's fair share, >= 1. Equal-weight tenants
@@ -69,13 +68,6 @@ type settings struct {
 // class); a higher weight is a strictly preferred class. Default 1.
 func WithWeight(w int) Option {
 	return func(s *settings) { s.weight = w }
-}
-
-// WithBudget caps how many link send credits the tenant may hold at once,
-// as a sub-window of the network's Config.LinkWindow (values out of range
-// clamp to the full window). Default: the full window.
-func WithBudget(credits int) Option {
-	return func(s *settings) { s.budget = credits }
 }
 
 // Open admits a tenant session, or fails with ErrSessionLimit when the
@@ -110,7 +102,6 @@ func (m *Manager) Open(tenant string, opts ...Option) (*Session, error) {
 		NS:       ns,
 		Tenant:   tenant,
 		Priority: s.prio,
-		Budget:   set.budget,
 	}); err != nil {
 		m.mu.Lock()
 		delete(m.open, ns)

@@ -114,7 +114,7 @@ func TestWeightMapsToPriorityClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Open("interactive", WithWeight(3), WithBudget(2))
+	b, err := m.Open("interactive", WithWeight(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestCloseTenantDoesNotStallOthers(t *testing.T) {
 	}
 
 	for i := 0; i < 5; i++ {
-		b, err := m.Open("churner", WithBudget(1))
+		b, err := m.Open("churner")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,8 +422,8 @@ func TestCloseTenantDoesNotStallOthers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// B floods from a goroutine on a 1-credit budget; its session dies
-		// mid-stream.
+		// B floods from a goroutine on its one-window budget, which four
+		// children spend in one multicast; its session dies mid-stream.
 		stop := make(chan struct{})
 		var bwg sync.WaitGroup
 		bwg.Add(1)

@@ -5,7 +5,7 @@ package transport
 // bounds how many un-retired data packets one LINK direction may carry, a
 // Budget bounds how many of those credits one TENANT may hold across all of
 // a process's links at once. A session fabric gives each tenant its own
-// Budget sized at (a share of) Config.LinkWindow, so a single tenant whose
+// Budget of one Config.LinkWindow, so a single tenant whose
 // subtree has stopped consuming cannot pin every credit of a shared link
 // and starve its neighbors' data plane.
 //

@@ -397,8 +397,8 @@ func (f *FlowLink) Retire(n int) int {
 // FlushRetired claims the accumulated retirements regardless of the grant
 // threshold. Receivers call it when their pipeline goes idle: no further
 // work is coming to push the accumulation over the threshold, and the peer
-// may be waiting on exactly these credits — a tenant sub-budget smaller
-// than threshold × fan-out exhausts before any single link accumulates a
+// may be waiting on exactly these credits — a tenant budget smaller than
+// threshold × fan-out exhausts before any single link accumulates a
 // quarter window, so threshold batching alone is a liveness guarantee only
 // for window-limited senders, not budget-limited ones.
 func (f *FlowLink) FlushRetired() int {

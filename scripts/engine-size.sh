@@ -145,13 +145,26 @@
 # The rise does not rest on a throughput gain: reduce_sat_chan pkts_per_s
 # led in 16 of 20 interleaved pairs, too few to claim one. It buys the
 # per-rank ownership TestDataPathCountsPerRank pins and RankMetrics.
+#
+# Lowered: internal/core 5876 -> 5708 and outside bench/ 20404 -> 19847
+# for deleting what no shipped path ran. In internal/core: SplitNode,
+# MergeNode, ErrNotMutable and their three Metrics counters (mutate.go;
+# its live-shape accessors moved to view.go), attach's internal-router
+# branch (the stream pre-announce loop and the backend parameter of
+# attach and liveView.add) and reparent's live-donor branches (the
+# unmove of a failed hand-off, the donor's and the sibling's installs):
+# an adoption's dead parent is reparent's one shape. Outside it:
+# internal/timealign and internal/topk, which had no importer, the
+# chaos schedule's split and merge events, and the tenant-budget knob
+# (SessionInfo.Budget, session.WithBudget); every session keeps the
+# one-window budget. The timer sites stay at 5 and the waivers at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5876
+max_lines=5708
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=20404
+max_repo_lines=19847
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
