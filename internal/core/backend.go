@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/packet"
 	"repro/internal/transport"
@@ -20,9 +19,9 @@ type beDelivery struct {
 }
 
 // BackEnd is the handle application code uses at a leaf of the overlay.
-// Its methods are safe to call from the handler goroutine; Recv returns
-// io.EOF once the network shuts down, at which point the handler should
-// return.
+// Its methods run on the handler goroutine only — Send and SendPacket stamp
+// from a plain counter — and Recv returns io.EOF once the network shuts
+// down, at which point the handler should return.
 type BackEnd struct {
 	nw    *Network
 	rank  Rank
@@ -48,9 +47,9 @@ type BackEnd struct {
 	// internally.
 	eg *egressQueue
 
-	// seqCtr stamps this back-end's outbound packets with an origin
-	// sequence — the identity the whole tree's duplicate detection keys on.
-	seqCtr atomic.Uint64
+	// seqCtr, the handler goroutine's own, stamps outbound packets with an
+	// origin sequence — the identity the tree's duplicate detection keys on.
+	seqCtr uint64
 }
 
 func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
@@ -144,7 +143,8 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 	if tag != packet.TagControl {
 		// p is not shared yet, so stamp it in place; SendPacket's WithSeq
 		// would allocate a second Packet only to set this field.
-		p.Seq = packet.MakeSeq(be.rank, be.seqCtr.Add(1))
+		be.seqCtr++
+		p.Seq = packet.MakeSeq(be.rank, be.seqCtr)
 	}
 	return be.SendPacket(p)
 }
@@ -160,7 +160,8 @@ func (be *BackEnd) Send(streamID uint32, tag int32, format string, values ...any
 // tearing down.
 func (be *BackEnd) SendPacket(p *packet.Packet) error {
 	if p.Seq == 0 && p.Tag != packet.TagControl {
-		p = p.WithSeq(packet.MakeSeq(be.rank, be.seqCtr.Add(1)))
+		be.seqCtr++
+		p = p.WithSeq(packet.MakeSeq(be.rank, be.seqCtr))
 	}
 	if err := be.eg.send(p); err != nil && (be.killed() || be.nw.tearingDown()) {
 		return fmt.Errorf("core: back-end %d send: %w", be.rank, err)

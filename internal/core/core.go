@@ -78,8 +78,6 @@ type Config struct {
 	Registry *filter.Registry
 	// Transport selects the link substrate; default ChanTransport.
 	Transport TransportKind
-	// ChanBuf overrides the per-direction channel buffer (0 = default).
-	ChanBuf int
 	// WrapFabric, if non-nil, is applied to the fabric before nodes start;
 	// used to interpose the simnet cost model on every link.
 	WrapFabric func([]*transport.Endpoint)
@@ -243,7 +241,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	var eps []*transport.Endpoint
 	switch cfg.Transport {
 	case ChanTransport:
-		eps = transport.NewChanFabric(cfg.Topology, cfg.ChanBuf)
+		eps = transport.NewChanFabric(cfg.Topology)
 	case TCPTransport:
 		var err error
 		eps, err = transport.NewTCPFabric(cfg.Topology)
@@ -260,7 +258,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	var rewirer transport.Rewirer
 	switch cfg.Transport {
 	case ChanTransport:
-		rewirer = transport.NewChanRewirer(cfg.ChanBuf)
+		rewirer = transport.NewChanRewirer()
 	case TCPTransport:
 		rewirer = &transport.TCPRewirer{}
 	}

@@ -598,11 +598,12 @@ func TestRecvAfterCloseDrains(t *testing.T) {
 // TestAdoptWithTinyLinkBuffers: adoption must not deadlock when the link
 // buffer is smaller than the number of streams being re-announced
 // (regression: announce sends used to target links with no reader yet).
+// More streams than a chan link buffers frames make every fresh link's
+// buffer too small for its announcements.
 func TestAdoptWithTinyLinkBuffers(t *testing.T) {
 	tree := mustTree(t, "kary:2^2")
 	nw, err := NewNetwork(Config{
 		Topology: tree,
-		ChanBuf:  1,
 		OnBackEnd: func(be *BackEnd) error {
 			for {
 				p, err := be.Recv()
@@ -618,7 +619,7 @@ func TestAdoptWithTinyLinkBuffers(t *testing.T) {
 	}
 	defer nw.Shutdown()
 	var streams []*Stream
-	for i := 0; i < 6; i++ {
+	for i := 0; i < transport.DefaultChanBuffer+6; i++ {
 		st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
 		if err != nil {
 			t.Fatal(err)
@@ -660,7 +661,7 @@ func TestAdoptWithTinyLinkBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Adopt deadlocked with ChanBuf=1")
+		t.Fatal("Adopt deadlocked with more streams than a link buffers frames")
 	}
 	close(stopNoise)
 	<-noiseDone

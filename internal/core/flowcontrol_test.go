@@ -290,10 +290,9 @@ func runSlowConsumer(t *testing.T, kind TransportKind, window, streams, rounds i
 	nw, err := NewNetwork(Config{
 		Topology:  tree,
 		Transport: kind,
-		// A small frame buffer keeps the in-process wire from absorbing the
-		// slow consumer's backlog: what cannot be sent must sit in egress
-		// queues, which is exactly the memory the window bounds.
-		ChanBuf:    8,
+		// The credit window, not the wire, bounds the slow consumer's
+		// backlog: what cannot be sent sits in egress queues, which is
+		// exactly the memory the window bounds.
 		Batch:      BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond},
 		LinkWindow: window,
 		OnBackEnd: func(be *BackEnd) error {
@@ -695,7 +694,6 @@ func TestReparentWithSaturatedWindowsDepth3(t *testing.T) {
 	start := make(chan struct{})
 	nw, err := NewNetwork(Config{
 		Topology:   tree,
-		ChanBuf:    4, // small wire so the windows genuinely exhaust
 		Batch:      BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
 		LinkWindow: window,
 		OnBackEnd: func(be *BackEnd) error {

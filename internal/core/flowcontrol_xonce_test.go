@@ -62,10 +62,9 @@ func TestReplayRingBoundedUnderSlowConsumerAndKills(t *testing.T) {
 			nw, err := NewNetwork(Config{
 				Topology:  tree,
 				Transport: kind,
-				// Small frame buffers: the backlog the slow consumer creates
-				// must sit in egress queues and replay rings, which is
-				// exactly the memory the window prices.
-				ChanBuf:    8,
+				// The backlog the slow consumer creates must sit in egress
+				// queues and replay rings, which is exactly the memory the
+				// window prices.
 				LinkWindow: window,
 				Batch:      BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
 				OnBackEnd: func(be *BackEnd) error {

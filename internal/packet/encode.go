@@ -260,10 +260,10 @@ func (d *decoder) advance(n int) error {
 	return err
 }
 
-// decodeValues materializes a whole payload as Go values, at most once per
-// packet and only when Values is called — and, because it checks every bound
-// itself, it is the reference the fuzz tests hold Decode's validation walk
-// to. %ac values alias payload; everything else is copied out.
+// decodeValues decodes a whole payload as Go values, only when Values is
+// called — and, because it checks every bound itself, it is the reference
+// the fuzz tests hold Decode's validation walk to. %ac values alias
+// payload; everything else is copied out.
 func decodeValues(dirs []Directive, payload []byte) ([]any, error) {
 	d := decoder{b: payload}
 	values := make([]any, len(dirs))
@@ -388,7 +388,7 @@ func decodeInto(p *Packet, b []byte) error {
 // access — and keeps the payload as a slice of b instead of decoding it.
 //
 // The packet therefore aliases b: every value, not only %ac, is read from b
-// when first asked for, and re-encoding copies the payload out of b. The
+// each time it is asked for, and re-encoding copies the payload out of b. The
 // caller must not modify or reuse b while the packet, or any packet
 // restamped from it, is reachable, and a retained packet keeps all of b
 // alive. A caller that needs the bytes back must copy them before Decode.

@@ -74,9 +74,8 @@ func AppendFrame(dst []byte, ps []*Packet) []byte {
 // reachable, and one retained packet keeps the whole frame body alive.
 //
 // The frame's Packet structs are allocated together (frameHeaders), so a
-// retained packet also keeps its siblings' headers alive, and with them
-// any values a sibling has materialized (Values): the garbage collector
-// sees the Packets as one object and scans them all while any is reachable.
+// retained packet also keeps its siblings' 56-byte headers alive: the
+// garbage collector sees the Packets as one object while any is reachable.
 func DecodeFrame(b []byte) ([]*Packet, error) {
 	if len(b) > MaxFrameBody {
 		return nil, fmt.Errorf("%w: frame body %d bytes exceeds MaxFrameBody", ErrWire, len(b))
@@ -106,8 +105,9 @@ func frameCount(count uint32, n int) (int, error) {
 }
 
 // frameHeaders returns count pointers to zero Packets: one object holding
-// both for a frame of one or two packets, otherwise the Packets in one
-// array and the pointers in one slice.
+// both for a frame of one or two packets (filling the 64- and 128-byte size
+// classes exactly), otherwise the Packets in one array and the pointers in
+// one slice.
 func frameHeaders(count int) []*Packet {
 	switch count {
 	case 1:
@@ -163,7 +163,7 @@ func decodeFrame(b []byte, ps []*Packet) ([]*Packet, error) {
 
 // frame48 is a one-packet frame received as a single allocation: the
 // result slice's backing array, the Packet and a body of up to 48 bytes
-// together, filling the 144-byte size class. It holds a one-scalar
+// together, filling the 112-byte size class. It holds a one-scalar
 // packet's frame, the request-reply round's command and reply.
 type frame48 struct {
 	ps [1]*Packet
@@ -189,12 +189,12 @@ func allocFrame(n, count int) ([]byte, []*Packet) {
 // is what lets a received packet be retained, restamped and forwarded
 // without copying its payload out; the garbage collector reclaims the
 // frame once the last of its packets is unreachable. A retained packet
-// thus keeps the body and, as DecodeFrame's do, its siblings' headers and
-// any values they have materialized alive. Sized from the length and
-// count, which are read a byte at a time so no header buffer escapes, the
-// body, the Packets and the result slice are one allocation for a
-// one-packet frame of up to 48 body bytes (a one-scalar command or reply),
-// two for any other frame of one or two packets, and three otherwise.
+// thus keeps the body and, as DecodeFrame's do, its siblings' headers
+// alive. Sized from the length and count, which are read a byte at a time
+// so no header buffer escapes, the body, the Packets and the result slice
+// are one allocation for a one-packet frame of up to 48 body bytes (a
+// one-scalar command or reply), two for any other frame of one or two
+// packets, and three otherwise.
 func ReadFrame(r FrameReader) ([]*Packet, error) {
 	n, err := readUint32(r)
 	if err != nil {

@@ -118,53 +118,53 @@ func TestReadFrameShortBody(t *testing.T) {
 
 // TestFrameSiblingsIndependent holds the Packets of one received frame,
 // which share an allocation, to being as independent as separately
-// decoded ones: materializing one packet's values or restamping any of them
-// changes no sibling's header, loaded flag or values.
+// decoded ones: decoding one packet's values or restamping any of them
+// changes no sibling's header or payload, and a restamp shares the payload
+// of the packet it was taken from.
 func TestFrameSiblingsIndependent(t *testing.T) {
 	ps, err := ReadFrame(wireFrame(framePackets(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	type state struct {
-		tag    int32
-		stream uint32
-		src    Rank
-		seq    uint64
-		loaded bool
-		values []any
+		tag     int32
+		stream  uint32
+		src     Rank
+		seq     uint64
+		payload []byte
 	}
 	snap := func() []state {
 		out := make([]state, len(ps))
 		for i, p := range ps {
-			out[i] = state{p.Tag, p.StreamID, p.SrcRank, p.Seq, p.loaded.Load(), p.values}
+			out[i] = state{p.Tag, p.StreamID, p.SrcRank, p.Seq, p.payload}
 		}
 		return out
 	}
+	same := func(a, b state) bool {
+		return a.tag == b.tag && a.stream == b.stream && a.src == b.src && a.seq == b.seq &&
+			len(a.payload) == len(b.payload) && (len(a.payload) == 0 || &a.payload[0] == &b.payload[0])
+	}
 	before := snap()
-	mid := ps[1].Values()
-	if !ps[1].loaded.Load() || len(mid) != 2 {
-		t.Fatalf("middle packet materialized %v (loaded %v), want its 2 values", mid, ps[1].loaded.Load())
+	if mid := ps[1].Values(); len(mid) != 2 {
+		t.Fatalf("middle packet decoded %v, want its 2 values", mid)
 	}
 	for i, s := range snap() {
-		if i == 1 {
-			continue
-		}
-		if s.loaded || s.values != nil || s.tag != before[i].tag || s.stream != before[i].stream || s.src != before[i].src {
-			t.Errorf("packet %d changed when its sibling materialized its values: %+v, was %+v", i, s, before[i])
+		if !same(s, before[i]) {
+			t.Errorf("packet %d changed when its sibling decoded its values: %+v, was %+v", i, s, before[i])
 		}
 	}
-	before = snap()
 	for i, p := range ps {
 		q := p.WithStreamSrc(p.StreamID+10, p.SrcRank+10)
 		if q == p || q.StreamID != p.StreamID+10 || q.SrcRank != p.SrcRank+10 {
 			t.Fatalf("packet %d: WithStreamSrc returned %v for %v", i, q, p)
 		}
+		if len(q.payload) != len(p.payload) || len(p.payload) > 0 && &q.payload[0] != &p.payload[0] {
+			t.Errorf("packet %d: restamp copied the payload; it must share it", i)
+		}
 	}
 	for i, s := range snap() {
-		b := before[i]
-		if s.tag != b.tag || s.stream != b.stream || s.src != b.src || s.seq != b.seq || s.loaded != b.loaded ||
-			len(s.values) != len(b.values) || (len(s.values) > 0 && &s.values[0] != &b.values[0]) {
-			t.Errorf("packet %d changed when the frame's packets were restamped: %+v, was %+v", i, s, b)
+		if !same(s, before[i]) {
+			t.Errorf("packet %d changed when the frame's packets were restamped: %+v, was %+v", i, s, before[i])
 		}
 	}
 	for i, p := range ps {

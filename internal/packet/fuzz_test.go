@@ -12,11 +12,10 @@ import (
 // checkDecoded holds a packet Decode accepted from data to the eager
 // decoder's semantics. ref is what decodeValues — the old value loop, which
 // checks every bound itself — made of the same payload. Values read three
-// ways (typed accessors before materialization, Values, ref) must
-// each rebuild, through New and the value serializer, the exact bytes that
-// came in (comparing bytes rather than values keeps NaNs comparable); so
-// must the packet itself and a restamped copy, before and after
-// materialization.
+// ways (typed accessors, Values, ref) must each rebuild, through New and
+// the value serializer, the exact bytes that came in (comparing bytes
+// rather than values keeps NaNs comparable); so must the packet itself and
+// a restamped copy, before and after a Values call.
 func checkDecoded(t *testing.T, p *Packet, data []byte, ref []any) {
 	t.Helper()
 	rebuild := func(what string, vals []any) {
@@ -73,10 +72,10 @@ func checkDecoded(t *testing.T, p *Packet, data []byte, ref []any) {
 		t.Fatal("restamped copy does not re-encode byte-identically")
 	}
 	rebuild("Values", p.Values())
-	rebuild("typed accessors (materialized)", typed(p))
-	rebuild("Values (restamped after materialization)", p.WithSeq(p.Seq+1).Values())
+	rebuild("typed accessors (after Values)", typed(p))
+	rebuild("Values (restamped)", p.WithSeq(p.Seq+1).Values())
 	if !bytes.Equal(p.Encode(), data) {
-		t.Fatal("materialized packet does not re-encode byte-identically")
+		t.Fatal("packet does not re-encode byte-identically after Values")
 	}
 }
 

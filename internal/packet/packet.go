@@ -14,14 +14,15 @@
 // Encoding to and decoding from a binary wire form is implemented in
 // encode.go.
 //
-// Every packet is its header fields plus its payload in wire form. New
-// serializes the caller's values into a payload buffer of the packet's own;
-// Decode keeps the payload as it arrived — a slice of the decoder's input,
-// validated but not parsed. The typed accessors (Int, Float, Bytes, ...)
-// read straight from those bytes, only the generic Value/Values/String
-// materialize Go values (once), and encoding emits the header from the
-// packet's fields followed by the payload bytes unchanged. A process that
-// only routes a packet therefore never parses, boxes or re-serializes its
+// Every packet is its header fields plus its payload in wire form, and
+// nothing else: a plain value that restamping copies. New serializes the
+// caller's values into a payload buffer of the packet's own; Decode keeps
+// the payload as it arrived — a slice of the decoder's input, validated but
+// not parsed. The typed accessors (Int, Float, Bytes, ...) read straight
+// from those bytes, only the generic Value/Values/String decode Go values
+// (afresh on every call), and encoding emits the header from the packet's
+// fields followed by the payload bytes unchanged. A process that only
+// routes a packet therefore never parses, boxes or re-serializes its
 // payload. The price is the aliasing contract stated at Decode.
 package packet
 
@@ -247,10 +248,6 @@ type Packet struct {
 	// SrcRank is the rank of the node that created the packet.
 	SrcRank Rank
 
-	// loaded reports that the payload has been materialized into values
-	// (see Values). It sits in what would otherwise be padding.
-	loaded atomic.Bool
-
 	// Seq is the packet's origin-stamped delivery sequence number, zero
 	// when unstamped. Exactly-once delivery packs the originating rank and
 	// a per-(origin,stream) counter into it (see MakeSeq). Forwarding keeps
@@ -267,11 +264,6 @@ type Packet struct {
 	// directive, is valid against fd, and is what every accessor reads and
 	// every encode emits.
 	payload []byte
-	// values is the payload materialized as Go values, set once loaded is;
-	// mu serializes that materialization and makes Packet non-copyable —
-	// header restamps go through restamp.
-	values []any
-	mu     sync.Mutex
 }
 
 // desc returns the packet's format descriptor, never nil.
@@ -339,8 +331,8 @@ func New(tag int32, streamID uint32, src Rank, format string, values ...any) (*P
 }
 
 // A packet whose payload fits one of these shares a single allocation with
-// it: each wrapper fills a Go size class exactly (the 88-byte Packet plus
-// N bytes: 96, 112, 128), so a one-scalar packet costs what its header
+// it: each wrapper fills a Go size class exactly (the 56-byte Packet plus
+// N bytes: 64, 80, 96), so a one-scalar packet costs what its header
 // alone did. Larger payloads get a buffer of their own.
 type (
 	packet8 struct {
@@ -507,32 +499,21 @@ func (p *Packet) Directives() []Directive { return p.desc().dirs }
 // Value returns the i'th payload value.
 func (p *Packet) Value(i int) any { return p.Values()[i] }
 
-// Values returns all payload values. The returned slice must not be
-// modified. The first call materializes them from the wire payload — one
-// []any plus a box per value — and every later call, from any goroutine,
-// returns the same slice; the typed accessors below never need it.
+// Values returns all payload values, decoded from the wire payload on every
+// call — one []any plus a box per value. The slice is the caller's, but a
+// %ac value aliases the payload and must not be modified. The typed
+// accessors below read the same bytes without it.
 func (p *Packet) Values() []any {
-	if p.payload != nil && !p.loaded.Load() {
-		return p.load()
+	if p.payload == nil {
+		return nil
 	}
-	return p.values
-}
-
-// load materializes the payload's values exactly once.
-func (p *Packet) load() []any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.loaded.Load() {
-		vals, err := decodeValues(p.fd.dirs, p.payload)
-		if err != nil {
-			// New wrote the payload; Decode validated it with the same
-			// bounds checks.
-			panic("packet: validated payload failed to materialize: " + err.Error())
-		}
-		p.values = vals
-		p.loaded.Store(true)
+	vals, err := decodeValues(p.fd.dirs, p.payload)
+	if err != nil {
+		// New wrote the payload; Decode validated it with the same bounds
+		// checks.
+		panic("packet: validated payload failed to decode: " + err.Error())
 	}
-	return p.values
+	return vals
 }
 
 // at returns a cursor on the i'th value of the wire payload. Skipping the
@@ -545,10 +526,10 @@ func (p *Packet) at(i int) decoder {
 	return d
 }
 
-// The typed accessors read the wire payload in place, whether or not Values
-// has materialized it: scalars and %ac without allocating (Bytes aliases
-// the payload), %s and the other arrays as a fresh copy per call, which the
-// caller owns — one that needs it repeatedly should keep it.
+// The typed accessors read the wire payload in place: scalars and %ac
+// without allocating (Bytes aliases the payload), %s and the other arrays
+// as a fresh copy per call, which the caller owns — one that needs it
+// repeatedly should keep it.
 
 // Int returns the i'th value as an int64, or an error if it is not one.
 func (p *Packet) Int(i int) (int64, error) {
@@ -658,24 +639,13 @@ func (p *Packet) check(i int, want Directive) error {
 	return nil
 }
 
-// restamp returns a header-mutable copy sharing the payload — and the
-// materialized values, if Values has run — which is safe because packets are
-// immutable once constructed (see TestRestampSharesPayload). Restamping
-// therefore never copies or re-serializes a payload.
+// restamp returns a header-mutable copy sharing the payload, which is safe
+// because packets are immutable once constructed (see
+// TestRestampSharesPayload). Restamping therefore never copies or
+// re-serializes a payload.
 func (p *Packet) restamp() *Packet {
-	q := &Packet{
-		Tag:      p.Tag,
-		StreamID: p.StreamID,
-		SrcRank:  p.SrcRank,
-		Seq:      p.Seq,
-		fd:       p.fd,
-		payload:  p.payload,
-	}
-	if p.loaded.Load() {
-		q.values = p.values
-		q.loaded.Store(true)
-	}
-	return q
+	q := *p
+	return &q
 }
 
 // seqCounterBits splits Seq: the low 40 bits hold the per-(origin,stream)

@@ -14,16 +14,27 @@ import (
 // the wire payload slice next to the old Format and dirs fields did — cost
 // reduce_sat_chan, a workload that never encodes or decodes, 6–15 % of
 // pkts_per_s (median ≈ 8 %) and 5–9 % of live_heap_mb. Format and dirs
-// therefore live behind one interned descriptor pointer and the loaded flag
-// in former padding; a new field has to fit the same way. The struct is
-// 88 bytes, in the 96-byte class, and New's one-scalar packet — header and
-// 8-byte payload in one object — fills that same class exactly.
+// therefore live behind one interned descriptor pointer, and the packet
+// holds nothing but its header and payload; a new field has to be paid
+// for the same way. The struct is 56 bytes, and New's fused packets —
+// header and a payload of up to 8, 24 or 40 bytes in one object — fill
+// the 64-, 80- and 96-byte size classes exactly.
 func TestPacketSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 96 {
-		t.Fatalf("Packet is %d bytes; it must stay within the 96-byte size class", n)
+	if n := unsafe.Sizeof(Packet{}); n != 56 {
+		t.Fatalf("Packet is %d bytes; want 56", n)
 	}
-	if n := unsafe.Sizeof(packet8{}); n != 96 {
-		t.Fatalf("a one-scalar packet is %d bytes; it must fill the 96-byte size class", n)
+	for _, c := range []struct {
+		name string
+		got  uintptr
+		want uintptr
+	}{
+		{"packet8", unsafe.Sizeof(packet8{}), 64},
+		{"packet24", unsafe.Sizeof(packet24{}), 80},
+		{"packet40", unsafe.Sizeof(packet40{}), 96},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes; it must fill the %d-byte size class", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -105,9 +116,6 @@ func TestDecodedPacketForwardsWithoutEncoding(t *testing.T) {
 	if &p.payload[0] != &wire[len(wire)-len(p.payload)] {
 		t.Error("Decode copied the payload out of its input")
 	}
-	if q.values != nil || q.loaded.Load() {
-		t.Error("restamp materialized the payload")
-	}
 
 	frame := EncodeFrame([]*Packet{p, q})
 	if d := WireEncodes() - before; d != 0 {
@@ -127,11 +135,9 @@ func TestDecodedPacketForwardsWithoutEncoding(t *testing.T) {
 		t.Errorf("restamped packet's payload decoded to %v", xs)
 	}
 
-	// A restamp taken after materialization shares the values as well.
-	vals := p.Values()
-	r := p.WithSeq(MakeSeq(2, 1))
-	if rv := r.Values(); len(rv) != len(vals) || &rv[0] != &vals[0] {
-		t.Error("restamp of a materialized packet re-materialized; must alias the values slice")
+	// A restamp decodes the same values as the packet it was taken from.
+	if rv, vals := p.WithSeq(MakeSeq(2, 1)).Values(), p.Values(); !reflect.DeepEqual(rv, vals) {
+		t.Errorf("restamp decodes %v, original %v", rv, vals)
 	}
 }
 
@@ -150,9 +156,6 @@ func TestRestampSharesPayload(t *testing.T) {
 	}
 	if &q.payload[0] != &p.payload[0] || len(q.payload) != len(p.payload) {
 		t.Error("restamp copied the payload; single-field restamps must share it")
-	}
-	if q.values != nil || q.loaded.Load() {
-		t.Error("restamp materialized the payload")
 	}
 	dq, err := Decode(q.Encode())
 	if err != nil {
@@ -177,19 +180,22 @@ func TestRestampSharesPayload(t *testing.T) {
 	if same := p.WithStream(1); same != p {
 		t.Error("identity WithStream allocated a copy")
 	}
-	vals := p.Values()
-	if rv := p.WithSrc(7).Values(); len(rv) != len(vals) || &rv[0] != &vals[0] {
-		t.Error("restamp of a materialized packet re-materialized; must alias the values slice")
+	r := p.WithSrc(7)
+	if &r.payload[0] != &p.payload[0] {
+		t.Error("WithSrc copied the payload; it must share it")
+	}
+	if rv, vals := r.Values(), p.Values(); !reflect.DeepEqual(rv, vals) {
+		t.Errorf("restamp decodes %v, original %v", rv, vals)
 	}
 }
 
 // TestDecodedPacketConcurrentUse shares one packet between many goroutines
-// the way a multicast hop and a filter do — generic reads that materialize,
-// typed reads that may run before, during or after that, restamps and
-// framing — and every one must see the same payload. It runs on a decoded
-// packet (a TCP hop) and on the packet New built (the chan-fabric multicast,
-// where every child holds the front-end's own pointer). Run under -race:
-// materialization is the one write to a shared packet.
+// the way a multicast hop and a filter do — generic Values reads, typed
+// reads, restamps and framing — and every one must see the same payload. It
+// runs on a decoded packet (a TCP hop) and on the packet New built (the
+// chan-fabric multicast, where every child holds the front-end's own
+// pointer). Run under -race: a shared packet has no lock, so no read or
+// restamp may write it.
 func TestDecodedPacketConcurrentUse(t *testing.T) {
 	built := MustNew(100, 7, 3, "%d %s %af %ac %ad", int64(42), "payload", []float64{1, 2, 3}, []byte{4, 5}, []int64{6, 7})
 	wire := built.Encode()
@@ -202,14 +208,15 @@ func TestDecodedPacketConcurrentUse(t *testing.T) {
 			var want []byte
 			want = AppendFrame(want, []*Packet{p.WithSrc(9)})
 			const goroutines = 16
-			firsts := make([]*any, goroutines)
+			wantVals := []any{int64(42), "payload", []float64{1, 2, 3}, []byte{4, 5}, []int64{6, 7}}
+			got := make([][]any, goroutines)
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
 					if g%2 == 0 {
-						firsts[g] = &p.Values()[0]
+						got[g] = p.Values()
 					}
 					if v, err := p.Int(0); err != nil || v != 42 {
 						t.Errorf("Int(0) = %d, %v", v, err)
@@ -235,14 +242,14 @@ func TestDecodedPacketConcurrentUse(t *testing.T) {
 						t.Error("Encode differs from the packet's wire bytes")
 					}
 					if g%2 == 1 {
-						firsts[g] = &p.Values()[0]
+						got[g] = p.Values()
 					}
 				}(g)
 			}
 			wg.Wait()
-			for g := 1; g < goroutines; g++ {
-				if firsts[g] != firsts[0] {
-					t.Fatalf("goroutine %d got its own values slice; materialization must happen once", g)
+			for g, vals := range got {
+				if !reflect.DeepEqual(vals, wantVals) {
+					t.Errorf("goroutine %d decoded %v, want %v", g, vals, wantVals)
 				}
 			}
 		})

@@ -59,7 +59,7 @@ func TestClockConcurrent(t *testing.T) {
 
 func TestWrapAccountsTransfers(t *testing.T) {
 	tr, _ := topology.Flat(2)
-	eps := transport.NewChanFabric(tr, 0)
+	eps := transport.NewChanFabric(tr)
 	var clock Clock
 	m := Model{Latency: time.Millisecond} // no bandwidth term
 	Wrap(eps, m, &clock, 0)
@@ -85,7 +85,7 @@ func TestWrapAccountsTransfers(t *testing.T) {
 
 func TestWrapInjectionDelays(t *testing.T) {
 	tr, _ := topology.Flat(1)
-	eps := transport.NewChanFabric(tr, 0)
+	eps := transport.NewChanFabric(tr)
 	m := Model{Latency: 20 * time.Millisecond}
 	Wrap(eps, m, nil, 1.0)
 	start := time.Now()

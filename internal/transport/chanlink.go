@@ -42,10 +42,10 @@ type chanLink struct {
 	pendOff int
 }
 
-// DefaultChanBuffer is the per-direction frame buffer used when callers
-// pass a non-positive buffer size. Each buffered element is one frame (a
-// packet or a batch), so the buffer bounds queued link operations, not
-// queued packets.
+// DefaultChanBuffer is the per-direction frame buffer of every fabric and
+// rewirer link, and of NewPair given a non-positive size. Each buffered
+// element is one frame (a packet or a batch), so the buffer bounds queued
+// link operations, not queued packets.
 const DefaultChanBuffer = 64
 
 // NewPair creates the two ends of an in-process link with the given
@@ -225,17 +225,17 @@ func (l *chanLink) Drop() {
 	_ = l.Close()
 }
 
-// NewChanFabric wires an entire topology with in-process links, returning
-// one Endpoint per rank (indexed by rank). buf sets the per-direction
-// buffer; pass 0 for the default.
-func NewChanFabric(t *topology.Tree, buf int) []*Endpoint {
+// NewChanFabric wires an entire topology with in-process links of
+// DefaultChanBuffer frames per direction, returning one Endpoint per rank
+// (indexed by rank).
+func NewChanFabric(t *topology.Tree) []*Endpoint {
 	eps := make([]*Endpoint, t.Len())
 	for r := 0; r < t.Len(); r++ {
 		eps[r] = &Endpoint{Rank: packet.Rank(r)}
 	}
 	for r := 0; r < t.Len(); r++ {
 		for _, c := range t.Children(topology.Rank(r)) {
-			parentEnd, childEnd := NewPair(buf)
+			parentEnd, childEnd := NewPair(DefaultChanBuffer)
 			eps[r].Children = append(eps[r].Children, parentEnd)
 			eps[c].Parent = childEnd
 		}

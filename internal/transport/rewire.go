@@ -42,17 +42,15 @@ type Offer interface {
 // fresh channel pair, leaves the parent end at the rendezvous for Accept
 // to claim, and hands back the child end immediately.
 type ChanRewirer struct {
-	buf int
-
 	mu     sync.Mutex
 	next   int
 	offers map[string]*chanOffer
 }
 
-// NewChanRewirer creates a rewirer whose links use the given per-direction
-// buffer capacity (0 = DefaultChanBuffer).
-func NewChanRewirer(buf int) *ChanRewirer {
-	return &ChanRewirer{buf: buf, offers: map[string]*chanOffer{}}
+// NewChanRewirer creates a rewirer whose links buffer DefaultChanBuffer
+// frames per direction.
+func NewChanRewirer() *ChanRewirer {
+	return &ChanRewirer{offers: map[string]*chanOffer{}}
 }
 
 type chanOffer struct {
@@ -92,7 +90,7 @@ func (rw *ChanRewirer) Redial(addr string) (Link, error) {
 	// redial entirely (lookup fails above) or observes the deposited end
 	// in its drain and severs it — the parent end can never strand.
 	delete(rw.offers, addr)
-	parent, child := NewPair(rw.buf)
+	parent, child := NewPair(DefaultChanBuffer)
 	o.parentEnd <- parent // buffered 1, sole depositor: never blocks
 	return child, nil
 }

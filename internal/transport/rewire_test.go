@@ -12,7 +12,7 @@ import (
 // rewirers returns both fabric implementations for table-driven tests.
 func rewirers() map[string]Rewirer {
 	return map[string]Rewirer{
-		"chan": NewChanRewirer(0),
+		"chan": NewChanRewirer(),
 		"tcp":  &TCPRewirer{},
 	}
 }
@@ -157,7 +157,7 @@ func TestRewirerCloseUnblocksAccept(t *testing.T) {
 // adopter abandons the offer, the orphan's end must observe EOF rather
 // than strand on a link nobody will ever read.
 func TestChanRewirerCloseSeversDepositedEnd(t *testing.T) {
-	rw := NewChanRewirer(0)
+	rw := NewChanRewirer()
 	off, err := rw.Offer()
 	if err != nil {
 		t.Fatal(err)

@@ -276,7 +276,7 @@ func TestChanFabricShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := NewChanFabric(tr, 0)
+	eps := NewChanFabric(tr)
 	if len(eps) != tr.Len() {
 		t.Fatalf("fabric has %d endpoints, want %d", len(eps), tr.Len())
 	}
@@ -298,7 +298,7 @@ func TestChanFabricShape(t *testing.T) {
 
 func TestChanFabricEndToEnd(t *testing.T) {
 	tr, _ := topology.KAry(2, 2)
-	eps := NewChanFabric(tr, 0)
+	eps := NewChanFabric(tr)
 	// Leaf 3 (first child of node 1) sends; route manually up to root.
 	if err := eps[3].Parent.Send(mkPkt(100, 99)); err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestTCPFabricEndToEnd(t *testing.T) {
 
 func TestEndpointClose(t *testing.T) {
 	tr, _ := topology.Flat(3)
-	eps := NewChanFabric(tr, 0)
+	eps := NewChanFabric(tr)
 	if err := eps[0].Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -158,13 +158,21 @@
 # chaos schedule's split and merge events, and the tenant-budget knob
 # (SessionInfo.Budget, session.WithBudget); every session keeps the
 # one-window budget. The timer sites stay at 5 and the waivers at 2.
+#
+# Lowered: internal/core 5708 -> 5707 and outside bench/ 19847 -> 19814
+# for a packet that is a plain value: packet.Packet lost its cache of
+# decoded values (the values, mu and loaded fields and load), so Values
+# decodes per call and restamp is a struct copy; Config.ChanBuf went, and
+# with it the buffer parameter of transport.NewChanFabric and
+# NewChanRewirer; BackEnd.seqCtr is a plain counter of the handler
+# goroutine's. The timer sites stay at 5 and the waivers at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5708
+max_lines=5707
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=19847
+max_repo_lines=19814
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
