@@ -12,9 +12,8 @@
 //
 // With -tenants N > 1 the query runs concurrently in N tenant sessions
 // multiplexed over the one overlay — each tenant gets its own stream-id
-// namespace, fair-share egress class (weight = tenant index + 1), and
-// one-window credit budget — and -stats then also prints the per-tenant
-// traffic counters.
+// namespace and one-window credit budget — and -stats then also prints the
+// per-tenant traffic counters.
 package main
 
 import (
@@ -69,7 +68,7 @@ func main() {
 	mgr := session.NewManager(nw, session.Config{MaxSessions: n})
 	engines := make([]*query.Engine, n)
 	for i := range engines {
-		sess, err := mgr.Open(fmt.Sprintf("tenant-%d", i), session.WithWeight(i+1))
+		sess, err := mgr.Open(fmt.Sprintf("tenant-%d", i))
 		if err != nil {
 			fatal(err)
 		}

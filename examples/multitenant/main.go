@@ -1,12 +1,11 @@
 // Multi-tenant session fabric: three tools share ONE overlay over 64
-// simulated hosts. An interactive dashboard (weight 3), a capacity
-// planner (weight 1) and a distinct-count auditor (weight 1) each open a
-// tenant session — their streams live in separate id namespaces, each
-// tenant has at most one credit window of data in flight below the
-// front-end, and their egress traffic is scheduled by fair-share class —
-// then run concurrently: declarative aggregation
-// queries for the first two, a HyperLogLog sketch reduction for the
-// third. Tearing one tenant down mid-run leaves the others untouched;
+// simulated hosts. An interactive dashboard, a capacity planner and a
+// distinct-count auditor each open a tenant session — their streams live
+// in separate id namespaces, each tenant has at most one credit window of
+// data in flight below the front-end, and every link carries their
+// packets in the order they were sent — then run concurrently:
+// declarative aggregation queries for the first two, a HyperLogLog sketch
+// reduction for the third. Tearing one tenant down mid-run leaves the others untouched;
 // per-tenant counters show who used what.
 package main
 
@@ -47,15 +46,15 @@ func main() {
 	defer nw.Shutdown()
 
 	mgr := session.NewManager(nw, session.Config{MaxSessions: 3})
-	open := func(tenant string, opts ...session.Option) *query.Engine {
-		sess, err := mgr.Open(tenant, opts...)
+	open := func(tenant string) *query.Engine {
+		sess, err := mgr.Open(tenant)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return query.NewSessionEngine(nw, sess)
 	}
-	dashboard := open("dashboard", session.WithWeight(3)) // preferred class
-	planner := open("planner")                            // batch job
+	dashboard := open("dashboard")
+	planner := open("planner") // batch job
 	auditor := open("auditor")
 
 	var wg sync.WaitGroup

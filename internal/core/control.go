@@ -19,8 +19,8 @@ const (
 // Control packet formats, one per op.
 const (
 	// op, streamID, upstream transformation name, synchronization name,
-	// downstream transformation name, egress priority, member ranks
-	ctrlNewStreamFormat = "%d %d %s %s %s %d %ad"
+	// downstream transformation name, member ranks
+	ctrlNewStreamFormat = "%d %d %s %s %s %ad"
 	// op, streamID
 	ctrlCloseStreamFormat = "%d %d"
 	// op
@@ -31,16 +31,14 @@ const (
 	ctrlCloseSessionFormat = "%d %d"
 )
 
-// newStreamPacket encodes an opNewStream control message. prio is the
-// stream's egress scheduling priority, carried so every node on the path
-// schedules the stream's traffic consistently.
-func newStreamPacket(id uint32, tform, sync, downTform string, prio int, members []Rank) *packet.Packet {
+// newStreamPacket encodes an opNewStream control message.
+func newStreamPacket(id uint32, tform, sync, downTform string, members []Rank) *packet.Packet {
 	ms := make([]int64, len(members))
 	for i, m := range members {
 		ms[i] = int64(m)
 	}
 	return packet.MustNew(packet.TagControl, 0, 0, ctrlNewStreamFormat,
-		opNewStream, int64(id), tform, sync, downTform, int64(prio), ms)
+		opNewStream, int64(id), tform, sync, downTform, ms)
 }
 
 // closeStreamPacket encodes an opCloseStream control message.
@@ -74,36 +72,32 @@ func ctrlOp(p *packet.Packet) (int64, error) {
 }
 
 // parseNewStream decodes an opNewStream control message.
-func parseNewStream(p *packet.Packet) (id uint32, tform, sync, downTform string, prio int, members []Rank, err error) {
+func parseNewStream(p *packet.Packet) (id uint32, tform, sync, downTform string, members []Rank, err error) {
 	rawID, err := p.Int(1)
 	if err != nil {
-		return 0, "", "", "", 0, nil, err
+		return 0, "", "", "", nil, err
 	}
 	tform, err = p.Str(2)
 	if err != nil {
-		return 0, "", "", "", 0, nil, err
+		return 0, "", "", "", nil, err
 	}
 	sync, err = p.Str(3)
 	if err != nil {
-		return 0, "", "", "", 0, nil, err
+		return 0, "", "", "", nil, err
 	}
 	downTform, err = p.Str(4)
 	if err != nil {
-		return 0, "", "", "", 0, nil, err
+		return 0, "", "", "", nil, err
 	}
-	rawPrio, err := p.Int(5)
+	ms, err := p.IntArray(5)
 	if err != nil {
-		return 0, "", "", "", 0, nil, err
-	}
-	ms, err := p.IntArray(6)
-	if err != nil {
-		return 0, "", "", "", 0, nil, err
+		return 0, "", "", "", nil, err
 	}
 	members = make([]Rank, len(ms))
 	for i, m := range ms {
 		members[i] = Rank(m)
 	}
-	return uint32(rawID), tform, sync, downTform, int(rawPrio), members, nil
+	return uint32(rawID), tform, sync, downTform, members, nil
 }
 
 // parseCloseStream decodes an opCloseStream control message.

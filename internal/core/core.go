@@ -96,8 +96,8 @@ type Config struct {
 	// receivers grant credits back only as their pipelines actually retire
 	// packets — so a slow consumer throttles its producers losslessly, with
 	// per-node queued-data memory bounded by links × window packets (see
-	// DESIGN.md §8). Within the window, egress is scheduled control >
-	// StreamSpec.Priority > round-robin across streams. 0 selects
+	// DESIGN.md §8). Within the window, each link's queue is one FIFO:
+	// data and control leave in the order they were sent. 0 selects
 	// DefaultLinkWindow; NewNetwork rejects negative values.
 	LinkWindow int
 	// Shards is ignored: every routing process runs one pipeline, an up

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,12 +301,11 @@ func TestRootQueuedMulticastReachesAdoptedOrphans(t *testing.T) {
 	}
 }
 
-// TestRootFirstHopHonorsPriority: StreamSpec.Priority orders the root's
-// own first hop, as it does every other link. With the back-end's window
-// exhausted, low-priority multicasts queue at the root, then
-// high-priority ones; once credits return, the high-priority packets leave
-// first.
-func TestRootFirstHopHonorsPriority(t *testing.T) {
+// TestRootFirstHopIsFIFO: the root's own first hop is one FIFO, as every
+// other link is. With the back-end's window exhausted, multicasts of two
+// streams queue at the root; once credits return, they leave in the order
+// they were queued.
+func TestRootFirstHopIsFIFO(t *testing.T) {
 	gate := make(chan struct{})
 	var rec recorder
 	nw, err := NewNetwork(Config{
@@ -317,17 +317,17 @@ func TestRootFirstHopHonorsPriority(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Shutdown()
-	low, err := nw.NewStream(StreamSpec{Priority: 0})
+	first, err := nw.NewStream(StreamSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := nw.NewStream(StreamSpec{Priority: 5})
+	second, err := nw.NewStream(StreamSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fill the window: these four are on the wire before anything queues.
 	for v := int64(1); v <= 4; v++ {
-		if err := low.Multicast(tagQuery, "%d", v); err != nil {
+		if err := first.Multicast(tagQuery, "%d", v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func TestRootFirstHopHonorsPriority(t *testing.T) {
 		for _, m := range []struct {
 			st *Stream
 			v  int64
-		}{{low, 101}, {low, 102}, {high, 201}, {high, 202}} {
+		}{{second, 201}, {first, 101}, {second, 202}, {first, 102}} {
 			if err := m.st.Multicast(tagQuery, "%d", m.v); err != nil {
 				t.Error(err)
 				return
@@ -353,15 +353,8 @@ func TestRootFirstHopHonorsPriority(t *testing.T) {
 	close(gate)
 	eventually(t, "all eight packets arrive", func() bool { return len(rec.at(1)) == 8 })
 	<-queued
-	pos := map[int64]int{}
-	for i, v := range rec.at(1) {
-		pos[v] = i
-	}
-	for _, hi := range []int64{201, 202} {
-		for _, lo := range []int64{101, 102} {
-			if pos[hi] > pos[lo] {
-				t.Fatalf("arrival order %v: queued high-priority %d left the root after queued low-priority %d", rec.at(1), hi, lo)
-			}
-		}
+	want := []int64{1, 2, 3, 4, 201, 101, 202, 102}
+	if got := rec.at(1); !slices.Equal(got, want) {
+		t.Fatalf("arrival order %v, want the enqueue order %v", got, want)
 	}
 }

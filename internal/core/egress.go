@@ -96,7 +96,7 @@ const (
 //
 // Locking is split in two so producers never wait on the wire:
 //
-//   - mu guards the queued packets (the scheduler) and is held only for
+//   - mu guards the queued packets (the FIFO) and is held only for
 //     O(1) bookkeeping — never across a link Send.
 //
 //   - flushMu is the wire ownership: exactly one flusher at a time takes
@@ -109,11 +109,10 @@ const (
 // The queue is hard-bounded by its link's credit window: data occupancy is
 // capped at the window by a slot count kept under mu (senders block,
 // abortable by the owner's stop channels), a flush acquires one wire
-// credit per data packet, all in one step, and stops — stalled — when the
-// peer's window is exhausted, and the scheduler (flowegress.go) orders
-// what a flush sends: streams by priority, round-robin within a priority,
-// with control packets acting as barriers that nothing enqueued after them
-// may overtake.
+// credit per data packet, all in one step, and stops — stalled — at the
+// first data packet the peer's window has no credit for. What a flush
+// sends is the head of one FIFO (flowegress.go), data and control alike,
+// so nothing overtakes a packet enqueued before it.
 type egressQueue struct {
 	pol BatchPolicy
 	m   *Metrics
@@ -204,7 +203,7 @@ type egressQueue struct {
 	// to the replacement link ahead of everything else. The ring is the
 	// preallocated circular buffer sized to the link window (the credit
 	// protocol bounds unacknowledged flushed data at W): a flushed packet
-	// moves from the schedule into a ring slot, and the slot is reused once
+	// moves from the FIFO into a ring slot, and the slot is reused once
 	// the cumulative ack retires it.
 	ring *replayRing
 	// Three counters over the data packets of the current link's flush
@@ -280,9 +279,9 @@ func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueu
 // inbound run carries the run's deferred retirement — acknowledgements are
 // cumulative and flush order is FIFO, so covering the last packet covers
 // the run.
-func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack pendRetire) error {
+func (q *egressQueue) sendAck(p *packet.Packet, block bool, ack pendRetire) error {
 	if ack.src == nil {
-		return q.sendCtx(p, prio, block)
+		return q.sendCtx(p, block)
 	}
 	q.mu.Lock()
 	displaced, had := q.meta[p]
@@ -297,7 +296,7 @@ func (q *egressQueue) sendAck(p *packet.Packet, prio int, block bool, ack pendRe
 		// complete the displaced retirement rather than leak it.
 		completeRuns([]pendRetire{displaced})
 	}
-	return q.sendCtx(p, prio, block)
+	return q.sendCtx(p, block)
 }
 
 // noteSent records just-flushed data packets in the replay ring, in flush
@@ -470,25 +469,25 @@ func (q *egressQueue) releaseWaiters() {
 	q.mu.Unlock()
 }
 
-// send enqueues a data packet at default priority, blocking while the
-// queue is at the link window. Flushes once MaxBatch packets wait.
+// send enqueues a data packet, blocking while the queue is at the link
+// window. Flushes once MaxBatch packets wait.
 func (q *egressQueue) send(p *packet.Packet) error {
-	return q.sendCtx(p, 0, true)
+	return q.sendCtx(p, true)
 }
 
-// sendCtx enqueues a data packet with a stream priority, taking its
-// occupancy slot in the same critical section. block chooses between the
-// hard bound (pipeline workers, back-end handlers: wait for a slot) and
-// router-context overflow (recovery replay, drains: never block the
-// control plane, accept a transient excursion past the window).
-func (q *egressQueue) sendCtx(p *packet.Packet, prio int, block bool) error {
+// sendCtx enqueues a data packet, taking its occupancy slot in the same
+// critical section. block chooses between the hard bound (pipeline
+// workers, back-end handlers: wait for a slot) and router-context overflow
+// (recovery replay, drains: never block the control plane, accept a
+// transient excursion past the window).
+func (q *egressQueue) sendCtx(p *packet.Packet, block bool) error {
 	q.mu.Lock()
 	if q.held < q.window {
 		q.held++
 	} else if block {
 		q.waitSlotLocked()
 	}
-	return q.enqueueLocked(p, prio, false)
+	return q.enqueueLocked(p, false)
 }
 
 // sendNow enqueues p and flushes immediately. Control packets use it:
@@ -497,21 +496,21 @@ func (q *egressQueue) sendCtx(p *packet.Packet, prio int, block bool) error {
 // window.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
 	q.mu.Lock()
-	return q.enqueueLocked(p, 0, true)
+	return q.enqueueLocked(p, true)
 }
 
-// enqueueLocked appends p (ctrl marks a sendNow control packet), updates
-// the bookkeeping, unlocks mu, and triggers whatever flush is due.
-// Producers never wait on the wire: a triggered flush that finds another
+// enqueueLocked appends p (ctrl marks a sendNow control packet, which
+// flushes at once), updates the bookkeeping, unlocks mu, and triggers
+// whatever flush is due. Producers never wait on the wire: a triggered flush that finds another
 // flusher active is absorbed by that flusher's drain loop. The enqueue
 // that makes the queue non-empty arms the clock at zero: the flush runs on
 // the timer's goroutine once the producer yields the CPU, so the batch is
 // what the producer added meanwhile, and a producer that stops — between
 // bursts, blocked on a full window, parked anywhere — leaves nothing
 // waiting for a timer.
-func (q *egressQueue) enqueueLocked(p *packet.Packet, prio int, ctrl bool) error {
-	wasEmpty := q.sched.count == 0
-	q.sched.add(p, prio, ctrl)
+func (q *egressQueue) enqueueLocked(p *packet.Packet, ctrl bool) error {
+	wasEmpty := q.sched.len() == 0
+	q.sched.add(p)
 	if wasEmpty {
 		q.armLocked(0, flushIdle)
 	}
@@ -522,7 +521,7 @@ func (q *egressQueue) enqueueLocked(p *packet.Packet, prio int, ctrl bool) error
 		q.localHW = hw
 		raiseGauge(&q.m.EgressHighWater, hw)
 	}
-	due := ctrl || q.sched.count >= q.pol.MaxBatch
+	due := ctrl || q.sched.len() >= q.pol.MaxBatch
 	q.mu.Unlock()
 	if !due {
 		return nil
@@ -558,7 +557,7 @@ func (q *egressQueue) unlockWire() {
 // waits for its unstalling grant.
 func (q *egressQueue) idle() {
 	q.mu.Lock()
-	if q.sched.count > 0 && !q.stalled {
+	if q.sched.len() > 0 && !q.stalled {
 		q.armLocked(0, flushIdle)
 	}
 	q.mu.Unlock()
@@ -589,7 +588,7 @@ func (q *egressQueue) flushLoop(cause int) error {
 		q.mu.Lock()
 		dst := q.takeBuf[:0]
 		if !q.copies {
-			dst = make([]*packet.Packet, 0, q.sched.count)
+			dst = make([]*packet.Packet, 0, q.sched.len())
 		}
 		batch, total, nData, stalled := q.sched.take(q.flow, false, dst)
 		// The take buffer is recycled across flushes only on links that
@@ -637,7 +636,7 @@ func (q *egressQueue) flushLoop(cause int) error {
 				q.grantDue = time.Time{} // the frame carried it
 			}
 		}
-		if stalled && q.sched.count > 0 {
+		if stalled && q.sched.len() > 0 {
 			// A grant that landed since take found no stall to clear (the
 			// flag is set only below): go another round instead.
 			if q.flow.Available() > 0 {
@@ -646,7 +645,7 @@ func (q *egressQueue) flushLoop(cause int) error {
 			}
 			q.noteStallLocked()
 		}
-		done := len(batch) == 0 || stalled || q.sched.count == 0
+		done := len(batch) == 0 || stalled || q.sched.len() == 0
 		if done {
 			q.retimeLocked() // no stale wake-up for a deadline just met
 		}
@@ -900,7 +899,7 @@ func (q *egressQueue) deadline() time.Time {
 }
 
 func (q *egressQueue) deadlineLocked() time.Time {
-	if q.sched.count == 0 || q.stalled || q.stopped {
+	if q.sched.len() == 0 || q.stalled || q.stopped {
 		return time.Time{}
 	}
 	return q.due
@@ -961,7 +960,7 @@ func (q *egressQueue) flushDue(d time.Time, cause int) {
 		q.unlockWire()
 	}
 	q.mu.Lock()
-	if q.sched.count > 0 && !q.stalled && q.due.Equal(d) {
+	if q.sched.len() > 0 && !q.stalled && q.due.Equal(d) {
 		if busy {
 			q.armLocked(q.pol.MaxDelay, flushAge)
 		} else {
@@ -1006,7 +1005,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 	// replayed packets first: re-flush the un-popped ring suffix ahead
 	// of everything, in ring order, so its prefix correspondence holds
 	// on the replacement link too. Entries already queued for re-flush
-	// by an earlier setLink are still at the schedule head; skip them.
+	// by an earlier setLink are still at the FIFO's head; skip them.
 	q.ringSent, q.ackTarget, q.ringAcked = 0, 0, 0
 	var replay []*packet.Packet
 	for i := 0; i < q.ring.len(); i++ {
@@ -1029,7 +1028,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 		q.held = min(q.window, q.held+len(replay))
 		q.m.PacketsReplayed.Add(int64(len(replay)))
 	}
-	queued := q.sched.count
+	queued := q.sched.len()
 	if queued > 0 {
 		q.armLocked(q.pol.MaxDelay, flushAge)
 	}
@@ -1051,7 +1050,7 @@ func (q *egressQueue) extract() []*packet.Packet {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	total := q.sched.count
+	total := q.sched.len()
 	if total == 0 {
 		return nil
 	}
@@ -1077,7 +1076,7 @@ func (q *egressQueue) pending() int {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.sched.count
+	return q.sched.len()
 }
 
 // raiseGauge lifts a high-water gauge to d if d is a new record.

@@ -296,7 +296,7 @@ func TestClockPaysAtOnceGrantsAndBeaconsWhileStalled(t *testing.T) {
 			eventually(t, "the queue stalls", func() bool {
 				q.mu.Lock()
 				defer q.mu.Unlock()
-				return q.stalled && q.sched.count == 1
+				return q.stalled && q.sched.len() == 1
 			})
 			fb.TryAcquireN(window) // b's data is in flight: a owes it grants
 			q.beacon(7, 5*time.Millisecond)

@@ -400,7 +400,7 @@ func (n *node) sendDownstream(ss *streamState, p *packet.Packet) {
 		if q == nil || i >= len(down) || !down[i] {
 			continue
 		}
-		_ = q.sendCtx(p, ss.prio, true)
+		_ = q.sendCtx(p, true)
 	}
 }
 
@@ -495,7 +495,7 @@ func (n *node) rootSendBudgeted(ss *streamState, p *packet.Packet) {
 		n.epMu.RLock()
 		if n.childOut[i] == q { // installs grow the slots, never shrink them
 			q.flow.StampBudget(ss.budget)
-			_ = q.sendCtx(p, ss.prio, true)
+			_ = q.sendCtx(p, true)
 		} else {
 			ss.budget.Release(1)
 		}
@@ -511,7 +511,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 	}
 	switch op {
 	case opNewStream:
-		id, tform, sync, downTform, prio, members, err := parseNewStream(p)
+		id, tform, sync, downTform, members, err := parseNewStream(p)
 		if err != nil {
 			return false
 		}
@@ -520,7 +520,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			// that already carries the stream must keep its filter state.
 			return false
 		}
-		ss, err := newStreamState(n, id, tform, sync, downTform, prio, members)
+		ss, err := newStreamState(n, id, tform, sync, downTform, members)
 		if err != nil {
 			// Unknown filter at this node: degrade to pass-through so data
 			// still flows; the front-end surfaced the same error to the
@@ -662,7 +662,7 @@ func (n *node) pipeUpRaw(run []*packet.Packet, ret pendRetire) bool {
 	}
 	for i, q := range run {
 		if ret.src != nil && i == len(run)-1 {
-			_ = n.parentOut.sendAck(q, 0, true, ret)
+			_ = n.parentOut.sendAck(q, true, ret)
 		} else {
 			_ = n.parentOut.send(q)
 		}

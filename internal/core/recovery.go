@@ -228,7 +228,7 @@ func (n *node) redispatchStash(slots []int) {
 		down := ss.routeSnapshot()
 		for _, slot := range slots {
 			if slot < len(down) && down[slot] && slot < len(n.childOut) && n.childOut[slot] != nil {
-				_ = n.childOut[slot].sendCtx(p, ss.prio, false)
+				_ = n.childOut[slot].sendCtx(p, false)
 			}
 		}
 	}

@@ -9,19 +9,18 @@ import (
 
 // Tenant sessions multiplex many independent tools over one live overlay —
 // the paper's core amortization claim. A session claims a stream-id
-// namespace (see NamespaceOf), a fair-share egress priority, and a credit
-// budget of one Config.LinkWindow: however many links the front-end fans
-// out to, the tenant has at most one window of downstream data in flight
-// across all of them, so a tenant whose subtree stopped consuming leaves
-// the rest of each shared link's window to the others. Opening one is the
-// front-end's bookkeeping alone: no node below keeps session state, and
-// the streams opened in it announce themselves. Teardown is the
-// interesting half: CloseSession closes every stream of the namespace at
-// every node with a single flooded opCloseSession packet — no per-stream
-// control traffic and, critically, no pipeline quiesce — so tearing one
-// tenant down never parks another tenant's streams. Admission policy (how
-// many sessions, which weights) lives in internal/session; this file is
-// the mechanism.
+// namespace (see NamespaceOf) and a credit budget of one Config.LinkWindow:
+// however many links the front-end fans out to, the tenant has at most one
+// window of downstream data in flight across all of them, so a tenant
+// whose subtree stopped consuming leaves the rest of each shared link's
+// window to the others. Opening one is the front-end's bookkeeping alone:
+// no node below keeps session state, and the streams opened in it announce
+// themselves. Teardown is the interesting half: CloseSession closes every
+// stream of the namespace at every node with a single flooded
+// opCloseSession packet — no per-stream control traffic and, critically,
+// no pipeline quiesce — so tearing one tenant down never parks another
+// tenant's streams. Admission policy (how many sessions) lives in
+// internal/session; this file is the mechanism.
 
 // SessionInfo describes one tenant session.
 type SessionInfo struct {
@@ -31,10 +30,6 @@ type SessionInfo struct {
 	// Tenant names the session's owner for per-tenant metrics. Empty
 	// defaults to "ns<NS>".
 	Tenant string
-	// Priority is the egress scheduling priority every stream opened in
-	// this session inherits by default (sessions may still set per-stream
-	// priorities explicitly; this is the fair-share class).
-	Priority int
 }
 
 // sessionState is the front-end's record of an open session.

@@ -79,7 +79,7 @@ func TestSessionsConcurrentTenants(t *testing.T) {
 			nw := echoValue(t, tree, kind)
 			defer nw.Shutdown()
 
-			if err := nw.OpenSession(SessionInfo{NS: 1, Tenant: "alice", Priority: 1}); err != nil {
+			if err := nw.OpenSession(SessionInfo{NS: 1, Tenant: "alice"}); err != nil {
 				t.Fatal(err)
 			}
 			if err := nw.OpenSession(SessionInfo{NS: 2, Tenant: "bob"}); err != nil {

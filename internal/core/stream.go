@@ -30,11 +30,6 @@ type StreamSpec struct {
 	DownTransformation string
 	// RecvBuffer sets the front-end delivery buffer (packets); 0 = 1024.
 	RecvBuffer int
-	// Priority is the stream's egress scheduling priority: on every link,
-	// queued data from higher-priority streams flushes first, and streams
-	// of equal priority round-robin so no stream starves. 0 is the
-	// default class; negative values yield to it.
-	Priority int
 }
 
 // Stream is a virtual channel between the front-end and a set of member
@@ -144,7 +139,7 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	// every known stream, leaving it permanently mis-routed.
 	nw.recMu.Lock()
 	ss, err := newStreamState(nw.root, id,
-		spec.Transformation, spec.Synchronization, spec.DownTransformation, spec.Priority, members)
+		spec.Transformation, spec.Synchronization, spec.DownTransformation, members)
 	if err != nil {
 		nw.recMu.Unlock()
 		return nil, err
@@ -189,7 +184,7 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 
 	// Announce downstream along member paths only.
 	nw.root.rootSend(ss, newStreamPacket(id, spec.Transformation, spec.Synchronization,
-		spec.DownTransformation, spec.Priority, members))
+		spec.DownTransformation, members))
 	return st, nil
 }
 

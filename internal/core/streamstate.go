@@ -78,9 +78,6 @@ type streamState struct {
 	tformName, syncName, downName string
 	memberList                    []Rank
 	members                       map[Rank]bool
-	// prio is the stream's egress scheduling priority (StreamSpec.Priority,
-	// carried by the announcement so every level schedules consistently).
-	prio int
 
 	// st is the stream's receiver at the root (rank 0), where the stream
 	// was opened, and nil at every other rank. budget and tc are set only
@@ -130,7 +127,7 @@ type streamState struct {
 // newStreamState instantiates filters, routing and the upward sink for a
 // stream at node n. members must be back-end ranks.
 func newStreamState(n *node, id uint32, tformName, syncName, downTformName string,
-	prio int, members []Rank) (*streamState, error) {
+	members []Rank) (*streamState, error) {
 
 	reg := n.nw.registry
 	tf, err := reg.NewTransformation(tformName)
@@ -162,7 +159,6 @@ func newStreamState(n *node, id uint32, tformName, syncName, downTformName strin
 		downName:   downTformName,
 		memberList: append([]Rank(nil), members...),
 		members:    memberSet,
-		prio:       prio,
 	}
 	ss.n, ss.rounds = n, ss.round
 	r := routesFor(n.nw.slotInfoAt(n.rank), memberSet)
@@ -237,7 +233,7 @@ func (ss *streamState) rebuildSlots(slots []slotInfo) {
 // announcePacket rebuilds the opNewStream control message for this stream,
 // used to (re-)establish it in adopted subtrees during recovery.
 func (ss *streamState) announcePacket() *packet.Packet {
-	return newStreamPacket(ss.id, ss.tformName, ss.syncName, ss.downName, ss.prio, ss.memberList)
+	return newStreamPacket(ss.id, ss.tformName, ss.syncName, ss.downName, ss.memberList)
 }
 
 // syncSlot maps a child link slot to the synchronizer's dense slot space
@@ -295,7 +291,7 @@ func (ss *streamState) Emit(p *packet.Packet) {
 		p.StreamID, p.SrcRank, p.Seq = ss.id, n.rank, packet.MakeSeq(n.rank, ss.seqCtr)
 	}
 	if ss.held != nil {
-		_ = n.parentOut.sendCtx(ss.held, ss.prio, ss.block)
+		_ = n.parentOut.sendCtx(ss.held, ss.block)
 	}
 	ss.held = p
 }
@@ -313,10 +309,10 @@ func (ss *streamState) end() bool {
 		return false
 	}
 	if ret.src == nil {
-		_ = ss.n.parentOut.sendCtx(p, ss.prio, ss.block)
+		_ = ss.n.parentOut.sendCtx(p, ss.block)
 		return false
 	}
-	_ = ss.n.parentOut.sendAck(p, ss.prio, ss.block, ret)
+	_ = ss.n.parentOut.sendAck(p, ss.block, ret)
 	return true
 }
 

@@ -143,7 +143,7 @@ func TestHotPathAllocs(t *testing.T) {
 			fl.Refill(1)
 		}
 		for i := 0; i < 256; i++ {
-			op() // warm freelists and frame scratch
+			op() // grow the FIFO's array and the frame scratch
 		}
 		if n := testing.AllocsPerRun(500, op); n != 0 {
 			t.Errorf("forward path allocates %.2f/op, want 0", n)
@@ -164,7 +164,7 @@ func TestHotPathAllocs(t *testing.T) {
 		p := allocPacket(t)
 		op := func() {
 			ret := pendRetire{src: child, tr: tr, start: tr.assign(1), n: 1}
-			if err := q.sendAck(p, 0, true, ret); err != nil {
+			if err := q.sendAck(p, true, ret); err != nil {
 				t.Fatal(err)
 			}
 			fl.Refill(1)
@@ -204,7 +204,7 @@ func TestHotPathAllocs(t *testing.T) {
 			// child queue first, then each link frames it from the shared
 			// payload.
 			for _, q := range qs {
-				if err := q.sendCtx(p, 0, true); err != nil {
+				if err := q.sendCtx(p, true); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -302,8 +302,8 @@ func TestHotPathAllocs(t *testing.T) {
 	t.Run("chan-batch", func(t *testing.T) {
 		// A chan link keeps the slice it is sent, so every flush takes a
 		// fresh batch: one allocation at the queued count, never grown, and
-		// the only one of the cycle — the scheduler's epoch list drains
-		// back onto its inline array. The test holds the wire while the
+		// the only one of the cycle — the drained egress FIFO keeps its
+		// array for the next round. The test holds the wire while the
 		// batch queues: the first enqueue arms the clock's idle flush,
 		// which would otherwise take whatever had queued when it fired.
 		// Releasing the wire (unlockWire, which re-arms an idle flush that
@@ -317,7 +317,7 @@ func TestHotPathAllocs(t *testing.T) {
 		op := func() {
 			q.flushMu.Lock()
 			for i := 0; i < batch; i++ {
-				if err := q.sendCtx(p, 0, true); err != nil {
+				if err := q.sendCtx(p, true); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -469,10 +469,11 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // TestDrainedFIFOsReleaseBurstArrays holds the pipeline lane and the egress
-// schedule's epoch list to their memory bound: a burst may grow either past
-// its inline array, but once drained each is back on that array — the next
-// round queues without allocating, and an idle FIFO holds a constant, not
-// the largest burst it has seen.
+// FIFO to their memory bound: a burst may grow either past what a round
+// needs, but once drained neither holds the largest burst it has seen —
+// the lane is back on its inline array, the egress FIFO drops an array
+// grown past twice its link's window — and the next rounds queue without
+// allocating.
 func TestDrainedFIFOsReleaseBurstArrays(t *testing.T) {
 	ln := lane{notify: make(chan struct{}, 1)}
 	for i := 0; i < 4*len(ln.buf); i++ {
@@ -490,22 +491,35 @@ func TestDrainedFIFOsReleaseBurstArrays(t *testing.T) {
 		t.Errorf("the drained lane holds a %d-item array, not its %d-item inline one", cap(ln.q), len(ln.buf))
 	}
 
-	// Each order-sensitive control packet seals an epoch: a burst of them
-	// is a burst of epochs.
+	// A burst of eight windows, drained at once.
+	a, _ := transport.NewPair(4)
+	fl := transport.NewFlowLink(a, 8)
 	var s egressSched
 	barrier := closeStreamPacket(1)
-	for i := 0; i < 4*len(s.epochBuf); i++ {
-		s.add(barrier, 0, true)
+	burst := 8 * fl.Window()
+	for i := 0; i < burst; i++ {
+		s.add(barrier)
 	}
-	if cap(s.epochs) <= len(s.epochBuf) {
-		t.Fatalf("%d barriers left the epoch list at capacity %d: it never left the inline array", 4*len(s.epochBuf), cap(s.epochs))
+	if cap(s.ps) <= 2*fl.Window() {
+		t.Fatalf("a %d-packet burst left the FIFO at capacity %d: it never outgrew a window's rounds", burst, cap(s.ps))
 	}
-	ps, _, _, stalled := s.take(nil, true, nil)
-	if stalled || len(ps) != 4*len(s.epochBuf) || s.count != 0 {
-		t.Fatalf("take returned %d packets (stalled %v), %d left; want all %d", len(ps), stalled, s.count, 4*len(s.epochBuf))
+	ps, _, _, stalled := s.take(fl, true, nil)
+	if stalled || len(ps) != burst || s.len() != 0 {
+		t.Fatalf("take returned %d packets (stalled %v), %d left; want all %d", len(ps), stalled, s.len(), burst)
 	}
-	if cap(s.epochs) != len(s.epochBuf) || &s.epochs[:1][0] != &s.epochBuf[0] {
-		t.Errorf("the drained epoch list holds a %d-epoch array, not its %d-epoch inline one", cap(s.epochs), len(s.epochBuf))
+	if cap(s.ps) != 0 {
+		t.Errorf("the drained FIFO holds the burst's %d-slot array", cap(s.ps))
+	}
+	// A window-sized round keeps its array once drained.
+	round := func() {
+		for i := 0; i < fl.Window(); i++ {
+			s.add(barrier)
+		}
+		ps, _, _, _ = s.take(fl, true, ps[:0])
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a drained FIFO's next %d-packet round allocates %.2f/op, want 0 (it keeps its array)", fl.Window(), n)
 	}
 }
 

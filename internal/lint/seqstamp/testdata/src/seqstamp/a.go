@@ -26,9 +26,9 @@ func (o *outputs) Emit(p *Packet) { *o = append(*o, p) }
 
 type egress struct{}
 
-func (e *egress) sendCtx(p *Packet, prio int, block bool) error { return nil }
-func (e *egress) sendAck(p *Packet) error                       { return nil }
-func (e *egress) send(p *Packet) error                          { return nil }
+func (e *egress) sendCtx(p *Packet, block bool) error { return nil }
+func (e *egress) sendAck(p *Packet) error             { return nil }
+func (e *egress) send(p *Packet) error                { return nil }
 
 type link struct{}
 
@@ -49,7 +49,7 @@ func (n *node) flushBad(batch []*Packet) {
 	var out outputs
 	_ = n.tf.Apply(batch, &out)
 	for _, p := range out {
-		_ = n.parentOut.sendCtx(p, 0, true) // want `transforms packets and emits them upward without a Seq stamp`
+		_ = n.parentOut.sendCtx(p, true) // want `transforms packets and emits them upward without a Seq stamp`
 	}
 }
 
@@ -62,7 +62,7 @@ func (n *node) flushGood(batch []*Packet) {
 			n.ctr++
 			p = p.WithSeq(MakeSeq(n.rank, n.ctr))
 		}
-		_ = n.parentOut.sendCtx(p, 0, true)
+		_ = n.parentOut.sendCtx(p, true)
 	}
 }
 
@@ -82,12 +82,12 @@ func (s *goodSink) Emit(p *Packet) {
 		s.n.ctr++
 		p.Seq = MakeSeq(s.n.rank, s.n.ctr)
 	}
-	_ = s.n.parentOut.sendCtx(p, 0, true)
+	_ = s.n.parentOut.sendCtx(p, true)
 }
 
 // forward is an identity relay: no Apply, the origin Seq rides along.
 func (n *node) forward(p *Packet) {
-	_ = n.parentOut.sendCtx(p, 0, true)
+	_ = n.parentOut.sendCtx(p, true)
 }
 
 // fanDown transforms for the downstream direction: downstream traffic has

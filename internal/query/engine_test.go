@@ -56,7 +56,7 @@ func TestSessionEnginesShareOverlay(t *testing.T) {
 
 	engines := make([]*Engine, 3)
 	for i := range engines {
-		sess, err := mgr.Open([]string{"alice", "bob", "carol"}[i], session.WithWeight(i+1))
+		sess, err := mgr.Open([]string{"alice", "bob", "carol"}[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,8 +267,8 @@ func TestMixedTenantSketchKillBitIdentical(t *testing.T) {
 		sketch.KindTDigest:  {Kind: sketch.KindTDigest, N: 400, Seed: 11},
 	}
 	engines := map[sketch.Kind]*Engine{}
-	for i, k := range kinds {
-		sess, err := smgr.Open(string(k), session.WithWeight(i+1))
+	for _, k := range kinds {
+		sess, err := smgr.Open(string(k))
 		if err != nil {
 			t.Fatal(err)
 		}

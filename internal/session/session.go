@@ -1,17 +1,13 @@
-// Package session is the multi-tenant admission and fair-share policy
-// layer over core's session mechanism. core knows how to run many tenant
-// namespaces over one overlay (stream-id namespaces, a one-window credit
-// budget per tenant, single-flood teardown); this package decides who gets in and on what
-// terms: a Manager caps how many tenants share the overlay at once,
-// allocates namespaces, and maps a tenant's declared weight onto the
-// egress scheduler's priority classes.
+// Package session is the multi-tenant admission layer over core's session
+// mechanism. core knows how to run many tenant namespaces over one overlay
+// (stream-id namespaces, a one-window credit budget per tenant,
+// single-flood teardown); this package decides who gets in: a Manager caps
+// how many tenants share the overlay at once and allocates namespaces.
 //
-// The weight mapping is deliberately simple. Streams of equal priority
-// round-robin packet-for-packet on every link, so tenants of equal weight
-// share each link's credit window fairly without any extra machinery;
-// a higher weight moves the tenant into a strictly preferred class whose
-// queued data flushes first. Weight w maps to priority w-1, so weight-1
-// tenants coexist in class 0 with the legacy single-tenant API's streams.
+// Tenants need no share of their own. Every link's egress queue is one
+// FIFO, and each tenant may have at most one window of downstream data in
+// flight, so a tenant that floods or stalls leaves the rest of every
+// shared link's window to the others.
 package session
 
 import (
@@ -56,31 +52,9 @@ func NewManager(nw *core.Network, cfg Config) *Manager {
 	return &Manager{nw: nw, max: max, nextNS: 1, open: map[uint32]*Session{}}
 }
 
-// Option tunes one session at Open.
-type Option func(*settings)
-
-type settings struct {
-	weight int
-}
-
-// WithWeight sets the tenant's fair share, >= 1. Equal-weight tenants
-// split link bandwidth evenly (their streams round-robin in one egress
-// class); a higher weight is a strictly preferred class. Default 1.
-func WithWeight(w int) Option {
-	return func(s *settings) { s.weight = w }
-}
-
 // Open admits a tenant session, or fails with ErrSessionLimit when the
 // concurrent-session cap is reached.
-func (m *Manager) Open(tenant string, opts ...Option) (*Session, error) {
-	set := settings{weight: 1}
-	for _, o := range opts {
-		o(&set)
-	}
-	if set.weight < 1 {
-		return nil, fmt.Errorf("session: weight %d < 1", set.weight)
-	}
-
+func (m *Manager) Open(tenant string) (*Session, error) {
 	m.mu.Lock()
 	if m.max >= 0 && len(m.open) >= m.max {
 		n := len(m.open)
@@ -94,15 +68,11 @@ func (m *Manager) Open(tenant string, opts ...Option) (*Session, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
-	s := &Session{m: m, ns: ns, tenant: tenant, prio: set.weight - 1}
+	s := &Session{m: m, ns: ns, tenant: tenant}
 	m.open[ns] = s
 	m.mu.Unlock()
 
-	if err := m.nw.OpenSession(core.SessionInfo{
-		NS:       ns,
-		Tenant:   tenant,
-		Priority: s.prio,
-	}); err != nil {
+	if err := m.nw.OpenSession(core.SessionInfo{NS: ns, Tenant: tenant}); err != nil {
 		m.mu.Lock()
 		delete(m.open, ns)
 		m.mu.Unlock()
@@ -157,7 +127,6 @@ type Session struct {
 	m      *Manager
 	ns     uint32
 	tenant string
-	prio   int
 
 	closeOnce sync.Once
 	closeErr  error
@@ -169,16 +138,8 @@ func (s *Session) NS() uint32 { return s.ns }
 // Tenant returns the session's tenant name.
 func (s *Session) Tenant() string { return s.tenant }
 
-// Priority returns the egress class the session's weight mapped to.
-func (s *Session) Priority() int { return s.prio }
-
-// NewStream opens a stream in the session's namespace. A zero
-// spec.Priority inherits the session's fair-share class; explicit
-// priorities are honored, so a tenant may still rank its own streams.
+// NewStream opens a stream in the session's namespace.
 func (s *Session) NewStream(spec core.StreamSpec) (*core.Stream, error) {
-	if spec.Priority == 0 {
-		spec.Priority = s.prio
-	}
 	return s.m.nw.NewStreamNS(s.ns, spec)
 }
 

@@ -66,7 +66,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Open("bob", WithWeight(2))
+	b, err := m.Open("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,53 +99,6 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if m.Active() != 0 {
 		t.Errorf("active after manager close = %d", m.Active())
-	}
-	if _, err := m.Open("dave", WithWeight(0)); err == nil {
-		t.Error("weight 0 accepted")
-	}
-}
-
-func TestWeightMapsToPriorityClass(t *testing.T) {
-	nw := echoNet(t, "kary:2^1", core.ChanTransport)
-	defer nw.Shutdown()
-	m := NewManager(nw, Config{MaxSessions: -1})
-
-	a, err := m.Open("batch") // default weight 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Open("interactive", WithWeight(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Priority() != 0 || b.Priority() != 2 {
-		t.Errorf("priorities = %d, %d; want 0, 2 (weight-1)", a.Priority(), b.Priority())
-	}
-	infos := map[string]core.SessionInfo{}
-	for _, si := range nw.Sessions() {
-		infos[si.Tenant] = si
-	}
-	if infos["interactive"].Priority != 2 {
-		t.Errorf("network sees priority %d for weight 3", infos["interactive"].Priority)
-	}
-
-	// Streams work and inherit the class (observable end to end: the
-	// query still answers; the class itself is internal to egress).
-	st, err := b.NewStream(core.StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Multicast(tagQuery, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.RecvTimeout(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Stats() == nil || b.Stats()["streams_opened"] != 1 {
-		t.Errorf("tenant stats = %v", b.Stats())
 	}
 }
 
@@ -240,7 +193,7 @@ func runTenants(t *testing.T, spec string, kind core.TransportKind, n int, kill 
 	var rounds [8]atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		sess, err := m.Open(fmt.Sprintf("tenant-%d", i), WithWeight(i+1))
+		sess, err := m.Open(fmt.Sprintf("tenant-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +340,7 @@ func TestCloseTenantDoesNotStallOthers(t *testing.T) {
 	defer nw.Shutdown()
 	m := NewManager(nw, Config{})
 
-	a, err := m.Open("steady", WithWeight(2))
+	a, err := m.Open("steady")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,13 +166,24 @@
 # with it the buffer parameter of transport.NewChanFabric and
 # NewChanRewirer; BackEnd.seqCtr is a plain counter of the handler
 # goroutine's. The timer sites stay at 5 and the waivers at 2.
+#
+# Lowered: internal/core 5707 -> 5537 and outside bench/ 19814 -> 19603
+# for one egress order: every link's queue is a FIFO of packets (a head
+# offset and a data count), so egressSched lost its priority classes,
+# round-robin, control-sealed epochs (schedEpoch, schedStream, pick,
+# open, recycle, the retained list, the inline epoch array) and both
+# freelists, and the prio parameter left sendCtx, sendAck,
+# enqueueLocked, newStreamState and the opNewStream format. Outside it
+# StreamSpec.Priority, SessionInfo.Priority, session.WithWeight with its
+# Option and settings, and Session.Priority went. take keeps its
+# creditpair waiver; the timer sites stay at 5 and the waivers at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5707
+max_lines=5537
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=19814
+max_repo_lines=19603
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
