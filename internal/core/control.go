@@ -18,9 +18,8 @@ const (
 
 // Control packet formats, one per op.
 const (
-	// op, streamID, upstream transformation name, synchronization name,
-	// downstream transformation name, member ranks
-	ctrlNewStreamFormat = "%d %d %s %s %s %ad"
+	// op, streamID, transformation name, synchronization name, member ranks
+	ctrlNewStreamFormat = "%d %d %s %s %ad"
 	// op, streamID
 	ctrlCloseStreamFormat = "%d %d"
 	// op
@@ -32,13 +31,13 @@ const (
 )
 
 // newStreamPacket encodes an opNewStream control message.
-func newStreamPacket(id uint32, tform, sync, downTform string, members []Rank) *packet.Packet {
+func newStreamPacket(id uint32, tform, sync string, members []Rank) *packet.Packet {
 	ms := make([]int64, len(members))
 	for i, m := range members {
 		ms[i] = int64(m)
 	}
 	return packet.MustNew(packet.TagControl, 0, 0, ctrlNewStreamFormat,
-		opNewStream, int64(id), tform, sync, downTform, ms)
+		opNewStream, int64(id), tform, sync, ms)
 }
 
 // closeStreamPacket encodes an opCloseStream control message.
@@ -72,32 +71,28 @@ func ctrlOp(p *packet.Packet) (int64, error) {
 }
 
 // parseNewStream decodes an opNewStream control message.
-func parseNewStream(p *packet.Packet) (id uint32, tform, sync, downTform string, members []Rank, err error) {
+func parseNewStream(p *packet.Packet) (id uint32, tform, sync string, members []Rank, err error) {
 	rawID, err := p.Int(1)
 	if err != nil {
-		return 0, "", "", "", nil, err
+		return 0, "", "", nil, err
 	}
 	tform, err = p.Str(2)
 	if err != nil {
-		return 0, "", "", "", nil, err
+		return 0, "", "", nil, err
 	}
 	sync, err = p.Str(3)
 	if err != nil {
-		return 0, "", "", "", nil, err
+		return 0, "", "", nil, err
 	}
-	downTform, err = p.Str(4)
+	ms, err := p.IntArray(4)
 	if err != nil {
-		return 0, "", "", "", nil, err
-	}
-	ms, err := p.IntArray(5)
-	if err != nil {
-		return 0, "", "", "", nil, err
+		return 0, "", "", nil, err
 	}
 	members = make([]Rank, len(ms))
 	for i, m := range ms {
 		members[i] = Rank(m)
 	}
-	return uint32(rawID), tform, sync, downTform, members, nil
+	return uint32(rawID), tform, sync, members, nil
 }
 
 // parseCloseStream decodes an opCloseStream control message.

@@ -6,174 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/filter"
-	"repro/internal/packet"
 )
-
-// TestDownstreamFilter exercises the bidirectional filtering extension (the
-// paper's future work): a downstream filter transforms multicast packets at
-// every communication process on the way to the members. Here each level
-// increments a hop counter, so a back-end at depth 2 receives hops=2 —
-// proving the filter ran once per level.
-func TestDownstreamFilter(t *testing.T) {
-	reg := filter.NewRegistry()
-	reg.RegisterTransformation("hops", func() filter.Transformation {
-		return filter.TransformFunc(func(in []*packet.Packet, out filter.Emitter) error {
-			for _, p := range in {
-				h, err := p.Int(0)
-				if err != nil {
-					return err
-				}
-				q, err := packet.New(p.Tag, p.StreamID, p.SrcRank, "%d", h+1)
-				if err != nil {
-					return err
-				}
-				out.Emit(q)
-			}
-			return nil
-		})
-	})
-	tree := mustTree(t, "kary:2^2") // back-ends at depth 2, one comm level
-	nw, err := NewNetwork(Config{
-		Topology: tree,
-		Registry: reg,
-		OnBackEnd: func(be *BackEnd) error {
-			for {
-				p, err := be.Recv()
-				if err != nil {
-					return nil
-				}
-				h, err := p.Int(0)
-				if err != nil {
-					return err
-				}
-				if err := be.Send(p.StreamID, p.Tag, "%d", h); err != nil {
-					return nil
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-
-	st, err := nw.NewStream(StreamSpec{
-		Transformation:     "max",
-		Synchronization:    "waitforall",
-		DownTransformation: "hops",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Multicast(tagQuery, "%d", int64(0)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := st.RecvTimeout(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One comm level between front-end and back-ends: the filter runs once.
-	if v, _ := p.Int(0); v != 1 {
-		t.Errorf("hops at back-end = %d, want 1 (one comm level)", v)
-	}
-
-	// On a deeper tree the count rises with the depth.
-	tree3 := mustTree(t, "kary:2^3")
-	nw3, err := NewNetwork(Config{
-		Topology: tree3,
-		Registry: reg,
-		OnBackEnd: func(be *BackEnd) error {
-			for {
-				p, err := be.Recv()
-				if err != nil {
-					return nil
-				}
-				h, _ := p.Int(0)
-				if err := be.Send(p.StreamID, p.Tag, "%d", h); err != nil {
-					return nil
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw3.Shutdown()
-	st3, err := nw3.NewStream(StreamSpec{
-		Transformation:     "max",
-		Synchronization:    "waitforall",
-		DownTransformation: "hops",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st3.Multicast(tagQuery, "%d", int64(0)); err != nil {
-		t.Fatal(err)
-	}
-	p, err = st3.RecvTimeout(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := p.Int(0); v != 2 {
-		t.Errorf("hops on 3-level tree = %d, want 2 (two comm levels)", v)
-	}
-}
-
-// TestDownstreamFilterSuppression: a downstream filter may suppress packets
-// (return nothing), pruning the multicast below a level.
-func TestDownstreamFilterSuppression(t *testing.T) {
-	reg := filter.NewRegistry()
-	reg.RegisterTransformation("drop-all", func() filter.Transformation {
-		return filter.TransformFunc(func([]*packet.Packet, filter.Emitter) error {
-			return nil
-		})
-	})
-	tree := mustTree(t, "kary:2^2")
-	nw, err := NewNetwork(Config{
-		Topology: tree,
-		OnBackEnd: func(be *BackEnd) error {
-			for {
-				p, err := be.Recv()
-				if err != nil {
-					return nil
-				}
-				if err := be.Send(p.StreamID, p.Tag, "%f", 1.0); err != nil {
-					return nil
-				}
-			}
-		},
-		Registry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Shutdown()
-	st, err := nw.NewStream(StreamSpec{
-		Transformation:     "sum",
-		Synchronization:    "waitforall",
-		DownTransformation: "drop-all",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Multicast(tagQuery, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.RecvTimeout(300 * time.Millisecond); err != ErrTimeout {
-		t.Errorf("suppressed multicast still produced a response: %v", err)
-	}
-}
-
-func TestDownstreamFilterValidation(t *testing.T) {
-	tree := mustTree(t, "kary:2^2")
-	nw := echoValue(t, tree, ChanTransport)
-	defer nw.Shutdown()
-	if _, err := nw.NewStream(StreamSpec{DownTransformation: "no-such"}); err == nil {
-		t.Error("unknown downstream filter: want error")
-	}
-}
 
 // recorder collects the integer payloads each back-end receives, for
 // back-ends that block on gate before their first Recv.

@@ -13,7 +13,7 @@ import (
 // a per-link egress queue and are flushed as one multi-packet frame when
 // the queue reaches the flush window (size), when a control packet must
 // not be delayed (control), when the owner drains at shutdown/reparent
-// (drain), and otherwise as soon as the producer yields the CPU: the
+// (drain), and otherwise as soon as the producer yields the CPU: the data
 // enqueue that makes the queue non-empty arms its clock at zero (idle).
 // Batching amortizes per-message link costs — a channel transfer or a TCP
 // write+flush — over the whole frame: what accumulates while the producer
@@ -184,9 +184,10 @@ type egressQueue struct {
 	armCause  int
 	stalled   bool
 	stopped   bool
-	// handoff is set by an idle flush that found the wire busy; the owner
-	// re-arms the clock when it lets go (unlockWire), so the packets are
-	// not stranded behind a flush that already took its last batch.
+	// handoff is set by an idle or control flush that found the wire busy;
+	// the owner re-arms the clock when it lets go (unlockWire), so the
+	// packets are not stranded behind a flush that already took its last
+	// batch.
 	handoff atomic.Bool
 	// localHW mirrors the deepest depth this queue has reported to the
 	// global high-water gauge, so the hot path pays an atomic only when
@@ -502,16 +503,17 @@ func (q *egressQueue) sendNow(p *packet.Packet) error {
 // enqueueLocked appends p (ctrl marks a sendNow control packet, which
 // flushes at once), updates the bookkeeping, unlocks mu, and triggers
 // whatever flush is due. Producers never wait on the wire: a triggered flush that finds another
-// flusher active is absorbed by that flusher's drain loop. The enqueue
-// that makes the queue non-empty arms the clock at zero: the flush runs on
-// the timer's goroutine once the producer yields the CPU, so the batch is
-// what the producer added meanwhile, and a producer that stops — between
-// bursts, blocked on a full window, parked anywhere — leaves nothing
-// waiting for a timer.
+// flusher active is absorbed by that flusher's drain loop. The data
+// enqueue that makes the queue non-empty arms the clock at zero: the flush
+// runs on the timer's goroutine once the producer yields the CPU, so the
+// batch is what the producer added meanwhile, and a producer that stops —
+// between bursts, blocked on a full window, parked anywhere — leaves
+// nothing waiting for a timer. A control enqueue arms nothing: its caller
+// flushes at once, and so learns whether the wire took the packet.
 func (q *egressQueue) enqueueLocked(p *packet.Packet, ctrl bool) error {
 	wasEmpty := q.sched.len() == 0
 	q.sched.add(p)
-	if wasEmpty {
+	if wasEmpty && !ctrl {
 		q.armLocked(0, flushIdle)
 	}
 	q.m.PacketsQueued.Add(1)
@@ -534,17 +536,26 @@ func (q *egressQueue) enqueueLocked(p *packet.Packet, ctrl bool) error {
 }
 
 // flush runs the take-and-send loop if no other flusher owns the wire;
-// otherwise the active flusher's loop will drain what triggered us.
+// otherwise the active flusher's loop will drain what triggered us. A
+// control flush that finds the wire busy hands off to its owner, as an
+// idle flush does (flushDue): no clock was armed for the control packet.
 func (q *egressQueue) flush(cause int) error {
 	if !q.flushMu.TryLock() {
-		return nil
+		if cause != flushControl {
+			return nil
+		}
+		// An owner that let go before the flag landed left the wire free.
+		q.handoff.Store(true)
+		if !q.flushMu.TryLock() {
+			return nil
+		}
 	}
 	defer q.unlockWire()
 	return q.flushLoop(cause)
 }
 
-// unlockWire releases the wire, re-arming the clock for an idle flush
-// that found it busy (handoff).
+// unlockWire releases the wire, re-arming the clock for an idle or
+// control flush that found it busy (handoff).
 func (q *egressQueue) unlockWire() {
 	q.flushMu.Unlock()
 	if q.handoff.Load() && q.handoff.CompareAndSwap(true, false) {
@@ -553,8 +564,8 @@ func (q *egressQueue) unlockWire() {
 }
 
 // idle re-arms the clock at zero for what is queued: the hand-off of an
-// idle flush that found the wire busy (unlockWire). A credit-stalled queue
-// waits for its unstalling grant.
+// idle or control flush that found the wire busy (unlockWire). A
+// credit-stalled queue waits for its unstalling grant.
 func (q *egressQueue) idle() {
 	q.mu.Lock()
 	if q.sched.len() > 0 && !q.stalled {

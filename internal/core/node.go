@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/packet"
 	"repro/internal/transport"
@@ -366,8 +365,7 @@ func (n *node) handleFromParent(ps []*packet.Packet) bool {
 			continue
 		}
 		// Downstream data: hand it to the pipeline's down lane, which
-		// applies the stream's downstream filter (if any) at this level and
-		// multicasts toward member back-ends in arrival order.
+		// multicasts it unchanged toward member back-ends in arrival order.
 		n.m.PacketsDown.Add(1)
 		if ss, ok := n.streams[p.StreamID]; ok {
 			n.pipe.down(ss, p, src)
@@ -511,7 +509,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 	}
 	switch op {
 	case opNewStream:
-		id, tform, sync, downTform, members, err := parseNewStream(p)
+		id, tform, sync, members, err := parseNewStream(p)
 		if err != nil {
 			return false
 		}
@@ -520,7 +518,7 @@ func (n *node) handleControl(p *packet.Packet) bool {
 			// that already carries the stream must keep its filter state.
 			return false
 		}
-		ss, err := newStreamState(n, id, tform, sync, downTform, members)
+		ss, err := newStreamState(n, id, tform, sync, members)
 		if err != nil {
 			// Unknown filter at this node: degrade to pass-through so data
 			// still flows; the front-end surfaced the same error to the
@@ -641,14 +639,13 @@ func (n *node) assignArrival(src *transport.FlowLink, nPkts int) (*inOrder, uint
 }
 
 // pipeUp runs the upstream pipeline for one run: synchronize, transform,
-// egress. Called from the stream's up-lane worker; takes the stream's
-// pipeline lock itself. Replay duplicates are dropped first (retirement
-// still counts them: the peer spent credits on the copies too), and the
-// run's deferred retirement rides the last forwarded output — consuming it
-// means the run is released only when the parent acknowledges those outputs.
+// egress. Called from the up-lane worker, the one goroutine that drives
+// the stream's filters outside a quiesce. Replay duplicates are dropped
+// first (retirement still counts them: the peer spent credits on the
+// copies too), and the run's deferred retirement rides the last forwarded
+// output — consuming it means the run is released only when the parent
+// acknowledges those outputs.
 func (n *node) pipeUp(ss *streamState, child int, run []*packet.Packet, ret pendRetire) bool {
-	ss.pipeMu.Lock()
-	defer ss.pipeMu.Unlock()
 	ss.sync.Offer(ss.syncSlot(child), ss.dropDups(run, n.m), ss.begin(true, ret))
 	return ss.end()
 }
@@ -680,44 +677,6 @@ func (n *node) pipeDownRaw(p *packet.Packet) {
 			_ = q.send(p)
 		}
 	}
-}
-
-// pipeDown runs the downstream pipeline for one packet: down-transform
-// under the pipeline lock, then multicast the outputs with the lock released
-// — the fan-out may block on a child's flow-control window, and a blocked
-// fan-out must not pin the stream's upstream lane.
-func (n *node) pipeDown(ss *streamState, p *packet.Packet) {
-	if ss.downTform == nil {
-		n.sendDownstream(ss, p.WithStream(ss.id))
-		return
-	}
-	ss.pipeMu.Lock()
-	ss.downIn[0] = p
-	if err := ss.downTform.Apply(ss.downIn[:], &ss.downOut); err != nil {
-		n.m.FilterErrors.Add(1)
-	}
-	ss.downIn[0] = nil
-	ss.pipeMu.Unlock()
-	for _, q := range ss.downOut {
-		n.sendDownstream(ss, q.WithStream(ss.id))
-	}
-	ss.downOut.Reset()
-}
-
-// pipeCloseUp is the up half of a stream teardown: release anything the
-// synchronizer holds (so time-window policies do not lose data).
-func (n *node) pipeCloseUp(ss *streamState) {
-	ss.pipeMu.Lock()
-	defer ss.pipeMu.Unlock()
-	ss.drain(true)
-}
-
-// pipePoll releases a stream's time-triggered rounds.
-func (n *node) pipePoll(ss *streamState, now time.Time) {
-	ss.pipeMu.Lock()
-	defer ss.pipeMu.Unlock()
-	ss.sync.Poll(now, ss.begin(true, pendRetire{}))
-	ss.end()
 }
 
 // finish retires the pipeline (completing every dispatched item),

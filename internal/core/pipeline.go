@@ -32,10 +32,11 @@ import (
 // un-retired packets in the mailboxes, because the pipeline grants
 // credits back only as it finishes items (see retire below).
 //
-// This is what makes a stream's filter state single-writer: one lane
-// goroutine per direction touches a streamState's filters — except inside
+// This is what makes a stream's filter state single-writer: the up-lane
+// goroutine alone touches a streamState's filters — except inside
 // quiesce, which parks both lanes at a barrier so the router (recovery
-// snapshots, adoptions, shutdown) can touch everything alone.
+// snapshots, adoptions, shutdown) can touch everything alone, and after
+// drainStop, once both lanes have exited.
 //
 // Egress queues are safe for concurrent use (their own mutex); FIFO within
 // a queue is enqueue order, which keeps control packets behind data the
@@ -50,7 +51,7 @@ import (
 const (
 	itemUp        = iota // upstream data run through the stream's pipeline
 	itemUpRaw            // upstream pass-through (stream unknown/closing at this node)
-	itemDown             // downstream packet through the stream's down-transform
+	itemDown             // downstream packet fanned out to the stream's children
 	itemDownRaw          // downstream flood (stream unknown at this node)
 	itemCloseUp          // drain the stream's synchronizer (up half of a close)
 	itemCloseDown        // forward the close downstream behind prior down data
@@ -94,14 +95,14 @@ type pipePause struct {
 	release chan struct{}
 }
 
-// pipeline runs the filter workers for one routing process n: an up-lane
-// goroutine and a down-lane goroutine. n's pipeline ops take the stream's
-// pipeMu around their filter-state access themselves (never across a
-// blocking egress fan-out), which is what lets the two lanes share a
-// stream safely. The up-lane ops take the run's deferred-retirement record
-// and report whether they CONSUMED it — attached it to an egress packet
-// whose downstream acknowledgement will complete it. An unconsumed record
-// is retired by the lane immediately after the call.
+// pipeline runs the workers for one routing process n: an up-lane
+// goroutine, the one owner of every stream's filters, and a down-lane
+// goroutine that fans packets out unchanged and reads nothing of a stream
+// but its atomic routing snapshot; so the filters take no lock. The
+// up-lane ops take the run's deferred-retirement record and report
+// whether they CONSUMED it — attached it to an egress packet whose
+// downstream acknowledgement will complete it. An unconsumed record is
+// retired by the lane immediately after the call.
 type pipeline struct {
 	n *node
 	// upLane carries upstream pipeline work (plus stream bookkeeping);
@@ -362,7 +363,7 @@ func (pl *pipeline) runUp() {
 }
 
 // runDown is the down-lane worker loop: pure FIFO over downstream
-// fan-outs, no timers (downstream filters hold no windowed state).
+// fan-outs, no timers (the down lane holds no filter state).
 func (pl *pipeline) runDown() {
 	defer pl.wg.Done()
 	for {
@@ -423,10 +424,9 @@ func (pl *pipeline) park(pause *pipePause) {
 }
 
 // handleUp executes one up-lane item, returning true when the worker
-// should exit. The ops take the stream's pipeline lock internally; once
-// done, the item retires against its source link — the packets are
-// finished only now, which is what makes the grant a statement about
-// pipeline progress rather than queue occupancy.
+// should exit. Once done, the item retires against its source link — the
+// packets are finished only now, which is what makes the grant a
+// statement about pipeline progress rather than queue occupancy.
 func (pl *pipeline) handleUp(it pipeItem) bool {
 	switch it.kind {
 	case itemUp:
@@ -439,8 +439,10 @@ func (pl *pipeline) handleUp(it pipeItem) bool {
 			pl.retireOrdered(pl.upPend, it)
 		}
 	case itemCloseUp:
+		// The up half of a teardown releases whatever the synchronizer
+		// holds, so time-window policies do not lose data.
 		delete(pl.streams, it.ss.id)
-		pl.n.pipeCloseUp(it.ss)
+		it.ss.drain(true)
 	case itemRegister:
 		pl.streams[it.ss.id] = it.ss
 	case itemPause:
@@ -451,11 +453,12 @@ func (pl *pipeline) handleUp(it pipeItem) bool {
 	return false
 }
 
-// handleDown executes one down-lane item.
+// handleDown executes one down-lane item: a stream's packet fans out to
+// its participating children as it came.
 func (pl *pipeline) handleDown(it pipeItem) bool {
 	switch it.kind {
 	case itemDown:
-		pl.n.pipeDown(it.ss, it.p)
+		pl.n.sendDownstream(it.ss, it.p.WithStream(it.ss.id))
 		pl.retire(pl.downPend, it.src, 1)
 	case itemDownRaw:
 		pl.n.pipeDownRaw(it.p)
@@ -470,19 +473,19 @@ func (pl *pipeline) handleDown(it pipeItem) bool {
 	return false
 }
 
+// poll releases every tracked stream's time-triggered rounds.
 func (pl *pipeline) poll() {
 	now := time.Now()
 	for _, ss := range pl.streams {
-		pl.n.pipePoll(ss, now)
+		ss.sync.Poll(now, ss.begin(true, pendRetire{}))
+		ss.end()
 	}
 }
 
 func (pl *pipeline) earliestDeadline() time.Time {
 	var d time.Time
 	for _, ss := range pl.streams {
-		ss.pipeMu.Lock()
 		dd := ss.sync.Deadline()
-		ss.pipeMu.Unlock()
 		if !dd.IsZero() && (d.IsZero() || dd.Before(d)) {
 			d = dd
 		}

@@ -6,9 +6,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/packet"
 )
 
@@ -353,4 +355,155 @@ func settledGoroutines(t *testing.T, target int) int {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return n
+}
+
+// remappingTimeOut is the "timeout" policy made a SlotRemapper: each
+// routing refresh releases what it holds from the router, inside the
+// quiesce, so the router and the up lane write the same filter state and
+// the race detector sees whether anything orders them. polls and remaps
+// count the non-empty releases of each kind, over every instance.
+type remappingTimeOut struct {
+	*filter.TimeOut
+	children      int
+	polls, remaps *atomic.Int64
+}
+
+func (r *remappingTimeOut) SetNumChildren(n int) { r.children = n }
+
+func (r *remappingTimeOut) Poll(now time.Time, emit filter.RoundFunc) {
+	if r.Pending() > 0 && !now.Before(r.Deadline()) {
+		r.polls.Add(1)
+	}
+	r.TimeOut.Poll(now, emit)
+}
+
+func (r *remappingTimeOut) RemapSlots(_ []int, n int, emit filter.RoundFunc) {
+	r.children = n
+	if r.Pending() > 0 {
+		r.remaps.Add(1)
+	}
+	r.Drain(emit)
+}
+
+// TestStreamFiltersHaveOneOwner pins the rule that lets a stream's filters
+// go without a lock: outside a quiesce only the up lane drives them. On
+// one timeout stream, all at once, the up lanes poll the synchronizer,
+// the interior routers' down lanes fan out a stream of multicasts, and
+// routing refreshes quiesce every router and release its synchronizer from
+// the router goroutine. Run it under -race. Every back-end must see every
+// multicast in order, and the sums must count every reply exactly once.
+func TestStreamFiltersHaveOneOwner(t *testing.T) {
+	const rounds = 300
+	tree := mustTree(t, "kary:2^2")
+	var polls, remaps atomic.Int64
+	reg := filter.NewRegistry()
+	reg.RegisterSynchronizer("timeout", func() filter.Synchronizer {
+		return &remappingTimeOut{TimeOut: filter.NewTimeOut(time.Millisecond), polls: &polls, remaps: &remaps}
+	})
+	nw, err := NewNetwork(Config{
+		Topology: tree,
+		Registry: reg,
+		OnBackEnd: func(be *BackEnd) error {
+			for want := int64(1); ; want++ {
+				p, err := be.Recv()
+				if err != nil {
+					return nil
+				}
+				v, err := p.Int(0)
+				if err != nil {
+					return err
+				}
+				if v != want {
+					return fmt.Errorf("back-end %d: multicast %d arrived %dth", be.Rank(), v, want)
+				}
+				if err := be.Send(p.StreamID, p.Tag, "%f", float64(v)); err != nil {
+					return nil
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Shutdown()
+	st, err := nw.NewStream(StreamSpec{Transformation: "sum", Synchronization: "timeout"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var refreshes atomic.Int64
+	var wg sync.WaitGroup
+	for _, r := range append([]Rank{0}, tree.InternalNodes()...) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := refreshRouting(nw, r); err != nil {
+					t.Error(err)
+					return
+				}
+				refreshes.Add(1)
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	sent := make(chan error, 1)
+	go func() {
+		for i := int64(1); i <= rounds; i++ {
+			if err := st.Multicast(tagQuery, "%d", i); err != nil {
+				sent <- err
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		sent <- nil
+	}()
+
+	want := float64(len(tree.Leaves()) * rounds * (rounds + 1) / 2)
+	var got float64
+	var results int
+	for got < want {
+		p, err := st.RecvTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatalf("after %d results summing %g of %g: %v", results, got, want, err)
+		}
+		v, err := p.Float(0)
+		if err != nil || v <= 0 {
+			t.Fatalf("result %d = %g (%v), want a positive sum", results, v, err)
+		}
+		got += v
+		results++
+	}
+	close(stop)
+	wg.Wait()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("results sum to %g, want %g", got, want)
+	}
+	if p, err := st.RecvTimeout(50 * time.Millisecond); err == nil {
+		t.Errorf("extra result %v after the total", p)
+	}
+	if refreshes.Load() == 0 || polls.Load() == 0 {
+		t.Errorf("%d routing refreshes and %d polled releases, want both > 0", refreshes.Load(), polls.Load())
+	}
+	m := nw.Metrics()
+	if n := m.FilterErrors.Load(); n != 0 {
+		t.Errorf("%d filter errors", n)
+	}
+	if n := m.DupsDropped.Load(); n != 0 {
+		t.Errorf("%d duplicates dropped", n)
+	}
+	if err := nw.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d results; %d routing refreshes; %d releases by poll, %d by remap",
+		results, refreshes.Load(), polls.Load(), remaps.Load())
 }

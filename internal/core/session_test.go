@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -361,9 +362,10 @@ func TestSessionBudgetIsolatesTenants(t *testing.T) {
 	}
 }
 
-// TestSessionControlWireRoundTrip drives the session teardown op through
-// the real wire codec: encode → Decode → parse must reproduce the
-// namespace exactly, and a type-mangled payload must be rejected by the
+// TestSessionControlWireRoundTrip drives the session teardown op and the
+// stream setup op through the real wire codec: encode → Decode → parse
+// must reproduce the namespace, and the stream's id, filter names and
+// members, exactly, and a type-mangled payload must be rejected by the
 // parser rather than misread.
 func TestSessionControlWireRoundTrip(t *testing.T) {
 	cp, err := packet.Decode(closeSessionPacket(9).Encode())
@@ -382,5 +384,27 @@ func TestSessionControlWireRoundTrip(t *testing.T) {
 		opCloseSession, "not-a-namespace")
 	if _, err := parseCloseSession(mangled); err == nil {
 		t.Error("parseCloseSession accepted a string namespace")
+	}
+
+	// opNewStream carries the filter names and the members.
+	members := []Rank{3, 5, 8}
+	sp, err := packet.Decode(newStreamPacket(1<<nsShift|7, "sum", "waitforall", members).Encode())
+	if err != nil {
+		t.Fatalf("decoding opNewStream wire bytes: %v", err)
+	}
+	if op, err := ctrlOp(sp); err != nil || op != opNewStream {
+		t.Fatalf("ctrlOp = %d, %v; want opNewStream", op, err)
+	}
+	id, tform, syncName, got, err := parseNewStream(sp)
+	if err != nil || id != 1<<nsShift|7 || tform != "sum" || syncName != "waitforall" || !slices.Equal(got, members) {
+		t.Errorf("parseNewStream = %d, %q, %q, %v, %v; want %d, \"sum\", \"waitforall\", %v",
+			id, tform, syncName, got, err, 1<<nsShift|7, members)
+	}
+
+	// A string where the members belong must fail cleanly.
+	mangled = packet.MustNew(packet.TagControl, 0, 0, "%d %d %s %s %s",
+		opNewStream, int64(7), "sum", "waitforall", "not-members")
+	if _, _, _, _, err := parseNewStream(mangled); err == nil {
+		t.Error("parseNewStream accepted a string member list")
 	}
 }

@@ -23,11 +23,6 @@ type StreamSpec struct {
 	// Synchronization names the batching policy: "waitforall", "timeout",
 	// or "nullsync". Empty selects "nullsync".
 	Synchronization string
-	// DownTransformation optionally names a filter applied to each
-	// downstream packet at every communication process on its way to the
-	// members — the paper's proposed bidirectional filtering. Empty means
-	// packets fan out unchanged.
-	DownTransformation string
 	// RecvBuffer sets the front-end delivery buffer (packets); 0 = 1024.
 	RecvBuffer int
 }
@@ -139,7 +134,7 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	// every known stream, leaving it permanently mis-routed.
 	nw.recMu.Lock()
 	ss, err := newStreamState(nw.root, id,
-		spec.Transformation, spec.Synchronization, spec.DownTransformation, members)
+		spec.Transformation, spec.Synchronization, members)
 	if err != nil {
 		nw.recMu.Unlock()
 		return nil, err
@@ -183,8 +178,7 @@ func (nw *Network) NewStreamNS(ns uint32, spec StreamSpec) (*Stream, error) {
 	nw.recMu.Unlock()
 
 	// Announce downstream along member paths only.
-	nw.root.rootSend(ss, newStreamPacket(id, spec.Transformation, spec.Synchronization,
-		spec.DownTransformation, members))
+	nw.root.rootSend(ss, newStreamPacket(id, spec.Transformation, spec.Synchronization, members))
 	return st, nil
 }
 

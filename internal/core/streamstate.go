@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/filter"
@@ -67,17 +66,13 @@ type streamState struct {
 	id    uint32
 	tform filter.Transformation
 	sync  filter.Synchronizer
-	// downTform, if non-nil, transforms each downstream packet at this
-	// node before it fans out toward the members — the bidirectional
-	// filtering extension the paper proposes as future work.
-	downTform filter.Transformation
 
 	// The full stream spec is retained so recovery can re-announce the
 	// stream to adopted subtrees (repairing control messages lost with the
 	// failed node).
-	tformName, syncName, downName string
-	memberList                    []Rank
-	members                       map[Rank]bool
+	tformName, syncName string
+	memberList          []Rank
+	members             map[Rank]bool
 
 	// st is the stream's receiver at the root (rank 0), where the stream
 	// was opened, and nil at every other rank. budget and tc are set only
@@ -90,13 +85,7 @@ type streamState struct {
 	budget *transport.Budget
 	tc     *TenantCounters
 
-	// pipeMu serializes access to the stream's filter state — synchronizer,
-	// transformation, down-transformation, dedup windows — between the
-	// stream's up-lane and down-lane workers. It is uncontended in steady
-	// state; the filters themselves need no locks of their own.
-	pipeMu sync.Mutex
-
-	// Exactly-once per-stream state, guarded by pipeMu like the filters:
+	// Exactly-once per-stream state, owned like the filters (see routes):
 	// dedup holds one duplicate-detection window per packet origin, and
 	// seqCtr stamps this node's fresh transform outputs on the stream.
 	dedup  map[Rank]*seqWin
@@ -111,24 +100,18 @@ type streamState struct {
 	ret    pendRetire
 	held   *packet.Packet
 
-	// The down lane's reused down-transform input and outputs.
-	downIn  [1]*packet.Packet
-	downOut filter.Outputs
-
 	// routes is the current immutable routing snapshot, read lock-free by
 	// user-goroutine multicasts and pipeline workers; writers (stream
 	// creation, the install command under quiesce) swap in a fresh
-	// snapshot. The filters themselves (sync, tform, downTform) take no
-	// lock: they are driven only by the router's pipeline workers under
-	// pipeMu, or by the router alone while the pipeline is quiesced.
+	// snapshot. The filters themselves (sync, tform) take no lock: one
+	// goroutine drives them, the pipeline's up lane, or the router alone
+	// while the pipeline is quiesced or stopped.
 	routes atomic.Pointer[streamRoutes]
 }
 
 // newStreamState instantiates filters, routing and the upward sink for a
 // stream at node n. members must be back-end ranks.
-func newStreamState(n *node, id uint32, tformName, syncName, downTformName string,
-	members []Rank) (*streamState, error) {
-
+func newStreamState(n *node, id uint32, tformName, syncName string, members []Rank) (*streamState, error) {
 	reg := n.nw.registry
 	tf, err := reg.NewTransformation(tformName)
 	if err != nil {
@@ -138,13 +121,6 @@ func newStreamState(n *node, id uint32, tformName, syncName, downTformName strin
 	if err != nil {
 		return nil, err
 	}
-	var dtf filter.Transformation
-	if downTformName != "" {
-		dtf, err = reg.NewTransformation(downTformName)
-		if err != nil {
-			return nil, err
-		}
-	}
 	memberSet := make(map[Rank]bool, len(members))
 	for _, m := range members {
 		memberSet[m] = true
@@ -153,10 +129,8 @@ func newStreamState(n *node, id uint32, tformName, syncName, downTformName strin
 		id:         id,
 		tform:      tf,
 		sync:       sy,
-		downTform:  dtf,
 		tformName:  tformName,
 		syncName:   syncName,
-		downName:   downTformName,
 		memberList: append([]Rank(nil), members...),
 		members:    memberSet,
 	}
@@ -233,7 +207,7 @@ func (ss *streamState) rebuildSlots(slots []slotInfo) {
 // announcePacket rebuilds the opNewStream control message for this stream,
 // used to (re-)establish it in adopted subtrees during recovery.
 func (ss *streamState) announcePacket() *packet.Packet {
-	return newStreamPacket(ss.id, ss.tformName, ss.syncName, ss.downName, ss.memberList)
+	return newStreamPacket(ss.id, ss.tformName, ss.syncName, ss.memberList)
 }
 
 // syncSlot maps a child link slot to the synchronizer's dense slot space
@@ -254,7 +228,7 @@ func (ss *streamState) drain(block bool) {
 	}
 }
 
-// begin starts a release, under pipeMu or with the pipeline quiesced, and
+// begin starts a release, on the up lane or with the pipeline quiesced, and
 // returns the round receiver. block selects between the pipeline workers'
 // hard window bound and the router's overflow mode; ret is the deferred
 // retirement of the run that caused the release, if any.
@@ -317,7 +291,7 @@ func (ss *streamState) end() bool {
 }
 
 // dropDups filters replay duplicates out of an inbound run by origin
-// sequence (callers hold pipeMu). The filtered slice is
+// sequence (up lane only). The filtered slice is
 // freshly allocated, never a compaction of run: on the in-process fabric
 // run shares its backing array with the slice the sender passed to
 // SendBatch, which the sender still reads after the send to append the
@@ -345,7 +319,7 @@ func (ss *streamState) dropDups(run []*packet.Packet, m *Metrics) []*packet.Pack
 }
 
 // seenSeq records p's origin sequence in the stream's dedup window and
-// reports whether it was already delivered here. Callers hold pipeMu.
+// reports whether it was already delivered here. Up lane only.
 func (ss *streamState) seenSeq(p *packet.Packet) bool {
 	o := packet.SeqOrigin(p.Seq)
 	w := ss.dedup[o]

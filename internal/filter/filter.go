@@ -53,12 +53,12 @@ type Emitter interface {
 // stream, so implementations need NOT be safe for concurrent use.
 //
 // Concurrency contract: every filter instance is single-writer. The
-// engine drives a given stream's filters from one pipeline goroutine at a
-// time, and quiesces that pipeline before the control plane touches the
-// same instance (recovery snapshots, synchronizer rebuilds, shutdown
-// drains). Implementations may therefore use plain fields freely — but
-// must not share mutable state ACROSS instances, since different
-// instances do run in parallel (on other routers, or on the other lane).
+// engine drives a given stream's filters from one goroutine, its router's
+// upstream pipeline lane, and quiesces that pipeline before the control
+// plane touches the same instance (recovery snapshots, synchronizer
+// rebuilds, shutdown drains). Implementations may therefore use plain
+// fields freely — but must not share mutable state ACROSS instances,
+// since different instances do run in parallel (on other routers).
 type Transformation interface {
 	// Apply consumes a round of packets travelling in the same direction
 	// on one stream and emits each packet to forward to out. Emitting

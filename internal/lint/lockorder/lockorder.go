@@ -3,16 +3,15 @@
 //
 //  1. Order inversions. Every observed acquisition "B locked while A held"
 //     adds the edge A→B; any cycle in the resulting graph is a potential
-//     deadlock. The repo's sanctioned orders are flushMu→mu on egressQueue
-//     and pipeMu→(egress locks) on the filter pipeline; this analyzer derives
-//     them from the code rather than hard-coding them, so a new inversion is
-//     caught no matter which half of it is new.
+//     deadlock. The repo's sanctioned order is flushMu→mu on egressQueue;
+//     this analyzer derives orders from the code rather than hard-coding
+//     them, so a new inversion is caught no matter which half of it is new.
 //
 //  2. Blocking while holding a queue mutex. egressQueue.mu guards O(1)
 //     bookkeeping and must never be held across a channel send, a link
 //     send, a credit Acquire, or a hook-running Refill (Refund is
-//     hook-free and explicitly safe). Other mutexes (recvMu, lane.mu,
-//     pipeMu) are allowed to be held across blocking calls by design.
+//     hook-free and explicitly safe). Other mutexes (recvMu, lane.mu) are
+//     allowed to be held across blocking calls by design.
 //
 // Lock identity is syntactic: the mutex field name, with the generic name
 // "mu" qualified by the owning type (the method receiver's type, or the

@@ -153,9 +153,6 @@ func (f *FlowLink) releaseBudgets(n int) {
 // Window returns the link's per-direction credit window.
 func (f *FlowLink) Window() int { return int(f.credits.cap) }
 
-// Inner returns the wrapped link.
-func (f *FlowLink) Inner() Link { return f.Link }
-
 // grantThreshold is how many retirements accumulate before Retire releases
 // a grant: a quarter window batches the reverse traffic 4:1 while staying
 // safely below the window (the deadlock-freedom condition).

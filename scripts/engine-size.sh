@@ -177,13 +177,25 @@
 # StreamSpec.Priority, SessionInfo.Priority, session.WithWeight with its
 # Option and settings, and Session.Priority went. take keeps its
 # creditpair waiver; the timer sites stay at 5 and the waivers at 2.
+#
+# Lowered: internal/core 5537 -> 5473 and outside bench/ 19603 -> 19535
+# for a down lane that carries packets, not filters: StreamSpec's
+# downstream transformation went with its opNewStream field, the stream
+# state that held it (the filter, its name, the reused input and output)
+# and pipeDown; with one goroutine left to drive a stream's filters,
+# streamState.pipeMu went with every lock pair around them, and the
+# pipeCloseUp and pipePoll wrappers folded into the up lane. Outside it
+# transport.FlowLink.Inner, which nothing called, went. A control
+# enqueue no longer arms the queue's clock, and its flush hands a busy
+# wire off to the owner (+11 in egress.go). The timer sites stay at 5
+# and the waivers at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5537
+max_lines=5473
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=19603
+max_repo_lines=19535
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
