@@ -59,13 +59,6 @@ func (p BatchPolicy) normalized() BatchPolicy {
 // queueing 256 MiB.
 var maxEgressFrameBytes = packet.MaxWireSize
 
-// maxRetained bounds an egress queue retained across a dead parent link
-// (an orphan waiting for adoption): beyond it the oldest packets are
-// dropped, mirroring the bounded kernel-buffer loss a real crashed link
-// would impose. It only binds past the link window's hard bound, when
-// released senders overflowed into the queue while the link was dead.
-const maxRetained = 4096
-
 // maxFlushRounds bounds how many take-and-send rounds one flush performs
 // before handing the wire back: producers that keep the queue hot trigger
 // their own size flushes, so the combiner never needs to spin forever.
@@ -128,8 +121,8 @@ type egressQueue struct {
 	// setLink) aborts blocked slot acquisitions when the link dies: a
 	// worker waiting on a dead peer's window would otherwise never reach
 	// the quiesce barrier recovery needs to install the replacement link —
-	// a deadlock. Released senders overflow into the (retained, bounded)
-	// queue.
+	// a deadlock. Released senders overflow into the queue, which an
+	// upstream queue holds, unbounded, until a replacement link.
 	released chan struct{}
 
 	// flushMu is the wire ownership (see above). Held across link sends.
@@ -149,12 +142,12 @@ type egressQueue struct {
 	// flow is the link with its credit accounting. Written under flushMu
 	// and mu together (setLink), so holding either suffices to read it.
 	flow  *transport.FlowLink
-	sched egressSched // what is queued, in flush order
+	sched egressSched // what is queued, in flush order, and what is kept
 	// held is the hard data-occupancy bound: the data slots taken, out of
 	// window (the link window). Senders on pipeline or handler goroutines
 	// block when the queue is full, counted in slotWaiters; the router
 	// never does (it sends with block=false and may transiently overflow
-	// during recovery replay — see sendCtx). Overflowing sends take no
+	// during recovery replay — see sendAck). Overflowing sends take no
 	// slot.
 	held, window, slotWaiters int
 	// timer is the queue's own clock and the one place its rank does timed
@@ -194,34 +187,8 @@ type egressQueue struct {
 	// it sets a new per-queue record.
 	localHW int
 
-	// Replay state of an upstream queue (newUpstreamQueue); all of it is
-	// nil/zero on a downstream queue, which drops what a dead child link
-	// cannot take — downstream traffic carries no replay ring. ring is set
-	// once, before the queue is shared, so hot paths test it lock-free;
-	// everything else is guarded by mu. Flushed data packets are appended
-	// to ring and stay there until the peer's cumulative grant
-	// acknowledgement covers them; setLink re-flushes the un-popped suffix
-	// to the replacement link ahead of everything else. The ring is the
-	// preallocated circular buffer sized to the link window (the credit
-	// protocol bounds unacknowledged flushed data at W): a flushed packet
-	// moves from the FIFO into a ring slot, and the slot is reused once
-	// the cumulative ack retires it.
-	ring *replayRing
-	// Three counters over the data packets of the current link's flush
-	// order, reset by setLink: ringSent is how many noteSent has recorded
-	// as sent, ackTarget the highest cumulative count the peer has
-	// acknowledged, ringAcked how many ring entries have been popped.
-	// retireLocked keeps ringAcked == min(ringSent, ackTarget), so the ring
-	// holds exactly the recorded-but-unacknowledged packets whichever of a
-	// flush's noteSent and its grant's onAck runs first.
-	ringSent, ackTarget, ringAcked uint64
-	// replaying marks ring packets queued for re-flush by setLink but not
-	// yet re-sent: they must be neither re-appended to the ring when their
-	// flush completes nor double-queued by a second setLink.
-	replaying map[*packet.Packet]struct{}
-	// meta carries each enqueued packet's deferred retirement until the
-	// flush that sends it moves it into the ring.
-	meta   map[*packet.Packet]pendRetire
+	// ringHW mirrors the most data an upstream queue has kept for replay
+	// (sched.kept), as localHW does for the replay-ring gauge.
 	ringHW int
 }
 
@@ -257,129 +224,58 @@ func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 	// owes the peer ride the queue's frames, backstopped by its clock.
 	fl.SetRefillHook(q.unstall)
 	fl.SetGrantHooks(q.owe, q.m.grantRode)
-	if q.ring != nil {
+	if q.sched.retain {
 		fl.SetAckHook(q.onAck)
 	}
 }
 
-// newUpstreamQueue wraps a parent link: flushed data packets are held in
-// the replay ring until the peer's cumulative grant acknowledgement covers
-// them, a flush the dead parent cannot take is retained, setLink re-flushes
-// both to the replacement parent, and acknowledged packets complete the
-// deferred inbound retirements attached to them (completeRuns; a
-// back-end's carry none).
+// newUpstreamQueue wraps a parent link: its FIFO keeps what it sends until
+// the peer's cumulative grant acknowledgement covers it, holds a flush the
+// dead parent cannot take, setLink re-flushes both to the replacement
+// parent, and acknowledged packets complete the deferred inbound
+// retirements they carry (completeRuns; a back-end's carry none).
 func newUpstreamQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue {
 	q := newEgressQueue(l, pol, m)
-	q.ring = newReplayRing(q.flow.Window())
+	q.sched.retain = true
 	q.flow.SetAckHook(q.onAck)
 	return q
 }
 
-// sendAck enqueues a data packet like sendCtx, registering ack to be
-// completed when the peer acknowledges this packet. The last output of an
-// inbound run carries the run's deferred retirement — acknowledgements are
-// cumulative and flush order is FIFO, so covering the last packet covers
-// the run.
+// sendAck enqueues a data packet, taking its occupancy slot in the same
+// critical section, with ack to be completed when the peer acknowledges
+// it (the zero record completes nothing). block chooses between the hard
+// bound (pipeline workers, back-end handlers: wait for a slot) and
+// router-context overflow (recovery replay, drains: never block the
+// control plane, accept a transient excursion past the window).
 func (q *egressQueue) sendAck(p *packet.Packet, block bool, ack pendRetire) error {
-	if ack.src == nil {
-		return q.sendCtx(p, block)
-	}
 	q.mu.Lock()
-	displaced, had := q.meta[p]
-	if q.meta == nil {
-		q.meta = map[*packet.Packet]pendRetire{}
+	if q.held < q.window {
+		q.held++
+	} else if block {
+		q.waitSlotLocked()
 	}
-	q.meta[p] = ack
-	q.mu.Unlock()
-	if had && displaced != ack {
-		// The same packet pointer enqueued again before its first flush
-		// (an in-process transport can hand a forwarded pointer back):
-		// complete the displaced retirement rather than leak it.
-		completeRuns([]pendRetire{displaced})
-	}
-	return q.sendCtx(p, block)
-}
-
-// noteSent records just-flushed data packets in the replay ring, in flush
-// order — including the sent prefix of a flush whose link died mid-way:
-// those packets are at risk exactly like any other unacknowledged flush.
-// Packets completing a setLink re-flush are already in the ring and are
-// only cleared from the replaying set. On an in-process link the peer's
-// grant can arrive before this runs; its acknowledgement is then already in
-// ackTarget and the entry is retired as soon as it is recorded, which is
-// what keeps the ring within the credit window.
-func (q *egressQueue) noteSent(sent []*packet.Packet) {
-	var buf [ackBuf]pendRetire
-	acks := buf[:0]
-	q.mu.Lock()
-	for _, p := range sent {
-		if p.Tag == packet.TagControl {
-			continue
-		}
-		q.ringSent++
-		if _, pending := q.replaying[p]; pending {
-			delete(q.replaying, p)
-		} else {
-			ack, ok := q.meta[p]
-			if ok {
-				delete(q.meta, p)
-			}
-			q.ring.push(ringEntry{p: p, ack: ack})
-		}
-		if q.ringAcked < q.ackTarget { // a grant outran this record
-			acks = q.retireLocked(acks)
-		}
-	}
-	if n := q.ring.len(); n > q.ringHW {
-		q.ringHW = n
-		raiseGauge(&q.m.ReplayRingHighWater, n)
-	}
-	q.mu.Unlock()
-	completeRuns(acks)
-}
-
-// retireLocked pops every ring entry that is both recorded as sent on the
-// current link and covered by the peer's cumulative acknowledgement,
-// appending its deferred retirement (if any) to acks — a caller-owned
-// array of ackBuf entries, so a grant that pops a few runs allocates
-// nothing. Entries below ringSent are always in the ring — pushed by
-// noteSent, or kept across setLink for replay — so the pop cannot run
-// dry. Callers hold mu.
-func (q *egressQueue) retireLocked(acks []pendRetire) []pendRetire {
-	limit := q.ackTarget
-	if q.ringSent < limit {
-		limit = q.ringSent
-	}
-	for ; q.ringAcked < limit; q.ringAcked++ {
-		if e := q.ring.popFront(); e.ack.src != nil {
-			acks = append(acks, e.ack)
-		}
-	}
-	return acks
+	return q.enqueueLocked(p, ack, false)
 }
 
 // onAck runs on the link's reader goroutine when a grant arrives, before
 // the grant's credits return to the send window: the peer's cumulative
 // retirement count acknowledges a prefix of this queue's flush order. Pop
-// the covered ring entries and complete their deferred retirements
+// the covered entries and complete their deferred retirements
 // (completeRuns) — never the wire from here (a reader blocked in a send
 // stops draining its own link). A grant without a cumulative count
 // (cum == 0) acknowledges n more packets than the last one did.
 func (q *egressQueue) onAck(n int, cum uint64) {
+	var buf [ackBuf]pendRetire
 	q.mu.Lock()
 	if cum == 0 {
-		cum = q.ackTarget + uint64(n)
+		cum = q.sched.acked + uint64(n)
 	}
-	if cum > q.ackTarget {
-		q.ackTarget = cum
-	}
-	var buf [ackBuf]pendRetire
-	acks := q.retireLocked(buf[:0])
+	acks := q.sched.ack(cum, buf[:0], q.window)
 	q.mu.Unlock()
 	completeRuns(acks)
 }
 
-// ackBuf sizes the caller-owned array retireLocked collects into: a grant
+// ackBuf sizes the caller-owned array onAck collects records into: a grant
 // covers a window's prefix, and all but a few of its packets carry no run.
 const ackBuf = 8
 
@@ -451,8 +347,7 @@ func (q *egressQueue) rearmWaiters() {
 // child EOF) and before every quiesce, so pipeline workers can finish
 // their in-flight items — and reach the quiesce barrier — instead of
 // waiting on a window nobody may ever refill. Overflowing sends land in
-// the (bounded on the failure path) retained buffer; rearmWaiters or
-// setLink restores the bound.
+// the queue; rearmWaiters or setLink restores the bound.
 func (q *egressQueue) releaseWaiters() {
 	if q == nil {
 		return
@@ -464,7 +359,7 @@ func (q *egressQueue) releaseWaiters() {
 		close(q.released)
 	}
 	// A credit stall against a dead peer must not suppress the age retry:
-	// the retrying flush observes the dead link and retains (bounded) or
+	// the retrying flush observes the dead link and rewinds (upstream) or
 	// drops, releasing slots either way.
 	q.unstallLocked()
 	q.mu.Unlock()
@@ -476,19 +371,9 @@ func (q *egressQueue) send(p *packet.Packet) error {
 	return q.sendCtx(p, true)
 }
 
-// sendCtx enqueues a data packet, taking its occupancy slot in the same
-// critical section. block chooses between the hard bound (pipeline
-// workers, back-end handlers: wait for a slot) and router-context overflow
-// (recovery replay, drains: never block the control plane, accept a
-// transient excursion past the window).
+// sendCtx is sendAck with no record to complete.
 func (q *egressQueue) sendCtx(p *packet.Packet, block bool) error {
-	q.mu.Lock()
-	if q.held < q.window {
-		q.held++
-	} else if block {
-		q.waitSlotLocked()
-	}
-	return q.enqueueLocked(p, false)
+	return q.sendAck(p, block, pendRetire{})
 }
 
 // sendNow enqueues p and flushes immediately. Control packets use it:
@@ -497,22 +382,23 @@ func (q *egressQueue) sendCtx(p *packet.Packet, block bool) error {
 // window.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
 	q.mu.Lock()
-	return q.enqueueLocked(p, true)
+	return q.enqueueLocked(p, pendRetire{}, true)
 }
 
-// enqueueLocked appends p (ctrl marks a sendNow control packet, which
-// flushes at once), updates the bookkeeping, unlocks mu, and triggers
-// whatever flush is due. Producers never wait on the wire: a triggered flush that finds another
-// flusher active is absorbed by that flusher's drain loop. The data
-// enqueue that makes the queue non-empty arms the clock at zero: the flush
-// runs on the timer's goroutine once the producer yields the CPU, so the
-// batch is what the producer added meanwhile, and a producer that stops —
+// enqueueLocked appends p with its record ack (ctrl marks a sendNow
+// control packet, which flushes at once), updates the bookkeeping, unlocks
+// mu, and triggers whatever flush is due. Producers never wait on the
+// wire: a triggered flush that finds another flusher active is absorbed
+// by that flusher's drain loop. The data enqueue that makes the queue
+// non-empty arms the clock at zero: the flush runs on the timer's
+// goroutine once the producer yields the CPU, so the batch is what the
+// producer added meanwhile, and a producer that stops —
 // between bursts, blocked on a full window, parked anywhere — leaves
 // nothing waiting for a timer. A control enqueue arms nothing: its caller
 // flushes at once, and so learns whether the wire took the packet.
-func (q *egressQueue) enqueueLocked(p *packet.Packet, ctrl bool) error {
+func (q *egressQueue) enqueueLocked(p *packet.Packet, ack pendRetire, ctrl bool) error {
 	wasEmpty := q.sched.len() == 0
-	q.sched.add(p)
+	q.sched.add(p, ack)
 	if wasEmpty && !ctrl {
 		q.armLocked(0, flushIdle)
 	}
@@ -610,16 +496,13 @@ func (q *egressQueue) flushLoop(cause int) error {
 		} else {
 			q.takeBuf = nil
 		}
+		if n := q.sched.kept; n > q.ringHW {
+			q.ringHW = n
+			raiseGauge(&q.m.ReplayRingHighWater, n)
+		}
 		if len(batch) > 0 {
 			q.mu.Unlock()
 			unsent, frames, err := q.sendFrames(batch, total)
-			sent := batch[: len(batch)-len(unsent) : len(batch)]
-			if q.ring != nil {
-				// Ring-append the sent prefix even when the flush failed:
-				// those frames reached the wire before the link died, and
-				// losing them from the ring would make them unrecoverable.
-				q.noteSent(sent)
-			}
 			if frames > 0 {
 				q.m.FramesSent.Add(frames)
 				switch cause {
@@ -697,8 +580,11 @@ func (q *egressQueue) unstallLocked() {
 	}
 }
 
-// failedFlush restores (upstream) or drops (downstream) the unsent
+// failedFlush rewinds (upstream) or drops (downstream) the unsent
 // remainder of a failed flush and refunds the wire credits it had acquired.
+// An upstream queue keeps the sent prefix like any unacknowledged flush,
+// and holds the remainder, with whatever overflows into it meanwhile,
+// until a replacement link: unbounded, as a dead child's queue is.
 func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 	unsentData := 0
 	for _, p := range unsent {
@@ -713,14 +599,8 @@ func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int) {
 	// nothing to wake — the credits were never the peer's to grant.
 	q.flow.Refund(unsentData)
 	q.releaseSlotsLocked(nData - unsentData) // sent data left the queue for good
-	if q.ring != nil {
-		// The parent link died under us: keep the unsent remainder (bounded)
-		// so a reparent can re-flush it to the new parent.
-		if n := len(unsent) - maxRetained; n > 0 {
-			q.m.EgressDrops.Add(int64(n))
-			unsent = unsent[n:]
-		}
-		q.sched.restore(unsent)
+	if q.sched.retain {
+		q.sched.rewind(len(unsent), unsentData)
 		// Restart the age clock so retries back off by MaxDelay instead of
 		// hot-looping on an already-expired deadline.
 		q.armLocked(q.pol.MaxDelay, flushAge)
@@ -985,9 +865,9 @@ func (q *egressQueue) flushDue(d time.Time, cause int) {
 
 // drain blocks for the wire and flushes what the peer's credit window
 // admits (shutdown). It never bypasses the window: every
-// credit-bypassing send would grow the replay ring past the bound W that
-// prices replay memory at links × W. Past-window packets stay queued; the
-// grant that retires in-flight data re-triggers the flush.
+// credit-bypassing send would grow what an upstream queue keeps past the
+// bound W that prices replay memory at links × W. Past-window packets stay
+// queued; the grant that retires in-flight data re-triggers the flush.
 func (q *egressQueue) drain() error {
 	if q == nil {
 		return nil
@@ -998,12 +878,12 @@ func (q *egressQueue) drain() error {
 }
 
 // setLink repoints an upstream queue at a replacement parent link (recovery
-// reparenting) and re-flushes its replay ring and anything retained across
-// the old link's death — within the NEW link's credit window, which starts
-// full: retained packets re-enter the bounded window without
+// reparenting) and re-flushes what it kept unacknowledged and anything
+// held across the old link's death — within the NEW link's credit window,
+// which starts full: the packets re-enter the bounded window without
 // double-spending credits, and whatever exceeds it stays queued until the
-// new peer grants. If the re-flush fails again the buffer stays retained and
-// the age clock retries it.
+// new peer grants. If the re-flush fails again the queue holds it and the
+// age clock retries it.
 func (q *egressQueue) setLink(l transport.Link) {
 	q.flushMu.Lock()
 	q.mu.Lock()
@@ -1013,31 +893,15 @@ func (q *egressQueue) setLink(l transport.Link) {
 	q.adoptFlow(l.(*transport.FlowLink))
 	q.stalled = false
 	// The new peer's cumulative count starts at zero and will count the
-	// replayed packets first: re-flush the un-popped ring suffix ahead
-	// of everything, in ring order, so its prefix correspondence holds
-	// on the replacement link too. Entries already queued for re-flush
-	// by an earlier setLink are still at the FIFO's head; skip them.
-	q.ringSent, q.ackTarget, q.ringAcked = 0, 0, 0
-	var replay []*packet.Packet
-	for i := 0; i < q.ring.len(); i++ {
-		e := q.ring.at(i)
-		if _, pending := q.replaying[e.p]; pending {
-			continue
-		}
-		if q.replaying == nil {
-			q.replaying = map[*packet.Packet]struct{}{}
-		}
-		q.replaying[e.p] = struct{}{}
-		replay = append(replay, e.p)
-	}
-	if len(replay) > 0 {
-		q.sched.restore(replay)
+	// replayed packets first: they go back to the head, in their order, so
+	// the prefix correspondence holds on the replacement link too.
+	if n := q.sched.replay(); n > 0 {
 		// Their occupancy slots were released when they first flushed;
 		// best-effort reacquisition keeps the count near the true queue
 		// depth (overflow past the window is tolerated here, as in every
 		// recovery path).
-		q.held = min(q.window, q.held+len(replay))
-		q.m.PacketsReplayed.Add(int64(len(replay)))
+		q.held = min(q.window, q.held+n)
+		q.m.PacketsReplayed.Add(int64(n))
 	}
 	queued := q.sched.len()
 	if queued > 0 {

@@ -135,3 +135,86 @@ func TestRetainedReflushSplitsKeepFIFO(t *testing.T) {
 		t.Errorf("re-flush sent %d frames, want a >=3-frame split", m.FramesSent.Load())
 	}
 }
+
+// TestReplayAcrossTwoReplacements: an upstream queue replaces its parent
+// link twice, the second time before the first replay has left. Six
+// packets carrying inbound runs' records go out and the peer acknowledges
+// two. The first replacement takes one replay frame and dies; more data
+// is queued behind. The second replacement must carry the four
+// unacknowledged packets once each, in order, ahead of the new data, and
+// its acknowledgement must complete every record.
+func TestReplayAcrossTwoReplacements(t *testing.T) {
+	old := maxEgressFrameBytes
+	maxEgressFrameBytes = 600 // one 512-byte payload per frame
+	defer func() { maxEgressFrameBytes = old }()
+
+	const window = 8
+	a, b := transport.NewPair(64)
+	pol := BatchPolicy{MaxBatch: 1 << 16, MaxDelay: time.Hour}.normalized()
+	var m Metrics
+	q := newUpstreamQueue(transport.NewFlowLink(a, window), pol, &m)
+	// No clock: only the drain and the replacements flush.
+	q.stop()
+	c, _ := transport.NewPair(64)
+	child := transport.NewFlowLink(c, 64)
+	tr := &inOrder{}
+
+	payload := strings.Repeat("z", 512)
+	var want []*packet.Packet
+	for i := 0; i < 6; i++ {
+		p := packet.MustNew(tagQuery, 1, 5, "%d %s", int64(i), payload)
+		ret := pendRetire{src: child, tr: tr, start: tr.assign(1), n: 1}
+		if err := q.sendAck(p, true, ret); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	if err := q.drain(); err != nil {
+		t.Fatal(err)
+	}
+	drainLink(t, b, 6)
+	q.flow.Refill(2) // the peer acknowledges the first two
+	if tr.low != 2 {
+		t.Fatalf("in-order tracker at %d after the first acknowledgement, want 2", tr.low)
+	}
+
+	// The first replacement buffers one frame; its peer dies 50 ms later,
+	// failing the blocked second frame.
+	a2, b2 := transport.NewPair(1)
+	time.AfterFunc(50*time.Millisecond, func() { transport.DropLink(b2) })
+	q.setLink(transport.NewFlowLink(a2, window))
+	if n := q.pending(); n != 3 {
+		t.Fatalf("%d of the four replayed packets await the second replacement, want 3", n)
+	}
+	for i := 6; i < 8; i++ {
+		p := packet.MustNew(tagQuery, 1, 5, "%d %s", int64(i), payload)
+		if err := q.send(p); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+
+	a3, b3 := transport.NewPair(64)
+	q.setLink(transport.NewFlowLink(a3, window))
+	got := drainLink(t, b3, 6)
+	for i, p := range got {
+		if p != want[2+i] {
+			v, _ := p.Int(0)
+			t.Errorf("wire position %d carries packet %d, want %d", i, v, 2+i)
+		}
+	}
+	q.mu.Lock()
+	queued, kept := q.sched.len(), q.sched.kept
+	q.mu.Unlock()
+	if queued != 0 || kept != 6 {
+		t.Errorf("after the second replacement %d packets are queued and %d kept, want 0 and the 6 sent", queued, kept)
+	}
+
+	q.flow.Refill(6)
+	if tr.low != 6 {
+		t.Errorf("in-order tracker at %d after the replacement's acknowledgement, want 6", tr.low)
+	}
+	if hw := m.ReplayRingHighWater.Load(); hw > window {
+		t.Errorf("kept high water %d, past the window %d", hw, window)
+	}
+}

@@ -830,7 +830,7 @@ func TestHeldPartialRoundSurvivesKill(t *testing.T) {
 	eventually(t, "rank 1 holds and acknowledges leaf 3's reply", func() bool {
 		leaf3.mu.Lock()
 		defer leaf3.mu.Unlock()
-		return leaf3.ringAcked == 1
+		return leaf3.sched.acked == 1
 	})
 
 	if err := nw.Kill(1); err != nil {

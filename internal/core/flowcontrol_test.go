@@ -17,14 +17,15 @@ import (
 
 // TestEgressBarrierOrdering: an egress queue is one FIFO. Data of three
 // streams interleaved with control packets leaves in exactly the order it
-// was enqueued — through a flush that stalls on credits, the restore of a
+// was enqueued — through a flush that stalls on credits, the rewind of a
 // failed flush's remainder, and data fed in while the queue is stalled —
 // so per-stream FIFO holds and no packet overtakes a control packet
-// enqueued before it.
+// enqueued before it. The FIFO retains, as an upstream queue's does: what
+// it took stays kept until the peer's cumulative acknowledgement.
 func TestEgressBarrierOrdering(t *testing.T) {
 	a, _ := transport.NewPair(64)
 	fl := transport.NewFlowLink(a, 8)
-	var s egressSched
+	s := egressSched{retain: true}
 	var want, wire []*packet.Packet
 	enqueue := func(n int) {
 		for i := 0; i < n; i++ {
@@ -33,7 +34,7 @@ func TestEgressBarrierOrdering(t *testing.T) {
 			if k%4 == 3 {
 				p = closeStreamPacket(uint32(k))
 			}
-			s.add(p)
+			s.add(p, pendRetire{})
 			want = append(want, p)
 		}
 	}
@@ -45,6 +46,12 @@ func TestEgressBarrierOrdering(t *testing.T) {
 		}
 		return n
 	}
+	// The peer retires n more data packets: it acknowledges them, then
+	// grants their credits back.
+	retire := func(n int) {
+		s.ack(s.acked+uint64(n), nil, fl.Window())
+		fl.Refund(n)
+	}
 
 	enqueue(24) // 18 data packets against a window of 8
 	ps, _, nData, stalled := s.take(fl, false, nil)
@@ -55,13 +62,16 @@ func TestEgressBarrierOrdering(t *testing.T) {
 		t.Fatalf("the stalled take stopped at a control packet, not at the first data packet without a credit")
 	}
 	// The wire accepts half the batch and fails: the remainder goes back
-	// at the head, its credits refunded (failedFlush), and the peer grants
-	// back what it retired.
+	// at the head, its credits refunded (failedFlush), and the peer
+	// acknowledges and grants back what it retired.
 	half := len(ps) / 2
 	wire = append(wire, ps[:half]...)
 	fl.Refund(countData(ps[half:]))
-	s.restore(ps[half:])
-	fl.Refund(countData(ps[:half]))
+	s.rewind(len(ps)-half, countData(ps[half:]))
+	if s.kept != countData(ps[:half]) {
+		t.Fatalf("after the rewind the FIFO keeps %d data packets, want the %d sent", s.kept, countData(ps[:half]))
+	}
+	retire(countData(ps[:half]))
 
 	enqueue(8) // fed while the flush is being retried
 	for rounds := 0; s.len() > 0; rounds++ {
@@ -70,7 +80,7 @@ func TestEgressBarrierOrdering(t *testing.T) {
 		}
 		ps, _, nData, _ := s.take(fl, false, nil)
 		wire = append(wire, ps...)
-		fl.Refund(nData) // the peer retires and grants
+		retire(nData)
 	}
 	if len(wire) != len(want) {
 		t.Fatalf("the wire carried %d packets, want %d", len(wire), len(want))
@@ -81,38 +91,65 @@ func TestEgressBarrierOrdering(t *testing.T) {
 				i, wire[i].Tag, wire[i].StreamID, want[i].Tag, want[i].StreamID)
 		}
 	}
-	if s.data != 0 || fl.Available() != fl.Window() {
-		t.Errorf("drained queue counts %d data packets and %d of %d credits free; want 0 and all",
-			s.data, fl.Available(), fl.Window())
+	if s.data != 0 || s.kept != 0 || fl.Available() != fl.Window() {
+		t.Errorf("drained queue counts %d data packets, keeps %d, and has %d of %d credits free; want 0, 0 and all",
+			s.data, s.kept, fl.Available(), fl.Window())
 	}
 }
 
 // TestStalledFIFOKeepsBoundedArray: a credit-stalled queue that keeps
 // being fed — every round a grant lets a window out and as much arrives —
-// never drains, so only sliding the live tail down when the array fills
-// keeps the array from growing by every packet it ever queued.
+// never drains, so only sliding the live part down when the array fills
+// keeps the array from growing by every packet it ever queued. The same
+// holds for a retaining FIFO whose acknowledgements lag a window behind
+// its sends: what it keeps slides down with what it queues.
 func TestStalledFIFOKeepsBoundedArray(t *testing.T) {
-	a, _ := transport.NewPair(64)
-	fl := transport.NewFlowLink(a, 8)
-	var s egressSched
-	p := packet.MustNew(tagQuery, 1, 1, "%d", int64(1))
-	for i := 0; i < 2*fl.Window(); i++ {
-		s.add(p)
-	}
-	var buf []*packet.Packet
-	for round := 0; round < 1000; round++ {
-		batch, _, nData, stalled := s.take(fl, false, buf[:0])
-		if !stalled {
-			t.Fatalf("round %d: the queue drained; it must stay stalled", round)
-		}
-		buf = batch
-		for i := 0; i < nData; i++ {
-			s.add(p) // as much arrives as left
-		}
-		fl.Refund(nData) // the peer retires what it got and grants it back
-	}
-	if c := cap(s.ps); c > 4*fl.Window() {
-		t.Errorf("a stalled queue holding %d packets grew a %d-slot array over 1000 rounds", s.len(), c)
+	for _, tc := range []struct {
+		name    string
+		retain  bool
+		rounds  int
+		ceiling int // in windows
+	}{
+		{"stalled", false, 1000, 4},
+		{"retaining", true, 20000, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _ := transport.NewPair(64)
+			fl := transport.NewFlowLink(a, 8)
+			s := egressSched{retain: tc.retain}
+			p := packet.MustNew(tagQuery, 1, 1, "%d", int64(1))
+			for i := 0; i < 2*fl.Window(); i++ {
+				s.add(p, pendRetire{})
+			}
+			var buf []*packet.Packet
+			lag := 0 // data taken in the last round, not yet acknowledged
+			for round := 0; round < tc.rounds; round++ {
+				batch, _, nData, stalled := s.take(fl, false, buf[:0])
+				if !stalled {
+					t.Fatalf("round %d: the queue drained; it must stay stalled", round)
+				}
+				buf = batch
+				for i := 0; i < nData; i++ {
+					s.add(p, pendRetire{}) // as much arrives as left
+				}
+				// The peer retires what it got and grants it back: at once,
+				// or, retaining, one round later, acknowledging it first.
+				if !tc.retain {
+					fl.Refund(nData)
+					continue
+				}
+				s.ack(s.acked+uint64(lag), nil, fl.Window())
+				fl.Refund(lag)
+				lag = nData
+				if s.kept > fl.Window() {
+					t.Fatalf("round %d: the FIFO keeps %d data packets, past the window %d", round, s.kept, fl.Window())
+				}
+			}
+			if c := cap(s.es); c > tc.ceiling*fl.Window() {
+				t.Errorf("a stalled queue holding %d packets (%d kept) grew a %d-slot array over %d rounds",
+					s.len(), s.kept, c, tc.rounds)
+			}
+		})
 	}
 }
 

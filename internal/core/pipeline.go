@@ -256,8 +256,8 @@ func (pl *pipeline) closeStreamUp(ss *streamState) {
 }
 
 // register tracks a just-created stream for time-based polling, so a
-// synchronizer window armed with the pipeline quiesced (adoption replaying
-// composed state) fires even if no item ever reaches the worker.
+// synchronizer window armed with the pipeline quiesced (adoption feeding
+// composed state through it) fires even if no item ever reaches the worker.
 func (pl *pipeline) register(ss *streamState) {
 	pl.dispatch(pipeItem{kind: itemRegister, ss: ss})
 }

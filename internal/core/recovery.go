@@ -278,9 +278,8 @@ func (nw *Network) passShutdown(links []transport.Link, seen bool, from Rank) {
 // repairStreams applies an install to every stream at the router: rebuild
 // slot routing and synchronization, re-announce the stream into the newly
 // installed subtrees, and restore the lost level's composable filter
-// state — by replay through the normal pipeline when the filter supports
-// it (also regenerating information lost in flight), else by a silent
-// state absorb.
+// state by replay through the normal pipeline (also regenerating
+// information lost in flight).
 func (n *node) repairStreams(c *cmdInstall) {
 	for _, ss := range n.streams {
 		// Rounds that were only gated on the dead slot complete now and
@@ -291,8 +290,6 @@ func (n *node) repairStreams(c *cmdInstall) {
 			ss.begin(false, pendRetire{})
 			ss.round(batch)
 			ss.end()
-		} else {
-			absorbComposed(n.nw.registry, ss, c.composed)
 		}
 	}
 }
@@ -310,13 +307,6 @@ func announceStream(ss *streamState, slots []int, links []transport.Link) {
 	}
 }
 
-// stateMerger matches reliability.Merger structurally, avoiding a core →
-// reliability dependency: stateful filters that can absorb a sibling
-// instance's state implement it (e.g. the eqclass filter).
-type stateMerger interface {
-	MergeState(other filter.StatefulTransformation) error
-}
-
 // stateReplayer is implemented by stateful filters that can turn a state
 // snapshot back into data packets. During adoption the composed lost state
 // is replayed through the adopter's normal filter pipeline, which both
@@ -328,8 +318,8 @@ type stateReplayer interface {
 }
 
 // replayComposed converts ss's composed lost state into a batch to feed
-// through the adopter's pipeline, or nil when the filter cannot replay
-// (callers then fall back to a silent absorb via absorbComposed).
+// through the adopter's pipeline, or nil when there is nothing to replay:
+// no state, a filter that cannot replay it, or one that holds nothing.
 func replayComposed(ss *streamState, composed map[uint32][]byte) []*packet.Packet {
 	blob := composed[ss.id]
 	if len(blob) == 0 {
@@ -347,32 +337,6 @@ func replayComposed(ss *streamState, composed map[uint32][]byte) []*packet.Packe
 		pkts[i] = p.WithStream(ss.id)
 	}
 	return pkts
-}
-
-// absorbComposed merges a reconstructed (composed) filter state for ss into
-// the adopter's own filter instance, so suppression/accumulation semantics
-// survive the failed level's disappearance.
-func absorbComposed(reg *filter.Registry, ss *streamState, composed map[uint32][]byte) {
-	blob := composed[ss.id]
-	if len(blob) == 0 {
-		return
-	}
-	m, ok := ss.tform.(stateMerger)
-	if !ok {
-		return
-	}
-	nt, err := reg.NewTransformation(ss.tformName)
-	if err != nil {
-		return
-	}
-	scratch, ok := nt.(filter.StatefulTransformation)
-	if !ok {
-		return
-	}
-	if err := scratch.SetState(blob); err != nil {
-		return
-	}
-	_ = m.MergeState(scratch)
 }
 
 // tearingDown reports whether network teardown has begun.

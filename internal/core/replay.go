@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/packet"
 	"repro/internal/transport"
 )
 
@@ -74,9 +73,9 @@ func (w *seqWin) seen(c uint64) bool {
 // acknowledgements via completeRuns) mark their range done, and only the
 // newly contiguous prefix is retired toward the peer. That is what makes
 // the cumulative count carried by grants a true prefix acknowledgement of
-// the sender's replay ring: the peer's un-popped suffix is exactly the
-// packets not yet fully processed here, so a crash replays everything
-// still at risk and nothing more.
+// what the sender's upstream queue keeps: its unacknowledged suffix is
+// exactly the packets not yet fully processed here, so a crash replays
+// everything still at risk and nothing more.
 type inOrder struct {
 	mu   sync.Mutex
 	next uint64 // next arrival index to assign
@@ -147,8 +146,8 @@ func (t *inOrder) complete(start uint64, n int) int {
 // the level-by-level acknowledgement cascade. The front-end is the base
 // case (it retires at delivery), so by induction an acknowledged run's
 // information has reached the delivery point, and anything less survives
-// in some sender's replay ring. Records travel by value, allocating nothing
-// per run; the zero record (src nil) retires nothing.
+// in what some sender's upstream queue keeps. Records travel by value,
+// allocating nothing per run; the zero record (src nil) retires nothing.
 type pendRetire struct {
 	src   *transport.FlowLink
 	tr    *inOrder // in-order tracker for src
@@ -156,88 +155,22 @@ type pendRetire struct {
 	n     int      // packets in the run
 }
 
-// ringEntry is one flushed-but-unacknowledged data packet in an egress
-// queue's replay ring, with the deferred retirement (if any) to complete
-// when the peer's cumulative acknowledgement covers it.
-type ringEntry struct {
-	p   *packet.Packet
-	ack pendRetire
-}
-
-// replayRing is the preallocated circular buffer behind an upstream
-// egress queue. Capacity is the link window: a flush acquires one credit
-// per data packet, a grant's acknowledgement is applied before its credits
-// return (transport.FlowLink), and noteSent retires entries a grant has
-// already covered, so flushed-but-unacknowledged data never exceeds W and
-// pushes and pops recycle the same slot structs with no allocation.
-// Growth is the safety net for a violated bound — never drop a packet that
-// may need replaying — and shows as ReplayRingHighWater > W, which the
-// chaos sweep and the slow-consumer ring test assert against.
-type replayRing struct {
-	buf  []ringEntry
-	head int
-	n    int
-}
-
-func newReplayRing(capacity int) *replayRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &replayRing{buf: make([]ringEntry, capacity)}
-}
-
-func (r *replayRing) len() int { return r.n }
-
-// at returns the i-th oldest entry (0 = front); callers keep i < len().
-func (r *replayRing) at(i int) ringEntry {
-	return r.buf[(r.head+i)%len(r.buf)]
-}
-
-// push appends e at the back, growing when full.
-func (r *replayRing) push(e ringEntry) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = e
-	r.n++
-}
-
-// popFront removes and returns the oldest entry, zeroing its slot so the
-// ring never pins packet memory past acknowledgement.
-func (r *replayRing) popFront() ringEntry {
-	e := r.buf[r.head]
-	r.buf[r.head] = ringEntry{}
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return e
-}
-
-// grow doubles capacity, linearizing entries to head 0.
-func (r *replayRing) grow() {
-	nb := make([]ringEntry, 2*len(r.buf))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.at(i)
-	}
-	r.buf, r.head = nb, 0
-}
-
 // completeRuns turns downstream acknowledgements into upstream credit
-// grants, on the goroutine that completed the runs: a link reader (the
-// replay ring's ack hook) or a flusher recording its frame (noteSent).
-// Neither may touch the wire — a reader blocked in a send stops draining
-// its own link, and two peers doing that symmetrically deadlock. So it
-// does only what needs no wire: it completes each run against its in-order
-// tracker, retires whatever became contiguous, and owes the credits in
-// full (full flush rather than threshold batching: a cascade hop's worth
-// of latency already separates these grants from the work they
-// acknowledge, and the sender may be blocked on exactly them). A remainder
-// below the threshold is owed where the link can owe it idly
-// (FlowLink.OweIdle) — on TCP, before the reader even delivers the frame
-// that carried the acknowledgement, so the command that frame usually
-// holds carries the grant on down. A grant that crossed the threshold, or
-// that the link cannot owe idly (chan), is owed at once (FlowLink.OweNow):
-// the source link's egress queue pays it from its clock, one combined
-// grant per link, unless a frame leaving first carries it.
+// grants, on the goroutine that completed the runs: a link reader, in its
+// upstream queue's ack hook (onAck). It may not touch the wire — a reader
+// blocked in a send stops draining its own link, and two peers doing that
+// symmetrically deadlock. So it does only what needs no wire: it completes
+// each run against its in-order tracker, retires whatever became
+// contiguous, and owes the credits in full (full flush rather than
+// threshold batching: a cascade hop's worth of latency already separates
+// these grants from the work they acknowledge, and the sender may be
+// blocked on exactly them). A remainder below the threshold is owed where
+// the link can owe it idly (FlowLink.OweIdle) — on TCP, before the reader
+// even delivers the frame that carried the acknowledgement, so the command
+// that frame usually holds carries the grant on down. A grant that crossed
+// the threshold, or that the link cannot owe idly (chan), is owed at once
+// (FlowLink.OweNow): the source link's egress queue pays it from its clock,
+// one combined grant per link, unless a frame leaving first carries it.
 func completeRuns(rs []pendRetire) {
 	for _, r := range rs {
 		n := r.tr.complete(r.start, r.n)

@@ -498,22 +498,22 @@ func TestDrainedFIFOsReleaseBurstArrays(t *testing.T) {
 	barrier := closeStreamPacket(1)
 	burst := 8 * fl.Window()
 	for i := 0; i < burst; i++ {
-		s.add(barrier)
+		s.add(barrier, pendRetire{})
 	}
-	if cap(s.ps) <= 2*fl.Window() {
-		t.Fatalf("a %d-packet burst left the FIFO at capacity %d: it never outgrew a window's rounds", burst, cap(s.ps))
+	if cap(s.es) <= 2*fl.Window() {
+		t.Fatalf("a %d-packet burst left the FIFO at capacity %d: it never outgrew a window's rounds", burst, cap(s.es))
 	}
 	ps, _, _, stalled := s.take(fl, true, nil)
 	if stalled || len(ps) != burst || s.len() != 0 {
 		t.Fatalf("take returned %d packets (stalled %v), %d left; want all %d", len(ps), stalled, s.len(), burst)
 	}
-	if cap(s.ps) != 0 {
-		t.Errorf("the drained FIFO holds the burst's %d-slot array", cap(s.ps))
+	if cap(s.es) != 0 {
+		t.Errorf("the drained FIFO holds the burst's %d-slot array", cap(s.es))
 	}
 	// A window-sized round keeps its array once drained.
 	round := func() {
 		for i := 0; i < fl.Window(); i++ {
-			s.add(barrier)
+			s.add(barrier, pendRetire{})
 		}
 		ps, _, _, _ = s.take(fl, true, ps[:0])
 	}

@@ -189,13 +189,23 @@
 # enqueue no longer arms the queue's clock, and its flush hands a busy
 # wire off to the owner (+11 in egress.go). The timer sites stay at 5
 # and the waivers at 2.
+#
+# Lowered: internal/core 5473 -> 5305 and outside bench/ 19535 -> 19367
+# for an upstream queue that is its own replay ring: its FIFO keeps what
+# it takes until the peer's cumulative ack, so the separate ring
+# (replayRing, ringEntry), noteSent and retireLocked with their three
+# counters, the replaying and meta maps keyed by packet pointer, and
+# egressSched.restore went; the maxRetained bound, which never bound,
+# went with them. Recovery's absorbComposed and stateMerger, a silent
+# merge no stateful filter reached, went too. take keeps its creditpair
+# waiver; the timer sites stay at 5 and the waivers at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5473
+max_lines=5305
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=19535
+max_repo_lines=19367
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
