@@ -370,11 +370,11 @@ func TestBurstNeedsNoRecv(t *testing.T) {
 	}
 }
 
-// TestIdleFlushHandsOffToBusyWire: the idle flush the enqueue armed at zero
-// that finds another flusher owning the wire — one that may already have
-// taken its last batch — must not leave its packet to the age bound: the
-// owner re-arms the clock at zero when it lets go, and the packet leaves at
-// once.
+// TestIdleFlushHandsOffToBusyWire: the clock's idle flush the enqueue
+// armed at zero that finds another flusher owning the wire — one that may
+// already have taken its last batch — must not leave its packet to the age
+// bound: the owner re-arms the clock at zero when it lets go, and the
+// packet leaves at once, on the clock.
 func TestIdleFlushHandsOffToBusyWire(t *testing.T) {
 	a, b := transport.NewPair(16)
 	var m Metrics
@@ -388,8 +388,8 @@ func TestIdleFlushHandsOffToBusyWire(t *testing.T) {
 	eventually(t, "the idle flush hands off to the busy wire", q.handoff.Load)
 	q.unlockWire()
 	drainLink(t, b, 1)
-	if got := m.FlushIdle.Load(); got != 1 {
-		t.Errorf("flush_idle = %d, want 1", got)
+	if got := m.FlushClock.Load(); got != 1 {
+		t.Errorf("flush_clock = %d, want 1", got)
 	}
 	if got := m.FlushAge.Load(); got != 0 {
 		t.Errorf("flush_age = %d, want 0", got)
@@ -517,7 +517,7 @@ func TestStopRacesEnqueue(t *testing.T) {
 		}
 	}
 	time.Sleep(time.Millisecond) // a callback that beat the last stop finishes
-	clockFlushes := func() int64 { return m.FlushAge.Load() + m.FlushIdle.Load() }
+	clockFlushes := func() int64 { return m.FlushAge.Load() + m.FlushIdle.Load() + m.FlushClock.Load() }
 	flushed := clockFlushes()
 	time.Sleep(5 * time.Millisecond)
 	if got := clockFlushes(); got != flushed {

@@ -140,7 +140,8 @@ type Metrics struct {
 	FramesSent      atomic.Int64 `snap:"frames_sent"`           // frames flushed to links by egress queues
 	FlushSize       atomic.Int64 `snap:"flush_size"`            // flushes triggered by a full window
 	FlushAge        atomic.Int64 `snap:"flush_age"`             // retries after the MaxDelay back-off (failed flush, replacement link)
-	FlushIdle       atomic.Int64 `snap:"flush_idle"`            // flushes once the producer yields: the queue's clock or an on-caller idle point
+	FlushIdle       atomic.Int64 `snap:"flush_idle"`            // flushes at a producer's own idle point: a lane drained, BackEnd.Recv, a root send
+	FlushClock      atomic.Int64 `snap:"flush_clock"`           // idle flushes the queue's clock ran, armed at zero: no producer idle point, a hand-off
 	FlushGrant      atomic.Int64 `snap:"flush_grant"`           // flushes resumed by a credit grant after a stall
 	FlushControl    atomic.Int64 `snap:"flush_control"`         // flushes forced by control packets
 	FlushDrain      atomic.Int64 `snap:"flush_drain"`           // flushes at shutdown/reparent drains

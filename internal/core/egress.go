@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +14,12 @@ import (
 // a per-link egress queue and are flushed as one multi-packet frame when
 // the queue reaches the flush window (size), when a control packet must
 // not be delayed (control), when the owner drains at shutdown/reparent
-// (drain), and otherwise as soon as the producer yields the CPU: the data
-// enqueue that makes the queue non-empty arms its clock at zero (idle).
+// (drain), and otherwise as soon as the producer is idle: a router's
+// pipeline lane whose mailbox drained, a back-end handler about to block
+// in Recv and a root user goroutine done sending flush on their own
+// goroutine (idle); a producer with no idle point of its own — a back-end
+// handler that sends and computes, the router itself — has the enqueue
+// that makes the queue non-empty arm the queue's clock at zero (clock).
 // Batching amortizes per-message link costs — a channel transfer or a TCP
 // write+flush — over the whole frame: what accumulates while the producer
 // is busy (or the wire is) is the batch, and no packet waits for a timer.
@@ -65,15 +70,22 @@ var maxEgressFrameBytes = packet.MaxWireSize
 const maxFlushRounds = 8
 
 // flush causes, for the metrics counters. flushDrain covers the blocking
-// drains (shutdown) and the re-flush after reparenting. flushIdle is the
-// clock armed at zero by the enqueue that made the queue non-empty, or a
-// caller's idle point (idleNow); flushGranted is the clock armed at zero by
-// a cleared credit stall (unstall); flushAge is the clock firing at the
-// MaxDelay back-off of a failed flush or a replacement link.
+// drains (shutdown) and the re-flush after reparenting. flushIdle is a
+// producer's own idle point, run on the producer's goroutine: a pipeline
+// lane's (laneIdle), a back-end's Recv or a root send's (idleNow).
+// flushClock is the clock armed at zero for an idle flush no producer runs
+// itself: the enqueue that made a back-end's queue non-empty or a router
+// enqueue outside its lanes, a flush handed to the clock by a busy wire
+// (idle) or by a lane (handOff), a lane whose link cannot send without
+// waiting, a lane producer about to block on a full queue. flushGranted is
+// the clock armed at zero by a cleared credit stall (unstall); flushAge is
+// the clock firing at the MaxDelay back-off of a failed flush or a
+// replacement link.
 const (
 	flushSize = iota
 	flushAge
 	flushIdle
+	flushClock
 	flushGranted
 	flushControl
 	flushDrain
@@ -156,7 +168,9 @@ type egressQueue struct {
 	// (pollAge) runs on the timer's goroutine, so neither a router, a
 	// pipeline lane nor a link reader touches the wire for an idle, grant
 	// or age flush, an owed grant or a beacon. due is the data deadline
-	// (see deadline); armCause is the flush cause it counts under. grantDue
+	// (see deadline); armCause is the flush cause it counts under, and
+	// laneDue marks one a producer's idle point will flush, which the clock
+	// leaves alone until something arms it (armLocked). grantDue
 	// is the deadline of the grant owed on the link (owe), zero when none
 	// is; beatDue that of the rank's next liveness beacon (beacon), zero
 	// when beacons are off. Both are kept apart from due because they hold
@@ -175,12 +189,13 @@ type egressQueue struct {
 	armedAt   time.Time
 	pollNow   func()
 	armCause  int
+	laneDue   bool
 	stalled   bool
 	stopped   bool
-	// handoff is set by an idle or control flush that found the wire busy;
-	// the owner re-arms the clock when it lets go (unlockWire), so the
-	// packets are not stranded behind a flush that already took its last
-	// batch.
+	// handoff is set by an idle, clock or control flush that found the
+	// wire busy; the owner re-arms the clock when it lets go (unlockWire),
+	// so the packets are not stranded behind a flush that already took its
+	// last batch.
 	handoff atomic.Bool
 	// localHW mirrors the deepest depth this queue has reported to the
 	// global high-water gauge, so the hot path pays an atomic only when
@@ -190,6 +205,24 @@ type egressQueue struct {
 	// ringHW mirrors the most data an upstream queue has kept for replay
 	// (sched.kept), as localHW does for the replay-ring gauge.
 	ringHW int
+
+	// owner is the router whose queue this is, nil for a back-end's: its
+	// data producers — the pipeline lanes and, at the root, the user
+	// goroutines' rootSend — each run an idle point of their own, so a
+	// data enqueue there records the idle deadline without arming the
+	// clock (laneDue), and a producer about to block on a full queue hands
+	// every such deadline of the router's queues to the clocks
+	// (clockLaneDue).
+	owner *node
+	// try caches transport.TrySender(flow), nil when the link may wait;
+	// like copies, read under flushMu or mu and written under both.
+	try transport.TryBatchSender
+	// handedOff is a batch a lane took that its link would not take at once
+	// (handOff): the lane passed it to the clock together with the wire, so
+	// flushMu stays locked until the clock has sent it. Guarded by mu.
+	// sendHandedOff, built once like pollNow, is the goroutine that sends it.
+	handedOff     takenBatch
+	sendHandedOff func()
 }
 
 // newEgressQueue wraps a child link with the given (already normalized)
@@ -206,6 +239,7 @@ func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue 
 	q.mu.Lock()
 	q.timer = time.AfterFunc(pol.MaxDelay, q.fire)
 	q.pollNow = func() { q.pollAge(time.Now()) }
+	q.sendHandedOff = q.flushHandedOff
 	q.timer.Stop()
 	q.mu.Unlock()
 	return q
@@ -216,6 +250,7 @@ func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics) *egressQueue 
 func (q *egressQueue) adoptFlow(fl *transport.FlowLink) {
 	q.flow = fl
 	q.copies = transport.BatchCopies(fl)
+	q.try = transport.TrySender(fl)
 	// (Re-)arm the hard bound: a fresh link means the window is enforceable
 	// again after a releaseWaiters interlude.
 	q.released = make(chan struct{})
@@ -254,7 +289,7 @@ func (q *egressQueue) sendAck(p *packet.Packet, block bool, ack pendRetire) erro
 	} else if block {
 		q.waitSlotLocked()
 	}
-	return q.enqueueLocked(p, ack, false)
+	return q.enqueueLocked(p, ack, false, !block || q.owner == nil)
 }
 
 // onAck runs on the link's reader goroutine when a grant arrives, before
@@ -262,14 +297,10 @@ func (q *egressQueue) sendAck(p *packet.Packet, block bool, ack pendRetire) erro
 // retirement count acknowledges a prefix of this queue's flush order. Pop
 // the covered entries and complete their deferred retirements
 // (completeRuns) — never the wire from here (a reader blocked in a send
-// stops draining its own link). A grant without a cumulative count
-// (cum == 0) acknowledges n more packets than the last one did.
-func (q *egressQueue) onAck(n int, cum uint64) {
+// stops draining its own link).
+func (q *egressQueue) onAck(_ int, cum uint64) {
 	var buf [ackBuf]pendRetire
 	q.mu.Lock()
-	if cum == 0 {
-		cum = q.sched.acked + uint64(n)
-	}
 	acks := q.sched.ack(cum, buf[:0], q.window)
 	q.mu.Unlock()
 	completeRuns(acks)
@@ -285,12 +316,22 @@ func (q *egressQueue) bindStops(a, b <-chan struct{}) {
 }
 
 // waitSlotLocked blocks (abortably) for a data-occupancy slot of a full
-// queue; the queue's clock, armed when it went non-empty, is already
-// flushing what fills it. An aborted wait (stop channels, a dead link's
-// releaseWaiters) takes no slot: the packet overflows, transiently
-// exceeding the bound rather than deadlocking. Callers hold mu, which is
-// released while blocked and held again on return.
+// queue. A producer about to block has reached an idle point, so it first
+// has the clock flush what fills the queue: a back-end's clock is armed
+// already, since its enqueues arm it; at a router the producer — a lane
+// or a root user goroutine — hands the clock every idle deadline it left
+// on the router's queues (clockLaneDue), this one's and its siblings', so
+// no link's packets wait for the one it blocks on. An aborted wait (stop
+// channels, a dead link's releaseWaiters) takes no slot: the packet
+// overflows, transiently exceeding the bound rather than deadlocking.
+// Callers hold mu, which is released while blocked and held again on
+// return.
 func (q *egressQueue) waitSlotLocked() {
+	if q.owner != nil {
+		q.mu.Unlock()
+		q.owner.clockLaneDue()
+		q.mu.Lock()
+	}
 	for q.held >= q.window {
 		rel := q.released
 		q.slotWaiters++
@@ -382,7 +423,7 @@ func (q *egressQueue) sendCtx(p *packet.Packet, block bool) error {
 // window.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
 	q.mu.Lock()
-	return q.enqueueLocked(p, pendRetire{}, true)
+	return q.enqueueLocked(p, pendRetire{}, true, false)
 }
 
 // enqueueLocked appends p with its record ack (ctrl marks a sendNow
@@ -390,17 +431,26 @@ func (q *egressQueue) sendNow(p *packet.Packet) error {
 // mu, and triggers whatever flush is due. Producers never wait on the
 // wire: a triggered flush that finds another flusher active is absorbed
 // by that flusher's drain loop. The data enqueue that makes the queue
-// non-empty arms the clock at zero: the flush runs on the timer's
-// goroutine once the producer yields the CPU, so the batch is what the
-// producer added meanwhile, and a producer that stops —
-// between bursts, blocked on a full window, parked anywhere — leaves
-// nothing waiting for a timer. A control enqueue arms nothing: its caller
-// flushes at once, and so learns whether the wire took the packet.
-func (q *egressQueue) enqueueLocked(p *packet.Packet, ack pendRetire, ctrl bool) error {
+// non-empty sets the idle deadline. With arm — a producer with no idle
+// point of its own: a back-end handler, which may send and then compute,
+// or the router — it arms the clock at zero, so the flush runs on the
+// timer's goroutine once the producer yields the CPU; a producer that
+// stops — between bursts, parked anywhere — leaves nothing waiting for a
+// timer. Without it the deadline is the producer's (laneDue): a pipeline
+// lane flushes it when its mailbox drains (laneIdle), a root user
+// goroutine before its send returns (idleNow), and either one about to
+// block on a full queue hands it to the clock (waitSlotLocked). A control
+// enqueue arms nothing: its caller flushes at once, and so learns whether
+// the wire took the packet.
+func (q *egressQueue) enqueueLocked(p *packet.Packet, ack pendRetire, ctrl, arm bool) error {
 	wasEmpty := q.sched.len() == 0
 	q.sched.add(p, ack)
-	if wasEmpty && !ctrl {
-		q.armLocked(0, flushIdle)
+	switch {
+	case !wasEmpty || ctrl:
+	case arm:
+		q.armLocked(0, flushClock)
+	case !q.stopped:
+		q.due, q.laneDue = time.Now(), true
 	}
 	q.m.PacketsQueued.Add(1)
 	// The high-water gauge tracks what the link window bounds: data
@@ -437,10 +487,10 @@ func (q *egressQueue) flush(cause int) error {
 		}
 	}
 	defer q.unlockWire()
-	return q.flushLoop(cause)
+	return q.flushLoop(cause, false)
 }
 
-// unlockWire releases the wire, re-arming the clock for an idle or
+// unlockWire releases the wire, re-arming the clock for an idle, clock or
 // control flush that found it busy (handoff).
 func (q *egressQueue) unlockWire() {
 	q.flushMu.Unlock()
@@ -450,12 +500,12 @@ func (q *egressQueue) unlockWire() {
 }
 
 // idle re-arms the clock at zero for what is queued: the hand-off of an
-// idle or control flush that found the wire busy (unlockWire). A
+// idle, clock or control flush that found the wire busy (unlockWire). A
 // credit-stalled queue waits for its unstalling grant.
 func (q *egressQueue) idle() {
 	q.mu.Lock()
 	if q.sched.len() > 0 && !q.stalled {
-		q.armLocked(0, flushIdle)
+		q.armLocked(0, flushClock)
 	}
 	q.mu.Unlock()
 }
@@ -473,36 +523,132 @@ func (q *egressQueue) idleNow() {
 	d := q.deadlineLocked()
 	q.mu.Unlock()
 	if !d.IsZero() {
-		q.flushDue(d, flushIdle)
+		q.flushDue(d, flushIdle, false)
 	}
+}
+
+// clockDue gives an idle deadline a producer left on the queue (laneDue)
+// to the clock, armed at zero.
+func (q *egressQueue) clockDue() {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	if q.laneDue {
+		q.laneDue = false
+		q.armLocked(0, flushClock)
+	}
+	q.mu.Unlock()
+}
+
+// laneIdle is a pipeline lane's idle point on a queue it feeds: its
+// mailbox drained, or it is about to park at the quiesce barrier. Like
+// idleNow it flushes on the caller, sparing the clock the wake-up; unlike
+// it, it never waits on the wire, since one lane serves every link of its
+// router and the quiesce barrier: it sends only what the link takes at
+// once (transport.TrySender), and a batch the link would wait for goes to
+// the clock with the wire (handOff). A link that cannot send without
+// waiting leaves the flush to the clock, armed at zero.
+func (q *egressQueue) laneIdle() {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	d := q.deadlineLocked()
+	if !d.IsZero() && q.try == nil {
+		q.armLocked(0, flushClock)
+		d = time.Time{}
+	}
+	q.mu.Unlock()
+	if !d.IsZero() {
+		q.flushDue(d, flushIdle, true)
+	}
+}
+
+// handOff passes a batch a lane took, which its link would not take at
+// once, to the clock together with the wire: flushMu stays locked, and the
+// clock's goroutine sends the batch and goes on flushing (flushHandedOff).
+// Nothing is rewound, and the slow path costs the wake-up the clock would
+// have paid for the whole flush.
+func (q *egressQueue) handOff(b takenBatch) {
+	q.mu.Lock()
+	q.handedOff = b
+	q.mu.Unlock()
+	go q.sendHandedOff()
+}
+
+// errHandedOff is flushLoop's report that a lane handed its batch and the
+// wire to the clock: the caller no longer owns flushMu.
+var errHandedOff = errors.New("core: flush handed to the clock")
+
+// takenBatch is a batch a lane took and handed to the clock: the packets
+// in flush order, their encoded bytes, how many carry data, and whether
+// the take stopped at the peer's credit window.
+type takenBatch struct {
+	ps           []*packet.Packet
+	total, nData int
+	stalled      bool
 }
 
 // flushLoop repeatedly takes a batch (under mu) and sends it (outside mu)
 // until the queue is empty, the peer's credit window is exhausted, the
-// round bound is hit, or the wire fails. Callers hold flushMu.
-func (q *egressQueue) flushLoop(cause int) error {
+// round bound is hit, or the wire fails. Callers hold flushMu; a batch a
+// lane handed over with it (handOff) goes first. A lane's idle flush (try)
+// sends each batch only if the link takes it at once; the first one it
+// would wait for goes to the clock with the wire, and flushLoop reports
+// errHandedOff.
+func (q *egressQueue) flushLoop(cause int, try bool) error {
 	for round := 0; round < maxFlushRounds; round++ {
 		q.mu.Lock()
-		dst := q.takeBuf[:0]
-		if !q.copies {
-			dst = make([]*packet.Packet, 0, q.sched.len())
-		}
-		batch, total, nData, stalled := q.sched.take(q.flow, false, dst)
-		// The take buffer is recycled across flushes only on links that
-		// copy batches; a retaining link owns the slice once sendFrames
-		// hands it over (the batchalias contract).
-		if q.copies {
-			q.takeBuf = batch[:0]
+		var batch []*packet.Packet
+		var total, nData int
+		var stalled bool
+		if h := q.handedOff; h.ps != nil {
+			batch, total, nData, stalled = h.ps, h.total, h.nData, h.stalled
+			q.handedOff = takenBatch{}
 		} else {
-			q.takeBuf = nil
-		}
-		if n := q.sched.kept; n > q.ringHW {
-			q.ringHW = n
-			raiseGauge(&q.m.ReplayRingHighWater, n)
+			dst := q.takeBuf[:0]
+			if !q.copies {
+				dst = make([]*packet.Packet, 0, q.sched.len())
+			}
+			batch, total, nData, stalled = q.sched.take(q.flow, false, dst)
+			// The take buffer is recycled across flushes only on links that
+			// copy batches; a retaining link owns the slice once sendFrames
+			// hands it over (the batchalias contract).
+			if q.copies {
+				q.takeBuf = batch[:0]
+			} else {
+				q.takeBuf = nil
+			}
+			if n := q.sched.kept; n > q.ringHW {
+				q.ringHW = n
+				raiseGauge(&q.m.ReplayRingHighWater, n)
+			}
 		}
 		if len(batch) > 0 {
 			q.mu.Unlock()
-			unsent, frames, err := q.sendFrames(batch, total)
+			var unsent []*packet.Packet
+			var frames int64
+			var err error
+			if try {
+				sent := false
+				// A replacement link may send only by waiting, and a batch
+				// past the frame bound only as a split, which may wait.
+				if q.try != nil && total <= maxEgressFrameBytes+4 {
+					sent, err = q.try.TrySendBatch(batch)
+				}
+				switch {
+				case sent:
+					frames = 1
+				case err == nil:
+					q.handOff(takenBatch{batch, total, nData, stalled})
+					return errHandedOff
+				default:
+					unsent = batch
+				}
+			} else {
+				unsent, frames, err = q.sendFrames(batch, total)
+			}
 			if frames > 0 {
 				q.m.FramesSent.Add(frames)
 				switch cause {
@@ -512,6 +658,8 @@ func (q *egressQueue) flushLoop(cause int) error {
 					q.m.FlushAge.Add(1)
 				case flushIdle:
 					q.m.FlushIdle.Add(1)
+				case flushClock:
+					q.m.FlushClock.Add(1)
 				case flushGranted:
 					q.m.FlushGrant.Add(1)
 				case flushControl:
@@ -549,6 +697,14 @@ func (q *egressQueue) flushLoop(cause int) error {
 		}
 	}
 	return nil
+}
+
+// flushHandedOff is the clock's goroutine for a batch a lane handed it
+// with the wire (handOff): it sends the batch, flushes what followed it,
+// and lets go of the wire.
+func (q *egressQueue) flushHandedOff() {
+	_ = q.flushLoop(flushClock, false)
+	q.unlockWire()
 }
 
 // noteStallLocked marks the queue credit-stalled: its age deadline is
@@ -644,16 +800,19 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 }
 
 // armLocked sets the data deadline d from now, counted under cause,
-// replacing any pending one. It is called wherever the queue gains a
-// deadline its timer does not know yet: the empty -> non-empty enqueue, a
-// busy wire's hand-off, a cleared credit stall, a retained failed flush, a
-// replacement link. Callers hold mu.
+// replacing any pending one, and gives it to the clock. It is called
+// wherever the queue gains a deadline its timer does not know yet: the
+// empty -> non-empty enqueue of a producer with no idle point, a busy
+// wire's hand-off, a producer's idle point that leaves the flush to the
+// clock, a cleared credit stall, a retained failed flush, a replacement
+// link. Callers hold mu.
 func (q *egressQueue) armLocked(d time.Duration, cause int) {
 	if q.stopped {
 		return
 	}
 	q.due = time.Now().Add(d)
 	q.armCause = cause
+	q.laneDue = false
 	q.retimeLocked()
 }
 
@@ -673,7 +832,7 @@ func (q *egressQueue) retimeLocked() {
 	}
 	var next time.Time
 	if !q.handoff.Load() {
-		next = q.deadlineLocked()
+		next = q.clockDueLocked()
 	}
 	for _, d := range [...]time.Time{q.grantDue, q.beatDue} {
 		if !d.IsZero() && (next.IsZero() || d.Before(next)) {
@@ -796,6 +955,15 @@ func (q *egressQueue) deadlineLocked() time.Time {
 	return q.due
 }
 
+// clockDueLocked is the data deadline the clock keeps: none while the
+// deadline is a producer's idle point's (laneDue).
+func (q *egressQueue) clockDueLocked() time.Time {
+	if q.laneDue {
+		return time.Time{}
+	}
+	return q.deadlineLocked()
+}
+
 // fire is the clock's callback: the timer is no longer set, and pollAge
 // does whatever came due.
 func (q *egressQueue) fire() {
@@ -814,28 +982,30 @@ func (q *egressQueue) pollAge(now time.Time) {
 	q.payOwed(now)
 	q.beat(now)
 	q.mu.Lock()
-	d, cause := q.deadlineLocked(), q.armCause
+	d, cause := q.clockDueLocked(), q.armCause
 	if d.IsZero() || now.Before(d) {
 		q.retimeLocked()
 		q.mu.Unlock()
 		return
 	}
 	q.mu.Unlock()
-	q.flushDue(d, cause)
+	q.flushDue(d, cause, false)
 }
 
 // flushDue is the flush body of a data deadline d that has come — the
-// clock's (pollAge) or a caller's idle point (idleNow): if the wire is
-// free, flush; then, if packets remain and nothing moved the deadline
-// meanwhile, re-arm. An idle flush that finds the wire busy hands off to
-// the wire's owner; any other backs off a full MaxDelay — its flusher
-// drains what is queued, and an expired deadline must not be re-polled
-// without sleeping. A flush that stopped at its round bound goes
-// again at once, on the clock. A failed flush has re-armed itself
-// (failedFlush); a stalled queue waits for unstall.
-func (q *egressQueue) flushDue(d time.Time, cause int) {
+// clock's (pollAge) or a producer's idle point (idleNow, laneIdle, which
+// sends only what the link takes at once: try): if the wire is free,
+// flush; then, if packets remain and nothing moved the deadline
+// meanwhile, re-arm. An idle or clock flush that finds the wire busy hands
+// off to the wire's owner; any other backs off a full MaxDelay — its
+// flusher drains what is queued, and an expired deadline must not be
+// re-polled without sleeping. A flush that stopped at its round bound goes
+// again at once, on the clock, as does one a lane handed to it. A failed
+// flush has re-armed itself (failedFlush); a stalled queue waits for
+// unstall.
+func (q *egressQueue) flushDue(d time.Time, cause int, try bool) {
 	busy := !q.flushMu.TryLock()
-	if busy && cause == flushIdle {
+	if busy && (cause == flushIdle || cause == flushClock) {
 		// An owner that let go before the flag landed left the wire free.
 		q.handoff.Store(true)
 		if !q.flushMu.TryLock() {
@@ -847,14 +1017,19 @@ func (q *egressQueue) flushDue(d time.Time, cause int) {
 		busy = false
 	}
 	if !busy {
-		_ = q.flushLoop(cause)
+		if q.flushLoop(cause, try) == errHandedOff {
+			return // the clock flushes the rest
+		}
 		q.unlockWire()
 	}
 	q.mu.Lock()
 	if q.sched.len() > 0 && !q.stalled && q.due.Equal(d) {
-		if busy {
+		switch {
+		case busy:
 			q.armLocked(q.pol.MaxDelay, flushAge)
-		} else {
+		case cause == flushIdle:
+			q.armLocked(0, flushClock)
+		default:
 			q.armLocked(0, cause)
 		}
 	} else {
@@ -874,7 +1049,7 @@ func (q *egressQueue) drain() error {
 	}
 	q.flushMu.Lock()
 	defer q.unlockWire()
-	return q.flushLoop(flushDrain)
+	return q.flushLoop(flushDrain, false)
 }
 
 // setLink repoints an upstream queue at a replacement parent link (recovery
@@ -909,7 +1084,7 @@ func (q *egressQueue) setLink(l transport.Link) {
 	}
 	q.mu.Unlock()
 	if queued > 0 {
-		_ = q.flushLoop(flushDrain)
+		_ = q.flushLoop(flushDrain, false)
 	}
 	q.unlockWire()
 }

@@ -9,6 +9,24 @@ import (
 	"repro/internal/transport"
 )
 
+// grant has peer, the far end of fl's chan link, retire n packets and
+// return their credits as production does: one grant stamped with the
+// peer's cumulative retired count, which fl absorbs at its read edge (a
+// packet behind it ends the read).
+func grant(t *testing.T, fl, peer *transport.FlowLink, n int) {
+	t.Helper()
+	n = peer.Retire(n) + peer.FlushRetired()
+	if err := peer.SendGrant(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Send(packet.MustNew(tagQuery, 0, 0, "")); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := fl.RecvBatch(); err != nil || len(ps) != 1 {
+		t.Fatalf("RecvBatch = %v, %v; want the grant absorbed and the packet behind it", ps, err)
+	}
+}
+
 // drainLink collects n packets from l, failing the test on EOF/timeout.
 func drainLink(t *testing.T, l transport.Link, n int) []*packet.Packet {
 	t.Helper()
@@ -173,7 +191,7 @@ func TestReplayAcrossTwoReplacements(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainLink(t, b, 6)
-	q.flow.Refill(2) // the peer acknowledges the first two
+	grant(t, q.flow, transport.NewFlowLink(b, window), 2) // the peer acknowledges the first two
 	if tr.low != 2 {
 		t.Fatalf("in-order tracker at %d after the first acknowledgement, want 2", tr.low)
 	}
@@ -210,9 +228,15 @@ func TestReplayAcrossTwoReplacements(t *testing.T) {
 		t.Errorf("after the second replacement %d packets are queued and %d kept, want 0 and the 6 sent", queued, kept)
 	}
 
-	q.flow.Refill(6)
+	grant(t, q.flow, transport.NewFlowLink(b3, window), 6)
 	if tr.low != 6 {
 		t.Errorf("in-order tracker at %d after the replacement's acknowledgement, want 6", tr.low)
+	}
+	q.mu.Lock()
+	kept = q.sched.kept
+	q.mu.Unlock()
+	if kept != 0 {
+		t.Errorf("%d packets kept after the replacement acknowledged all 6 it carried, want 0", kept)
 	}
 	if hw := m.ReplayRingHighWater.Load(); hw > window {
 		t.Errorf("kept high water %d, past the window %d", hw, window)

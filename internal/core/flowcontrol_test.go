@@ -265,7 +265,7 @@ func TestEgressHardBoundBlocksSender(t *testing.T) {
 // leaves one wake-up, so this holds only if each woken producer passes it
 // on while slots remain.
 func TestEgressFlushWakesEveryBlockedProducer(t *testing.T) {
-	a, _ := transport.NewPair(64)
+	a, b := transport.NewPair(64)
 	const w = 4
 	fa := transport.NewFlowLink(a, w)
 	var m Metrics
@@ -304,7 +304,7 @@ func TestEgressFlushWakesEveryBlockedProducer(t *testing.T) {
 	}
 	// One grant: the stalled queue resumes and one flush sends the four
 	// queued packets, releasing their slots at once.
-	fa.Refill(w)
+	grant(t, fa, transport.NewFlowLink(b, w), w)
 	timeout := time.After(time.Second)
 	for i := 0; i < w; i++ {
 		select {

@@ -11,7 +11,7 @@ import (
 // data path; only the ranks' own sets may hold them.
 var dataPlaneCounters = []string{
 	"packets_up", "packets_queued", "frames_sent", "batches", "shard_dispatches", "credit_grants",
-	"flush_size", "flush_age", "flush_idle", "flush_grant", "flush_control", "flush_drain",
+	"flush_size", "flush_age", "flush_idle", "flush_clock", "flush_grant", "flush_control", "flush_drain",
 }
 
 // TestDataPathCountsPerRank pins who owns the counters: a reduction counts

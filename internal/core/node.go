@@ -180,6 +180,7 @@ func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
 		// Parent acknowledgements pop the replay ring and release the
 		// inbound runs those packets carried — the cascade hop.
 		n.parentOut = nw.upstreamQueue(r, ep.Parent, n.m, n.killCh)
+		n.parentOut.owner = n
 	}
 	n.childOut = make([]*egressQueue, len(ep.Children))
 	for i, c := range ep.Children {
@@ -191,8 +192,20 @@ func newNode(nw *Network, r Rank, ep *transport.Endpoint) *node {
 // newChildQueue wraps a child link in a downstream egress queue.
 func (n *node) newChildQueue(l transport.Link) *egressQueue {
 	q := newEgressQueue(l, n.nw.cfg.Batch, n.m)
+	q.owner = n
 	q.bindStops(n.killCh, n.nw.dying)
 	return q
+}
+
+// clockLaneDue hands every idle deadline a producer left on the router's
+// queues to their clocks: the producer — a pipeline lane, or a root user
+// goroutine under epMu — is about to block on a full queue
+// (waitSlotLocked), and its idle point will not come until it resumes.
+func (n *node) clockLaneDue() {
+	n.parentOut.clockDue()
+	for _, q := range n.childOut {
+		q.clockDue()
+	}
 }
 
 // kill crashes the node: its links are severed abruptly (peers observe

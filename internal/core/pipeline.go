@@ -40,7 +40,11 @@ import (
 //
 // Egress queues are safe for concurrent use (their own mutex); FIFO within
 // a queue is enqueue order, which keeps control packets behind data the
-// router already accepted and per-stream data in order.
+// router already accepted and per-stream data in order. A lane flushes
+// the queues it fills itself, at its idle point: when its mailbox drains,
+// right after it grants back what it retired (flushPend), and before it
+// parks. That flush never waits on the wire (egressQueue.laneIdle), since
+// one lane serves every link of the process and the quiesce barrier.
 
 // pipeItem kinds. The pipeline runs TWO lanes — upstream and downstream —
 // with independent workers, because the directions have no mutual
@@ -121,6 +125,10 @@ type pipeline struct {
 	// retirement accumulations on these links are granted back (see
 	// flushGrant). Each set is touched only by its own lane goroutine.
 	upPend, downPend map[*transport.FlowLink]struct{}
+	// downFed is set when the down lane enqueued data since its last idle
+	// point, whose egress flush (idleDown) then visits the child queues;
+	// touched only by the down lane.
+	downFed bool
 	// stop aborts both workers (crash path); drainStop uses sentinels
 	// instead so queued work completes first.
 	stop     chan struct{}
@@ -325,8 +333,11 @@ func (pl *pipeline) runUp() {
 			}
 			// Mailbox drained: nothing further will push the lane's
 			// retirement accumulations over the grant threshold, so return
-			// them to the peers now (budget-limited senders may be waiting).
+			// them to the peers now (budget-limited senders may be waiting),
+			// and flush what the lane queued. A poll's releases reach this
+			// point too: the loop comes back here once it has polled.
 			pl.flushPend(pl.upPend)
+			pl.n.parentOut.laneIdle()
 			select {
 			case <-pl.stop:
 				return
@@ -374,8 +385,9 @@ func (pl *pipeline) runDown() {
 			continue
 		}
 		// Mailbox drained: grant back the lane's below-threshold
-		// retirements before sleeping (see runUp).
+		// retirements and flush what it queued before sleeping (see runUp).
 		pl.flushPend(pl.downPend)
+		pl.idleDown()
 		select {
 		case <-pl.downLane.notify:
 		case <-pl.stop:
@@ -414,7 +426,19 @@ func (pl *pipeline) flushPend(pend map[*transport.FlowLink]struct{}) {
 	}
 }
 
+// idleDown is the down lane's egress idle point: the child queues it fed
+// since the last one flush what they hold (laneIdle).
+func (pl *pipeline) idleDown() {
+	if pl.downFed {
+		pl.downFed = false
+		for _, q := range pl.n.childOut {
+			q.laneIdle()
+		}
+	}
+}
+
 // park holds a lane at the quiesce barrier until the router releases it.
+// Parking is an idle point: the caller has flushed what the lane queued.
 func (pl *pipeline) park(pause *pipePause) {
 	pause.arrived.Done()
 	select {
@@ -446,6 +470,7 @@ func (pl *pipeline) handleUp(it pipeItem) bool {
 	case itemRegister:
 		pl.streams[it.ss.id] = it.ss
 	case itemPause:
+		pl.n.parentOut.laneIdle()
 		pl.park(it.pause)
 	case itemStop:
 		return true
@@ -460,12 +485,15 @@ func (pl *pipeline) handleDown(it pipeItem) bool {
 	case itemDown:
 		pl.n.sendDownstream(it.ss, it.p.WithStream(it.ss.id))
 		pl.retire(pl.downPend, it.src, 1)
+		pl.downFed = true
 	case itemDownRaw:
 		pl.n.pipeDownRaw(it.p)
 		pl.retire(pl.downPend, it.src, 1)
+		pl.downFed = true
 	case itemCloseDown:
 		pl.n.sendDownstreamNow(it.ss, it.p)
 	case itemPause:
+		pl.idleDown()
 		pl.park(it.pause)
 	case itemStop:
 		return true

@@ -11,15 +11,48 @@ import (
 	"repro/internal/transport"
 )
 
-// discardConn is a socket that accepts every write and is never read: under
-// it a TCP link runs the full enqueue → schedule → encode → frame → write
-// path at memory speed.
-type discardConn struct{ net.Conn }
+// peerConn is a socket whose peer takes every write and answers with
+// nothing but the grants a test has it send (grant): under it a TCP link
+// runs the full enqueue → schedule → encode → frame → write path at memory
+// speed, and each grant comes off the wire through the link's read edge,
+// stamped with the peer's cumulative retired count as production stamps
+// it.
+type peerConn struct {
+	net.Conn
+	tb      testing.TB
+	fl      *transport.FlowLink
+	in      []byte
+	off     int
+	retired uint64
+}
 
-func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+func (*peerConn) Write(b []byte) (int, error) { return len(b), nil }
 
-func newDiscardLink(window int) *transport.FlowLink {
-	return transport.NewFlowLink(transport.NewTCPLink(discardConn{}), window)
+func (c *peerConn) Read(b []byte) (int, error) {
+	if c.off == len(c.in) {
+		return 0, io.EOF
+	}
+	n := copy(b, c.in[c.off:])
+	c.off += n
+	return n, nil
+}
+
+// newPeerLink wraps a peerConn in a TCP link with a credit window.
+func newPeerLink(tb testing.TB, window int) *peerConn {
+	c := &peerConn{tb: tb}
+	c.fl = transport.NewFlowLink(transport.NewTCPLink(c), window)
+	return c
+}
+
+// grant has the peer retire n more packets and return their credits: its
+// grant frame is read off the link, which absorbs it at its read edge and
+// then finds nothing more (io.EOF).
+func (c *peerConn) grant(n int) {
+	c.retired += uint64(n)
+	c.in, c.off = packet.AppendGrantFrame(c.in[:0], uint32(n), c.retired), 0
+	if ps, err := c.fl.RecvBatch(); err != io.EOF {
+		c.tb.Fatalf("RecvBatch = %v, %v; want the grant absorbed and io.EOF", ps, err)
+	}
 }
 
 // loopConn is a socket that reads back what was written to it and reports
@@ -55,18 +88,18 @@ func (c *loopConn) Read(b []byte) (int, error) {
 }
 
 // newAllocQueue builds the egress queue the allocation gates measure over a
-// shipping TCP link to nowhere: an upstream queue (replay ring, popped by
-// the test's Refill acks) or a downstream one.
-func newAllocQueue(tb testing.TB, window int, pol BatchPolicy, upstream bool) (*egressQueue, *transport.FlowLink) {
-	fl := newDiscardLink(window)
+// shipping TCP link to a peer that only grants: an upstream queue (what it
+// keeps popped by the peer's acknowledgements) or a downstream one.
+func newAllocQueue(tb testing.TB, window int, pol BatchPolicy, upstream bool) (*egressQueue, *peerConn) {
+	peer := newPeerLink(tb, window)
 	var q *egressQueue
 	if upstream {
-		q = newUpstreamQueue(fl, pol.normalized(), &Metrics{})
+		q = newUpstreamQueue(peer.fl, pol.normalized(), &Metrics{})
 	} else {
-		q = newEgressQueue(fl, pol.normalized(), &Metrics{})
+		q = newEgressQueue(peer.fl, pol.normalized(), &Metrics{})
 	}
 	tb.Cleanup(q.stop)
-	return q, fl
+	return q, peer
 }
 
 // newSinkStream binds a stream with the given filters to a node at rank 3
@@ -92,7 +125,7 @@ func offer(ss *streamState, c int, run []*packet.Packet) {
 
 // reduceRound returns one round of ss's synchronizer: a packet from each
 // child slot, the last completing it, and a grant for the one output.
-func reduceRound(ss *streamState, fl *transport.FlowLink) func() {
+func reduceRound(ss *streamState, peer *peerConn) func() {
 	n := ss.routes.Load().numUp
 	runs := make([][]*packet.Packet, n)
 	for c := range runs {
@@ -103,7 +136,7 @@ func reduceRound(ss *streamState, fl *transport.FlowLink) func() {
 		for c := range runs {
 			offer(ss, c, runs[c])
 		}
-		fl.Refill(1)
+		peer.grant(1)
 	}
 }
 
@@ -134,13 +167,13 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	t.Run("forward", func(t *testing.T) {
-		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
+		q, peer := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
 		p := allocPacket(t)
 		op := func() {
 			if err := q.send(p); err != nil {
 				t.Fatal(err)
 			}
-			fl.Refill(1)
+			peer.grant(1)
 		}
 		for i := 0; i < 256; i++ {
 			op() // grow the FIFO's array and the frame scratch
@@ -155,10 +188,10 @@ func TestHotPathAllocs(t *testing.T) {
 		// the parent's grant pops it off the ring and completeRuns
 		// completes it on the granting goroutine, owing the child its
 		// credit on a TCP link that can owe it.
-		fl := newDiscardLink(64)
-		q := newUpstreamQueue(fl, BatchPolicy{MaxBatch: 1}.normalized(), &Metrics{})
+		peer := newPeerLink(t, 64)
+		q := newUpstreamQueue(peer.fl, BatchPolicy{MaxBatch: 1}.normalized(), &Metrics{})
 		t.Cleanup(q.stop)
-		child := newDiscardLink(64)
+		child := newPeerLink(t, 64).fl
 		child.SetGrantHooks(func(bool) {}, nil)
 		tr := &inOrder{}
 		p := allocPacket(t)
@@ -167,7 +200,7 @@ func TestHotPathAllocs(t *testing.T) {
 			if err := q.sendAck(p, true, ret); err != nil {
 				t.Fatal(err)
 			}
-			fl.Refill(1)
+			peer.grant(1)
 		}
 		// An op's flush may run on the queue's clock goroutine, and then
 		// its retirement completes there, after op returns: read the owed
@@ -194,9 +227,9 @@ func TestHotPathAllocs(t *testing.T) {
 	t.Run("multicast", func(t *testing.T) {
 		const k = 4
 		var qs [k]*egressQueue
-		var fls [k]*transport.FlowLink
+		var peers [k]*peerConn
 		for i := range qs {
-			qs[i], fls[i] = newAllocQueue(t, 64, BatchPolicy{MaxBatch: 8}, false)
+			qs[i], peers[i] = newAllocQueue(t, 64, BatchPolicy{MaxBatch: 8}, false)
 		}
 		p := allocPacket(t)
 		op := func() {
@@ -213,8 +246,8 @@ func TestHotPathAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, fl := range fls {
-				fl.Refill(1)
+			for _, peer := range peers {
+				peer.grant(1)
 			}
 		}
 		for i := 0; i < 128; i++ {
@@ -232,7 +265,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// forward path's cost. The packet is the one allocation a reduce
 		// needs; a result slice, or a restamp copy per header field, would
 		// add one each.
-		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
+		q, peer := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
 		n, ss := newSinkStream(q, filter.NewNumericReduce(filter.OpSum), filter.NewNullSync(), 0)
 		round := []*packet.Packet{
 			packet.MustNew(tagQuery, 1, 7, "%d", 1000).WithSeq(packet.MakeSeq(7, 1)),
@@ -242,7 +275,7 @@ func TestHotPathAllocs(t *testing.T) {
 			ss.begin(true, pendRetire{})
 			ss.round(round)
 			ss.end()
-			fl.Refill(1)
+			peer.grant(1)
 		}
 		for i := 0; i < 256; i++ {
 			op()
@@ -259,9 +292,9 @@ func TestHotPathAllocs(t *testing.T) {
 		// A warm 8-child WaitForAll releases each round in its one round
 		// array, straight into the sum filter through the sink: nothing
 		// allocates but the output packet.
-		q, fl := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
+		q, peer := newAllocQueue(t, 64, BatchPolicy{MaxBatch: 1}, true)
 		_, ss := newSinkStream(q, filter.NewNumericReduce(filter.OpSum), filter.NewWaitForAll(8), 8)
-		op := reduceRound(ss, fl)
+		op := reduceRound(ss, peer)
 		for i := 0; i < 256; i++ {
 			op()
 		}
@@ -278,7 +311,7 @@ func TestHotPathAllocs(t *testing.T) {
 		// its own round, emitted as it is and forwarded to the parent
 		// queue without a header copy.
 		const k = 64
-		q, fl := newAllocQueue(t, k, BatchPolicy{MaxBatch: k}, true)
+		q, peer := newAllocQueue(t, k, BatchPolicy{MaxBatch: k}, true)
 		_, ss := newSinkStream(q, filter.Identity{}, filter.NewNullSync(), 1)
 		run := make([]*packet.Packet, k)
 		for i := range run {
@@ -289,7 +322,7 @@ func TestHotPathAllocs(t *testing.T) {
 			if err := q.drain(); err != nil {
 				t.Fatal(err)
 			}
-			fl.Refill(k)
+			peer.grant(k)
 		}
 		for i := 0; i < 64; i++ {
 			op()
@@ -309,8 +342,9 @@ func TestHotPathAllocs(t *testing.T) {
 		// Releasing the wire (unlockWire, which re-arms an idle flush that
 		// found it busy) hands the whole batch to one flush.
 		const batch = 8
+		// The window outlasts every cycle run here, so no grant is needed.
 		a, b := transport.NewPair(4)
-		fl := transport.NewFlowLink(a, 64)
+		fl := transport.NewFlowLink(a, 1<<12)
 		q := newEgressQueue(fl, BatchPolicy{MaxBatch: batch}.normalized(), &Metrics{})
 		t.Cleanup(q.stop)
 		p := allocPacket(t)
@@ -325,7 +359,6 @@ func TestHotPathAllocs(t *testing.T) {
 			if ps, err := transport.RecvBatch(b); err != nil || len(ps) != batch {
 				t.Fatalf("peer received %d packets (%v), want one frame of %d", len(ps), err, batch)
 			}
-			fl.Refill(batch)
 		}
 		for i := 0; i < 64; i++ {
 			op()
@@ -373,7 +406,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	t.Run("credit-grant", func(t *testing.T) {
 		m := &Metrics{}
-		fl := newDiscardLink(64)
+		fl := newPeerLink(t, 64).fl
 		quarter := fl.Window() / 4
 		op := func() { retireAndGrant(m, fl, quarter) } // one grant per call
 		for i := 0; i < 64; i++ {
@@ -598,13 +631,13 @@ func TestBufferReuseEquivalence(t *testing.T) {
 // BenchmarkHotPathForward is the CI allocation gate: run with -benchmem,
 // its allocs/op column is asserted by the workflow's zero-alloc step.
 func BenchmarkHotPathForward(b *testing.B) {
-	q, fl := newAllocQueue(b, 64, BatchPolicy{MaxBatch: 1}, true)
+	q, peer := newAllocQueue(b, 64, BatchPolicy{MaxBatch: 1}, true)
 	p := allocPacket(b)
 	for i := 0; i < 256; i++ {
 		if err := q.send(p); err != nil {
 			b.Fatal(err)
 		}
-		fl.Refill(1)
+		peer.grant(1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -612,7 +645,7 @@ func BenchmarkHotPathForward(b *testing.B) {
 		if err := q.send(p); err != nil {
 			b.Fatal(err)
 		}
-		fl.Refill(1)
+		peer.grant(1)
 	}
 }
 
@@ -620,9 +653,9 @@ func BenchmarkHotPathForward(b *testing.B) {
 // runs through the stream's sink to the parent queue; its one allocation
 // is the sum's output packet.
 func BenchmarkReduceRound(b *testing.B) {
-	q, fl := newAllocQueue(b, 64, BatchPolicy{MaxBatch: 1}, true)
+	q, peer := newAllocQueue(b, 64, BatchPolicy{MaxBatch: 1}, true)
 	_, ss := newSinkStream(q, filter.NewNumericReduce(filter.OpSum), filter.NewWaitForAll(8), 8)
-	op := reduceRound(ss, fl)
+	op := reduceRound(ss, peer)
 	for i := 0; i < 256; i++ {
 		op()
 	}

@@ -9,7 +9,8 @@
 //
 //  2. Blocking while holding a queue mutex. egressQueue.mu guards O(1)
 //     bookkeeping and must never be held across a channel send, a link
-//     send, a credit Acquire, or a hook-running Refill (Refund is
+//     send (TrySendBatch included: it finishes a frame the socket took
+//     part of), a credit Acquire, or a hook-running Refill (Refund is
 //     hook-free and explicitly safe). Other mutexes (recvMu, lane.mu) are
 //     allowed to be held across blocking calls by design.
 //
@@ -47,14 +48,15 @@ func queueMutex(key string) bool {
 // blockingCalls may block indefinitely (on a peer, a window, or a hook)
 // and therefore must not run under a queue mutex.
 var blockingCalls = map[string]bool{
-	"Send":      true,
-	"SendBatch": true,
-	"send":      true,
-	"sendCtx":   true,
-	"sendNow":   true,
-	"sendAck":   true,
-	"Acquire":   true,
-	"Refill":    true,
+	"Send":         true,
+	"SendBatch":    true,
+	"send":         true,
+	"sendCtx":      true,
+	"sendNow":      true,
+	"sendAck":      true,
+	"Acquire":      true,
+	"Refill":       true,
+	"TrySendBatch": true,
 }
 
 // lockKey derives the lock identity for a call like x.f.Lock(): the field

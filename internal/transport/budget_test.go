@@ -97,14 +97,14 @@ func TestStampBudgetReleasesOnRefill(t *testing.T) {
 	}
 	// A grant refilling one link credit releases the oldest budget stamp,
 	// unblocking the tenant.
-	fl.Refill(1)
+	grant(fl, 1)
 	if v := <-got; !v {
 		t.Fatal("refill must unblock the tenant's acquire")
 	}
 	close(stop)
 	// The second stamp is released by the next grant, not twice by one.
-	fl.Refill(1)
-	fl.Refill(1)
+	grant(fl, 1)
+	grant(fl, 1)
 	if b.InUse() != 1 {
 		t.Fatalf("after three one-credit grants, budget in use = %d, want 1 (the token taken after the first)", b.InUse())
 	}
@@ -144,7 +144,7 @@ func TestStampBudgetNilBudget(t *testing.T) {
 	if !fl.TryAcquire() {
 		t.Fatal("a nil stamp must not touch the link window")
 	}
-	fl.Refill(1) // no stamp to release, nothing to panic on
+	grant(fl, 1) // no stamp to release, nothing to panic on
 	if fl.Available() != 1 {
 		t.Fatalf("available = %d, want 1", fl.Available())
 	}
@@ -177,10 +177,8 @@ func TestBudgetedGrantsOverWire(t *testing.T) {
 			}
 		}
 	}
-	// The sender absorbs the grants on its next receive attempt; there is
-	// no data coming back, so poke the absorb path directly via Refill as
-	// the chan link's Recv would. Use a real recv with a trailing data
-	// packet instead: the peer sends one data packet after the grants.
+	// The sender absorbs the grants on its next receive: the peer sends one
+	// data packet after them to end it.
 	if err := peer.Send(data); err != nil {
 		t.Fatal(err)
 	}

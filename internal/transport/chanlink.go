@@ -95,6 +95,31 @@ func (l *chanLink) SendBatch(ps []*packet.Packet) error {
 	return l.sendFrame(chanFrame{ps: ps})
 }
 
+// TrySendBatch is SendBatch if the channel's buffer has room, and reports
+// false, sending nothing, if it has none.
+func (l *chanLink) TrySendBatch(ps []*packet.Packet) (bool, error) {
+	f := chanFrame{ps: ps}
+	switch len(ps) {
+	case 0:
+		return true, nil
+	case 1:
+		f = chanFrame{p: ps[0]}
+	}
+	select {
+	case <-l.ownClosed:
+		return false, ErrClosed
+	case <-l.peerClosed:
+		return false, ErrClosed
+	default:
+	}
+	select {
+	case l.send <- f:
+		return true, nil
+	default:
+		return false, nil
+	}
+}
+
 // BatchCopies reports false: SendBatch passes the slice itself through
 // the channel, so the receiver shares the sender's backing array and the
 // sender must never reuse it (the aliasing class batchalias polices).

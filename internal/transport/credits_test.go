@@ -40,7 +40,7 @@ func TestFlowLinkRefillWakesEveryBlockedAcquire(t *testing.T) {
 		go func() { done <- f.Acquire(stop, nil) }()
 	}
 	waitWaiters(t, &f.credits, w)
-	f.Refill(w)
+	grant(f, w)
 	timeout := time.After(time.Second)
 	for i := 0; i < w; i++ {
 		select {
@@ -120,7 +120,7 @@ func TestFlowLinkCountedCreditsHammer(t *testing.T) {
 				continue
 			}
 			inFlight.Add(-n)
-			f.Refill(int(n))
+			grant(f, int(n))
 		}
 	}()
 	wg.Wait()
@@ -130,7 +130,7 @@ func TestFlowLinkCountedCreditsHammer(t *testing.T) {
 		t.Fatalf("more than %d credits in flight %d times", w, n)
 	}
 	inFlight.Add(-sent.Load())
-	f.Refill(int(sent.Swap(0)))
+	grant(f, int(sent.Swap(0)))
 	if got := f.Available(); got != w || inFlight.Load() != 0 {
 		t.Fatalf("after granting everything back: %d credits free (want %d), %d in flight", got, w, inFlight.Load())
 	}

@@ -86,7 +86,7 @@ type FlowLink struct {
 	// Credits are fungible, so when a grant refills n credits the n oldest
 	// stamps are released — attribution is FIFO-approximate when budgeted
 	// and unbudgeted traffic interleave on one link, but every stamp is
-	// released by exactly one of Refill or Abort.
+	// released by exactly one grant or Abort.
 	budMu sync.Mutex
 	budQ  []*Budget
 }
@@ -98,7 +98,7 @@ func NewFlowLink(l Link, w int) *FlowLink {
 	if g, ok := l.(grantLink); ok {
 		f.frames = g
 		g.absorbGrants(f.refillAck)
-		g.carryGrants(f.carryOwed)
+		g.carryGrants(f.carryOwed, f.settleOwed)
 	}
 	return f
 }
@@ -109,12 +109,13 @@ func NewFlowLink(l Link, w int) *FlowLink {
 // FlowLink's refill to take every grant-only inbound frame at the read
 // edge, parsed in place and never decoded, and carryGrants registers the
 // claim of the owed grant that every data frame written puts ahead of its
-// packets, in the same write. The wire bytes are those of NewCreditGrant,
-// so the two ends of a link need not agree on the path.
+// packets, in the same write, and its settlement once the write is done.
+// The wire bytes are those of NewCreditGrant, so the two ends of a link
+// need not agree on the path.
 type grantLink interface {
 	writeGrant(n uint32, acked uint64) error
 	absorbGrants(fn func(n int, acked uint64))
-	carryGrants(fn func() (n uint32, acked uint64))
+	carryGrants(claim func() (n uint32, acked uint64), settle func(n uint32, sent bool))
 }
 
 // Abort marks the link finished, releasing every blocked Acquire (they
@@ -211,20 +212,24 @@ func (f *FlowLink) StampBudget(b *Budget) {
 // discarded, which keeps the invariant self-healing.
 func (f *FlowLink) Refund(n int) { f.credits.give(n) }
 
-// Refill returns n send credits to the pool (an inbound grant from the
-// peer) and runs the refill hook — the egress queue's stall/resume wakeup.
-// The n oldest budget stamps are released first: the peer retiring n
-// packets is what frees the tenants those credits were charged to.
-func (f *FlowLink) Refill(n int) {
-	f.refillAck(n, 0)
-}
+// Refill returns n send credits as a grant from the peer would, with a
+// cumulative count of zero, which acknowledges nothing. Every grant that
+// arrives on a link carries its count (refillAck); Refill serves a caller
+// that runs the credit cycle with no peer, as the benchmark's per-layer
+// ladder does, and a link whose upstream queue keeps packets for the
+// peer's acknowledgement must never take one.
+func (f *FlowLink) Refill(n int) { f.refillAck(n, 0) }
 
-// refillAck is Refill plus the grant's cumulative acknowledged total, fed
-// to the ack hook so an egress replay ring can retire the acked prefix.
-// cum 0 means "unknown" (legacy grants); the hook falls back to the delta.
-// The ack hook runs BEFORE the credits return: a flusher can spend a
-// credit only after the packets that credit acknowledges have left the
-// ring, which is what bounds the ring by the window.
+// refillAck takes an inbound grant from the peer: n send credits and the
+// peer's cumulative retired count cum. The n oldest budget stamps are
+// released first — the peer retiring n packets is what frees the tenants
+// those credits were charged to — then the ack hook gets cum, so an
+// upstream egress queue drops the acknowledged prefix it kept, then the
+// credits return to the pool and the refill hook runs (the egress queue's
+// stall/resume wakeup). The ack hook runs BEFORE the credits return: a
+// flusher can spend a credit only after the packets that credit
+// acknowledges have left the queue, which is what bounds what it keeps by
+// the window.
 func (f *FlowLink) refillAck(n int, cum uint64) {
 	f.releaseBudgets(n)
 	if hook := f.ackHook.Load(); hook != nil {
@@ -335,7 +340,7 @@ func (f *FlowLink) PayOwed() (paid bool, err error) {
 // carryOwed claims the owed grant for the frame the wrapped link is about
 // to write, under its send lock: the frame carries the returned credits
 // and cumulative ack as a grant frame ahead of its data. n == 0 means none
-// is owed.
+// is owed. The link settles every claim (settleOwed).
 func (f *FlowLink) carryOwed() (n uint32, acked uint64) {
 	if f.owed.Load() == 0 {
 		return 0, 0
@@ -344,10 +349,20 @@ func (f *FlowLink) carryOwed() (n uint32, acked uint64) {
 	if k == 0 {
 		return 0, 0
 	}
+	return uint32(k), f.retiredTotal.Load()
+}
+
+// settleOwed closes a carryOwed claim of n credits, still under the link's
+// send lock: a frame that left with the grant runs the ride hook, and one
+// the socket took no byte of (TrySendBatch) owes the grant again.
+func (f *FlowLink) settleOwed(n uint32, sent bool) {
+	if !sent {
+		f.Owe(int(n))
+		return
+	}
 	if hook := f.rideHook.Load(); hook != nil {
 		(*hook)()
 	}
-	return uint32(k), f.retiredTotal.Load()
 }
 
 // SetGrantHooks attaches the egress queue that writes on this link: owe runs

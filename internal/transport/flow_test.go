@@ -9,8 +9,21 @@ import (
 	"repro/internal/packet"
 )
 
+// grantsRetired holds, per link, the cumulative retired count its peer
+// stamped on the last grant a test delivered to it (grant).
+var grantsRetired sync.Map
+
+// grant delivers the grant a peer sends after retiring n packets: n
+// credits, stamped with the peer's cumulative retired count, taken where
+// every inbound grant on f's link is taken (absorb).
+func grant(f *FlowLink, n int) {
+	v, _ := grantsRetired.LoadOrStore(f, new(atomic.Uint64))
+	cum := v.(*atomic.Uint64).Add(uint64(n))
+	f.absorb([]*packet.Packet{packet.NewCreditGrant(uint32(n), cum)})
+}
+
 // TestFlowLinkWindowAccounting: the sender pool holds exactly the window,
-// TryAcquire exhausts it, Refill restores it, and over-refills are clamped.
+// TryAcquire exhausts it, a grant restores it, and over-grants are clamped.
 func TestFlowLinkWindowAccounting(t *testing.T) {
 	a, b := NewPair(4)
 	defer a.Close()
@@ -24,7 +37,7 @@ func TestFlowLinkWindowAccounting(t *testing.T) {
 	if f.TryAcquire() {
 		t.Fatal("acquired a fourth credit from a window of 3")
 	}
-	f.Refill(2)
+	grant(f, 2)
 	if !f.TryAcquire() || !f.TryAcquire() {
 		t.Fatal("refilled credits not acquirable")
 	}
@@ -32,7 +45,7 @@ func TestFlowLinkWindowAccounting(t *testing.T) {
 		t.Fatal("acquired beyond the refill")
 	}
 	// Over-refill (duplicate grant) is clamped at the window.
-	f.Refill(100)
+	grant(f, 100)
 	n := 0
 	for f.TryAcquire() {
 		n++
@@ -59,7 +72,7 @@ func TestFlowLinkAcquireBlocksAndAborts(t *testing.T) {
 		t.Fatal("Acquire returned with the window exhausted")
 	case <-time.After(20 * time.Millisecond):
 	}
-	f.Refill(1)
+	grant(f, 1)
 	select {
 	case ok := <-got:
 		if !ok {
@@ -176,7 +189,7 @@ func TestFlowLinkRefillHook(t *testing.T) {
 	fired := 0
 	f.SetRefillHook(func() { mu.Lock(); fired++; mu.Unlock() })
 	f.TryAcquire()
-	f.Refill(1)
+	grant(f, 1)
 	mu.Lock()
 	got := fired
 	mu.Unlock()

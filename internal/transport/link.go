@@ -99,6 +99,31 @@ func BatchCopies(l Link) bool {
 	return false
 }
 
+// TryBatchSender is implemented by links that can send a frame without
+// waiting: TrySendBatch sends the batch as SendBatch does if the link
+// takes it at once, and otherwise reports false with nothing sent and the
+// slice still the caller's. A goroutine that must never wait on the wire
+// (a pipeline lane at its idle point) sends through it. The chan
+// transport's is a channel send with a default; the TCP transport's is one
+// non-blocking write, which finishes a frame the socket took part of.
+type TryBatchSender interface {
+	TrySendBatch(ps []*packet.Packet) (sent bool, err error)
+}
+
+// TrySender returns l's non-blocking send, looking through a FlowLink to
+// the link it wraps, or nil when l has none: a link that cannot answer
+// counts as one whose send may wait.
+func TrySender(l Link) TryBatchSender {
+	if f, ok := l.(*FlowLink); ok {
+		l = f.Link
+	}
+	if t, ok := l.(*tcpLink); ok && t.raw == nil {
+		return nil // not a socket: no non-blocking write to make
+	}
+	t, _ := l.(TryBatchSender)
+	return t
+}
+
 // Dropper is implemented by links that can model a process crash: Drop
 // severs the link abruptly, discarding any packets still in flight, so the
 // peer observes an unexpected EOF rather than a graceful drain. Fault

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"repro/internal/packet"
 	"repro/internal/topology"
@@ -46,7 +47,18 @@ type tcpLink struct {
 	scratch []byte
 	// carry, when set (by the wrapping FlowLink, under sendMu), claims the
 	// grant owed to the peer for each data frame written; n == 0 is none.
-	carry func() (n uint32, acked uint64)
+	// settle closes the claim: sent once the frame left with it, or not,
+	// giving it back, when the socket took none of the frame.
+	carry  func() (n uint32, acked uint64)
+	settle func(n uint32, sent bool)
+	// raw is the socket's descriptor, nil when conn is not a socket, for
+	// TrySendBatch's one non-blocking write: tryWrite, built once, writes
+	// tryBuf and leaves its result in tryN and tryErr (all under sendMu).
+	raw      syscall.RawConn
+	tryWrite func(fd uintptr) bool
+	tryBuf   []byte
+	tryN     int
+	tryErr   error
 
 	recvMu  sync.Mutex
 	r       *bufio.Reader
@@ -67,10 +79,25 @@ const maxFrameScratch = 128 << 10
 // NewTCPLink wraps an established connection as a Link. The caller
 // relinquishes ownership of conn.
 func NewTCPLink(conn net.Conn) Link {
-	return &tcpLink{
+	l := &tcpLink{
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 64<<10),
 	}
+	if sc, ok := conn.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			l.raw = raw
+			l.tryWrite = func(fd uintptr) bool {
+				for {
+					n, err := syscall.Write(int(fd), l.tryBuf)
+					if err != syscall.EINTR {
+						l.tryN, l.tryErr = max(n, 0), err
+						return true // never wait for the socket
+					}
+				}
+			}
+		}
+	}
+	return l
 }
 
 func (l *tcpLink) Send(p *packet.Packet) error {
@@ -92,17 +119,67 @@ func (l *tcpLink) SendBatch(ps []*packet.Packet) error {
 func (l *tcpLink) writeFrame(ps []*packet.Packet) error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	buf := l.scratch[:0]
-	if l.carry != nil {
-		if n, acked := l.carry(); n > 0 {
-			buf = packet.AppendGrantFrame(buf, n, acked)
-		}
-	}
-	buf, l.scratch = appendWireFrame(buf, l.scratch, ps)
+	buf, grant := l.assemble(ps)
 	if _, err := l.conn.Write(buf); err != nil {
 		return l.mapErr(err)
 	}
+	if grant > 0 {
+		l.settle(grant, true)
+	}
 	return nil
+}
+
+// TrySendBatch is SendBatch if the send lock is free and the socket takes
+// the frame's first bytes at once; a frame the socket took only part of is
+// finished before it returns, since a started frame cannot be withdrawn.
+// Otherwise it reports false: nothing was written, and the owed grant the
+// frame would have carried is owed again.
+func (l *tcpLink) TrySendBatch(ps []*packet.Packet) (bool, error) {
+	if len(ps) == 0 {
+		return true, nil
+	}
+	if l.raw == nil || !l.sendMu.TryLock() {
+		return false, nil
+	}
+	defer l.sendMu.Unlock()
+	buf, grant := l.assemble(ps)
+	l.tryBuf, l.tryN, l.tryErr = buf, 0, nil
+	err := l.raw.Write(l.tryWrite)
+	l.tryBuf = nil
+	n := l.tryN
+	if err == nil && l.tryErr != syscall.EAGAIN {
+		err = l.tryErr
+	}
+	if err == nil && n == 0 {
+		if grant > 0 {
+			l.settle(grant, false)
+		}
+		return false, nil
+	}
+	if err == nil && n < len(buf) {
+		_, err = l.conn.Write(buf[n:])
+	}
+	if err != nil {
+		return false, l.mapErr(err)
+	}
+	if grant > 0 {
+		l.settle(grant, true)
+	}
+	return true, nil
+}
+
+// assemble builds the frame for ps in the persistent scratch, behind the
+// owed grant it claims (grant, 0 when none was owed). Callers hold sendMu.
+func (l *tcpLink) assemble(ps []*packet.Packet) (buf []byte, grant uint32) {
+	buf = l.scratch[:0]
+	if l.carry != nil {
+		var acked uint64
+		if grant, acked = l.carry(); grant > 0 {
+			buf = packet.AppendGrantFrame(buf, grant, acked)
+		}
+	}
+	buf, l.scratch = appendWireFrame(buf, l.scratch, ps)
+	return buf, grant
 }
 
 // appendWireFrame appends a complete wire frame (uint32 body-length prefix
@@ -141,9 +218,9 @@ func (l *tcpLink) absorbGrants(fn func(n int, acked uint64)) {
 	l.recvMu.Unlock()
 }
 
-func (l *tcpLink) carryGrants(fn func() (n uint32, acked uint64)) {
+func (l *tcpLink) carryGrants(claim func() (n uint32, acked uint64), settle func(n uint32, sent bool)) {
 	l.sendMu.Lock()
-	l.carry = fn
+	l.carry, l.settle = claim, settle
 	l.sendMu.Unlock()
 }
 

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -464,5 +467,108 @@ func TestChanCloseStillDrains(t *testing.T) {
 	}
 	if _, err := b.Recv(); err != io.EOF {
 		t.Errorf("second Recv = %v, want io.EOF", err)
+	}
+}
+
+// pipeConn is a connection over a pipe: the TCP link's writes, and its
+// non-blocking write's descriptor, are the write end's, its reads the read
+// end's. A pipe takes a write of up to PIPE_BUF bytes whole or not at all,
+// so a link over it fills without a partial frame.
+type pipeConn struct {
+	net.Conn
+	r, w *os.File
+}
+
+func (c pipeConn) Write(b []byte) (int, error)           { return c.w.Write(b) }
+func (c pipeConn) Read(b []byte) (int, error)            { return c.r.Read(b) }
+func (c pipeConn) SyscallConn() (syscall.RawConn, error) { return c.w.SyscallConn() }
+func (c pipeConn) Close() error                          { c.r.Close(); return c.w.Close() }
+
+// TestTrySendBatchNeverWaits: a link's non-blocking send takes a frame
+// only if the link takes it at once. Against a peer that does not read it
+// reports false with nothing sent — on TCP, with the owed grant the frame
+// would have carried owed again — and once the peer drains, it sends,
+// in order, every frame it reported sent, the grant riding the first.
+func TestTrySendBatchNeverWaits(t *testing.T) {
+	for _, fabric := range []string{"chan", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			a, b := NewPair(4)
+			if fabric == "tcp" {
+				r, w, err := os.Pipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, b = NewTCPLink(pipeConn{w: w}), NewTCPLink(pipeConn{r: r})
+			}
+			defer a.Close()
+			defer b.Close()
+			fa, fb := NewFlowLink(a, 64), NewFlowLink(b, 64)
+			try := TrySender(fa)
+			if try == nil {
+				t.Fatal("no non-blocking send")
+			}
+			frame := func(i int) []*packet.Packet { return []*packet.Packet{mkPkt(10, int64(i)), mkPkt(10, int64(i))} }
+			sent := 0
+			for ; sent < 100000; sent++ {
+				ok, err := try.TrySendBatch(frame(sent))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+			if sent == 100000 {
+				t.Fatal("an unread link took 100000 frames without reporting that it would wait")
+			}
+			fa.Owe(3)
+			if ok, err := try.TrySendBatch(frame(sent)); ok || err != nil {
+				t.Fatalf("TrySendBatch on a full link = %v, %v; want false, nil", ok, err)
+			}
+			if got := fa.Owed(); got != 3 {
+				t.Fatalf("%d credits owed after a frame that did not leave, want the 3 owed before", got)
+			}
+
+			got := make(chan int64, 2*(sent+1))
+			go func() {
+				for {
+					ps, err := fb.RecvBatch()
+					if err != nil {
+						return
+					}
+					for _, p := range ps {
+						v, _ := p.Int(0)
+						got <- v
+					}
+				}
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				ok, err := try.TrySendBatch(frame(sent))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("a drained link never took the frame")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if fabric == "tcp" && fa.Owed() != 0 {
+				t.Errorf("%d credits still owed after a frame left: the grant did not ride it", fa.Owed())
+			}
+			for i := 0; i < 2*(sent+1); i++ {
+				select {
+				case v := <-got:
+					if v != int64(i/2) {
+						t.Fatalf("packet %d of the wire carried frame %d", i, v)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("the peer received %d of %d packets", i, 2*(sent+1))
+				}
+			}
+		})
 	}
 }

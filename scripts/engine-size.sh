@@ -199,13 +199,30 @@
 # went with them. Recovery's absorbComposed and stateMerger, a silent
 # merge no stateful filter reached, went too. take keeps its creditpair
 # waiver; the timer sites stay at 5 and the waivers at 2.
+#
+# Raised: internal/core 5305 -> 5522 and outside bench/ 19367 -> 19728
+# for lanes that flush their own queues. onAck's cum == 0 branch went
+# first (-3); FlowLink.Refill stays, since the benchmark's ladder calls
+# it. In internal/core (+217, about 85 of them doc comments) a lane's
+# enqueue records its idle deadline without arming the clock (laneDue,
+# clockDueLocked), the lanes flush at their idle point without waiting on
+# the wire (laneIdle, idleDown), a batch the link would wait for passes
+# with the wire to the clock (handOff, takenBatch, flushHandedOff), a
+# producer about to block for a slot hands its deadlines to the clocks
+# (clockDue, clockLaneDue) and flush_clock is counted apart. In
+# internal/transport (+142) the optional non-blocking send: TryBatchSender
+# and TrySender, the chan link's send with a default, the TCP link's
+# TryLock and one non-blocking write through the socket's raw descriptor,
+# and the owed-grant claim's settlement, which gives a grant back when the
+# socket took none of its frame. The lockorder analyzer learned
+# TrySendBatch (+2). The timer sites stay at 5 and the waivers at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5305
+max_lines=5522
 max_timer_sites=5
 max_waivers=2
-max_repo_lines=19367
+max_repo_lines=19728
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
