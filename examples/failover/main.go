@@ -3,7 +3,7 @@
 // continuous sum reduction while a mid-level communication process is
 // crashed; the heartbeat detector declares the failure, the grandparent
 // adopts the orphaned subtrees over brand-new links (in-process pairs on
-// the chan fabric, listen+redial TCP connections on the TCP fabric), and
+// the chan fabric, fresh loopback TCP connections on the TCP fabric), and
 // the same stream keeps producing the full-membership answer — no
 // checkpointing, no back-end restart.
 package main

@@ -26,9 +26,8 @@ var ErrBadAttachParent = errors.New("core: attach parent cannot accept children"
 // The parent must be an internal communication process — or the
 // front-end itself on a flat (depth-1) topology, which has no internal
 // processes. Attachments to back-ends, and to the front-end of a deeper
-// tree, fail with ErrBadAttachParent. Works on any fabric: the new link
-// is minted by the network's Rewirer (the parent side listens, the
-// newcomer redials).
+// tree, fail with ErrBadAttachParent. Works on any fabric: the network
+// mints both ends of the new link and hands each to its owner.
 func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 	nw.recMu.Lock()
 	defer nw.recMu.Unlock()
@@ -46,11 +45,8 @@ func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 
 // attach is the one path that adds a process to the running tree: a
 // back-end. It registers the rank as parent's next child in the view,
-// mints both halves of the edge through the fabric's rewiring protocol
-// (the network process owns the parent's rendezvous and the newcomer's
-// redial alike, but the code path is the one a distributed joiner would
-// use), spawns the process, and installs the parent's end through the
-// install command, which completes only once the parent routes with it: a
+// mints both ends of the edge (newPair), spawns the process on the child
+// end, and installs the parent's end through the install command, which completes only once the parent routes with it: a
 // stream created afterwards sees the new shape end to end. On failure —
 // the parent crashed (killed but not yet recovered), or teardown — the
 // rank is stillborn. Callers hold recMu.
@@ -70,18 +66,8 @@ func (nw *Network) attach(parent Rank) (Rank, error) {
 		return topology.NoRank, fmt.Errorf("core: attaching under %d: %w", parent, err)
 	}
 
-	off, err := nw.rewirer.Offer()
+	parentEnd, childEnd, err := nw.newPair()
 	if err != nil {
-		return fail(err)
-	}
-	childEnd, err := nw.rewirer.Redial(off.Addr())
-	if err != nil {
-		_ = off.Close()
-		return fail(err)
-	}
-	parentEnd, err := off.Accept()
-	if err != nil {
-		transport.DropLink(childEnd)
 		return fail(err)
 	}
 	// Both ends of the new edge get credit accounting from birth (the

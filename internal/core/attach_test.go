@@ -107,7 +107,8 @@ func TestAttachBackEndValidation(t *testing.T) {
 }
 
 // TestAttachBackEndTCP: dynamic attach works on the TCP fabric — the new
-// link is minted via listen+redial and the newcomer joins new streams.
+// link is minted by a listen, dial and accept, and the newcomer joins
+// new streams.
 func TestAttachBackEndTCP(t *testing.T) {
 	tcp := echoValue(t, mustTree(t, "kary:2^2"), TCPTransport)
 	defer tcp.Shutdown()

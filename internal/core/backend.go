@@ -33,10 +33,9 @@ type BackEnd struct {
 	// parentMu guards ep.Parent, which recovery replaces when the
 	// back-end's parent process fails and a grandparent adopts it.
 	parentMu sync.RWMutex
-	// reparentCh delivers the rendezvous of the replacement parent link;
-	// the back-end redials it itself (the orphan half of the fabric's
-	// rewiring protocol).
-	reparentCh chan reparentReq
+	// reparentCh delivers the back-end's end of a replacement parent link,
+	// which the network minted whole (reparent).
+	reparentCh chan transport.Link
 	// killCh is closed by Kill to crash the back-end.
 	killCh   chan struct{}
 	killOnce sync.Once
@@ -62,7 +61,7 @@ func newBackEnd(nw *Network, rank Rank, ep *transport.Endpoint) *BackEnd {
 		ep:         ep,
 		inbox:      make(chan beDelivery, 64),
 		m:          nw.shard(rank),
-		reparentCh: make(chan reparentReq, 1),
+		reparentCh: make(chan transport.Link, 1),
 		killCh:     make(chan struct{}),
 	}
 	// Leaves originate the upstream flow: their rings replay at reparent
@@ -193,13 +192,7 @@ loop:
 			be.eg.releaseWaiters()
 			if !be.killed() {
 				select {
-				case req := <-be.reparentCh:
-					l, err := req.rw.Redial(req.addr)
-					if err != nil {
-						// The adoption abandoned the offer (or the fabric
-						// failed): stay orphaned and await the next one.
-						continue
-					}
+				case l := <-be.reparentCh:
 					// A replacement link starts a fresh credit window on both
 					// sides: retained sends re-enter it without
 					// double-spending.
@@ -207,6 +200,11 @@ loop:
 					old := be.parentLink()
 					be.setParent(l)
 					transport.DropLink(old)
+					if be.killed() {
+						// Kill's sweep may have read the old link: the
+						// next Recv must fail on this one too.
+						transport.DropLink(l)
+					}
 					// Repoint the egress queue and re-flush anything
 					// retained across the dead parent: accepted packets
 					// survive the failure.
@@ -236,6 +234,12 @@ loop:
 		case <-be.killCh:
 			break loop
 		}
+	}
+	// A link handed over as the loop ended is never installed: drop it.
+	select {
+	case l := <-be.reparentCh:
+		transport.DropLink(l)
+	default:
 	}
 	close(be.inbox)
 	<-handlerDone

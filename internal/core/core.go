@@ -183,10 +183,6 @@ type Network struct {
 	// (guarded by mu), dead ranks' included, so totals never go back.
 	metrics Metrics
 	shards  map[Rank]*Metrics
-	// rewirer mints replacement links for live topology mutation (recovery
-	// reparenting, AttachBackEnd): in-process pairs on ChanTransport,
-	// loopback listen+redial on TCPTransport.
-	rewirer transport.Rewirer
 
 	// root is the front-end's router, the node at rank 0 (also byRank[0]).
 	root *node
@@ -256,17 +252,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg.WrapFabric(eps)
 	}
 
-	var rewirer transport.Rewirer
-	switch cfg.Transport {
-	case ChanTransport:
-		rewirer = transport.NewChanRewirer()
-	case TCPTransport:
-		rewirer = &transport.TCPRewirer{}
-	}
-
 	nw := &Network{
 		cfg:      cfg,
-		rewirer:  rewirer,
 		registry: reg,
 		streams:  map[uint32]*Stream{},
 		nextSeq:  map[uint32]uint32{},
@@ -283,6 +270,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 		nw.spawn(Rank(r), eps[r], cfg.Topology.Node(Rank(r)).IsLeaf())
 	}
 	return nw, nil
+}
+
+// newPair mints both ends of one new edge on the network's fabric, the
+// way NewNetwork's fabric builds every edge: the network process holds
+// both ends, then hands each to its owner (attach, reparent).
+func (nw *Network) newPair() (parent, child transport.Link, err error) {
+	if nw.cfg.Transport == TCPTransport {
+		return transport.NewTCPPair()
+	}
+	parent, child = transport.NewPair(transport.DefaultChanBuffer)
+	return parent, child, nil
 }
 
 // wrapEnds threads credit accounting through a routing process's own link

@@ -103,7 +103,12 @@ func (n *node) run() {
 	n.readStop = make(chan struct{})
 	defer func() {
 		// Whatever path the router exits by — graceful finish or crash —
-		// the readers, workers and age clocks must not outlive it.
+		// the readers, workers and age clocks must not outlive it. A
+		// crashed router also drops every link it holds now: Kill's sweep
+		// misses one an install or a reparent put in after it.
+		if n.killed() {
+			n.dropLinks()
+		}
 		close(n.readStop)
 		n.pipe.abort()
 		n.stopEgress()
@@ -214,6 +219,12 @@ func (n *node) clockLaneDue() {
 // wait must not get a grant or a packet out — a crashed process sends
 // nothing.
 func (n *node) kill() {
+	n.dropLinks()
+	n.killOnce.Do(func() { close(n.killCh) })
+}
+
+// dropLinks severs the parent link and every child link the node holds.
+func (n *node) dropLinks() {
 	n.parentMu.RLock()
 	parent := n.ep.Parent
 	n.parentMu.RUnlock()
@@ -221,7 +232,15 @@ func (n *node) kill() {
 	for _, c := range n.childLinks() {
 		transport.DropLink(c)
 	}
-	n.killOnce.Do(func() { close(n.killCh) })
+}
+
+func (n *node) killed() bool {
+	select {
+	case <-n.killCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // childLinks returns the child link slots, a slice installChild swaps,

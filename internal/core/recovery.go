@@ -87,20 +87,12 @@ type cmdInstall struct {
 	done     chan struct{}
 }
 
-// reparentReq hands an orphaned back-end the rendezvous of its
-// replacement parent link (the back-end analogue of cmdReparent).
-type reparentReq struct {
-	rw   transport.Rewirer
-	addr string
-}
-
-// cmdReparent hands an orphaned node the rendezvous of its replacement
-// parent link; the orphan redials it from inside its own event loop (the
-// fabric-agnostic half of the rewiring protocol: the adopter listens, the
-// orphan redials).
+// cmdReparent hands an orphaned node its end of a replacement parent link,
+// which the network minted whole (reparent); the node installs it and
+// starts its reader inside its own event loop before it replies. A
+// back-end takes its end on reparentCh instead.
 type cmdReparent struct {
-	rw    transport.Rewirer
-	addr  string
+	link  transport.Link
 	reply chan error
 }
 
@@ -146,16 +138,15 @@ func (n *node) handleCmd(c nodeCmd, inbox chan inMsg) {
 		n.nw.passShutdown(cmd.links, n.shuttingDown, n.rank)
 		close(cmd.done)
 	case *cmdReparent:
-		link, err := cmd.rw.Redial(cmd.addr)
-		if err != nil {
-			// Redial failed: stay orphaned and await another adoption.
-			cmd.reply <- err
+		if n.killed() {
+			// A crashed process takes no link: the caller drops both ends.
+			cmd.reply <- fmt.Errorf("core: rank %d is dead", n.rank)
 			return
 		}
 		// Fresh link, fresh credit window on both sides: the retained egress
 		// queue re-enters the bounded window from zero without
 		// double-spending credits.
-		link = transport.NewFlowLink(link, n.nw.cfg.LinkWindow)
+		link := transport.NewFlowLink(cmd.link, n.nw.cfg.LinkWindow)
 		// The old parent is dead or being replaced, but its EOF may not
 		// have been processed yet: release any worker waiting on its
 		// window before quiescing, or the barrier never forms.
@@ -469,14 +460,21 @@ func (nw *Network) install(n *node, c *cmdInstall) error {
 }
 
 // handReparent gives a child process — internal node n, or back-end be —
-// the rendezvous of its replacement parent link and reports whether the
-// child took it. A node redials from inside its own event loop before it
-// replies. A back-end's old link is severed so that its Recv EOFs and it
-// picks up the buffered rendezvous: a no-op after a real crash, the nudge
-// a false-positive detection needs.
-func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
+// its end of a replacement parent link and reports whether the child took
+// it. A node installs the link and starts its reader from inside its own
+// event loop before it replies. A back-end's old link is severed so that
+// its Recv EOFs and it picks up the buffered link: a no-op after a real
+// crash, the nudge a false-positive detection needs. A child that did not
+// take its end leaves both ends dropped: neither stays open.
+func (nw *Network) handReparent(n *node, be *BackEnd, parentEnd, childEnd transport.Link) (took bool) {
+	defer func() {
+		if !took {
+			transport.DropLink(parentEnd)
+			transport.DropLink(childEnd)
+		}
+	}()
 	if n != nil {
-		c := &cmdReparent{rw: nw.rewirer, addr: addr, reply: make(chan error, 1)}
+		c := &cmdReparent{link: childEnd, reply: make(chan error, 1)}
 		return nw.sendNodeCmd(n, c) == nil && <-c.reply == nil
 	}
 	if be == nil || be.killed() {
@@ -484,58 +482,36 @@ func (nw *Network) handReparent(n *node, be *BackEnd, addr string) bool {
 	}
 	old := be.parentLink()
 	select {
-	case be.reparentCh <- reparentReq{rw: nw.rewirer, addr: addr}:
-		transport.DropLink(old)
-		return true
+	case be.reparentCh <- childEnd:
 	case <-be.killCh:
+		return false
 	case <-nw.dying:
+		return false
 	}
-	return false
-}
-
-// replacementAcceptTimeout bounds how long a reparent waits for a child's
-// redial to land on its offer. A child that dies between the hand-off and
-// its redial (an overlapping failure) must not wedge the adoption: its
-// offer is abandoned and it does not move.
-const replacementAcceptTimeout = 2 * time.Second
-
-// acceptReplacement waits, bounded, for the orphan's redial to land on the
-// offer and returns the adopter-side end of the replacement link.
-func acceptReplacement(o transport.Offer) (transport.Link, error) {
-	type res struct {
-		l   transport.Link
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		l, err := o.Accept()
-		ch <- res{l, err}
-	}()
-	timer := time.NewTimer(replacementAcceptTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.l, r.err
-	case <-timer.C:
-		_ = o.Close()
-		r := <-ch // Accept fails (or delivers a raced redial) once closed
-		if r.err != nil {
-			return nil, fmt.Errorf("core: orphan never redialed: %w", r.err)
+	transport.DropLink(old)
+	// A back-end whose loop has ended reads reparentCh no more: a link
+	// deposited as it was killed, or as teardown began, is taken back.
+	// Its loop's exit takes back one that landed before it ended.
+	if be.killed() || nw.tearingDown() {
+		select {
+		case <-be.reparentCh:
+		default:
 		}
-		return r.l, nil
+		return false
 	}
+	return true
 }
 
 // reparent is the one path that moves existing children between routers —
 // the reconfiguration step of the zero-cost recovery model: the view moves
-// a dead router's kids from `from` to its parent `to`; each child is handed
-// the rendezvous of a fresh link to `to` and redials it from inside its own
-// loop; `to` fences the dead router's slot and installs the links it
-// accepted, carrying composed (the lost level's filter state). A child
-// that does not move keeps its slot at `to` with no link, awaiting its own
-// recovery like any dead child (a reader-less link would wedge `to`). If
-// `to` cannot take the install, everything is rolled back. Callers hold
-// recMu.
+// a dead router's kids from `from` to its parent `to`; the network mints a
+// fresh link to `to` per child and hands the child its end; `to` fences
+// the dead router's slot and installs the other ends, carrying composed
+// (the lost level's filter state). A child that does not take its end (it
+// died, or teardown began) keeps its slot at `to` with no link, awaiting
+// its own recovery like any dead child, and neither end of its link stays
+// open. If `to` cannot take the install, everything is rolled back.
+// Callers hold recMu.
 func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]byte) error {
 	nw.mu.Lock()
 	fromSlots, toSlots := nw.view.move(kids, from, to)
@@ -546,46 +522,23 @@ func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]by
 	}
 	nw.mu.Unlock()
 
-	// Hand every child its rendezvous first: each redials from inside its
-	// own event loop, so its reader is live before `to` sends stream
-	// re-announcements (those sends could otherwise block on a full link
-	// buffer with nobody draining it). Data a child sends before `to`
-	// accepts just queues in the link — the chan buffer in-process, the
-	// listen backlog's socket buffers on TCP.
-	offers := make([]transport.Offer, len(kids))
-	for i := range kids {
-		o, err := nw.rewirer.Offer()
-		if err != nil {
-			continue
-		}
-		if !nw.handReparent(kidNodes[i], kidBEs[i], o.Addr()) {
-			_ = o.Close()
-			continue
-		}
-		offers[i] = o
-	}
-	// Accept concurrently so the bounded waits overlap: a child that died
-	// after the hand-off (an overlapping failure) never redials, and must
-	// not wedge the adoption — after replacementAcceptTimeout (once, not
-	// per child) its offer is abandoned and it counts as not moved.
+	// Hand every child its end first: a node installs it and starts its
+	// reader before it replies, so its reader is live before `to` sends
+	// stream re-announcements (those sends could otherwise block on a full
+	// link buffer with nobody draining it). A back-end takes its end once
+	// its old link has failed; what `to` sends it before then waits in the
+	// new link's buffer.
 	links := make([]transport.Link, len(kids))
-	var wg sync.WaitGroup
-	for i, o := range offers {
-		if o == nil {
+	for i := range kids {
+		parentEnd, childEnd, err := nw.newPair()
+		if err != nil || !nw.handReparent(kidNodes[i], kidBEs[i], parentEnd, childEnd) {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, o transport.Offer) {
-			defer wg.Done()
-			if l, err := acceptReplacement(o); err == nil {
-				// The router-side end gets fresh credit accounting,
-				// mirroring the child's fresh window.
-				links[i] = transport.NewFlowLink(l, nw.cfg.LinkWindow)
-				nw.metrics.RewiredLinks.Add(1)
-			}
-		}(i, o)
+		// The router-side end gets fresh credit accounting, mirroring the
+		// child's fresh window.
+		links[i] = transport.NewFlowLink(parentEnd, nw.cfg.LinkWindow)
+		nw.metrics.RewiredLinks.Add(1)
 	}
-	wg.Wait()
 
 	c := &cmdInstall{composed: composed}
 	nw.mu.Lock()
@@ -622,8 +575,8 @@ func (nw *Network) reparent(kids []Rank, from, to Rank, composed map[uint32][]by
 // re-announced into the adopted subtrees, and — via compose — the lost
 // node's composable filter state is reconstructed from the orphans'
 // snapshots and absorbed by the adopter. compose may be nil to skip state
-// reconstruction. Works on any fabric: replacement links are minted by
-// the network's Rewirer (the adopter listens, each orphan redials).
+// reconstruction. Works on any fabric: the network mints each replacement
+// link whole and hands the orphan its end (reparent).
 func (nw *Network) Adopt(failed Rank, compose StateComposer) (*Adoption, error) {
 	nw.recMu.Lock()
 	defer nw.recMu.Unlock()

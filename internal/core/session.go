@@ -138,17 +138,6 @@ func (nw *Network) CloseSession(ns uint32) error {
 	return nil
 }
 
-// Sessions lists the currently open sessions.
-func (nw *Network) Sessions() []SessionInfo {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	out := make([]SessionInfo, 0, len(nw.sessions))
-	for _, s := range nw.sessions {
-		out = append(out, s.info)
-	}
-	return out
-}
-
 // TenantSnapshot renders every tenant's counters (including tenants whose
 // sessions have closed) as tenant -> name -> value.
 func (nw *Network) TenantSnapshot() map[string]map[string]int64 {

@@ -240,6 +240,17 @@ func sessionBudget(nw *Network, ns uint32) *transport.Budget {
 	return nw.sessions[ns].budget
 }
 
+// budgetFree counts b's free credits by taking every one, then gives them
+// back.
+func budgetFree(b *transport.Budget) int {
+	n := 0
+	for b.TryAcquire() {
+		n++
+	}
+	b.Release(n)
+	return n
+}
+
 // TestSessionBudgetClampAndLiveness checks the credit budget every session
 // gets: it is clamped to one link window, a sender whose subtree stopped
 // consuming parks on it once it is spent, and aborting it at CloseSession
@@ -252,7 +263,7 @@ func TestSessionBudgetClampAndLiveness(t *testing.T) {
 	if err := nw.OpenSession(SessionInfo{NS: 1, Tenant: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sessionBudget(nw, 1).Cap(); got != 8 {
+	if got := budgetFree(sessionBudget(nw, 1)); got != 8 {
 		t.Fatalf("budget = %d credits, want the link window 8", got)
 	}
 	st, err := nw.NewStreamNS(1, StreamSpec{Transformation: "sum", Synchronization: "waitforall"})
@@ -337,10 +348,10 @@ func TestSessionBudgetIsolatesTenants(t *testing.T) {
 
 			budA := sessionBudget(nw, 1)
 			deadline := time.Now().Add(10 * time.Second)
-			for budA.InUse() < budA.Cap() || accepted.Load() < 2 {
+			for budgetFree(budA) > 0 || accepted.Load() < 2 {
 				if time.Now().After(deadline) {
-					t.Fatalf("tenant A's budget holds %d of %d credits after %d multicasts: it never filled",
-						budA.InUse(), budA.Cap(), accepted.Load())
+					t.Fatalf("tenant A's budget has %d credits free after %d multicasts: it never filled",
+						budgetFree(budA), accepted.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -407,4 +418,15 @@ func TestSessionControlWireRoundTrip(t *testing.T) {
 	if _, _, _, _, err := parseNewStream(mangled); err == nil {
 		t.Error("parseNewStream accepted a string member list")
 	}
+}
+
+// Sessions lists the currently open sessions.
+func (nw *Network) Sessions() []SessionInfo {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	out := make([]SessionInfo, 0, len(nw.sessions))
+	for _, s := range nw.sessions {
+		out = append(out, s.info)
+	}
+	return out
 }

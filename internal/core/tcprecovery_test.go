@@ -7,8 +7,9 @@ import (
 )
 
 // Live topology mutation on the TCP fabric: the same recovery semantics
-// the chan fabric enjoys, over real sockets (the adopter listens, the
-// orphan redials), plus overlapping-failure convergence on both fabrics.
+// the chan fabric enjoys, over real sockets (the network mints each new
+// connection and hands the orphan its end), plus overlapping-failure
+// convergence on both fabrics.
 
 // bothFabrics runs f under a subtest per link substrate.
 func bothFabrics(t *testing.T, f func(t *testing.T, kind TransportKind)) {
@@ -70,7 +71,7 @@ func TestKillThenAdoptKeepsStreamWorkingTCP(t *testing.T) {
 
 // TestKillDeepChainRecoveryTCP exercises adoption at an internal
 // grandparent (not the front-end) on a 3-level tree over TCP, including
-// the orphaned-node redial path (the orphans are communication
+// the orphaned-node hand-off path (the orphans are communication
 // processes, not back-ends).
 func TestKillDeepChainRecoveryTCP(t *testing.T) {
 	nw := recoverableEchoOn(t, "kary:2^3", 0, TCPTransport) // internals 1,2 then 3..6; leaves 7..14
@@ -169,7 +170,7 @@ func TestOverlappingFailureAdopterDiesMidAdoption(t *testing.T) {
 
 // TestOverlappingFailureOrphanDiesMidAdoption: one of the orphans being
 // re-parented is killed while the adoption is in flight. The adoption
-// must not wedge on the dead orphan's never-arriving redial; the orphan
+// must not wedge on the dead orphan; the orphan
 // is fenced and its own (leaf) recovery removes it from synchronization.
 func TestOverlappingFailureOrphanDiesMidAdoption(t *testing.T) {
 	bothFabrics(t, func(t *testing.T, kind TransportKind) {

@@ -63,14 +63,6 @@ func (nw *Network) LiveChildren(r Rank) []Rank {
 	return nw.view.liveKids(r)
 }
 
-// LiveInternal returns the live internal (non-root, non-back-end) ranks in
-// ascending order.
-func (nw *Network) LiveInternal() []Rank {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.view.internal()
-}
-
 // valid reports whether r names a node the view knows about.
 func (v *liveView) valid(r Rank) bool { return r >= 0 && int(r) < len(v.parent) }
 

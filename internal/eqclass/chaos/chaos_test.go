@@ -82,7 +82,7 @@ func TestChaosSeededSchedules(t *testing.T) {
 			for seed := 0; seed < seeds[name]; seed++ {
 				sched := GenSchedule(tree, int64(seed))
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					t.Parallel() // every run is its own network; overlap the 2s orphan-redial timeouts
+					t.Parallel() // every run is its own network
 					res, err := RunChaos(ChaosConfig{
 						Spec:      "kary:2^3",
 						Transport: kind,

@@ -62,9 +62,6 @@ func (s *Set) Len() int {
 	return n
 }
 
-// NumClasses returns the number of distinct keys.
-func (s *Set) NumClasses() int { return len(s.classes) }
-
 // Keys returns the class keys, sorted.
 func (s *Set) Keys() []string {
 	ks := make([]string, 0, len(s.classes))

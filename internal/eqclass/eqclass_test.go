@@ -234,3 +234,6 @@ func BenchmarkFilter512Daemons(b *testing.B) {
 		}
 	}
 }
+
+// NumClasses returns the number of distinct keys.
+func (s *Set) NumClasses() int { return len(s.classes) }

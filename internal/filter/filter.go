@@ -29,7 +29,6 @@ package filter
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -212,30 +211,6 @@ func (r *Registry) NewSynchronizer(name string) (Synchronizer, error) {
 		return nil, fmt.Errorf("%w: synchronizer %q", ErrUnknownFilter, name)
 	}
 	return ctor(), nil
-}
-
-// Transformations lists the registered transformation names, sorted.
-func (r *Registry) Transformations() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.tforms))
-	for n := range r.tforms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Synchronizers lists the registered synchronizer names, sorted.
-func (r *Registry) Synchronizers() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.syncs))
-	for n := range r.syncs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Identity forwards packets unchanged; it is the default transformation.

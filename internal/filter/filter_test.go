@@ -3,6 +3,7 @@ package filter
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -572,4 +573,28 @@ func BenchmarkWaitForAllRound16(b *testing.B) {
 	if released != b.N {
 		b.Fatalf("released %d rounds, want %d", released, b.N)
 	}
+}
+
+// Transformations lists the registered transformation names, sorted.
+func (r *Registry) Transformations() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.tforms))
+	for n := range r.tforms {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Synchronizers lists the registered synchronizer names, sorted.
+func (r *Registry) Synchronizers() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.syncs))
+	for n := range r.syncs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -184,29 +184,6 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// ChainContains reports whether the selector chain of a call's receiver
-// mentions name (e.g. ChainContains(`n.parentOut.sendAck(...)`, "parentOut")).
-func ChainContains(call *ast.CallExpr, name string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	for x := sel.X; x != nil; {
-		switch e := ast.Unparen(x).(type) {
-		case *ast.SelectorExpr:
-			if e.Sel.Name == name {
-				return true
-			}
-			x = e.X
-		case *ast.Ident:
-			return e.Name == name
-		default:
-			return false
-		}
-	}
-	return false
-}
-
 // FuncsOf yields every function declaration with a body in the files.
 func FuncsOf(files []*ast.File, fn func(*ast.FuncDecl)) {
 	for _, f := range files {

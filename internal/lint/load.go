@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -10,24 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// ModuleRoot walks up from start to the directory containing go.mod.
-func ModuleRoot(start string) (string, error) {
-	dir, err := filepath.Abs(start)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod at or above %s", start)
-		}
-		dir = parent
-	}
-}
 
 // skipDir reports whether a directory never contributes lintable packages:
 // testdata trees (analyzer fixtures), VCS metadata, and hidden/underscore

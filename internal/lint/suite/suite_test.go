@@ -1,7 +1,10 @@
 package suite
 
 import (
+	"fmt"
 	"go/token"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/lint"
@@ -13,7 +16,7 @@ import (
 // finding here is either a real contract violation to fix or a deliberate
 // exception to annotate with //tbon:allow <analyzer> <reason>.
 func TestSuiteCleanOnModule(t *testing.T) {
-	root, err := lint.ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
@@ -31,5 +34,23 @@ func TestSuiteCleanOnModule(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d.String(fset))
+	}
+}
+
+// moduleRoot walks up from start to the directory containing go.mod.
+func moduleRoot(start string) (string, error) {
+	dir, err := filepath.Abs(start)
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("lint: no go.mod at or above %s", start)
+		}
+		dir = parent
 	}
 }

@@ -49,3 +49,13 @@ func TestParseFormatConcurrent(t *testing.T) {
 		t.Fatalf("hot format parsed to %v (%v)", dirs, err)
 	}
 }
+
+// ParseFormat parses a format string into its directives. The returned
+// slice may be shared with other callers and must not be modified.
+func ParseFormat(format string) ([]Directive, error) {
+	fd, err := lookupFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	return fd.dirs, nil
+}

@@ -370,3 +370,7 @@ func floatBits(vals []any) []any {
 	}
 	return out
 }
+
+// Directives returns the parsed directives. The returned slice must not be
+// modified.
+func (p *Packet) Directives() []Directive { return p.desc().dirs }

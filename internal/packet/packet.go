@@ -202,16 +202,6 @@ func internFormat(fd *formatDesc) *formatDesc {
 	return fd
 }
 
-// ParseFormat parses a format string into its directives. The returned
-// slice may be shared with other callers and must not be modified.
-func ParseFormat(format string) ([]Directive, error) {
-	fd, err := lookupFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return fd.dirs, nil
-}
-
 func parseDirective(tok string) (Directive, bool) {
 	switch tok {
 	case "%c":
@@ -491,10 +481,6 @@ func mismatch(d Directive, v any) error {
 
 // NumValues returns the number of payload values in the packet.
 func (p *Packet) NumValues() int { return len(p.desc().dirs) }
-
-// Directives returns the parsed directives. The returned slice must not be
-// modified.
-func (p *Packet) Directives() []Directive { return p.desc().dirs }
 
 // Value returns the i'th payload value.
 func (p *Packet) Value(i int) any { return p.Values()[i] }

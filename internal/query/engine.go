@@ -356,17 +356,6 @@ func BackEndHandler(attrs func(rank core.Rank) AttrSource) func(be *core.BackEnd
 	}
 }
 
-// NewEngine builds a private overlay and an engine over it — the classic
-// single-tool construction. Close releases the engine; call Shutdown (or
-// keep a Network handle) to tear the overlay down.
-func NewEngine(tree *topology.Tree, attrs func(rank core.Rank) AttrSource, opts ...Option) (*Engine, error) {
-	nw, err := NewNetwork(tree, attrs, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{nw: nw, owned: true}, nil
-}
-
 // NewSessionEngine is the multi-tenant construction: a thin query client
 // bound to one tenant session on a shared overlay (built with NewNetwork).
 // The engine's streams live in the session's namespace, draw from its

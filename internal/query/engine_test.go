@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,6 +123,20 @@ func TestLegacyEngineCloseLeavesOverlayUp(t *testing.T) {
 // TestEngineSketchWorkloads runs each sketch kind end to end through the
 // engine and checks the reduced result against the exact ground truth
 // recomputed from the same deterministic generator.
+// groundTruth is what the leaves generate for a sketch request of the
+// given seed and per-leaf count: each key's count, and every value sorted.
+func groundTruth(seed int64, n int, ranks []core.Rank) (freq map[string]int64, vals []float64) {
+	freq = map[string]int64{}
+	for _, r := range ranks {
+		sketch.GenStream(seed, r, n, func(key string, val float64) {
+			freq[key]++
+			vals = append(vals, val)
+		})
+	}
+	sort.Float64s(vals)
+	return freq, vals
+}
+
 func TestEngineSketchWorkloads(t *testing.T) {
 	tree, err := topology.ParseSpec("kary:3^2")
 	if err != nil {
@@ -134,8 +149,9 @@ func TestEngineSketchWorkloads(t *testing.T) {
 	defer eng.Shutdown()
 	ranks := tree.Leaves()
 
+	// Every request below generates the same items: seed 7, 500 per leaf.
+	freq, vals := groundTruth(7, 500, ranks)
 	req := sketch.Request{Kind: sketch.KindCountMin, Param: 2048, N: 500, Seed: 7}
-	exact := sketch.ExactFor(req, ranks)
 	p, err := eng.Sketch(req, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +160,13 @@ func TestEngineSketchWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, n := range exact.Freq {
+	for key, n := range freq {
 		if est := cm.Estimate(key); est < n {
 			t.Fatalf("count-min underestimated %q: %d < %d", key, est, n)
 		}
 	}
 
 	req = sketch.Request{Kind: sketch.KindHLL, Param: 12, N: 500, Seed: 7}
-	exact = sketch.ExactFor(req, ranks)
 	p, err = eng.Sketch(req, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +176,11 @@ func TestEngineSketchWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := float64(hll.Estimate())
-	if rel := math.Abs(est-float64(exact.Distinct)) / float64(exact.Distinct); rel > 0.07 {
-		t.Errorf("HLL estimate %g vs %d (rel %.3f)", est, exact.Distinct, rel)
+	if rel := math.Abs(est-float64(len(freq))) / float64(len(freq)); rel > 0.07 {
+		t.Errorf("HLL estimate %g vs %d (rel %.3f)", est, len(freq), rel)
 	}
 
 	req = sketch.Request{Kind: sketch.KindTDigest, N: 500, Seed: 7}
-	exact = sketch.ExactFor(req, ranks)
 	p, err = eng.Sketch(req, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +189,7 @@ func TestEngineSketchWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := td.Quantile(0.5), exact.ExactQuantile(0.5); math.Abs(got-want) > 2 {
+	if got, want := td.Quantile(0.5), vals[(len(vals)-1)/2]; math.Abs(got-want) > 2 {
 		t.Errorf("median %g vs exact %g", got, want)
 	}
 
@@ -367,4 +381,15 @@ func TestMixedTenantSketchKillBitIdentical(t *testing.T) {
 		pre[0].Load(), pre[1].Load(), pre[2].Load(),
 		post[0].Load(), post[1].Load(), post[2].Load(),
 		m.PacketsReplayed.Load(), m.DupsDropped.Load(), m.ReplayRingHighWater.Load())
+}
+
+// NewEngine builds a private overlay and an engine over it — the classic
+// single-tool construction. Close releases the engine; call Shutdown (or
+// keep a Network handle) to tear the overlay down.
+func NewEngine(tree *topology.Tree, attrs func(rank core.Rank) AttrSource, opts ...Option) (*Engine, error) {
+	nw, err := NewNetwork(tree, attrs, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{nw: nw, owned: true}, nil
 }

@@ -282,28 +282,6 @@ func (p *parser) parsePred() (Pred, error) {
 	return Pred{Attr: attr, Op: op, Value: v}, nil
 }
 
-// Attrs returns every attribute the query touches (for validation).
-func (q *Query) Attrs() []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(a string) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, s := range q.Selects {
-		add(s.Attr)
-	}
-	for _, w := range q.Where {
-		add(w.Attr)
-	}
-	if q.GroupBy != "" {
-		add(q.GroupBy)
-	}
-	return out
-}
-
 // String renders the query back to its canonical text.
 func (q *Query) String() string {
 	var b strings.Builder

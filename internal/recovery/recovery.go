@@ -30,14 +30,14 @@
 // the whole overlay a fresh grace period, letting the adopted children's
 // beacons resume at their new parent before any further verdicts.
 //
-// Recovery is fabric-agnostic: replacement links are minted through the
-// network's transport.Rewirer (the adopter listens, each orphan redials),
-// so the same manager drives live reconfiguration on the in-process chan
-// fabric and on real TCP. Overlapping failures — a second process dying
-// while an adoption is in flight — converge too: an orphan that dies
-// mid-handshake is fenced off (its slot stays empty until its own
-// recovery), and an adopter that dies mid-adoption rolls the adoption
-// back for the detector to redo shallowest-first.
+// Recovery is fabric-agnostic: the network mints each replacement link
+// whole and hands every orphan its end, so the same manager drives live
+// reconfiguration on the in-process chan fabric and on real TCP.
+// Overlapping failures — a second process dying while an adoption is in
+// flight — converge too: an orphan that is dead when its end is handed
+// over is fenced off (its slot stays empty until its own recovery), and
+// an adopter that dies mid-adoption rolls the adoption back for the
+// detector to redo shallowest-first.
 //
 //	nw, _ := core.NewNetwork(core.Config{
 //	    Topology:        tree,

@@ -125,7 +125,7 @@ func TestRecoverChain(t *testing.T) {
 	tree, _ := topology.ParseSpec("kary:2^3") // 15 nodes
 	nw := liveNet(t, tree)
 	adoptChecked(t, nw, 2)
-	adoptChecked(t, nw, nw.LiveInternal()[0])
+	adoptChecked(t, nw, nw.LiveChildren(0)[0])
 	if got := len(liveBackEnds(nw)); got != 8 {
 		t.Errorf("back-ends after two failures = %d, want 8", got)
 	}

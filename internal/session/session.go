@@ -96,13 +96,6 @@ func (m *Manager) allocNS() (uint32, error) {
 	return 0, errors.New("session: no free namespace")
 }
 
-// Active reports how many sessions are currently open.
-func (m *Manager) Active() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.open)
-}
-
 // Close closes every open session. It does NOT shut the network down —
 // the overlay belongs to its owner, and other clients (or a later
 // manager) may still be using it.

@@ -409,3 +409,10 @@ func TestCloseTenantDoesNotStallOthers(t *testing.T) {
 		bwg.Wait()
 	}
 }
+
+// Active reports how many sessions are currently open.
+func (m *Manager) Active() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.open)
+}

@@ -56,15 +56,6 @@ func (g *Graph) paths() []string {
 	return out
 }
 
-// Signature returns a canonical string identifying the graph's qualitative
-// structure: its sorted path set. Graphs with equal signatures fold into
-// the same host equivalence class.
-func (g *Graph) Signature() string {
-	ps := g.paths()
-	sort.Strings(ps)
-	return strings.Join(ps, "\n")
-}
-
 // Composite is a folded set of graphs: the union of labeled paths, each
 // with the sorted set of hosts exhibiting it.
 type Composite struct {
@@ -98,9 +89,6 @@ func (c *Composite) Merge(o *Composite) {
 		}
 	}
 }
-
-// NumPaths returns the number of distinct labeled paths.
-func (c *Composite) NumPaths() int { return len(c.hosts) }
 
 // Paths returns the distinct labeled paths, sorted.
 func (c *Composite) Paths() []string {

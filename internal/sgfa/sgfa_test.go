@@ -2,6 +2,8 @@ package sgfa
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -268,4 +270,16 @@ func BenchmarkFold1024(b *testing.B) {
 			b.Fatal("bad fold")
 		}
 	}
+}
+
+// NumPaths returns the number of distinct labeled paths.
+func (c *Composite) NumPaths() int { return len(c.hosts) }
+
+// Signature returns a canonical string identifying the graph's qualitative
+// structure: its sorted path set. Graphs with equal signatures fold into
+// the same host equivalence class.
+func (g *Graph) Signature() string {
+	ps := g.paths()
+	sort.Strings(ps)
+	return strings.Join(ps, "\n")
 }

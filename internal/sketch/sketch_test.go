@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -295,4 +296,38 @@ func TestRequestRoundTripAndValidation(t *testing.T) {
 			t.Errorf("FilterName(%q): %v", k, err)
 		}
 	}
+}
+
+// Exact is the ground truth of a workload across a set of ranks, computed
+// directly (no sketching) from the same generator.
+type Exact struct {
+	Freq     map[string]int64 // per-key frequencies
+	Distinct int              // distinct key count
+	Values   []float64        // every value, sorted
+	Total    int64            // total items
+}
+
+// ExactFor computes the exact aggregate of the request's workload over the
+// given back-end ranks.
+func ExactFor(req Request, ranks []core.Rank) Exact {
+	e := Exact{Freq: map[string]int64{}}
+	for _, r := range ranks {
+		GenStream(req.Seed, r, req.N, func(key string, val float64) {
+			e.Freq[key]++
+			e.Values = append(e.Values, val)
+			e.Total++
+		})
+	}
+	e.Distinct = len(e.Freq)
+	sort.Float64s(e.Values)
+	return e
+}
+
+// ExactQuantile reads quantile q off the sorted exact values.
+func (e Exact) ExactQuantile(q float64) float64 {
+	if len(e.Values) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(e.Values)-1))
+	return e.Values[i]
 }

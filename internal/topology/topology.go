@@ -135,9 +135,6 @@ func (t *Tree) Node(r Rank) *Node {
 	return &t.nodes[r]
 }
 
-// Root returns the front-end node.
-func (t *Tree) Root() *Node { return &t.nodes[0] }
-
 // Parent returns the parent rank of r, or NoRank for the root.
 func (t *Tree) Parent(r Rank) Rank { return t.nodes[r].Parent }
 

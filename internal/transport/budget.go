@@ -29,12 +29,6 @@ func NewBudget(n int) *Budget {
 	return &Budget{credits: newCredits(n)}
 }
 
-// Cap returns the budget's total credit count.
-func (b *Budget) Cap() int { return int(b.credits.cap) }
-
-// InUse reports how many credits are currently held.
-func (b *Budget) InUse() int { return int(b.credits.used.Load()) }
-
 // TryAcquire takes one credit if one is free.
 func (b *Budget) TryAcquire() bool { return b.credits.tryTake(1) == 1 }
 

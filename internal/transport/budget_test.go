@@ -189,3 +189,9 @@ func TestBudgetedGrantsOverWire(t *testing.T) {
 		t.Fatalf("budget in use after grants = %d, want 0", b.InUse())
 	}
 }
+
+// Cap returns the budget's total credit count.
+func (b *Budget) Cap() int { return int(b.credits.cap) }
+
+// InUse reports how many credits are currently held.
+func (b *Budget) InUse() int { return int(b.credits.used.Load()) }

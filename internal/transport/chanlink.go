@@ -43,7 +43,7 @@ type chanLink struct {
 }
 
 // DefaultChanBuffer is the per-direction frame buffer of every fabric and
-// rewirer link, and of NewPair given a non-positive size. Each buffered
+// replacement link, and of NewPair given a non-positive size. Each buffered
 // element is one frame (a packet or a batch), so the buffer bounds queued
 // link operations, not queued packets.
 const DefaultChanBuffer = 64

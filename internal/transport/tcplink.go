@@ -381,51 +381,59 @@ func (ln *Listener) Accept() (Link, error) {
 // Close stops the listener.
 func (ln *Listener) Close() error { return ln.l.Close() }
 
+// NewTCPPair mints one TCP link over loopback and returns both of its ends:
+// it listens on an ephemeral port, dials it, accepts the connection and
+// closes the listener. parent is the accepted end, child the dialed one.
+func NewTCPPair() (parent, child Link, err error) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, nil, fmt.Errorf("listen: %w", err)
+	}
+	defer ln.Close()
+	type accepted struct {
+		link Link
+		err  error
+	}
+	acceptCh := make(chan accepted, 1)
+	go func() {
+		l, err := ln.Accept()
+		acceptCh <- accepted{l, err}
+	}()
+	child, err = Dial(ln.Addr())
+	if err != nil {
+		return nil, nil, fmt.Errorf("dial: %w", err) // closing ln fails the accept
+	}
+	acc := <-acceptCh
+	if acc.err != nil {
+		child.Close()
+		return nil, nil, fmt.Errorf("accept: %w", acc.err)
+	}
+	return acc.link, child, nil
+}
+
 // NewTCPFabric wires an entire topology with real TCP links over loopback,
-// returning one Endpoint per rank. This is the integration-test and
-// single-machine-deployment path; a distributed deployment would instead
-// have each process Dial its parent using the topology's Host fields.
+// one NewTCPPair per edge, returning one Endpoint per rank. This is the
+// integration-test and single-machine-deployment path; a distributed
+// deployment would instead have each process Dial its parent using the
+// topology's Host fields.
 func NewTCPFabric(t *topology.Tree) ([]*Endpoint, error) {
 	eps := make([]*Endpoint, t.Len())
 	for r := 0; r < t.Len(); r++ {
 		eps[r] = &Endpoint{Rank: packet.Rank(r)}
 	}
 	var openLinks []Link
-	fail := func(err error) ([]*Endpoint, error) {
-		for _, l := range openLinks {
-			l.Close()
-		}
-		return nil, err
-	}
 	for r := 0; r < t.Len(); r++ {
 		for _, c := range t.Children(topology.Rank(r)) {
-			ln, err := Listen("127.0.0.1:0")
+			parent, child, err := NewTCPPair()
 			if err != nil {
-				return fail(fmt.Errorf("transport: listen for edge %d->%d: %w", r, c, err))
+				for _, l := range openLinks {
+					l.Close()
+				}
+				return nil, fmt.Errorf("transport: edge %d->%d: %w", r, c, err)
 			}
-			type accepted struct {
-				link Link
-				err  error
-			}
-			acceptCh := make(chan accepted, 1)
-			go func() {
-				l, err := ln.Accept()
-				acceptCh <- accepted{l, err}
-			}()
-			childEnd, err := Dial(ln.Addr())
-			if err != nil {
-				ln.Close()
-				return fail(fmt.Errorf("transport: dial for edge %d->%d: %w", r, c, err))
-			}
-			acc := <-acceptCh
-			ln.Close()
-			if acc.err != nil {
-				childEnd.Close()
-				return fail(fmt.Errorf("transport: accept for edge %d->%d: %w", r, c, acc.err))
-			}
-			eps[r].Children = append(eps[r].Children, acc.link)
-			eps[c].Parent = childEnd
-			openLinks = append(openLinks, acc.link, childEnd)
+			eps[r].Children = append(eps[r].Children, parent)
+			eps[c].Parent = child
+			openLinks = append(openLinks, parent, child)
 		}
 	}
 	return eps, nil

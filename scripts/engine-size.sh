@@ -216,13 +216,26 @@
 # and the owed-grant claim's settlement, which gives a grant back when the
 # socket took none of its frame. The lockorder analyzer learned
 # TrySendBatch (+2). The timer sites stay at 5 and the waivers at 2.
+#
+# Lowered: internal/core 5522 -> 5474, outside bench/ 19728 -> 19458 and
+# timer sites 5 -> 4 for one way to mint an edge: the network makes both
+# ends of every replacement link (transport.NewTCPPair, the loop body of
+# NewTCPFabric, or NewPair) and hands the orphan its end, so the
+# offer/redial rendezvous went (transport.Rewirer, Offer, ChanRewirer,
+# TCPRewirer, ErrNoOffer, Network.rewirer) with acceptReplacement, its
+# 2 s timer and the redial-failure branches. Functions no shipped code
+# called went too (Query.Attrs, Network.LiveInternal, Tree.Root,
+# lint.ChainContains). The ceilings fall by what was deleted (48 lines in
+# internal/core, 270 outside bench/); the counts fell 143 lines further
+# (11 in internal/core) for test-only helpers that moved into their
+# packages' _test.go files. The waivers stay at 2.
 set -eu
 cd "$(dirname "$0")/.."
 
-max_lines=5522
-max_timer_sites=5
+max_lines=5474
+max_timer_sites=4
 max_waivers=2
-max_repo_lines=19728
+max_repo_lines=19458
 
 files=$(git ls-files 'internal/core/*.go' | grep -v _test.go)
 # shellcheck disable=SC2086
